@@ -101,6 +101,7 @@ _KEYS = (
     "__tuple__", "__set__", "__frozenset__", "__pickle__",
     "coordination", "chunked", "d_cutoff", "bound",
     "stacksteal", "ordered",
+    "records", "seq", "more",
 )
 _KEY_INDEX = {name: i for i, name in enumerate(_KEYS)}
 _RAW_KEY = 0xFF

@@ -53,7 +53,12 @@ from typing import Any, Callable, Optional
 
 from repro.cluster import protocol as P
 from repro.cluster.faults import CoordinatorFaults
-from repro.core.ordered import OrderedLedger, ordered_frontier
+from repro.core.ordered import (
+    OrderedLedger,
+    OrderedRun,
+    OrderedRunPolicy,
+    ordered_frontier,
+)
 from repro.core.results import SearchMetrics, SearchResult
 from repro.core.searchtypes import Incumbent
 from repro.runtime.processes import make_stype
@@ -101,11 +106,9 @@ class TaskRecord:
     epoch: int = 0
     state: str = QUEUED
     worker: Optional[int] = None
-    # Ordered jobs only: the discovery-order priority and the pinned
-    # starting bound (None = speculative, the worker uses its last-heard
-    # finalised-prefix best).
-    seq: Optional[int] = None
-    bound: Optional[int] = None
+    # Ordered jobs only: the record *is* one lease of a run of frontier
+    # tasks, created when the policy cuts it (``node`` stays None).
+    run: Optional[OrderedRun] = None
 
 
 @dataclass
@@ -170,28 +173,21 @@ class _Job:
         self.done: asyncio.Future = loop.create_future()
         self._next_task = 0
         self.ledger: Optional[OrderedLedger] = None
-        self.seq_task: dict[int, int] = {}
+        self.policy: Optional[OrderedRunPolicy] = None
         if self.coordination == "ordered":
             # Phase 1 runs here, synchronously: the sequential
             # depth-bounded expansion that numbers the frontier.  It is
             # the region above d_cutoff — small by construction — so
-            # blocking the loop for it is fine.
+            # blocking the loop for it is fine.  No task records yet:
+            # the policy cuts runs as slots come free (see lease_run).
             frontier = ordered_frontier(
                 self.spec, self.stype, d_cutoff=self.d_cutoff
             )
+            self.frontier_tasks = frontier.tasks
             self.ledger = OrderedLedger(self.stype, frontier)
+            self.policy = OrderedRunPolicy(self.ledger)
             if not self.enum:
                 self.best_value = self.ledger.required_bound()
-            for t in frontier.tasks:
-                rec = TaskRecord(
-                    id=self._new_task_id(),
-                    node=P.encode_node(t.node),
-                    depth=t.depth,
-                    seq=t.seq,
-                )
-                self.tasks[rec.id] = rec
-                self.queue.append(rec.id)
-                self.seq_task[t.seq] = rec.id
             self.outstanding = self.ledger.task_count
         else:
             root = TaskRecord(
@@ -206,6 +202,44 @@ class _Job:
     def _new_task_id(self) -> int:
         self._next_task += 1
         return self._next_task
+
+    def lease_run(self, workers: int) -> Optional[TaskRecord]:
+        """Ordered jobs: the next run the policy hands out, as a fresh
+        task record (None while its window for ``workers`` is full)."""
+        run = self.policy.lease(workers)
+        if run is None:
+            return None
+        rec = TaskRecord(id=self._new_task_id(), node=None, depth=0, run=run)
+        self.tasks[rec.id] = rec
+        return rec
+
+    def lease_entry(self, rec: TaskRecord) -> list:
+        """One granted lease as its ``leases`` entry of a TASK frame."""
+        run = rec.run
+        if run is None:
+            return [rec.id, rec.epoch, rec.node, rec.depth]
+        roots = [
+            [P.encode_node(t.node), t.depth]
+            for t in self.frontier_tasks[run.first:run.first + run.count]
+        ]
+        return [rec.id, rec.epoch, roots, run.first, run.bound]
+
+    def requeue(self, rec: TaskRecord) -> None:
+        """A lease was lost (worker death or retire handback): make its
+        work leasable again and count the re-lease."""
+        if rec.run is not None:
+            # The run goes back to the policy, which re-cuts it; this
+            # record is spent.
+            rec.state = CANCELLED
+            self.metrics.reassigned += self.policy.requeue(rec.run)
+            return
+        # Bump the epoch *before* re-queueing: anything the previous
+        # holder still says about this task is stale by construction.
+        rec.epoch += 1
+        rec.state = QUEUED
+        rec.worker = None
+        self.queue.appendleft(rec.id)
+        self.metrics.reassigned += 1
 
     def add_offcuts(self, parent: TaskRecord, depth: int, nodes: list) -> int:
         """Register budget-split subtrees as fresh queued tasks."""
@@ -304,6 +338,7 @@ class Coordinator:
         # not raise (it is guarded anyway).
         self.on_incumbent: Optional[Callable[[int], None]] = None
         self._next_worker = 0
+        self._retire_on_join: set[str] = set()
         self._next_job = 0
         self._job: Optional[_Job] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -385,7 +420,11 @@ class Coordinator:
             "connected": len(self.workers),
             "retiring": sum(1 for w in self.workers.values() if w.retiring),
             "job_active": active,
-            "queued_tasks": len(job.queue) if active else 0,
+            "queued_tasks": (
+                0 if not active
+                else len(job.queue) if job.policy is None
+                else job.policy.backlog
+            ),
             "leased_tasks": (
                 sum(len(w.tasks) for w in self.workers.values()) if active else 0
             ),
@@ -403,7 +442,8 @@ class Coordinator:
 
         Sends RETIRE and stops leasing to it; the worker finishes its
         in-flight task, RELEASEs unstarted leases, says BYE and exits.
-        Returns False if no live worker has that name.  Idempotent.
+        Returns False if no live worker has that name (should one join
+        under it later, it is retired on arrival).  Idempotent.
         """
         for worker in self.workers.values():
             if worker.name == name and worker.alive:
@@ -411,6 +451,11 @@ class Coordinator:
                     worker.retiring = True
                     self._post(worker, {"type": P.RETIRE})
                 return True
+        # Not connected (yet).  Remember the request: a worker that was
+        # still starting up when it was retired must join as retiring,
+        # or it is leased work in the instant before its stop reaches it
+        # and says BYE holding it.
+        self._retire_on_join.add(name)
         return False
 
     async def retire_worker(self, name: str) -> bool:
@@ -513,6 +558,9 @@ class Coordinator:
             })
             # Everything after the WELCOME speaks the negotiated codec.
             worker.codec = P.get_codec(codec_name)
+            if worker.name in self._retire_on_join:
+                worker.retiring = True
+                self._post(worker, {"type": P.RETIRE})
             if self.shutting_down:
                 self._post(worker, {"type": P.SHUTDOWN})
             elif self._job is not None and self._job.state == "running":
@@ -728,61 +776,74 @@ class Coordinator:
     def _on_result_ordered(
         self, worker: WorkerConn, job: _Job, rec: TaskRecord, msg: dict
     ) -> None:
-        """Feed one arrived ordered result to the ledger and act on its
-        verdict: finalise the ready prefix, re-lease any run the ledger
-        rejected for a bound mismatch (epoch bumped, bound pinned,
-        front of the queue), and broadcast the new finalised-prefix
-        best."""
+        """Feed one RESULT's per-task records to the policy and act on
+        the verdict: the ledger finalises the ready prefix, whatever it
+        rejects goes back to the front of the policy's queue, and a new
+        finalised-prefix best is broadcast.  A frame flagged ``more`` is
+        an early flush: the run lease stays live."""
         ledger = job.ledger
-        rec.state = DONE
-        rec.worker = None
-        worker.tasks.discard(rec.id)
+        run = rec.run
+        done = not msg.get("more")
+        if done:
+            rec.state = DONE
+            rec.worker = None
+            worker.tasks.discard(rec.id)
         job.contributors.add(worker.id)
-        payload: dict = {
-            "nodes": int(msg.get("nodes", 0)),
-            "prunes": int(msg.get("prunes", 0)),
-            "backtracks": int(msg.get("backtracks", 0)),
-            "max_depth": int(msg.get("max_depth", 0)),
-            "goal": bool(msg.get("goal")),
-        }
-        if job.enum:
-            payload["knowledge"] = msg.get("knowledge")
-        else:
-            payload["bound"] = msg.get("bound")
-            payload["value"] = msg.get("value")
-            payload["node"] = P.decode_node(msg.get("node"))
-        ledger.record(rec.seq, payload)
-        for rerun_seq, rerun_bound in ledger.advance():
-            rrec = job.tasks[job.seq_task[rerun_seq]]
-            # Bump before re-queueing, exactly like a crash re-lease:
-            # the rejected run's lease is dead.
-            rrec.epoch += 1
-            rrec.state = QUEUED
-            rrec.worker = None
-            rrec.bound = rerun_bound
-            job.queue.appendleft(rrec.id)
+        records = [
+            payload for payload in (
+                self._ordered_record(job, run, record)
+                for record in msg.get("records") or []
+            ) if payload is not None
+        ]
+        moved = job.policy.accept(records, done)
         job.outstanding = ledger.task_count - ledger.next_seq
-        if not job.enum:
-            new_best = ledger.required_bound()
-            if new_best is not None and (
-                job.best_value is None or new_best > job.best_value
-            ):
-                # The broadcast value is the *finalised-prefix* best —
-                # monotone and deterministic — not the raw arrival best.
-                job.best_value = new_best
-                job.metrics.broadcasts += 1
-                out = {"type": P.INCUMBENT, "job": job.id, "value": new_best}
-                for other in list(self.workers.values()):
-                    self._post(other, out)
-                if self.on_incumbent is not None:
-                    try:
-                        self.on_incumbent(new_best)
-                    except Exception:
-                        pass
+        if moved:
+            # The broadcast value is the *finalised-prefix* best —
+            # monotone and deterministic — not the raw arrival best.
+            job.best_value = ledger.required_bound()
+            job.metrics.broadcasts += 1
+            out = {"type": P.INCUMBENT, "job": job.id, "value": job.best_value}
+            for other in list(self.workers.values()):
+                self._post(other, out)
+            if self.on_incumbent is not None:
+                try:
+                    self.on_incumbent(job.best_value)
+                except Exception:
+                    pass
         if ledger.finished:
             self._finish_ordered(job)
             return
         self._pump()
+
+    @staticmethod
+    def _ordered_record(job: _Job, run: OrderedRun, record: Any) -> Optional[dict]:
+        """One wire record as a ledger payload; None drops a record
+        that is malformed or names a task outside its lease."""
+        if not isinstance(record, dict):
+            return None
+        seq = record.get("seq")
+        if not isinstance(seq, int) or not (
+            run.first <= seq < run.first + run.count
+        ):
+            return None
+        payload: dict = {
+            "seq": seq,
+            "nodes": int(record.get("nodes", 0)),
+            "prunes": int(record.get("prunes", 0)),
+            "backtracks": int(record.get("backtracks", 0)),
+            "max_depth": int(record.get("max_depth", 0)),
+            "goal": bool(record.get("goal")),
+        }
+        if job.enum:
+            payload["knowledge"] = record.get("knowledge")
+            return payload
+        bound, value = record.get("bound"), record.get("value")
+        if not isinstance(bound, int) or not isinstance(value, (int, type(None))):
+            return None
+        payload["bound"] = bound
+        payload["value"] = value
+        payload["node"] = P.decode_node(record.get("node"))
+        return payload
 
     def _finish_ordered(self, job: _Job) -> None:
         """Copy the ledger's authoritative state into the job and
@@ -818,13 +879,7 @@ class Coordinator:
                 job.stale_dropped += 1
                 continue
             worker.tasks.discard(rec.id)
-            # Bump before re-queueing: anything else the retiring worker
-            # still says about this task is stale by construction.
-            rec.epoch += 1
-            rec.state = QUEUED
-            rec.worker = None
-            job.queue.appendleft(rec.id)
-            job.metrics.reassigned += 1
+            job.requeue(rec)
             released += 1
         if released:
             self._pump()
@@ -835,21 +890,23 @@ class Coordinator:
         """Lease queued tasks to free slots, round-robin, batched.
 
         Each pass grants at most one lease per worker with a free slot;
-        passes repeat until the queue drains or every slot is full.
-        Round-robin (not filling one worker greedily) is what spreads
-        the first few offcuts across the fleet — with prefetch slots a
-        greedy fill would let one worker hoard the whole frontier and
-        serialise the search.  All of a worker's grants then go out in
-        ONE batched TASK frame (``leases: [[id, epoch, node, depth],
-        ...]``); a v1 peer instead gets the single-lease frames it
-        expects, one per grant.
+        passes repeat until there is nothing to lease or every slot is
+        full.  Round-robin (not filling one worker greedily) is what
+        spreads the first few offcuts across the fleet — with prefetch
+        slots a greedy fill would let one worker hoard the whole
+        frontier and serialise the search.  All of a worker's grants
+        then go out in ONE batched TASK frame (``leases: [[id, epoch,
+        node, depth], ...]``); a v1 peer instead gets the single-lease
+        frames it expects, one per grant.  An ordered job leases *runs*:
+        its entries are ``[id, epoch, [[node, depth], ...], first_seq,
+        bound]``, cut by the job's run policy as slots come free.
         """
         job = self._job
         if job is None or job.state != "running":
             return
-        # Only v3 peers understand coordination-aware jobs (bound
-        # leases, STEAL); a down-level worker leased ordered work would
-        # run it with the budget loop and corrupt determinism.
+        # Only v3 peers understand coordination-aware jobs (run leases,
+        # STEAL); a down-level worker leased ordered work would run it
+        # with the budget loop and corrupt determinism.
         min_version = 3 if job.coordination != "budget" else 1
         eligible = [
             w for w in self.workers.values()
@@ -857,19 +914,22 @@ class Coordinator:
         ]
         batches: dict[int, list[TaskRecord]] = {}
         granted = True
-        while granted and job.queue:
+        while granted:
             granted = False
             for worker in eligible:
                 if not worker.alive or len(worker.tasks) >= worker.slots:
                     continue
-                rec = None
-                while job.queue:
-                    cand = job.tasks[job.queue.popleft()]
-                    if cand.state == QUEUED:
-                        rec = cand
-                        break
+                if job.policy is not None:
+                    rec = job.lease_run(len(eligible))
+                else:
+                    rec = None
+                    while job.queue:
+                        cand = job.tasks[job.queue.popleft()]
+                        if cand.state == QUEUED:
+                            rec = cand
+                            break
                 if rec is None:
-                    break  # queue drained (stale entries popped away)
+                    break  # nothing (more) to lease
                 rec.state = LEASED
                 rec.worker = worker.id
                 worker.tasks.add(rec.id)
@@ -883,14 +943,7 @@ class Coordinator:
                 self._post(worker, {
                     "type": P.TASK,
                     "job": job.id,
-                    # Ordered leases carry a 5th element: the pinned
-                    # starting bound (None = speculative).
-                    "leases": [
-                        [r.id, r.epoch, r.node, r.depth, r.bound]
-                        for r in leases
-                    ] if job.ledger is not None else [
-                        [r.id, r.epoch, r.node, r.depth] for r in leases
-                    ],
+                    "leases": [job.lease_entry(r) for r in leases],
                 })
             else:
                 for r in leases:
@@ -901,7 +954,6 @@ class Coordinator:
                         "epoch": r.epoch,
                         "node": r.node,
                         "depth": r.depth,
-                        "bound": r.bound,
                     })
         if job.coordination == "stacksteal" and not job.queue:
             self._mediate_steals(job, eligible)
@@ -963,13 +1015,7 @@ class Coordinator:
             rec = job.tasks.get(tid)
             if rec is None or rec.state != LEASED:
                 continue
-            # Bump the epoch *before* re-queueing: anything the dead (or
-            # merely slow) worker still says about this task is stale.
-            rec.epoch += 1
-            rec.state = QUEUED
-            rec.worker = None
-            job.queue.appendleft(rec.id)
-            job.metrics.reassigned += 1
+            job.requeue(rec)
         self._pump()
 
     async def _watchdog(self) -> None:

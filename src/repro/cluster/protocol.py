@@ -30,15 +30,19 @@ WELCOME    c -> w      assigned worker id + heartbeat interval + codec
 JOB        c -> w      search definition: spec factory, search type, knobs
 TASK       c -> w      lease subtrees: up to ``slots`` ``[id, epoch, node,
                        depth]`` entries batched in one ``leases`` list
-                       (v1 peers get one single-lease frame per task)
+                       (v1 peers get one single-lease frame per task); an
+                       ordered job's entries are *runs*: ``[id, epoch,
+                       [[node, depth], ...], first_seq, bound]``
 OFFCUT     w -> c      budget-trip split: subtrees pushed back for re-lease
 STEAL      c -> w      stack-stealing: split your live generator stack and
                        answer with a STOLEN frame (v3)
 STOLEN     w -> c      steal answer: lowest-depth subtrees carved off the
                        victim's stack, or empty = nothing to give (v3)
 INCUMBENT  both        a strictly better bound value (broadcast downstream)
-RESULT     w -> c      a leased task finished: counters + local best
-                       (ordered jobs also echo the ``bound`` searched under)
+RESULT     w -> c      a leased task finished: counters + local best; for
+                       an ordered run, ``records``: one ``{seq, bound,
+                       counters, value, node}`` per task, with ``more`` set
+                       on an early flush that leaves the lease live
 RELEASE    w -> c      retire handback: unstarted leases returned for re-lease
 HEARTBEAT  w -> c      liveness (any frame also refreshes the deadline, so
                        workers suppress it while other traffic flows)
@@ -141,8 +145,8 @@ __all__ = [
 ]
 
 # v2 adds the binary codec + codec negotiation and batched TASK leases.
-# v3 adds the coordination-aware JOB (ordered bound-carrying leases and
-# the STEAL/STOLEN stack-stealing exchange).  v1 peers (JSON only, one
+# v3 adds the coordination-aware JOB (ordered run leases with
+# multi-record RESULTs, and the STEAL/STOLEN stack-stealing exchange).  v1 peers (JSON only, one
 # lease per TASK frame) and v2 peers remain fully supported — but only
 # v3 peers are eligible for ordered/stacksteal work (see the
 # coordinator's lease/victim selection).

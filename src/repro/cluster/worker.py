@@ -54,7 +54,7 @@ from typing import Optional
 
 from repro.cluster import protocol as P
 from repro.cluster.faults import WorkerFaults
-from repro.core.ordered import run_task_fixed_bound
+from repro.core.ordered import execute_run
 from repro.core.searchtypes import Incumbent
 from repro.core.tasks import split_lowest_inlined, split_one_inlined
 from repro.runtime.processes import graceful_stop, make_stype
@@ -330,8 +330,6 @@ class ClusterWorker:
             if ctx is not None and msg.get("job") == ctx.id and not ctx.done:
                 # v2 batches up to `slots` leases per frame; a v1
                 # coordinator sends the single-lease shape instead.
-                # Ordered leases carry a 5th element, the pinned
-                # starting bound (None = speculative).
                 leases = msg.get("leases")
                 if leases is None:
                     leases = [[
@@ -339,15 +337,23 @@ class ClusterWorker:
                         msg["epoch"],
                         msg.get("node"),
                         msg.get("depth", 0),
-                        msg.get("bound"),
                     ]]
                 for lease in leases:
-                    task_id, epoch, node, depth = lease[:4]
-                    bound = lease[4] if len(lease) > 4 else None
-                    self._local_q.put((
-                        ctx, task_id, epoch, P.decode_node(node),
-                        int(depth), bound,
-                    ))
+                    task_id, epoch = lease[:2]
+                    if ctx.coordination == "ordered":
+                        # A run: [[node, depth], ...] numbered from
+                        # first_seq, plus the bound it was cut under.
+                        roots, first, bound = lease[2:5]
+                        work = (
+                            [
+                                (first + i, P.decode_node(node), int(depth))
+                                for i, (node, depth) in enumerate(roots)
+                            ],
+                            bound,
+                        )
+                    else:
+                        work = (P.decode_node(lease[2]), int(lease[3]))
+                    self._local_q.put((ctx, task_id, epoch, work))
         elif mtype == P.STEAL:
             # Answered by the search loop: mid-task at the next
             # share_poll check (split the live stack), or immediately
@@ -420,11 +426,18 @@ class ClusterWorker:
                     self._finished = True
                     return
                 continue
-            ctx, task_id, epoch, node, depth, bound = item
+            ctx, task_id, epoch, work = item
             if ctx.done or ctx is not self._ctx:
                 continue
+            if self._faults is not None:
+                # Chaos: may hard-exit here, dying with this lease live
+                # so the coordinator's re-lease path has to recover it.
+                self._faults.on_task_start(self.tasks_run + 1)
             try:
-                self._run_task(ctx, task_id, epoch, node, depth, bound)
+                if ctx.coordination == "ordered":
+                    self._run_ordered_lease(ctx, task_id, epoch, *work)
+                else:
+                    self._run_task(ctx, task_id, epoch, *work)
             except (ConnectionError, OSError):
                 self._session_dead.set()
                 return
@@ -457,7 +470,7 @@ class ClusterWorker:
         ctx = self._ctx
         while True:
             try:
-                item_ctx, task_id, epoch, _node, _depth = self._local_q.get_nowait()
+                item_ctx, task_id, epoch, _work = self._local_q.get_nowait()
             except queue.Empty:
                 break
             if ctx is not None and item_ctx is ctx and not ctx.done:
@@ -468,24 +481,16 @@ class ClusterWorker:
             except OSError:
                 pass  # crash path: the lease epochs cover us anyway
 
-    def _run_task(self, ctx, task_id, epoch, root, root_depth, bound=None) -> None:
+    def _run_task(self, ctx, task_id, epoch, root, root_depth) -> None:
         """Search one leased subtree with the inlined fast-path loop.
 
         Budget jobs send OFFCUT on budget trips; stack-stealing jobs
         answer STEAL requests with STOLEN splits instead; both send
         INCUMBENT (value + witness) on strict improvements and RESULT on
-        completion.  Ordered jobs take the replicable fixed-bound path.
-        Nothing is sent if the task is aborted (job done / stop /
-        session death), leaving the coordinator's lease accounting to
-        handle it.
+        completion.  Nothing is sent if the task is aborted (job done /
+        stop / session death), leaving the coordinator's lease
+        accounting to handle it.
         """
-        if self._faults is not None:
-            # Chaos: may hard-exit here, dying with this lease live so
-            # the coordinator's epoch/re-lease path has to recover it.
-            self._faults.on_task_start(self.tasks_run + 1)
-        if ctx.coordination == "ordered":
-            self._run_ordered_task(ctx, task_id, epoch, root, root_depth, bound)
-            return
         stacksteal = ctx.coordination == "stacksteal"
         split = split_lowest_inlined if ctx.chunked else split_one_inlined
         spec, stype, enum = ctx.spec, ctx.stype, ctx.enum
@@ -641,53 +646,45 @@ class ClusterWorker:
             result["node"] = P.encode_node(prune_know.node)
         self._send(result)
 
-    def _run_ordered_task(
-        self, ctx, task_id, epoch, root, root_depth, bound
-    ) -> None:
-        """One replicable Ordered task: a pure function of (root, bound).
+    def _run_ordered_lease(self, ctx, task_id, epoch, tasks, bound) -> None:
+        """One ordered lease: a run of replicable tasks, in order.
 
-        The lease either pins the bound (a ledger-demanded re-run) or
-        leaves it None — speculative, in which case the last-heard
-        finalised-prefix best is used and echoed back in the RESULT so
-        the coordinator's ledger can check it against the required
-        bound at finalisation time.  No INCUMBENT is ever published
-        mid-task; the ledger is the only incumbent authority.
+        :func:`~repro.core.ordered.execute_run` threads the bound
+        through the run starting from the lease's (``ctx.bound`` is the
+        finalised-prefix best as last heard, its restart signal) and
+        hands back per-task records, which leave as RESULT frames —
+        flagged ``more`` while the run is still going.  No INCUMBENT is
+        ever published mid-run; the coordinator's ledger is the only
+        incumbent authority, and it re-issues whatever ran from a bound
+        that turns out wrong.
         """
-        if not ctx.enum and bound is None:
-            bound = ctx.bound
-        payload = run_task_fixed_bound(
-            ctx.spec,
-            ctx.stype,
-            root,
-            root_depth,
-            None if ctx.enum else bound,
-            poll=ctx.share_poll,
+
+        def flush(records: list, done: bool) -> None:
+            self.nodes_searched += sum(r["nodes"] for r in records)
+            for record in records:
+                if record.get("node") is not None:
+                    record["node"] = P.encode_node(record["node"])
+            frame = {
+                "type": P.RESULT,
+                "job": ctx.id,
+                "task": task_id,
+                "epoch": epoch,
+                "records": records,
+            }
+            if not done:
+                frame["more"] = True
+            self._send(frame)
+
+        # An aborted run just stops: lease accounting covers us.
+        if execute_run(
+            ctx.spec, ctx.stype, tasks, bound, flush,
+            published=lambda: ctx.bound,
             should_abort=lambda: (
                 ctx.done or self._session_dead.is_set() or self._stopped()
             ),
-        )
-        if payload is None:
-            return  # aborted: lease accounting covers us
-        self.tasks_run += 1
-        self.nodes_searched += payload["nodes"]
-        result = {
-            "type": P.RESULT,
-            "job": ctx.id,
-            "task": task_id,
-            "epoch": epoch,
-            "nodes": payload["nodes"],
-            "prunes": payload["prunes"],
-            "backtracks": payload["backtracks"],
-            "max_depth": payload["max_depth"],
-            "goal": payload["goal"],
-        }
-        if ctx.enum:
-            result["knowledge"] = payload["knowledge"]
-        else:
-            result["bound"] = bound
-            result["value"] = payload["value"]
-            result["node"] = P.encode_node(payload["node"])
-        self._send(result)
+            poll=ctx.share_poll,
+        ):
+            self.tasks_run += 1
 
 
 # -- process fan-out ---------------------------------------------------------

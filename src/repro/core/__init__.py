@@ -19,7 +19,10 @@ from repro.core.nodegen import (
 from repro.core.ordered import (
     OrderedFrontier,
     OrderedLedger,
+    OrderedRun,
+    OrderedRunPolicy,
     OrderedTask,
+    execute_run,
     ordered_frontier,
     ordered_reference_search,
     run_task_fixed_bound,
@@ -53,6 +56,9 @@ __all__ = [
     "OrderedTask",
     "OrderedFrontier",
     "OrderedLedger",
+    "OrderedRun",
+    "OrderedRunPolicy",
+    "execute_run",
     "ordered_frontier",
     "ordered_reference_search",
     "run_task_fixed_bound",

@@ -27,17 +27,27 @@ search"):
    them strictly in sequence order.  Task ``i`` may only finalise a run
    whose starting bound equals the **required bound** ``B*_i`` — the
    best objective over the phase-1 prefix and every finalised task
-   ``j < i``.  A result computed from a staler (or, under speculation,
-   any other) bound is discarded and the task re-issued with ``B*_i``
-   pinned; every accepted ``(seq, bound, nodes)`` triple is appended to
-   the :attr:`~OrderedLedger.journal`.  Only finalised runs contribute
-   to the returned metrics, which is what makes the node count a
-   deterministic function of the instance — enforced, not hoped for.
+   ``j < i``.  A result computed from any other bound is discarded and
+   the task re-issued; every accepted ``(seq, bound, nodes)`` triple is
+   appended to the :attr:`~OrderedLedger.journal`.  Only finalised runs
+   contribute to the returned metrics, which is what makes the node
+   count a deterministic function of the instance — enforced, not
+   hoped for.
 
 4. **Priority tie-break.**  The incumbent merge at finalisation is
    strict (``>`` replaces): when several tasks attain the optimum the
    witness is the one from the lowest sequence number — priority wins
    over arrival time, matching the sequential discovery order.
+
+5. **Leased, executed and reported in runs.**  The unit that crosses a
+   queue or a wire is a *run* of sequence-consecutive tasks plus one
+   bound, not a task.  :class:`OrderedRunPolicy` is the driver half
+   (which seqs to lease next, what a batch of records does to the
+   ledger) and :func:`execute_run` the worker half (thread the bound
+   from task to task, restart a task the published best has overtaken,
+   report per-task records); both are transport-free and shared by the
+   multiprocessing parent/workers and the cluster coordinator/workers.
+   None of it changes what the ledger verifies.
 
 :func:`ordered_reference_search` executes the same contract on a single
 thread with no queues and no shared state; it is the oracle the
@@ -51,20 +61,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
-from repro.core.params import SkeletonParams
 from repro.core.results import SearchMetrics, SearchResult
 from repro.core.searchtypes import Incumbent, SearchType, _active_mutation
+from repro.core.sequential import sequential_search
 from repro.core.space import SearchSpec
-from repro.core.tasks import ORDERED, SearchTask, SpawnedTask
 
 __all__ = [
     "OrderedTask",
     "OrderedFrontier",
     "ordered_frontier",
     "run_task_fixed_bound",
+    "execute_run",
     "OrderedLedger",
+    "OrderedRun",
+    "OrderedRunPolicy",
     "ordered_reference_search",
 ]
 
@@ -115,55 +127,57 @@ def ordered_frontier(
     sequential search would.  Deterministic by construction — no clocks,
     no randomness, no worker interleaving.
     """
-    # d_cutoff=0 degenerates gracefully: the root is expanded with no
-    # spawn rule firing, i.e. phase 1 completes the whole search
-    # sequentially and the task list comes back empty.
-    params = SkeletonParams(d_cutoff=d_cutoff)
+    if d_cutoff <= 0:
+        # No spawn rule fires at cutoff 0: phase 1 *is* the whole
+        # search, and the task list comes back empty.
+        done = sequential_search(spec, stype)
+        knowledge = (
+            done.value
+            if stype.kind == "enumeration"
+            else Incumbent(done.value, done.node)
+        )
+        return OrderedFrontier(
+            knowledge=knowledge, goal=bool(done.found), metrics=done.metrics
+        )
+    process = stype.process
+    should_prune = stype.should_prune
+    is_goal = stype.is_goal
+    generator = spec.generator
+    space = spec.space
+    node_size = spec.node_size
     knowledge = stype.initial_knowledge(spec)
     metrics = SearchMetrics()
-    frontier: list[SpawnedTask] = []
+    tasks: list[OrderedTask] = []
     goal = False
-    # Depth-first worklist: expanding a subtree root above the cutoff
-    # visits that node and spawns its children; pushing the spawns in
-    # reverse keeps the pop order lexicographic on path keys, i.e. the
-    # sequential traversal order.
-    pending: list[SpawnedTask] = [SpawnedTask(spec.root, 0, ())]
-    while pending and not goal:
-        sp = pending.pop()
-        if sp.depth >= d_cutoff and sp.depth > 0:
-            frontier.append(sp)
+    # Depth-first worklist of (node, depth, path key).  A node's
+    # children are drawn in one go and pushed in reverse, so the pop
+    # order is lexicographic on path keys — the sequential traversal
+    # order — and frontier tasks are met already sorted.
+    pending: list[tuple] = [(spec.root, 0, ())]
+    while pending:
+        node, depth, key = pending.pop()
+        if depth >= d_cutoff:
+            tasks.append(OrderedTask(len(tasks), node, depth, key))
             continue
-        sub = SearchTask(
-            spec,
-            stype,
-            sp.root,
-            policy=ORDERED,
-            params=params,
-            root_depth=sp.depth,
-            key=sp.key,
-        )
-        spawned: list[SpawnedTask] = []
-        while not sub.finished:
-            knowledge, out = sub.step(knowledge)
-            metrics.nodes += int(out.processed)
-            metrics.weighted_nodes += out.weight if out.processed else 0
-            metrics.prunes += int(out.pruned)
-            metrics.backtracks += int(out.backtracked)
-            depth = sp.depth + len(sub.stack)
-            if depth > metrics.max_depth:
-                metrics.max_depth = depth
-            spawned.extend(out.spawned)
-            if out.goal:
-                goal = True
-                break
-        pending.extend(reversed(spawned))
-    if goal:
-        frontier = []
-    frontier.sort(key=lambda sp: sp.key)
-    tasks = [
-        OrderedTask(seq=i, node=sp.root, depth=sp.depth, key=sp.key)
-        for i, sp in enumerate(frontier)
-    ]
+        knowledge, _ = process(spec, node, knowledge)
+        metrics.nodes += 1
+        metrics.weighted_nodes += node_size(node) if node_size is not None else 1
+        if is_goal(knowledge):
+            goal = True
+            tasks = []
+            break
+        if should_prune(spec, node, knowledge):
+            metrics.prunes += 1
+            continue
+        gen = generator(space, node)
+        children = []
+        while gen.has_next():
+            children.append(gen.next())
+        metrics.backtracks += 1
+        if depth + 1 > metrics.max_depth:
+            metrics.max_depth = depth + 1
+        for index in range(len(children) - 1, -1, -1):
+            pending.append((children[index], depth + 1, key + (index,)))
     metrics.spawns = len(tasks)
     return OrderedFrontier(
         tasks=tasks, knowledge=knowledge, goal=goal, metrics=metrics
@@ -274,18 +288,88 @@ def run_task_fixed_bound(
     return payload
 
 
+def execute_run(
+    spec: SearchSpec,
+    stype: SearchType,
+    tasks: Sequence[tuple[int, Any, int]],
+    bound: Optional[int],
+    flush: Callable[[list, bool], None],
+    *,
+    published: Optional[Callable[[], int]] = None,
+    should_abort: Optional[Callable[[], bool]] = None,
+    poll: int = 1024,
+) -> bool:
+    """Execute one leased run of ``(seq, root, depth)`` tasks in order.
+
+    The worker half of the Ordered coordination, shared by both real
+    runtimes.  ``bound`` is the finalised-prefix best the lease was cut
+    under (None for enumeration); ``published()`` is that same best as
+    this worker last heard it.  Each task starts from the largest bound
+    known to hold before it: the lease's, the published one, and the
+    value its predecessors in this run reached — every one of them a
+    floor under the bound the ledger will require, and exactly that
+    bound whenever the predecessors themselves ran from the right one.
+    A task whose starting bound the published best overtakes mid-flight
+    can no longer finalise, so it is restarted from the new bound at its
+    next ``poll``-node check instead of being run to a result the ledger
+    must reject.
+
+    ``flush(records, done)`` ships per-task records — the
+    :func:`run_task_fixed_bound` payload plus ``seq`` and the ``bound``
+    it ran from — with ``done`` marking the run's last message.  A run
+    flushes early whenever a task improves the bound, so the ledger can
+    finalise and publish it while the rest of the run is still
+    executing.  Returns False, having flushed nothing further, when
+    ``should_abort()`` cut it short.
+    """
+    enum = stype.kind == "enumeration"
+
+    def overtaken_or_aborted() -> bool:
+        # Reads ``bound`` as it stands while the current task runs.
+        if should_abort is not None and should_abort():
+            return True
+        return not enum and published() > bound
+
+    records: list[dict] = []
+    for position, (seq, root, depth) in enumerate(tasks):
+        payload = None
+        while payload is None:
+            # Checked per task too: a run of tasks shorter than ``poll``
+            # nodes never reaches the in-task check.
+            if should_abort is not None and should_abort():
+                return False
+            if not enum:
+                bound = max(bound, published())
+            payload = run_task_fixed_bound(
+                spec, stype, root, depth, bound,
+                poll=poll, should_abort=overtaken_or_aborted,
+            )
+        payload["seq"] = seq
+        records.append(payload)
+        if enum:
+            continue
+        payload["bound"] = bound
+        if payload["value"] is not None:
+            bound = payload["value"]
+            if position + 1 < len(tasks):
+                flush(records, False)
+                records = []
+    flush(records, True)
+    return True
+
+
 class OrderedLedger:
     """Finalises ordered task results in sequence order, enforcing bounds.
 
-    Both parallel Ordered drivers (the multiprocessing parent and the
-    cluster coordinator) feed arriving ``(seq, payload)`` pairs to
+    Both parallel Ordered drivers feed arriving per-task records to
     :meth:`record` and then call :meth:`advance`, which finalises the
-    longest ready prefix and answers with the re-runs it demands: a
-    parked result whose ``payload["bound"]`` differs from the required
-    bound ``B*_seq`` is discarded and ``(seq, B*_seq)`` returned for
-    re-issue.  Speculative execution (dispatching a task with whatever
-    bound is current) is therefore always *safe* — at worst it is
-    re-run once, after its prefix has finalised, with the bound pinned.
+    longest ready prefix and answers with every re-run it demands (an
+    :class:`OrderedRunPolicy` does both and turns the answer into
+    leases).  A parked result whose ``payload["bound"]`` differs from
+    the required bound ``B*_seq`` is discarded and its task handed back
+    for re-issue.  Speculative execution (running a task from whatever
+    bound is known) is therefore always *safe* — at worst the task is
+    run again.
 
     The ``ordered-tiebreak`` entry of the ``REPRO_VERIFY_MUTATION``
     switch (docs/verify.md) corrupts exactly the determinism guarantee
@@ -301,7 +385,6 @@ class OrderedLedger:
     def __init__(self, stype: SearchType, frontier: OrderedFrontier) -> None:
         self._stype = stype
         self._enum = stype.kind == "enumeration"
-        self._tasks = frontier.tasks
         self._n = len(frontier.tasks)
         self._next = 0
         self._parked: dict[int, dict] = {}
@@ -333,12 +416,10 @@ class OrderedLedger:
     def task_count(self) -> int:
         return self._n
 
-    def required_bound(self, seq: Optional[int] = None) -> Optional[int]:
-        """The bound task ``seq`` must have run from to finalise *now*.
-
-        Only exact for ``seq == next_seq`` (later tasks' bounds are not
-        yet determined); for speculative dispatch it is the best guess
-        available.  None for enumeration, which has no bound.
+    def required_bound(self) -> Optional[int]:
+        """The finalised-prefix best: the bound task ``next_seq`` must
+        have run from to finalise, and a floor under the bound of every
+        later task.  None for enumeration, which has no bound.
         """
         return self._best
 
@@ -360,25 +441,42 @@ class OrderedLedger:
             # which is exactly the anomaly Ordered exists to forbid.
             self.knowledge = Incumbent(payload["value"], payload["node"])
 
-    def advance(self) -> list[tuple[int, Optional[int]]]:
-        """Finalise the ready prefix; return tasks to re-issue.
+    def advance(self) -> list[int]:
+        """Finalise the ready prefix; return every task to run again.
 
-        Each returned ``(seq, bound)`` pair names a parked result that
-        was rejected because it ran from the wrong bound; the caller
-        must execute the task again with ``bound`` pinned.  At most one
-        re-run is demanded per call: nothing after ``seq`` can finalise
-        until it does.
+        The answer, in sequence order: the head task ``next_seq`` if its
+        parked result ran from any bound but the required one (nothing
+        after it can finalise until it is re-run from exactly
+        :meth:`required_bound`, which cannot move before then), followed
+        by every parked result whose bound is *below* the finalised
+        best — required bounds only grow, so those can never finalise
+        either and there is no point waiting for their turn to say so.
+        A parked result from a bound above the best is left for
+        finalisation to judge.  The discarded results are dropped here;
+        the caller must execute each returned task again.
         """
+        reissue: list[int] = []
         while not self.finished and self._next in self._parked:
-            payload = self._parked[self._next]
+            payload = self._parked.pop(self._next)
             if not self._enum and payload.get("bound") != self._best:
-                del self._parked[self._next]
-                self.metrics.reassigned += 1
-                return [(self._next, self._best)]
-            del self._parked[self._next]
+                reissue.append(self._next)
+                break
             self._finalise(payload)
             self._next += 1
-        return []
+        if self.finished:
+            self._parked.clear()
+            return []
+        if not self._enum:
+            best = self._best
+            stale = sorted(
+                seq for seq, parked in self._parked.items()
+                if parked["bound"] < best
+            )
+            for seq in stale:
+                del self._parked[seq]
+            reissue += stale
+        self.metrics.reassigned += len(reissue)
+        return reissue
 
     def _finalise(self, payload: dict) -> None:
         self.journal.append(
@@ -404,6 +502,117 @@ class OrderedLedger:
                 self.knowledge = Incumbent(value, payload["node"])
         if payload["goal"] or self._stype.is_goal(self.knowledge):
             self.goal = True
+
+
+@dataclass(frozen=True)
+class OrderedRun:
+    """One lease: tasks ``first .. first + count - 1`` and the
+    finalised-prefix best they were cut under (None for enumeration)."""
+
+    first: int
+    count: int
+    bound: Optional[int] = None
+
+
+class OrderedRunPolicy:
+    """Which seqs to lease next, and what a batch of records does.
+
+    The transport-free driver half of the Ordered coordination: the
+    multiprocessing parent and the cluster coordinator both call
+    :meth:`lease` whenever a worker could take work and :meth:`accept`
+    whenever records arrive; queues, sockets, epochs and slots stay
+    theirs.
+
+    Leases go out in sequence order — always the lowest-numbered work
+    not yet handed out, so a task the ledger wants run again comes
+    before anything fresh — and never more than two runs per worker are
+    in flight, which bounds both how far speculation runs ahead of
+    finalisation and how long a re-run can wait.  Run length needs no
+    knob: it starts at 1, doubles with every lease, is capped at a
+    quarter of an even share of what is left to hand out (so the tail
+    of the job is cut fine enough to balance), and drops back to 1 when
+    the finalised best moves, so the burst of re-runs that follows is
+    spread over every worker.
+    """
+
+    def __init__(self, ledger: OrderedLedger) -> None:
+        self.ledger = ledger
+        self._reruns: list[int] = []  # ascending; all below _fresh
+        self._fresh = 0  # the lowest seq never leased
+        self._size = 1
+        self._in_flight = 0
+
+    @property
+    def in_flight(self) -> int:
+        """Runs leased and not yet reported done or requeued."""
+        return self._in_flight
+
+    @property
+    def backlog(self) -> int:
+        """Tasks waiting for a lease."""
+        return len(self._reruns) + self.ledger.task_count - self._fresh
+
+    def lease(self, workers: int) -> Optional[OrderedRun]:
+        """Cut the next run, or None while the window of ``workers``
+        workers is full or there is nothing left to hand out."""
+        ledger = self.ledger
+        if ledger.finished or self._in_flight >= 2 * workers:
+            return None
+        reruns = self._reruns
+        # A requeued seq may have finalised meanwhile (a duplicate
+        # record from the lease presumed lost): nothing left to run.
+        while reruns and reruns[0] < ledger.next_seq:
+            del reruns[0]
+        size = min(self._size, max(1, self.backlog // (4 * workers)))
+        if reruns:
+            count = 1
+            while (
+                count < size
+                and count < len(reruns)
+                and reruns[count] == reruns[0] + count
+            ):
+                count += 1
+            first = reruns[0]
+            del reruns[:count]
+        elif self._fresh < ledger.task_count:
+            first = self._fresh
+            count = min(size, ledger.task_count - first)
+            self._fresh += count
+        else:
+            return None
+        self._size = size * 2
+        self._in_flight += 1
+        return OrderedRun(first, count, ledger.required_bound())
+
+    def accept(self, records: Sequence[dict], done: bool) -> bool:
+        """Feed one message's records to the ledger; ``done`` says the
+        run that sent it is complete.  Returns True when the finalised
+        best moved — the transport's cue to publish it to the workers.
+        """
+        ledger = self.ledger
+        before = ledger.required_bound()
+        for record in records:
+            ledger.record(record["seq"], record)
+        self._queue_again(ledger.advance())
+        if done:
+            self._in_flight -= 1
+        moved = ledger.required_bound() != before
+        if moved:
+            self._size = 1
+        return moved
+
+    def requeue(self, run: OrderedRun) -> int:
+        """A lease was lost (its worker died or handed it back): queue
+        what it still owes again.  Returns the number of tasks queued.
+        """
+        self._in_flight -= 1
+        owed = range(max(run.first, self.ledger.next_seq), run.first + run.count)
+        self._queue_again(owed)
+        return len(owed)
+
+    def _queue_again(self, seqs: Sequence[int]) -> None:
+        if seqs:
+            self._reruns = sorted(set(self._reruns).union(seqs))
 
 
 def ordered_reference_search(

@@ -25,8 +25,8 @@ Four coordinations have process implementations:
   is starving, so granularity adapts to the tree instead of a fixed
   budget cadence.
 - :func:`multiprocessing_ordered_search` — **replicable** search
-  (Ordered, after Archibald et al.): discovery-ordered atomic tasks
-  with pinned bounds, finalised in sequence order by an
+  (Ordered, after Archibald et al.): discovery-ordered atomic tasks,
+  leased and reported in runs, finalised in sequence order by an
   :class:`~repro.core.ordered.OrderedLedger`, making value, witness and
   node counts identical run-to-run at any worker count.
 
@@ -50,13 +50,19 @@ coordination at scale.
 
 from __future__ import annotations
 
+import pickle
 import signal
 import time
 from multiprocessing import Pipe, Pool, Process, Queue, Value
 from queue import Empty
 from typing import Any, Callable, Optional
 
-from repro.core.ordered import OrderedLedger, ordered_frontier, run_task_fixed_bound
+from repro.core.ordered import (
+    OrderedLedger,
+    OrderedRunPolicy,
+    execute_run,
+    ordered_frontier,
+)
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchMetrics, SearchResult, result_from_dict
 from repro.core.searchtypes import Incumbent, SearchType
@@ -420,6 +426,31 @@ def _checked_incumbent_seed(value: Any) -> int:
     return value
 
 
+def _sendable_witness(node: Any) -> Any:
+    """``node`` if it survives pickling, else None.
+
+    ``Queue.put`` never raises on an unpicklable object: pickling
+    happens later in the queue's feeder thread, which prints a
+    traceback and drops the whole item.  A worker therefore has to
+    probe its witness *before* the put and degrade to value-only
+    itself, or its message silently never arrives.
+    """
+    try:
+        pickle.dumps(node)
+    except Exception:
+        return None
+    return node
+
+
+def _drain(q) -> None:
+    """Discard whatever is readable on a ``multiprocessing.Queue``."""
+    while True:
+        try:
+            q.get_nowait()
+        except (Empty, OSError, EOFError):
+            return
+
+
 def make_stype(kind: str, kwargs: dict) -> SearchType:
     """Top-level (picklable) search-type factory used by the backends."""
     from repro.core.searchtypes import make_search_type
@@ -612,8 +643,11 @@ def _budget_worker_main(
                 if out_raw.value == 0:
                     done_flag.value = 1
 
-        payload = {
-            "knowledge": knowledge if enum else (knowledge.value, knowledge.node),
+        result_q.put(("ok", {
+            # An unpicklable witness degrades to the value alone.
+            "knowledge": knowledge if enum else (
+                knowledge.value, _sendable_witness(knowledge.node)
+            ),
             "nodes": nodes,
             "prunes": prunes,
             "backtracks": backtracks,
@@ -621,16 +655,7 @@ def _budget_worker_main(
             "goal": goal_hit,
             "splits": splits,
             "tasks": tasks_run,
-        }
-        try:
-            result_q.put(("ok", payload))
-        except Exception:
-            # Unpicklable witness: degrade to the value alone.
-            if not enum:
-                payload["knowledge"] = (knowledge.value, None)
-                result_q.put(("ok", payload))
-            else:
-                raise
+        }))
     except BaseException as exc:  # report crashes instead of dying silently
         try:
             result_q.put(("error", f"{type(exc).__name__}: {exc}"))
@@ -809,8 +834,11 @@ def _stacksteal_worker_main(
                 if out_raw.value == 0:
                     done_flag.value = 1
 
-        payload = {
-            "knowledge": knowledge if enum else (knowledge.value, knowledge.node),
+        result_q.put(("ok", {
+            # An unpicklable witness degrades to the value alone.
+            "knowledge": knowledge if enum else (
+                knowledge.value, _sendable_witness(knowledge.node)
+            ),
             "nodes": nodes,
             "prunes": prunes,
             "backtracks": backtracks,
@@ -818,16 +846,7 @@ def _stacksteal_worker_main(
             "goal": goal_hit,
             "splits": splits,
             "tasks": tasks_run,
-        }
-        try:
-            result_q.put(("ok", payload))
-        except Exception:
-            # Unpicklable witness: degrade to the value alone.
-            if not enum:
-                payload["knowledge"] = (knowledge.value, None)
-                result_q.put(("ok", payload))
-            else:
-                raise
+        }))
     except BaseException as exc:  # report crashes instead of dying silently
         try:
             result_q.put(("error", f"{type(exc).__name__}: {exc}"))
@@ -992,7 +1011,7 @@ def _sharing_search(
                     "reporting results"
                 )
                 break
-            if all(p.exitcode is not None for p in procs) and not result_q._reader.poll():
+            if all(p.exitcode is not None for p in procs) and result_q.empty():
                 error = "all workers exited without reporting results"
                 break
             continue
@@ -1007,11 +1026,7 @@ def _sharing_search(
             p.terminate()
     # Drain leftover tasks (goal/error paths) so worker feeder threads
     # never block, then reap the processes.
-    while True:
-        try:
-            task_q.get_nowait()
-        except (Empty, OSError, EOFError):
-            break
+    _drain(task_q)
     for p in procs:
         p.join(timeout=5.0)
         if p.is_alive():
@@ -1041,9 +1056,9 @@ def _sharing_search(
         if stype.kind == "enumeration":
             knowledge = stype.combine(knowledge, body["knowledge"])
         else:
-            value, node = body["knowledge"]
-            if node is not None:
-                knowledge = stype.combine(knowledge, Incumbent(value, node))
+            # The witness is None when it could not be pickled; the
+            # value still counts.
+            knowledge = stype.combine(knowledge, Incumbent(*body["knowledge"]))
     metrics.weighted_nodes = metrics.nodes
     elapsed = time.perf_counter() - started
 
@@ -1083,59 +1098,55 @@ def _ordered_worker_main(
     share_poll,
     queue_poll,
 ):
-    """Worker process for the Ordered coordination: atomic pinned tasks.
+    """Worker process for the Ordered coordination: runs of atomic tasks.
 
-    Pulls ``(seq, root, depth, pinned_bound)`` leases and runs each
-    through :func:`~repro.core.ordered.run_task_fixed_bound` — a pure
-    function of ``(root, bound)``, so nothing this worker does depends
-    on timing.  A lease with ``pinned_bound=None`` is speculative: the
-    bound is read once from the shared finalised-prefix best (written
-    only by the parent) at task start; the parent's ledger re-issues
-    the task with the bound pinned if speculation ran stale.  Results
-    are never merged here and no incumbent is ever published — ordering
-    and merging belong to the parent's ledger alone.
+    Pulls ``(first_seq, [(root, depth), ...], bound)`` leases and hands
+    each to :func:`~repro.core.ordered.execute_run`, which threads the
+    bound through the run and reports per-task records.  The shared
+    ``best`` is the finalised-prefix best, written only by the parent
+    and read lock-free here; nothing this worker finds is ever merged
+    or published on this side — ordering and merging belong to the
+    parent's ledger alone, which re-issues whatever ran from a bound
+    that turns out wrong.
     """
     try:
         task_q.cancel_join_thread()
         spec = spec_factory(*factory_args)
         stype = stype_factory(*stype_args)
-        enum = stype.kind == "enumeration"
         best_raw = best.get_obj()  # lock-free read (parent is sole writer)
+
+        def published() -> int:
+            return best_raw.value
 
         def aborted() -> bool:
             return bool(done_flag.value)
 
+        def flush(records: list, done: bool) -> None:
+            for record in records:
+                # Keep the value (it drives bound enforcement) even if
+                # the witness cannot travel.
+                if record.get("node") is not None:
+                    record["node"] = _sendable_witness(record["node"])
+            result_q.put(("ok", records, done))
+
         while not done_flag.value:
             try:
-                seq, root, depth, pinned = task_q.get(timeout=queue_poll)
+                lease = task_q.get(timeout=queue_poll)
             except Empty:
                 continue
-            bound = None
-            if not enum:
-                bound = pinned if pinned is not None else best_raw.value
-            payload = run_task_fixed_bound(
-                spec, stype, root, depth, bound,
-                poll=share_poll, should_abort=aborted,
+            if done_flag.value:
+                break  # woken by the parent's end-of-job sentinel
+            first, roots, bound = lease
+            finished = execute_run(
+                spec, stype,
+                [(first + i, root, depth) for i, (root, depth) in enumerate(roots)],
+                bound, flush,
+                published=published, should_abort=aborted, poll=share_poll,
             )
-            if payload is None:
-                break  # asked to wind down mid-task; nothing published
-            if not enum:
-                payload["bound"] = bound
-            try:
-                result_q.put(("ok", seq, payload))
-            except Exception:
-                # Unpicklable witness: keep the value (it drives bound
-                # enforcement), drop the node.
-                if not enum:
-                    payload["node"] = None
-                    result_q.put(("ok", seq, payload))
-                else:
-                    raise
+            if not finished:
+                break  # asked to wind down mid-run
     except BaseException as exc:  # report crashes instead of dying silently
-        try:
-            result_q.put(("error", -1, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
+        result_q.put(("error", f"{type(exc).__name__}: {exc}", True))
 
 
 def multiprocessing_ordered_search(
@@ -1154,10 +1165,12 @@ def multiprocessing_ordered_search(
     The parent expands the depth-``d_cutoff`` frontier sequentially
     (:func:`~repro.core.ordered.ordered_frontier`), numbering subtree
     tasks in discovery order, then drives an
-    :class:`~repro.core.ordered.OrderedLedger`: tasks execute atomically
-    on the workers from whatever bound was current (speculation), and
-    the ledger finalises results strictly in sequence order, re-issuing
-    any task whose bound proves stale with the required bound pinned.
+    :class:`~repro.core.ordered.OrderedRunPolicy` over an
+    :class:`~repro.core.ordered.OrderedLedger`: runs of consecutive
+    tasks are leased in sequence order, each worker executes its run
+    from the best bound it can know (speculation), and the ledger
+    finalises the per-task records strictly in sequence order,
+    re-issuing every task whose bound proves wrong.
     Two runs with the same instance return the identical value, witness
     *and* node counters at any ``n_processes`` — see
     :func:`~repro.core.ordered.ordered_reference_search` for the
@@ -1178,21 +1191,18 @@ def multiprocessing_ordered_search(
 
     frontier = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
     ledger = OrderedLedger(stype, frontier)
-    if stype.kind != "enumeration":
+    enum = stype.kind == "enumeration"
+    if not enum:
         _checked_incumbent_seed(frontier.knowledge.value)
 
     error: Optional[str] = None
     if not ledger.finished:
-        best = Value(
-            "q",
-            0 if stype.kind == "enumeration" else frontier.knowledge.value,
-        )
+        policy = OrderedRunPolicy(ledger)
+        tasks = frontier.tasks
+        best = Value("q", 0 if enum else frontier.knowledge.value)
         done_flag = Value("b", 0, lock=False)
         task_q: Queue = Queue()
         result_q: Queue = Queue()
-        tasks_by_seq = {t.seq: t for t in frontier.tasks}
-        for t in frontier.tasks:
-            task_q.put((t.seq, t.node, t.depth, None))
 
         procs = [
             Process(
@@ -1209,8 +1219,15 @@ def multiprocessing_ordered_search(
             p.start()
 
         while not ledger.finished:
+            while (run := policy.lease(n_processes)) is not None:
+                task_q.put((
+                    run.first,
+                    [(t.node, t.depth)
+                     for t in tasks[run.first:run.first + run.count]],
+                    run.bound,
+                ))
             try:
-                tag, seq, body = result_q.get(timeout=0.1)
+                tag, body, run_done = result_q.get(timeout=0.1)
             except Empty:
                 crashed = [
                     p.exitcode for p in procs if p.exitcode not in (None, 0)
@@ -1221,39 +1238,37 @@ def multiprocessing_ordered_search(
                         "reporting results"
                     )
                     break
-                if all(p.exitcode is not None for p in procs) and not result_q._reader.poll():
+                if all(p.exitcode is not None for p in procs) and result_q.empty():
                     error = "all workers exited without reporting results"
                     break
                 continue
             if tag == "error":
                 error = body
                 break
-            ledger.record(seq, body)
-            for rerun_seq, rerun_bound in ledger.advance():
-                t = tasks_by_seq[rerun_seq]
-                task_q.put((rerun_seq, t.node, t.depth, rerun_bound))
-            if stype.kind != "enumeration":
-                # Publish the finalised-prefix best for speculation; the
-                # parent is the only writer, so no lock is needed for
-                # correctness — workers read it lock-free.
-                with best.get_lock():
-                    best.get_obj().value = ledger.required_bound()
+            if policy.accept(body, run_done):
+                # The finalised-prefix best moved: publish it for the
+                # workers' speculation (this parent is the only writer).
+                best.value = ledger.required_bound()
 
         done_flag.value = 1  # normal completion and error paths alike
         if error is not None:
             for p in procs:
                 p.terminate()
-        # Drain leftover leases so worker feeder threads never block.
-        while True:
-            try:
-                task_q.get_nowait()
-            except (Empty, OSError, EOFError):
-                break
+        for _ in procs:
+            task_q.put(None)  # wake workers idling in get() at once
+        deadline = time.monotonic() + 5.0
         for p in procs:
-            p.join(timeout=5.0)
+            # A worker cannot exit while records it has already sent sit
+            # unread in a full pipe (goal/error paths), so keep reading
+            # while it winds down.
+            while p.is_alive() and time.monotonic() < deadline:
+                _drain(result_q)
+                p.join(timeout=0.02)
             if p.is_alive():
                 p.kill()
                 p.join(timeout=5.0)
+        # Likewise leftover leases, for this side's feeder thread.
+        _drain(task_q)
         # Drop anything the feeder thread flushes after the drain (the
         # drain races it); joining a feeder blocked on the reader-less
         # pipe would hang interpreter exit.

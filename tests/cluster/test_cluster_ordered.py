@@ -15,6 +15,8 @@ split), optimisation value-and-witness exact.
 
 import pytest
 
+from repro.cluster import protocol as P
+from repro.cluster.coordinator import Coordinator
 from repro.cluster.local import cluster_search
 from repro.core.ordered import ordered_reference_search
 from repro.core.results import validate_result
@@ -107,6 +109,43 @@ class TestOrderedReplicable:
         assert res.value == ref.value
         assert res.metrics.nodes == ref.metrics.nodes
         assert res.metrics.reassigned >= 1
+
+
+# G(75, 0.70) seed 1 at d_cutoff=2: 1972 tasks, and the bound moves at
+# seq 0, 4, 99 and — late — seq 467 (the same pin as the processes
+# regression in tests/runtime/test_processes_ordered.py).
+LATE_ARGS = (75, 70, 1)
+LATE_TASKS = 1972
+
+
+class TestLateImprovement:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_fingerprint_and_frame_count(self, n, monkeypatch):
+        frames = {P.TASK: 0, P.RESULT: 0}
+        post, dispatch = Coordinator._post, Coordinator._dispatch
+
+        def counting_post(self, worker, msg):
+            if msg["type"] == P.TASK:
+                frames[P.TASK] += 1
+            post(self, worker, msg)
+
+        def counting_dispatch(self, worker, msg):
+            if msg["type"] == P.RESULT:
+                frames[P.RESULT] += 1
+            dispatch(self, worker, msg)
+
+        monkeypatch.setattr(Coordinator, "_post", counting_post)
+        monkeypatch.setattr(Coordinator, "_dispatch", counting_dispatch)
+        spec, stype = _setup("maxclique", LATE_ARGS)
+        ref = ordered_reference_search(spec, stype, d_cutoff=2)
+        assert ref.metrics.spawns == LATE_TASKS
+        res = _ordered("maxclique", LATE_ARGS, n_workers=n)
+        assert result_fingerprint(res, counts=True) == result_fingerprint(
+            ref, counts=True
+        )
+        # TASK frames carry runs and RESULT frames their records: far
+        # fewer than one frame per task in each direction.
+        assert frames[P.TASK] + frames[P.RESULT] < LATE_TASKS / 4
 
 
 class TestStackStealEndToEnd:

@@ -237,13 +237,30 @@ class TestStealFrames:
                 C.decode_body(body[:cut])
 
     def test_ordered_lease_bound_key_is_interned(self):
-        # Ordered leases ride TASK frames with a 5th "bound" element and
-        # v1 fallbacks carry a "bound" key — it must be in the intern
-        # table (compact) and round-trip as the exact string.
-        assert "bound" in C._KEYS
-        msg = {"type": P.TASK, "job": 1, "bound": -17,
-               "leases": [[4, 0, P.encode_node((1,)), 2, 9]]}
-        assert C.decode_body(C.BINARY_CODEC.encode(msg)) == msg
+        # Ordered leases are runs — [id, epoch, [[node, depth], ...],
+        # first_seq, bound] — and their RESULT frames carry per-task
+        # records; every record key must be in the intern table (one
+        # byte each, they repeat per task) and round-trip exactly.
+        for key in ("bound", "records", "seq", "more"):
+            assert key in C._KEYS
+        lease = {"type": P.TASK, "job": 1, "leases": [
+            [4, 0, [[P.encode_node((1,)), 2], [P.encode_node((2,)), 2]], 17, 9],
+        ]}
+        assert C.decode_body(C.BINARY_CODEC.encode(lease)) == lease
+        result = {"type": P.RESULT, "job": 1, "task": 4, "epoch": 0,
+                  "more": True, "records": [
+                      {"seq": 17, "bound": 9, "value": None, "node": None,
+                       "nodes": 1, "prunes": 1, "backtracks": 0,
+                       "max_depth": 0, "goal": False},
+                      {"seq": 18, "bound": 9, "value": 11,
+                       "node": P.encode_node((2, 5)), "nodes": 40,
+                       "prunes": 31, "backtracks": 8, "max_depth": 6,
+                       "goal": False},
+                  ]}
+        body = C.BINARY_CODEC.encode(result)
+        assert C.decode_body(body) == result
+        assert C.decode_body(C.JSON_CODEC.encode(result)) == result
+        assert len(body) < len(C.JSON_CODEC.encode(result)) / 2
 
 
 class TestStrictDecode:

@@ -92,19 +92,15 @@ class FakeWorker:
     def _decompose(msg):
         """A batched TASK frame becomes one pseudo-frame per lease.
 
-        Ordered leases carry a 5th ``bound`` element; it is surfaced on
-        the pseudo-frame the same way the real worker reads it.
+        (Ordered jobs lease *runs*, a different entry shape; their
+        scripted tests read frames with ``recv_raw``.)
         """
         if msg["type"] == P.TASK and "leases" in msg:
-            pseudo = []
-            for lease in msg["leases"]:
-                tid, epoch, node, depth = lease[:4]
-                frame = {"type": P.TASK, "job": msg["job"], "task": tid,
-                         "epoch": epoch, "node": node, "depth": depth}
-                if len(lease) > 4:
-                    frame["bound"] = lease[4]
-                pseudo.append(frame)
-            return pseudo
+            return [
+                {"type": P.TASK, "job": msg["job"], "task": tid,
+                 "epoch": epoch, "node": node, "depth": depth}
+                for tid, epoch, node, depth in msg["leases"]
+            ]
         return [msg]
 
     def recv_raw(self, want_type, timeout=5.0):

@@ -156,6 +156,29 @@ class TestRetireProtocol:
     def test_retire_unknown_worker_is_false(self, handle):
         assert handle.retire_worker("nobody") is False
 
+    def test_worker_retired_before_it_joined_is_never_leased(self, handle):
+        # The deployment retires a worker that is still starting up and
+        # stops its process; if the worker connects in the instant
+        # before the stop lands it must not be handed leases it would
+        # then abandon (fatal for an enumeration job).
+        w1 = FakeWorker(*handle.address, name="w1", slots=3)
+        late = None
+        try:
+            fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
+            root = w1.recv(P.TASK)
+            assert handle.retire_worker("late") is False  # not here yet
+            late = FakeWorker(*handle.address, name="late", slots=2)
+            late.recv(P.RETIRE)
+            # Work appears; the late joiner, retired on arrival, gets none.
+            w1.send(offcut_frame(root, [["x"], ["y"]]))
+            w1.recv(P.TASK)
+            late.assert_no_frame(P.TASK)
+            assert handle.load_stats()["retiring"] == 1
+        finally:
+            w1.close()
+            if late is not None:
+                late.close()
+
     def test_load_stats_shape(self, handle):
         w1 = FakeWorker(*handle.address, name="w1")
         try:

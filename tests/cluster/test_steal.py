@@ -1,6 +1,6 @@
 """Stack-stealing and ordered protocol tests, driven by scripted workers.
 
-The STEAL/STOLEN exchange and the ordered fixed-bound lease/re-issue
+The STEAL/STOLEN exchange and the ordered run-lease/re-issue
 cycle are coordinator decisions, so they are tested at the wire level
 with the :class:`FakeWorker` from ``test_coordinator``: every frame the
 coordinator emits (or must NOT emit) is observable deterministically.
@@ -206,15 +206,45 @@ class TestStealMediation:
             w2.close()
 
 
+def run_leases(raw):
+    """The run leases of one raw ordered TASK frame, as dicts."""
+    return [
+        {"job": raw["job"], "task": tid, "epoch": epoch, "roots": roots,
+         "first": first, "bound": bound}
+        for tid, epoch, roots, first, bound in raw["leases"]
+    ]
+
+
+def records_frame(lease, records, *, more=False):
+    """A RESULT frame reporting per-task ``records`` for a run lease."""
+    msg = {
+        "type": P.RESULT,
+        "job": lease["job"],
+        "task": lease["task"],
+        "epoch": lease["epoch"],
+        "records": records,
+    }
+    if more:
+        msg["more"] = True
+    return msg
+
+
+def task_record(seq, **fields):
+    record = {"seq": seq, "nodes": 5, "prunes": 0, "backtracks": 4,
+              "max_depth": 2, "goal": False}
+    record.update(fields)
+    return record
+
+
 class TestOrderedLeases:
     def test_leases_carry_bounds_and_reissue_on_stale_bound(self, handle):
         """The replicable-BnB speculation loop at the wire level.
 
-        Frontier tasks lease out with ``bound=None`` (speculative); a
-        RESULT searched under a bound that is stale by finalisation
-        time is discarded and the task re-issued with the required
-        bound pinned in the lease — observable as an epoch bump plus a
-        concrete 5th lease element.
+        An ordered lease is a run — ``[id, epoch, [[node, depth], ...],
+        first_seq, bound]`` — cut under the finalised-prefix best.  A
+        record searched from a bound that is stale by finalisation time
+        is discarded and its task leased again, first in line, under
+        the bound the ledger now requires.
         """
         w = FakeWorker(*handle.address, slots=1)
         try:
@@ -223,34 +253,84 @@ class TestOrderedLeases:
             assert job["coordination"] == "ordered"
             base = job["best"]  # the search type's identity bound
 
-            first = w.recv(P.TASK)
-            assert first["bound"] is None  # speculative first issue
-            w.send(result_frame(first, value=5, node=("w5",), bound=base))
+            (first,) = run_leases(w.recv_raw(P.TASK))
+            assert (first["first"], first["bound"]) == (0, base)
+            assert len(first["roots"]) == 1  # run sizing starts at 1
+            node, depth = first["roots"][0]
+            assert depth == 1
+            w.send(records_frame(first, [task_record(
+                0, bound=base, value=5, node=P.encode_node(("w5",)),
+            )]))
+            assert w.recv(P.INCUMBENT)["value"] == 5  # finalised, broadcast
 
-            reissued = 0
-            answered = 1
+            answered_stale = set()
             while not fut.done():
                 try:
-                    task = w.recv(P.TASK, timeout=2.0)
+                    raw = w.recv_raw(P.TASK, timeout=2.0)
                 except (AssertionError, TimeoutError):
                     break  # job completed while we waited
-                if task["bound"] is not None:
-                    # Pinned re-issue: the bound the ledger now demands.
-                    assert task["epoch"] >= 1
-                    assert task["bound"] == 5
-                    reissued += 1
-                    w.send(result_frame(task, bound=task["bound"]))
-                else:
-                    # Deliberately answer under the stale identity bound
-                    # so finalisation must reject and re-issue it.
-                    w.send(result_frame(task, bound=base))
-                answered += 1
+                for lease in run_leases(raw):
+                    # Every lease after the improvement is cut under it.
+                    assert lease["bound"] == 5
+                    seqs = range(
+                        lease["first"], lease["first"] + len(lease["roots"])
+                    )
+                    records = []
+                    for seq in seqs:
+                        if seq in answered_stale:
+                            records.append(task_record(seq, bound=5, value=None))
+                        else:
+                            # Deliberately answer from the stale identity
+                            # bound so the ledger must reject the record
+                            # and lease the task again.
+                            answered_stale.add(seq)
+                            records.append(
+                                task_record(seq, bound=base, value=None)
+                            )
+                    w.send(records_frame(lease, records))
             res = fut.result(timeout=10)
             assert res.value == 5
             assert res.node == ("w5",)
-            assert reissued >= 1
-            assert res.metrics.reassigned == reissued
-            assert res.metrics.broadcasts >= 1  # best=5 was broadcast
+            assert answered_stale
+            assert res.metrics.reassigned == len(answered_stale)
+            assert res.metrics.broadcasts == 1  # best=5, once
+        finally:
+            w.close()
+
+    def test_early_flush_keeps_the_lease_and_bad_records_are_dropped(self, handle):
+        w = FakeWorker(*handle.address, slots=1)
+        try:
+            fut = handle.run_job_future(ORDERED_OPT, timeout=20)
+            base = w.recv(P.JOB)["best"]
+            (lease,) = run_leases(w.recv_raw(P.TASK))
+            # An early flush: seq 0's record arrives, the run goes on.
+            # The lease stays live, so with slots=1 nothing new is cut.
+            w.send(records_frame(lease, [
+                task_record(0, bound=base, value=None),
+                task_record(17, bound=base, value=None),  # not in this run
+                task_record(0),                           # no bound at all
+                "garbage",
+            ], more=True))
+            with pytest.raises((AssertionError, TimeoutError)):
+                w.recv_raw(P.TASK, timeout=0.5)
+            stats = handle.load_stats()
+            # Seq 0 finalised off the flush; everything else still
+            # waits for a lease, behind the one that is held.
+            assert stats["outstanding"] == stats["queued_tasks"] > 0
+            assert stats["leased_tasks"] == 1
+            w.send(records_frame(lease, []))  # the run's last message
+            while not fut.done():
+                try:
+                    raw = w.recv_raw(P.TASK, timeout=2.0)
+                except (AssertionError, TimeoutError):
+                    break
+                for nxt in run_leases(raw):
+                    w.send(records_frame(nxt, [
+                        task_record(nxt["first"] + i, bound=nxt["bound"], value=None)
+                        for i in range(len(nxt["roots"]))
+                    ]))
+            res = fut.result(timeout=10)
+            assert res.metrics.reassigned == 0
         finally:
             w.close()
 
@@ -264,19 +344,28 @@ class TestOrderedLeases:
         w2 = FakeWorker(*handle.address, name="survivor", slots=4)
         try:
             fut = handle.run_job_future(enum_payload, timeout=20)
-            first = w1.recv(P.TASK)
+            (doomed,) = run_leases(w1.recv_raw(P.TASK))
+            assert doomed["bound"] is None  # enumeration has no bound
             w1.stop_heartbeat()  # dies holding an ordered lease
-            seen = {first["task"]: 0}
+            seen = {}
             while not fut.done():
                 try:
-                    task = w2.recv(P.TASK, timeout=2.0)
+                    raw = w2.recv_raw(P.TASK, timeout=2.0)
                 except (AssertionError, TimeoutError):
                     break  # job completed while we waited
-                w2.send(result_frame(task, knowledge=3, bound=None))
-                seen[task["task"]] = seen.get(task["task"], 0) + 1
+                for lease in run_leases(raw):
+                    seqs = range(
+                        lease["first"], lease["first"] + len(lease["roots"])
+                    )
+                    for seq in seqs:
+                        seen[seq] = seen.get(seq, 0) + 1
+                    w2.send(records_frame(
+                        lease, [task_record(seq, knowledge=3) for seq in seqs]
+                    ))
             res = fut.result(timeout=10)
-            # The doomed worker's task was re-run by the survivor.
-            assert seen[first["task"]] == 1
+            # The doomed worker's task was re-run by the survivor, once.
+            assert seen[doomed["first"]] == 1
+            assert set(seen.values()) == {1}
             assert res.metrics.reassigned >= 1
             # Every task's accumulator counted exactly once, on top of
             # the coordinator's own phase-1 prefix contribution.

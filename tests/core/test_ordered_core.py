@@ -3,21 +3,38 @@
 Everything here runs in-process with scripted arrival orders, so the
 properties the parallel drivers rely on are pinned exactly: discovery-
 order task numbering, the purity of ``run_task_fixed_bound``, the
-ledger's in-order finalisation with bound enforcement, and — with the
-``ordered-tiebreak`` mutation active — the witness flip the repetition
-oracle exists to catch, demonstrated deterministically.
+ledger's in-order finalisation with bound enforcement, the run policy
+(which seqs are leased next, what a batch of records does) and the
+worker half that executes a run — and, with the ``ordered-tiebreak``
+mutation active, the witness flip the repetition oracle exists to
+catch, demonstrated deterministically.
 """
 
 import pytest
 
 from repro.core.ordered import (
+    OrderedFrontier,
     OrderedLedger,
+    OrderedRun,
+    OrderedRunPolicy,
+    OrderedTask,
+    execute_run,
     ordered_frontier,
     ordered_reference_search,
     run_task_fixed_bound,
 )
-from repro.core.searchtypes import Decision, Enumeration, Incumbent, Optimisation
+from repro.core.params import SkeletonParams
+from repro.core.results import SearchMetrics
+from repro.core.searchtypes import (
+    Decision,
+    Enumeration,
+    Incumbent,
+    Optimisation,
+    make_search_type,
+)
 from repro.core.sequential import sequential_search
+from repro.core.tasks import ORDERED, SearchTask, SpawnedTask
+from repro.verify.generators import Instance, search_setup
 
 from tests.conftest import make_toy_spec
 
@@ -67,6 +84,95 @@ class TestOrderedFrontier:
         f = ordered_frontier(wide_spec(), Decision(target=0), d_cutoff=2)
         assert f.goal is True
         assert f.tasks == []
+
+
+def stepped_frontier(spec, stype, d_cutoff):
+    """The reference phase 1: one ``SearchTask`` state machine stepped
+    for every node above the cutoff.  ``ordered_frontier`` is a direct
+    loop over ``spec.generator`` and must agree with this bit for bit.
+    """
+    params = SkeletonParams(d_cutoff=d_cutoff)
+    knowledge = stype.initial_knowledge(spec)
+    metrics = SearchMetrics()
+    frontier = []
+    goal = False
+    pending = [SpawnedTask(spec.root, 0, ())]
+    while pending and not goal:
+        sp = pending.pop()
+        if sp.depth >= d_cutoff and sp.depth > 0:
+            frontier.append(sp)
+            continue
+        sub = SearchTask(
+            spec, stype, sp.root, policy=ORDERED, params=params,
+            root_depth=sp.depth, key=sp.key,
+        )
+        spawned = []
+        while not sub.finished:
+            knowledge, out = sub.step(knowledge)
+            metrics.nodes += int(out.processed)
+            metrics.weighted_nodes += out.weight if out.processed else 0
+            metrics.prunes += int(out.pruned)
+            metrics.backtracks += int(out.backtracked)
+            metrics.max_depth = max(metrics.max_depth, sp.depth + len(sub.stack))
+            spawned.extend(out.spawned)
+            if out.goal:
+                goal = True
+                break
+        pending.extend(reversed(spawned))
+    if goal:
+        frontier = []
+    frontier.sort(key=lambda sp: sp.key)
+    metrics.spawns = len(frontier)
+    return OrderedFrontier(
+        tasks=[
+            OrderedTask(seq=i, node=sp.root, depth=sp.depth, key=sp.key)
+            for i, sp in enumerate(frontier)
+        ],
+        knowledge=knowledge, goal=goal, metrics=metrics,
+    )
+
+
+class TestFrontierPinnedToSteppedWalk:
+    """The direct phase-1 loop against the stepped walk it replaced, on
+    the seeded generators of every verify family."""
+
+    INSTANCES = [
+        Instance("uts", (4, 5, 9)),
+        Instance("maxclique", (16, 60, 7)),
+        Instance("maxclique", (24, 75, 3)),
+        Instance("kclique", (14, 60, 4, 5)),
+        Instance("knapsack", (9, 5)),
+        Instance("sip", (5, 12, 50, 1, 3)),
+    ]
+
+    @pytest.mark.parametrize("inst", INSTANCES, ids=lambda i: i.describe())
+    @pytest.mark.parametrize("d_cutoff", [0, 1, 2, 3])
+    def test_bit_identical(self, inst, d_cutoff):
+        spec, kind, kwargs = search_setup(inst)
+        stype = make_search_type(kind, **kwargs)
+        got = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
+        want = stepped_frontier(spec, stype, d_cutoff)
+        assert got.tasks == want.tasks  # seq, node, depth, key
+        assert got.knowledge == want.knowledge
+        assert got.goal == want.goal
+        assert got.metrics.to_dict() == want.metrics.to_dict()
+
+    def test_goal_above_the_cutoff_empties_the_frontier(self):
+        stype = Decision(target=5)  # 'b' at depth 1 reaches it
+        got = ordered_frontier(wide_spec(), stype, d_cutoff=2)
+        want = stepped_frontier(wide_spec(), stype, 2)
+        assert got.goal and got.tasks == []
+        assert got.knowledge == want.knowledge
+        assert got.metrics.to_dict() == want.metrics.to_dict()
+
+    def test_node_weights_are_carried(self):
+        import dataclasses
+
+        spec = dataclasses.replace(wide_spec(), node_size=lambda n: len(n))
+        for d_cutoff in (0, 1, 2):
+            got = ordered_frontier(spec, Optimisation(), d_cutoff=d_cutoff)
+            want = stepped_frontier(spec, Optimisation(), d_cutoff)
+            assert got.metrics.to_dict() == want.metrics.to_dict()
 
 
 class TestRunTaskFixedBound:
@@ -145,12 +251,27 @@ class TestOrderedLedger:
         ledger.record(1, payloads[1])
         assert ledger.advance() == []
         assert ledger.next_seq == 0
-        # seq 0 lands: it finalises (best becomes 3), and the parked
-        # seq-1 payload — searched under the now-stale bound 0 — is the
-        # single re-run demanded.
+        # seq 0 lands: it finalises (best becomes 3) and nothing after
+        # it does.  Both parked payloads were searched under the
+        # now-stale bound 0, so one call hands back both — the head
+        # first — rather than one re-run per call.
         ledger.record(0, payloads[0])
-        assert ledger.advance() == [(1, 3)]
+        assert ledger.advance() == [1, 2]
         assert ledger.next_seq == 1
+        assert ledger.required_bound() == 3
+        assert ledger.metrics.reassigned == 2
+        # The re-runs finalise in order, each from the bound required
+        # at its turn (3, then 5 once b has been merged).
+        for seq, node in ((1, "b"), (2, "c")):
+            bound = ledger.required_bound()
+            p = run_task_fixed_bound(spec, Optimisation(), node, 1, bound)
+            p["bound"] = bound
+            ledger.record(seq, p)
+            assert ledger.advance() == []
+            assert ledger.next_seq == seq + 1
+        assert ledger.finished
+        assert ledger.journal[1][:2] == (1, 3)
+        assert ledger.journal[2][:2] == (2, 5)
 
     def test_stale_bound_rejected_and_reissued_pinned(self):
         spec = wide_spec()
@@ -162,7 +283,7 @@ class TestOrderedLedger:
         # b ran speculatively under bound 0; by its turn the required
         # bound is 3, so it must be discarded and demanded again.
         ledger.record(1, payloads[1])
-        assert ledger.advance() == [(1, 3)]
+        assert ledger.advance() == [1]
         assert ledger.metrics.reassigned == 1
         # The pinned re-run finalises.
         p1 = run_task_fixed_bound(spec, Optimisation(), "b", 1, 3)
@@ -222,6 +343,322 @@ class TestOrderedLedger:
         assert ledger.finished
 
 
+def _record(seq, bound, value=None, node=None, nodes=1):
+    """A scripted per-task record, as a worker would report it."""
+    return {
+        "seq": seq, "bound": bound, "value": value, "node": node,
+        "nodes": nodes, "prunes": 0, "backtracks": 0, "max_depth": 1,
+        "goal": False,
+    }
+
+
+def _flat_policy(n, best=0):
+    """A policy over ``n`` placeholder tasks whose phase-1 best is
+    ``best`` — arrivals are scripted, nothing is ever searched."""
+    frontier = OrderedFrontier(
+        tasks=[OrderedTask(i, f"t{i}", 1) for i in range(n)],
+        knowledge=Incumbent(best, "root"),
+    )
+    ledger = OrderedLedger(Optimisation(), frontier)
+    return OrderedRunPolicy(ledger), ledger
+
+
+def _seqs(run):
+    return list(range(run.first, run.first + run.count))
+
+
+class TestBulkReissue:
+    def test_late_improvement_reissues_every_stale_result_at_once(self):
+        policy, ledger = _flat_policy(10)
+        # seqs 1..6 arrive first, all searched from bound 0.
+        for seq in range(1, 7):
+            ledger.record(seq, _record(seq, 0))
+        assert ledger.advance() == []
+        # The late one: seq 0 improves the bound to 4.  Everything
+        # parked is now provably stale and comes back in ONE call.
+        ledger.record(0, _record(0, 0, value=4, node="w"))
+        assert ledger.advance() == [1, 2, 3, 4, 5, 6]
+        assert ledger.next_seq == 1
+        assert ledger.advance() == []  # nothing left to hand back
+
+    def test_stale_arrival_after_the_improvement_is_handed_back_too(self):
+        policy, ledger = _flat_policy(6)
+        ledger.record(0, _record(0, 0, value=4, node="w"))
+        assert ledger.advance() == []
+        # Out of turn (seq 1 is the head) and from the old bound: no
+        # need to wait for its turn to know it cannot finalise.
+        ledger.record(3, _record(3, 0))
+        assert ledger.advance() == [3]
+
+    def test_results_from_the_new_bound_stay_parked(self):
+        policy, ledger = _flat_policy(6)
+        ledger.record(2, _record(2, 4))  # a worker that threaded 4 locally
+        ledger.record(3, _record(3, 0))
+        ledger.record(0, _record(0, 0, value=4, node="w"))
+        assert ledger.advance() == [3]
+        ledger.record(1, _record(1, 4))
+        assert ledger.advance() == []
+        assert ledger.next_seq == 3  # 1 and the parked 2 both finalised
+
+    def test_overshoot_is_rejected_at_finalisation_not_in_bulk(self):
+        policy, ledger = _flat_policy(4)
+        # Bound 9 is above anything finalised: the bulk rule (strictly
+        # below the best) must leave it alone...
+        ledger.record(2, _record(2, 9))
+        ledger.record(0, _record(0, 0, value=4, node="w"))
+        assert ledger.advance() == []
+        assert ledger.metrics.reassigned == 0
+        # ...and its turn rejects it, because 9 != the required 4.
+        ledger.record(1, _record(1, 4))
+        assert ledger.advance() == [2]
+        assert ledger.next_seq == 2
+        ledger.record(2, _record(2, 4))
+        ledger.record(3, _record(3, 4))
+        assert ledger.advance() == []
+        assert ledger.finished
+        assert [bound for _seq, bound, _n in ledger.journal] == [0, 4, 4, 4]
+
+
+class TestRunPolicy:
+    def test_leases_in_sequence_order_doubling_to_the_cap(self):
+        policy, _ = _flat_policy(400)
+        sizes, first = [], 0
+        for _ in range(8):
+            run = policy.lease(workers=4)
+            assert run.first == first  # consecutive, nothing skipped
+            assert run.bound == 0
+            sizes.append(run.count)
+            first += run.count
+        # 1, 2, 4, ... until a quarter of an even share of what is left
+        # to hand out (backlog // (4 * workers)) takes over.
+        assert sizes[:5] == [1, 2, 4, 8, 16]
+        assert sizes[5] == (400 - 31) // 16
+        assert sizes[6] == (400 - 31 - sizes[5]) // 16
+
+    def test_run_ahead_never_exceeds_two_runs_per_worker(self):
+        policy, _ = _flat_policy(400)
+        held = [policy.lease(workers=3) for _ in range(6)]
+        assert all(run is not None for run in held)
+        assert policy.in_flight == 6
+        assert policy.lease(workers=3) is None  # window full
+        # A flush that is not the run's last message frees nothing.
+        policy.accept([_record(0, 0)], done=False)
+        assert policy.lease(workers=3) is None
+        policy.accept([], done=True)
+        assert policy.lease(workers=3) is not None
+        assert policy.lease(workers=3) is None
+
+    def test_small_frontier_leases_single_tasks(self):
+        # 8 tasks on 2 workers: the cap is 8 // 8 = 1, so run sizing
+        # never engages and every lease is one task, as before runs.
+        policy, _ = _flat_policy(8)
+        got = []
+        while len(got) < 8:
+            run = policy.lease(workers=2)
+            if run is None:
+                policy.accept([], done=True)
+                continue
+            got.append(run.count)
+        assert got == [1] * 8
+
+    def test_size_resets_when_the_best_moves(self):
+        policy, ledger = _flat_policy(400)
+        runs = [policy.lease(workers=2) for _ in range(4)]  # 1, 2, 4, 8
+        assert [r.count for r in runs] == [1, 2, 4, 8]
+        moved = policy.accept([_record(0, 0, value=7, node="w")], done=True)
+        assert moved and ledger.required_bound() == 7
+        assert policy.lease(workers=2).count == 1
+        assert policy.lease(workers=2) is None  # 3 old + 1 new in flight
+        # No movement, no reset: doubling carries on from 1.
+        assert policy.accept(
+            [_record(1, 7), _record(2, 7)], done=True
+        ) is False
+        assert policy.lease(workers=2).count == 2
+
+    def test_head_rerun_is_first_in_line_and_carries_the_required_bound(self):
+        policy, ledger = _flat_policy(400)
+        runs = [policy.lease(workers=2) for _ in range(4)]
+        assert [_seqs(r) for r in runs[:2]] == [[0], [1, 2]]
+        # [1, 2] and [3..6] come back first, searched from bound 0 ...
+        policy.accept([_record(s, 0) for s in (1, 2)], done=True)
+        policy.accept([_record(s, 0) for s in (3, 4, 5, 6)], done=True)
+        # ... then seq 0 improves the bound: all six are stale.
+        assert policy.accept([_record(0, 0, value=7, node="w")], done=True)
+        assert ledger.next_seq == 1
+        assert policy.backlog == 6 + 400 - 15
+        # Re-runs beat fresh work, lowest seq (the blocked head) first,
+        # cut under exactly the bound it must now run from.
+        first = policy.lease(workers=2)
+        assert (_seqs(first), first.bound) == ([1], 7)
+        again = policy.lease(workers=2)
+        assert (_seqs(again), again.bound) == ([2, 3], 7)
+        # Window: [7..14] is still out, so one more and it is full.
+        assert _seqs(policy.lease(workers=2)) == [4, 5, 6]
+        assert policy.lease(workers=2) is None
+        # Only when the re-runs are gone does fresh work resume at 15.
+        policy.accept([_record(1, 7)], done=True)
+        assert policy.lease(workers=2).first == 15
+
+    def test_rerun_leases_do_not_bridge_gaps(self):
+        policy, _ = _flat_policy(400)
+        for _ in range(4):
+            policy.lease(workers=2)
+        policy.accept([_record(s, 0) for s in (3, 5, 6)], done=True)
+        policy.accept([], done=True)
+        policy.accept([], done=True)
+        policy.accept([_record(0, 0, value=7, node="w")], done=True)
+        # Stale: 3, 5, 6.  A run is sequence-consecutive, so 3 goes
+        # alone even though the size would allow more.
+        policy.lease(workers=2)  # [3], size 1
+        assert _seqs(policy.lease(workers=2)) == [5, 6]
+
+    def test_lost_lease_is_queued_again_minus_what_finalised(self):
+        policy, ledger = _flat_policy(400)
+        runs = [policy.lease(workers=2) for _ in range(3)]  # [0] [1,2] [3..6]
+        # The worker on [1, 2] flushed seq 1 early, then died.
+        policy.accept([_record(0, 0)], done=True)
+        policy.accept([_record(1, 0)], done=False)
+        assert ledger.next_seq == 2
+        assert policy.in_flight == 2
+        assert policy.requeue(runs[1]) == 1  # only seq 2 is still owed
+        assert policy.in_flight == 1
+        assert _seqs(policy.lease(workers=2)) == [2]
+
+    def test_nothing_is_leased_once_the_ledger_is_finished(self):
+        policy, ledger = _flat_policy(2)
+        policy.lease(workers=1)
+        policy.lease(workers=1)
+        policy.accept([_record(0, 0), _record(1, 0)], done=True)
+        assert ledger.finished
+        assert policy.lease(workers=1) is None
+
+    def test_enumeration_has_no_bounds_and_never_reissues(self):
+        spec = wide_spec()
+        f, payloads = _frontier_and_payloads(spec, Enumeration(), bound=None)
+        ledger = OrderedLedger(Enumeration(), f)
+        policy = OrderedRunPolicy(ledger)
+        run = policy.lease(workers=1)
+        assert run == OrderedRun(0, 1, None)
+        for seq in (2, 1, 0):
+            payloads[seq].pop("bound")
+            payloads[seq]["seq"] = seq
+            assert policy.accept([payloads[seq]], done=False) is False
+        assert ledger.finished
+        assert ledger.metrics.reassigned == 0
+        assert ledger.knowledge == sequential_search(spec, Enumeration()).value
+
+
+class TestExecuteRun:
+    """The worker half: one leased run, no queues, scripted publisher."""
+
+    def _run(self, tasks, bound, *, published=lambda: 0, **kw):
+        sent = []
+        finished = execute_run(
+            wide_spec(), Optimisation(), tasks, bound,
+            lambda records, done: sent.append((list(records), done)),
+            published=published, **kw,
+        )
+        return finished, sent
+
+    def test_threads_the_bound_and_flushes_on_improvement(self):
+        tasks = [(0, "a", 1), (1, "b", 1), (2, "c", 1)]
+        finished, sent = self._run(tasks, 0)
+        assert finished
+        # a improves 0 -> 3 and b improves 3 -> 5: each is flushed at
+        # once; c (the last task, 5 -> 7) rides the final message.
+        assert [(len(r), done) for r, done in sent] == [
+            (1, False), (1, False), (1, True),
+        ]
+        records = [r for batch, _ in sent for r in batch]
+        assert [r["seq"] for r in records] == [0, 1, 2]
+        assert [r["bound"] for r in records] == [0, 3, 5]
+        assert [r["value"] for r in records] == [3, 5, 7]
+        # Exactly what the reference does task by task.
+        for r, node in zip(records, "abc"):
+            want = run_task_fixed_bound(
+                wide_spec(), Optimisation(), node, 1, r["bound"]
+            )
+            assert {k: r[k] for k in want} == want
+
+    def test_records_ride_one_message_when_nothing_improves(self):
+        tasks = [(0, "a", 1), (1, "b", 1), (2, "c", 1)]
+        finished, sent = self._run(tasks, 9)
+        assert finished
+        assert [(len(r), done) for r, done in sent] == [(3, True)]
+        assert all(r["value"] is None for r in sent[0][0])
+
+    def test_starts_from_the_published_best_when_it_is_ahead(self):
+        finished, sent = self._run([(4, "a", 1)], 0, published=lambda: 2)
+        assert sent[0][0][0]["bound"] == 2
+
+    def test_overtaken_task_restarts_from_the_new_bound(self):
+        heard = iter([0, 6])  # at the start; at the first poll check
+
+        def published():
+            return next(heard, 6)
+
+        # poll=1 makes the check fire after c's first child: the
+        # published best (6) has overtaken the start bound (0).
+        finished, sent = self._run(
+            [(2, "c", 1)], 0, published=published, poll=1,
+        )
+        assert finished
+        (record,) = sent[0][0]
+        assert record["bound"] == 6
+        want = run_task_fixed_bound(wide_spec(), Optimisation(), "c", 1, 6)
+        assert record["nodes"] == want["nodes"]  # the aborted try left no trace
+
+    def test_abort_sends_nothing_more(self):
+        finished, sent = self._run(
+            [(0, "c", 1), (1, "a", 1)], 0, poll=1, should_abort=lambda: True,
+        )
+        assert finished is False
+        assert sent == []
+
+    def test_enumeration_runs_without_bounds(self):
+        sent = []
+        assert execute_run(
+            wide_spec(), Enumeration(), [(0, "a", 1), (1, "b", 1)], None,
+            lambda records, done: sent.append((list(records), done)),
+        )
+        ((records, done),) = sent
+        assert done and [r["seq"] for r in records] == [0, 1]
+        assert [r["knowledge"] for r in records] == [6, 5]
+        assert "bound" not in records[0]
+
+    def test_driving_the_policy_to_completion_matches_the_reference(self):
+        # Policy + execute_run + ledger with no transport between them,
+        # leases executed newest-first to force stale speculation.
+        spec, kind, kwargs = search_setup(Instance("maxclique", (24, 75, 3)))
+        stype = make_search_type(kind, **kwargs)
+        frontier = ordered_frontier(spec, stype, d_cutoff=2)
+        ledger = OrderedLedger(stype, frontier)
+        policy = OrderedRunPolicy(ledger)
+        while not ledger.finished:
+            held = []
+            while (run := policy.lease(workers=2)) is not None:
+                held.append(run)
+            assert held, "window empty but the ledger is not finished"
+            for run in reversed(held):
+                inbox = []
+                execute_run(
+                    spec, stype,
+                    [(t.seq, t.node, t.depth)
+                     for t in frontier.tasks[run.first:run.first + run.count]],
+                    run.bound, lambda recs, done: inbox.append((recs, done)),
+                    published=ledger.required_bound,
+                )
+                for recs, done in inbox:
+                    policy.accept(recs, done)
+        ref = ordered_reference_search(spec, stype, d_cutoff=2)
+        assert ledger.knowledge == Incumbent(ref.value, ref.node)
+        got, want = ledger.metrics, ref.metrics
+        assert (got.nodes, got.prunes, got.backtracks, got.max_depth) == (
+            want.nodes, want.prunes, want.backtracks, want.max_depth
+        )
+        assert ledger.metrics.reassigned > 0  # speculation did go stale
+
+
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("d_cutoff", [0, 1, 2, 5])
     def test_optimisation_value_matches_sequential(self, d_cutoff):
@@ -267,7 +704,7 @@ class TestOrderedTiebreakMutation:
         ledger.record(0, payloads[0])        # a: value 5 under bound 0
         assert ledger.advance() == []
         ledger.record(1, payloads[1])        # b: tied 5, stale bound 0
-        assert ledger.advance() == [(1, 5)]  # rejected, re-issued pinned
+        assert ledger.advance() == [1]       # rejected, to re-run from 5
         p1 = run_task_fixed_bound(spec, stype, "b", 1, 5)
         p1["bound"] = 5
         ledger.record(1, p1)                 # nothing beats 5 under 5

@@ -14,13 +14,18 @@ construction, and the repetition-oracle catch is in
 ``tests/verify/test_repetition.py``.
 """
 
+import multiprocessing
+import multiprocessing.queues
+
 import pytest
 
+import repro.runtime.processes as processes
 from repro.core.ordered import ordered_reference_search
 from repro.core.results import validate_result
 from repro.core.searchtypes import Decision, Enumeration, Optimisation
 from repro.core.sequential import sequential_search
 from repro.runtime.processes import multiprocessing_ordered_search
+from repro.verify.generators import instance_spec
 from repro.verify.repetition import result_fingerprint
 
 from tests.runtime.test_processes import (
@@ -108,6 +113,57 @@ class TestReplicable:
             n_processes=2, d_cutoff=2,
         )
         assert miss.found is False
+
+
+# G(75, 0.70) seed 1 at d_cutoff=2: 1972 tasks, and the bound moves at
+# seq 0, 4, 99 and — late — seq 467, after hundreds of tasks have been
+# speculated from the older bound.
+LATE_ARGS = ("maxclique", (75, 70, 1))
+LATE_TASKS = 1972
+
+
+class CountingQueue(multiprocessing.queues.Queue):
+    """A real ``multiprocessing.Queue`` that counts its own traffic.
+    Forked workers count in their own copy, so the numbers read in the
+    parent are the parent's: leases put, result messages got."""
+
+    def __init__(self):
+        super().__init__(ctx=multiprocessing.get_context())
+        self.puts = self.gets = 0
+
+    def put(self, *args, **kwargs):
+        self.puts += 1
+        super().put(*args, **kwargs)
+
+    def get(self, *args, **kwargs):
+        item = super().get(*args, **kwargs)
+        self.gets += 1
+        return item
+
+
+class TestLateImprovement:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_fingerprint_and_message_count(self, n, monkeypatch):
+        queues = []
+
+        def counting_queue():
+            queues.append(CountingQueue())
+            return queues[-1]
+
+        monkeypatch.setattr(processes, "Queue", counting_queue)
+        ref = _reference(instance_spec, LATE_ARGS, Optimisation())
+        assert ref.metrics.spawns == LATE_TASKS
+        res = multiprocessing_ordered_search(
+            instance_spec, LATE_ARGS, optimisation_factory,
+            n_processes=n, d_cutoff=2,
+        )
+        assert result_fingerprint(res, counts=True) == result_fingerprint(
+            ref, counts=True
+        )
+        task_q, result_q = queues
+        # Leases down (minus the end-of-job wake-ups) plus record
+        # messages up: runs, not one round trip per task each way.
+        assert task_q.puts - n + result_q.gets < LATE_TASKS / 4
 
 
 class TestEdgeCases:
