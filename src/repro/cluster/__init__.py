@@ -18,8 +18,8 @@ simulated network or shared memory.
   fault tolerance with task re-lease (epochs prevent double counting),
   and best-first incumbent merge that rebroadcasts only strict
   improvements.
-- :mod:`repro.cluster.worker` — worker nodes: the PR-2 fast-path search
-  loop wrapped in a TCP client with reconnect-with-backoff and graceful
+- :mod:`repro.cluster.worker` — worker nodes: the search kernel
+  wrapped in a TCP client with reconnect-with-backoff and graceful
   drain on SHUTDOWN; ``run_worker`` optionally fans out to several
   local worker processes.
 - :mod:`repro.cluster.local` — ``cluster_search``: spin up an embedded

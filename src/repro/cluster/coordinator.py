@@ -274,26 +274,9 @@ class _Job:
         """Assemble the final :class:`SearchResult` (mirrors the
         multiprocessing backend's construction)."""
         self.metrics.weighted_nodes = self.metrics.nodes
-        elapsed = time.perf_counter() - self.started
-        workers = max(1, workers_seen)
-        if isinstance(self.knowledge, Incumbent):
-            return SearchResult(
-                kind=self.stype.kind,
-                value=self.knowledge.value,
-                node=self.knowledge.node,
-                found=(self.goal or self.stype.is_goal(self.knowledge))
-                if self.stype.kind == "decision"
-                else None,
-                metrics=self.metrics,
-                wall_time=elapsed,
-                workers=workers,
-            )
-        return SearchResult(
-            kind=self.stype.kind,
-            value=self.knowledge,
-            metrics=self.metrics,
-            wall_time=elapsed,
-            workers=workers,
+        return SearchResult.from_knowledge(
+            self.stype, self.knowledge, self.goal, self.metrics,
+            time.perf_counter() - self.started, max(1, workers_seen),
         )
 
 

@@ -1,12 +1,12 @@
-"""Cluster worker nodes: the fast-path search loop behind a TCP client.
+"""Cluster worker nodes: the search kernel behind a TCP client.
 
 A :class:`ClusterWorker` connects to a coordinator, pulls subtree TASK
-leases, and searches each one with the same inlined hot loop the
-multiprocessing budget backend uses (bound locals, plain generator
-stack, periodic duties every ``share_poll`` nodes) — only the *edges*
-of the loop changed: the shared queue became OFFCUT frames, the shared
-incumbent integer became INCUMBENT frames, and the outstanding counter
-lives on the coordinator.
+leases, and searches each one with the same search kernel the
+multiprocessing backends call
+(:func:`~repro.core.kernel.search_subtree`, periodic duties every
+``share_poll`` nodes) — only the two callbacks differ: the shared queue
+became OFFCUT frames, the shared incumbent integer became INCUMBENT
+frames, and the outstanding counter lives on the coordinator.
 
 Threading model (per connection):
 
@@ -54,12 +54,18 @@ from typing import Optional
 
 from repro.cluster import protocol as P
 from repro.cluster.faults import WorkerFaults
+from repro.core.kernel import search_subtree
 from repro.core.ordered import execute_run
 from repro.core.searchtypes import Incumbent
 from repro.core.tasks import split_lowest_inlined, split_one_inlined
 from repro.runtime.processes import graceful_stop, make_stype
 
 __all__ = ["ClusterWorker", "run_worker"]
+
+
+class _Abandoned(Exception):
+    """Raised out of the kernel's poll hook when the task in hand should
+    stop with nothing sent: JOB_DONE, a stop request, a dead session."""
 
 
 class _JobContext:
@@ -482,41 +488,52 @@ class ClusterWorker:
                 pass  # crash path: the lease epochs cover us anyway
 
     def _run_task(self, ctx, task_id, epoch, root, root_depth) -> None:
-        """Search one leased subtree with the inlined fast-path loop.
+        """Search one leased subtree with the search kernel.
 
-        Budget jobs send OFFCUT on budget trips; stack-stealing jobs
-        answer STEAL requests with STOLEN splits instead; both send
-        INCUMBENT (value + witness) on strict improvements and RESULT on
-        completion.  Nothing is sent if the task is aborted (job done /
-        stop / session death), leaving the coordinator's lease
-        accounting to handle it.
+        The poll hook gives work away — budget jobs send OFFCUT on
+        budget trips, stack-stealing jobs answer STEAL requests with
+        STOLEN splits instead — and hands the kernel the bound as last
+        heard; every strict improvement leaves as INCUMBENT (value +
+        witness), and RESULT follows on completion.  Nothing is sent if
+        the task is abandoned (job done / stop / session death), leaving
+        the coordinator's lease accounting to handle it.
         """
         stacksteal = ctx.coordination == "stacksteal"
-        split = split_lowest_inlined if ctx.chunked else split_one_inlined
-        spec, stype, enum = ctx.spec, ctx.stype, ctx.enum
-        budget, share_poll = ctx.budget, ctx.share_poll
-        process = stype.process
-        is_goal = stype.is_goal
-        should_prune = (
-            stype.should_prune if (not enum and spec.can_prune) else None
+        split = (
+            split_lowest_inlined
+            if ctx.chunked or not stacksteal
+            else split_one_inlined
         )
-        generator = spec.generator
-        space = spec.space
+        spec, stype, enum = ctx.spec, ctx.stype, ctx.enum
+        task_nodes = 0  # counted in share_poll quanta, drives budget splits
 
-        if enum:
-            knowledge = stype.initial_knowledge(spec)  # the monoid zero
-            prune_know = None
-        else:
-            knowledge = None
-            # Seed pruning from the last-heard cluster-wide bound; the
-            # witness is unknown here, but pruning only compares values.
-            bound_val = max(stype.initial_knowledge(spec).value, ctx.bound)
-            prune_know = Incumbent(bound_val, None)
-
-        nodes = prunes = backtracks = max_depth = 0
-        task_nodes = 0  # counted in share_poll quanta, drives splitting
-        since_check = 0
-        goal_hit = False
+        def on_poll(stack: list) -> Optional[int]:
+            nonlocal task_nodes
+            if ctx.done or self._session_dead.is_set() or self._stopped():
+                raise _Abandoned  # lease accounting covers us
+            if stacksteal:
+                give = self._steal_req is not None
+                if give:
+                    self._steal_req = None
+            else:
+                task_nodes += ctx.share_poll
+                give = task_nodes >= ctx.budget
+                if give:
+                    task_nodes = 0
+            if give:
+                offcuts, frame_index = split(stack)
+                # A STOLEN goes out even when empty: it is the answer
+                # that tells the coordinator this victim is dry.
+                if offcuts or stacksteal:
+                    self._send({
+                        "type": P.STOLEN if stacksteal else P.OFFCUT,
+                        "job": ctx.id,
+                        "task": task_id,
+                        "epoch": epoch,
+                        "depth": root_depth + frame_index + 1,
+                        "nodes": [P.encode_node(o) for o in offcuts],
+                    })
+            return None if enum else ctx.bound
 
         def publish(inc: Incumbent) -> None:
             # A strict local improvement: raise the local bound, ship
@@ -531,119 +548,39 @@ class ClusterWorker:
                 "node": P.encode_node(inc.node),
             })
 
-        # -- process the task root (the (schedule) rule) --
-        nodes += 1
-        expand = True
-        if enum:
-            knowledge, _ = process(spec, root, knowledge)
-        else:
-            k2, improved = process(spec, root, prune_know)
-            if improved:
-                prune_know = k2
-                publish(k2)
-                if is_goal(k2):
-                    goal_hit = True
-            if not goal_hit and should_prune is not None and should_prune(
-                spec, root, prune_know
-            ):
-                prunes += 1
-                expand = False
-
-        if expand and not goal_hit:
-            stack = [generator(space, root)]
-            if root_depth + 1 > max_depth:
-                max_depth = root_depth + 1
-            # -- the inlined hot loop --
-            while stack:
-                gen = stack[-1]
-                if gen.has_next():
-                    child = gen.next()
-                    nodes += 1
-                    since_check += 1
-                    if enum:
-                        knowledge, _ = process(spec, child, knowledge)
-                        stack.append(generator(space, child))
-                        if root_depth + len(stack) > max_depth:
-                            max_depth = root_depth + len(stack)
-                    else:
-                        k2, improved = process(spec, child, prune_know)
-                        if improved:
-                            prune_know = k2
-                            publish(k2)
-                            if is_goal(k2):
-                                goal_hit = True
-                                break
-                        if should_prune is not None and should_prune(
-                            spec, child, prune_know
-                        ):
-                            prunes += 1
-                        else:
-                            stack.append(generator(space, child))
-                            if root_depth + len(stack) > max_depth:
-                                max_depth = root_depth + len(stack)
-                else:
-                    stack.pop()
-                    backtracks += 1
-                if since_check >= share_poll:
-                    # Periodic duties, off the per-node path: abort
-                    # check, bound refresh, budget split.
-                    task_nodes += since_check
-                    since_check = 0
-                    if (
-                        ctx.done
-                        or self._session_dead.is_set()
-                        or self._stopped()
-                    ):
-                        return  # abandon: lease accounting covers us
-                    if not enum:
-                        seen = ctx.bound
-                        if seen > prune_know.value:
-                            prune_know = Incumbent(seen, None)
-                    if stacksteal:
-                        if self._steal_req is not None:
-                            self._steal_req = None
-                            offcuts, frame_index = split(stack)
-                            self._send({
-                                "type": P.STOLEN,
-                                "job": ctx.id,
-                                "task": task_id,
-                                "epoch": epoch,
-                                "depth": root_depth + frame_index + 1,
-                                "nodes": [P.encode_node(o) for o in offcuts],
-                            })
-                    elif task_nodes >= budget:
-                        offcuts, frame_index = split_lowest_inlined(stack)
-                        if offcuts:
-                            self._send({
-                                "type": P.OFFCUT,
-                                "job": ctx.id,
-                                "task": task_id,
-                                "epoch": epoch,
-                                "depth": root_depth + frame_index + 1,
-                                "nodes": [P.encode_node(o) for o in offcuts],
-                            })
-                        task_nodes = 0
+        knowledge = stype.initial_knowledge(spec)
+        if not enum:
+            # Seed pruning from the last-heard cluster-wide bound; the
+            # witness is unknown here, but pruning only compares values.
+            knowledge = Incumbent(max(knowledge.value, ctx.bound), None)
+        try:
+            knowledge, goal, m = search_subtree(
+                spec, stype, root, root_depth, knowledge,
+                poll=ctx.share_poll, on_poll=on_poll, on_improve=publish,
+            )
+        except _Abandoned:
+            return
 
         self.tasks_run += 1
-        self.nodes_searched += nodes
+        self.nodes_searched += m.nodes
         result = {
             "type": P.RESULT,
             "job": ctx.id,
             "task": task_id,
             "epoch": epoch,
-            "nodes": nodes,
-            "prunes": prunes,
-            "backtracks": backtracks,
-            "max_depth": max_depth,
-            "goal": goal_hit,
+            "nodes": m.nodes,
+            "prunes": m.prunes,
+            "backtracks": m.backtracks,
+            "max_depth": m.max_depth,
+            "goal": goal,
         }
         if enum:
             result["knowledge"] = knowledge
-        elif prune_know.node is not None:
+        elif knowledge.node is not None:
             # Belt and braces: improvements were already published with
             # their witnesses, but repeat the task-local best anyway.
-            result["value"] = prune_know.value
-            result["node"] = P.encode_node(prune_know.node)
+            result["value"] = knowledge.value
+            result["node"] = P.encode_node(knowledge.node)
         self._send(result)
 
     def _run_ordered_lease(self, ctx, task_id, epoch, tasks, bound) -> None:

@@ -10,6 +10,7 @@ objective/bound, bundle them in a :class:`SearchSpec`, and hand the spec
 to one of the 12 skeletons (:mod:`repro.core.skeletons`).
 """
 
+from repro.core.kernel import search_subtree
 from repro.core.nodegen import (
     GeneratorFactory,
     IterNodeGenerator,
@@ -73,6 +74,7 @@ __all__ = [
     "Incumbent",
     "make_search_type",
     "sequential_search",
+    "search_subtree",
     "Skeleton",
     "make_skeleton",
     "ALL_SKELETONS",

@@ -1,0 +1,134 @@
+"""The search kernel: the one expand/process/prune/backtrack loop.
+
+:func:`search_subtree` is Listing 2 over a plain list of node
+generators, and every runtime that searches a subtree for real calls it:
+the Sequential skeleton, the Ordered task runner, the process workers of
+all four coordinations, the cluster worker and the in-process service
+backend.  A coordination never changes how the tree is traversed, only
+*when subtrees are given away* (Figure 2 keeps the spawn rules apart
+from the traversal rules), so everything a runtime adds lives in two
+callbacks:
+
+- ``on_poll(stack)`` runs every ``poll`` nodes with the live generator
+  stack.  It may split the stack in place
+  (:func:`~repro.core.tasks.split_lowest_inlined`) and ship the offcuts
+  wherever its runtime keeps work, and it returns the pruning bound as
+  last heard from the other workers, or None.
+- ``on_improve(knowledge)`` runs on every strengthening of the
+  incumbent, before the goal check, so a witness is published before
+  the search that found it stops.
+
+A caller that wants out — a goal found elsewhere, JOB_DONE, a cancelled
+job, a deadline, an overtaken bound — raises from a callback.  The
+exception passes through untouched, so the kernel has no abort protocol,
+and the counters of a subtree abandoned that way are reported nowhere.
+
+The resumable :class:`~repro.core.tasks.SearchTask` machine walks the
+same tree one reduction per call and shares no code with this module;
+the simulator runs on it, and the conformance harness uses it as the
+oracle this loop is judged against.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Optional
+
+from repro.core.results import SearchMetrics
+from repro.core.searchtypes import Incumbent, SearchType
+from repro.core.space import SearchSpec
+
+__all__ = ["search_subtree"]
+
+
+def search_subtree(
+    spec: SearchSpec,
+    stype: SearchType,
+    root: Any,
+    root_depth: int,
+    knowledge: Any,
+    *,
+    poll: int = 0,
+    on_poll: Optional[Callable[[list], Optional[int]]] = None,
+    on_improve: Optional[Callable[[Any], None]] = None,
+) -> tuple[Any, bool, SearchMetrics]:
+    """Search the subtree under ``root`` depth-first from ``knowledge``.
+
+    ``root_depth`` is the root's depth in the whole tree (``max_depth``
+    is reported against it).  Returns ``(knowledge, goal, metrics)``:
+    the knowledge after the last node processed, whether a decision
+    target was reached, and the ``nodes`` / ``weighted_nodes`` /
+    ``prunes`` / ``backtracks`` / ``max_depth`` of this subtree alone.
+
+    The goal is tested on the knowledge once the root has been
+    processed, improved or not — a task handed a knowledge that already
+    meets the target stops after one node — and from then on after every
+    improvement.  A bound from ``on_poll`` above the current value
+    replaces the knowledge with a witness-less ``Incumbent(bound, None)``:
+    stale or fresh, it can only remove nodes.  A returned incumbent
+    whose ``node`` is None therefore means nothing in this subtree beat
+    what the caller or its peers already had.
+    """
+    process = stype.process
+    is_goal = stype.is_goal
+    prunes_at_all = type(stype).should_prune is not SearchType.should_prune
+    should_prune = stype.should_prune if prunes_at_all and spec.can_prune else None
+    generator = spec.generator
+    space = spec.space
+    node_size = spec.node_size
+    metrics = SearchMetrics(nodes=1, weighted_nodes=1)
+
+    knowledge, improved = process(spec, root, knowledge)
+    if node_size is not None:
+        metrics.weighted_nodes = node_size(root)
+    if improved and on_improve is not None:
+        on_improve(knowledge)
+    if is_goal(knowledge):
+        return knowledge, True, metrics
+    if should_prune is not None and should_prune(spec, root, knowledge):
+        metrics.prunes = 1
+        return knowledge, False, metrics
+
+    stack = [generator(space, root)]
+    nodes = 1
+    weighted = metrics.weighted_nodes
+    prunes = backtracks = 0
+    deepest = 1
+    goal = False
+    # ``nodes`` counts the root, so the first poll falls after ``poll``
+    # children; 0 is a count ``nodes`` never returns to.
+    next_poll = poll + 1 if on_poll is not None and poll > 0 else 0
+    while stack:
+        gen = stack[-1]
+        if gen.has_next():
+            child = gen.next()
+            knowledge, improved = process(spec, child, knowledge)
+            nodes += 1
+            if node_size is not None:
+                weighted += node_size(child)
+            if improved:
+                if on_improve is not None:
+                    on_improve(knowledge)
+                if is_goal(knowledge):
+                    goal = True
+                    break
+            if should_prune is not None and should_prune(spec, child, knowledge):
+                prunes += 1
+            else:
+                stack.append(generator(space, child))
+                if len(stack) > deepest:
+                    deepest = len(stack)
+            if nodes == next_poll:
+                next_poll += poll
+                bound = on_poll(stack)
+                if bound is not None and bound > knowledge.value:
+                    knowledge = Incumbent(bound, None)
+        else:
+            stack.pop()
+            backtracks += 1
+
+    metrics.nodes = nodes
+    metrics.weighted_nodes = weighted if node_size is not None else nodes
+    metrics.prunes = prunes
+    metrics.backtracks = backtracks
+    metrics.max_depth = root_depth + deepest
+    return knowledge, goal, metrics

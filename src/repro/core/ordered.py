@@ -63,6 +63,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from repro.core.kernel import search_subtree
 from repro.core.results import SearchMetrics, SearchResult
 from repro.core.searchtypes import Incumbent, SearchType, _active_mutation
 from repro.core.sequential import sequential_search
@@ -79,6 +80,11 @@ __all__ = [
     "OrderedRunPolicy",
     "ordered_reference_search",
 ]
+
+
+class _Aborted(Exception):
+    """Raised out of the kernel's poll hook when ``should_abort()``
+    answers True; :func:`run_task_fixed_bound` turns it into None."""
 
 
 @dataclass(frozen=True)
@@ -210,74 +216,27 @@ def run_task_fixed_bound(
     ``poll``-node check, in which case nothing was published anywhere.
     """
     enum = stype.kind == "enumeration"
-    process = stype.process
-    is_goal = stype.is_goal
-    should_prune = stype.should_prune if (not enum and spec.can_prune) else None
-    generator = spec.generator
-    space = spec.space
-
     if enum:
         know = stype.initial_knowledge(spec)
     else:
         know = Incumbent(bound if bound is not None else 0, None)
-    nodes = 1
-    prunes = backtracks = max_depth = 0
-    goal = False
-    since = 0
 
-    # -- the task root (the (schedule) rule) --
-    expand = True
-    if enum:
-        know, _ = process(spec, root, know)
-    else:
-        know, improved = process(spec, root, know)
-        if improved and is_goal(know):
-            goal = True
-            expand = False
-        elif should_prune is not None and should_prune(spec, root, know):
-            prunes = 1
-            expand = False
+    def check(stack: list) -> None:
+        if should_abort():
+            raise _Aborted
 
-    if expand:
-        stack = [generator(space, root)]
-        max_depth = root_depth + 1
-        while stack:
-            gen = stack[-1]
-            if gen.has_next():
-                child = gen.next()
-                nodes += 1
-                since += 1
-                if enum:
-                    know, _ = process(spec, child, know)
-                    stack.append(generator(space, child))
-                    if root_depth + len(stack) > max_depth:
-                        max_depth = root_depth + len(stack)
-                else:
-                    know, improved = process(spec, child, know)
-                    if improved and is_goal(know):
-                        goal = True
-                        break
-                    if should_prune is not None and should_prune(
-                        spec, child, know
-                    ):
-                        prunes += 1
-                    else:
-                        stack.append(generator(space, child))
-                        if root_depth + len(stack) > max_depth:
-                            max_depth = root_depth + len(stack)
-            else:
-                stack.pop()
-                backtracks += 1
-            if since >= poll:
-                since = 0
-                if should_abort is not None and should_abort():
-                    return None
-
+    try:
+        know, goal, m = search_subtree(
+            spec, stype, root, root_depth, know,
+            poll=poll, on_poll=check if should_abort is not None else None,
+        )
+    except _Aborted:
+        return None
     payload: dict = {
-        "nodes": nodes,
-        "prunes": prunes,
-        "backtracks": backtracks,
-        "max_depth": max_depth,
+        "nodes": m.nodes,
+        "prunes": m.prunes,
+        "backtracks": m.backtracks,
+        "max_depth": m.max_depth,
         "goal": goal,
     }
     if enum:
@@ -664,23 +623,6 @@ def ordered_reference_search(
     # Parallel ordered backends do not track per-node weights; pin the
     # reference to the same convention so fingerprints are comparable.
     metrics.weighted_nodes = metrics.nodes
-    elapsed = time.perf_counter() - started
-    if enum:
-        return SearchResult(
-            kind=stype.kind,
-            value=knowledge,
-            metrics=metrics,
-            wall_time=elapsed,
-            workers=1,
-        )
-    return SearchResult(
-        kind=stype.kind,
-        value=knowledge.value,
-        node=knowledge.node,
-        found=(goal or stype.is_goal(knowledge))
-        if stype.kind == "decision"
-        else None,
-        metrics=metrics,
-        wall_time=elapsed,
-        workers=1,
+    return SearchResult.from_knowledge(
+        stype, knowledge, goal, metrics, time.perf_counter() - started, 1
     )

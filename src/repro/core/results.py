@@ -101,6 +101,42 @@ class SearchResult:
     per_worker_busy: Optional[list] = None
     trace: Optional[Any] = None
 
+    @classmethod
+    def from_knowledge(
+        cls,
+        stype: Any,
+        knowledge: Any,
+        goal: bool,
+        metrics: SearchMetrics,
+        wall_time: Optional[float],
+        workers: int,
+        **simulated: Any,
+    ) -> "SearchResult":
+        """Package a finished search's knowledge as a result.
+
+        Enumeration knowledge is the accumulator itself; the other two
+        types hold an incumbent whose value and witness are reported.  A
+        decision is ``found`` when some worker saw the goal (``goal``)
+        or the merged incumbent meets the target.  ``simulated`` carries
+        the simulator's extra fields (``virtual_time``,
+        ``per_worker_busy``, ``trace``).
+        """
+        value, node, found = knowledge, None, None
+        if stype.kind != "enumeration":
+            value, node = knowledge.value, knowledge.node
+            if stype.kind == "decision":
+                found = bool(goal or stype.is_goal(knowledge))
+        return cls(
+            kind=stype.kind,
+            value=value,
+            node=node,
+            found=found,
+            metrics=metrics,
+            wall_time=wall_time,
+            workers=workers,
+            **simulated,
+        )
+
     def efficiency(self) -> Optional[float]:
         """Mean worker utilisation (busy / makespan), parallel runs only."""
         if self.virtual_time is None or not self.per_worker_busy or self.virtual_time == 0:

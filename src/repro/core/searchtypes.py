@@ -39,8 +39,8 @@ __all__ = [
 # code path below misbehaves on purpose so the harness can prove it
 # would catch that class of bug.  ``combine`` is only called on the
 # parallel merge paths (simulator knowledge store, process/cluster
-# result merges) — never by ``sequential_search`` — so the sequential
-# oracle stays sound while every parallel backend is corrupted.
+# result merges) — never by the kernel or the stepped machine — so the
+# sequential oracle stays sound while every parallel backend is corrupted.
 _MUTATION_ENV = "REPRO_VERIFY_MUTATION"
 
 

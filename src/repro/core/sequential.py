@@ -6,147 +6,52 @@ skeleton's speedup is measured.
 
 Two drivers are provided:
 
-- :func:`sequential_search` — the production path: a direct
-  transcription of Listing 2 over the generator stack, with the
-  per-step dispatch inlined.  This is what the Sequential skeleton
-  runs, and what Table 1 times against the hand-specialised solver.
+- :func:`sequential_search` — the production path: one call of the
+  search kernel (:func:`repro.core.kernel.search_subtree`) on the root,
+  with no callbacks.  This is what the Sequential skeleton runs, and
+  what Table 1 times against the hand-specialised solver.
 - :func:`sequential_search_stepped` — the same search driven through
   the resumable :class:`SearchTask` state machine the simulator uses.
-  Slower, but the equivalence tests (`tests/core/test_sequential.py`)
-  pin both drivers to identical results and metrics, which is what
-  licenses the simulator's claim to explore the real tree.
+  Slower, and structurally independent of the kernel: it is the oracle
+  of the conformance harness (docs/verify.md), and the equivalence tests
+  (`tests/core/test_kernel.py`) pin both drivers to identical results
+  and metrics, which is what licenses the simulator's claim to explore
+  the real tree.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
 
+from repro.core.kernel import search_subtree
 from repro.core.results import SearchMetrics, SearchResult
-from repro.core.searchtypes import Incumbent, SearchType
+from repro.core.searchtypes import SearchType
 from repro.core.space import SearchSpec
 from repro.core.tasks import SEQ, SearchTask
 
 __all__ = ["sequential_search", "sequential_search_stepped"]
 
 
-def _package(
-    kind: str,
-    knowledge,
-    goal: bool,
-    metrics: SearchMetrics,
-    elapsed: float,
-) -> SearchResult:
-    if isinstance(knowledge, Incumbent):
-        return SearchResult(
-            kind=kind,
-            value=knowledge.value,
-            node=knowledge.node,
-            found=goal if kind == "decision" else None,
-            metrics=metrics,
-            wall_time=elapsed,
-            workers=1,
-        )
-    return SearchResult(
-        kind=kind, value=knowledge, metrics=metrics, wall_time=elapsed, workers=1
-    )
-
-
-def sequential_search(
-    spec: SearchSpec,
-    stype: SearchType,
-    *,
-    max_steps: Optional[int] = None,
-) -> SearchResult:
-    """Run a complete sequential search of ``spec`` under ``stype``.
-
-    ``max_steps`` optionally bounds the number of node expansions plus
-    backtracks (a guard for tests against pathological instances);
-    exceeding it raises RuntimeError.
-    """
-    # Hot loop: bind everything once.  This is Listing 2 verbatim —
-    # process the root, then expand/backtrack over a generator stack.
-    process = stype.process
-    should_prune = stype.should_prune
-    is_goal = stype.is_goal
-    generator = spec.generator
-    space = spec.space
-    metrics = SearchMetrics()
+def sequential_search(spec: SearchSpec, stype: SearchType) -> SearchResult:
+    """Run a complete sequential search of ``spec`` under ``stype``."""
     started = time.perf_counter()
-    budget = max_steps if max_steps is not None else -1
-
-    node_size = spec.node_size
-    knowledge, _ = process(spec, spec.root, knowledge=stype.initial_knowledge(spec))
-    metrics.nodes = 1
-    metrics.weighted_nodes = node_size(spec.root) if node_size is not None else 1
-    goal = False
-    if is_goal(knowledge):
-        goal = True
-    elif should_prune(spec, spec.root, knowledge):
-        metrics.prunes = 1
-    else:
-        stack = [generator(space, spec.root)]
-        steps = 0
-        nodes = 1
-        # Most specs have no node_size; weighted accounting is hoisted
-        # out of the loop entirely for them (weighted == nodes then).
-        weighted = metrics.weighted_nodes if node_size is not None else 0
-        prunes = 0
-        backtracks = 0
-        max_depth = 1
-        weigh = node_size is not None
-        while stack:
-            gen = stack[-1]
-            if gen.has_next():
-                child = gen.next()
-                knowledge, _ = process(spec, child, knowledge)
-                nodes += 1
-                if weigh:
-                    weighted += node_size(child)
-                if is_goal(knowledge):
-                    goal = True
-                    break
-                if should_prune(spec, child, knowledge):
-                    prunes += 1
-                else:
-                    stack.append(generator(space, child))
-                    if len(stack) > max_depth:
-                        max_depth = len(stack)
-            else:
-                stack.pop()
-                backtracks += 1
-            steps += 1
-            if steps == budget:
-                raise RuntimeError(
-                    f"sequential search of {spec.name!r} exceeded {max_steps} steps"
-                )
-        metrics.nodes = nodes
-        metrics.weighted_nodes = weighted if weigh else nodes
-        metrics.prunes = prunes
-        metrics.backtracks = backtracks
-        metrics.max_depth = max_depth
-
-    return _package(
-        stype.kind, knowledge, goal, metrics, time.perf_counter() - started
+    knowledge, goal, metrics = search_subtree(
+        spec, stype, spec.root, 0, stype.initial_knowledge(spec)
+    )
+    return SearchResult.from_knowledge(
+        stype, knowledge, goal, metrics, time.perf_counter() - started, 1
     )
 
 
-def sequential_search_stepped(
-    spec: SearchSpec,
-    stype: SearchType,
-    *,
-    max_steps: Optional[int] = None,
-) -> SearchResult:
+def sequential_search_stepped(spec: SearchSpec, stype: SearchType) -> SearchResult:
     """The same search, driven through the SearchTask state machine."""
     task = SearchTask(spec, stype, spec.root, policy=SEQ)
     knowledge = stype.initial_knowledge(spec)
     metrics = SearchMetrics()
     started = time.perf_counter()
-    steps = 0
     goal = False
     while not task.finished:
         knowledge, out = task.step(knowledge)
-        steps += 1
         if out.processed:
             metrics.nodes += 1
             metrics.weighted_nodes += out.weight
@@ -159,10 +64,6 @@ def sequential_search_stepped(
         if out.goal:
             goal = True
             break
-        if max_steps is not None and steps >= max_steps:
-            raise RuntimeError(
-                f"sequential search of {spec.name!r} exceeded {max_steps} steps"
-            )
-    return _package(
-        stype.kind, knowledge, goal, metrics, time.perf_counter() - started
+    return SearchResult.from_knowledge(
+        stype, knowledge, goal, metrics, time.perf_counter() - started, 1
     )

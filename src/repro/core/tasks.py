@@ -6,8 +6,8 @@ it: the generator stack and the backtrack counter.  The task advances
 one reduction at a time via :meth:`step`, which makes the *same* state
 machine drivable in two ways:
 
-- a tight ``while not finished: step()`` loop (the Sequential skeleton
-  and the real-thread backend), and
+- a tight ``while not finished: step()`` loop (the stepped sequential
+  driver and the real-thread backend), and
 - one step per simulated time quantum (the discrete-event cluster),
 
 so the simulated parallel search expands exactly the tree a real worker
@@ -114,13 +114,14 @@ class StepOutcome:
 
 
 def split_lowest_inlined(gens: list) -> tuple[list, int]:
-    """(spawn-budget) for the *inlined* fast-path driver.
+    """(spawn-budget) for the search kernel's stack.
 
-    Fast worker loops (``sequential_search`` and the dynamic
-    multiprocessing backend) keep a plain list of node generators rather
-    than a :class:`~repro.core.genstack.GeneratorStack`; this helper
-    applies the same bottom-up splitting rule (Listing 4, lines 8-14) to
-    that representation: take *all* remaining children of the first
+    The kernel (:func:`~repro.core.kernel.search_subtree`) keeps a plain
+    list of node generators rather than a
+    :class:`~repro.core.genstack.GeneratorStack` and hands it to its
+    caller's ``on_poll`` hook; this helper applies the same bottom-up
+    splitting rule (Listing 4, lines 8-14) to that representation, in
+    place: take *all* remaining children of the first
     non-exhausted generator nearest the root — the heuristically largest
     unexplored subtrees.
 
@@ -159,7 +160,7 @@ def split_lowest_inlined(gens: list) -> tuple[list, int]:
 
 
 def split_one_inlined(gens: list) -> tuple[list, int]:
-    """(spawn-stack), un-chunked, for the inlined fast-path driver.
+    """(spawn-stack), un-chunked, for the search kernel's stack.
 
     The single-node variant of :func:`split_lowest_inlined`: take *one*
     child from the first non-exhausted generator nearest the root (the

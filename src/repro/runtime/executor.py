@@ -227,30 +227,16 @@ class _ClusterRun:
         if self.trace is not None:
             self.trace.makespan = makespan
         if self.enumeration:
-            value: Any = self.workers[0].acc
+            knowledge: Any = self.workers[0].acc
             for w in self.workers[1:]:
-                value = self.stype.combine(value, w.acc)
-            return SearchResult(
-                kind=self.stype.kind,
-                value=value,
-                metrics=metrics,
-                virtual_time=makespan,
-                workers=len(self.workers),
-                per_worker_busy=busy,
-                trace=self.trace,
-            )
-        best: Incumbent = self.km.global_best
-        metrics.broadcasts = self.km.broadcasts
-        return SearchResult(
-            kind=self.stype.kind,
-            value=best.value,
-            node=best.node,
-            found=self.goal_reached if self.stype.kind == "decision" else None,
-            metrics=metrics,
-            virtual_time=makespan,
-            workers=len(self.workers),
-            per_worker_busy=busy,
-            trace=self.trace,
+                knowledge = self.stype.combine(knowledge, w.acc)
+        else:
+            knowledge = self.km.global_best
+            metrics.broadcasts = self.km.broadcasts
+        return SearchResult.from_knowledge(
+            self.stype, knowledge, self.goal_reached, metrics,
+            None, len(self.workers),
+            virtual_time=makespan, per_worker_busy=busy, trace=self.trace,
         )
 
     def _on_goal(self, knowledge: Incumbent) -> None:

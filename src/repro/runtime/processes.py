@@ -4,26 +4,27 @@ Where :mod:`repro.runtime.threads` is GIL-bound, these backends achieve
 *actual* CPython parallel speedup by distributing subtree tasks over
 ``multiprocessing`` workers, each searching in its own interpreter.
 
-Four coordinations have process implementations:
+Four coordinations have process implementations.  Every worker of
+every one searches its subtrees with the one search kernel
+(:func:`~repro.core.kernel.search_subtree`); a coordination is what the
+kernel's poll hook does with the live generator stack.
 
 - :func:`multiprocessing_depthbounded_search` — **static** splitting:
   the parent expands the depth-``d`` frontier sequentially and hands
   the frontier subtrees to a process pool (the OpenMP-style baseline of
-  Table 1).  Workers drive the resumable :class:`SearchTask` machine.
+  Table 1).  The poll hook only refreshes the pruning bound.
 - :func:`multiprocessing_budget_search` — **dynamic** work sharing in
   the style of the paper's Budget coordination: workers pull tasks from
-  a shared queue and run them through an inlined fast-path loop (the
-  :func:`~repro.core.sequential.sequential_search` hot loop, not the
-  stepped state machine); whenever a task exceeds its node budget the
-  worker splits the lowest unexplored subtrees off its generator stack
+  a shared queue; whenever a task exceeds its node budget the poll hook
+  splits the lowest unexplored subtrees off the generator stack
   (:func:`~repro.core.tasks.split_lowest_inlined`) and pushes them back
   to the queue, so load balances at runtime instead of being fixed by
   the initial frontier.
 - :func:`multiprocessing_stacksteal_search` — **demand-driven** work
-  sharing (Stack-Stealing): the same hot loop, but a victim only splits
-  its generator stack when a shared hungry counter says another worker
-  is starving, so granularity adapts to the tree instead of a fixed
-  budget cadence.
+  sharing (Stack-Stealing): the same worker, but the poll hook only
+  splits the generator stack when a shared hungry counter says another
+  worker is starving, so granularity adapts to the tree instead of a
+  fixed budget cadence.
 - :func:`multiprocessing_ordered_search` — **replicable** search
   (Ordered, after Archibald et al.): discovery-ordered atomic tasks,
   leased and reported in runs, finalised in sequence order by an
@@ -63,11 +64,11 @@ from repro.core.ordered import (
     execute_run,
     ordered_frontier,
 )
+from repro.core.kernel import search_subtree
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchMetrics, SearchResult, result_from_dict
 from repro.core.searchtypes import Incumbent, SearchType
 from repro.core.tasks import (
-    SEQ,
     SearchTask,
     SpawnedTask,
     split_lowest_inlined,
@@ -122,38 +123,27 @@ def _run_task(payload: tuple[Any, int]) -> tuple[Any, int, int, int, int]:
     """Search one subtree; returns (knowledge, nodes, prunes, backtracks, goal)."""
     root, depth = payload
     spec, stype, best = _worker_spec, _worker_stype, _worker_best
-    task = SearchTask(spec, stype, root, policy=SEQ, root_depth=depth)
+    knowledge = stype.initial_knowledge(spec)
     if stype.kind == "enumeration":
-        knowledge = stype.initial_knowledge(spec)
+        refresh = publish = None
     else:
         # Seed pruning from the shared best value; the witness node is
         # unknown here, but pruning only compares values.
-        with best.get_lock():
-            seen = best.value
-        knowledge = Incumbent(max(seen, stype.initial_knowledge(spec).value), None)
-    nodes = prunes = backtracks = 0
-    goal = 0
-    steps = 0
-    while not task.finished:
-        knowledge, out = task.step(knowledge)
-        nodes += int(out.processed)
-        prunes += int(out.pruned)
-        backtracks += int(out.backtracked)
-        if out.improved and stype.kind != "enumeration":
+        knowledge = Incumbent(max(best.value, knowledge.value), None)
+
+        def refresh(stack: list) -> int:
+            return best.value
+
+        def publish(found: Incumbent) -> None:
             with best.get_lock():
-                if knowledge.value > best.value:
-                    best.value = knowledge.value
-        if out.goal:
-            goal = 1
-            break
-        steps += 1
-        if steps % 256 == 0 and stype.kind != "enumeration":
-            # Periodically refresh the pruning bound from the shared best.
-            with best.get_lock():
-                seen = best.value
-            if seen > knowledge.value:
-                knowledge = Incumbent(seen, knowledge.node)
-    return knowledge, nodes, prunes, backtracks, goal
+                if found.value > best.value:
+                    best.value = found.value
+
+    knowledge, goal, m = search_subtree(
+        spec, stype, root, depth, knowledge,
+        poll=256, on_poll=refresh, on_improve=publish,
+    )
+    return knowledge, m.nodes, m.prunes, m.backtracks, int(goal)
 
 
 def run_library_search(
@@ -375,26 +365,9 @@ def multiprocessing_depthbounded_search(
             knowledge = stype.combine(knowledge, task_knowledge)
         elif task_knowledge.node is not None:
             knowledge = stype.combine(knowledge, task_knowledge)
-    elapsed = time.perf_counter() - started
-
-    if isinstance(knowledge, Incumbent):
-        return SearchResult(
-            kind=stype.kind,
-            value=knowledge.value,
-            node=knowledge.node,
-            found=(goal or stype.is_goal(knowledge))
-            if stype.kind == "decision"
-            else None,
-            metrics=metrics,
-            wall_time=elapsed,
-            workers=n_processes,
-        )
-    return SearchResult(
-        kind=stype.kind,
-        value=knowledge,
-        metrics=metrics,
-        wall_time=elapsed,
-        workers=n_processes,
+    return SearchResult.from_knowledge(
+        stype, knowledge, goal, metrics,
+        time.perf_counter() - started, n_processes,
     )
 
 
@@ -481,189 +454,12 @@ def _stype_payload(stype: SearchType) -> tuple[str, dict]:
     )
 
 
-def _budget_worker_main(
-    spec_factory,
-    factory_args,
-    stype_factory,
-    stype_args,
-    task_q,
-    result_q,
-    outstanding,
-    best,
-    goal_flag,
-    done_flag,
-    budget,
-    share_poll,
-    queue_poll,
-):
-    """Worker process: pull tasks, search them fast, split on budget.
-
-    The per-node path is the :func:`sequential_search` hot loop (bound
-    locals, plain generator list, no ``StepOutcome`` allocation);
-    splittable state is only materialised every ``share_poll`` nodes,
-    when the worker also refreshes its pruning bound from the shared
-    incumbent without taking the lock.  The lock is taken only to
-    publish an improvement.
-    """
-    try:
-        # Never block process exit on unflushed task-queue buffers: on
-        # the normal path everything pushed has been consumed (the
-        # outstanding counter cannot reach zero otherwise), and on the
-        # goal path pending tasks are garbage anyway.
-        task_q.cancel_join_thread()
-        spec = spec_factory(*factory_args)
-        stype = stype_factory(*stype_args)
-        enum = stype.kind == "enumeration"
-        process = stype.process
-        is_goal = stype.is_goal
-        should_prune = stype.should_prune if (not enum and spec.can_prune) else None
-        generator = spec.generator
-        space = spec.space
-        best_raw = best.get_obj()  # lock-free reads (aligned 8-byte load)
-        best_lock = best.get_lock()
-        out_raw = outstanding.get_obj()
-        out_lock = outstanding.get_lock()
-
-        knowledge = stype.initial_knowledge(spec)
-        if enum:
-            prune_know = None
-            bound_val = 0
-        else:
-            # Seed pruning from the shared best (another worker may have
-            # published before we started).
-            bound_val = max(knowledge.value, best_raw.value)
-            prune_know = knowledge if bound_val == knowledge.value else Incumbent(
-                bound_val, None
-            )
-
-        nodes = prunes = backtracks = max_depth = 0
-        splits = tasks_run = 0
-        goal_hit = False
-        aborted = False
-
-        while True:
-            if done_flag.value or goal_flag.value:
-                break
-            try:
-                root, root_depth = task_q.get(timeout=queue_poll)
-            except Empty:
-                continue
-            tasks_run += 1
-            task_nodes = 0  # counted in share_poll quanta, drives splitting
-            since_check = 0
-
-            # -- process the task root (the (schedule) rule) --
-            nodes += 1
-            expand = True
-            if enum:
-                knowledge, _ = process(spec, root, knowledge)
-            else:
-                k2, improved = process(spec, root, prune_know)
-                if improved:
-                    knowledge = prune_know = k2
-                    bound_val = k2.value
-                    with best_lock:
-                        if bound_val > best_raw.value:
-                            best_raw.value = bound_val
-                    if is_goal(k2):
-                        goal_hit = True
-                        goal_flag.value = 1
-                        break
-                if should_prune is not None and should_prune(spec, root, prune_know):
-                    prunes += 1
-                    expand = False
-
-            if expand:
-                stack = [generator(space, root)]
-                if root_depth + 1 > max_depth:
-                    max_depth = root_depth + 1
-                # -- the inlined hot loop --
-                while stack:
-                    gen = stack[-1]
-                    if gen.has_next():
-                        child = gen.next()
-                        nodes += 1
-                        since_check += 1
-                        if enum:
-                            knowledge, _ = process(spec, child, knowledge)
-                            stack.append(generator(space, child))
-                            if root_depth + len(stack) > max_depth:
-                                max_depth = root_depth + len(stack)
-                        else:
-                            k2, improved = process(spec, child, prune_know)
-                            if improved:
-                                knowledge = prune_know = k2
-                                bound_val = k2.value
-                                with best_lock:
-                                    if bound_val > best_raw.value:
-                                        best_raw.value = bound_val
-                                if is_goal(k2):
-                                    goal_hit = True
-                                    goal_flag.value = 1
-                                    break
-                            if should_prune is not None and should_prune(
-                                spec, child, prune_know
-                            ):
-                                prunes += 1
-                            else:
-                                stack.append(generator(space, child))
-                                if root_depth + len(stack) > max_depth:
-                                    max_depth = root_depth + len(stack)
-                    else:
-                        stack.pop()
-                        backtracks += 1
-                    if since_check >= share_poll:
-                        # Periodic duties, off the per-node path: goal
-                        # check, lock-free bound refresh, budget split.
-                        task_nodes += since_check
-                        since_check = 0
-                        if goal_flag.value:
-                            aborted = True
-                            break
-                        if not enum:
-                            seen = best_raw.value
-                            if seen > bound_val:
-                                bound_val = seen
-                                prune_know = Incumbent(seen, None)
-                        if task_nodes >= budget:
-                            offcuts, frame_index = split_lowest_inlined(stack)
-                            if offcuts:
-                                with out_lock:
-                                    out_raw.value += len(offcuts)
-                                depth = root_depth + frame_index + 1
-                                for off in offcuts:
-                                    task_q.put((off, depth))
-                                splits += len(offcuts)
-                            task_nodes = 0
-
-            if goal_hit or aborted:
-                break
-            with out_lock:
-                out_raw.value -= 1
-                if out_raw.value == 0:
-                    done_flag.value = 1
-
-        result_q.put(("ok", {
-            # An unpicklable witness degrades to the value alone.
-            "knowledge": knowledge if enum else (
-                knowledge.value, _sendable_witness(knowledge.node)
-            ),
-            "nodes": nodes,
-            "prunes": prunes,
-            "backtracks": backtracks,
-            "max_depth": max_depth,
-            "goal": goal_hit,
-            "splits": splits,
-            "tasks": tasks_run,
-        }))
-    except BaseException as exc:  # report crashes instead of dying silently
-        try:
-            result_q.put(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
+class _GoalElsewhere(Exception):
+    """Raised out of the kernel's poll hook: another worker reached the
+    decision target, so the subtree in hand is abandoned."""
 
 
-def _stacksteal_worker_main(
+def _sharing_worker_main(
     spec_factory,
     factory_args,
     stype_factory,
@@ -675,34 +471,39 @@ def _stacksteal_worker_main(
     goal_flag,
     done_flag,
     hungry,
+    budget,
     chunked,
     share_poll,
     queue_poll,
 ):
-    """Worker process: pull tasks, search them fast, split when starved.
+    """Worker process of the Budget and Stack-Stealing coordinations.
 
-    The per-node path is identical to :func:`_budget_worker_main`; only
-    the sharing trigger differs.  ``hungry`` counts currently-starving
-    workers: an idle worker registers itself once (and deregisters on
-    its next successful dequeue), and a busy worker that sees the
-    counter raised during its ``share_poll`` periodic duties splits the
-    lowest frame of its generator stack for the thief — the
-    (spawn-stack) rule with the victim's poll standing in for the
-    interrupt.  Only the registering worker ever decrements its own
-    registration, so the counter never goes negative and a serviced
-    request cannot be double-claimed; the worst case is a harmless
-    over-split inside one poll window.
+    Pulls tasks and searches each with the search kernel
+    (:func:`~repro.core.kernel.search_subtree`).  Every ``share_poll``
+    nodes the kernel's poll hook checks the goal flag, decides whether
+    to give work away, and hands back the shared incumbent, read without
+    the lock; the lock is taken only to publish an improvement.
+
+    *When work is given away* is all that tells the two coordinations
+    apart.  Budget (``budget`` is a node count) splits the lowest frame
+    of the live stack onto the queue every ``budget`` nodes of a task.
+    Stack-Stealing (``budget`` is None) splits only while ``hungry`` is
+    raised.  ``hungry`` counts currently-starving workers: an idle
+    worker registers itself once and deregisters on its next successful
+    dequeue, so the counter never goes negative and a serviced request
+    cannot be double-claimed; the worst case is a harmless over-split
+    inside one poll window.  This is the (spawn-stack) rule with the
+    victim's poll standing in for the interrupt.
     """
     try:
+        # Never block process exit on unflushed task-queue buffers: on
+        # the normal path everything pushed has been consumed (the
+        # outstanding counter cannot reach zero otherwise), and on the
+        # goal path pending tasks are garbage anyway.
         task_q.cancel_join_thread()
         spec = spec_factory(*factory_args)
         stype = stype_factory(*stype_args)
         enum = stype.kind == "enumeration"
-        process = stype.process
-        is_goal = stype.is_goal
-        should_prune = stype.should_prune if (not enum and spec.can_prune) else None
-        generator = spec.generator
-        space = spec.space
         best_raw = best.get_obj()  # lock-free reads (aligned 8-byte load)
         best_lock = best.get_lock()
         out_raw = outstanding.get_obj()
@@ -711,25 +512,46 @@ def _stacksteal_worker_main(
         hungry_lock = hungry.get_lock()
         split = split_lowest_inlined if chunked else split_one_inlined
 
+        # The accumulator (enumeration) or the best incumbent found in
+        # this process, witness included.
         knowledge = stype.initial_knowledge(spec)
-        if enum:
-            prune_know = None
-            bound_val = 0
-        else:
-            bound_val = max(knowledge.value, best_raw.value)
-            prune_know = knowledge if bound_val == knowledge.value else Incumbent(
-                bound_val, None
-            )
-
-        nodes = prunes = backtracks = max_depth = 0
+        metrics = SearchMetrics()
         splits = tasks_run = 0
+        task_nodes = 0  # counted in share_poll quanta, drives Budget splits
+        root_depth = 0
         goal_hit = False
-        aborted = False
         registered = False  # this worker's own entry in `hungry`
 
-        while True:
-            if done_flag.value or goal_flag.value:
-                break
+        def on_poll(stack: list) -> Optional[int]:
+            nonlocal task_nodes, splits
+            if goal_flag.value:
+                raise _GoalElsewhere
+            if budget is None:
+                give = hungry_raw.value > 0
+            else:
+                task_nodes += share_poll
+                give = task_nodes >= budget
+                if give:
+                    task_nodes = 0
+            if give:
+                offcuts, frame_index = split(stack)
+                if offcuts:
+                    with out_lock:
+                        out_raw.value += len(offcuts)
+                    depth = root_depth + frame_index + 1
+                    for off in offcuts:
+                        task_q.put((off, depth))
+                    splits += len(offcuts)
+            return None if enum else best_raw.value
+
+        def on_improve(found: Incumbent) -> None:
+            nonlocal knowledge
+            knowledge = found
+            with best_lock:
+                if found.value > best_raw.value:
+                    best_raw.value = found.value
+
+        while not (done_flag.value or goal_flag.value):
             try:
                 root, root_depth = task_q.get(timeout=queue_poll)
             except Empty:
@@ -743,91 +565,26 @@ def _stacksteal_worker_main(
                     hungry_raw.value -= 1
                 registered = False
             tasks_run += 1
-            since_check = 0
-
-            # -- process the task root (the (schedule) rule) --
-            nodes += 1
-            expand = True
+            task_nodes = 0
             if enum:
-                knowledge, _ = process(spec, root, knowledge)
+                start = knowledge
             else:
-                k2, improved = process(spec, root, prune_know)
-                if improved:
-                    knowledge = prune_know = k2
-                    bound_val = k2.value
-                    with best_lock:
-                        if bound_val > best_raw.value:
-                            best_raw.value = bound_val
-                    if is_goal(k2):
-                        goal_hit = True
-                        goal_flag.value = 1
-                        break
-                if should_prune is not None and should_prune(spec, root, prune_know):
-                    prunes += 1
-                    expand = False
-
-            if expand:
-                stack = [generator(space, root)]
-                if root_depth + 1 > max_depth:
-                    max_depth = root_depth + 1
-                # -- the inlined hot loop --
-                while stack:
-                    gen = stack[-1]
-                    if gen.has_next():
-                        child = gen.next()
-                        nodes += 1
-                        since_check += 1
-                        if enum:
-                            knowledge, _ = process(spec, child, knowledge)
-                            stack.append(generator(space, child))
-                            if root_depth + len(stack) > max_depth:
-                                max_depth = root_depth + len(stack)
-                        else:
-                            k2, improved = process(spec, child, prune_know)
-                            if improved:
-                                knowledge = prune_know = k2
-                                bound_val = k2.value
-                                with best_lock:
-                                    if bound_val > best_raw.value:
-                                        best_raw.value = bound_val
-                                if is_goal(k2):
-                                    goal_hit = True
-                                    goal_flag.value = 1
-                                    break
-                            if should_prune is not None and should_prune(
-                                spec, child, prune_know
-                            ):
-                                prunes += 1
-                            else:
-                                stack.append(generator(space, child))
-                                if root_depth + len(stack) > max_depth:
-                                    max_depth = root_depth + len(stack)
-                    else:
-                        stack.pop()
-                        backtracks += 1
-                    if since_check >= share_poll:
-                        # Periodic duties: goal check, lock-free bound
-                        # refresh, and answering steal requests.
-                        since_check = 0
-                        if goal_flag.value:
-                            aborted = True
-                            break
-                        if not enum:
-                            seen = best_raw.value
-                            if seen > bound_val:
-                                bound_val = seen
-                                prune_know = Incumbent(seen, None)
-                        if hungry_raw.value > 0:
-                            offcuts, frame_index = split(stack)
-                            if offcuts:
-                                with out_lock:
-                                    out_raw.value += len(offcuts)
-                                depth = root_depth + frame_index + 1
-                                for off in offcuts:
-                                    task_q.put((off, depth))
-                                splits += len(offcuts)
-
-            if goal_hit or aborted:
+                # Prune from the shared best (another worker may have
+                # published since); its witness lives with its finder.
+                seen = best_raw.value
+                start = knowledge if knowledge.value >= seen else Incumbent(seen, None)
+            try:
+                after, goal_hit, m = search_subtree(
+                    spec, stype, root, root_depth, start,
+                    poll=share_poll, on_poll=on_poll, on_improve=on_improve,
+                )
+            except _GoalElsewhere:
+                break
+            metrics.merge(m)
+            if enum:
+                knowledge = after
+            if goal_hit:
+                goal_flag.value = 1
                 break
             with out_lock:
                 out_raw.value -= 1
@@ -839,10 +596,10 @@ def _stacksteal_worker_main(
             "knowledge": knowledge if enum else (
                 knowledge.value, _sendable_witness(knowledge.node)
             ),
-            "nodes": nodes,
-            "prunes": prunes,
-            "backtracks": backtracks,
-            "max_depth": max_depth,
+            "nodes": metrics.nodes,
+            "prunes": metrics.prunes,
+            "backtracks": metrics.backtracks,
+            "max_depth": metrics.max_depth,
             "goal": goal_hit,
             "splits": splits,
             "tasks": tasks_run,
@@ -868,7 +625,7 @@ def multiprocessing_budget_search(
     """Budget-style dynamic work-sharing search over worker processes.
 
     The whole tree starts as one task on a shared queue.  Workers pull
-    tasks and search them with an inlined fast-path loop; any task that
+    tasks and search them with the search kernel; any task that
     runs past ``budget`` nodes splits the unexplored subtrees nearest
     its root back onto the queue (the paper's Budget coordination,
     Listing 4, with nodes as the budget unit), so load balances at
@@ -890,8 +647,7 @@ def multiprocessing_budget_search(
     if share_poll < 1:
         raise ValueError("share_poll must be >= 1")
     return _sharing_search(
-        _budget_worker_main,
-        (budget, share_poll, queue_poll),
+        (budget, True, share_poll, queue_poll),
         spec_factory, factory_args, stype_factory, stype_args,
         n_processes=n_processes, label="budget",
     )
@@ -929,18 +685,15 @@ def multiprocessing_stacksteal_search(
     """
     if share_poll < 1:
         raise ValueError("share_poll must be >= 1")
-    hungry = Value("q", 0)
     return _sharing_search(
-        _stacksteal_worker_main,
-        (hungry, bool(chunked), share_poll, queue_poll),
+        (None, bool(chunked), share_poll, queue_poll),
         spec_factory, factory_args, stype_factory, stype_args,
         n_processes=n_processes, label="stacksteal", count_steals=True,
     )
 
 
 def _sharing_search(
-    worker_target: Callable[..., None],
-    extra_args: tuple,
+    sharing_args: tuple,
     spec_factory: Callable[..., Any],
     factory_args: tuple,
     stype_factory: Callable[..., SearchType],
@@ -955,12 +708,12 @@ def _sharing_search(
     Budget and Stack-Stealing differ only in *when a worker gives work
     away*; everything around that — the shared incumbent, the
     outstanding-task termination counter, crash detection, draining and
-    the result merge — is this function.  ``worker_target`` receives the
-    standard shared objects followed by ``extra_args`` and must report a
-    payload dict in the ``_budget_worker_main`` shape; ``count_steals``
-    additionally folds the workers' split counts into
-    ``metrics.steals`` (they are steals, not scheduled spawns, under
-    Stack-Stealing).
+    the result merge — is this function.  ``sharing_args`` is the
+    ``(budget, chunked, share_poll, queue_poll)`` tail of
+    :func:`_sharing_worker_main`'s arguments, ``budget`` None selecting
+    Stack-Stealing; ``count_steals`` additionally folds the workers'
+    split counts into ``metrics.steals`` (they are steals, not scheduled
+    spawns, under Stack-Stealing).
     """
     if n_processes < 1:
         raise ValueError("need at least one process")
@@ -977,17 +730,18 @@ def _sharing_search(
     goal_flag = Value("b", 0, lock=False)
     done_flag = Value("b", 0, lock=False)
     outstanding = Value("q", 1)  # tasks queued or being searched
+    hungry = Value("q", 0)  # workers waiting on an empty queue
     task_q: Queue = Queue()
     result_q: Queue = Queue()
     task_q.put((spec.root, 0))
 
     procs = [
         Process(
-            target=worker_target,
+            target=_sharing_worker_main,
             args=(
                 spec_factory, factory_args, stype_factory, stype_args,
                 task_q, result_q, outstanding, best, goal_flag, done_flag,
-                *extra_args,
+                hungry, *sharing_args,
             ),
             daemon=True,
         )
@@ -1060,26 +814,9 @@ def _sharing_search(
             # value still counts.
             knowledge = stype.combine(knowledge, Incumbent(*body["knowledge"]))
     metrics.weighted_nodes = metrics.nodes
-    elapsed = time.perf_counter() - started
-
-    if isinstance(knowledge, Incumbent):
-        return SearchResult(
-            kind=stype.kind,
-            value=knowledge.value,
-            node=knowledge.node,
-            found=(goal or stype.is_goal(knowledge))
-            if stype.kind == "decision"
-            else None,
-            metrics=metrics,
-            wall_time=elapsed,
-            workers=n_processes,
-        )
-    return SearchResult(
-        kind=stype.kind,
-        value=knowledge,
-        metrics=metrics,
-        wall_time=elapsed,
-        workers=n_processes,
+    return SearchResult.from_knowledge(
+        stype, knowledge, goal, metrics,
+        time.perf_counter() - started, n_processes,
     )
 
 
@@ -1281,25 +1018,9 @@ def multiprocessing_ordered_search(
     knowledge = ledger.knowledge
     metrics = ledger.metrics
     metrics.weighted_nodes = metrics.nodes
-    elapsed = time.perf_counter() - started
-    if isinstance(knowledge, Incumbent):
-        return SearchResult(
-            kind=stype.kind,
-            value=knowledge.value,
-            node=knowledge.node,
-            found=(ledger.goal or stype.is_goal(knowledge))
-            if stype.kind == "decision"
-            else None,
-            metrics=metrics,
-            wall_time=elapsed,
-            workers=n_processes,
-        )
-    return SearchResult(
-        kind=stype.kind,
-        value=knowledge,
-        metrics=metrics,
-        wall_time=elapsed,
-        workers=n_processes,
+    return SearchResult.from_knowledge(
+        stype, knowledge, ledger.goal, metrics,
+        time.perf_counter() - started, n_processes,
     )
 
 

@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchMetrics, SearchResult
-from repro.core.searchtypes import Incumbent, SearchType
+from repro.core.searchtypes import SearchType
 from repro.core.space import SearchSpec
 from repro.core.tasks import SEQ, SearchTask, SpawnedTask
 
@@ -140,23 +140,7 @@ def threaded_depthbounded_search(
                 lambda sp: _run_subtree(spec, stype, sp, shared), spawned
             ):
                 metrics.merge(worker_metrics)
-    elapsed = time.perf_counter() - started
-
-    knowledge = shared.read()
-    if isinstance(knowledge, Incumbent):
-        return SearchResult(
-            kind=stype.kind,
-            value=knowledge.value,
-            node=knowledge.node,
-            found=shared.goal.is_set() if stype.kind == "decision" else None,
-            metrics=metrics,
-            wall_time=elapsed,
-            workers=n_threads,
-        )
-    return SearchResult(
-        kind=stype.kind,
-        value=knowledge,
-        metrics=metrics,
-        wall_time=elapsed,
-        workers=n_threads,
+    return SearchResult.from_knowledge(
+        stype, shared.read(), shared.goal.is_set(), metrics,
+        time.perf_counter() - started, n_threads,
     )

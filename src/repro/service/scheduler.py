@@ -13,9 +13,9 @@ Two execution backends implement :class:`Backend`:
 - :class:`InProcessBackend` — runs searches in the scheduler's own
   worker threads.  This is the simulator-era backend: deterministic,
   cheap, and the right tool when the "search" is itself a simulated
-  cluster run.  Timeouts are cooperative — the sequential skeleton is
-  driven through the resumable :class:`SearchTask` machine with a
-  periodic deadline/cancel check; simulated parallel skeletons run to
+  cluster run.  Timeouts are cooperative — the sequential skeleton
+  runs on the search kernel with a deadline/cancel check in its poll
+  hook; simulated parallel skeletons run to
   completion and are marked ``TIMEOUT`` after the fact if they blew
   their deadline (documented best-effort, the thread cannot be killed).
 - :class:`ProcessBackend` — one real OS process per attempt via
@@ -42,9 +42,9 @@ import threading
 import time
 from typing import Callable, Optional, Protocol
 
-from repro.core.results import SearchMetrics, SearchResult
+from repro.core.kernel import search_subtree
+from repro.core.results import SearchResult
 from repro.core.searchtypes import Incumbent
-from repro.core.tasks import SEQ, SearchTask
 from repro.service.cache import ResultCache
 from repro.service.jobs import Job, JobSpec, JobState
 from repro.service.metrics import MetricsSnapshot, ServiceMetrics
@@ -88,7 +88,7 @@ class Backend(Protocol):
         ...
 
 
-# How many task steps the cooperative driver runs between deadline and
+# How many nodes the cooperative driver searches between deadline and
 # cancellation checks.  Small enough for sub-second responsiveness on
 # any real instance, large enough to keep the check off the hot path.
 _CHECK_EVERY = 256
@@ -130,8 +130,8 @@ class InProcessBackend:
         deadline: Optional[float],
         cancel: Optional[threading.Event],
     ) -> SearchResult:
-        """Sequential search via the stepped task machine, checking the
-        deadline and cancel event every ``_CHECK_EVERY`` steps and
+        """Sequential search via the search kernel, checking the
+        deadline and cancel event every ``_CHECK_EVERY`` nodes and
         reporting incumbent improvements through ``job.on_incumbent``."""
         from repro.core.searchtypes import make_search_type
         from repro.instances.library import spec_for
@@ -143,59 +143,24 @@ class InProcessBackend:
         kwargs.update(spec.stype_kwargs)
         stype = make_search_type(stype_name, **kwargs)
 
-        task = SearchTask(search_spec, stype, search_spec.root, policy=SEQ)
-        knowledge = stype.initial_knowledge(search_spec)
-        metrics = SearchMetrics()
+        def check(stack: list) -> None:
+            if cancel is not None and cancel.is_set():
+                raise JobCancelled
+            if deadline is not None and time.monotonic() >= deadline:
+                raise JobTimeout
+
+        def report(found: Incumbent) -> None:
+            job.on_incumbent(found.value)
+
         started = time.perf_counter()
-        steps = 0
-        goal = False
-        last_value = (
-            knowledge.value if isinstance(knowledge, Incumbent) else None
+        knowledge, goal, metrics = search_subtree(
+            search_spec, stype, search_spec.root, 0,
+            stype.initial_knowledge(search_spec),
+            poll=_CHECK_EVERY, on_poll=check,
+            on_improve=report if job.on_incumbent is not None else None,
         )
-        while not task.finished:
-            knowledge, out = task.step(knowledge)
-            steps += 1
-            if (
-                job.on_incumbent is not None
-                and isinstance(knowledge, Incumbent)
-                and knowledge.value != last_value
-            ):
-                last_value = knowledge.value
-                job.on_incumbent(knowledge.value)
-            if out.processed:
-                metrics.nodes += 1
-                metrics.weighted_nodes += out.weight
-            if out.pruned:
-                metrics.prunes += 1
-            if out.backtracked:
-                metrics.backtracks += 1
-            if len(task.stack) > metrics.max_depth:
-                metrics.max_depth = len(task.stack)
-            if out.goal:
-                goal = True
-                break
-            if steps % _CHECK_EVERY == 0:
-                if cancel is not None and cancel.is_set():
-                    raise JobCancelled
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise JobTimeout
-        elapsed = time.perf_counter() - started
-        if isinstance(knowledge, Incumbent):
-            return SearchResult(
-                kind=stype.kind,
-                value=knowledge.value,
-                node=knowledge.node,
-                found=goal if stype.kind == "decision" else None,
-                metrics=metrics,
-                wall_time=elapsed,
-                workers=1,
-            )
-        return SearchResult(
-            kind=stype.kind,
-            value=knowledge,
-            metrics=metrics,
-            wall_time=elapsed,
-            workers=1,
+        return SearchResult.from_knowledge(
+            stype, knowledge, goal, metrics, time.perf_counter() - started, 1
         )
 
 

@@ -45,8 +45,9 @@ __all__ = [
     "run_verify",
 ]
 
-# Differential targets; "sequential" is also the oracle, so running it
-# as a backend only re-checks determinism — kept cheap and first.
+# Differential targets.  "sequential" is the search kernel on one
+# worker, judged against the stepped machine the oracle runs — the
+# kernel-vs-machine differential, kept cheap and first.
 BACKENDS = ("sequential", "sim", "processes", "cluster")
 
 _SIM_COORDINATIONS = ("depthbounded", "stacksteal", "budget", "random", "ordered")
@@ -324,7 +325,7 @@ def run_verify(
             "processes": _PROC_COORDINATIONS,
             "cluster": _CLUSTER_COORDINATIONS,
         }
-        # sequential stays (it is the oracle's determinism recheck);
+        # sequential stays (the kernel-vs-machine differential);
         # parallel backends that don't implement the pin drop out.
         backends = [
             b for b in backends

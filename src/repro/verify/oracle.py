@@ -3,8 +3,13 @@
 Every backend result is judged against a single :class:`OracleReport`
 built once per instance from two independent references:
 
-- the **sequential driver** (:func:`repro.core.sequential.sequential_search`)
-  — Listing 2 verbatim, no parallel machinery at all; and
+- the **stepped sequential driver**
+  (:func:`repro.core.sequential.sequential_search_stepped`) — the
+  resumable :class:`~repro.core.tasks.SearchTask` machine run to
+  completion by one worker, no parallel machinery at all.  Every real
+  backend, ``sequential`` included, searches with the kernel
+  (:mod:`repro.core.kernel`); the machine shares no code with it, and an
+  oracle must not share code with what it judges; and
 - the **semantics machine** (:func:`repro.semantics.bridge.machine_search`)
   — the paper's formal reduction system, run only when the full tree is
   small enough to materialise.
@@ -46,7 +51,7 @@ from typing import Optional
 
 from repro.core.results import SearchResult, validate_result
 from repro.core.searchtypes import Enumeration, make_search_type
-from repro.core.sequential import sequential_search
+from repro.core.sequential import sequential_search_stepped
 from repro.core.space import SearchSpec
 from repro.semantics.bridge import machine_search
 from repro.verify.generators import Instance, search_setup
@@ -82,11 +87,13 @@ def build_report(
     node count is the full tree.
     """
     spec, kind, stype_kwargs = search_setup(inst)
-    seq = sequential_search(spec, make_search_type(kind, **stype_kwargs))
+    seq = sequential_search_stepped(spec, make_search_type(kind, **stype_kwargs))
     if kind == "enumeration":
         tree_nodes = seq.metrics.nodes
     else:
-        census = sequential_search(spec, Enumeration(objective=lambda node: 1))
+        census = sequential_search_stepped(
+            spec, Enumeration(objective=lambda node: 1)
+        )
         tree_nodes = census.metrics.nodes
 
     report = OracleReport(

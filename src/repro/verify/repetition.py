@@ -36,7 +36,7 @@ from typing import Callable, Optional
 from repro.core.ordered import ordered_reference_search
 from repro.core.results import SearchResult, _encode_node
 from repro.core.searchtypes import make_search_type
-from repro.core.sequential import sequential_search
+from repro.core.sequential import sequential_search_stepped
 from repro.util.rng import SplitMix64
 from repro.verify.chaos import FaultPlan
 from repro.verify.differential import BackendConfig, run_config
@@ -195,7 +195,7 @@ def run_repetition(
                 counts=True,
             )
         else:
-            reference = result_fingerprint(sequential_search(spec, stype))
+            reference = result_fingerprint(sequential_search_stepped(spec, stype))
 
         cells = [
             (f"w={w}", _cell_config(backend, coordination, w, knobs))

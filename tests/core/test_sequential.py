@@ -1,7 +1,5 @@
 """Tests for the Sequential coordination driver (Listing 2)."""
 
-import pytest
-
 from repro.core.searchtypes import Decision, Enumeration, Optimisation
 from repro.core.sequential import sequential_search
 
@@ -82,10 +80,6 @@ class TestDecisionRuns:
 
 
 class TestGuards:
-    def test_max_steps_guard(self, toy_spec):
-        with pytest.raises(RuntimeError):
-            sequential_search(toy_spec, Enumeration(), max_steps=2)
-
     def test_wall_time_recorded(self, toy_spec):
         res = sequential_search(toy_spec, Enumeration())
         assert res.wall_time is not None and res.wall_time >= 0

@@ -34,7 +34,7 @@ def build_specs():
     add("sip", "sip-planted-18-65", submitter="bob", priority=2)
     add("uts", "uts-geo-med", n=2)                          # dup pair
     add("ns", "ns-genus-14", submitter="alice")
-    add("ns", "ns-genus-16", timeout=0.15)                  # cannot finish in time
+    add("ns", "ns-genus-16", timeout=0.05)                  # cannot finish in time
     add("tsp", "tsp-rand-11", submitter="carol")            # dup of bob's
     add("sip", "sip-planted-18-65", submitter="carol")      # dup of bob's
     add("maxclique", "p_hat90-1", submitter="carol")        # the one we cancel

@@ -207,7 +207,7 @@ class TestServiceCommands:
         jobfile = tmp_path / "jobs.jsonl"
         run_cli("submit", "--jobfile", str(jobfile),
                 "--app", "ns", "--instance", "ns-genus-16",
-                "--timeout", "0.15")
+                "--timeout", "0.05")
         code, out = run_cli("serve", "--jobfile", str(jobfile))
         assert code == 0  # TIMEOUT is a reported outcome, not a CLI failure
         assert "TIMEOUT" in out
