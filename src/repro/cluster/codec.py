@@ -102,6 +102,7 @@ _KEYS = (
     "coordination", "chunked", "d_cutoff", "bound",
     "stacksteal", "ordered",
     "records", "seq", "more",
+    "spawns", "pool",
 )
 _KEY_INDEX = {name: i for i, name in enumerate(_KEYS)}
 _RAW_KEY = 0xFF

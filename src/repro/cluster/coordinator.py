@@ -1,17 +1,28 @@
-"""The cluster coordinator: global task queue, incumbent, termination.
+"""The cluster coordinator: task table, steal mediation, incumbent, termination.
 
-One coordinator owns the authoritative state of a distributed Budget
-search:
+One coordinator owns the authoritative state of a distributed search:
 
-- the **task table** — every subtree that exists as a unit of work,
-  with its lease (which worker, which epoch) and lifecycle
-  (queued → leased → done, or cancelled);
+- the **task table** — every subtree that exists *here* as a unit of
+  work, with its lease (which worker, which epoch) and lifecycle
+  (queued → leased → done, or cancelled).  A budget worker keeps the
+  offcuts of its budget trips in its own order-preserving pool
+  (:mod:`repro.cluster.worker`), so a budget **lease** is "this root
+  and everything its holder ran from its pool": the table holds the
+  root task and whatever subtrees were handed over since, not one
+  record per budget trip;
+- **steal mediation** — for budget and stack-stealing jobs, when the
+  queue is empty and a worker holds no lease, a busy worker is sent a
+  STEAL and answers with STOLEN: the shallowest level of its pool
+  (budget; never empty — the request waits for the next trip or dies
+  with the lease's RESULT) or a split of its live stack (stack-stealing;
+  may be empty).  The subtrees become fresh queued tasks.  OFFCUT is the
+  unsolicited twin: a retiring or draining worker handing its pool back;
 - the **outstanding counter** — distributed termination detection: the
-  root task starts it at 1, every OFFCUT child increments it, every
-  accepted RESULT decrements it; zero means the whole tree has been
-  searched (the same invariant the multiprocessing backend keeps in a
-  shared integer, here maintained by the single writer that sees every
-  message);
+  root task starts it at 1, every subtree handed over in a STOLEN or
+  OFFCUT increments it, every accepted RESULT decrements it; zero means
+  the whole tree has been searched (the same invariant the
+  multiprocessing backend keeps in a shared integer, here maintained by
+  the single writer that sees every message);
 - the **incumbent** — best-first merge of every INCUMBENT/RESULT
   arrival; only *strict* improvements are rebroadcast to the other
   workers, so bound traffic is proportional to how often the answer
@@ -23,14 +34,17 @@ Fault model (see docs/cluster.md for the full argument):
 
 - A worker that disconnects or misses heartbeats is declared dead; its
   leased tasks are re-queued with a **bumped epoch** and re-leased.
-  RESULT/OFFCUT frames carrying a stale epoch are dropped, so a worker
-  that was merely slow cannot double-count a reassigned task or corrupt
-  the outstanding counter.
-- Re-running a subtree is idempotent for optimisation and decision
-  searches (knowledge is max-merged), so the cluster *degrades* under
-  crashes instead of undercounting; node counts may overcount
-  re-searched work, and ``metrics.reassigned`` records every re-lease.
-- An enumeration task's partial accumulator dies with its worker and
+  RESULT/STOLEN/OFFCUT frames carrying a stale epoch are dropped, so a
+  worker that was merely slow cannot double-count a reassigned task or
+  corrupt the outstanding counter.
+- A dead holder's lease re-runs from its root: what it had finished,
+  what was still in its pool, and what it had already handed over
+  (which lives on as tasks of its own, so it is searched twice).
+  Re-running is idempotent for optimisation and decision searches
+  (knowledge is max-merged), so the cluster *degrades* under crashes
+  instead of undercounting; node counts may overcount re-searched work,
+  and ``metrics.reassigned`` records every re-lease.
+- An enumeration lease's partial accumulator dies with its worker and
   cannot be reconstructed, so a worker lost mid-enumeration fails the
   job loudly — identical policy to the multiprocessing backend.
 
@@ -130,6 +144,9 @@ class WorkerConn:
     # re-asking is pointless until it reports fresh progress.
     steal_pending: bool = False
     steal_dry: bool = False
+    # Runnable subtrees in this worker's own pool (budget jobs), as last
+    # reported on a frame it sent anyway (``pool``).
+    pool: int = 0
     # The negotiated wire codec for frames *to* this worker (inbound
     # decoding auto-detects).  None until the WELCOME has been posted,
     # so the handshake itself always travels as JSON.
@@ -242,7 +259,9 @@ class _Job:
         self.metrics.reassigned += 1
 
     def add_offcuts(self, parent: TaskRecord, depth: int, nodes: list) -> int:
-        """Register budget-split subtrees as fresh queued tasks."""
+        """Register subtrees a lease-holder handed over (STOLEN, OFFCUT)
+        as fresh queued tasks.  They count as spawned here; the ones a
+        budget lease runs from its own pool arrive on its RESULT."""
         for node in nodes:
             rec = TaskRecord(
                 id=self._new_task_id(), node=node, depth=depth, parent=parent.id
@@ -381,7 +400,8 @@ class Coordinator:
         """A point-in-time load snapshot (loop thread only).
 
         This is the signal feed for :class:`repro.deploy.Adaptive`:
-        coordinator backlog (queued offcut subtrees), lease pressure,
+        backlog (subtrees queued here, plus the ones each budget worker
+        last reported in its own pool), lease pressure,
         outstanding-task count, and per-worker liveness/lease state —
         everything the scaling policy needs, with no extra bookkeeping
         beyond what the scheduler already maintains.
@@ -389,11 +409,20 @@ class Coordinator:
         now = time.monotonic()
         job = self._job
         active = job is not None and job.state == "running"
+        if not active:
+            queued = 0
+        elif job.policy is not None:
+            queued = job.policy.backlog
+        else:
+            # Runnable and unstarted: the queue here, plus what the
+            # lease-holders of a budget job keep in their own pools.
+            queued = len(job.queue) + sum(w.pool for w in self.workers.values())
         workers = [
             {
                 "id": w.id,
                 "name": w.name,
                 "leased": len(w.tasks),
+                "pool": w.pool,
                 "retiring": w.retiring,
                 "last_seen_age": max(0.0, now - w.last_seen),
             }
@@ -403,11 +432,7 @@ class Coordinator:
             "connected": len(self.workers),
             "retiring": sum(1 for w in self.workers.values() if w.retiring),
             "job_active": active,
-            "queued_tasks": (
-                0 if not active
-                else len(job.queue) if job.policy is None
-                else job.policy.backlog
-            ),
+            "queued_tasks": queued,
             "leased_tasks": (
                 sum(len(w.tasks) for w in self.workers.values()) if active else 0
             ),
@@ -471,6 +496,7 @@ class Coordinator:
             # previous job is dropped by the job-id check in _dispatch.
             worker.steal_pending = False
             worker.steal_dry = False
+            worker.pool = 0
             self._post(worker, msg)
         if job.ledger is not None and job.ledger.finished:
             # Phase 1 already finished the search (empty frontier, or a
@@ -613,6 +639,9 @@ class Coordinator:
 
     def _dispatch(self, worker: WorkerConn, msg: dict) -> None:
         mtype = msg["type"]
+        pool = msg.get("pool")
+        if isinstance(pool, int):
+            worker.pool = pool
         if mtype == P.HEARTBEAT:
             return  # last_seen already refreshed
         job = self._job
@@ -691,8 +720,9 @@ class Coordinator:
             self._pump()
 
     def _on_stolen(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
-        """A steal answer: offcut subtrees carved from the victim's live
-        stack, or an empty list meaning it had nothing to give."""
+        """A steal answer: the shallowest level of the victim's pool
+        (budget), subtrees carved from its live stack (stack-stealing),
+        or an empty list meaning that stack had nothing to give."""
         worker.steal_pending = False
         nodes = msg.get("nodes") or []
         if not nodes:
@@ -716,6 +746,7 @@ class Coordinator:
         # Fresh progress: empty-handed steal verdicts are stale now, and
         # any STEAL this worker left unanswered died with the task.
         worker.steal_pending = False
+        worker.pool = 0  # a lease ends when its holder's pool is dry
         for other in self.workers.values():
             other.steal_dry = False
         if job.ledger is not None:
@@ -730,6 +761,9 @@ class Coordinator:
         m.prunes += int(msg.get("prunes", 0))
         m.backtracks += int(msg.get("backtracks", 0))
         m.max_depth = max(m.max_depth, int(msg.get("max_depth", 0)))
+        # Budget: the subtrees this lease split off and ran from its
+        # holder's pool (the ones that crossed were counted on arrival).
+        m.spawns += int(msg.get("spawns", 0))
         if job.enum:
             job.knowledge = job.stype.combine(job.knowledge, msg.get("knowledge"))
         else:
@@ -879,21 +913,21 @@ class Coordinator:
         slots a greedy fill would let one worker hoard the whole
         frontier and serialise the search.  All of a worker's grants
         then go out in ONE batched TASK frame (``leases: [[id, epoch,
-        node, depth], ...]``); a v1 peer instead gets the single-lease
-        frames it expects, one per grant.  An ordered job leases *runs*:
-        its entries are ``[id, epoch, [[node, depth], ...], first_seq,
-        bound]``, cut by the job's run policy as slots come free.
+        node, depth], ...]``).  An ordered job leases *runs*: its
+        entries are ``[id, epoch, [[node, depth], ...], first_seq,
+        bound]``, cut by the job's run policy as slots come free.  When
+        a budget or stack-stealing job has nothing queued, idle workers
+        are served by asking busy ones (:meth:`_mediate_steals`).
         """
         job = self._job
         if job is None or job.state != "running":
             return
-        # Only v3 peers understand coordination-aware jobs (run leases,
-        # STEAL); a down-level worker leased ordered work would run it
-        # with the budget loop and corrupt determinism.
-        min_version = 3 if job.coordination != "budget" else 1
+        # Only v3 peers run jobs: every coordination needs run leases or
+        # STEAL, and a down-level worker would sit on a budget lease it
+        # can never be asked to share.
         eligible = [
             w for w in self.workers.values()
-            if w.alive and not w.retiring and w.proto_version >= min_version
+            if w.alive and not w.retiring and w.proto_version >= 3
         ]
         batches: dict[int, list[TaskRecord]] = {}
         granted = True
@@ -916,49 +950,43 @@ class Coordinator:
                 rec.state = LEASED
                 rec.worker = worker.id
                 worker.tasks.add(rec.id)
+                # A fresh lease is fresh stack: an empty-handed steal
+                # verdict from before it says nothing about it.
+                worker.steal_dry = False
                 batches.setdefault(worker.id, []).append(rec)
                 granted = True
         for worker in eligible:
             leases = batches.get(worker.id)
-            if not leases or not worker.alive:
-                continue
-            if worker.proto_version >= 2:
+            if leases and worker.alive:
                 self._post(worker, {
                     "type": P.TASK,
                     "job": job.id,
                     "leases": [job.lease_entry(r) for r in leases],
                 })
-            else:
-                for r in leases:
-                    self._post(worker, {
-                        "type": P.TASK,
-                        "job": job.id,
-                        "task": r.id,
-                        "epoch": r.epoch,
-                        "node": r.node,
-                        "depth": r.depth,
-                    })
-        if job.coordination == "stacksteal" and not job.queue:
+        if job.policy is None and not job.queue:
             self._mediate_steals(job, eligible)
 
     def _mediate_steals(self, job: _Job, eligible: list) -> None:
-        """Ask busy workers to split their live stacks for idle ones.
+        """Ask busy workers to give work to idle ones.
 
-        One STEAL per idle worker per pass, aimed at the most-loaded
-        victims; a victim with a STEAL already in flight, or whose last
-        answer was empty (``steal_dry``), is skipped until it reports
-        progress.  Only v3 peers can be victims — older ones would drop
-        the frame on the floor and the pending flag would stick.
+        One STEAL per idle worker per pass, aimed at the victims with
+        the most to give (the fullest pool as last reported, then the
+        most leases); a victim with a STEAL already in flight, or whose
+        last answer was empty (``steal_dry``), is skipped until it
+        reports progress or is granted a fresh lease.  A stack-stealing
+        victim splits its live stack and may answer empty; a budget
+        victim hands over the shallowest level of its pool and answers
+        only once it has something, so a request to it stays pending
+        until a STOLEN or the lease's RESULT.
         """
         idle = sum(1 for w in eligible if not w.tasks)
         if not idle:
             return
         victims = [
-            w for w in self.workers.values()
-            if w.alive and not w.retiring and w.proto_version >= 3
-            and w.tasks and not w.steal_pending and not w.steal_dry
+            w for w in eligible
+            if w.tasks and not w.steal_pending and not w.steal_dry
         ]
-        victims.sort(key=lambda w: len(w.tasks), reverse=True)
+        victims.sort(key=lambda w: (w.pool, len(w.tasks)), reverse=True)
         for victim in victims[:idle]:
             victim.steal_pending = True
             self._post(victim, {"type": P.STEAL, "job": job.id})
@@ -1033,6 +1061,7 @@ class Coordinator:
         msg = {"type": P.JOB_DONE, "job": job.id}
         for worker in list(self.workers.values()):
             worker.tasks.clear()
+            worker.pool = 0
             self._post(worker, msg)
         if self._job is job:
             self._job = None

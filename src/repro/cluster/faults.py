@@ -12,7 +12,10 @@ the ``REPRO_CHAOS`` environment variable):
 
 - ``{"kind": "kill_worker", "worker": NAME, "at_task": N}`` —
   worker-side: hard-exit (``os._exit``, no BYE, no drain) the moment the
-  worker *starts* its ``N``-th task, so it dies holding a live lease.
+  worker *starts* its ``N``-th subtree — a lease root, a run of ordered
+  tasks, or a pop from a budget lease's own pool — so it dies holding a
+  live lease, and past the first one with a pool behind it and whatever
+  it had already handed over searched again by the re-run.
 - ``{"kind": "kill_on_retire", "worker": NAME}`` — worker-side:
   hard-exit the moment a RETIRE frame arrives, *before* the graceful
   handback runs — the worker dies mid-retire still holding its leases,
@@ -136,8 +139,9 @@ class WorkerFaults:
     # -- hook points ---------------------------------------------------------
 
     def on_task_start(self, task_number: int) -> None:
-        """Called as the worker starts its ``task_number``-th task; may
-        hard-exit the process (simulating SIGKILL mid-lease)."""
+        """Called as the worker starts its ``task_number``-th subtree
+        (lease root or pool pop); may hard-exit the process (simulating
+        SIGKILL mid-lease)."""
         if self._kill_at is not None and task_number >= self._kill_at:
             sys.stderr.flush()
             os._exit(KILL_EXIT_CODE)

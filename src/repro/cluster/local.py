@@ -3,8 +3,9 @@
 ``cluster_search`` is the cluster counterpart of the
 ``multiprocessing_*_search`` family in
 :mod:`repro.runtime.processes`: same arguments, same result contract,
-but the work movement (budget offcuts, stack-steal splits, or ordered
-fixed-bound leases) happens over real TCP sockets through an embedded
+but the work movement (pooled budget offcuts and stack-steal splits
+handed to a starving peer, or ordered fixed-bound leases) happens over
+real TCP sockets through an embedded
 coordinator instead of through ``multiprocessing`` queues.  It exists
 so the ``backend="cluster"`` skeleton route, the tests and the scaling
 benchmark can exercise the genuine wire path without shell
@@ -62,9 +63,10 @@ def job_payload(
     type as its ``(kind, kwargs)`` reduction — so the same stock-type
     restriction as the multiprocessing backend applies, with the same
     loud ValueError for custom types.  ``coordination`` picks the work
-    movement: ``"budget"`` (offcut splits), ``"stacksteal"``
-    (coordinator-mediated STEAL/STOLEN), or ``"ordered"`` (replicable
-    fixed-bound tasks finalised by the coordinator's ledger).
+    movement: ``"budget"`` (split on a cadence into the worker's own
+    pool, shared on STEAL), ``"stacksteal"`` (split only on STEAL), or
+    ``"ordered"`` (replicable fixed-bound tasks finalised by the
+    coordinator's ledger).
     """
     if coordination not in CLUSTER_COORDINATIONS:
         raise ValueError(

@@ -29,27 +29,36 @@ HELLO      w -> c      join the cluster (protocol version, name, codecs)
 WELCOME    c -> w      assigned worker id + heartbeat interval + codec
 JOB        c -> w      search definition: spec factory, search type, knobs
 TASK       c -> w      lease subtrees: up to ``slots`` ``[id, epoch, node,
-                       depth]`` entries batched in one ``leases`` list
-                       (v1 peers get one single-lease frame per task); an
+                       depth]`` entries batched in one ``leases`` list; an
                        ordered job's entries are *runs*: ``[id, epoch,
                        [[node, depth], ...], first_seq, bound]``
-OFFCUT     w -> c      budget-trip split: subtrees pushed back for re-lease
-STEAL      c -> w      stack-stealing: split your live generator stack and
-                       answer with a STOLEN frame (v3)
-STOLEN     w -> c      steal answer: lowest-depth subtrees carved off the
-                       victim's stack, or empty = nothing to give (v3)
+OFFCUT     w -> c      budget jobs, unsolicited hand-over: the unstarted
+                       subtrees of a retiring or draining worker's pool,
+                       one frame per depth
+STEAL      c -> w      an idle worker needs work: give some away and answer
+                       with a STOLEN frame (budget and stacksteal jobs)
+STOLEN     w -> c      steal answer.  Budget: the shallowest level of the
+                       worker's pool, never empty (an unservable request
+                       waits, or dies with the lease's RESULT).  Stacksteal:
+                       the lowest-depth subtrees carved off the live stack,
+                       or empty = nothing to give
 INCUMBENT  both        a strictly better bound value (broadcast downstream)
-RESULT     w -> c      a leased task finished: counters + local best; for
-                       an ordered run, ``records``: one ``{seq, bound,
+RESULT     w -> c      a lease finished: counters + local best.  A budget
+                       lease is its root and every subtree its holder ran
+                       from its own pool, ``spawns`` of them; for an
+                       ordered run, ``records``: one ``{seq, bound,
                        counters, value, node}`` per task, with ``more`` set
                        on an early flush that leaves the lease live
 RELEASE    w -> c      retire handback: unstarted leases returned for re-lease
 HEARTBEAT  w -> c      liveness (any frame also refreshes the deadline, so
-                       workers suppress it while other traffic flows)
+                       workers suppress it while other traffic flows), and
+                       ``pool``: the subtrees in the worker's own pool
 JOB_DONE   c -> w      job over (result known / cancelled): drop its state
-RETIRE     c -> w      scale-down drain: finish the task in flight, RELEASE
-                       the rest, say BYE, exit (no new leases arrive)
-SHUTDOWN   c -> w      drain: finish the current task, say BYE, exit
+RETIRE     c -> w      scale-down drain: hand the pool back (OFFCUT), finish
+                       the subtree in hand, RELEASE the leases not started,
+                       say BYE, exit (no new leases arrive)
+SHUTDOWN   c -> w      drain: hand the pool back (OFFCUT), finish the leases
+                       held, say BYE, exit for good (never reconnect)
 BYE        w -> c      orderly goodbye; the connection closes after it
 ERROR      c -> w      protocol violation report before disconnect
 ========== =========== ====================================================

@@ -4,9 +4,15 @@ A :class:`ClusterWorker` connects to a coordinator, pulls subtree TASK
 leases, and searches each one with the same search kernel the
 multiprocessing backends call
 (:func:`~repro.core.kernel.search_subtree`, periodic duties every
-``share_poll`` nodes) — only the two callbacks differ: the shared queue
-became OFFCUT frames, the shared incumbent integer became INCUMBENT
-frames, and the outstanding counter lives on the coordinator.
+``share_poll`` nodes) — only the two callbacks differ: the shared
+incumbent integer became INCUMBENT frames, the hungry counter became
+the coordinator's STEAL, what a starving peer is given leaves in a
+STOLEN frame, and the outstanding counter lives on the coordinator.  A
+Budget worker keeps the offcuts of its budget trips in its own
+order-preserving pool (:class:`~repro.runtime.workpool.Workpool`) and
+drains it itself, exactly as its multiprocessing twin does, so a lease
+is its root and everything its holder ran from that pool, answered by
+one RESULT.
 
 Threading model (per connection):
 
@@ -27,11 +33,13 @@ backoff: the delay doubles up to ``reconnect_max`` and each sleep is
 scaled by a random factor in [0.5, 1.0], so a churning fleet of
 respawned workers neither stalls for minutes on an unbounded backoff
 nor reconnects in thundering-herd lockstep.  SHUTDOWN triggers a
-graceful drain: finish the leased work, send the RESULTs, say BYE.
-RETIRE (elastic scale-down, see :mod:`repro.deploy`) is stricter:
-finish only the task already *in flight*, hand every unstarted lease
-back in a RELEASE frame so the coordinator re-leases it under a bumped
-epoch, then BYE and exit for good — no reconnect.
+graceful drain: hand the pool back (OFFCUT), finish the leased work,
+send the RESULTs, say BYE — and never reconnect, whichever of BYE and
+the closing coordinator's EOF comes first.  RETIRE (elastic scale-down,
+see :mod:`repro.deploy`) is stricter: hand the pool back, finish only
+the subtree already *in hand*, hand every unstarted lease back in a
+RELEASE frame so the coordinator re-leases it under a bumped epoch,
+then BYE and exit for good — no reconnect.
 
 ``run_worker`` is the process-level entry: one in-process worker, or a
 fan-out of several local worker processes (each a full ClusterWorker)
@@ -56,9 +64,11 @@ from repro.cluster import protocol as P
 from repro.cluster.faults import WorkerFaults
 from repro.core.kernel import search_subtree
 from repro.core.ordered import execute_run
+from repro.core.results import SearchMetrics
 from repro.core.searchtypes import Incumbent
 from repro.core.tasks import split_lowest_inlined, split_one_inlined
 from repro.runtime.processes import graceful_stop, make_stype
+from repro.runtime.workpool import Workpool
 
 __all__ = ["ClusterWorker", "run_worker"]
 
@@ -170,8 +180,13 @@ class ClusterWorker:
         self._retire = False
         self._codec = None  # negotiated in WELCOME; None => JSON
         # The unanswered STEAL frame, if any (written by the receiver
-        # thread, consumed by the search loop at share_poll cadence).
+        # thread, consumed by the lease being run: at share_poll
+        # cadence, and between two subtrees of a budget lease).
         self._steal_req: Optional[dict] = None
+        # The offcuts of the budget lease being run, replaced when the
+        # lease ends (main thread only; the heartbeat thread reads its
+        # length).
+        self._pool = Workpool("depth")
         # Monotonic time of the last frame that actually left.
         self._last_sent = 0.0  # guarded-by: _send_lock
 
@@ -222,6 +237,11 @@ class ClusterWorker:
                 self._session(sock)
             except (ConnectionError, OSError, P.ProtocolError):
                 pass  # session died: reconnect (leases reassigned by epoch)
+            if self._drain:
+                # SHUTDOWN was the coordinator closing: however the
+                # session then ended (BYE sent, or EOF first), there is
+                # nothing to reconnect to.
+                self._finished = True
             last_contact = time.monotonic()
 
     def _session(self, sock: socket.socket) -> None:
@@ -298,7 +318,9 @@ class ClusterWorker:
                 if pause > 0:
                     time.sleep(pause)  # chaos: a beat arrives late
             try:
-                self._send({"type": P.HEARTBEAT})
+                # ``pool``: runnable subtrees this worker holds that the
+                # coordinator cannot see (its load signal adds them up).
+                self._send({"type": P.HEARTBEAT, "pool": len(self._pool)})
             except OSError:
                 self._session_dead.set()
                 return
@@ -361,9 +383,8 @@ class ClusterWorker:
                         work = (P.decode_node(lease[2]), int(lease[3]))
                     self._local_q.put((ctx, task_id, epoch, work))
         elif mtype == P.STEAL:
-            # Answered by the search loop: mid-task at the next
-            # share_poll check (split the live stack), or immediately
-            # with an empty STOLEN if we turn out to be idle.
+            # Answered by the lease being run (or the one queued), at
+            # its next poll; dropped if we turn out to be idle.
             self._steal_req = msg
         elif mtype == P.INCUMBENT:
             ctx = self._ctx
@@ -420,9 +441,14 @@ class ClusterWorker:
                 self.retired = True
                 self._finished = True
                 return
-            if self._steal_req is not None:
-                # Idle between tasks: nothing on a live stack to give.
-                self._answer_steal_empty()
+            if self._steal_req is not None and self._local_q.empty():
+                # Idle with nothing queued: every lease this worker was
+                # sent has had its RESULT, and the request died with it
+                # (the coordinator clears ``steal_pending`` there).  A
+                # STEAL that finds a lease still queued — TASK and STEAL
+                # leave the coordinator in one pump — is for that lease,
+                # and is answered from its first poll.
+                self._steal_req = None
             try:
                 item = self._local_q.get(timeout=0.05)
             except queue.Empty:
@@ -454,17 +480,6 @@ class ClusterWorker:
         except OSError:
             pass
 
-    def _answer_steal_empty(self) -> None:
-        """Decline a STEAL: no live stack to carve anything from."""
-        req = self._steal_req
-        self._steal_req = None
-        if req is None:
-            return
-        try:
-            self._send({"type": P.STOLEN, "job": req.get("job"), "nodes": []})
-        except OSError:
-            self._session_dead.set()
-
     def _release_unstarted(self) -> None:
         """RELEASE every lease still sitting in the local queue.
 
@@ -488,51 +503,86 @@ class ClusterWorker:
                 pass  # crash path: the lease epochs cover us anyway
 
     def _run_task(self, ctx, task_id, epoch, root, root_depth) -> None:
-        """Search one leased subtree with the search kernel.
+        """Run one budget or stack-stealing lease to its RESULT.
 
-        The poll hook gives work away — budget jobs send OFFCUT on
-        budget trips, stack-stealing jobs answer STEAL requests with
-        STOLEN splits instead — and hands the kernel the bound as last
-        heard; every strict improvement leaves as INCUMBENT (value +
-        witness), and RESULT follows on completion.  Nothing is sent if
-        the task is abandoned (job done / stop / session death), leaving
-        the coordinator's lease accounting to handle it.
+        A stack-stealing lease is one subtree; the poll hook answers a
+        STEAL by splitting the live stack into a STOLEN frame, empty
+        when the stack has nothing to give.
+
+        A budget lease is its root *and everything this worker runs
+        from its own pool*: every ``budget`` nodes of a subtree the hook
+        splits the lowest frame of the live stack into an
+        order-preserving :class:`~repro.runtime.workpool.Workpool`, and
+        when the subtree in hand ends the next one is popped (deepest
+        level first, spawn order within it: the order the sequential
+        search would reach them in) and searched through the same
+        kernel call with a fresh budget counter.  Subtrees leave only when
+        somebody needs them: the shallowest level of the pool answers a
+        STEAL (never empty — a request the pool cannot serve waits for
+        the next trip, or dies with the RESULT), and a RETIRE or
+        SHUTDOWN hands the whole pool back as OFFCUT frames, one per
+        depth, so only the subtree in hand is finished here.  One
+        RESULT then carries the counters of every subtree run, and
+        ``spawns``: how many of them came out of the pool.
+
+        Every strict improvement leaves as INCUMBENT (value + witness).
+        Nothing is sent if the lease is abandoned (job done / stop /
+        session death), leaving the coordinator's lease accounting to
+        handle it.
         """
-        stacksteal = ctx.coordination == "stacksteal"
+        pooled = ctx.coordination == "budget"
         split = (
-            split_lowest_inlined
-            if ctx.chunked or not stacksteal
-            else split_one_inlined
+            split_lowest_inlined if pooled or ctx.chunked else split_one_inlined
         )
         spec, stype, enum = ctx.spec, ctx.stype, ctx.enum
+        pool = self._pool  # empty between leases
         task_nodes = 0  # counted in share_poll quanta, drives budget splits
+
+        def abandoned() -> bool:
+            return ctx.done or self._session_dead.is_set() or self._stopped()
+
+        def hand_over(frame_type: str, nodes: list, depth: int) -> None:
+            self._send({
+                "type": frame_type,
+                "job": ctx.id,
+                "task": task_id,
+                "epoch": epoch,
+                "depth": depth,
+                "nodes": [P.encode_node(node) for node in nodes],
+                "pool": len(pool),
+            })
+
+        def ship_level(frame_type: str) -> None:
+            level = pool.pop_shallowest()
+            hand_over(frame_type, [node for node, _ in level], level[0][1])
+
+        def share_pool() -> None:
+            if self._retire or self._drain:
+                while pool:
+                    ship_level(P.OFFCUT)
+            elif pool and self._steal_req is not None:
+                self._steal_req = None
+                ship_level(P.STOLEN)
 
         def on_poll(stack: list) -> Optional[int]:
             nonlocal task_nodes
-            if ctx.done or self._session_dead.is_set() or self._stopped():
+            if abandoned():
                 raise _Abandoned  # lease accounting covers us
-            if stacksteal:
-                give = self._steal_req is not None
-                if give:
-                    self._steal_req = None
-            else:
+            if pooled:
                 task_nodes += ctx.share_poll
-                give = task_nodes >= ctx.budget
-                if give:
+                if task_nodes >= ctx.budget:
                     task_nodes = 0
-            if give:
+                    offcuts, frame_index = split(stack)
+                    depth = root_depth + frame_index + 1
+                    for off in offcuts:
+                        pool.push((off, depth), depth)
+                share_pool()
+            elif self._steal_req is not None:
+                self._steal_req = None
                 offcuts, frame_index = split(stack)
-                # A STOLEN goes out even when empty: it is the answer
-                # that tells the coordinator this victim is dry.
-                if offcuts or stacksteal:
-                    self._send({
-                        "type": P.STOLEN if stacksteal else P.OFFCUT,
-                        "job": ctx.id,
-                        "task": task_id,
-                        "epoch": epoch,
-                        "depth": root_depth + frame_index + 1,
-                        "nodes": [P.encode_node(o) for o in offcuts],
-                    })
+                # Sent even when empty: it is the answer that tells the
+                # coordinator this victim is dry.
+                hand_over(P.STOLEN, offcuts, root_depth + frame_index + 1)
             return None if enum else ctx.bound
 
         def publish(inc: Incumbent) -> None:
@@ -550,35 +600,65 @@ class ClusterWorker:
 
         knowledge = stype.initial_knowledge(spec)
         if not enum:
-            # Seed pruning from the last-heard cluster-wide bound; the
-            # witness is unknown here, but pruning only compares values.
-            knowledge = Incumbent(max(knowledge.value, ctx.bound), None)
+            knowledge = Incumbent(knowledge.value, None)  # no witness of ours yet
+        total = SearchMetrics()
+        from_pool = 0
         try:
-            knowledge, goal, m = search_subtree(
-                spec, stype, root, root_depth, knowledge,
-                poll=ctx.share_poll, on_poll=on_poll, on_improve=publish,
-            )
+            while True:
+                if not enum and ctx.bound > knowledge.value:
+                    # Prune from the cluster-wide bound as last heard; its
+                    # witness is elsewhere, but pruning only compares values.
+                    knowledge = Incumbent(ctx.bound, None)
+                knowledge, goal, m = search_subtree(
+                    spec, stype, root, root_depth, knowledge,
+                    poll=ctx.share_poll, on_poll=on_poll, on_improve=publish,
+                )
+                total.merge(m)
+                self.tasks_run += 1
+                self.nodes_searched += m.nodes
+                if goal:
+                    break
+                # Subtrees shorter than share_poll never reach the hook,
+                # so the pool is also offered between subtrees.
+                share_pool()
+                task = pool.pop()
+                if task is None:
+                    break
+                if abandoned():
+                    raise _Abandoned
+                if self._faults is not None:
+                    # Chaos: may hard-exit here, dying with the lease
+                    # live, a pool behind it and children already shipped.
+                    self._faults.on_task_start(self.tasks_run + 1)
+                root, root_depth = task
+                from_pool += 1
+                task_nodes = 0
         except _Abandoned:
             return
+        finally:
+            # The lease is over, whatever was left in its pool.
+            self._pool = Workpool("depth")
 
-        self.tasks_run += 1
-        self.nodes_searched += m.nodes
+        # A STEAL this lease could not serve dies with its RESULT.
+        self._steal_req = None
         result = {
             "type": P.RESULT,
             "job": ctx.id,
             "task": task_id,
             "epoch": epoch,
-            "nodes": m.nodes,
-            "prunes": m.prunes,
-            "backtracks": m.backtracks,
-            "max_depth": m.max_depth,
+            "nodes": total.nodes,
+            "prunes": total.prunes,
+            "backtracks": total.backtracks,
+            "max_depth": total.max_depth,
             "goal": goal,
         }
+        if pooled:
+            result["spawns"] = from_pool
         if enum:
             result["knowledge"] = knowledge
         elif knowledge.node is not None:
             # Belt and braces: improvements were already published with
-            # their witnesses, but repeat the task-local best anyway.
+            # their witnesses, but repeat the lease-local best anyway.
             result["value"] = knowledge.value
             result["node"] = P.encode_node(knowledge.node)
         self._send(result)

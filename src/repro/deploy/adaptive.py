@@ -46,7 +46,8 @@ class LoadSignals:
     """One snapshot of the demand signals the policy reads.
 
     Attributes:
-        queued_tasks: tasks sitting in the coordinator's ready queue.
+        queued_tasks: runnable, unstarted tasks: the coordinator's
+            ready queue plus the pools its budget workers report.
         leased_tasks: tasks currently leased to workers.
         service_queue_depth: jobs waiting in the service-layer
             :class:`~repro.service.queue.JobQueue` (0 when the

@@ -14,12 +14,14 @@ kernel's poll hook does with the live generator stack.
   the frontier subtrees to a process pool (the OpenMP-style baseline of
   Table 1).  The poll hook only refreshes the pruning bound.
 - :func:`multiprocessing_budget_search` — **dynamic** work sharing in
-  the style of the paper's Budget coordination: workers pull tasks from
-  a shared queue; whenever a task exceeds its node budget the poll hook
-  splits the lowest unexplored subtrees off the generator stack
-  (:func:`~repro.core.tasks.split_lowest_inlined`) and pushes them back
-  to the queue, so load balances at runtime instead of being fixed by
-  the initial frontier.
+  the style of the paper's Budget coordination: whenever a subtree
+  exceeds its node budget the poll hook splits the lowest unexplored
+  subtrees off the generator stack
+  (:func:`~repro.core.tasks.split_lowest_inlined`) into the worker's
+  own order-preserving pool (:class:`~repro.runtime.workpool.Workpool`),
+  which the worker drains itself; the shallowest level of the pool goes
+  to the shared queue only while another worker is starving (§4.2-4.3:
+  spawn locally, steal near the root).
 - :func:`multiprocessing_stacksteal_search` — **demand-driven** work
   sharing (Stack-Stealing): the same worker, but the poll hook only
   splits the generator stack when a shared hungry counter says another
@@ -74,6 +76,7 @@ from repro.core.tasks import (
     split_lowest_inlined,
     split_one_inlined,
 )
+from repro.runtime.workpool import Workpool
 
 __all__ = [
     "multiprocessing_depthbounded_search",
@@ -484,14 +487,25 @@ def _sharing_worker_main(
     to give work away, and hands back the shared incumbent, read without
     the lock; the lock is taken only to publish an improvement.
 
-    *When work is given away* is all that tells the two coordinations
-    apart.  Budget (``budget`` is a node count) splits the lowest frame
-    of the live stack onto the queue every ``budget`` nodes of a task.
-    Stack-Stealing (``budget`` is None) splits only while ``hungry`` is
-    raised.  ``hungry`` counts currently-starving workers: an idle
-    worker registers itself once and deregisters on its next successful
+    *When the stack is split* is what tells the two coordinations apart.
+    Budget (``budget`` is a node count) splits the lowest frame of the
+    live stack every ``budget`` nodes of a subtree into this worker's
+    own order-preserving :class:`~repro.runtime.workpool.Workpool`, and
+    when the subtree in hand ends the worker pops the next one from
+    that pool (deepest level first, the sequential order) and searches
+    it with a fresh budget counter; nothing goes through the pipe unless
+    ``hungry`` is raised, and then the shallowest level of the pool
+    does.  A task taken from ``task_q`` is therefore a *lease* — that
+    root and everything its holder ran from its pool — and
+    ``outstanding`` counts leases: it goes up by what is shipped and
+    down when a holder's pool runs dry.  Stack-Stealing (``budget`` is
+    None) keeps no pool and splits only while ``hungry`` is raised,
+    straight onto the queue.
+
+    ``hungry`` counts currently-starving workers: an idle worker
+    registers itself once and deregisters on its next successful
     dequeue, so the counter never goes negative and a serviced request
-    cannot be double-claimed; the worst case is a harmless over-split
+    cannot be double-claimed; the worst case is a harmless over-share
     inside one poll window.  This is the (spawn-stack) rule with the
     victim's poll standing in for the interrupt.
     """
@@ -516,32 +530,47 @@ def _sharing_worker_main(
         # this process, witness included.
         knowledge = stype.initial_knowledge(spec)
         metrics = SearchMetrics()
-        splits = tasks_run = 0
+        pool = Workpool("depth")  # Budget's offcuts; stays empty otherwise
+        splits = shipped = tasks_run = 0
         task_nodes = 0  # counted in share_poll quanta, drives Budget splits
         root_depth = 0
         goal_hit = False
+        leased = False  # a task_q item (and the pool it grew) is in hand
         registered = False  # this worker's own entry in `hungry`
+
+        def ship(nodes: list, depth: int) -> None:
+            nonlocal shipped
+            with out_lock:
+                out_raw.value += len(nodes)
+            for node in nodes:
+                task_q.put((node, depth))
+            shipped += len(nodes)
+
+        def ship_pool_level() -> None:
+            level = pool.pop_shallowest()
+            ship([node for node, _ in level], level[0][1])
 
         def on_poll(stack: list) -> Optional[int]:
             nonlocal task_nodes, splits
             if goal_flag.value:
                 raise _GoalElsewhere
             if budget is None:
-                give = hungry_raw.value > 0
+                if hungry_raw.value > 0:
+                    offcuts, frame_index = split(stack)
+                    if offcuts:
+                        ship(offcuts, root_depth + frame_index + 1)
+                        splits += len(offcuts)
             else:
                 task_nodes += share_poll
-                give = task_nodes >= budget
-                if give:
+                if task_nodes >= budget:
                     task_nodes = 0
-            if give:
-                offcuts, frame_index = split(stack)
-                if offcuts:
-                    with out_lock:
-                        out_raw.value += len(offcuts)
+                    offcuts, frame_index = split(stack)
                     depth = root_depth + frame_index + 1
                     for off in offcuts:
-                        task_q.put((off, depth))
+                        pool.push((off, depth), depth)
                     splits += len(offcuts)
+                if pool and hungry_raw.value > 0:
+                    ship_pool_level()
             return None if enum else best_raw.value
 
         def on_improve(found: Incumbent) -> None:
@@ -552,18 +581,34 @@ def _sharing_worker_main(
                     best_raw.value = found.value
 
         while not (done_flag.value or goal_flag.value):
-            try:
-                root, root_depth = task_q.get(timeout=queue_poll)
-            except Empty:
-                if not registered:
+            # Subtrees shorter than share_poll never reach the hook, so
+            # a starving peer is also looked for between subtrees.
+            if pool and hungry_raw.value > 0:
+                ship_pool_level()
+            task = pool.pop()
+            if task is None:
+                if leased:
+                    # The lease's pool ran dry: the lease is over.
+                    leased = False
+                    with out_lock:
+                        out_raw.value -= 1
+                        if out_raw.value == 0:
+                            done_flag.value = 1
+                    continue
+                try:
+                    task = task_q.get(timeout=queue_poll)
+                except Empty:
+                    if not registered:
+                        with hungry_lock:
+                            hungry_raw.value += 1
+                        registered = True
+                    continue
+                if registered:
                     with hungry_lock:
-                        hungry_raw.value += 1
-                    registered = True
-                continue
-            if registered:
-                with hungry_lock:
-                    hungry_raw.value -= 1
-                registered = False
+                        hungry_raw.value -= 1
+                    registered = False
+                leased = True
+            root, root_depth = task
             tasks_run += 1
             task_nodes = 0
             if enum:
@@ -586,10 +631,6 @@ def _sharing_worker_main(
             if goal_hit:
                 goal_flag.value = 1
                 break
-            with out_lock:
-                out_raw.value -= 1
-                if out_raw.value == 0:
-                    done_flag.value = 1
 
         result_q.put(("ok", {
             # An unpicklable witness degrades to the value alone.
@@ -602,6 +643,7 @@ def _sharing_worker_main(
             "max_depth": metrics.max_depth,
             "goal": goal_hit,
             "splits": splits,
+            "shipped": shipped,
             "tasks": tasks_run,
         }))
     except BaseException as exc:  # report crashes instead of dying silently
@@ -624,12 +666,21 @@ def multiprocessing_budget_search(
 ) -> SearchResult:
     """Budget-style dynamic work-sharing search over worker processes.
 
-    The whole tree starts as one task on a shared queue.  Workers pull
-    tasks and search them with the search kernel; any task that
-    runs past ``budget`` nodes splits the unexplored subtrees nearest
-    its root back onto the queue (the paper's Budget coordination,
-    Listing 4, with nodes as the budget unit), so load balances at
-    runtime instead of being fixed by a depth-``d`` frontier.
+    The whole tree starts as one task on a shared queue.  A worker
+    searches the task it pulled with the search kernel; any subtree
+    that runs past ``budget`` nodes splits the unexplored subtrees
+    nearest its root into the worker's own order-preserving pool (the
+    paper's Budget coordination, Listing 4, with nodes as the budget
+    unit, spawning to the local workpool of §4.3), and the worker pops
+    its pool — deepest level first, spawn order within a level, which
+    is the order the sequential search would reach them in — before it
+    looks at the queue again.  A subtree is pickled onto the queue only
+    while another worker is starving: then the shallowest level of the
+    pool goes, so what moves is near the root and load still balances
+    at runtime instead of being fixed by a depth-``d`` frontier.
+    ``metrics.spawns`` counts the subtrees split off (on an enumeration
+    a function of the tree, ``budget`` and ``share_poll`` alone),
+    ``metrics.steals`` the ones that crossed the queue.
 
     ``spec_factory(*factory_args)`` / ``stype_factory(*stype_args)``
     must be top-level picklable callables, as for
@@ -688,7 +739,7 @@ def multiprocessing_stacksteal_search(
     return _sharing_search(
         (None, bool(chunked), share_poll, queue_poll),
         spec_factory, factory_args, stype_factory, stype_args,
-        n_processes=n_processes, label="stacksteal", count_steals=True,
+        n_processes=n_processes, label="stacksteal",
     )
 
 
@@ -701,7 +752,6 @@ def _sharing_search(
     *,
     n_processes: int = 2,
     label: str = "budget",
-    count_steals: bool = False,
 ) -> SearchResult:
     """Shared parent driver for the queue-based sharing coordinations.
 
@@ -711,9 +761,10 @@ def _sharing_search(
     the result merge — is this function.  ``sharing_args`` is the
     ``(budget, chunked, share_poll, queue_poll)`` tail of
     :func:`_sharing_worker_main`'s arguments, ``budget`` None selecting
-    Stack-Stealing; ``count_steals`` additionally folds the workers'
-    split counts into ``metrics.steals`` (they are steals, not scheduled
-    spawns, under Stack-Stealing).
+    Stack-Stealing.  ``metrics.spawns`` is the number of subtrees split
+    off a stack, ``metrics.steals`` the number that crossed to another
+    worker through the queue: every one of them under Stack-Stealing,
+    only what a starving worker was shipped under Budget.
     """
     if n_processes < 1:
         raise ValueError("need at least one process")
@@ -803,8 +854,7 @@ def _sharing_search(
         metrics.prunes += body["prunes"]
         metrics.backtracks += body["backtracks"]
         metrics.spawns += body["splits"]
-        if count_steals:
-            metrics.steals += body["splits"]
+        metrics.steals += body["shipped"]
         metrics.max_depth = max(metrics.max_depth, body["max_depth"])
         goal = goal or body["goal"]
         if stype.kind == "enumeration":

@@ -11,6 +11,16 @@ amortise the communication cost (§4.2).
 shallowest, earliest-spawned task.  For the ordering ablation bench a
 ``"lifo"`` discipline (most-recently-spawned first, the classic deque)
 is also provided.
+
+The simulator's localities share one end of the pool.  A Budget worker
+of the real runtimes (:mod:`repro.runtime.processes`,
+:mod:`repro.cluster.worker`) owns its pool outright and uses both ends
+of it, as YewPar's depth pool does: under the ``"depth"`` discipline
+:meth:`Workpool.pop` hands the owner its *deepest* task, so a worker
+left alone walks its subtrees in the order the sequential search would
+and the pool never holds more than the open siblings of one root-to-leaf
+path, while :meth:`Workpool.pop_shallowest` hands a starving peer the
+whole level nearest the root.
 """
 
 from __future__ import annotations
@@ -36,12 +46,13 @@ class Workpool:
     """One locality's pool of pending tasks.
 
     ``discipline`` is ``"order"`` (depth-then-spawn-order priority, the
-    YewPar depthpool analogue), ``"lifo"`` (most recent first, the
-    classic work-stealing deque that *breaks* heuristic order) or
-    ``"fifo"`` (strict spawn order, ignoring depth).
+    YewPar depthpool analogue), ``"depth"`` (deepest first, spawn order
+    within a depth: the owner's end of that pool), ``"lifo"`` (most
+    recent first, the classic work-stealing deque that *breaks*
+    heuristic order) or ``"fifo"`` (strict spawn order, ignoring depth).
     """
 
-    DISCIPLINES = ("order", "lifo", "fifo")
+    DISCIPLINES = ("order", "depth", "lifo", "fifo")
 
     def __init__(self, discipline: str = "order") -> None:
         if discipline not in self.DISCIPLINES:
@@ -59,6 +70,8 @@ class Workpool:
     def _key(self, depth: int, seq: int) -> tuple:
         if self.discipline == "order":
             return (depth, seq)
+        if self.discipline == "depth":
+            return (-depth, seq)
         if self.discipline == "fifo":
             return (seq,)
         return (-seq,)  # lifo
@@ -85,3 +98,22 @@ class Workpool:
             return None
         _, _, entry = heapq.heappop(self._heap)
         return entry.task
+
+    def pop_shallowest(self) -> list:
+        """Take every task at the shallowest depth, in spawn order.
+
+        The thief's end of the pool, whatever the discipline: the
+        subtrees nearest the root — heuristically the largest, so one
+        hand-over amortises its round trip (§4.2) — all siblings, in the
+        heuristic's order.  A scan of the pool, where :meth:`pop` is a
+        heap operation: owners pop per task, peers starve a few times a
+        search.  Empty pool, empty list.
+        """
+        if not self._heap:
+            return []
+        depth = min(item[2].depth for item in self._heap)
+        level = [item for item in self._heap if item[2].depth == depth]
+        self._heap = [item for item in self._heap if item[2].depth != depth]
+        heapq.heapify(self._heap)
+        level.sort(key=lambda item: item[1])
+        return [item[2].task for item in level]

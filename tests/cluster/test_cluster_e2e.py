@@ -120,20 +120,42 @@ class TestSkeletonRoute:
 
 class TestFaultTolerance:
     def test_worker_killed_mid_search_result_still_exact(self):
-        # SIGKILL one of two workers mid-refutation: the heartbeat
-        # watchdog must re-lease its tasks and the final answer must
-        # still match sequential exactly (partial work is never
-        # reported, so even the node count stays exact).
+        # Hard-kill one of two workers mid-refutation, from a fault
+        # plan (a wall-clock sleep would miss a job this short): it
+        # dies starting its 40th subtree, so with a lease live, a pool
+        # behind it and — asked by its idle peer — children already
+        # shipped.  The lease re-runs from its root under a bumped
+        # epoch and the answer is still exact; what had been shipped is
+        # searched twice, so the node count may only overcount.
+        spec, stype = _stype_for("kclique-fig4")
+        res = cluster_budget_search(
+            library_spec_factory, ("kclique-fig4",), stype,
+            n_workers=2, budget=300, share_poll=32, timeout=120,
+            heartbeat_interval=0.2, heartbeat_timeout=1.0,
+            fault_plan={"events": [
+                {"kind": "kill_worker", "worker": "local-0", "at_task": 40},
+            ]},
+        )
+        seq = sequential_search(spec, stype)
+        assert res.found is False
+        assert res.value == seq.value
+        assert res.metrics.nodes >= seq.metrics.nodes
+        assert res.metrics.reassigned > 0  # the failure was survived, visibly
+
+    def test_teardown_after_a_job_that_moved_work_is_prompt(self):
+        # SHUTDOWN followed at once by EOF used to leave a worker
+        # reconnecting to the closing coordinator and sitting out its
+        # connect timeout (seconds).  Time the whole teardown.
         from multiprocessing import Process
 
         from repro.runtime.processes import graceful_stop
 
-        spec, stype = _stype_for("kclique-fig4")
+        spec, stype = _stype_for("uts-geo-med")
         payload = job_payload(
-            library_spec_factory, ("kclique-fig4",), stype,
+            library_spec_factory, ("uts-geo-med",), stype,
             budget=300, share_poll=32,
         )
-        handle = ClusterHandle(heartbeat_interval=0.2, heartbeat_timeout=1.0)
+        handle = ClusterHandle()
         host, port = handle.start()
         procs = [
             Process(
@@ -147,19 +169,19 @@ class TestFaultTolerance:
             for p in procs:
                 p.start()
             handle.wait_for_workers(2, timeout=15)
-            fut = handle.run_job_future(payload, timeout=90)
-            time.sleep(0.5)  # let the search spread over both workers
-            procs[0].kill()  # SIGKILL: no BYE, no drain, no flush
-            res = fut.result(timeout=120)
+            res = handle.run_job(payload, timeout=60)
+            assert res.metrics.steals > 0  # work did move
+            started = time.perf_counter()
+            handle.shutdown(drain_workers=True)
+            for p in procs:
+                p.join(timeout=5.0)
+            teardown = time.perf_counter() - started
         finally:
             handle.shutdown(drain_workers=True)
             for p in procs:
                 graceful_stop(p, grace=1.0)
-        seq = sequential_search(spec, stype)
-        assert res.found is False
-        assert res.value == seq.value
-        assert res.metrics.nodes == seq.metrics.nodes
-        assert res.metrics.reassigned > 0  # the failure was survived, visibly
+        assert all(p.exitcode == 0 for p in procs)
+        assert teardown < 1.0
 
 
 class TestWorkerLifecycle:

@@ -468,28 +468,32 @@ class TestBatching:
             w1.close()
             w2.close()
 
-    def test_v1_worker_receives_single_lease_frames(self, handle):
-        # A v1 peer predates ``leases``: every grant must arrive as its
-        # own classic single-lease frame, and the codec must be JSON.
-        w = FakeWorker(*handle.address, version=1, slots=2)
+    def test_budget_job_skips_down_level_peers(self, handle):
+        # A budget lease is its root and its holder's whole pool, shared
+        # on STEAL — which only a v3 peer can answer.  Down-level peers
+        # may connect (JSON for a v1 peer) but are leased nothing.
+        w1 = FakeWorker(*handle.address, name="v1", version=1, slots=2)
+        w2 = FakeWorker(*handle.address, name="v2", version=2, slots=2)
+        w3 = FakeWorker(*handle.address, name="v3")
         try:
-            assert w.codec in (None, "json")
+            assert w1.codec in (None, "json")
             fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
-            root = w.recv_raw(P.TASK)
-            assert "leases" not in root
-            assert root["epoch"] == 0
-            w.send(offcut_frame(root, [(1,), (2,)]))
-            t2 = w.recv_raw(P.TASK)
-            assert "leases" not in t2
-            w.send(result_frame(root, knowledge=1))
-            t3 = w.recv_raw(P.TASK)
-            assert "leases" not in t3
-            for t, value in ((t2, 10), (t3, 100)):
-                w.send(result_frame(t, knowledge=value))
+            root = w3.recv(P.TASK)
+            w3.send(offcut_frame(root, [(1,), (2,)]))
+            w1.assert_no_frame(P.TASK, within=0.3)
+            w2.assert_no_frame(P.TASK, within=0.3)
+            # Idle down-level peers are not thieves either.
+            w3.assert_no_frame(P.STEAL, within=0.3)
+            w3.send(result_frame(root, knowledge=1))
+            for value in (10, 100):
+                w3.send(result_frame(w3.recv(P.TASK), knowledge=value))
             res = fut.result(timeout=10)
             assert res.value == 111
+            assert res.workers == 1
         finally:
-            w.close()
+            w1.close()
+            w2.close()
+            w3.close()
 
     def test_binary_codec_negotiated_end_to_end(self, handle):
         w = FakeWorker(*handle.address, codecs=["binary", "json"])

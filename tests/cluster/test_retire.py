@@ -197,6 +197,107 @@ class TestRetireProtocol:
             w1.close()
 
 
+class TestRetireFlushesThePool:
+    def test_retire_mid_lease_hands_the_pool_back_exactly(self):
+        """RETIRE lands while a budget lease has subtrees pooled: the
+        whole pool goes back in OFFCUT frames (one per depth: the frame
+        carries one), only the subtree in hand is finished, one RESULT
+        answers for what was run here, and the worker leaves.  Pooled
+        subtrees were never started, so nothing is counted twice or
+        lost — exact for an enumeration."""
+        from tests.cluster.test_steal import (
+            stub_worker,
+            subtree_nodes,
+            whole_tree,
+        )
+
+        class RetireAtFifthSubtree:
+            def on_task_start(self, n):
+                if n == 5:
+                    worker._on_message({"type": P.RETIRE})
+
+            def on_retire(self):
+                pass
+
+            def drop_outbound(self, frame_type):
+                return False
+
+        worker, sent = stub_worker("budget", faults=RetireAtFifthSubtree())
+        worker._search_loop()
+        kinds = [m["type"] for m in sent]
+        flushed = [m for m in sent if m["type"] == P.OFFCUT]
+        assert flushed and kinds == [P.OFFCUT] * len(flushed) + [P.RESULT, P.BYE]
+        assert worker.retired
+        result = sent[-2]
+        # The root, three more subtrees, and the one RETIRE found in
+        # hand; everything else went back unstarted.
+        assert result["spawns"] == 4
+        assert worker.tasks_run == 5
+        assert all(m["nodes"] and (m["task"], m["epoch"]) == (1, 0) for m in flushed)
+        assert flushed[-1]["pool"] == 0
+        handed_back = sum(subtree_nodes(worker, m) for m in flushed)
+        assert handed_back > 0
+        assert result["nodes"] + handed_back == whole_tree()
+
+    def test_retire_mid_job_keeps_the_enumeration_exact(self):
+        # The same, end to end: two real workers, one retired while it
+        # holds a lease with subtrees pooled (seen in the load signal).
+        from multiprocessing import Process
+
+        from repro.cluster.coordinator import Coordinator
+        from repro.cluster.local import job_payload
+        from repro.cluster.worker import _worker_process_main
+        from repro.core.searchtypes import make_search_type
+        from repro.core.sequential import sequential_search
+        from repro.runtime.processes import graceful_stop
+        from repro.verify.generators import instance_spec
+
+        args = ("uts", [4, 9, 1330772960])  # ~150 k nodes
+        stype = make_search_type("enumeration")
+        payload = job_payload(instance_spec, args, stype, budget=100)
+        offcuts = []
+        on_offcut = Coordinator._on_offcut
+
+        def counting(self, worker, job, msg):
+            offcuts.append((worker.name, len(msg.get("nodes") or [])))
+            on_offcut(self, worker, job, msg)
+
+        handle = ClusterHandle(heartbeat_interval=0.02, heartbeat_timeout=5.0)
+        host, port = handle.start()
+        procs = [
+            Process(
+                target=_worker_process_main,
+                args=(host, port, f"w{i}", 10.0), daemon=True,
+            )
+            for i in range(2)
+        ]
+        try:
+            Coordinator._on_offcut = counting
+            for p in procs:
+                p.start()
+            handle.wait_for_workers(2, timeout=15)
+            fut = handle.run_job_future(payload, timeout=90)
+            deadline = time.monotonic() + 10.0
+            victim = None
+            while victim is None and time.monotonic() < deadline:
+                for w in handle.load_stats()["workers"]:
+                    if w["leased"] and w["pool"] >= 4:
+                        victim = w["name"]
+                time.sleep(0.002)
+            assert victim is not None, "no worker ever reported a pool"
+            assert handle.retire_worker(victim) is True
+            res = fut.result(timeout=90)
+        finally:
+            Coordinator._on_offcut = on_offcut
+            handle.shutdown(drain_workers=True)
+            for p in procs:
+                graceful_stop(p, grace=1.0)
+        seq = sequential_search(instance_spec(*args), stype)
+        assert res.value == seq.value
+        assert res.metrics.nodes == seq.metrics.nodes
+        assert offcuts and {name for name, _ in offcuts} == {victim}
+
+
 class TestRetireEndToEnd:
     def test_scale_down_handback_enumeration_bit_identical(self):
         """Scale 3 -> 1 mid-enumeration: retiring workers hand back

@@ -6,10 +6,19 @@ with the :class:`FakeWorker` from ``test_coordinator``: every frame the
 coordinator emits (or must NOT emit) is observable deterministically.
 """
 
+import socket
+import threading
+import time
+
 import pytest
 
 from repro.cluster import protocol as P
 from repro.cluster.coordinator import ClusterHandle
+from repro.cluster.worker import ClusterWorker
+from repro.core.kernel import search_subtree
+from repro.core.searchtypes import make_search_type
+from repro.core.sequential import sequential_search
+from repro.instances.library import library_spec_factory
 
 from tests.cluster.test_coordinator import (
     ENUM_PAYLOAD,
@@ -184,6 +193,38 @@ class TestStealMediation:
             w1.close()
             w2.close()
 
+    def test_fresh_lease_clears_a_dry_verdict(self, handle):
+        """An empty-handed answer is about the stack that gave it.  A
+        victim granted a new lease has fresh stack, so it is asked again
+        without waiting for somebody's RESULT to clear the flag."""
+        w1 = FakeWorker(*handle.address, name="victim", slots=2)
+        w2 = FakeWorker(*handle.address, name="busy")
+        w3 = None
+        try:
+            fut = handle.run_job_future(STEAL_ENUM, timeout=10)
+            root = w1.recv(P.TASK)
+            w1.recv(P.STEAL)
+            w1.send({"type": P.STOLEN, "job": root["job"], "nodes": []})
+            w1.assert_no_frame(P.STEAL, within=0.3)  # dry
+            # Late fruit: one subtree each for the victim's free slot
+            # and the thief, none left queued.
+            w1.send(stolen_frame(root, [(1,), (2,)]))
+            extra = w1.recv(P.TASK)
+            t2 = w2.recv(P.TASK)
+            # A newcomer starves.  The victim holds the most leases and
+            # its verdict went with the grant: it is the one asked.
+            w3 = FakeWorker(*handle.address, name="newcomer")
+            w1.recv(P.STEAL)
+            w2.assert_no_frame(P.STEAL, within=0.2)
+            for worker, task in ((w1, root), (w1, extra), (w2, t2)):
+                worker.send(result_frame(task, knowledge=1))
+            assert fut.result(timeout=10).value == 3
+        finally:
+            w1.close()
+            w2.close()
+            if w3 is not None:
+                w3.close()
+
     def test_stale_stolen_epoch_rejected(self, handle):
         w1 = FakeWorker(*handle.address, name="victim")
         w2 = FakeWorker(*handle.address, name="thief")
@@ -204,6 +245,229 @@ class TestStealMediation:
         finally:
             w1.close()
             w2.close()
+
+
+class TestBudgetSteals:
+    """Budget jobs are mediated too: a lease is a root and its holder's
+    whole pool, and the pool is shared on the same STEAL/STOLEN pair."""
+
+    def test_idle_worker_is_served_from_the_holders_pool(self, handle):
+        w1 = FakeWorker(*handle.address, name="holder")
+        w2 = FakeWorker(*handle.address, name="thief")
+        try:
+            fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
+            root = w1.recv(P.TASK)
+            w1.recv(P.STEAL)
+            # A holder never answers empty: with nothing pooled yet the
+            # request just waits, and is not repeated meanwhile.
+            w1.assert_no_frame(P.STEAL, within=0.4)
+            w1.send(dict(stolen_frame(root, [(1, 2), (3, 4)], depth=1), pool=5))
+            t2 = w2.recv(P.TASK)
+            assert t2["depth"] == 1
+            assert P.decode_node(t2["node"]) == (1, 2)  # pool order kept
+            assert handle.load_stats()["queued_tasks"] == 1 + 5
+            # One RESULT answers for the root and the 40 subtrees its
+            # holder ran from its own pool.
+            w1.send(result_frame(root, knowledge=1, spawns=40))
+            t3 = w1.recv(P.TASK)
+            w2.send(result_frame(t2, knowledge=10, spawns=7))
+            w1.send(result_frame(t3, knowledge=100))
+            res = fut.result(timeout=10)
+            assert res.value == 111
+            assert res.metrics.steals == 2  # what crossed
+            assert res.metrics.spawns == 2 + 40 + 7  # crossed + run at home
+            assert res.workers == 2
+        finally:
+            w1.close()
+            w2.close()
+
+    def test_unserved_request_dies_with_the_lease(self, handle):
+        w1 = FakeWorker(*handle.address, name="holder", slots=2)
+        w2 = FakeWorker(*handle.address, name="thief")
+        try:
+            fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
+            root = w1.recv(P.TASK)
+            w1.recv(P.STEAL)
+            # The lease ends unserved (its pool never had anything): the
+            # RESULT clears the pending request, and with the job over
+            # nothing is asked of anyone again.
+            w1.send(result_frame(root, knowledge=5))
+            assert fut.result(timeout=10).value == 5
+            w1.assert_no_frame(P.STEAL, within=0.3)
+        finally:
+            w1.close()
+            w2.close()
+
+
+# -- the worker's side, on a worker with no socket ---------------------------
+
+WORKER_INSTANCE = "uts-geo-med"
+
+
+def stub_worker(coordination, *, faults=None, budget=100, share_poll=32):
+    """A real :class:`ClusterWorker` with the wire cut out: frames it
+    would send are recorded in the returned list, frames it would
+    receive are handed straight to its receiver (``_on_message``), in
+    the order a socket would deliver them.  It holds one job and the
+    lease of the whole tree, and leaves once that lease is answered."""
+    worker = ClusterWorker("127.0.0.1", 1, name="stub", faults=faults)
+    sent: list = []
+
+    def record(msg):
+        sent.append(msg)
+        if msg["type"] == P.RESULT:
+            worker._drain = True  # nothing more to do: BYE and return
+
+    worker._send = record
+    worker._on_message({
+        "type": P.JOB, "job": 1,
+        "factory": P.factory_path(library_spec_factory),
+        "factory_args": [WORKER_INSTANCE],
+        "stype_kind": "enumeration", "stype_kwargs": {},
+        "coordination": coordination, "chunked": True,
+        "budget": budget, "share_poll": share_poll, "best": None,
+    })
+    root = worker._ctx.spec.root
+    worker._on_message({
+        "type": P.TASK, "job": 1,
+        "leases": [[1, 0, P.encode_node(root), 0]],
+    })
+    return worker, sent
+
+
+def subtree_nodes(worker, frame):
+    """Nodes under every subtree a hand-over frame carries."""
+    ctx = worker._ctx
+    return sum(
+        search_subtree(
+            ctx.spec, ctx.stype, P.decode_node(node), frame["depth"], 0
+        )[2].nodes
+        for node in frame["nodes"]
+    )
+
+
+def whole_tree():
+    return sequential_search(
+        library_spec_factory(WORKER_INSTANCE), make_search_type("enumeration")
+    ).metrics.nodes
+
+
+class TestWorkerAnswersSteals:
+    def test_steal_behind_a_queued_lease_is_not_declined(self):
+        """TASK and STEAL leave the coordinator in one pump, so a STEAL
+        can be waiting before the lease in front of it has started.
+        Declining it ("idle, nothing on a live stack") marked the victim
+        dry before it began, and nothing cleared that until a RESULT."""
+        worker, sent = stub_worker("stacksteal")
+        worker._on_message({"type": P.STEAL, "job": 1})
+        worker._search_loop()
+        stolen = [m for m in sent if m["type"] == P.STOLEN]
+        assert len(stolen) == 1
+        # Answered from the lease's first poll, with work, in its name.
+        assert stolen[0]["nodes"]
+        assert (stolen[0]["task"], stolen[0]["epoch"]) == (1, 0)
+        assert [m["type"] for m in sent[-2:]] == [P.RESULT, P.BYE]
+        assert sent[-2]["nodes"] + subtree_nodes(worker, stolen[0]) == whole_tree()
+
+    def test_idle_worker_lets_a_dead_request_drop(self):
+        # Nothing queued and nothing running: every lease this worker
+        # was sent has had its RESULT, which cleared the request on the
+        # coordinator.  No frame is owed.
+        worker, sent = stub_worker("stacksteal")
+        worker._local_q.get_nowait()
+        worker._on_message({"type": P.STEAL, "job": 1})
+        worker._on_message({"type": P.SHUTDOWN})
+        worker._search_loop()
+        assert [m["type"] for m in sent] == [P.BYE]
+
+    def test_budget_lease_answers_from_its_pool_once_it_has_one(self):
+        worker, sent = stub_worker("budget")
+        worker._on_message({"type": P.STEAL, "job": 1})
+        worker._search_loop()
+        assert [m["type"] for m in sent] == [P.STOLEN, P.RESULT, P.BYE]
+        stolen, result = sent[0], sent[1]
+        # The first trip's offcuts are the root's other children: the
+        # shallowest level there is, all of it, and the deeper levels
+        # pooled by then stay home.
+        assert stolen["depth"] == 1 and stolen["nodes"]
+        assert stolen["pool"] >= 0
+        assert result["spawns"] > 0
+        assert result["nodes"] + subtree_nodes(worker, stolen) == whole_tree()
+
+    def test_budget_lease_left_alone_sends_one_result(self):
+        started = []
+
+        class Hooks:
+            def on_task_start(self, n):
+                started.append(n)
+
+            def drop_outbound(self, frame_type):
+                return False
+
+        worker, sent = stub_worker("budget", faults=Hooks())
+        worker._search_loop()
+        assert [m["type"] for m in sent] == [P.RESULT, P.BYE]
+        result = sent[0]
+        assert result["nodes"] == whole_tree()
+        # Every subtree started is announced to the chaos hooks, lease
+        # root and pool pops alike, so ``kill_worker at_task N`` lands
+        # inside a lease.
+        assert started == list(range(1, result["spawns"] + 2))
+        assert worker.tasks_run == result["spawns"] + 1
+
+
+class TestWorkerDrain:
+    def test_shutdown_then_eof_mid_lease_never_reconnects(self):
+        """SHUTDOWN is the coordinator closing.  A worker that sees it
+        and then loses the connection before it could say BYE used to
+        count as crashed, reconnect, and sit out ``connect_timeout``
+        waiting for a WELCOME from a listener that was going away."""
+        server = socket.socket()
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+        port = server.getsockname()[1]
+        stop = threading.Event()
+        worker = ClusterWorker(
+            "127.0.0.1", port, name="drainer", stop_event=stop,
+            reconnect_initial=0.05,
+        )
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            conn, _ = server.accept()
+            conn.settimeout(5.0)
+            assert P.read_frame(conn)["type"] == P.HELLO
+            for msg in (
+                {"type": P.WELCOME, "worker": 1, "heartbeat": 0.5,
+                 "codec": "json"},
+                # A lease long enough to still be running below: the
+                # whole tree, ~0.4 s, and nobody steals from it.
+                {"type": P.JOB, "job": 1,
+                 "factory": "repro.verify.generators:instance_spec",
+                 "factory_args": ["uts", [4, 9, 1330772960]],
+                 "stype_kind": "enumeration", "stype_kwargs": {},
+                 "coordination": "stacksteal", "chunked": True,
+                 "share_poll": 64, "best": None},
+            ):
+                conn.sendall(P.frame_bytes(msg))
+            root = P.resolve_factory("repro.verify.generators:instance_spec")(
+                "uts", [4, 9, 1330772960]
+            ).root
+            conn.sendall(P.frame_bytes({
+                "type": P.TASK, "job": 1,
+                "leases": [[1, 0, P.encode_node(root), 0]],
+            }))
+            time.sleep(0.1)  # mid-lease
+            conn.sendall(P.frame_bytes({"type": P.SHUTDOWN}))
+            conn.close()
+            server.close()
+            thread.join(timeout=2.0)
+            assert not thread.is_alive()
+            assert worker.sessions == 1
+        finally:
+            stop.set()
+            server.close()
+            thread.join(timeout=5.0)
 
 
 def run_leases(raw):

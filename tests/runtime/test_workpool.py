@@ -29,6 +29,50 @@ class TestOrderDiscipline:
         assert [p.pop() for _ in range(10)] == [f"t{i}" for i in range(10)]
 
 
+
+
+class TestDepthDiscipline:
+    """The pool a real Budget worker owns: both ends of a depth pool."""
+
+    def test_owner_pops_deepest_first_in_spawn_order(self):
+        # Offcuts of one root-to-leaf path, as budget trips push them:
+        # the owner takes them back in the order the sequential search
+        # would have reached them.
+        p = Workpool("depth")
+        for i in range(2):
+            p.push(f"d1-{i}", depth=1)
+        for i in range(3):
+            p.push(f"d4-{i}", depth=4)
+        p.push("d2", depth=2)
+        assert [p.pop() for _ in range(6)] == [
+            "d4-0", "d4-1", "d4-2", "d2", "d1-0", "d1-1",
+        ]
+        assert p.pop() is None
+
+    def test_thief_takes_the_whole_shallowest_level_in_order(self):
+        # What a starving peer is handed: every task nearest the root,
+        # siblings in spawn order; deeper levels stay home.
+        p = Workpool("depth")
+        p.push("d3", depth=3)
+        for i in range(3):
+            p.push(f"d1-{i}", depth=1)
+        p.push("d2", depth=2)
+        assert p.pop_shallowest() == ["d1-0", "d1-1", "d1-2"]
+        assert len(p) == 2
+        assert p.pop() == "d3"  # the owner's end is untouched
+        assert p.pop_shallowest() == ["d2"]
+        assert p.pop_shallowest() == []
+        assert not p
+
+    def test_shallowest_level_under_the_order_discipline(self):
+        p = Workpool("order")
+        p.push("deep", depth=5)
+        p.push("a", depth=1)
+        p.push("b", depth=1)
+        assert p.pop_shallowest() == ["a", "b"]
+        assert p.pop() == "deep"
+
+
 class TestLifoDiscipline:
     def test_most_recent_first(self):
         p = Workpool("lifo")
