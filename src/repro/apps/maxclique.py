@@ -29,6 +29,7 @@ from repro.util.bitset import bit_indices, count_bits, mask_below
 __all__ = [
     "CliqueNode",
     "CliqueGen",
+    "clique_children",
     "greedy_colour",
     "maxclique_spec",
     "degree_order",
@@ -147,6 +148,22 @@ class CliqueGen(NodeGenerator[Graph, CliqueNode]):
         )
 
 
+def clique_children(graph: Graph, parent: CliqueNode) -> list[CliqueNode]:
+    """Every child :class:`CliqueGen` yields, in its order: the batched
+    form the search kernel drains by index (tests pin the two together)."""
+    remaining = parent.candidates
+    p_vertex, p_colour = greedy_colour(graph, remaining)
+    adj = graph.adj
+    clique = parent.clique
+    size = parent.size + 1
+    out = []
+    for k in range(len(p_vertex) - 1, -1, -1):
+        v = p_vertex[k]
+        remaining ^= 1 << v
+        out.append(CliqueNode(clique | (1 << v), size, remaining & adj[v], p_colour[k]))
+    return out
+
+
 def _root_node(graph: Graph) -> CliqueNode:
     candidates = mask_below(graph.n)
     _, p_colour = greedy_colour(graph, candidates)
@@ -170,6 +187,7 @@ def maxclique_spec(graph: Graph, *, name: str = "maxclique", order_by_degree: bo
         space=graph,
         root=_root_node(graph),
         generator=CliqueGen,
+        children=clique_children,
         objective=lambda node: node.size,
         upper_bound=lambda g, node: node.size + node.bound,
         witness_check=lambda g, node: (

@@ -21,16 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
-from repro.core.nodegen import IterNodeGenerator, NodeGenerator
+from repro.core.nodegen import ListNodeGenerator
 from repro.core.space import SearchSpec
-from repro.util.rng import splittable_hash
+from repro.util.rng import _GOLDEN, _MASK64, splittable_hash
 
-__all__ = ["UTSInstance", "UTSNode", "UTSGen", "uts_spec", "uts_spec_from_params"]
+__all__ = ["UTSInstance", "UTSNode", "uts_children", "uts_spec", "uts_spec_from_params"]
 
 _GEOMETRIC = "geometric"
 _BINOMIAL = "binomial"
+_UNIT = 1.0 / (1 << 53)  # top 53 bits of a hash state -> uniform float in [0, 1)
+_new_node = tuple.__new__  # skips the NamedTuple constructor's Python frame
 
 
 @dataclass(frozen=True)
@@ -54,55 +57,42 @@ class UTSInstance:
         if self.shape == _BINOMIAL and not (0 <= self.q * self.m < 1):
             raise ValueError("binomial UTS requires 0 <= q*m < 1 (finite tree)")
 
+    @cached_property
+    def log_ratio(self) -> float:
+        """Geometric with mean b0: P(children >= k) = (b0/(b0+1))^k, so
+        the child count is ``floor(log(1 - u) / log_ratio)``."""
+        return math.log(self.b0 / (self.b0 + 1.0))
 
-@dataclass(frozen=True, slots=True)
-class UTSNode:
+
+class UTSNode(NamedTuple):
     """A UTS node: hash state + depth; children derive from these only."""
 
     state: int
     depth: int
 
 
-def _uniform(state: int) -> float:
-    """Map a 64-bit hash state to a uniform float in [0, 1)."""
-    return (state >> 11) * (1.0 / (1 << 53))
-
-
-def _num_children(inst: UTSInstance, node: UTSNode) -> int:
+def uts_children(inst: UTSInstance, node: UTSNode) -> Sequence[UTSNode]:
+    """All children of ``node``, hashed from (parent state, child index)
+    — order-independent.  One is built per tree node, so
+    :func:`~repro.util.rng.splittable_hash` is inlined and the nodes are
+    made by ``tuple.__new__`` rather than the NamedTuple constructor."""
+    state, depth = node
     if inst.shape == _GEOMETRIC:
-        if node.depth >= inst.max_depth:
-            return 0
-        u = _uniform(node.state)
-        # Geometric with mean b0: P(children >= k) = (b0/(b0+1))^k.
-        ratio = inst.b0 / (inst.b0 + 1.0)
-        if u >= 1.0:
-            return 0
-        return int(math.floor(math.log(1.0 - u) / math.log(ratio)))
-    # binomial
-    if node.depth == 0:
-        return max(1, int(round(inst.b0)))
-    return inst.m if _uniform(node.state) < inst.q else 0
-
-
-def _children(inst: UTSInstance, node: UTSNode) -> Iterator[UTSNode]:
-    count = _num_children(inst, node)
-    for i in range(count):
-        yield UTSNode(state=splittable_hash(node.state, i), depth=node.depth + 1)
-
-
-class UTSGen(NodeGenerator[UTSInstance, UTSNode]):
-    """Children hashed from (parent state, child index) — order-independent."""
-
-    __slots__ = ("_inner",)
-
-    def __init__(self, inst: UTSInstance, parent: UTSNode) -> None:
-        self._inner = IterNodeGenerator(_children(inst, parent))
-
-    def has_next(self) -> bool:
-        return self._inner.has_next()
-
-    def next(self) -> UTSNode:
-        return self._inner.next()
+        if depth >= inst.max_depth:
+            return ()
+        count = math.floor(math.log(1.0 - (state >> 11) * _UNIT) / inst.log_ratio)
+    elif depth == 0:
+        count = max(1, round(inst.b0))
+    else:
+        count = inst.m if (state >> 11) * _UNIT < inst.q else 0
+    depth += 1
+    out = []
+    for i in range(1, count + 1):
+        z = (state + _GOLDEN * i) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(_new_node(UTSNode, (z ^ (z >> 31), depth)))
+    return out
 
 
 def uts_spec_from_params(
@@ -129,6 +119,9 @@ def uts_spec(inst: UTSInstance, *, name: str = "uts") -> SearchSpec:
         name=name,
         space=inst,
         root=root,
-        generator=UTSGen,
+        # A child is one hash: laziness buys nothing, so the Lazy Node
+        # Generator form is the list adapter over the batched one.
+        generator=lambda inst, node: ListNodeGenerator(uts_children(inst, node)),
         objective=lambda node: 1,
+        children=uts_children,
     )

@@ -282,12 +282,13 @@ def encode_node(value: Any) -> Any:
     structurally; tuples/sets/frozensets are tagged so they round-trip
     *exactly* (unlike the lossy result serialiser, task transport must
     reconstruct the identical object).  Anything else — application
-    node classes — becomes a tagged base64 pickle (trusted peers only;
-    see the module docstring).
+    node classes, tuple subclasses such as NamedTuples included —
+    becomes a tagged base64 pickle (trusted peers only; see the module
+    docstring).
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, tuple):
+    if type(value) is tuple:
         return {_TUPLE_TAG: [encode_node(v) for v in value]}
     if isinstance(value, list):
         return [encode_node(v) for v in value]

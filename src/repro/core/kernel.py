@@ -1,7 +1,8 @@
 """The search kernel: the one expand/process/prune/backtrack loop.
 
 :func:`search_subtree` is Listing 2 over a plain list of node
-generators, and every runtime that searches a subtree for real calls it:
+generators — drained by index when the spec hands over whole child
+lists — and every runtime that searches a subtree for real calls it:
 the Sequential skeleton, the Ordered task runner, the process workers of
 all four coordinations, the cluster worker and the in-process service
 backend.  A coordination never changes how the tree is traversed, only
@@ -33,8 +34,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro.core.nodegen import ListNodeGenerator
 from repro.core.results import SearchMetrics
-from repro.core.searchtypes import Incumbent, SearchType
+from repro.core.searchtypes import Decision, Enumeration, Incumbent, Optimisation, SearchType
 from repro.core.space import SearchSpec
 
 __all__ = ["search_subtree"]
@@ -67,12 +69,23 @@ def search_subtree(
     stale or fresh, it can only remove nodes.  A returned incumbent
     whose ``node`` is None therefore means nothing in this subtree beat
     what the caller or its peers already had.
+
+    The loop is chosen once per call from what the spec declares and
+    the exact type of ``stype``; there is nothing to configure.  A spec
+    with a batched ``children`` form is drained by index with the stock
+    search type's node processing inlined; any other spec, and any other
+    search type (custom monoids, subclasses), gets Listing 2 as written
+    over ``spec.generator``.  All three loops visit the same nodes in
+    the same order, hand ``on_poll`` a stack of has_next/next frames and
+    report the same counters.
     """
     process = stype.process
     is_goal = stype.is_goal
     prunes_at_all = type(stype).should_prune is not SearchType.should_prune
     should_prune = stype.should_prune if prunes_at_all and spec.can_prune else None
     generator = spec.generator
+    children = spec.children
+    objective = spec.objective
     space = spec.space
     node_size = spec.node_size
     metrics = SearchMetrics(nodes=1, weighted_nodes=1)
@@ -88,7 +101,6 @@ def search_subtree(
         metrics.prunes = 1
         return knowledge, False, metrics
 
-    stack = [generator(space, root)]
     nodes = 1
     weighted = metrics.weighted_nodes
     prunes = backtracks = 0
@@ -97,34 +109,141 @@ def search_subtree(
     # ``nodes`` counts the root, so the first poll falls after ``poll``
     # children; 0 is a count ``nodes`` never returns to.
     next_poll = poll + 1 if on_poll is not None and poll > 0 else 0
-    while stack:
-        gen = stack[-1]
-        if gen.has_next():
-            child = gen.next()
-            knowledge, improved = process(spec, child, knowledge)
-            nodes += 1
-            if node_size is not None:
-                weighted += node_size(child)
-            if improved:
-                if on_improve is not None:
-                    on_improve(knowledge)
-                if is_goal(knowledge):
-                    goal = True
-                    break
-            if should_prune is not None and should_prune(spec, child, knowledge):
-                prunes += 1
+
+    kind = type(stype)
+    batched_sum = kind is Enumeration and stype.is_default
+    if children is None or not (batched_sum or kind in (Optimisation, Decision)):
+        # Listing 2: one has_next/next pair and one process call per child.
+        stack = [generator(space, root)]
+        while stack:
+            gen = stack[-1]
+            if gen.has_next():
+                child = gen.next()
+                knowledge, improved = process(spec, child, knowledge)
+                nodes += 1
+                if node_size is not None:
+                    weighted += node_size(child)
+                if improved:
+                    if on_improve is not None:
+                        on_improve(knowledge)
+                    if is_goal(knowledge):
+                        goal = True
+                        break
+                if should_prune is not None and should_prune(spec, child, knowledge):
+                    prunes += 1
+                else:
+                    stack.append(generator(space, child))
+                    if len(stack) > deepest:
+                        deepest = len(stack)
+                if nodes == next_poll:
+                    next_poll += poll
+                    bound = on_poll(stack)
+                    if bound is not None and bound > knowledge.value:
+                        knowledge = Incumbent(bound, None)
             else:
-                stack.append(generator(space, child))
-                if len(stack) > deepest:
-                    deepest = len(stack)
-            if nodes == next_poll:
-                next_poll += poll
-                bound = on_poll(stack)
-                if bound is not None and bound > knowledge.value:
-                    knowledge = Incumbent(bound, None)
+                stack.pop()
+                backtracks += 1
+    else:
+        # The top frame's child list and position live in locals; the
+        # position is written back whenever someone else may look at the
+        # stack: before a push, and before ``on_poll``, which may drain
+        # or replace any frame and so is followed by a reload.  A child
+        # without children never becomes a frame but is counted as the
+        # one it would have been: one backtrack, one level of depth.
+        frame = ListNodeGenerator(children(space, root))
+        stack = [frame]
+        kids, i, n = frame.children, 0, len(frame.children)
+        if batched_sum:
+            # Default-monoid Enumeration: nothing improves, is a goal or is pruned.
+            while True:
+                if i == n:
+                    stack.pop()
+                    backtracks += 1
+                    if not stack:
+                        break
+                    frame = stack[-1]
+                    kids, i, n = frame.children, frame.pos, len(frame.children)
+                    continue
+                child = kids[i]
+                i += 1
+                knowledge += objective(child)
+                nodes += 1
+                if node_size is not None:
+                    weighted += node_size(child)
+                grand = children(space, child)
+                if grand:
+                    frame.pos = i
+                    frame = ListNodeGenerator(grand)
+                    stack.append(frame)
+                    kids, i, n = grand, 0, len(grand)
+                    if len(stack) > deepest:
+                        deepest = len(stack)
+                else:
+                    backtracks += 1
+                    if len(stack) >= deepest:
+                        deepest = len(stack) + 1
+                if nodes == next_poll:
+                    next_poll += poll
+                    frame.pos = i
+                    on_poll(stack)
+                    frame = stack[-1]
+                    kids, i, n = frame.children, frame.pos, len(frame.children)
         else:
-            stack.pop()
-            backtracks += 1
+            # Optimisation, and Decision with its bounded order {0..target}.
+            upper_bound = spec.upper_bound
+            target = stype.target if kind is Decision else None
+            best = knowledge.value
+            while True:
+                if i == n:
+                    stack.pop()
+                    backtracks += 1
+                    if not stack:
+                        break
+                    frame = stack[-1]
+                    kids, i, n = frame.children, frame.pos, len(frame.children)
+                    continue
+                child = kids[i]
+                i += 1
+                value = objective(child)
+                nodes += 1
+                if node_size is not None:
+                    weighted += node_size(child)
+                if value > best:
+                    if target is not None and value > target:
+                        value = target
+                    if value > best:
+                        best = value
+                        knowledge = Incumbent(value, child)
+                        if on_improve is not None:
+                            on_improve(knowledge)
+                        if target is not None and value >= target:
+                            goal = True
+                            break
+                if upper_bound is not None and (
+                    (limit := upper_bound(space, child)) <= best
+                    or (target is not None and limit < target)
+                ):
+                    prunes += 1
+                elif grand := children(space, child):
+                    frame.pos = i
+                    frame = ListNodeGenerator(grand)
+                    stack.append(frame)
+                    kids, i, n = grand, 0, len(grand)
+                    if len(stack) > deepest:
+                        deepest = len(stack)
+                else:
+                    backtracks += 1
+                    if len(stack) >= deepest:
+                        deepest = len(stack) + 1
+                if nodes == next_poll:
+                    next_poll += poll
+                    frame.pos = i
+                    bound = on_poll(stack)
+                    if bound is not None and bound > best:
+                        best = bound
+                        knowledge = Incumbent(bound, None)
+                    frame = stack[-1]
+                    kids, i, n = frame.children, frame.pos, len(frame.children)
 
     metrics.nodes = nodes
     metrics.weighted_nodes = weighted if node_size is not None else nodes

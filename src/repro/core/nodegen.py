@@ -20,7 +20,7 @@ what to steal or spawn (Listings 3 and 4).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from typing import Any, Generic, TypeVar
 
 Space = TypeVar("Space")
@@ -94,27 +94,28 @@ class IterNodeGenerator(NodeGenerator[Any, Node]):
 
 
 class ListNodeGenerator(NodeGenerator[Any, Node]):
-    """A generator over a pre-computed child list.
+    """A generator over a pre-computed child sequence.
 
-    Useful for tests and for applications whose child computation is a
-    single vectorised pass (laziness buys nothing there); still presents
-    the uniform protocol.
+    The adapter from a batched child function (``SearchSpec.children``)
+    to the uniform protocol, and the frame the search kernel pushes when
+    it drains one by index — which is why ``children`` and ``pos`` are
+    public: the kernel advances a local and writes ``pos`` back.
     """
 
-    __slots__ = ("_children", "_pos")
+    __slots__ = ("children", "pos")
 
-    def __init__(self, children: list[Node]) -> None:
-        self._children = children
-        self._pos = 0
+    def __init__(self, children: Sequence[Node]) -> None:
+        self.children = children
+        self.pos = 0
 
     def has_next(self) -> bool:
-        return self._pos < len(self._children)
+        return self.pos < len(self.children)
 
     def next(self) -> Node:
         if not self.has_next():
             raise StopIteration("generator exhausted")
-        child = self._children[self._pos]
-        self._pos += 1
+        child = self.children[self.pos]
+        self.pos += 1
         return child
 
 

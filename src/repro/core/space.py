@@ -12,7 +12,7 @@ runnable search application, mirroring Figure 3:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.nodegen import GeneratorFactory
 
@@ -29,6 +29,10 @@ class SearchSpec:
         root: the root search-tree node.
         generator: factory ``(space, node) -> NodeGenerator`` producing
             the node's children in heuristic order.
+        children: optional batched form, ``(space, node) -> sequence``
+            of all children in the order ``generator`` yields them.  The
+            search kernel drains it by index under the stock search
+            types; every other caller keeps using ``generator``.
         objective: ``h(node)`` — the value maximised by optimisation and
             decision searches, and summed by enumeration searches.  Must
             be monotone non-decreasing along the orders required by the
@@ -55,6 +59,7 @@ class SearchSpec:
     upper_bound: Optional[Callable[[Any, Any], int]] = None
     node_size: Optional[Callable[[Any], int]] = None
     witness_check: Optional[Callable[[Any, Any], bool]] = None
+    children: Optional[Callable[[Any, Any], Sequence[Any]]] = None
 
     def children_of(self, node: Any):
         """Construct a generator for ``node`` (convenience for drivers)."""

@@ -543,6 +543,9 @@ class Scheduler:
                 job.error = None
                 self.cache.put(job.key, result)
             self._finish(job, outcome)
+            # The job table keeps finished jobs; their Event and hook
+            # closure (~0.9 KB) have no reader once the job is terminal.
+            job.cancel_event = job.on_incumbent = None
             followers = self.cache.finish(job.key)
             self._resolve_followers(job, followers)
 

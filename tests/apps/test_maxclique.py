@@ -10,6 +10,7 @@ from repro.apps.graph import Graph
 from repro.apps.maxclique import (
     CliqueGen,
     CliqueNode,
+    clique_children,
     degree_order,
     greedy_colour,
     maxclique_spec,
@@ -180,6 +181,27 @@ class TestCliqueGen:
         gen = CliqueGen(g, spec.root)
         bounds = [gen.next().bound for _ in range(3) if gen.has_next()]
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+
+
+class TestBatchedChildrenMatchTheGenerator:
+    """MaxClique hand-writes both child forms (Listing 1's lazy
+    ``CliqueGen`` and the batched ``clique_children``); k-clique and the
+    library instances share the spec, so this pins them all."""
+
+    @given(small_graphs, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_same_children_same_order_on_every_node(self, g, order_by_degree):
+        spec = maxclique_spec(g, order_by_degree=order_by_degree)
+        assert spec.children is clique_children and spec.generator is CliqueGen
+        stack = [spec.root]
+        while stack:
+            node = stack.pop()
+            lazy = spec.generator(spec.space, node).drain()
+            batched = list(spec.children(spec.space, node))
+            assert [(c.clique, c.size, c.candidates, c.bound) for c in batched] == [
+                (c.clique, c.size, c.candidates, c.bound) for c in lazy
+            ]
+            stack.extend(batched)
 
 
 class TestSearchCorrectness:

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.apps.uts import UTSInstance, UTSNode, uts_spec
+from benchmarks.ledger.instances import handwritten_uts_count
+from repro.apps.uts import UTSInstance, UTSNode, uts_children, uts_spec
 from repro.core.searchtypes import Enumeration
 from repro.core.sequential import sequential_search
+from repro.util.rng import splittable_hash
 
 
 def count_tree(inst: UTSInstance) -> int:
@@ -46,6 +48,48 @@ class TestDeterminism:
         first = list(spec.children_of(spec.root))
         second = list(spec.children_of(spec.root))
         assert first == second
+
+
+class TestNode:
+    def test_construction_equality_hashing(self):
+        node = UTSNode(state=7, depth=2)
+        assert (node.state, node.depth) == (7, 2)
+        assert node == UTSNode(7, 2) and node != UTSNode(7, 3)
+        assert len({node, UTSNode(state=7, depth=2)}) == 1
+
+    @pytest.mark.parametrize("shape", ["geometric", "binomial"])
+    def test_children_are_the_splittable_hash_of_state_and_index(self, shape):
+        """``uts_children`` inlines the hash; this pins it to the one
+        definition in ``repro.util.rng``."""
+        inst = UTSInstance(shape=shape, b0=5.0, max_depth=4, m=3, q=0.3, seed=11)
+        frontier = [uts_spec(inst).root]
+        for _ in range(50):
+            node = frontier.pop()
+            kids = uts_children(inst, node)
+            assert list(kids) == [
+                UTSNode(state=splittable_hash(node.state, i), depth=node.depth + 1)
+                for i in range(len(kids))
+            ]
+            assert all(type(kid) is UTSNode for kid in kids)
+            frontier.extend(kids)
+            if not frontier:
+                break
+
+    def test_lazy_generator_is_the_adapter_over_children(self):
+        inst = UTSInstance(shape="geometric", b0=3.0, max_depth=5, seed=2)
+        spec = uts_spec(inst)
+        assert spec.children is uts_children
+        assert spec.children_of(spec.root).drain() == uts_children(inst, spec.root)
+
+
+class TestHandwrittenCounterAgrees:
+    """The ledger's framework-free counter (Table 1's enumeration twin)
+    walks the same tree: same hash, same child-count expression."""
+
+    @pytest.mark.parametrize("b0, depth, seed", [(4, 7, 1), (3, 8, 12), (5, 6, 1330772960)])
+    def test_exact_count(self, b0, depth, seed):
+        inst = UTSInstance(shape="geometric", b0=float(b0), max_depth=depth, seed=seed)
+        assert count_tree(inst) == handwritten_uts_count(float(b0), depth, seed)
 
 
 class TestShapes:

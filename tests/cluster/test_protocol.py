@@ -1,9 +1,13 @@
 """Unit tests for the cluster wire protocol: framing and codecs."""
 
+import pickle
 import socket
+from typing import NamedTuple
 
 import pytest
 
+from repro.apps.uts import UTSNode
+from repro.cluster import codec as C
 from repro.cluster import protocol as P
 
 
@@ -103,7 +107,27 @@ class _SlottedNode:
         return (self.a, self.b) == (other.a, other.b)
 
 
+class _PairNode(NamedTuple):
+    a: int
+    b: int
+
+
 class TestNodeCodec:
+    @pytest.mark.parametrize("node", [_PairNode(1, 2), UTSNode(state=2**63 + 5, depth=3)])
+    def test_namedtuple_node_keeps_its_class(self, node):
+        """A tuple subclass shipped as ``__tuple__`` arrived as a bare
+        tuple and attribute access failed on the worker."""
+        encoded = P.encode_node(node)
+        assert set(encoded) == {"__pickle__"}
+        frame = C.BINARY_CODEC.encode({"type": P.TASK, "node": encoded})
+        for wire in (encoded, C.decode_body(frame)["node"]):
+            decoded = P.decode_node(wire)
+            assert type(decoded) is type(node) and decoded == node
+            assert decoded._fields == node._fields and decoded[0] == node[0]
+        # Nested inside a plain tuple, which still travels structurally.
+        assert type(P.decode_node(P.encode_node((node, 7)))[0]) is type(node)
+        assert pickle.loads(pickle.dumps(node)) == node  # process queues
+
     @pytest.mark.parametrize(
         "value",
         [

@@ -252,7 +252,9 @@ class TestRetireFlushesThePool:
         from repro.runtime.processes import graceful_stop
         from repro.verify.generators import instance_spec
 
-        args = ("uts", [4, 9, 1330772960])  # ~150 k nodes
+        # ~600 k nodes: long enough, at the batched drain's ~1 us/node,
+        # that the victim still holds its pool when the RETIRE lands.
+        args = ("uts", [4, 10, 1330772960])
         stype = make_search_type("enumeration")
         payload = job_payload(instance_spec, args, stype, budget=100)
         offcuts = []
