@@ -100,8 +100,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", default="sim", choices=["sim", "processes", "cluster"],
         help="run parallel skeletons on the simulator (default), on real "
-        "OS processes (depthbounded/budget), or on a localhost TCP "
-        "cluster (budget only)",
+        "OS processes (depthbounded/budget/stacksteal/ordered), or on a "
+        "localhost TCP cluster (budget/stacksteal/ordered)",
     )
     parser.add_argument(
         "--processes", type=int, default=2, metavar="N",

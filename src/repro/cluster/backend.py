@@ -168,24 +168,19 @@ class ClusterBackend:
         """Reduce a service :class:`JobSpec` to a wire job definition.
 
         The instance name doubles as the spec-factory argument (the
-        registry is deterministic on every node), the search type is
-        resolved exactly as :func:`run_library_search` resolves it, and
-        the budget, stacksteal and ordered skeletons are accepted —
-        the coordinations whose work movement the cluster implements.
+        registry is deterministic on every node), the search type comes
+        from :func:`~repro.instances.library.resolve_job`, and the
+        budget, stacksteal and ordered skeletons are accepted — the
+        coordinations whose work movement the cluster implements.
         """
-        from repro.core.searchtypes import make_search_type
-        from repro.instances.library import library_spec_factory, spec_for
+        from repro.instances.library import library_spec_factory, resolve_job
 
         if spec.skeleton not in ("budget", "stacksteal", "ordered"):
             raise ValueError(
                 f"the cluster backend runs the 'budget', 'stacksteal' or "
                 f"'ordered' skeletons, not {spec.skeleton!r}"
             )
-        _, default_type, default_kwargs = spec_for(spec.instance)
-        stype_name = spec.search_type or default_type
-        kwargs = dict(default_kwargs) if stype_name == default_type else {}
-        kwargs.update(spec.stype_kwargs)
-        stype = make_search_type(stype_name, **kwargs)
+        _, stype = resolve_job(spec.instance, spec.search_type, spec.stype_kwargs)
         params = SkeletonParams(**dict(spec.params)) if spec.params else SkeletonParams()
         return job_payload(
             library_spec_factory,

@@ -138,7 +138,6 @@ class WorkerConn:
     alive: bool = True
     said_bye: bool = False
     retiring: bool = False  # told to RETIRE: no new leases, drain out
-    proto_version: int = P.PROTOCOL_VERSION
     # Stack-stealing mediation state: a STEAL is in flight to this
     # worker (one at a time), / its last STOLEN answer was empty so
     # re-asking is pointless until it reports fresh progress.
@@ -534,21 +533,14 @@ class Coordinator:
             if (
                 hello is None
                 or hello.get("type") != P.HELLO
-                or hello.get("version") not in P.SUPPORTED_VERSIONS
+                or hello.get("version") != P.PROTOCOL_VERSION
             ):
                 writer.write(P.frame_bytes({
                     "type": P.ERROR,
-                    "reason": "expected HELLO with a supported protocol version",
+                    "reason": f"expected HELLO with protocol version {P.PROTOCOL_VERSION}",
                 }))
                 return
-            version = int(hello["version"])
-            # A v1 peer offers no codecs field and cannot decode binary
-            # bodies; negotiation for it degenerates to JSON.
-            codec_name = (
-                P.negotiate(hello.get("codecs"), self.wire_codec)
-                if version >= 2
-                else "json"
-            )
+            codec_name = P.negotiate(hello.get("codecs"), self.wire_codec)
             self._next_worker += 1
             worker = WorkerConn(
                 id=self._next_worker,
@@ -556,7 +548,6 @@ class Coordinator:
                 writer=writer,
                 slots=max(1, int(hello.get("slots", 1))),
                 last_seen=time.monotonic(),
-                proto_version=version,
             )
             self.workers[worker.id] = worker
             self._post(worker, {
@@ -922,12 +913,8 @@ class Coordinator:
         job = self._job
         if job is None or job.state != "running":
             return
-        # Only v3 peers run jobs: every coordination needs run leases or
-        # STEAL, and a down-level worker would sit on a budget lease it
-        # can never be asked to share.
         eligible = [
-            w for w in self.workers.values()
-            if w.alive and not w.retiring and w.proto_version >= 3
+            w for w in self.workers.values() if w.alive and not w.retiring
         ]
         batches: dict[int, list[TaskRecord]] = {}
         granted = True

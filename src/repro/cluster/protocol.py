@@ -4,11 +4,10 @@ Every message is one *frame*: a 4-byte big-endian unsigned length
 followed by that many bytes of *body*.  Two body formats exist, both
 encoding one object with a ``"type"`` field:
 
-- **json** (protocol v1, still the handshake + compatibility format):
-  UTF-8 JSON.  Human-readable on the wire (``tcpdump`` shows readable
+- **json** (the handshake and debugging format): UTF-8 JSON.  Human-readable on the wire (``tcpdump`` shows readable
   traffic), with message boundaries explicit from the length prefix —
   no sentinel scanning, no partial-line ambiguity.
-- **binary** (protocol v2): the struct-packed format in
+- **binary** (the default): the struct-packed format in
   :mod:`repro.cluster.codec` — 1-byte type tag, varint ints,
   length-prefixed UTF-8 strings, dedicated tags for the node shapes
   :func:`encode_node` emits (the pickle fallback travels as raw bytes
@@ -16,7 +15,7 @@ encoding one object with a ``"type"`` field:
   body byte, so a connection can carry a mix; *encoding* follows the
   codec negotiated per connection in HELLO/WELCOME (the worker offers
   ``codecs`` in its HELLO, the coordinator answers with ``codec`` in
-  the WELCOME; both handshake frames always travel as JSON, and a v1
+  the WELCOME; both handshake frames always travel as JSON, and a
   peer that offers nothing negotiates JSON).
 
 Message types
@@ -117,7 +116,6 @@ from .codec import (
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "MAX_FRAME",
     "ProtocolError",
     "WireCodec",
@@ -153,14 +151,10 @@ __all__ = [
     "ERROR",
 ]
 
-# v2 adds the binary codec + codec negotiation and batched TASK leases.
-# v3 adds the coordination-aware JOB (ordered run leases with
-# multi-record RESULTs, and the STEAL/STOLEN stack-stealing exchange).  v1 peers (JSON only, one
-# lease per TASK frame) and v2 peers remain fully supported — but only
-# v3 peers are eligible for ordered/stacksteal work (see the
-# coordinator's lease/victim selection).
+# The one version both sides speak: coordination-aware JOBs, batched
+# TASK leases (runs for ordered jobs), STEAL/STOLEN, codec negotiation.
+# A HELLO with any other version is refused.
 PROTOCOL_VERSION = 3
-SUPPORTED_VERSIONS = (1, 2, 3)
 
 # One frame must hold a message-sized payload (a task node, an offcut
 # batch), never a bulk transfer; anything bigger than this is a protocol

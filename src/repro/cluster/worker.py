@@ -1,18 +1,16 @@
 """Cluster worker nodes: the search kernel behind a TCP client.
 
 A :class:`ClusterWorker` connects to a coordinator, pulls subtree TASK
-leases, and searches each one with the same search kernel the
-multiprocessing backends call
-(:func:`~repro.core.kernel.search_subtree`, periodic duties every
-``share_poll`` nodes) — only the two callbacks differ: the shared
-incumbent integer became INCUMBENT frames, the hungry counter became
-the coordinator's STEAL, what a starving peer is given leaves in a
-STOLEN frame, and the outstanding counter lives on the coordinator.  A
-Budget worker keeps the offcuts of its budget trips in its own
-order-preserving pool (:class:`~repro.runtime.workpool.Workpool`) and
-drains it itself, exactly as its multiprocessing twin does, so a lease
-is its root and everything its holder ran from that pool, answered by
-one RESULT.
+leases, and runs each one through the same transport-free executor the
+multiprocessing workers call
+(:func:`~repro.runtime.sharing.execute_lease` for Budget and
+Stack-Stealing, :func:`~repro.core.ordered.execute_run` for Ordered) —
+only the callbacks differ: the shared incumbent integer became
+INCUMBENT frames, the hungry counter became the coordinator's STEAL,
+what a starving peer is given leaves in a STOLEN frame, and the
+outstanding counter lives on the coordinator.  A Budget lease is its
+root and everything its holder ran from its own pool, answered by one
+RESULT.
 
 Threading model (per connection):
 
@@ -62,20 +60,13 @@ from typing import Optional
 
 from repro.cluster import protocol as P
 from repro.cluster.faults import WorkerFaults
-from repro.core.kernel import search_subtree
 from repro.core.ordered import execute_run
-from repro.core.results import SearchMetrics
 from repro.core.searchtypes import Incumbent
-from repro.core.tasks import split_lowest_inlined, split_one_inlined
 from repro.runtime.processes import graceful_stop, make_stype
+from repro.runtime.sharing import FLUSH, execute_lease
 from repro.runtime.workpool import Workpool
 
 __all__ = ["ClusterWorker", "run_worker"]
-
-
-class _Abandoned(Exception):
-    """Raised out of the kernel's poll hook when the task in hand should
-    stop with nothing sent: JOB_DONE, a stop request, a dead session."""
 
 
 class _JobContext:
@@ -99,8 +90,7 @@ class _JobContext:
         self.enum = self.stype.kind == "enumeration"
         self.budget = max(1, int(msg.get("budget", 1000)))
         self.share_poll = max(1, int(msg.get("share_poll", 64)))
-        # A v2 coordinator sends no coordination field: budget it is.
-        self.coordination = str(msg.get("coordination") or "budget")
+        self.coordination = str(msg["coordination"])
         self.chunked = bool(msg.get("chunked", True))
         best = msg.get("best")
         self.bound = best if isinstance(best, int) else 0
@@ -271,7 +261,7 @@ class ClusterWorker:
             raise P.ProtocolError(f"expected WELCOME, got {welcome!r}")
         self.worker_id = welcome.get("worker")
         interval = float(welcome.get("heartbeat", 0.5))
-        # A v1 coordinator sends no codec field: stay on JSON.
+        # No codec field: stay on the handshake's JSON.
         self._codec = P.get_codec(welcome.get("codec") or "json")
         sock.settimeout(None)
 
@@ -356,17 +346,7 @@ class ClusterWorker:
         elif mtype == P.TASK:
             ctx = self._ctx
             if ctx is not None and msg.get("job") == ctx.id and not ctx.done:
-                # v2 batches up to `slots` leases per frame; a v1
-                # coordinator sends the single-lease shape instead.
-                leases = msg.get("leases")
-                if leases is None:
-                    leases = [[
-                        msg["task"],
-                        msg["epoch"],
-                        msg.get("node"),
-                        msg.get("depth", 0),
-                    ]]
-                for lease in leases:
+                for lease in msg["leases"]:
                     task_id, epoch = lease[:2]
                     if ctx.coordination == "ordered":
                         # A run: [[node, depth], ...] numbered from
@@ -474,6 +454,11 @@ class ClusterWorker:
                 self._session_dead.set()
                 return
 
+    def _abandoned(self, ctx) -> bool:
+        """Should the lease in hand stop with nothing sent?  JOB_DONE, a
+        stop request, a dead session: lease accounting covers us."""
+        return ctx.done or self._session_dead.is_set() or self._stopped()
+
     def _say_bye(self) -> None:
         try:
             self._send({"type": P.BYE})
@@ -505,45 +490,41 @@ class ClusterWorker:
     def _run_task(self, ctx, task_id, epoch, root, root_depth) -> None:
         """Run one budget or stack-stealing lease to its RESULT.
 
-        A stack-stealing lease is one subtree; the poll hook answers a
-        STEAL by splitting the live stack into a STOLEN frame, empty
-        when the stack has nothing to give.
+        :func:`~repro.runtime.sharing.execute_lease` runs the lease;
+        this method is its wire.  A waiting STEAL is the starving peer:
+        it is answered with a STOLEN frame — under Stack-Stealing a
+        split of the live stack, empty when the stack has nothing to
+        give; under Budget the shallowest level of the lease's pool,
+        never empty (a request the pool cannot serve waits for the next
+        trip, or dies with the RESULT).  A RETIRE or SHUTDOWN makes a
+        Budget lease hand its whole pool back as OFFCUT frames, one per
+        depth, so only the subtree in hand is finished here.  Every
+        strict improvement leaves as INCUMBENT (value + witness).  One
+        RESULT then carries the counters of every subtree run, and for
+        Budget ``spawns``: how many of them came out of the pool (the
+        ones that crossed are counted where they land).
 
-        A budget lease is its root *and everything this worker runs
-        from its own pool*: every ``budget`` nodes of a subtree the hook
-        splits the lowest frame of the live stack into an
-        order-preserving :class:`~repro.runtime.workpool.Workpool`, and
-        when the subtree in hand ends the next one is popped (deepest
-        level first, spawn order within it: the order the sequential
-        search would reach them in) and searched through the same
-        kernel call with a fresh budget counter.  Subtrees leave only when
-        somebody needs them: the shallowest level of the pool answers a
-        STEAL (never empty — a request the pool cannot serve waits for
-        the next trip, or dies with the RESULT), and a RETIRE or
-        SHUTDOWN hands the whole pool back as OFFCUT frames, one per
-        depth, so only the subtree in hand is finished here.  One
-        RESULT then carries the counters of every subtree run, and
-        ``spawns``: how many of them came out of the pool.
-
-        Every strict improvement leaves as INCUMBENT (value + witness).
         Nothing is sent if the lease is abandoned (job done / stop /
         session death), leaving the coordinator's lease accounting to
         handle it.
         """
         pooled = ctx.coordination == "budget"
-        split = (
-            split_lowest_inlined if pooled or ctx.chunked else split_one_inlined
-        )
-        spec, stype, enum = ctx.spec, ctx.stype, ctx.enum
         pool = self._pool  # empty between leases
-        task_nodes = 0  # counted in share_poll quanta, drives budget splits
 
-        def abandoned() -> bool:
-            return ctx.done or self._session_dead.is_set() or self._stopped()
+        def flushing() -> bool:
+            return pooled and (self._retire or self._drain)
 
-        def hand_over(frame_type: str, nodes: list, depth: int) -> None:
+        def demand() -> int:
+            if flushing():
+                return FLUSH
+            return self._steal_req is not None
+
+        def ship(nodes: list, depth: int) -> None:
+            handback = flushing()
+            if not handback:
+                self._steal_req = None  # this is its answer
             self._send({
-                "type": frame_type,
+                "type": P.OFFCUT if handback else P.STOLEN,
                 "job": ctx.id,
                 "task": task_id,
                 "epoch": epoch,
@@ -551,39 +532,6 @@ class ClusterWorker:
                 "nodes": [P.encode_node(node) for node in nodes],
                 "pool": len(pool),
             })
-
-        def ship_level(frame_type: str) -> None:
-            level = pool.pop_shallowest()
-            hand_over(frame_type, [node for node, _ in level], level[0][1])
-
-        def share_pool() -> None:
-            if self._retire or self._drain:
-                while pool:
-                    ship_level(P.OFFCUT)
-            elif pool and self._steal_req is not None:
-                self._steal_req = None
-                ship_level(P.STOLEN)
-
-        def on_poll(stack: list) -> Optional[int]:
-            nonlocal task_nodes
-            if abandoned():
-                raise _Abandoned  # lease accounting covers us
-            if pooled:
-                task_nodes += ctx.share_poll
-                if task_nodes >= ctx.budget:
-                    task_nodes = 0
-                    offcuts, frame_index = split(stack)
-                    depth = root_depth + frame_index + 1
-                    for off in offcuts:
-                        pool.push((off, depth), depth)
-                share_pool()
-            elif self._steal_req is not None:
-                self._steal_req = None
-                offcuts, frame_index = split(stack)
-                # Sent even when empty: it is the answer that tells the
-                # coordinator this victim is dry.
-                hand_over(P.STOLEN, offcuts, root_depth + frame_index + 1)
-            return None if enum else ctx.bound
 
         def publish(inc: Incumbent) -> None:
             # A strict local improvement: raise the local bound, ship
@@ -598,49 +546,35 @@ class ClusterWorker:
                 "node": P.encode_node(inc.node),
             })
 
-        knowledge = stype.initial_knowledge(spec)
-        if not enum:
+        def on_subtree() -> None:
+            self.tasks_run += 1  # the subtree that just ended
+            if self._faults is not None:
+                # Chaos: may hard-exit here, dying with the lease
+                # live, a pool behind it and children already shipped.
+                self._faults.on_task_start(self.tasks_run + 1)
+
+        knowledge = ctx.stype.initial_knowledge(ctx.spec)
+        if not ctx.enum:
             knowledge = Incumbent(knowledge.value, None)  # no witness of ours yet
-        total = SearchMetrics()
-        from_pool = 0
         try:
-            while True:
-                if not enum and ctx.bound > knowledge.value:
-                    # Prune from the cluster-wide bound as last heard; its
-                    # witness is elsewhere, but pruning only compares values.
-                    knowledge = Incumbent(ctx.bound, None)
-                knowledge, goal, m = search_subtree(
-                    spec, stype, root, root_depth, knowledge,
-                    poll=ctx.share_poll, on_poll=on_poll, on_improve=publish,
-                )
-                total.merge(m)
-                self.tasks_run += 1
-                self.nodes_searched += m.nodes
-                if goal:
-                    break
-                # Subtrees shorter than share_poll never reach the hook,
-                # so the pool is also offered between subtrees.
-                share_pool()
-                task = pool.pop()
-                if task is None:
-                    break
-                if abandoned():
-                    raise _Abandoned
-                if self._faults is not None:
-                    # Chaos: may hard-exit here, dying with the lease
-                    # live, a pool behind it and children already shipped.
-                    self._faults.on_task_start(self.tasks_run + 1)
-                root, root_depth = task
-                from_pool += 1
-                task_nodes = 0
-        except _Abandoned:
-            return
+            lease = execute_lease(
+                ctx.spec, ctx.stype, root, root_depth, knowledge, pool,
+                budget=ctx.budget if pooled else None, chunked=ctx.chunked,
+                poll=ctx.share_poll, demand=demand, ship=ship,
+                bound=lambda: ctx.bound, publish=publish,
+                should_abort=lambda: self._abandoned(ctx), on_subtree=on_subtree,
+            )
         finally:
             # The lease is over, whatever was left in its pool.
             self._pool = Workpool("depth")
+        self.nodes_searched += lease.metrics.nodes
+        if lease.abandoned:
+            return
+        self.tasks_run += 1
 
         # A STEAL this lease could not serve dies with its RESULT.
         self._steal_req = None
+        total, knowledge = lease.metrics, lease.knowledge
         result = {
             "type": P.RESULT,
             "job": ctx.id,
@@ -650,11 +584,11 @@ class ClusterWorker:
             "prunes": total.prunes,
             "backtracks": total.backtracks,
             "max_depth": total.max_depth,
-            "goal": goal,
+            "goal": lease.goal,
         }
         if pooled:
-            result["spawns"] = from_pool
-        if enum:
+            result["spawns"] = lease.from_pool
+        if ctx.enum:
             result["knowledge"] = knowledge
         elif knowledge.node is not None:
             # Belt and braces: improvements were already published with
@@ -696,9 +630,7 @@ class ClusterWorker:
         if execute_run(
             ctx.spec, ctx.stype, tasks, bound, flush,
             published=lambda: ctx.bound,
-            should_abort=lambda: (
-                ctx.done or self._session_dead.is_set() or self._stopped()
-            ),
+            should_abort=lambda: self._abandoned(ctx),
             poll=ctx.share_poll,
         ):
             self.tasks_run += 1

@@ -45,12 +45,13 @@ class SkeletonParams:
         seed: simulator seed (victim selection and tie-breaking).
         backend: execution backend — ``"sim"`` runs parallel skeletons
             on the discrete-event simulator; ``"processes"`` runs them
-            on real OS processes (:mod:`repro.runtime.processes`; only
-            the depthbounded and budget coordinations have process
-            implementations); ``"cluster"`` runs the budget coordination
-            on a real localhost TCP cluster (:mod:`repro.cluster`) —
-            an embedded coordinator plus ``cluster_workers`` worker
-            processes talking the wire protocol.
+            on real OS processes (:mod:`repro.runtime.processes`: the
+            depthbounded, budget, stacksteal and ordered
+            coordinations); ``"cluster"`` runs the budget, stacksteal
+            and ordered coordinations on a real localhost TCP cluster
+            (:mod:`repro.cluster`) — an embedded coordinator plus
+            ``cluster_workers`` worker processes talking the wire
+            protocol.
         n_processes: worker processes for the ``"processes"`` backend.
         share_poll: processes/cluster backends — nodes searched between
             reads of the shared incumbent (smaller = tighter pruning,

@@ -12,6 +12,8 @@ API:
   :class:`Graph`, :class:`KnapsackInstance`, ...).
 - :func:`spec_for(name)` — a ready :class:`SearchSpec` plus the search
   type kwargs the instance is meant to run with.
+- :func:`resolve_job(name, search_type, stype_kwargs)` — the spec and
+  the search type object a library job names.
 - :func:`suite(app)` — the instance names of one application's
   evaluation suite.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from repro.apps.knapsack import KnapsackInstance, knapsack_spec
 from repro.apps.maxclique import maxclique_spec
@@ -28,6 +30,7 @@ from repro.apps.semigroups import SemigroupInstance, semigroups_spec
 from repro.apps.sip import SIPInstance, sip_spec
 from repro.apps.tsp import TSPInstance, tsp_spec
 from repro.apps.uts import UTSInstance, uts_spec
+from repro.core.searchtypes import SearchType, make_search_type
 from repro.core.space import SearchSpec
 from repro.instances.graphs import (
     brock_like,
@@ -41,6 +44,7 @@ __all__ = [
     "Entry",
     "load_instance",
     "spec_for",
+    "resolve_job",
     "library_spec_factory",
     "instance_names",
     "suite",
@@ -418,6 +422,25 @@ def spec_for(name: str) -> tuple[SearchSpec, str, dict]:
     """Spec + (search_type, stype_kwargs) for a registry instance."""
     entry = _entry(name)
     return entry.make_spec(load_instance(name)), entry.search_type, dict(entry.stype_kwargs)
+
+
+def resolve_job(
+    name: str,
+    search_type: Optional[str] = None,
+    stype_kwargs: Optional[dict] = None,
+) -> tuple[SearchSpec, SearchType]:
+    """The spec and search type of a job on a registry instance.
+
+    ``search_type`` defaults to the instance's registered type; the
+    registered kwargs (e.g. a decision target) apply only to that type,
+    under any caller-supplied ``stype_kwargs``.
+    """
+    spec, default_type, kwargs = spec_for(name)
+    kind = search_type or default_type
+    if kind != default_type:
+        kwargs = {}
+    kwargs.update(stype_kwargs or {})
+    return spec, make_search_type(kind, **kwargs)
 
 
 def library_spec_factory(name: str) -> SearchSpec:

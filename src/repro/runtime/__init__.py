@@ -21,7 +21,6 @@ from repro.runtime.workpool import Workpool
 from repro.runtime.knowledge import KnowledgeManager
 from repro.runtime.executor import SimulatedCluster, virtual_sequential_time
 from repro.runtime.processes import multiprocessing_depthbounded_search
-from repro.runtime.threads import threaded_depthbounded_search
 from repro.runtime.trace import Trace, render_gantt, utilisation_timeline
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "KnowledgeManager",
     "SimulatedCluster",
     "virtual_sequential_time",
-    "threaded_depthbounded_search",
     "multiprocessing_depthbounded_search",
     "Trace",
     "render_gantt",

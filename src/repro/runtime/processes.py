@@ -1,48 +1,45 @@
 """Real multi-core execution with worker processes.
 
-Where :mod:`repro.runtime.threads` is GIL-bound, these backends achieve
-*actual* CPython parallel speedup by distributing subtree tasks over
-``multiprocessing`` workers, each searching in its own interpreter.
+These backends achieve *actual* CPython parallel speedup by
+distributing subtree tasks over ``multiprocessing`` workers, each
+searching in its own interpreter.
 
 Four coordinations have process implementations.  Every worker of
 every one searches its subtrees with the one search kernel
 (:func:`~repro.core.kernel.search_subtree`); a coordination is what the
-kernel's poll hook does with the live generator stack.
+kernel's poll hook does with the live generator stack, and that is
+written once per coordination, outside this module:
+:func:`~repro.runtime.sharing.execute_lease` for the first three below,
+:func:`~repro.core.ordered.execute_run` for the last.  What is here is
+the transport: queues, shared integers, process lifetimes.
 
 - :func:`multiprocessing_depthbounded_search` — **static** splitting:
-  the parent expands the depth-``d`` frontier sequentially and hands
-  the frontier subtrees to a process pool (the OpenMP-style baseline of
-  Table 1).  The poll hook only refreshes the pruning bound.
-- :func:`multiprocessing_budget_search` — **dynamic** work sharing in
-  the style of the paper's Budget coordination: whenever a subtree
-  exceeds its node budget the poll hook splits the lowest unexplored
-  subtrees off the generator stack
-  (:func:`~repro.core.tasks.split_lowest_inlined`) into the worker's
-  own order-preserving pool (:class:`~repro.runtime.workpool.Workpool`),
-  which the worker drains itself; the shallowest level of the pool goes
-  to the shared queue only while another worker is starving (§4.2-4.3:
-  spawn locally, steal near the root).
+  the parent cuts the depth-``d`` frontier
+  (:func:`~repro.core.ordered.ordered_frontier`) and queues it; workers
+  never split further (the OpenMP-style baseline of Table 1).
+- :func:`multiprocessing_budget_search` — **dynamic** work sharing
+  (Budget): subtrees that outrun their node budget shed offcuts into
+  the worker's own order-preserving pool, and the pool's shallowest
+  level goes to the shared queue only while another worker is starving.
 - :func:`multiprocessing_stacksteal_search` — **demand-driven** work
-  sharing (Stack-Stealing): the same worker, but the poll hook only
-  splits the generator stack when a shared hungry counter says another
-  worker is starving, so granularity adapts to the tree instead of a
-  fixed budget cadence.
+  sharing (Stack-Stealing): the same worker, but a stack is split only
+  while a shared hungry counter says another worker is starving.
 - :func:`multiprocessing_ordered_search` — **replicable** search
   (Ordered, after Archibald et al.): discovery-ordered atomic tasks,
   leased and reported in runs, finalised in sequence order by an
   :class:`~repro.core.ordered.OrderedLedger`, making value, witness and
   node counts identical run-to-run at any worker count.
 
-Because ``SearchSpec`` objects contain closures (not picklable), both
-backends take a *spec factory* — a top-level callable plus picklable
-arguments — and rebuild the spec once per worker process.  Incumbent
+Because ``SearchSpec`` objects contain closures (not picklable), every
+backend takes a *spec factory* — a top-level callable plus picklable
+arguments — and rebuilds the spec once per worker process.  Incumbent
 knowledge is shared through a shared 64-bit integer holding the best
 objective value: workers seed their pruning from it, read it lock-free
 on a fixed node cadence, and take the lock only to publish improvements
 — the multi-process analogue of the simulator's delayed bound broadcast
 (stale reads only cost pruning, §4.3).  Sharing an objective through a
 signed integer seeded at 0 requires objectives to be non-negative ints;
-both backends validate that at launch (see
+every backend validates that at launch (see
 :func:`_checked_incumbent_seed`).
 
 Remaining limitations, stated plainly: witness nodes travel back by
@@ -56,9 +53,10 @@ from __future__ import annotations
 import pickle
 import signal
 import time
-from multiprocessing import Pipe, Pool, Process, Queue, Value
+from contextlib import contextmanager
+from multiprocessing import Pipe, Process, Queue, Value
 from queue import Empty
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.core.ordered import (
     OrderedLedger,
@@ -66,16 +64,10 @@ from repro.core.ordered import (
     execute_run,
     ordered_frontier,
 )
-from repro.core.kernel import search_subtree
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchMetrics, SearchResult, result_from_dict
 from repro.core.searchtypes import Incumbent, SearchType
-from repro.core.tasks import (
-    SearchTask,
-    SpawnedTask,
-    split_lowest_inlined,
-    split_one_inlined,
-)
+from repro.runtime.sharing import execute_lease
 from repro.runtime.workpool import Workpool
 
 __all__ = [
@@ -108,46 +100,6 @@ def graceful_stop(proc, *, grace: float = 5.0) -> None:
         proc.kill()  # SIGKILL: non-negotiable
         proc.join(timeout=grace)
 
-# Per-worker globals, initialised once by _init_worker.
-_worker_spec = None
-_worker_stype = None
-_worker_best = None
-
-
-def _init_worker(spec_factory, factory_args, stype_factory, stype_args, best):
-    """Pool initialiser: rebuild the spec/search type in this process."""
-    global _worker_spec, _worker_stype, _worker_best
-    _worker_spec = spec_factory(*factory_args)
-    _worker_stype = stype_factory(*stype_args)
-    _worker_best = best
-
-
-def _run_task(payload: tuple[Any, int]) -> tuple[Any, int, int, int, int]:
-    """Search one subtree; returns (knowledge, nodes, prunes, backtracks, goal)."""
-    root, depth = payload
-    spec, stype, best = _worker_spec, _worker_stype, _worker_best
-    knowledge = stype.initial_knowledge(spec)
-    if stype.kind == "enumeration":
-        refresh = publish = None
-    else:
-        # Seed pruning from the shared best value; the witness node is
-        # unknown here, but pruning only compares values.
-        knowledge = Incumbent(max(best.value, knowledge.value), None)
-
-        def refresh(stack: list) -> int:
-            return best.value
-
-        def publish(found: Incumbent) -> None:
-            with best.get_lock():
-                if found.value > best.value:
-                    best.value = found.value
-
-    knowledge, goal, m = search_subtree(
-        spec, stype, root, depth, knowledge,
-        poll=256, on_poll=refresh, on_improve=publish,
-    )
-    return knowledge, m.nodes, m.prunes, m.backtracks, int(goal)
-
 
 def run_library_search(
     instance: str,
@@ -163,26 +115,18 @@ def run_library_search(
     backend ships ``(instance, skeleton, ...)`` across and the worker
     rebuilds everything from the instance registry.
 
-    ``search_type`` defaults to the instance's registered type (whose
-    registered kwargs, e.g. a decision target, are merged under any
-    caller-supplied ``stype_kwargs``).
+    ``search_type`` and ``stype_kwargs`` are resolved by
+    :func:`~repro.instances.library.resolve_job`.
     """
-    from repro.core.searchtypes import make_search_type
     from repro.core.skeletons import make_skeleton
-    from repro.instances.library import library_spec_factory, spec_for
+    from repro.instances.library import library_spec_factory, resolve_job
 
-    spec, default_type, default_kwargs = spec_for(instance)
-    stype_name = search_type if search_type is not None else default_type
-    kwargs = dict(default_kwargs) if stype_name == default_type else {}
-    if stype_kwargs:
-        kwargs.update(stype_kwargs)
-    skel = make_skeleton(skeleton, stype_name)
+    spec, stype = resolve_job(instance, search_type, stype_kwargs)
     skel_params = SkeletonParams(**params) if params else SkeletonParams()
-    stype = make_search_type(stype_name, **kwargs)
     # The registry is deterministic, so the instance name doubles as a
     # picklable spec factory argument — used only when the params select
     # the processes backend.
-    return skel.search(
+    return make_skeleton(skeleton, stype.kind).search(
         spec,
         skel_params,
         stype=stype,
@@ -302,7 +246,16 @@ def multiprocessing_depthbounded_search(
     n_processes: int = 2,
     d_cutoff: int = 2,
 ) -> SearchResult:
-    """Depth-Bounded search over a process pool.
+    """Depth-Bounded search over worker processes.
+
+    The parent searches the tree above depth ``d_cutoff`` sequentially
+    (:func:`~repro.core.ordered.ordered_frontier`) and puts every
+    subtree root it meets at that depth on the shared task queue, in
+    traversal order; the workers pull them and search each to its end,
+    never splitting further.  ``metrics.spawns`` is the number of
+    frontier subtrees.  A tree that ends above the cutoff,
+    ``d_cutoff=0`` and a decision target met in the prefix all finish in
+    the parent, and no process is started.
 
     ``spec_factory(*factory_args)`` must rebuild the SearchSpec (it is
     called once in the parent and once per worker); likewise
@@ -316,65 +269,14 @@ def multiprocessing_depthbounded_search(
     signed shared integer whose idle value is 0, so a negative objective
     would let a stale-zero read *tighten* pruning and corrupt results.
     """
-    if n_processes < 1:
-        raise ValueError("need at least one process")
-    spec = spec_factory(*factory_args)
-    stype = stype_factory(*stype_args)
-    started = time.perf_counter()
-
-    # Phase 1 (parent): expand the depth-d frontier sequentially.
-    params = SkeletonParams(d_cutoff=d_cutoff)
-    root_task = SearchTask(spec, stype, spec.root, policy="depth", params=params)
-    knowledge = stype.initial_knowledge(spec)
-    metrics = SearchMetrics()
-    frontier: list[SpawnedTask] = []
-    goal = False
-    while not root_task.finished:
-        knowledge, out = root_task.step(knowledge)
-        metrics.nodes += int(out.processed)
-        metrics.weighted_nodes += out.weight if out.processed else 0
-        metrics.prunes += int(out.pruned)
-        metrics.backtracks += int(out.backtracked)
-        frontier.extend(out.spawned)
-        metrics.spawns += len(out.spawned)
-        if out.goal:
-            goal = True
-            break
-
-    if stype.kind == "enumeration":
-        best_seed = 0  # unused: enumeration accumulators stay local
-    else:
-        best_seed = _checked_incumbent_seed(knowledge.value)
-    best = Value("q", best_seed)
-
-    results: list[Any] = []
-    if frontier and not goal:
-        with Pool(
-            processes=n_processes,
-            initializer=_init_worker,
-            initargs=(spec_factory, factory_args, stype_factory, stype_args, best),
-        ) as pool:
-            for task_knowledge, nodes, prunes, backtracks, task_goal in pool.map(
-                _run_task, [(sp.root, sp.depth) for sp in frontier]
-            ):
-                results.append(task_knowledge)
-                metrics.nodes += nodes
-                metrics.prunes += prunes
-                metrics.backtracks += backtracks
-                goal = goal or bool(task_goal)
-
-    for task_knowledge in results:
-        if stype.kind == "enumeration":
-            knowledge = stype.combine(knowledge, task_knowledge)
-        elif task_knowledge.node is not None:
-            knowledge = stype.combine(knowledge, task_knowledge)
-    return SearchResult.from_knowledge(
-        stype, knowledge, goal, metrics,
-        time.perf_counter() - started, n_processes,
+    return _sharing_search(
+        "depthbounded", (None, True, 256, 0.02),
+        spec_factory, factory_args, stype_factory, stype_args,
+        n_processes=n_processes, d_cutoff=d_cutoff,
     )
 
 
-# -- dynamic work-sharing (Budget) backend ----------------------------------
+# -- what every backend shares -----------------------------------------------
 
 
 def _checked_incumbent_seed(value: Any) -> int:
@@ -457,200 +359,234 @@ def _stype_payload(stype: SearchType) -> tuple[str, dict]:
     )
 
 
-class _GoalElsewhere(Exception):
-    """Raised out of the kernel's poll hook: another worker reached the
-    decision target, so the subtree in hand is abandoned."""
-
-
-def _sharing_worker_main(
-    spec_factory,
-    factory_args,
-    stype_factory,
-    stype_args,
-    task_q,
-    result_q,
-    outstanding,
-    best,
-    goal_flag,
-    done_flag,
-    hungry,
-    budget,
-    chunked,
-    share_poll,
-    queue_poll,
-):
-    """Worker process of the Budget and Stack-Stealing coordinations.
-
-    Pulls tasks and searches each with the search kernel
-    (:func:`~repro.core.kernel.search_subtree`).  Every ``share_poll``
-    nodes the kernel's poll hook checks the goal flag, decides whether
-    to give work away, and hands back the shared incumbent, read without
-    the lock; the lock is taken only to publish an improvement.
-
-    *When the stack is split* is what tells the two coordinations apart.
-    Budget (``budget`` is a node count) splits the lowest frame of the
-    live stack every ``budget`` nodes of a subtree into this worker's
-    own order-preserving :class:`~repro.runtime.workpool.Workpool`, and
-    when the subtree in hand ends the worker pops the next one from
-    that pool (deepest level first, the sequential order) and searches
-    it with a fresh budget counter; nothing goes through the pipe unless
-    ``hungry`` is raised, and then the shallowest level of the pool
-    does.  A task taken from ``task_q`` is therefore a *lease* — that
-    root and everything its holder ran from its pool — and
-    ``outstanding`` counts leases: it goes up by what is shipped and
-    down when a holder's pool runs dry.  Stack-Stealing (``budget`` is
-    None) keeps no pool and splits only while ``hungry`` is raised,
-    straight onto the queue.
-
-    ``hungry`` counts currently-starving workers: an idle worker
-    registers itself once and deregisters on its next successful
-    dequeue, so the counter never goes negative and a serviced request
-    cannot be double-claimed; the worst case is a harmless over-share
-    inside one poll window.  This is the (spawn-stack) rule with the
-    victim's poll standing in for the interrupt.
-    """
+def _worker_entry(
+    loop, spec_factory, factory_args, stype_factory, stype_args,
+    task_q, result_q, *args,
+) -> None:
+    """What every worker process does around its coordination's
+    ``loop``: rebuild the spec and the search type, and report a crash
+    instead of dying silently."""
     try:
         # Never block process exit on unflushed task-queue buffers: on
         # the normal path everything pushed has been consumed (the
         # outstanding counter cannot reach zero otherwise), and on the
         # goal path pending tasks are garbage anyway.
         task_q.cancel_join_thread()
-        spec = spec_factory(*factory_args)
-        stype = stype_factory(*stype_args)
-        enum = stype.kind == "enumeration"
-        best_raw = best.get_obj()  # lock-free reads (aligned 8-byte load)
-        best_lock = best.get_lock()
-        out_raw = outstanding.get_obj()
-        out_lock = outstanding.get_lock()
+        loop(
+            spec_factory(*factory_args), stype_factory(*stype_args),
+            task_q, result_q, *args,
+        )
+    except BaseException as exc:
+        result_q.put(("error", f"{type(exc).__name__}: {exc}"))
+
+
+@contextmanager
+def _worker_processes(
+    label: str, n_processes: int, loop: Callable, factories: tuple, args: tuple
+) -> Iterator[tuple]:
+    """The lifetime of one search's worker processes.
+
+    Starts ``n_processes`` of ``loop(spec, stype, task_q, result_q,
+    done_flag, *args)`` (through :func:`_worker_entry`, with the spec
+    and search type rebuilt from ``factories``) and yields ``(task_q,
+    messages)``: the queue the parent feeds, and an iterator over the
+    bodies of the ``("ok", body)`` messages the workers put on
+    ``result_q``.  Waiting for a message is also the crash watchdog: a
+    worker that reports ``("error", text)``, dies with a non-zero exit
+    code or exits without a word raises RuntimeError — its local
+    accumulator is unrecoverable, so completing would silently
+    undercount.
+
+    However the block is left, ``done_flag`` is raised, one sentinel per
+    worker is queued so that none sits out a ``queue_poll`` in
+    ``task_q.get``, and the processes are reaped (terminated first when
+    the block raised) before both queues are closed.
+    """
+    task_q: Queue = Queue()
+    result_q: Queue = Queue()
+    done_flag = Value("b", 0, lock=False)
+    procs = [
+        Process(
+            target=_worker_entry,
+            args=(loop, *factories, task_q, result_q, done_flag, *args),
+            daemon=True,
+        )
+        for _ in range(n_processes)
+    ]
+    for p in procs:
+        p.start()
+
+    def fail(error: str):
+        raise RuntimeError(f"{label} backend worker failed: {error}")
+
+    def messages() -> Iterator[Any]:
+        while True:
+            try:
+                tag, body = result_q.get(timeout=0.1)
+            except Empty:
+                crashed = [
+                    p.exitcode for p in procs if p.exitcode not in (None, 0)
+                ]
+                if crashed:
+                    fail(
+                        f"worker died with exit code {crashed[0]} before "
+                        "reporting results"
+                    )
+                if all(p.exitcode is not None for p in procs) and result_q.empty():
+                    fail("all workers exited without reporting results")
+                continue
+            if tag == "error":
+                fail(body)
+            yield body
+
+    failed = True
+    try:
+        yield task_q, messages()
+        failed = False
+    finally:
+        done_flag.value = 1
+        for p in procs:
+            if failed:
+                p.terminate()
+            task_q.put(None)
+        deadline = time.monotonic() + 5.0
+        for p in procs:
+            # A worker cannot exit while messages it has already sent
+            # sit unread in a full pipe (goal/error paths), so keep
+            # reading while it winds down.
+            while p.is_alive() and time.monotonic() < deadline:
+                _drain(result_q)
+                p.join(timeout=0.02)
+            if p.is_alive():
+                p.kill()
+                p.join(timeout=5.0)
+        # Likewise leftover tasks, for this side's feeder thread.
+        _drain(task_q)
+        # Drop anything the feeder thread flushes after the drain (the
+        # drain races it); joining a feeder blocked on the reader-less
+        # pipe would hang interpreter exit.
+        task_q.cancel_join_thread()
+        task_q.close()
+        result_q.close()
+
+
+# -- queue-based coordinations: Depth-Bounded, Budget, Stack-Stealing ---------
+
+
+def _sharing_worker_main(
+    spec, stype, task_q, result_q, done_flag,
+    outstanding, best, goal_flag, hungry, n_workers,
+    budget, chunked, share_poll, queue_poll,
+):
+    """Worker process of the queue-based coordinations.
+
+    Pulls ``(root, depth)`` tasks and runs each as a lease through
+    :func:`~repro.runtime.sharing.execute_lease`, which owns the
+    coordination — when the live stack is split, what is pooled, what
+    is given away (``budget`` a node count: Budget; None:
+    Stack-Stealing).  This function is its transport.  The incumbent is
+    the shared integer ``best``, read without the lock and locked only
+    to publish an improvement.  Work given away goes onto ``task_q``,
+    and ``outstanding`` counts leases: up by what is shipped, down when
+    a holder's lease ends; whoever brings it to zero raises
+    ``done_flag``.  ``goal_flag`` is raised by the worker that reaches a
+    decision target, and the others abandon their leases at the next
+    poll.  Either flag is followed by a sentinel per peer, so that a
+    worker idling in ``task_q.get`` leaves at once.
+
+    ``hungry`` counts currently-starving workers — the steal request of
+    these backends: an idle worker registers itself once and
+    deregisters on its next successful dequeue, so the counter never
+    goes negative and a serviced request cannot be double-claimed; the
+    worst case is a harmless over-share inside one poll window.  This
+    is the (spawn-stack) rule with the victim's poll standing in for
+    the interrupt.  Depth-Bounded passes no counter (None): nobody is
+    ever asked to share.
+    """
+    enum = stype.kind == "enumeration"
+    best_raw = best.get_obj()  # lock-free reads (aligned 8-byte load)
+    best_lock = best.get_lock()
+    out_raw = outstanding.get_obj()
+    out_lock = outstanding.get_lock()
+
+    # The accumulator (enumeration) or the best incumbent found in
+    # this process, witness included.
+    knowledge = stype.initial_knowledge(spec)
+    metrics = SearchMetrics()
+    pool = Workpool("depth")  # Budget's offcuts; stays empty otherwise
+    goal_hit = False
+    registered = False  # this worker's own entry in `hungry`
+
+    stealing = hungry is not None
+    if stealing:
         hungry_raw = hungry.get_obj()
         hungry_lock = hungry.get_lock()
-        split = split_lowest_inlined if chunked else split_one_inlined
 
-        # The accumulator (enumeration) or the best incumbent found in
-        # this process, witness included.
-        knowledge = stype.initial_knowledge(spec)
-        metrics = SearchMetrics()
-        pool = Workpool("depth")  # Budget's offcuts; stays empty otherwise
-        splits = shipped = tasks_run = 0
-        task_nodes = 0  # counted in share_poll quanta, drives Budget splits
-        root_depth = 0
-        goal_hit = False
-        leased = False  # a task_q item (and the pool it grew) is in hand
-        registered = False  # this worker's own entry in `hungry`
+    def demand() -> bool:
+        return stealing and hungry_raw.value > 0
 
-        def ship(nodes: list, depth: int) -> None:
-            nonlocal shipped
-            with out_lock:
-                out_raw.value += len(nodes)
-            for node in nodes:
-                task_q.put((node, depth))
-            shipped += len(nodes)
+    def ship(nodes: list, depth: int) -> None:
+        with out_lock:
+            out_raw.value += len(nodes)
+        for node in nodes:
+            task_q.put((node, depth))
+        metrics.steals += len(nodes)
 
-        def ship_pool_level() -> None:
-            level = pool.pop_shallowest()
-            ship([node for node, _ in level], level[0][1])
+    def publish(found: Incumbent) -> None:
+        with best_lock:
+            if found.value > best_raw.value:
+                best_raw.value = found.value
 
-        def on_poll(stack: list) -> Optional[int]:
-            nonlocal task_nodes, splits
-            if goal_flag.value:
-                raise _GoalElsewhere
-            if budget is None:
-                if hungry_raw.value > 0:
-                    offcuts, frame_index = split(stack)
-                    if offcuts:
-                        ship(offcuts, root_depth + frame_index + 1)
-                        splits += len(offcuts)
-            else:
-                task_nodes += share_poll
-                if task_nodes >= budget:
-                    task_nodes = 0
-                    offcuts, frame_index = split(stack)
-                    depth = root_depth + frame_index + 1
-                    for off in offcuts:
-                        pool.push((off, depth), depth)
-                    splits += len(offcuts)
-                if pool and hungry_raw.value > 0:
-                    ship_pool_level()
-            return None if enum else best_raw.value
+    def bound() -> int:
+        return best_raw.value
 
-        def on_improve(found: Incumbent) -> None:
-            nonlocal knowledge
-            knowledge = found
-            with best_lock:
-                if found.value > best_raw.value:
-                    best_raw.value = found.value
+    def goal_elsewhere() -> bool:
+        return bool(goal_flag.value)
 
-        while not (done_flag.value or goal_flag.value):
-            # Subtrees shorter than share_poll never reach the hook, so
-            # a starving peer is also looked for between subtrees.
-            if pool and hungry_raw.value > 0:
-                ship_pool_level()
-            task = pool.pop()
-            if task is None:
-                if leased:
-                    # The lease's pool ran dry: the lease is over.
-                    leased = False
-                    with out_lock:
-                        out_raw.value -= 1
-                        if out_raw.value == 0:
-                            done_flag.value = 1
-                    continue
-                try:
-                    task = task_q.get(timeout=queue_poll)
-                except Empty:
-                    if not registered:
-                        with hungry_lock:
-                            hungry_raw.value += 1
-                        registered = True
-                    continue
-                if registered:
-                    with hungry_lock:
-                        hungry_raw.value -= 1
-                    registered = False
-                leased = True
-            root, root_depth = task
-            tasks_run += 1
-            task_nodes = 0
-            if enum:
-                start = knowledge
-            else:
-                # Prune from the shared best (another worker may have
-                # published since); its witness lives with its finder.
-                seen = best_raw.value
-                start = knowledge if knowledge.value >= seen else Incumbent(seen, None)
-            try:
-                after, goal_hit, m = search_subtree(
-                    spec, stype, root, root_depth, start,
-                    poll=share_poll, on_poll=on_poll, on_improve=on_improve,
-                )
-            except _GoalElsewhere:
-                break
-            metrics.merge(m)
-            if enum:
-                knowledge = after
-            if goal_hit:
-                goal_flag.value = 1
-                break
+    def raise_flag(flag) -> None:
+        flag.value = 1
+        for _ in range(n_workers - 1):
+            task_q.put(None)
 
-        result_q.put(("ok", {
-            # An unpicklable witness degrades to the value alone.
-            "knowledge": knowledge if enum else (
-                knowledge.value, _sendable_witness(knowledge.node)
-            ),
-            "nodes": metrics.nodes,
-            "prunes": metrics.prunes,
-            "backtracks": metrics.backtracks,
-            "max_depth": metrics.max_depth,
-            "goal": goal_hit,
-            "splits": splits,
-            "shipped": shipped,
-            "tasks": tasks_run,
-        }))
-    except BaseException as exc:  # report crashes instead of dying silently
+    while not (done_flag.value or goal_flag.value):
         try:
-            result_q.put(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
+            task = task_q.get(timeout=queue_poll)
+        except Empty:
+            if stealing and not registered:
+                with hungry_lock:
+                    hungry_raw.value += 1
+                registered = True
+            continue
+        if task is None:
+            continue  # an end-of-job sentinel: the flag is up
+        if registered:
+            with hungry_lock:
+                hungry_raw.value -= 1
+            registered = False
+        lease = execute_lease(
+            spec, stype, *task, knowledge, pool,
+            budget=budget, chunked=chunked, poll=share_poll,
+            demand=demand, ship=ship, bound=bound, publish=publish,
+            should_abort=goal_elsewhere,
+        )
+        metrics.merge(lease.metrics)
+        knowledge = lease.knowledge
+        if lease.abandoned:
+            break
+        if lease.goal:
+            goal_hit = True
+            raise_flag(goal_flag)
+            break
+        with out_lock:
+            out_raw.value -= 1
+            last = out_raw.value == 0
+        if last:
+            raise_flag(done_flag)
+
+    if not enum:
+        # An unpicklable witness degrades to the value alone.
+        knowledge = Incumbent(knowledge.value, _sendable_witness(knowledge.node))
+    result_q.put(("ok", (knowledge, metrics, goal_hit)))
 
 
 def multiprocessing_budget_search(
@@ -698,9 +634,9 @@ def multiprocessing_budget_search(
     if share_poll < 1:
         raise ValueError("share_poll must be >= 1")
     return _sharing_search(
-        (budget, True, share_poll, queue_poll),
+        "budget", (budget, True, share_poll, queue_poll),
         spec_factory, factory_args, stype_factory, stype_args,
-        n_processes=n_processes, label="budget",
+        n_processes=n_processes,
     )
 
 
@@ -722,10 +658,10 @@ def multiprocessing_stacksteal_search(
     increments once and decrements when it next obtains work.  Busy
     workers poll that counter on their ``share_poll`` periodic duties
     and, seeing it raised, expose the lowest-depth frame of their live
-    generator stack: all remaining children there when ``chunked``
-    (:func:`~repro.core.tasks.split_lowest_inlined`), a single node
-    otherwise (:func:`~repro.core.tasks.split_one_inlined`), pushed to
-    the queue for the thief.  This is the paper's Stack-Stealing
+    generator stack: all remaining children there when ``chunked``, a
+    single node otherwise, pushed to the queue for the thief
+    (:func:`~repro.runtime.sharing.execute_lease` with no budget).
+    This is the paper's Stack-Stealing
     coordination with the victim's poll standing in for an interrupt:
     work moves only when somebody is starving, unlike Budget's
     unconditional splitting cadence.
@@ -737,13 +673,14 @@ def multiprocessing_stacksteal_search(
     if share_poll < 1:
         raise ValueError("share_poll must be >= 1")
     return _sharing_search(
-        (None, bool(chunked), share_poll, queue_poll),
+        "stacksteal", (None, bool(chunked), share_poll, queue_poll),
         spec_factory, factory_args, stype_factory, stype_args,
-        n_processes=n_processes, label="stacksteal",
+        n_processes=n_processes,
     )
 
 
 def _sharing_search(
+    label: str,
     sharing_args: tuple,
     spec_factory: Callable[..., Any],
     factory_args: tuple,
@@ -751,118 +688,68 @@ def _sharing_search(
     stype_args: tuple = (),
     *,
     n_processes: int = 2,
-    label: str = "budget",
+    d_cutoff: Optional[int] = None,
 ) -> SearchResult:
-    """Shared parent driver for the queue-based sharing coordinations.
+    """Shared parent driver for the queue-based coordinations.
 
-    Budget and Stack-Stealing differ only in *when a worker gives work
-    away*; everything around that — the shared incumbent, the
-    outstanding-task termination counter, crash detection, draining and
-    the result merge — is this function.  ``sharing_args`` is the
-    ``(budget, chunked, share_poll, queue_poll)`` tail of
-    :func:`_sharing_worker_main`'s arguments, ``budget`` None selecting
-    Stack-Stealing.  ``metrics.spawns`` is the number of subtrees split
-    off a stack, ``metrics.steals`` the number that crossed to another
-    worker through the queue: every one of them under Stack-Stealing,
-    only what a starving worker was shipped under Budget.
+    Depth-Bounded, Budget and Stack-Stealing differ only in *who splits
+    the tree and when*; everything around that — the task queue, the
+    shared incumbent, the outstanding-lease termination counter, crash
+    detection and the result merge — is this function.  With a
+    ``d_cutoff`` the parent cuts the depth-``d_cutoff`` frontier itself
+    and the workers only search what they pull; without one the whole
+    tree is the first task and the workers share it out, told how by
+    ``sharing_args``, the ``(budget, chunked, share_poll, queue_poll)``
+    tail of :func:`_sharing_worker_main`'s arguments (``budget`` None
+    selecting Stack-Stealing).  ``metrics.spawns`` is the number of
+    subtrees split off, by the parent or off a worker's stack;
+    ``metrics.steals`` the number a worker put on the queue: every one
+    of its offcuts under Stack-Stealing, only what a starving worker was
+    shipped under Budget.
     """
     if n_processes < 1:
         raise ValueError("need at least one process")
     spec = spec_factory(*factory_args)
     stype = stype_factory(*stype_args)
     started = time.perf_counter()
+    enum = stype.kind == "enumeration"
 
-    knowledge = stype.initial_knowledge(spec)
-    if stype.kind == "enumeration":
-        best_seed = 0  # unused: enumeration accumulators stay local
+    if d_cutoff is None:
+        tasks = [(spec.root, 0)]
+        knowledge = stype.initial_knowledge(spec)
+        metrics = SearchMetrics()
+        goal = False
     else:
-        best_seed = _checked_incumbent_seed(knowledge.value)
-    best = Value("q", best_seed)
-    goal_flag = Value("b", 0, lock=False)
-    done_flag = Value("b", 0, lock=False)
-    outstanding = Value("q", 1)  # tasks queued or being searched
-    hungry = Value("q", 0)  # workers waiting on an empty queue
-    task_q: Queue = Queue()
-    result_q: Queue = Queue()
-    task_q.put((spec.root, 0))
+        frontier = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
+        tasks = [(task.node, task.depth) for task in frontier.tasks]
+        knowledge, metrics, goal = frontier.knowledge, frontier.metrics, frontier.goal
+    if not enum:
+        _checked_incumbent_seed(knowledge.value)
 
-    procs = [
-        Process(
-            target=_sharing_worker_main,
-            args=(
-                spec_factory, factory_args, stype_factory, stype_args,
-                task_q, result_q, outstanding, best, goal_flag, done_flag,
-                hungry, *sharing_args,
-            ),
-            daemon=True,
+    if tasks and not goal:
+        shared = (
+            Value("q", len(tasks)),  # outstanding: leases queued or held
+            # Unused by an enumeration: its accumulators stay local.
+            Value("q", 0 if enum else knowledge.value),
+            Value("b", 0, lock=False),  # goal flag
+            # hungry: workers waiting on an empty queue
+            Value("q", 0) if d_cutoff is None else None,
         )
-        for _ in range(n_processes)
-    ]
-    for p in procs:
-        p.start()
-
-    payloads: list[dict] = []
-    error: Optional[str] = None
-    while len(payloads) < n_processes:
-        try:
-            tag, body = result_q.get(timeout=0.1)
-        except Empty:
-            crashed = [
-                p.exitcode for p in procs if p.exitcode not in (None, 0)
-            ]
-            if crashed:
-                error = (
-                    f"worker died with exit code {crashed[0]} before "
-                    "reporting results"
-                )
-                break
-            if all(p.exitcode is not None for p in procs) and result_q.empty():
-                error = "all workers exited without reporting results"
-                break
-            continue
-        if tag == "error":
-            error = body
-            break
-        payloads.append(body)
-
-    if error is not None:
-        done_flag.value = 1  # ask survivors to wind down
-        for p in procs:
-            p.terminate()
-    # Drain leftover tasks (goal/error paths) so worker feeder threads
-    # never block, then reap the processes.
-    _drain(task_q)
-    for p in procs:
-        p.join(timeout=5.0)
-        if p.is_alive():
-            p.kill()
-            p.join(timeout=5.0)
-    # The drain races the feeder thread: items still in its internal
-    # buffer can flush into the (now reader-less) pipe after the drain,
-    # and interpreter exit would join that blocked feeder forever.
-    # Leftover tasks are garbage at this point, so drop them.
-    task_q.cancel_join_thread()
-    task_q.close()
-    result_q.close()
-    if error is not None:
-        raise RuntimeError(f"{label} backend worker failed: {error}")
-
-    metrics = SearchMetrics()
-    goal = False
-    for body in payloads:
-        metrics.nodes += body["nodes"]
-        metrics.prunes += body["prunes"]
-        metrics.backtracks += body["backtracks"]
-        metrics.spawns += body["splits"]
-        metrics.steals += body["shipped"]
-        metrics.max_depth = max(metrics.max_depth, body["max_depth"])
-        goal = goal or body["goal"]
-        if stype.kind == "enumeration":
-            knowledge = stype.combine(knowledge, body["knowledge"])
-        else:
-            # The witness is None when it could not be pickled; the
-            # value still counts.
-            knowledge = stype.combine(knowledge, Incumbent(*body["knowledge"]))
+        with _worker_processes(
+            label, n_processes, _sharing_worker_main,
+            (spec_factory, factory_args, stype_factory, stype_args),
+            (*shared, n_processes, *sharing_args),
+        ) as (task_q, messages):
+            for task in tasks:
+                task_q.put(task)
+            # One report per worker: what it found (a witness that
+            # could not be pickled is None; the value still counts),
+            # its summed counters, and whether it reached the goal.
+            for _ in range(n_processes):
+                found, counters, goal_here = next(messages)
+                knowledge = stype.combine(knowledge, found)
+                metrics.merge(counters)
+                goal = goal or goal_here
     metrics.weighted_nodes = metrics.nodes
     return SearchResult.from_knowledge(
         stype, knowledge, goal, metrics,
@@ -874,16 +761,7 @@ def _sharing_search(
 
 
 def _ordered_worker_main(
-    spec_factory,
-    factory_args,
-    stype_factory,
-    stype_args,
-    task_q,
-    result_q,
-    best,
-    done_flag,
-    share_poll,
-    queue_poll,
+    spec, stype, task_q, result_q, done_flag, best, share_poll, queue_poll
 ):
     """Worker process for the Ordered coordination: runs of atomic tasks.
 
@@ -896,44 +774,38 @@ def _ordered_worker_main(
     parent's ledger alone, which re-issues whatever ran from a bound
     that turns out wrong.
     """
-    try:
-        task_q.cancel_join_thread()
-        spec = spec_factory(*factory_args)
-        stype = stype_factory(*stype_args)
-        best_raw = best.get_obj()  # lock-free read (parent is sole writer)
+    best_raw = best.get_obj()  # lock-free read (parent is sole writer)
 
-        def published() -> int:
-            return best_raw.value
+    def published() -> int:
+        return best_raw.value
 
-        def aborted() -> bool:
-            return bool(done_flag.value)
+    def aborted() -> bool:
+        return bool(done_flag.value)
 
-        def flush(records: list, done: bool) -> None:
-            for record in records:
-                # Keep the value (it drives bound enforcement) even if
-                # the witness cannot travel.
-                if record.get("node") is not None:
-                    record["node"] = _sendable_witness(record["node"])
-            result_q.put(("ok", records, done))
+    def flush(records: list, done: bool) -> None:
+        for record in records:
+            # Keep the value (it drives bound enforcement) even if
+            # the witness cannot travel.
+            if record.get("node") is not None:
+                record["node"] = _sendable_witness(record["node"])
+        result_q.put(("ok", (records, done)))
 
-        while not done_flag.value:
-            try:
-                lease = task_q.get(timeout=queue_poll)
-            except Empty:
-                continue
-            if done_flag.value:
-                break  # woken by the parent's end-of-job sentinel
-            first, roots, bound = lease
-            finished = execute_run(
-                spec, stype,
-                [(first + i, root, depth) for i, (root, depth) in enumerate(roots)],
-                bound, flush,
-                published=published, should_abort=aborted, poll=share_poll,
-            )
-            if not finished:
-                break  # asked to wind down mid-run
-    except BaseException as exc:  # report crashes instead of dying silently
-        result_q.put(("error", f"{type(exc).__name__}: {exc}", True))
+    while not done_flag.value:
+        try:
+            lease = task_q.get(timeout=queue_poll)
+        except Empty:
+            continue
+        if done_flag.value:
+            break  # woken by the parent's end-of-job sentinel
+        first, roots, bound = lease
+        finished = execute_run(
+            spec, stype,
+            [(first + i, root, depth) for i, (root, depth) in enumerate(roots)],
+            bound, flush,
+            published=published, should_abort=aborted, poll=share_poll,
+        )
+        if not finished:
+            break  # asked to wind down mid-run
 
 
 def multiprocessing_ordered_search(
@@ -982,88 +854,28 @@ def multiprocessing_ordered_search(
     if not enum:
         _checked_incumbent_seed(frontier.knowledge.value)
 
-    error: Optional[str] = None
     if not ledger.finished:
         policy = OrderedRunPolicy(ledger)
         tasks = frontier.tasks
         best = Value("q", 0 if enum else frontier.knowledge.value)
-        done_flag = Value("b", 0, lock=False)
-        task_q: Queue = Queue()
-        result_q: Queue = Queue()
-
-        procs = [
-            Process(
-                target=_ordered_worker_main,
-                args=(
-                    spec_factory, factory_args, stype_factory, stype_args,
-                    task_q, result_q, best, done_flag, share_poll, queue_poll,
-                ),
-                daemon=True,
-            )
-            for _ in range(n_processes)
-        ]
-        for p in procs:
-            p.start()
-
-        while not ledger.finished:
-            while (run := policy.lease(n_processes)) is not None:
-                task_q.put((
-                    run.first,
-                    [(t.node, t.depth)
-                     for t in tasks[run.first:run.first + run.count]],
-                    run.bound,
-                ))
-            try:
-                tag, body, run_done = result_q.get(timeout=0.1)
-            except Empty:
-                crashed = [
-                    p.exitcode for p in procs if p.exitcode not in (None, 0)
-                ]
-                if crashed:
-                    error = (
-                        f"worker died with exit code {crashed[0]} before "
-                        "reporting results"
-                    )
-                    break
-                if all(p.exitcode is not None for p in procs) and result_q.empty():
-                    error = "all workers exited without reporting results"
-                    break
-                continue
-            if tag == "error":
-                error = body
-                break
-            if policy.accept(body, run_done):
-                # The finalised-prefix best moved: publish it for the
-                # workers' speculation (this parent is the only writer).
-                best.value = ledger.required_bound()
-
-        done_flag.value = 1  # normal completion and error paths alike
-        if error is not None:
-            for p in procs:
-                p.terminate()
-        for _ in procs:
-            task_q.put(None)  # wake workers idling in get() at once
-        deadline = time.monotonic() + 5.0
-        for p in procs:
-            # A worker cannot exit while records it has already sent sit
-            # unread in a full pipe (goal/error paths), so keep reading
-            # while it winds down.
-            while p.is_alive() and time.monotonic() < deadline:
-                _drain(result_q)
-                p.join(timeout=0.02)
-            if p.is_alive():
-                p.kill()
-                p.join(timeout=5.0)
-        # Likewise leftover leases, for this side's feeder thread.
-        _drain(task_q)
-        # Drop anything the feeder thread flushes after the drain (the
-        # drain races it); joining a feeder blocked on the reader-less
-        # pipe would hang interpreter exit.
-        task_q.cancel_join_thread()
-        task_q.close()
-        result_q.close()
-    if error is not None:
-        raise RuntimeError(f"ordered backend worker failed: {error}")
+        with _worker_processes(
+            "ordered", n_processes, _ordered_worker_main,
+            (spec_factory, factory_args, stype_factory, stype_args),
+            (best, share_poll, queue_poll),
+        ) as (task_q, messages):
+            while not ledger.finished:
+                while (run := policy.lease(n_processes)) is not None:
+                    task_q.put((
+                        run.first,
+                        [(t.node, t.depth)
+                         for t in tasks[run.first:run.first + run.count]],
+                        run.bound,
+                    ))
+                records, run_done = next(messages)
+                if policy.accept(records, run_done):
+                    # The finalised-prefix best moved: publish it for the
+                    # workers' speculation (this parent is the only writer).
+                    best.value = ledger.required_bound()
 
     knowledge = ledger.knowledge
     metrics = ledger.metrics
@@ -1084,36 +896,26 @@ def run_with_processes(
     """Dispatch a skeleton run onto the real-process backends.
 
     Entry point for ``SkeletonParams(backend="processes")``: maps the
-    coordination name onto the matching ``multiprocessing_*`` function,
-    shipping the search type by ``(kind, kwargs)`` payload (standard
-    types only — see :func:`_stype_payload`).
+    coordination name onto the matching ``multiprocessing_*`` function
+    and the knobs it takes from ``params``, shipping the search type by
+    ``(kind, kwargs)`` payload (standard types only — see
+    :func:`_stype_payload`).
     """
-    kind, kwargs = _stype_payload(stype)
-    if coordination == "depthbounded":
-        return multiprocessing_depthbounded_search(
-            spec_factory, factory_args, make_stype, (kind, kwargs),
-            n_processes=params.n_processes, d_cutoff=params.d_cutoff,
+    backends = {
+        "depthbounded": (multiprocessing_depthbounded_search, ("d_cutoff",)),
+        "budget": (multiprocessing_budget_search, ("budget", "share_poll")),
+        "stacksteal": (multiprocessing_stacksteal_search, ("chunked", "share_poll")),
+        "ordered": (multiprocessing_ordered_search, ("d_cutoff", "share_poll")),
+    }
+    if coordination not in backends:
+        raise ValueError(
+            f"the processes backend implements the 'depthbounded', 'budget', "
+            f"'stacksteal' and 'ordered' coordinations, not {coordination!r}; "
+            "use backend='sim' for the rest"
         )
-    if coordination == "budget":
-        return multiprocessing_budget_search(
-            spec_factory, factory_args, make_stype, (kind, kwargs),
-            n_processes=params.n_processes, budget=params.budget,
-            share_poll=params.share_poll,
-        )
-    if coordination == "stacksteal":
-        return multiprocessing_stacksteal_search(
-            spec_factory, factory_args, make_stype, (kind, kwargs),
-            n_processes=params.n_processes, chunked=params.chunked,
-            share_poll=params.share_poll,
-        )
-    if coordination == "ordered":
-        return multiprocessing_ordered_search(
-            spec_factory, factory_args, make_stype, (kind, kwargs),
-            n_processes=params.n_processes, d_cutoff=params.d_cutoff,
-            share_poll=params.share_poll,
-        )
-    raise ValueError(
-        f"the processes backend implements the 'depthbounded', 'budget', "
-        f"'stacksteal' and 'ordered' coordinations, not {coordination!r}; "
-        "use backend='sim' for the rest"
+    search, knobs = backends[coordination]
+    return search(
+        spec_factory, factory_args, make_stype, _stype_payload(stype),
+        n_processes=params.n_processes,
+        **{knob: getattr(params, knob) for knob in knobs},
     )

@@ -133,15 +133,12 @@ class InProcessBackend:
         """Sequential search via the search kernel, checking the
         deadline and cancel event every ``_CHECK_EVERY`` nodes and
         reporting incumbent improvements through ``job.on_incumbent``."""
-        from repro.core.searchtypes import make_search_type
-        from repro.instances.library import spec_for
+        from repro.instances.library import resolve_job
 
         spec = job.spec
-        search_spec, default_type, default_kwargs = spec_for(spec.instance)
-        stype_name = spec.search_type or default_type
-        kwargs = dict(default_kwargs) if stype_name == default_type else {}
-        kwargs.update(spec.stype_kwargs)
-        stype = make_search_type(stype_name, **kwargs)
+        search_spec, stype = resolve_job(
+            spec.instance, spec.search_type, spec.stype_kwargs
+        )
 
         def check(stack: list) -> None:
             if cancel is not None and cancel.is_set():

@@ -43,15 +43,14 @@ class FakeWorker:
 
     By default it offers no ``codecs`` in HELLO, so the coordinator
     negotiates JSON for it; pass ``codecs=["binary", "json"]`` to get
-    binary frames back (reads auto-detect either way).  A v2
+    binary frames back (reads auto-detect either way).  The
     coordinator sends batched TASK frames — ``recv`` decomposes each
     ``leases`` batch into the classic single-lease shape so scripted
     tests keep addressing one task at a time; ``recv_raw`` returns
     frames as they actually arrived.
     """
 
-    def __init__(self, host, port, name="fake", slots=1, codecs=None,
-                 version=None):
+    def __init__(self, host, port, name="fake", slots=1, codecs=None):
         self.sock = socket.create_connection((host, port), timeout=5.0)
         self.sock.settimeout(5.0)
         self._lock = threading.Lock()
@@ -60,8 +59,7 @@ class FakeWorker:
         self._closed = threading.Event()
         self._pending = deque()
         self._send_codec = None
-        hello = {"type": P.HELLO,
-                 "version": P.PROTOCOL_VERSION if version is None else version,
+        hello = {"type": P.HELLO, "version": P.PROTOCOL_VERSION,
                  "name": name, "slots": slots}
         if codecs is not None:
             hello["codecs"] = codecs
@@ -166,6 +164,21 @@ class FakeWorker:
             self.sock.close()
         except OSError:
             pass
+
+
+def refused_hello(address, version):
+    """Every frame a HELLO with ``version`` (None: no version field) is
+    answered with before the coordinator closes the connection."""
+    hello = {"type": P.HELLO, "name": "down-level", "slots": 1}
+    if version is not None:
+        hello["version"] = version
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.settimeout(5.0)
+        sock.sendall(P.frame_bytes(hello))
+        frames = []
+        while (msg := P.read_frame(sock)) is not None:
+            frames.append(msg)
+        return frames
 
 
 @pytest.fixture
@@ -468,31 +481,22 @@ class TestBatching:
             w1.close()
             w2.close()
 
-    def test_budget_job_skips_down_level_peers(self, handle):
-        # A budget lease is its root and its holder's whole pool, shared
-        # on STEAL — which only a v3 peer can answer.  Down-level peers
-        # may connect (JSON for a v1 peer) but are leased nothing.
-        w1 = FakeWorker(*handle.address, name="v1", version=1, slots=2)
-        w2 = FakeWorker(*handle.address, name="v2", version=2, slots=2)
+    def test_down_level_hello_is_refused(self, handle):
+        # One protocol version: every coordination needs run leases or
+        # STEAL, so a HELLO with any other version gets ERROR and a
+        # closed connection — it is never admitted, let alone leased.
+        for version in (1, 2, None):
+            frames = refused_hello(handle.address, version)
+            assert [m["type"] for m in frames] == [P.ERROR]
+            assert str(P.PROTOCOL_VERSION) in frames[0]["reason"]
         w3 = FakeWorker(*handle.address, name="v3")
         try:
-            assert w1.codec in (None, "json")
             fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
-            root = w3.recv(P.TASK)
-            w3.send(offcut_frame(root, [(1,), (2,)]))
-            w1.assert_no_frame(P.TASK, within=0.3)
-            w2.assert_no_frame(P.TASK, within=0.3)
-            # Idle down-level peers are not thieves either.
-            w3.assert_no_frame(P.STEAL, within=0.3)
-            w3.send(result_frame(root, knowledge=1))
-            for value in (10, 100):
-                w3.send(result_frame(w3.recv(P.TASK), knowledge=value))
+            w3.send(result_frame(w3.recv(P.TASK), knowledge=1))
             res = fut.result(timeout=10)
-            assert res.value == 111
+            assert res.value == 1
             assert res.workers == 1
         finally:
-            w1.close()
-            w2.close()
             w3.close()
 
     def test_binary_codec_negotiated_end_to_end(self, handle):

@@ -24,6 +24,7 @@ from tests.cluster.test_coordinator import (
     ENUM_PAYLOAD,
     OPT_PAYLOAD,
     FakeWorker,
+    refused_hello,
     result_frame,
 )
 
@@ -130,23 +131,21 @@ class TestStealMediation:
             w1.close()
             w2.close()
 
-    def test_old_protocol_peers_are_never_victims_or_thieves(self, handle):
+    def test_refused_peer_is_never_victim_or_thief(self, handle):
         # A v2 peer cannot answer STEAL or run coordination-aware
-        # leases, so for a stacksteal job it is invisible: not a lease
-        # target, not a victim, and its idleness must not trigger
-        # steals it could never consume.
-        w_old = FakeWorker(*handle.address, name="v2-peer", version=2)
+        # leases; it is refused at HELLO, so for a stacksteal job it
+        # does not exist: the root goes to the first real worker even
+        # though the v2 peer knocked first, and the steal is mediated
+        # between the two admitted peers.
+        frames = refused_hello(handle.address, 2)
+        assert [m["type"] for m in frames] == [P.ERROR]
         w_victim = FakeWorker(*handle.address, name="v3-victim")
         w_thief = FakeWorker(*handle.address, name="v3-thief")
         try:
             fut = handle.run_job_future(STEAL_ENUM, timeout=10)
-            # Only v3 peers are eligible: the root skips the v2 peer
-            # even though it connected first.
             root = w_victim.recv(P.TASK)
-            w_old.assert_no_frame(P.STEAL, within=0.4)
-            w_victim.recv(P.STEAL)  # on behalf of the idle v3 thief
+            w_victim.recv(P.STEAL)  # on behalf of the idle thief
             w_victim.send(stolen_frame(root, [(4,)]))
-            w_old.assert_no_frame(P.TASK, within=0.4)
             t2 = w_thief.recv(P.TASK)
             assert P.decode_node(t2["node"]) == (4,)
             w_victim.send(result_frame(root, knowledge=1))
@@ -155,7 +154,6 @@ class TestStealMediation:
             assert res.value == 11
             assert res.workers == 2
         finally:
-            w_old.close()
             w_victim.close()
             w_thief.close()
 

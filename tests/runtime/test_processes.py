@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.core.ordered import ordered_frontier
 from repro.core.searchtypes import Decision, Enumeration, Optimisation
 from repro.core.sequential import sequential_search
 from repro.runtime.processes import (
@@ -113,6 +114,40 @@ class TestCorrectness:
         assert res.wall_time is not None
 
 
+class TestCutoffDepth:
+    """``d_cutoff`` is the depth the parent cuts the tree at: the tasks
+    are the frontier :func:`ordered_frontier` numbers, whatever the
+    depth.  (Draining only the root task cut at depth 1 whatever the
+    knob said — 30 tasks on this clique and a single one on this UTS
+    tree at every cutoff — which value and node count cannot see.)"""
+
+    @pytest.mark.parametrize("d_cutoff, tasks", [(1, 30), (2, 219), (3, 514)])
+    def test_optimisation_spawns_the_whole_frontier(self, d_cutoff, tasks):
+        args = (30, 0.5, 7)
+        spec = clique_spec_factory(*args)
+        frontier = ordered_frontier(spec, Optimisation(), d_cutoff=d_cutoff)
+        res = multiprocessing_depthbounded_search(
+            clique_spec_factory, args, optimisation_factory,
+            n_processes=2, d_cutoff=d_cutoff,
+        )
+        assert res.metrics.spawns == len(frontier.tasks) == tasks
+        assert res.value == sequential_search(spec, Optimisation()).value
+
+    @pytest.mark.parametrize("d_cutoff, tasks", [(1, 1), (2, 9), (3, 66)])
+    def test_enumeration_spawns_the_whole_frontier(self, d_cutoff, tasks):
+        args = (4.0, 6, 439092716)
+        spec = uts_spec_factory(*args)
+        seq = sequential_search(spec, Enumeration())
+        frontier = ordered_frontier(spec, Enumeration(), d_cutoff=d_cutoff)
+        res = multiprocessing_depthbounded_search(
+            uts_spec_factory, args, enumeration_factory,
+            n_processes=2, d_cutoff=d_cutoff,
+        )
+        assert res.metrics.spawns == len(frontier.tasks) == tasks
+        assert res.value == seq.value
+        assert res.metrics.nodes == seq.metrics.nodes
+
+
 def singleton_spec_factory():
     """A one-node tree: the depth-d frontier is empty."""
     from tests.conftest import make_toy_spec
@@ -158,7 +193,7 @@ def exploding_spec_factory():
 class TestEdgeCases:
     def test_trivial_root_no_frontier(self):
         # A single-node tree spawns no tasks: the search completes in the
-        # parent and the pool is never started.
+        # parent and no worker is started.
         seq = sequential_search(singleton_spec_factory(), Optimisation())
         res = multiprocessing_depthbounded_search(
             singleton_spec_factory, (), optimisation_factory,
