@@ -11,7 +11,13 @@ kernel's poll hook does with the live generator stack, and that is
 written once per coordination, outside this module:
 :func:`~repro.runtime.sharing.execute_lease` for the first three below,
 :func:`~repro.core.ordered.execute_run` for the last.  What is here is
-the transport: queues, shared integers, process lifetimes.
+the transport: queues and shared integers.  The processes belong to
+one warm fleet (:mod:`repro.runtime.fleet`, ``FLEET`` below): the first
+search of a process forks its workers, every later one engages them
+with a message each, and they stop when the process exits (or at
+``FLEET.close()``).  One search runs on the fleet at a time — a second
+caller waits its turn — and a search that loses a worker raises
+RuntimeError and stops the fleet; the next search starts a fresh one.
 
 - :func:`multiprocessing_depthbounded_search` — **static** splitting:
   the parent cuts the depth-``d`` frontier
@@ -32,20 +38,23 @@ the transport: queues, shared integers, process lifetimes.
 
 Because ``SearchSpec`` objects contain closures (not picklable), every
 backend takes a *spec factory* — a top-level callable plus picklable
-arguments — and rebuilds the spec once per worker process.  Incumbent
-knowledge is shared through a shared 64-bit integer holding the best
-objective value: workers seed their pruning from it, read it lock-free
-on a fixed node cadence, and take the lock only to publish improvements
-— the multi-process analogue of the simulator's delayed bound broadcast
-(stale reads only cost pruning, §4.3).  Sharing an objective through a
-signed integer seeded at 0 requires objectives to be non-negative ints;
-every backend validates that at launch (see
+arguments — which travels to the workers pickled; each rebuilds the
+spec from it and keeps it while the next search names the same one.
+Incumbent knowledge is shared through a shared 64-bit integer holding
+the best objective value: workers seed their pruning from it, read it
+lock-free on a fixed node cadence, and take the lock only to publish
+improvements — the multi-process analogue of the simulator's delayed
+bound broadcast (stale reads only cost pruning, §4.3).  Sharing an
+objective through a signed integer seeded at 0 requires objectives to
+be non-negative ints; every backend validates that at launch (see
 :func:`_checked_incumbent_seed`).
 
 Remaining limitations, stated plainly: witness nodes travel back by
-pickling, and per-task process overhead means small searches are faster
-sequentially.  The simulator remains the instrument for studying
-coordination at scale.
+pickling, and even on a warm fleet a search pays about a millisecond of
+messages and queue wake-ups before a node is expanded and work reaches
+a second worker only at the first worker's next poll, so a tree of a
+few thousand nodes is still no faster than sequentially.  The simulator
+remains the instrument for studying coordination at scale.
 """
 
 from __future__ import annotations
@@ -53,10 +62,9 @@ from __future__ import annotations
 import pickle
 import signal
 import time
-from contextlib import contextmanager
-from multiprocessing import Pipe, Process, Queue, Value
+from multiprocessing import Pipe, Process
 from queue import Empty
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.ordered import (
     OrderedLedger,
@@ -67,6 +75,7 @@ from repro.core.ordered import (
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchMetrics, SearchResult, result_from_dict
 from repro.core.searchtypes import Incumbent, SearchType
+from repro.runtime.fleet import ProcessFleet, Wires, graceful_stop
 from repro.runtime.sharing import execute_lease
 from repro.runtime.workpool import Workpool
 
@@ -83,22 +92,9 @@ __all__ = [
 ]
 
 
-def graceful_stop(proc, *, grace: float = 5.0) -> None:
-    """Stop a child process: SIGTERM, wait up to ``grace``, then SIGKILL.
-
-    The graduated escalation gives a cooperating child (one whose main
-    thread handles SIGTERM — see :func:`_job_process_main` and the
-    cluster worker) a window to flush its final message and close its
-    pipes cleanly, while still guaranteeing death for a child that is
-    wedged or blocking the signal.  Used by the job-subprocess
-    cancellation path and by cluster worker fan-out shutdown.
-    """
-    if proc.is_alive():
-        proc.terminate()  # SIGTERM on POSIX
-        proc.join(timeout=grace)
-    if proc.is_alive():
-        proc.kill()  # SIGKILL: non-negotiable
-        proc.join(timeout=grace)
+# Every search of this process runs on these workers (started by the
+# first one that needs any, see :mod:`repro.runtime.fleet`).
+FLEET = ProcessFleet()
 
 
 def run_library_search(
@@ -194,7 +190,9 @@ def run_job_in_subprocess(
         ("crash", message)     child raised or died (exit code in message)
     """
     parent_conn, child_conn = Pipe(duplex=False)
-    proc = Process(target=_job_process_main, args=(child_conn, payload), daemon=True)
+    # Not daemonic: a job whose params select the processes backend
+    # starts worker processes of its own, which a daemon may not.
+    proc = Process(target=_job_process_main, args=(child_conn, payload))
     proc.start()
     child_conn.close()
     deadline = None if timeout is None else time.monotonic() + timeout
@@ -320,15 +318,6 @@ def _sendable_witness(node: Any) -> Any:
     return node
 
 
-def _drain(q) -> None:
-    """Discard whatever is readable on a ``multiprocessing.Queue``."""
-    while True:
-        try:
-            q.get_nowait()
-        except (Empty, OSError, EOFError):
-            return
-
-
 def make_stype(kind: str, kwargs: dict) -> SearchType:
     """Top-level (picklable) search-type factory used by the backends."""
     from repro.core.searchtypes import make_search_type
@@ -359,168 +348,56 @@ def _stype_payload(stype: SearchType) -> tuple[str, dict]:
     )
 
 
-def _worker_entry(
-    loop, spec_factory, factory_args, stype_factory, stype_args,
-    task_q, result_q, *args,
-) -> None:
-    """What every worker process does around its coordination's
-    ``loop``: rebuild the spec and the search type, and report a crash
-    instead of dying silently."""
-    try:
-        # Never block process exit on unflushed task-queue buffers: on
-        # the normal path everything pushed has been consumed (the
-        # outstanding counter cannot reach zero otherwise), and on the
-        # goal path pending tasks are garbage anyway.
-        task_q.cancel_join_thread()
-        loop(
-            spec_factory(*factory_args), stype_factory(*stype_args),
-            task_q, result_q, *args,
-        )
-    except BaseException as exc:
-        result_q.put(("error", f"{type(exc).__name__}: {exc}"))
-
-
-@contextmanager
-def _worker_processes(
-    label: str, n_processes: int, loop: Callable, factories: tuple, args: tuple
-) -> Iterator[tuple]:
-    """The lifetime of one search's worker processes.
-
-    Starts ``n_processes`` of ``loop(spec, stype, task_q, result_q,
-    done_flag, *args)`` (through :func:`_worker_entry`, with the spec
-    and search type rebuilt from ``factories``) and yields ``(task_q,
-    messages)``: the queue the parent feeds, and an iterator over the
-    bodies of the ``("ok", body)`` messages the workers put on
-    ``result_q``.  Waiting for a message is also the crash watchdog: a
-    worker that reports ``("error", text)``, dies with a non-zero exit
-    code or exits without a word raises RuntimeError — its local
-    accumulator is unrecoverable, so completing would silently
-    undercount.
-
-    However the block is left, ``done_flag`` is raised, one sentinel per
-    worker is queued so that none sits out a ``queue_poll`` in
-    ``task_q.get``, and the processes are reaped (terminated first when
-    the block raised) before both queues are closed.
-    """
-    task_q: Queue = Queue()
-    result_q: Queue = Queue()
-    done_flag = Value("b", 0, lock=False)
-    procs = [
-        Process(
-            target=_worker_entry,
-            args=(loop, *factories, task_q, result_q, done_flag, *args),
-            daemon=True,
-        )
-        for _ in range(n_processes)
-    ]
-    for p in procs:
-        p.start()
-
-    def fail(error: str):
-        raise RuntimeError(f"{label} backend worker failed: {error}")
-
-    def messages() -> Iterator[Any]:
-        while True:
-            try:
-                tag, body = result_q.get(timeout=0.1)
-            except Empty:
-                crashed = [
-                    p.exitcode for p in procs if p.exitcode not in (None, 0)
-                ]
-                if crashed:
-                    fail(
-                        f"worker died with exit code {crashed[0]} before "
-                        "reporting results"
-                    )
-                if all(p.exitcode is not None for p in procs) and result_q.empty():
-                    fail("all workers exited without reporting results")
-                continue
-            if tag == "error":
-                fail(body)
-            yield body
-
-    failed = True
-    try:
-        yield task_q, messages()
-        failed = False
-    finally:
-        done_flag.value = 1
-        for p in procs:
-            if failed:
-                p.terminate()
-            task_q.put(None)
-        deadline = time.monotonic() + 5.0
-        for p in procs:
-            # A worker cannot exit while messages it has already sent
-            # sit unread in a full pipe (goal/error paths), so keep
-            # reading while it winds down.
-            while p.is_alive() and time.monotonic() < deadline:
-                _drain(result_q)
-                p.join(timeout=0.02)
-            if p.is_alive():
-                p.kill()
-                p.join(timeout=5.0)
-        # Likewise leftover tasks, for this side's feeder thread.
-        _drain(task_q)
-        # Drop anything the feeder thread flushes after the drain (the
-        # drain races it); joining a feeder blocked on the reader-less
-        # pipe would hang interpreter exit.
-        task_q.cancel_join_thread()
-        task_q.close()
-        result_q.close()
-
-
 # -- queue-based coordinations: Depth-Bounded, Budget, Stack-Stealing ---------
 
 
 def _sharing_worker_main(
-    spec, stype, task_q, result_q, done_flag,
-    outstanding, best, goal_flag, hungry, n_workers,
-    budget, chunked, share_poll, queue_poll,
+    spec, stype, wires: Wires, epoch: int, n_workers,
+    budget, chunked, share_poll, queue_poll, stealing,
 ):
-    """Worker process of the queue-based coordinations.
+    """One job of a fleet worker on the queue-based coordinations.
 
-    Pulls ``(root, depth)`` tasks and runs each as a lease through
-    :func:`~repro.runtime.sharing.execute_lease`, which owns the
+    Pulls ``(epoch, root, depth)`` tasks and runs each as a lease
+    through :func:`~repro.runtime.sharing.execute_lease`, which owns the
     coordination — when the live stack is split, what is pooled, what
     is given away (``budget`` a node count: Budget; None:
     Stack-Stealing).  This function is its transport.  The incumbent is
     the shared integer ``best``, read without the lock and locked only
     to publish an improvement.  Work given away goes onto ``task_q``,
     and ``outstanding`` counts leases: up by what is shipped, down when
-    a holder's lease ends; whoever brings it to zero raises
-    ``done_flag``.  ``goal_flag`` is raised by the worker that reaches a
-    decision target, and the others abandon their leases at the next
-    poll.  Either flag is followed by a sentinel per peer, so that a
-    worker idling in ``task_q.get`` leaves at once.
+    a holder's lease ends; whoever brings it to zero raises ``done``.
+    ``goal`` is raised by the worker that reaches a decision target,
+    and the others abandon their leases at the next poll.  Either flag
+    is followed by a sentinel per peer, so that a worker idling in
+    ``task_q.get`` leaves at once.  Whatever an earlier job left on the
+    queue carries another epoch and is dropped.
 
     ``hungry`` counts currently-starving workers — the steal request of
-    these backends: an idle worker registers itself once and
-    deregisters on its next successful dequeue, so the counter never
-    goes negative and a serviced request cannot be double-claimed; the
-    worst case is a harmless over-share inside one poll window.  This
-    is the (spawn-stack) rule with the victim's poll standing in for
-    the interrupt.  Depth-Bounded passes no counter (None): nobody is
-    ever asked to share.
+    these backends: a worker that finds the queue empty registers
+    itself once, before it blocks, and deregisters on its next
+    successful dequeue, so the counter never goes negative and a
+    serviced request cannot be double-claimed; the worst case is a
+    harmless over-share inside one poll window.  This is the
+    (spawn-stack) rule with the victim's poll standing in for the
+    interrupt.  Depth-Bounded is not ``stealing``: nobody is ever asked
+    to share.
     """
+    task_q, done_flag, goal_flag = wires.task_q, wires.done, wires.goal
     enum = stype.kind == "enumeration"
-    best_raw = best.get_obj()  # lock-free reads (aligned 8-byte load)
-    best_lock = best.get_lock()
-    out_raw = outstanding.get_obj()
-    out_lock = outstanding.get_lock()
+    best_raw = wires.best.get_obj()  # lock-free reads (aligned 8-byte load)
+    best_lock = wires.best.get_lock()
+    out_raw = wires.outstanding.get_obj()
+    out_lock = wires.outstanding.get_lock()
+    hungry_raw = wires.hungry.get_obj()
+    hungry_lock = wires.hungry.get_lock()
 
     # The accumulator (enumeration) or the best incumbent found in
-    # this process, witness included.
+    # this job, witness included.
     knowledge = stype.initial_knowledge(spec)
     metrics = SearchMetrics()
     pool = Workpool("depth")  # Budget's offcuts; stays empty otherwise
     goal_hit = False
     registered = False  # this worker's own entry in `hungry`
-
-    stealing = hungry is not None
-    if stealing:
-        hungry_raw = hungry.get_obj()
-        hungry_lock = hungry.get_lock()
 
     def demand() -> bool:
         return stealing and hungry_raw.value > 0
@@ -529,7 +406,7 @@ def _sharing_worker_main(
         with out_lock:
             out_raw.value += len(nodes)
         for node in nodes:
-            task_q.put((node, depth))
+            task_q.put((epoch, node, depth))
         metrics.steals += len(nodes)
 
     def publish(found: Incumbent) -> None:
@@ -546,25 +423,27 @@ def _sharing_worker_main(
     def raise_flag(flag) -> None:
         flag.value = 1
         for _ in range(n_workers - 1):
-            task_q.put(None)
+            task_q.put((epoch,))
 
     while not (done_flag.value or goal_flag.value):
         try:
-            task = task_q.get(timeout=queue_poll)
+            # The first look must not wait: a starving worker says so
+            # now, not one queue_poll later.
+            task = task_q.get(block=registered or not stealing, timeout=queue_poll)
         except Empty:
             if stealing and not registered:
                 with hungry_lock:
                     hungry_raw.value += 1
                 registered = True
             continue
-        if task is None:
-            continue  # an end-of-job sentinel: the flag is up
+        if task[0] != epoch or len(task) == 1:
+            continue  # a straggler, or an end-of-job sentinel: the flag is up
         if registered:
             with hungry_lock:
                 hungry_raw.value -= 1
             registered = False
         lease = execute_lease(
-            spec, stype, *task, knowledge, pool,
+            spec, stype, *task[1:], knowledge, pool,
             budget=budget, chunked=chunked, poll=share_poll,
             demand=demand, ship=ship, bound=bound, publish=publish,
             should_abort=goal_elsewhere,
@@ -586,7 +465,7 @@ def _sharing_worker_main(
     if not enum:
         # An unpicklable witness degrades to the value alone.
         knowledge = Incumbent(knowledge.value, _sendable_witness(knowledge.node))
-    result_q.put(("ok", (knowledge, metrics, goal_hit)))
+    wires.result_q.put((epoch, "ok", (knowledge, metrics, goal_hit)))
 
 
 def multiprocessing_budget_search(
@@ -700,7 +579,7 @@ def _sharing_search(
     and the workers only search what they pull; without one the whole
     tree is the first task and the workers share it out, told how by
     ``sharing_args``, the ``(budget, chunked, share_poll, queue_poll)``
-    tail of :func:`_sharing_worker_main`'s arguments (``budget`` None
+    of :func:`_sharing_worker_main`'s arguments (``budget`` None
     selecting Stack-Stealing).  ``metrics.spawns`` is the number of
     subtrees split off, by the parent or off a worker's stack;
     ``metrics.steals`` the number a worker put on the queue: every one
@@ -727,26 +606,20 @@ def _sharing_search(
         _checked_incumbent_seed(knowledge.value)
 
     if tasks and not goal:
-        shared = (
-            Value("q", len(tasks)),  # outstanding: leases queued or held
-            # Unused by an enumeration: its accumulators stay local.
-            Value("q", 0 if enum else knowledge.value),
-            Value("b", 0, lock=False),  # goal flag
-            # hungry: workers waiting on an empty queue
-            Value("q", 0) if d_cutoff is None else None,
-        )
-        with _worker_processes(
-            label, n_processes, _sharing_worker_main,
+        with FLEET.job(
+            label, n_processes,
             (spec_factory, factory_args, stype_factory, stype_args),
-            (*shared, n_processes, *sharing_args),
-        ) as (task_q, messages):
+            _sharing_worker_main, (n_processes, *sharing_args, d_cutoff is None),
+            outstanding=len(tasks),  # leases queued or held
+            # Unused by an enumeration: its accumulators stay local.
+            best=0 if enum else knowledge.value,
+        ) as (wires, epoch, reports):
             for task in tasks:
-                task_q.put(task)
+                wires.task_q.put((epoch, *task))
             # One report per worker: what it found (a witness that
             # could not be pickled is None; the value still counts),
             # its summed counters, and whether it reached the goal.
-            for _ in range(n_processes):
-                found, counters, goal_here = next(messages)
+            for found, counters, goal_here in reports:
                 knowledge = stype.combine(knowledge, found)
                 metrics.merge(counters)
                 goal = goal or goal_here
@@ -760,13 +633,12 @@ def _sharing_search(
 # -- replicable Ordered backend ---------------------------------------------
 
 
-def _ordered_worker_main(
-    spec, stype, task_q, result_q, done_flag, best, share_poll, queue_poll
-):
-    """Worker process for the Ordered coordination: runs of atomic tasks.
+def _ordered_worker_main(spec, stype, wires: Wires, epoch: int, share_poll, queue_poll):
+    """One job of a fleet worker on the Ordered coordination: runs of
+    atomic tasks.
 
-    Pulls ``(first_seq, [(root, depth), ...], bound)`` leases and hands
-    each to :func:`~repro.core.ordered.execute_run`, which threads the
+    Pulls ``(epoch, first_seq, [(root, depth), ...], bound)`` leases and
+    hands each to :func:`~repro.core.ordered.execute_run`, which threads the
     bound through the run and reports per-task records.  The shared
     ``best`` is the finalised-prefix best, written only by the parent
     and read lock-free here; nothing this worker finds is ever merged
@@ -774,7 +646,8 @@ def _ordered_worker_main(
     parent's ledger alone, which re-issues whatever ran from a bound
     that turns out wrong.
     """
-    best_raw = best.get_obj()  # lock-free read (parent is sole writer)
+    task_q, done_flag = wires.task_q, wires.done
+    best_raw = wires.best.get_obj()  # lock-free read (parent is sole writer)
 
     def published() -> int:
         return best_raw.value
@@ -788,16 +661,16 @@ def _ordered_worker_main(
             # the witness cannot travel.
             if record.get("node") is not None:
                 record["node"] = _sendable_witness(record["node"])
-        result_q.put(("ok", (records, done)))
+        wires.result_q.put((epoch, "ok", (records, done)))
 
     while not done_flag.value:
         try:
             lease = task_q.get(timeout=queue_poll)
         except Empty:
             continue
-        if done_flag.value:
-            break  # woken by the parent's end-of-job sentinel
-        first, roots, bound = lease
+        if lease[0] != epoch or done_flag.value:
+            continue  # a straggler, or woken by the end-of-job sentinel
+        _, first, roots, bound = lease
         finished = execute_run(
             spec, stype,
             [(first + i, root, depth) for i, (root, depth) in enumerate(roots)],
@@ -857,25 +730,29 @@ def multiprocessing_ordered_search(
     if not ledger.finished:
         policy = OrderedRunPolicy(ledger)
         tasks = frontier.tasks
-        best = Value("q", 0 if enum else frontier.knowledge.value)
-        with _worker_processes(
-            "ordered", n_processes, _ordered_worker_main,
+        with FLEET.job(
+            "ordered", n_processes,
             (spec_factory, factory_args, stype_factory, stype_args),
-            (best, share_poll, queue_poll),
-        ) as (task_q, messages):
+            _ordered_worker_main, (share_poll, queue_poll),
+            best=0 if enum else frontier.knowledge.value,
+        ) as (wires, epoch, reports):
             while not ledger.finished:
                 while (run := policy.lease(n_processes)) is not None:
-                    task_q.put((
-                        run.first,
+                    wires.task_q.put((
+                        epoch, run.first,
                         [(t.node, t.depth)
                          for t in tasks[run.first:run.first + run.count]],
                         run.bound,
                     ))
-                records, run_done = next(messages)
+                records, run_done = next(reports)
                 if policy.accept(records, run_done):
                     # The finalised-prefix best moved: publish it for the
                     # workers' speculation (this parent is the only writer).
-                    best.value = ledger.required_bound()
+                    wires.best.value = ledger.required_bound()
+            # Runs still out are not needed: wake whoever waits for one.
+            wires.done.value = 1
+            for _ in range(n_processes):
+                wires.task_q.put((epoch,))
 
     knowledge = ledger.knowledge
     metrics = ledger.metrics

@@ -103,3 +103,35 @@ def _lock_order_trace():
     finally:
         lockorder.uninstall()
         graph.assert_acyclic()
+
+
+def proc_stat(pid) -> tuple:
+    """``(state, process group)`` of a live process from
+    ``/proc/<pid>/stat``, or None once it is gone.  A zombie nobody has
+    reaped yet reads state ``"Z"``."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state, _, pgrp = fh.read().rpartition(")")[2].split()[:3]
+    except OSError:
+        return None
+    return state, int(pgrp)
+
+
+@pytest.fixture
+def fresh_fleet():
+    """The process backend's worker fleet, stopped before the test (so
+    the test's first search starts new workers) and after it."""
+    from repro.runtime.processes import FLEET
+
+    FLEET.close()
+    yield FLEET
+    FLEET.close()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _close_process_fleet():
+    """The fleet outlives the searches that use it; the session ends it."""
+    yield
+    from repro.runtime.processes import FLEET
+
+    FLEET.close()

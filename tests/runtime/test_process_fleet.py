@@ -1,0 +1,281 @@
+"""The process backend's warm worker fleet (:mod:`repro.runtime.fleet`).
+
+Every ``multiprocessing_*_search`` of a process runs on one set of
+long-lived workers.  What that must not cost: a result polluted by the
+job before it, a fleet that stays broken after a worker died, a worker
+that outlives its owner, or an owner that cannot stop the resource
+tracker.  Every test starts with no fleet and leaves none.
+"""
+
+import multiprocessing
+import os
+import signal
+import sys
+import threading
+import time
+from multiprocessing import resource_tracker
+
+import pytest
+
+from repro.core.searchtypes import Enumeration, Optimisation
+from repro.core.sequential import sequential_search
+from repro.runtime.processes import (
+    FLEET,
+    multiprocessing_budget_search,
+    multiprocessing_depthbounded_search,
+    multiprocessing_ordered_search,
+    multiprocessing_stacksteal_search,
+)
+
+from tests.conftest import proc_stat
+from tests.runtime.test_processes import (
+    CLIQUE_ARGS,
+    clique_spec_factory,
+    decision_factory,
+    enumeration_factory,
+    optimisation_factory,
+    uts_spec_factory,
+)
+from tests.runtime.test_processes_budget import UTS_ARGS, crashing_spec_factory
+
+pytestmark = pytest.mark.usefixtures("fresh_fleet")
+
+
+@pytest.fixture(scope="module")
+def uts_nodes():
+    return sequential_search(uts_spec_factory(*UTS_ARGS), Enumeration()).metrics.nodes
+
+
+@pytest.fixture(scope="module")
+def clique_optimum():
+    return sequential_search(clique_spec_factory(*CLIQUE_ARGS), Optimisation()).value
+
+
+def count_uts(search=multiprocessing_budget_search, n=2, **knobs):
+    res = search(uts_spec_factory, UTS_ARGS, enumeration_factory, n_processes=n, **knobs)
+    return res.metrics.nodes
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` is a running process (a zombie nobody has
+    reaped yet is not)."""
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+class TestLifetime:
+    def test_second_search_runs_on_the_same_workers(self, uts_nodes, monkeypatch):
+        assert FLEET.status == "closed" and FLEET.pids() == []
+        assert count_uts() == uts_nodes
+        first = FLEET.pids()
+        assert FLEET.status == "running" and len(first) == 2
+        assert all(_alive(pid) for pid in first)
+
+        def no_fork():
+            raise AssertionError("the second search forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert count_uts(multiprocessing_stacksteal_search) == uts_nodes
+        assert FLEET.pids() == first
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 2), (3, 2, 3)])
+    def test_fleet_grows_to_the_largest_request(self, sizes, uts_nodes):
+        largest = 0
+        for n in sizes:
+            assert count_uts(n=n, budget=20) == uts_nodes
+            largest = max(largest, n)
+            assert len(FLEET.pids()) == largest
+
+    def test_close_stops_the_workers_and_the_next_search_restarts(self, uts_nodes):
+        assert count_uts() == uts_nodes
+        first = FLEET.pids()
+        FLEET.close()
+        assert FLEET.status == "closed"
+        assert not any(_alive(pid) for pid in first)
+        assert count_uts() == uts_nodes
+        assert not set(FLEET.pids()) & set(first)
+
+
+class TestIsolationBetweenJobs:
+    def test_goal_leftovers_never_reach_the_next_job(self, uts_nodes):
+        """A Decision job that stops on its goal leaves most of its
+        frontier queued; the enumeration after it must count its own
+        tree exactly, 50 times over, on every coordination."""
+        enumerations = (
+            (multiprocessing_budget_search, {"budget": 20}),
+            (multiprocessing_stacksteal_search, {}),
+            (multiprocessing_ordered_search, {"d_cutoff": 2}),
+            (multiprocessing_depthbounded_search, {"d_cutoff": 2}),
+        )
+        for round_ in range(50):
+            hit = multiprocessing_depthbounded_search(
+                clique_spec_factory, CLIQUE_ARGS, decision_factory, (4,),
+                n_processes=2, d_cutoff=2,
+            )
+            assert hit.found is True and hit.value == 4
+            # The goal is four levels down and the parent cut at two:
+            # it was a worker that found it, with tasks still queued.
+            assert hit.metrics.spawns > 100
+            search, knobs = enumerations[round_ % len(enumerations)]
+            assert count_uts(search, **knobs) == uts_nodes, (round_, search.__name__)
+        assert len(FLEET.pids()) == 2
+
+
+class TestFailure:
+    def test_crash_raises_and_the_next_call_gets_a_fresh_fleet(self, uts_nodes):
+        assert count_uts() == uts_nodes
+        first = FLEET.pids()
+        with pytest.raises(RuntimeError, match="budget backend worker failed: .*exit code 17"):
+            multiprocessing_budget_search(
+                crashing_spec_factory, (), optimisation_factory,
+                n_processes=2, budget=10,
+            )
+        assert FLEET.status == "closed"
+        assert not any(_alive(pid) for pid in first)
+        assert count_uts() == uts_nodes
+        assert len(FLEET.pids()) == 2 and not set(FLEET.pids()) & set(first)
+
+    def test_worker_killed_while_idle_is_replaced(self, uts_nodes):
+        assert count_uts() == uts_nodes
+        victim = FLEET.pids()[0]
+        os.kill(victim, signal.SIGKILL)
+        # Reaped, not merely a zombie: its last thread may still be going.
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(
+            child.pid == victim for child in multiprocessing.active_children()
+        ):
+            time.sleep(0.01)
+        assert count_uts() == uts_nodes
+        assert victim not in FLEET.pids()
+
+
+def slow_chain_factory():
+    """A 10 000-node chain at 10 ms a node: one worker holds the only
+    lease for minutes, the other starves beside it."""
+    from repro.core.nodegen import ListNodeGenerator
+    from repro.core.space import SearchSpec
+
+    def generator(space, node):
+        time.sleep(0.01)
+        return ListNodeGenerator([node + 1] if node < 10_000 else [])
+
+    return SearchSpec(
+        name="slow-chain", space=None, root=0, generator=generator,
+        objective=lambda node: node, upper_bound=None,
+    )
+
+
+def _search_then_linger(conn, busy=False):
+    """Child process: run a search on a fleet of its own, say which
+    workers it has, and wait to be killed — idle, or in the middle of
+    a search that will not end."""
+    count_uts()
+    conn.send(FLEET.pids())
+    if busy:
+        multiprocessing_budget_search(slow_chain_factory, (), enumeration_factory)
+    time.sleep(60.0)
+
+
+class TestOwnerDeath:
+    @pytest.mark.parametrize("busy", [False, True], ids=["idle", "mid-search"])
+    def test_workers_of_a_killed_owner_exit(self, busy):
+        ours, theirs = multiprocessing.Pipe(duplex=False)
+        owner = multiprocessing.get_context("fork").Process(
+            target=_search_then_linger, args=(theirs, busy)
+        )
+        owner.start()
+        theirs.close()
+        try:
+            assert ours.poll(30.0)
+            workers = ours.recv()
+            assert len(workers) == 2 and all(_alive(pid) for pid in workers)
+            time.sleep(0.3 if busy else 0.0)  # into the slow search
+        finally:
+            owner.kill()
+            owner.join(timeout=10.0)
+        assert not owner.is_alive()
+        deadline = time.monotonic() + 2.0
+        while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(_alive(pid) for pid in workers)
+
+    def test_a_forked_child_does_not_use_its_parents_workers(self, uts_nodes):
+        assert count_uts() == uts_nodes
+        ours, theirs = multiprocessing.Pipe(duplex=False)
+        child = multiprocessing.get_context("fork").Process(
+            target=_search_then_linger, args=(theirs,)
+        )
+        child.start()
+        theirs.close()
+        try:
+            assert ours.poll(30.0)
+            assert not set(ours.recv()) & set(FLEET.pids())
+        finally:
+            child.kill()
+            child.join(timeout=10.0)
+        assert not child.is_alive()
+        assert count_uts() == uts_nodes
+
+
+class TestResourceTracker:
+    def test_tracker_can_be_stopped_while_the_fleet_is_up(self, uts_nodes):
+        """The ledger ends with ``resource_tracker._stop()``, which
+        waits for every holder of the tracker's pipe: a warm worker
+        forked after the tracker started must not be one."""
+        tracker = resource_tracker._resource_tracker
+        if not hasattr(tracker, "_stop"):
+            pytest.skip("no resource_tracker._stop in this Python")
+        starter = multiprocessing.get_context("spawn").Process(target=time.sleep, args=(0,))
+        starter.start()
+        starter.join(timeout=60.0)
+        assert starter.exitcode == 0 and tracker._fd is not None
+        assert count_uts() == uts_nodes
+        stopper = threading.Thread(target=tracker._stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive(), "a fleet worker still holds the tracker's pipe"
+        assert count_uts() == uts_nodes
+
+
+class TestConcurrentCallers:
+    def test_threads_take_turns_and_each_gets_its_own_answer(self, uts_nodes, clique_optimum):
+        """More callers than the fleet serves at once, more workers than
+        cores: every result is its own job's."""
+        outcomes, errors = [], []
+
+        def enumerate_uts():
+            outcomes.append(("uts", count_uts(n=3, budget=20)))
+
+        def optimise_clique():
+            res = multiprocessing_budget_search(
+                clique_spec_factory, CLIQUE_ARGS, optimisation_factory,
+                n_processes=3, budget=50,
+            )
+            outcomes.append(("clique", res.value))
+
+        def caller(search):
+            try:
+                for _ in range(5):
+                    search()
+            except BaseException as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=caller, args=(search,), daemon=True)
+            for search in (enumerate_uts, optimise_clique) * 2
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        expected = {"uts": uts_nodes, "clique": clique_optimum}
+        assert len(outcomes) == 20
+        assert all(value == expected[name] for name, value in outcomes)
+        assert len(FLEET.pids()) == 3

@@ -19,7 +19,7 @@ import multiprocessing.queues
 
 import pytest
 
-import repro.runtime.processes as processes
+import repro.runtime.fleet as fleet
 from repro.core.ordered import ordered_reference_search
 from repro.core.results import validate_result
 from repro.core.searchtypes import Decision, Enumeration, Optimisation
@@ -128,7 +128,7 @@ class CountingQueue(multiprocessing.queues.Queue):
     parent are the parent's: leases put, result messages got."""
 
     def __init__(self):
-        super().__init__(ctx=multiprocessing.get_context())
+        super().__init__(ctx=multiprocessing.get_context("fork"))
         self.puts = self.gets = 0
 
     def put(self, *args, **kwargs):
@@ -143,14 +143,15 @@ class CountingQueue(multiprocessing.queues.Queue):
 
 class TestLateImprovement:
     @pytest.mark.parametrize("n", [1, 2, 4])
-    def test_fingerprint_and_message_count(self, n, monkeypatch):
+    def test_fingerprint_and_message_count(self, n, monkeypatch, fresh_fleet):
         queues = []
 
         def counting_queue():
             queues.append(CountingQueue())
             return queues[-1]
 
-        monkeypatch.setattr(processes, "Queue", counting_queue)
+        # The fleet this search starts is wired with counting queues.
+        monkeypatch.setattr(fleet._CTX, "Queue", counting_queue)
         ref = _reference(instance_spec, LATE_ARGS, Optimisation())
         assert ref.metrics.spawns == LATE_TASKS
         res = multiprocessing_ordered_search(
@@ -162,8 +163,9 @@ class TestLateImprovement:
         )
         task_q, result_q = queues
         # Leases down (minus the end-of-job wake-ups) plus record
-        # messages up: runs, not one round trip per task each way.
-        assert task_q.puts - n + result_q.gets < LATE_TASKS / 4
+        # messages up (minus the idle reports): runs, not one round trip
+        # per task each way.
+        assert task_q.puts - n + result_q.gets - n < LATE_TASKS / 4
 
 
 class TestEdgeCases:

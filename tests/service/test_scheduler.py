@@ -2,20 +2,29 @@
 
 Real search execution is covered by the end-to-end test; here a fake
 backend makes the policy paths — dedup, coalescing, rejection, retry,
-timeout, cancellation, follower fan-out — fast and deterministic.
+timeout, cancellation, follower fan-out — fast and deterministic.  The
+one exception is the last class: the real :class:`ProcessBackend` under
+a job whose params select the processes backend.
 """
+
+import os
+import time
 
 import pytest
 
 from repro.core.results import SearchResult
+from repro.runtime.processes import run_library_search
 from repro.service import (
     JobQueue,
     JobSpec,
     JobState,
     JobTimeout,
+    ProcessBackend,
     Scheduler,
     WorkerCrash,
 )
+
+from tests.conftest import proc_stat
 
 
 def spec(instance="brock90-1", app="maxclique", **kw):
@@ -255,3 +264,45 @@ class TestMetricsSnapshot:
         s.run_until_idle()
         blob = json.dumps(s.metrics_snapshot().to_dict())
         assert json.loads(blob)["submitted"] == 1
+
+
+def _process_group() -> set:
+    """Pids of the live (non-zombie) processes in this process group:
+    every descendant of the test run, however deep, is one of them."""
+    group, pids = os.getpgrp(), set()
+    for entry in os.listdir("/proc"):
+        stat = proc_stat(entry) if entry.isdigit() else None
+        if stat is not None and stat[0] != "Z" and stat[1] == group:
+            pids.add(int(entry))
+    return pids
+
+
+class TestProcessBackendFansOut:
+    """A job on :class:`ProcessBackend` whose params select
+    ``backend="processes"``: the job's own process starts search
+    workers (it was daemonic once, and a daemon may not)."""
+
+    PARAMS = {"backend": "processes", "n_processes": 2}
+
+    def test_job_is_done_with_the_sequential_value(self):
+        s = make_sched(ProcessBackend())
+        job = s.submit(spec(skeleton="budget", params=self.PARAMS))
+        s.run_until_idle()
+        assert job.state is JobState.DONE, job.error
+        assert job.result.value == run_library_search("brock90-1").value
+        assert job.result.workers == 2
+
+    def test_timeout_kill_leaves_no_process_behind(self):
+        before = _process_group()
+        s = make_sched(ProcessBackend())
+        # ~0.9 s sequentially: the workers are up and searching when
+        # the deadline stops the job's process.
+        job = s.submit(spec(
+            "tsp-rand-13", "tsp", skeleton="budget", params=self.PARAMS, timeout=0.2,
+        ))
+        s.run_until_idle()
+        assert job.state is JobState.TIMEOUT
+        deadline = time.monotonic() + 3.0
+        while _process_group() - before and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _process_group() - before == set()
