@@ -2,24 +2,26 @@
 
 One coordinator owns the authoritative state of a distributed search:
 
-- the **task table** — every subtree that exists *here* as a unit of
-  work, with its lease (which worker, which epoch) and lifecycle
-  (queued → leased → done, or cancelled).  A budget worker keeps the
-  offcuts of its budget trips in its own order-preserving pool
-  (:mod:`repro.cluster.worker`), so a budget **lease** is "this root
-  and everything its holder ran from its pool": the table holds the
-  root task and whatever subtrees were handed over since, not one
-  record per budget trip;
+- the **task table** — every hand-over that exists *here* as a unit of
+  work: sibling subtree roots at one depth, with their lease (which
+  worker, which epoch) and lifecycle (queued → leased → done, or
+  cancelled).  A worker keeps the roots it has not started and the
+  offcuts of its stacks in its own order-preserving pool
+  (:mod:`repro.cluster.worker`), so a **lease** is "these roots and
+  everything their holder ran from its pool": the table holds the root
+  task and whatever was handed over since, not one record per subtree;
 - **steal mediation** — for budget and stack-stealing jobs, when the
   queue is empty and a worker holds no lease, a busy worker is sent a
-  STEAL and answers with STOLEN: the shallowest level of its pool
-  (budget; never empty — the request waits for the next trip or dies
-  with the lease's RESULT) or a split of its live stack (stack-stealing;
-  may be empty).  The subtrees become fresh queued tasks.  OFFCUT is the
-  unsolicited twin: a retiring or draining worker handing its pool back;
+  STEAL and answers with STOLEN: half of the shallowest level of its
+  pool (budget never answers empty — the request waits for the next
+  trip or dies with the lease's RESULT; stack-stealing fills an empty
+  pool from its live stack and may answer empty).  The answer becomes
+  one record per idle worker and is leased to them, never back to a
+  prefetch slot of the victim.  OFFCUT is the unsolicited twin: a
+  retiring or draining worker handing its pool back;
 - the **outstanding counter** — distributed termination detection: the
-  root task starts it at 1, every subtree handed over in a STOLEN or
-  OFFCUT increments it, every accepted RESULT decrements it; zero means
+  root task starts it at 1, every record cut from a STOLEN or OFFCUT
+  increments it, every accepted RESULT decrements it; zero means
   the whole tree has been searched (the same invariant the
   multiprocessing backend keeps in a shared integer, here maintained by
   the single writer that sees every message);
@@ -111,17 +113,16 @@ CANCELLED = "cancelled"
 
 @dataclass
 class TaskRecord:
-    """One unit of work: a subtree, its lease and its epoch."""
+    """One unit of work: sibling subtrees, their lease and its epoch."""
 
     id: int
-    node: Any  # wire-encoded form (stored encoded so re-leases are cheap)
+    nodes: Any  # wire-encoded roots (stored encoded so re-leases are cheap)
     depth: int
-    parent: Optional[int] = None
     epoch: int = 0
     state: str = QUEUED
     worker: Optional[int] = None
     # Ordered jobs only: the record *is* one lease of a run of frontier
-    # tasks, created when the policy cuts it (``node`` stays None).
+    # tasks, created when the policy cuts it (``nodes`` stays None).
     run: Optional[OrderedRun] = None
 
 
@@ -155,12 +156,10 @@ class WorkerConn:
 class _Job:
     """Coordinator-side state of the active search job."""
 
-    def __init__(self, job_id: int, payload: dict, loop) -> None:
+    def __init__(self, job_id: int, payload: dict, loop, specs: P.LastSpec) -> None:
         self.id = job_id
         self.payload = payload
-        factory = P.resolve_factory(payload["factory"])
-        args = tuple(P.decode_node(payload.get("factory_args") or []))
-        self.spec = factory(*args)
+        self.spec = specs.build(payload)
         self.stype = make_stype(
             payload["stype_kind"], dict(payload.get("stype_kwargs") or {})
         )
@@ -208,7 +207,7 @@ class _Job:
         else:
             root = TaskRecord(
                 id=self._new_task_id(),
-                node=P.encode_node(self.spec.root),
+                nodes=[P.encode_node(self.spec.root)],
                 depth=0,
             )
             self.tasks[root.id] = root
@@ -225,7 +224,7 @@ class _Job:
         run = self.policy.lease(workers)
         if run is None:
             return None
-        rec = TaskRecord(id=self._new_task_id(), node=None, depth=0, run=run)
+        rec = TaskRecord(id=self._new_task_id(), nodes=None, depth=0, run=run)
         self.tasks[rec.id] = rec
         return rec
 
@@ -233,7 +232,7 @@ class _Job:
         """One granted lease as its ``leases`` entry of a TASK frame."""
         run = rec.run
         if run is None:
-            return [rec.id, rec.epoch, rec.node, rec.depth]
+            return [rec.id, rec.epoch, rec.nodes, rec.depth]
         roots = [
             [P.encode_node(t.node), t.depth]
             for t in self.frontier_tasks[run.first:run.first + run.count]
@@ -257,19 +256,20 @@ class _Job:
         self.queue.appendleft(rec.id)
         self.metrics.reassigned += 1
 
-    def add_offcuts(self, parent: TaskRecord, depth: int, nodes: list) -> int:
-        """Register subtrees a lease-holder handed over (STOLEN, OFFCUT)
-        as fresh queued tasks.  They count as spawned here; the ones a
-        budget lease runs from its own pool arrive on its RESULT."""
-        for node in nodes:
+    def add_offcuts(self, depth: int, nodes: list, idle: int) -> None:
+        """Queue the subtrees a lease-holder handed over (STOLEN, OFFCUT)
+        as one record per idle worker, every ``idle``-th node each, so
+        that each of them gets one lease with big and small subtrees in
+        it.  With nobody idle the queue does the balancing: one record
+        per subtree, leased as slots come free."""
+        shares = min(idle, len(nodes)) or len(nodes)
+        for first in range(shares):
             rec = TaskRecord(
-                id=self._new_task_id(), node=node, depth=depth, parent=parent.id
+                id=self._new_task_id(), nodes=nodes[first::shares], depth=depth
             )
             self.tasks[rec.id] = rec
             self.queue.append(rec.id)
-        self.outstanding += len(nodes)
-        self.metrics.spawns += len(nodes)
-        return len(nodes)
+        self.outstanding += shares
 
     def job_message(self) -> dict:
         """The JOB frame for a (possibly late-joining) worker."""
@@ -342,6 +342,7 @@ class Coordinator:
         self._retire_on_join: set[str] = set()
         self._next_job = 0
         self._job: Optional[_Job] = None
+        self._specs = P.LastSpec()
         self._server: Optional[asyncio.AbstractServer] = None
         self._watchdog_task: Optional[asyncio.Task] = None
         self._worker_event: Optional[asyncio.Event] = None
@@ -413,9 +414,11 @@ class Coordinator:
         elif job.policy is not None:
             queued = job.policy.backlog
         else:
-            # Runnable and unstarted: the queue here, plus what the
-            # lease-holders of a budget job keep in their own pools.
-            queued = len(job.queue) + sum(w.pool for w in self.workers.values())
+            # Runnable and unstarted: the subtrees queued here, plus
+            # what the lease-holders keep in their own pools.
+            queued = sum(
+                len(job.tasks[tid].nodes) for tid in job.queue
+            ) + sum(w.pool for w in self.workers.values())
         workers = [
             {
                 "id": w.id,
@@ -485,7 +488,9 @@ class Coordinator:
             raise ClusterError("a cluster job is already running")
         self._next_job += 1
         try:
-            job = _Job(self._next_job, payload, asyncio.get_running_loop())
+            job = _Job(
+                self._next_job, payload, asyncio.get_running_loop(), self._specs
+            )
         except (P.ProtocolError, TypeError, ValueError) as exc:
             raise ClusterJobFailed(f"bad job payload: {exc}") from exc
         self._job = job
@@ -615,14 +620,19 @@ class Coordinator:
             raise ConnectionError("connection closed mid-frame") from None
         return P.decode_body(body)
 
-    def _post(self, worker: WorkerConn, msg: dict) -> None:
-        """Queue one frame to a worker (single-writer event loop, so a
-        plain buffered write is race-free; errors mark the worker dead
-        and the heartbeat watchdog finishes the cleanup)."""
+    def _post(self, worker: WorkerConn, *msgs: dict) -> None:
+        """Queue frames to a worker, in one write (single-writer event
+        loop, so a plain buffered write is race-free; errors mark the
+        worker dead and the heartbeat watchdog finishes the cleanup).
+        One write because the first frame may set the receiver
+        computing on this thread's core: a second write can be
+        milliseconds behind it."""
         if not worker.alive:
             return
         try:
-            worker.writer.write(P.frame_bytes(msg, worker.codec))
+            worker.writer.write(
+                b"".join(P.frame_bytes(msg, worker.codec) for msg in msgs)
+            )
         except Exception:
             self._drop_worker(worker)
 
@@ -701,34 +711,32 @@ class Coordinator:
             job.goal = True
 
     def _on_offcut(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
-        rec = self._valid_lease(worker, job, msg)
-        if rec is None:
-            return
+        self._take_handover(worker, job, msg)
+
+    def _take_handover(self, worker: WorkerConn, job: _Job, msg: dict) -> int:
+        """Queue a STOLEN's or OFFCUT's subtrees for the workers with no
+        lease.  Returns how many were accepted."""
         nodes = msg.get("nodes") or []
-        depth = int(msg.get("depth", rec.depth + 1))
-        if nodes:
-            job.add_offcuts(rec, depth, nodes)
-            self._pump()
+        rec = self._valid_lease(worker, job, msg) if nodes else None
+        if rec is None:
+            return 0
+        idle = sum(1 for w in self._eligible() if not w.tasks)
+        job.add_offcuts(int(msg.get("depth", rec.depth + 1)), nodes, idle)
+        self._pump()
+        return len(nodes)
 
     def _on_stolen(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
-        """A steal answer: the shallowest level of the victim's pool
-        (budget), subtrees carved from its live stack (stack-stealing),
-        or an empty list meaning that stack had nothing to give."""
+        """A steal answer: half of the shallowest level of the victim's
+        pool, or an empty list meaning a stack-stealing victim's pool
+        and stack had nothing to give."""
         worker.steal_pending = False
-        nodes = msg.get("nodes") or []
-        if not nodes:
+        if msg.get("nodes"):
+            job.metrics.steals += self._take_handover(worker, job, msg)
+        else:
             # Don't re-ask until the victim reports fresh progress (the
             # flag clears on its next RESULT); retry other victims now.
             worker.steal_dry = True
             self._pump()
-            return
-        rec = self._valid_lease(worker, job, msg)
-        if rec is None:
-            return
-        depth = int(msg.get("depth", rec.depth + 1))
-        job.add_offcuts(rec, depth, nodes)
-        job.metrics.steals += len(nodes)
-        self._pump()
 
     def _on_result(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
         rec = self._valid_lease(worker, job, msg)
@@ -752,8 +760,8 @@ class Coordinator:
         m.prunes += int(msg.get("prunes", 0))
         m.backtracks += int(msg.get("backtracks", 0))
         m.max_depth = max(m.max_depth, int(msg.get("max_depth", 0)))
-        # Budget: the subtrees this lease split off and ran from its
-        # holder's pool (the ones that crossed were counted on arrival).
+        # The subtrees this lease split off its stacks, wherever each
+        # one was then searched.
         m.spawns += int(msg.get("spawns", 0))
         if job.enum:
             job.knowledge = job.stype.combine(job.knowledge, msg.get("knowledge"))
@@ -897,25 +905,27 @@ class Coordinator:
     def _pump(self) -> None:
         """Lease queued tasks to free slots, round-robin, batched.
 
-        Each pass grants at most one lease per worker with a free slot;
-        passes repeat until there is nothing to lease or every slot is
-        full.  Round-robin (not filling one worker greedily) is what
-        spreads the first few offcuts across the fleet — with prefetch
-        slots a greedy fill would let one worker hoard the whole
-        frontier and serialise the search.  All of a worker's grants
-        then go out in ONE batched TASK frame (``leases: [[id, epoch,
-        node, depth], ...]``).  An ordered job leases *runs*: its
-        entries are ``[id, epoch, [[node, depth], ...], first_seq,
-        bound]``, cut by the job's run policy as slots come free.  When
-        a budget or stack-stealing job has nothing queued, idle workers
-        are served by asking busy ones (:meth:`_mediate_steals`).
+        Each pass grants at most one lease per worker with a free slot,
+        workers holding the fewest leases first — a hand-over is for
+        whoever has nothing, not for a prefetch slot of the worker that
+        gave it away; passes repeat until there is nothing to lease or
+        every slot is full.  Round-robin (not filling one worker
+        greedily) is what spreads the first few offcuts across the
+        fleet — with prefetch slots a greedy fill would let one worker
+        hoard the whole frontier and serialise the search.  All of a
+        worker's grants then go out in ONE batched TASK frame (``leases:
+        [[id, epoch, [node, ...], depth], ...]``).  An ordered job
+        leases *runs*: its entries are ``[id, epoch, [[node, depth],
+        ...], first_seq, bound]``, cut by the job's run policy as slots
+        come free.  When a budget or stack-stealing job has nothing
+        queued, idle workers are served by asking busy ones
+        (:meth:`_victims`); a worker's STEAL leaves in the same write
+        as its TASK.
         """
         job = self._job
         if job is None or job.state != "running":
             return
-        eligible = [
-            w for w in self.workers.values() if w.alive and not w.retiring
-        ]
+        eligible = sorted(self._eligible(), key=lambda w: len(w.tasks))
         batches: dict[int, list[TaskRecord]] = {}
         granted = True
         while granted:
@@ -942,41 +952,50 @@ class Coordinator:
                 worker.steal_dry = False
                 batches.setdefault(worker.id, []).append(rec)
                 granted = True
+        victims = (
+            self._victims(eligible) if job.policy is None and not job.queue else ()
+        )
         for worker in eligible:
-            leases = batches.get(worker.id)
-            if leases and worker.alive:
-                self._post(worker, {
+            frames = []
+            if worker.id in batches:
+                frames.append({
                     "type": P.TASK,
                     "job": job.id,
-                    "leases": [job.lease_entry(r) for r in leases],
+                    "leases": [job.lease_entry(r) for r in batches[worker.id]],
                 })
-        if job.policy is None and not job.queue:
-            self._mediate_steals(job, eligible)
+            if worker.id in victims:
+                worker.steal_pending = True
+                frames.append({"type": P.STEAL, "job": job.id})
+            if frames:
+                self._post(worker, *frames)
 
-    def _mediate_steals(self, job: _Job, eligible: list) -> None:
-        """Ask busy workers to give work to idle ones.
+    def _eligible(self) -> list:
+        """The workers that may be leased work."""
+        return [w for w in self.workers.values() if w.alive and not w.retiring]
+
+    @staticmethod
+    def _victims(eligible: list) -> set:
+        """The busy workers (their ids) to ask for work on behalf of
+        the idle ones.
 
         One STEAL per idle worker per pass, aimed at the victims with
         the most to give (the fullest pool as last reported, then the
         most leases); a victim with a STEAL already in flight, or whose
         last answer was empty (``steal_dry``), is skipped until it
-        reports progress or is granted a fresh lease.  A stack-stealing
-        victim splits its live stack and may answer empty; a budget
-        victim hands over the shallowest level of its pool and answers
-        only once it has something, so a request to it stays pending
-        until a STOLEN or the lease's RESULT.
+        reports progress or is granted a fresh lease.  A victim hands
+        over half of the shallowest level of its pool; a stack-stealing
+        one whose pool is empty splits its live stack first and may
+        answer empty, a budget one answers only once it has something,
+        so a request to it stays pending until a STOLEN or the lease's
+        RESULT.
         """
         idle = sum(1 for w in eligible if not w.tasks)
-        if not idle:
-            return
         victims = [
             w for w in eligible
             if w.tasks and not w.steal_pending and not w.steal_dry
         ]
         victims.sort(key=lambda w: (w.pool, len(w.tasks)), reverse=True)
-        for victim in victims[:idle]:
-            victim.steal_pending = True
-            self._post(victim, {"type": P.STEAL, "job": job.id})
+        return {w.id for w in victims[:idle]}
 
     def _drop_worker(self, worker: WorkerConn) -> None:
         """Remove a worker; re-lease its tasks (or fail an enumeration

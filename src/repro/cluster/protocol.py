@@ -27,25 +27,28 @@ type       direction   meaning
 HELLO      w -> c      join the cluster (protocol version, name, codecs)
 WELCOME    c -> w      assigned worker id + heartbeat interval + codec
 JOB        c -> w      search definition: spec factory, search type, knobs
-TASK       c -> w      lease subtrees: up to ``slots`` ``[id, epoch, node,
-                       depth]`` entries batched in one ``leases`` list; an
-                       ordered job's entries are *runs*: ``[id, epoch,
-                       [[node, depth], ...], first_seq, bound]``
-OFFCUT     w -> c      budget jobs, unsolicited hand-over: the unstarted
-                       subtrees of a retiring or draining worker's pool,
-                       one frame per depth
+TASK       c -> w      lease subtrees: up to ``slots`` ``[id, epoch, [node,
+                       ...], depth]`` entries — sibling roots at one
+                       depth, one hand-over — batched in one ``leases``
+                       list; an ordered job's entries are *runs*: ``[id,
+                       epoch, [[node, depth], ...], first_seq, bound]``
+OFFCUT     w -> c      unsolicited hand-over: the unstarted subtrees of a
+                       retiring or draining worker's pool, one frame per
+                       depth
 STEAL      c -> w      an idle worker needs work: give some away and answer
                        with a STOLEN frame (budget and stacksteal jobs)
-STOLEN     w -> c      steal answer.  Budget: the shallowest level of the
-                       worker's pool, never empty (an unservable request
-                       waits, or dies with the lease's RESULT).  Stacksteal:
-                       the lowest-depth subtrees carved off the live stack,
-                       or empty = nothing to give
+STOLEN     w -> c      steal answer: every other node of the shallowest
+                       level of the worker's pool (a lone node whole).
+                       Budget never answers empty (an unservable request
+                       waits, or dies with the lease's RESULT); stacksteal
+                       splits its live stack into an empty pool first, and
+                       answers empty when that has nothing to give
 INCUMBENT  both        a strictly better bound value (broadcast downstream)
-RESULT     w -> c      a lease finished: counters + local best.  A budget
-                       lease is its root and every subtree its holder ran
-                       from its own pool, ``spawns`` of them; for an
-                       ordered run, ``records``: one ``{seq, bound,
+RESULT     w -> c      a lease finished: counters + local best.  A lease
+                       is its roots and every subtree its holder ran from
+                       its own pool; ``spawns`` is how many subtrees it
+                       split off its stacks, wherever they then ran.  For
+                       an ordered run, ``records``: one ``{seq, bound,
                        counters, value, node}`` per task, with ``more`` set
                        on an early flush that leaves the lease live
 RELEASE    w -> c      retire handback: unstarted leases returned for re-lease
@@ -133,6 +136,7 @@ __all__ = [
     "decode_node",
     "factory_path",
     "resolve_factory",
+    "LastSpec",
     "HELLO",
     "WELCOME",
     "JOB",
@@ -152,9 +156,10 @@ __all__ = [
 ]
 
 # The one version both sides speak: coordination-aware JOBs, batched
-# TASK leases (runs for ordered jobs), STEAL/STOLEN, codec negotiation.
-# A HELLO with any other version is refused.
-PROTOCOL_VERSION = 3
+# TASK leases of several roots each (runs for ordered jobs),
+# STEAL/STOLEN, codec negotiation.  A HELLO with any other version is
+# refused.
+PROTOCOL_VERSION = 4
 
 # One frame must hold a message-sized payload (a task node, an offcut
 # batch), never a bulk transfer; anything bigger than this is a protocol
@@ -347,3 +352,22 @@ def resolve_factory(path: str) -> Callable:
     if not callable(fn):
         raise ProtocolError(f"factory {path!r} is not callable")
     return fn
+
+
+class LastSpec:
+    """The spec of a peer's last job, kept while the next JOB names the
+    same factory and wire arguments (instances are deterministic, so it
+    would be rebuilt identical) — the rule of the process fleet's
+    workers (:mod:`repro.runtime.fleet`).  One per peer, one entry."""
+
+    def __init__(self) -> None:
+        self._key: Any = None
+        self._spec: Any = None
+
+    def build(self, payload: dict) -> Any:
+        """The spec a JOB frame or job payload describes."""
+        key = (payload["factory"], payload.get("factory_args") or [])
+        if key != self._key:
+            self._spec = resolve_factory(key[0])(*decode_node(key[1]))
+            self._key = key
+        return self._spec

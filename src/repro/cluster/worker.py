@@ -6,11 +6,12 @@ multiprocessing workers call
 (:func:`~repro.runtime.sharing.execute_lease` for Budget and
 Stack-Stealing, :func:`~repro.core.ordered.execute_run` for Ordered) —
 only the callbacks differ: the shared incumbent integer became
-INCUMBENT frames, the hungry counter became the coordinator's STEAL,
-what a starving peer is given leaves in a STOLEN frame, and the
-outstanding counter lives on the coordinator.  A Budget lease is its
-root and everything its holder ran from its own pool, answered by one
-RESULT.
+INCUMBENT frames, the short lease count became the coordinator's STEAL,
+what a starving peer is given leaves in one STOLEN frame and reaches it
+as one lease of several roots, and the outstanding counter lives on the
+coordinator.  A lease is its roots and everything its holder ran from
+its own pool, answered by one RESULT.  The spec of the last job is kept
+while the next JOB names the same factory and arguments.
 
 Threading model (per connection):
 
@@ -62,6 +63,7 @@ from repro.cluster import protocol as P
 from repro.cluster.faults import WorkerFaults
 from repro.core.ordered import execute_run
 from repro.core.searchtypes import Incumbent
+from repro.runtime.fleet import WORKER_SWITCH_INTERVAL
 from repro.runtime.processes import graceful_stop, make_stype
 from repro.runtime.sharing import FLUSH, execute_lease
 from repro.runtime.workpool import Workpool
@@ -79,11 +81,9 @@ class _JobContext:
     is checked on the share_poll cadence to abort mid-task.
     """
 
-    def __init__(self, msg: dict) -> None:
+    def __init__(self, msg: dict, specs: P.LastSpec) -> None:
         self.id = msg["job"]
-        factory = P.resolve_factory(msg["factory"])
-        args = tuple(P.decode_node(msg.get("factory_args") or []))
-        self.spec = factory(*args)
+        self.spec = specs.build(msg)
         self.stype = make_stype(
             msg["stype_kind"], dict(msg.get("stype_kwargs") or {})
         )
@@ -166,6 +166,7 @@ class ClusterWorker:
         self._session_dead = threading.Event()
         self._local_q: queue.Queue = queue.Queue()
         self._ctx: Optional[_JobContext] = None
+        self._specs = P.LastSpec()  # outlives sessions: receiver thread only
         self._drain = False
         self._retire = False
         self._codec = None  # negotiated in WELCOME; None => JSON
@@ -173,9 +174,9 @@ class ClusterWorker:
         # thread, consumed by the lease being run: at share_poll
         # cadence, and between two subtrees of a budget lease).
         self._steal_req: Optional[dict] = None
-        # The offcuts of the budget lease being run, replaced when the
-        # lease ends (main thread only; the heartbeat thread reads its
-        # length).
+        # The unstarted subtrees of the lease being run — roots it
+        # came with, offcuts of its stacks — replaced when the lease
+        # ends (main thread only; the heartbeat thread reads its length).
         self._pool = Workpool("depth")
         # Monotonic time of the last frame that actually left.
         self._last_sent = 0.0  # guarded-by: _send_lock
@@ -332,8 +333,11 @@ class ClusterWorker:
     def _on_message(self, msg: dict) -> None:
         mtype = msg.get("type")
         if mtype == P.JOB:
+            # A STEAL that trailed the last job's final RESULT asked for
+            # that job's work: it must not be answered out of this one's.
+            self._steal_req = None
             try:
-                self._ctx = _JobContext(msg)
+                self._ctx = _JobContext(msg, self._specs)
             except Exception as exc:
                 # Environment mismatch (factory missing here): stay
                 # idle; the coordinator's job timeout is the backstop.
@@ -360,7 +364,7 @@ class ClusterWorker:
                             bound,
                         )
                     else:
-                        work = (P.decode_node(lease[2]), int(lease[3]))
+                        work = (P.decode_node(lease[2]), int(lease[3]))  # roots, depth
                     self._local_q.put((ctx, task_id, epoch, work))
         elif mtype == P.STEAL:
             # Answered by the lease being run (or the one queued), at
@@ -487,22 +491,22 @@ class ClusterWorker:
             except OSError:
                 pass  # crash path: the lease epochs cover us anyway
 
-    def _run_task(self, ctx, task_id, epoch, root, root_depth) -> None:
+    def _run_task(self, ctx, task_id, epoch, roots, root_depth) -> None:
         """Run one budget or stack-stealing lease to its RESULT.
 
         :func:`~repro.runtime.sharing.execute_lease` runs the lease;
         this method is its wire.  A waiting STEAL is the starving peer:
-        it is answered with a STOLEN frame — under Stack-Stealing a
-        split of the live stack, empty when the stack has nothing to
-        give; under Budget the shallowest level of the lease's pool,
-        never empty (a request the pool cannot serve waits for the next
-        trip, or dies with the RESULT).  A RETIRE or SHUTDOWN makes a
-        Budget lease hand its whole pool back as OFFCUT frames, one per
-        depth, so only the subtree in hand is finished here.  Every
-        strict improvement leaves as INCUMBENT (value + witness).  One
-        RESULT then carries the counters of every subtree run, and for
-        Budget ``spawns``: how many of them came out of the pool (the
-        ones that crossed are counted where they land).
+        it is answered with one STOLEN frame — half of the shallowest
+        level of the lease's pool, which under Stack-Stealing is first
+        filled from the live stack if it is empty (and the answer is
+        empty when the stack has nothing to give); a Budget request the
+        pool cannot serve waits for the next trip, or dies with the
+        RESULT.  A RETIRE or SHUTDOWN makes a lease hand its whole pool
+        back as OFFCUT frames, one per depth, so only the subtree in
+        hand is finished here.  Every strict improvement leaves as
+        INCUMBENT (value + witness).  One RESULT then carries the
+        counters of every subtree run and ``spawns``, the subtrees
+        split off a stack here.
 
         Nothing is sent if the lease is abandoned (job done / stop /
         session death), leaving the coordinator's lease accounting to
@@ -511,20 +515,19 @@ class ClusterWorker:
         pooled = ctx.coordination == "budget"
         pool = self._pool  # empty between leases
 
-        def flushing() -> bool:
-            return pooled and (self._retire or self._drain)
-
         def demand() -> int:
-            if flushing():
+            if pool and (self._retire or self._drain):
                 return FLUSH
             return self._steal_req is not None
 
         def ship(nodes: list, depth: int) -> None:
-            handback = flushing()
-            if not handback:
-                self._steal_req = None  # this is its answer
+            # The first frame after a STEAL is its answer; anything
+            # else shipped is a pool being handed back.
+            stolen = self._steal_req is not None
+            if stolen:
+                self._steal_req = None
             self._send({
-                "type": P.OFFCUT if handback else P.STOLEN,
+                "type": P.STOLEN if stolen else P.OFFCUT,
                 "job": ctx.id,
                 "task": task_id,
                 "epoch": epoch,
@@ -558,7 +561,7 @@ class ClusterWorker:
             knowledge = Incumbent(knowledge.value, None)  # no witness of ours yet
         try:
             lease = execute_lease(
-                ctx.spec, ctx.stype, root, root_depth, knowledge, pool,
+                ctx.spec, ctx.stype, roots, root_depth, knowledge, pool,
                 budget=ctx.budget if pooled else None, chunked=ctx.chunked,
                 poll=ctx.share_poll, demand=demand, ship=ship,
                 bound=lambda: ctx.bound, publish=publish,
@@ -585,9 +588,8 @@ class ClusterWorker:
             "backtracks": total.backtracks,
             "max_depth": total.max_depth,
             "goal": lease.goal,
+            "spawns": total.spawns,
         }
-        if pooled:
-            result["spawns"] = lease.from_pool
         if ctx.enum:
             result["knowledge"] = knowledge
         elif knowledge.node is not None:
@@ -655,6 +657,7 @@ def _worker_process_main(
     """
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
+    sys.setswitchinterval(WORKER_SWITCH_INTERVAL)
     worker = ClusterWorker(
         host, port, name=name, stop_event=stop, slots=slots,
         wire_codec=wire_codec, give_up_after=give_up_after,

@@ -42,9 +42,15 @@ from multiprocessing import get_context, parent_process
 from queue import Empty
 from typing import Any, Callable, Iterator, NamedTuple
 
-__all__ = ["ProcessFleet", "Wires", "graceful_stop"]
+__all__ = ["ProcessFleet", "Wires", "graceful_stop", "WORKER_SWITCH_INTERVAL"]
 
 _CTX = get_context("fork")
+
+# A worker process's search thread shares its interpreter with threads
+# that have a moment's work to do now and then — the task queue's
+# feeder, a cluster worker's frame receiver.  At the default 5 ms a
+# hand-over waits that long to leave, and a STEAL to be seen.
+WORKER_SWITCH_INTERVAL = 0.0005
 
 
 def graceful_stop(proc, *, grace: float = 5.0) -> None:
@@ -73,7 +79,6 @@ class Wires(NamedTuple):
     goal: Any  # raw byte: a decision target was reached
     outstanding: Any  # locked int: leases queued or held
     best: Any  # locked int: the shared incumbent value
-    hungry: Any  # locked int: workers waiting on an empty queue
 
 
 def _exit_with_owner() -> None:
@@ -104,6 +109,7 @@ def _worker_main(ctrl, wires: Wires) -> None:
         os.close(tracker._fd)
         tracker._fd = None
     threading.Thread(target=_exit_with_owner, daemon=True).start()
+    sys.setswitchinterval(WORKER_SWITCH_INTERVAL)
     # Nothing unflushed is worth blocking this process's exit for.
     wires.task_q.cancel_join_thread()
     wires.result_q.cancel_join_thread()
@@ -173,7 +179,7 @@ class ProcessFleet:
             self._wires = Wires(
                 _CTX.Queue(), _CTX.Queue(),
                 _CTX.Value("b", 0, lock=False), _CTX.Value("b", 0, lock=False),
-                _CTX.Value("q", 0), _CTX.Value("q", 0), _CTX.Value("q", 0),
+                _CTX.Value("q", 0), _CTX.Value("q", 0),
             )
             # A job may end with tasks unread; never wait to flush them.
             self._wires.task_q.cancel_join_thread()
@@ -210,7 +216,7 @@ class ProcessFleet:
                 engaged = self._engage(n)
                 wires = self._wires
                 self._epoch = epoch = self._epoch + 1
-                wires.done.value = wires.goal.value = wires.hungry.value = 0
+                wires.done.value = wires.goal.value = 0
                 wires.outstanding.value = outstanding
                 wires.best.value = best
                 for _, ctrl in engaged:

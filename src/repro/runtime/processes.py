@@ -25,11 +25,12 @@ RuntimeError and stops the fleet; the next search starts a fresh one.
   never split further (the OpenMP-style baseline of Table 1).
 - :func:`multiprocessing_budget_search` — **dynamic** work sharing
   (Budget): subtrees that outrun their node budget shed offcuts into
-  the worker's own order-preserving pool, and the pool's shallowest
-  level goes to the shared queue only while another worker is starving.
+  the worker's own order-preserving pool, and half of the pool's
+  shallowest level goes to the shared queue, as one item for one thief,
+  only while another worker is starving.
 - :func:`multiprocessing_stacksteal_search` — **demand-driven** work
   sharing (Stack-Stealing): the same worker, but a stack is split only
-  while a shared hungry counter says another worker is starving.
+  while the shared lease count says another worker is starving.
 - :func:`multiprocessing_ordered_search` — **replicable** search
   (Ordered, after Archibald et al.): discovery-ordered atomic tasks,
   leased and reported in runs, finalised in sequence order by an
@@ -357,30 +358,31 @@ def _sharing_worker_main(
 ):
     """One job of a fleet worker on the queue-based coordinations.
 
-    Pulls ``(epoch, root, depth)`` tasks and runs each as a lease
-    through :func:`~repro.runtime.sharing.execute_lease`, which owns the
+    Pulls ``(epoch, nodes, depth)`` items — sibling subtree roots, one
+    hand-over — and runs each as a lease through
+    :func:`~repro.runtime.sharing.execute_lease`, which owns the
     coordination — when the live stack is split, what is pooled, what
     is given away (``budget`` a node count: Budget; None:
     Stack-Stealing).  This function is its transport.  The incumbent is
     the shared integer ``best``, read without the lock and locked only
-    to publish an improvement.  Work given away goes onto ``task_q``,
-    and ``outstanding`` counts leases: up by what is shipped, down when
-    a holder's lease ends; whoever brings it to zero raises ``done``.
+    to publish an improvement.  What is given away goes onto ``task_q``
+    as one item, whoever dequeues it is the thief, and ``outstanding``
+    counts items: up by one per hand-over, down when a holder's lease
+    ends; whoever brings it to zero raises ``done``.
     ``goal`` is raised by the worker that reaches a decision target,
     and the others abandon their leases at the next poll.  Either flag
     is followed by a sentinel per peer, so that a worker idling in
     ``task_q.get`` leaves at once.  Whatever an earlier job left on the
     queue carries another epoch and is dropped.
 
-    ``hungry`` counts currently-starving workers — the steal request of
-    these backends: a worker that finds the queue empty registers
-    itself once, before it blocks, and deregisters on its next
-    successful dequeue, so the counter never goes negative and a
-    serviced request cannot be double-claimed; the worst case is a
-    harmless over-share inside one poll window.  This is the
-    (spawn-stack) rule with the victim's poll standing in for the
-    interrupt.  Depth-Bounded is not ``stealing``: nobody is ever asked
-    to share.
+    The steal request of these backends is ``outstanding`` itself:
+    while fewer items exist, queued or held, than there are workers,
+    one of them has nothing and nothing is on its way to it.  A holder
+    that sees that at its poll hands one item over, which takes the
+    count up by one, so a request is served exactly once and from the
+    poll after the thief's last lease ended.  This is the (spawn-stack)
+    rule with the victim's poll standing in for the interrupt.
+    Depth-Bounded is not ``stealing``: nobody is ever asked to share.
     """
     task_q, done_flag, goal_flag = wires.task_q, wires.done, wires.goal
     enum = stype.kind == "enumeration"
@@ -388,26 +390,23 @@ def _sharing_worker_main(
     best_lock = wires.best.get_lock()
     out_raw = wires.outstanding.get_obj()
     out_lock = wires.outstanding.get_lock()
-    hungry_raw = wires.hungry.get_obj()
-    hungry_lock = wires.hungry.get_lock()
 
     # The accumulator (enumeration) or the best incumbent found in
     # this job, witness included.
     knowledge = stype.initial_knowledge(spec)
     metrics = SearchMetrics()
-    pool = Workpool("depth")  # Budget's offcuts; stays empty otherwise
+    pool = Workpool("depth")  # the lease in hand's other roots and offcuts
     goal_hit = False
-    registered = False  # this worker's own entry in `hungry`
 
     def demand() -> bool:
-        return stealing and hungry_raw.value > 0
+        return stealing and out_raw.value < n_workers
 
     def ship(nodes: list, depth: int) -> None:
-        with out_lock:
-            out_raw.value += len(nodes)
-        for node in nodes:
-            task_q.put((epoch, node, depth))
-        metrics.steals += len(nodes)
+        if nodes:  # "nothing to give" needs no message here
+            with out_lock:
+                out_raw.value += 1
+            task_q.put((epoch, nodes, depth))
+            metrics.steals += len(nodes)
 
     def publish(found: Incumbent) -> None:
         with best_lock:
@@ -427,21 +426,11 @@ def _sharing_worker_main(
 
     while not (done_flag.value or goal_flag.value):
         try:
-            # The first look must not wait: a starving worker says so
-            # now, not one queue_poll later.
-            task = task_q.get(block=registered or not stealing, timeout=queue_poll)
+            task = task_q.get(timeout=queue_poll)
         except Empty:
-            if stealing and not registered:
-                with hungry_lock:
-                    hungry_raw.value += 1
-                registered = True
             continue
         if task[0] != epoch or len(task) == 1:
             continue  # a straggler, or an end-of-job sentinel: the flag is up
-        if registered:
-            with hungry_lock:
-                hungry_raw.value -= 1
-            registered = False
         lease = execute_lease(
             spec, stype, *task[1:], knowledge, pool,
             budget=budget, chunked=chunked, poll=share_poll,
@@ -490,12 +479,14 @@ def multiprocessing_budget_search(
     its pool — deepest level first, spawn order within a level, which
     is the order the sequential search would reach them in — before it
     looks at the queue again.  A subtree is pickled onto the queue only
-    while another worker is starving: then the shallowest level of the
-    pool goes, so what moves is near the root and load still balances
-    at runtime instead of being fixed by a depth-``d`` frontier.
+    while another worker is starving: then half of the shallowest level
+    of the pool goes, as one queue item that its taker runs as one
+    lease, so what moves is near the root and load still balances at
+    runtime instead of being fixed by a depth-``d`` frontier.
     ``metrics.spawns`` counts the subtrees split off (on an enumeration
     a function of the tree, ``budget`` and ``share_poll`` alone),
-    ``metrics.steals`` the ones that crossed the queue.
+    ``metrics.steals`` the ones that crossed the queue (a subtree handed
+    on twice counts twice).
 
     ``spec_factory(*factory_args)`` / ``stype_factory(*stype_args)``
     must be top-level picklable callables, as for
@@ -532,18 +523,19 @@ def multiprocessing_stacksteal_search(
 ) -> SearchResult:
     """Stack-Stealing search over worker processes (shared-memory steals).
 
-    The whole tree starts as one task on the shared queue.  An idle
-    worker raises a *steal request* — a shared hungry counter it
-    increments once and decrements when it next obtains work.  Busy
-    workers poll that counter on their ``share_poll`` periodic duties
-    and, seeing it raised, expose the lowest-depth frame of their live
-    generator stack: all remaining children there when ``chunked``, a
-    single node otherwise, pushed to the queue for the thief
-    (:func:`~repro.runtime.sharing.execute_lease` with no budget).
-    This is the paper's Stack-Stealing
-    coordination with the victim's poll standing in for an interrupt:
-    work moves only when somebody is starving, unlike Budget's
-    unconditional splitting cadence.
+    The whole tree starts as one task on the shared queue.  A worker
+    with nothing to do is a *steal request* by being one: the shared
+    count of leases, queued or held, is then below the number of
+    workers.  Busy workers read that count on their ``share_poll``
+    periodic duties and, seeing it short, expose the lowest-depth frame
+    of their live generator stack — all remaining children there when
+    ``chunked``, a single node otherwise — and push every other node of
+    it to the queue as one item for the thief, keeping the rest to run
+    or give away next (:func:`~repro.runtime.sharing.execute_lease`
+    with no budget).  This is the paper's Stack-Stealing coordination
+    with the victim's poll standing in for an interrupt: work moves
+    only when somebody is starving, unlike Budget's unconditional
+    splitting cadence.
 
     Factories and objective constraints are as for
     :func:`multiprocessing_budget_search`; a worker death likewise
@@ -582,9 +574,8 @@ def _sharing_search(
     of :func:`_sharing_worker_main`'s arguments (``budget`` None
     selecting Stack-Stealing).  ``metrics.spawns`` is the number of
     subtrees split off, by the parent or off a worker's stack;
-    ``metrics.steals`` the number a worker put on the queue: every one
-    of its offcuts under Stack-Stealing, only what a starving worker was
-    shipped under Budget.
+    ``metrics.steals`` the number a worker put on the queue for a
+    starving one.
     """
     if n_processes < 1:
         raise ValueError("need at least one process")
@@ -594,13 +585,13 @@ def _sharing_search(
     enum = stype.kind == "enumeration"
 
     if d_cutoff is None:
-        tasks = [(spec.root, 0)]
+        tasks = [([spec.root], 0)]
         knowledge = stype.initial_knowledge(spec)
         metrics = SearchMetrics()
         goal = False
     else:
         frontier = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
-        tasks = [(task.node, task.depth) for task in frontier.tasks]
+        tasks = [([task.node], task.depth) for task in frontier.tasks]
         knowledge, metrics, goal = frontier.knowledge, frontier.metrics, frontier.goal
     if not enum:
         _checked_incumbent_seed(knowledge.value)

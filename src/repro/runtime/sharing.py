@@ -1,9 +1,10 @@
 """The Budget and Stack-Stealing coordinations, written once.
 
-A sharing worker of either real runtime holds a *lease*: a subtree it
-was handed, and every subtree it splits off and searches itself before
-it asks for more.  :func:`execute_lease` is everything between "a
-subtree arrives" and "the lease is over", the counterpart for these two
+A sharing worker of either real runtime holds a *lease*: the sibling
+subtrees it was handed in one go, and every subtree it splits off and
+searches itself before it asks for more.  :func:`execute_lease` is
+everything between "a hand-over arrives" and "the lease is over", the
+counterpart for these two
 coordinations of :func:`repro.core.ordered.execute_run`, and like it
 transport-free: the multiprocessing workers
 (:mod:`repro.runtime.processes`) and the cluster worker
@@ -13,22 +14,28 @@ STEAL, STOLEN and OFFCUT frames on the other.
 
 *When the live stack is split* is what tells the coordinations apart;
 the traversal is the search kernel's
-(:func:`~repro.core.kernel.search_subtree`) for all of them.
+(:func:`~repro.core.kernel.search_subtree`) for all of them, and so is
+what happens to the offcuts: they go into the holder's own
+order-preserving pool (:class:`~repro.runtime.workpool.Workpool`, the
+per-locality pool of §4.3), where the roots a lease arrived with
+beyond its first already are.  When the subtree in hand ends the next
+one is popped — deepest level first, spawn order within it, the order
+the sequential search would reach them in.  A subtree leaves only when
+somebody wants it: a starving peer gets *half* of the level of the pool
+nearest the root (§4.2: steal near the root; every other node from the
+first, so both sides keep big and small subtrees, and a lone node goes
+whole) in one ``ship``, which the transports carry to it as one lease;
+a holder told to flush hands over every level.
 
 - **Budget** (``budget`` is a node count, Listing 4 with nodes as the
   unit): every ``budget`` nodes of a subtree the lowest frame of the
-  stack is split into the holder's own order-preserving pool
-  (:class:`~repro.runtime.workpool.Workpool`, the per-locality pool of
-  §4.3).  When the subtree in hand ends the next one is popped —
-  deepest level first, spawn order within it, the order the sequential
-  search would reach them in — and searched with a fresh budget
-  counter.  A subtree leaves only when somebody wants it: the level of
-  the pool nearest the root for a starving peer (§4.2: steal near the
-  root), every level when the holder is told to flush.
-- **Stack-Stealing** (``budget`` is None): no cadence and no pool.  The
-  stack is split only while a peer is starving — its lowest frame when
-  ``chunked``, one node otherwise — and the offcuts are shipped at once,
-  an empty list included: that is the answer "nothing to give".
+  stack is split into the pool, and every subtree starts with a fresh
+  budget counter.
+- **Stack-Stealing** (``budget`` is None): no cadence.  The stack is
+  split only while a peer is starving and the pool has nothing for it —
+  its lowest frame when ``chunked``, one node otherwise.  A stack with
+  nothing to give ships the empty list: that is the answer "nothing to
+  give".
 
 A Depth-Bounded worker, whose parent did all the splitting, is a
 Stack-Stealing worker that is never asked.
@@ -66,23 +73,22 @@ class LeaseOutcome:
     (enumeration), or the best incumbent the caller's ``knowledge`` and
     this lease hold between them, witness included.  ``metrics`` sums
     the subtrees that ran to their end, with ``spawns`` the subtrees
-    split off a live stack; ``from_pool`` of them were then searched
-    here, out of the lease's own pool.  An ``abandoned`` lease stopped
-    at ``should_abort()``: the subtree in hand at that moment is counted
-    nowhere, everything before it is.
+    split off a live stack here (each counted once, wherever it is then
+    searched).  An ``abandoned`` lease stopped at ``should_abort()``:
+    the subtree in hand at that moment is counted nowhere, everything
+    before it is.
     """
 
     knowledge: Any
     goal: bool = False
     abandoned: bool = False
     metrics: SearchMetrics = field(default_factory=SearchMetrics)
-    from_pool: int = 0
 
 
 def execute_lease(
     spec: SearchSpec,
     stype: SearchType,
-    root: Any,
+    roots: list,
     root_depth: int,
     knowledge: Any,
     pool: Workpool,
@@ -97,12 +103,15 @@ def execute_lease(
     should_abort: Callable[[], bool],
     on_subtree: Optional[Callable[[], None]] = None,
 ) -> LeaseOutcome:
-    """Search the subtree under ``root`` and everything pooled from it.
+    """Search the subtrees under ``roots`` — siblings, all at
+    ``root_depth``, in the heuristic's order; one of them is the usual
+    case — and everything pooled from them.
 
-    ``pool`` is the holder's ``Workpool("depth")``, empty on entry and —
-    unless the lease is abandoned — on return; it is the caller's so
-    that the caller can report its length while the lease runs.  The
-    runtime is reached only through the callbacks, built once per lease:
+    The first root is searched at once and the others wait in ``pool``,
+    the holder's ``Workpool("depth")``: empty on entry and — unless the
+    lease is abandoned — on return; it is the caller's so that the
+    caller can report its length while the lease runs.  The runtime is
+    reached only through the callbacks, built once per lease:
 
     - ``demand()`` — is anybody waiting for work?  Falsy: no.  Truthy: a
       peer is starving, give it one hand-over.  :data:`FLUSH`: the
@@ -111,7 +120,8 @@ def execute_lease(
       never reaches the hook), and for Budget only while the pool holds
       something.
     - ``ship(nodes, depth)`` — these subtree roots, all at ``depth``,
-      now belong to somebody else.  One call per level of the pool.
+      now belong to somebody else: one hand-over.  One call per level
+      of a flushed pool.
     - ``bound()`` — the best objective any worker has published, as last
       heard; every subtree is seeded from it and the kernel refreshes
       it every ``poll`` nodes.  Never called for an enumeration.
@@ -128,14 +138,33 @@ def execute_lease(
     total = out.metrics
     best = knowledge  # incumbent types: never replaced by a bare bound
     since_trip = 0  # counted in poll quanta, drives the budget trips
+    root = roots[0]
+    for node in roots[1:]:
+        pool.push((node, root_depth), root_depth)
 
     def offer() -> None:
         wanted = demand()
         while wanted and pool:
             level = pool.pop_shallowest()
-            ship([node for node, _ in level], level[0][1])
+            depth = level[0][1]
+            if wanted != FLUSH:
+                # Steal half, rounded up: the holder has the subtree in
+                # hand besides, and the thief can start the first now.
+                for task in level[1::2]:
+                    pool.push(task, depth)
+                level = level[::2]
+            ship([node for node, _ in level], depth)
             if wanted != FLUSH:
                 return
+
+    def spill(stack: list) -> int:
+        """Split the live stack into the pool; how many subtrees."""
+        offcuts, frame_index = split(stack)
+        depth = root_depth + frame_index + 1
+        for node in offcuts:
+            pool.push((node, depth), depth)
+        total.spawns += len(offcuts)
+        return len(offcuts)
 
     def on_poll(stack: list) -> Optional[int]:
         nonlocal since_trip
@@ -145,17 +174,11 @@ def execute_lease(
             since_trip += poll
             if since_trip >= budget:
                 since_trip = 0
-                offcuts, frame_index = split(stack)
-                depth = root_depth + frame_index + 1
-                for node in offcuts:
-                    pool.push((node, depth), depth)
-                total.spawns += len(offcuts)
-            if pool:
-                offer()
-        elif demand():
-            offcuts, frame_index = split(stack)
-            ship(offcuts, root_depth + frame_index + 1)
-            total.spawns += len(offcuts)
+                spill(stack)
+        elif not pool and demand() and not spill(stack):
+            ship([], root_depth)
+        if pool:
+            offer()
         return None if enum else bound()
 
     def on_improve(found: Incumbent) -> None:
@@ -191,7 +214,6 @@ def execute_lease(
             if on_subtree is not None:
                 on_subtree()
             root, root_depth = task
-            out.from_pool += 1
             since_trip = 0
     except _Abandoned:
         out.abandoned = True

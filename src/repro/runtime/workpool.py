@@ -19,8 +19,9 @@ of it, as YewPar's depth pool does: under the ``"depth"`` discipline
 :meth:`Workpool.pop` hands the owner its *deepest* task, so a worker
 left alone walks its subtrees in the order the sequential search would
 and the pool never holds more than the open siblings of one root-to-leaf
-path, while :meth:`Workpool.pop_shallowest` hands a starving peer the
-whole level nearest the root.
+path, while :meth:`Workpool.pop_shallowest` takes out the whole level
+nearest the root, of which a starving peer is given half
+(:mod:`repro.runtime.sharing`).
 """
 
 from __future__ import annotations

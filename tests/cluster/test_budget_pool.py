@@ -8,6 +8,8 @@ coordinator sees a handful of frames, not two per task — is pinned here
 on both runtimes.
 """
 
+import time
+
 import pytest
 
 from repro.cluster import protocol as P
@@ -24,7 +26,7 @@ from repro.runtime.processes import make_stype, multiprocessing_budget_search
 from repro.verify.generators import instance_spec
 
 from tests.cluster.test_coordinator import (
-    ENUM_PAYLOAD,
+    OPT_PAYLOAD,
     FakeWorker,
     offcut_frame,
     result_frame,
@@ -117,8 +119,9 @@ class TestSpawnsAndSteals:
         # Every subtree is searched under a fresh budget counter
         # wherever it runs, so how the tree falls apart into subtrees is
         # a function of tree, budget and share_poll alone: both runtimes
-        # and any worker count report the same ``spawns``.  ``steals``
-        # is the subset that left the worker that split it off.
+        # and any worker count report the same ``spawns`` — each subtree
+        # once, where it was split.  ``steals`` is what crossed to
+        # another worker (a subtree handed on twice counts twice).
         spec, stype = _enum()
         crossed = []
         on_stolen = Coordinator._on_stolen
@@ -173,6 +176,72 @@ class TestSpawnsAndSteals:
         assert frames[P.RESULT] == 1  # the root lease, pool and all
 
 
+# The ledger's UTS tree (both enum-uts workloads search it) and the
+# Budget task counts its per-layer metrics ``cluster.budget.tasks`` and
+# ``runtime.processes.budget.tasks`` have read since they exist.
+LEDGER_UTS = ("uts", (4, 9, 1330772960))
+LEDGER_UTS_NODES = 149_511
+
+
+class TestLedgerTaskCounts:
+    @pytest.mark.parametrize("budget, tasks", [(1000, 360), (100, 2984)])
+    def test_uts_falls_apart_the_same_on_both_runtimes(self, budget, tasks):
+        """``enum-uts-coarse`` and ``enum-uts-fine``: a subtree that
+        arrives in a lease of several, or is handed on again, is still
+        one spawn, counted where it was split."""
+        stype = make_search_type("enumeration")
+        on_cluster = cluster_search(
+            instance_spec, LEDGER_UTS, stype, n_workers=2, timeout=60, budget=budget,
+        )
+        on_processes = multiprocessing_budget_search(
+            instance_spec, LEDGER_UTS, make_stype, ("enumeration", {}),
+            n_processes=2, budget=budget,
+        )
+        for res in (on_cluster, on_processes):
+            assert res.metrics.nodes == LEDGER_UTS_NODES
+            assert res.metrics.spawns == tasks
+
+    def test_brock90_1_is_87_tasks(self):
+        # ``gateway-mix``: the one trip of a 5 k-node search splits the
+        # root's other children off, and none of them is big enough to
+        # trip again whatever bound it starts from.
+        spec, stype = spec_for("brock90-1")[0], make_search_type("optimisation")
+        best = sequential_search(spec, stype).value
+        on_cluster = cluster_search(
+            library_spec_factory, ("brock90-1",), stype, n_workers=2, timeout=60,
+        )
+        on_processes = multiprocessing_budget_search(
+            library_spec_factory, ("brock90-1",), make_stype, ("optimisation", {}),
+            n_processes=2,
+        )
+        for res in (on_cluster, on_processes):
+            assert (res.value, res.metrics.spawns) == (best, 87)
+
+
+class TestFrameBudget:
+    """What a job on a 5 k-node tree costs the coordinator, as counts: a
+    timing would not survive a shared CI runner."""
+
+    @pytest.mark.parametrize("coordination", ["budget", "stacksteal"])
+    def test_brock90_1_is_a_dozen_leases_not_88(self, coordination, monkeypatch):
+        # The root's 87 other children used to be a lease each (88
+        # RESULTs, ~177 frames).  Handed over half a level at a time
+        # they are at most one lease per halving — 7 — and a STOLEN
+        # before each but the first.
+        frames = _count_frames(monkeypatch)
+        stype = make_search_type("optimisation")
+        res = cluster_search(
+            library_spec_factory, ("brock90-1",), stype,
+            coordination=coordination, n_workers=2, timeout=60,
+        )
+        assert res.value == 14
+        assert frames[P.RESULT] <= 12
+        job_frames = sum(
+            n for t, n in frames.items() if t not in (P.HEARTBEAT, P.INCUMBENT)
+        )
+        assert job_frames <= 16
+
+
 @pytest.fixture
 def handle():
     h = ClusterHandle(heartbeat_interval=0.1, heartbeat_timeout=0.6)
@@ -181,36 +250,53 @@ def handle():
     h.shutdown(drain_workers=False)
 
 
+def _eventually(handle, queued, within=3.0):
+    """Does ``queued_tasks`` reach ``queued`` (frames race the probe)?"""
+    deadline = time.monotonic() + within
+    while handle.load_stats()["queued_tasks"] != queued:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
 class TestLoadSignal:
     def test_queued_tasks_counts_worker_pools(self, handle):
         """``queued_tasks`` feeds the elastic policy's demand: it must
-        see the runnable subtrees a budget lease-holder keeps at home,
-        as last reported, on top of the coordinator's own queue."""
+        see the runnable subtrees a lease-holder keeps at home, as last
+        reported, on top of the coordinator's own queue — in subtrees,
+        however many of them one queued record holds."""
         w1 = FakeWorker(*handle.address, name="holder")
         w2 = FakeWorker(*handle.address, name="other")
         try:
-            fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
+            fut = handle.run_job_future(OPT_PAYLOAD, timeout=10)
             root = w1.recv(P.TASK)
             assert handle.load_stats()["queued_tasks"] == 0
             w1.send({"type": P.HEARTBEAT, "pool": 7})
             w1.send(offcut_frame(root, [(1,), (2,), (3,)]))
-            t2 = w2.recv(P.TASK)  # one leased on; two stay queued
+            t2 = w2.recv(P.TASK)  # all three, one lease: nothing stays queued
+            assert len(t2["nodes"]) == 3
             stats = handle.load_stats()
-            assert stats["queued_tasks"] == 2 + 7
+            assert stats["queued_tasks"] == 0 + 7
             by_name = {w["name"]: w for w in stats["workers"]}
             assert by_name["holder"]["pool"] == 7
             assert by_name["other"]["pool"] == 0
-            # A pool length rides on the frames a steal produces too.
+            # A pool length rides on the frames a steal produces too;
+            # with both workers busy its subtree waits here.
             w2.send({
                 "type": P.STOLEN, "job": t2["job"], "task": t2["task"],
                 "epoch": t2["epoch"], "depth": 4,
                 "nodes": [P.encode_node((9,))], "pool": 4,
             })
-            w1.send(result_frame(root, knowledge=1))  # lease over: pool dry
+            assert _eventually(handle, 1 + 7 + 4)
+            # The holder of the three-root lease is lost: the lease is
+            # queued again whole, and counts as three.
+            w2.stop_heartbeat()
+            assert _eventually(handle, 3 + 1 + 7)
+            w1.send(result_frame(root, value=1, node=(1,)))  # lease over: pool dry
             t3 = w1.recv(P.TASK)
-            stats = handle.load_stats()
-            assert stats["queued_tasks"] == 2 + 4
-            assert t3["depth"] == 3  # one of the offcuts
+            assert t3["nodes"] == t2["nodes"] and t3["epoch"] == 1
+            assert handle.load_stats()["queued_tasks"] == 1
             handle.cancel_job("enough")
             with pytest.raises(ClusterJobCancelled):
                 fut.result(timeout=10)

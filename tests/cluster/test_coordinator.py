@@ -45,9 +45,9 @@ class FakeWorker:
     negotiates JSON for it; pass ``codecs=["binary", "json"]`` to get
     binary frames back (reads auto-detect either way).  The
     coordinator sends batched TASK frames — ``recv`` decomposes each
-    ``leases`` batch into the classic single-lease shape so scripted
-    tests keep addressing one task at a time; ``recv_raw`` returns
-    frames as they actually arrived.
+    ``leases`` batch into one pseudo-frame per lease (``nodes`` are its
+    roots) so scripted tests address one lease at a time; ``recv_raw``
+    returns frames as they actually arrived.
     """
 
     def __init__(self, host, port, name="fake", slots=1, codecs=None):
@@ -96,8 +96,8 @@ class FakeWorker:
         if msg["type"] == P.TASK and "leases" in msg:
             return [
                 {"type": P.TASK, "job": msg["job"], "task": tid,
-                 "epoch": epoch, "node": node, "depth": depth}
-                for tid, epoch, node, depth in msg["leases"]
+                 "epoch": epoch, "nodes": nodes, "depth": depth}
+                for tid, epoch, nodes, depth in msg["leases"]
             ]
         return [msg]
 
@@ -221,6 +221,7 @@ class TestLeasing:
             task = w.recv(P.TASK)
             assert task["epoch"] == 0
             assert task["depth"] == 0
+            assert len(task["nodes"]) == 1  # the whole tree: one root
             w.send(result_frame(task, knowledge=17))
             res = fut.result(timeout=10)
             assert res.value == 17
@@ -245,6 +246,28 @@ class TestLeasing:
         finally:
             w1.close()
 
+    def test_the_last_spec_is_kept_for_the_next_job(self, handle, monkeypatch):
+        """The coordinator builds a job's spec for its root and identity
+        knowledge; the next job naming the same factory and arguments
+        gets the same one, any other job a fresh one."""
+        built = []
+        resolve = P.resolve_factory
+
+        def counting(path):
+            factory = resolve(path)
+            return lambda *args: built.append(args) or factory(*args)
+
+        monkeypatch.setattr(P, "resolve_factory", counting)
+        w = FakeWorker(*handle.address)
+        try:
+            for payload in (ENUM_PAYLOAD, dict(ENUM_PAYLOAD), OPT_PAYLOAD, ENUM_PAYLOAD):
+                fut = handle.run_job_future(payload, timeout=10)
+                w.send(result_frame(w.recv(P.TASK), knowledge=1, value=1, node=(1,)))
+                fut.result(timeout=10)
+        finally:
+            w.close()
+        assert built == [("uts-geo-med",), ("brock90-1",), ("uts-geo-med",)]
+
     def test_offcut_fans_out_to_other_workers(self, handle):
         w1 = FakeWorker(*handle.address, name="w1")
         w2 = FakeWorker(*handle.address, name="w2")
@@ -259,18 +282,17 @@ class TestLeasing:
                 "depth": 3,
                 "nodes": [P.encode_node((1, 2)), P.encode_node((3, 4))],
             })
-            # One offcut should be leased to the idle w2 (w1 still holds
-            # its root lease; slots=1).
+            # The hand-over is one lease for the one idle worker (w1
+            # still holds its root lease; slots=1), in the order given.
             t2 = w2.recv(P.TASK)
             assert t2["depth"] == 3
-            assert P.decode_node(t2["node"]) in ((1, 2), (3, 4))
-            w1.send(result_frame(task, knowledge=1))
-            # After w1's RESULT frees its slot, the second offcut lands.
-            t3 = w1.recv(P.TASK)
-            w1.send(result_frame(t3, knowledge=10))
+            assert P.decode_node(t2["nodes"]) == [(1, 2), (3, 4)]
+            # Subtrees are counted where they were split off a stack.
+            w1.send(result_frame(task, knowledge=1, spawns=2))
+            w1.assert_no_frame(P.TASK, within=0.2)  # nothing was left queued
             w2.send(result_frame(t2, knowledge=100))
             res = fut.result(timeout=10)
-            assert res.value == 111  # all three accumulators combined
+            assert res.value == 101  # both accumulators combined
             assert res.metrics.spawns == 2
             assert res.workers == 2
         finally:
@@ -326,6 +348,38 @@ class TestEpochs:
             assert res.node == ("n9",)
             assert res.metrics.reassigned == 1
             assert res.workers == 1  # only the survivor contributed
+        finally:
+            w1.close()
+            w2.close()
+
+    @pytest.mark.parametrize("payload", [OPT_PAYLOAD, ENUM_PAYLOAD], ids=["opt", "enum"])
+    def test_dead_holder_of_a_lease_of_siblings(self, handle, payload):
+        """Nothing is acknowledged per root: a dead holder's lease goes
+        back whole under a bumped epoch (optimisation), or fails the job
+        (enumeration, whose partial accumulator died with it)."""
+        w1 = FakeWorker(*handle.address, name="survivor")
+        w2 = FakeWorker(*handle.address, name="doomed")
+        try:
+            fut = handle.run_job_future(payload, timeout=15)
+            root = w1.recv(P.TASK)
+            w1.send(offcut_frame(root, [("a",), ("b",), ("c",)]))
+            lease = w2.recv(P.TASK)
+            assert len(lease["nodes"]) == 3
+            w2.stop_heartbeat()
+            if payload is ENUM_PAYLOAD:
+                with pytest.raises(ClusterJobFailed, match="enumeration"):
+                    fut.result(timeout=10)
+                return
+            w1.send(result_frame(root, value=3, node=("r3",)))
+            again = w1.recv(P.TASK, timeout=5.0)
+            assert again["task"] == lease["task"] and again["epoch"] == 1
+            assert again["nodes"] == lease["nodes"]
+            # The dead holder's word on it is stale by now.
+            w2.send(result_frame(lease, value=99, node=("ghost",)))
+            w1.send(result_frame(again, value=9, node=("n9",)))
+            res = fut.result(timeout=10)
+            assert (res.value, res.node) == (9, ("n9",))
+            assert res.metrics.reassigned == 1
         finally:
             w1.close()
             w2.close()
@@ -421,24 +475,25 @@ def offcut_frame(task_msg, nodes, depth=3):
 
 
 def lease_to_task(raw, lease):
-    """One ``[id, epoch, node, depth]`` entry as a classic TASK dict."""
-    task_id, epoch, node, depth = lease
+    """One ``[id, epoch, nodes, depth]`` entry as a classic TASK dict."""
+    task_id, epoch, nodes, depth = lease
     return {"type": P.TASK, "job": raw["job"], "task": task_id,
-            "epoch": epoch, "node": node, "depth": depth}
+            "epoch": epoch, "nodes": nodes, "depth": depth}
 
 
 class TestBatching:
     def test_offcut_batch_leased_in_one_frame(self, handle):
-        # A v2 worker with free slots gets all its grants in a single
-        # TASK frame, not one frame per lease.
+        # A worker with free slots gets all its grants in a single
+        # TASK frame, not one frame per lease.  (Nobody is idle, so the
+        # hand-over is queued one record per subtree.)
         w = FakeWorker(*handle.address, slots=3)
         try:
             fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
             root = w.recv(P.TASK)
             w.send(offcut_frame(root, [(1, 2), (3, 4)]))
             raw = w.recv_raw(P.TASK)
-            assert len(raw["leases"]) == 2
-            w.send(result_frame(root, knowledge=1))
+            assert [len(lease[2]) for lease in raw["leases"]] == [1, 1]
+            w.send(result_frame(root, knowledge=1, spawns=2))
             for lease in raw["leases"]:
                 w.send(result_frame(lease_to_task(raw, lease), knowledge=10))
             res = fut.result(timeout=10)
@@ -449,33 +504,38 @@ class TestBatching:
 
     def test_round_robin_spreads_leases_across_workers(self, handle):
         # Grants rotate one-lease-per-worker-per-pass, so a burst of
-        # offcuts cannot all pile onto whichever worker is checked
+        # records cannot all pile onto whichever worker is checked
         # first — that hoarding is what flattens search-order anomalies.
         w1 = FakeWorker(*handle.address, name="w1", slots=2)
         w2 = FakeWorker(*handle.address, name="w2", slots=2)
         try:
             fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
             root = w1.recv(P.TASK)
-            # w1 holds the root (1 free slot), w2 is idle (2 free).
-            w1.send(offcut_frame(root, [(1,), (2,), (3,), (4,)]))
-            raw1 = w1.recv_raw(P.TASK)
+            # w1 holds the root, w2 is idle: a hand-over is one lease,
+            # and it is w2's.
+            w1.send(offcut_frame(root, [(1,), (2,)]))
             raw2 = w2.recv_raw(P.TASK)
-            assert len(raw1["leases"]) == 1
-            assert len(raw2["leases"]) == 2
-            # Completing the root frees w1's slot: the queued 4th offcut
-            # lands there.
-            w1.send(result_frame(root, knowledge=1))
-            raw3 = w1.recv_raw(P.TASK)
-            assert len(raw3["leases"]) == 1
+            assert [len(lease[2]) for lease in raw2["leases"]] == [2]
+            w1.assert_no_frame(P.TASK, within=0.2)
+            # Now nobody is idle and each has one free slot: the next
+            # hand-over is queued per subtree and dealt one each.
+            w1.send(offcut_frame(root, [(3,), (4,), (5,)]))
+            raw1 = w1.recv_raw(P.TASK)
+            raw3 = w2.recv_raw(P.TASK)
+            assert len(raw1["leases"]) == len(raw3["leases"]) == 1
+            # Completing the root frees a slot of w1: the third lands there.
+            w1.send(result_frame(root, knowledge=1, spawns=5))
+            raw4 = w1.recv_raw(P.TASK)
+            assert len(raw4["leases"]) == 1
             for raw, worker, value in ((raw1, w1, 10), (raw2, w2, 100),
-                                       (raw3, w1, 10000)):
+                                       (raw3, w2, 1000), (raw4, w1, 10000)):
                 for lease in raw["leases"]:
                     worker.send(
                         result_frame(lease_to_task(raw, lease), knowledge=value)
                     )
             res = fut.result(timeout=10)
-            assert res.value == 1 + 10 + 100 + 100 + 10000
-            assert res.metrics.spawns == 4
+            assert res.value == 1 + 10 + 100 + 1000 + 10000
+            assert res.metrics.spawns == 5
             assert res.workers == 2
         finally:
             w1.close()
@@ -485,19 +545,19 @@ class TestBatching:
         # One protocol version: every coordination needs run leases or
         # STEAL, so a HELLO with any other version gets ERROR and a
         # closed connection — it is never admitted, let alone leased.
-        for version in (1, 2, None):
+        for version in (1, 2, 3, None):
             frames = refused_hello(handle.address, version)
             assert [m["type"] for m in frames] == [P.ERROR]
             assert str(P.PROTOCOL_VERSION) in frames[0]["reason"]
-        w3 = FakeWorker(*handle.address, name="v3")
+        w4 = FakeWorker(*handle.address, name="v4")
         try:
             fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
-            w3.send(result_frame(w3.recv(P.TASK), knowledge=1))
+            w4.send(result_frame(w4.recv(P.TASK), knowledge=1))
             res = fut.result(timeout=10)
             assert res.value == 1
             assert res.workers == 1
         finally:
-            w3.close()
+            w4.close()
 
     def test_binary_codec_negotiated_end_to_end(self, handle):
         w = FakeWorker(*handle.address, codecs=["binary", "json"])
@@ -522,7 +582,7 @@ class TestBatching:
             root = w1.recv(P.TASK)
             w1.send(offcut_frame(root, [(7, 7)]))
             t2 = w2.recv(P.TASK)
-            assert P.decode_node(t2["node"]) == (7, 7)
+            assert P.decode_node(t2["nodes"]) == [(7, 7)]
             w1.send(result_frame(root, knowledge=1))
             w2.send(result_frame(t2, knowledge=10))
             res = fut.result(timeout=10)

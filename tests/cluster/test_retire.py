@@ -230,9 +230,9 @@ class TestRetireFlushesThePool:
         assert worker.retired
         result = sent[-2]
         # The root, three more subtrees, and the one RETIRE found in
-        # hand; everything else went back unstarted.
-        assert result["spawns"] == 4
+        # hand; everything else it had split off went back unstarted.
         assert worker.tasks_run == 5
+        assert result["spawns"] == 4 + sum(len(m["nodes"]) for m in flushed)
         assert all(m["nodes"] and (m["task"], m["epoch"]) == (1, 0) for m in flushed)
         assert flushed[-1]["pool"] == 0
         handed_back = sum(subtree_nodes(worker, m) for m in flushed)

@@ -76,19 +76,67 @@ class TestStealMediation:
             # the one busy worker to split its live stack.
             steal = w1.recv(P.STEAL)
             assert steal["job"] == root["job"]
-            w1.send(stolen_frame(root, [(1, 2)]))
+            w1.send(stolen_frame(root, [(1, 2), (3, 4), (5, 6)]))
+            # The answer reaches the thief as one lease, in one frame.
             t2 = w2.recv(P.TASK)
-            assert P.decode_node(t2["node"]) == (1, 2)
+            assert P.decode_node(t2["nodes"]) == [(1, 2), (3, 4), (5, 6)]
             assert t2["depth"] == 3
             w1.send(result_frame(root, knowledge=1))
             w2.send(result_frame(t2, knowledge=10))
             res = fut.result(timeout=10)
             assert res.value == 11
-            assert res.metrics.steals == 1
+            assert res.metrics.steals == 3  # subtrees that crossed
             assert res.workers == 2
         finally:
             w1.close()
             w2.close()
+
+    def test_stolen_work_goes_to_the_thief_not_back_to_the_victim(self, handle):
+        """The victim has a free prefetch slot and comes first in the
+        worker table: the hand-over must not be leased straight back to
+        it while the worker it was stolen for runs nothing."""
+        w1 = FakeWorker(*handle.address, name="victim", slots=2)
+        w2 = FakeWorker(*handle.address, name="thief")
+        try:
+            fut = handle.run_job_future(STEAL_ENUM, timeout=10)
+            root = w1.recv(P.TASK)
+            w1.recv(P.STEAL)
+            w1.send(stolen_frame(root, [(1,), (2,), (3,), (4,)]))
+            t2 = w2.recv(P.TASK)
+            assert len(t2["nodes"]) == 4
+            w1.assert_no_frame(P.TASK, within=0.3)
+            w1.send(result_frame(root, knowledge=1))
+            w2.send(result_frame(t2, knowledge=10))
+            assert fut.result(timeout=10).value == 11
+        finally:
+            w1.close()
+            w2.close()
+
+    def test_one_answer_is_dealt_to_every_idle_worker(self, handle):
+        w1 = FakeWorker(*handle.address, name="victim")
+        thieves = [FakeWorker(*handle.address, name=f"thief{i}") for i in range(3)]
+        try:
+            fut = handle.run_job_future(STEAL_ENUM, timeout=10)
+            root = w1.recv(P.TASK)
+            w1.recv(P.STEAL)
+            w1.send(stolen_frame(root, [(n,) for n in range(7)]))
+            # Three records, every third node each: big and small
+            # subtrees on every thief, the heuristic's order kept.
+            leases = [w.recv(P.TASK) for w in thieves]
+            assert sorted(P.decode_node(t["nodes"]) for t in leases) == [
+                [(0,), (3,), (6,)], [(1,), (4,)], [(2,), (5,)],
+            ]
+            assert handle.load_stats()["outstanding"] == 4
+            w1.send(result_frame(root, knowledge=1))
+            for w, t in zip(thieves, leases):
+                w.send(result_frame(t, knowledge=10))
+            res = fut.result(timeout=10)
+            assert res.value == 31
+            assert res.metrics.steals == 7
+        finally:
+            w1.close()
+            for w in thieves:
+                w.close()
 
     def test_no_second_steal_while_one_is_pending(self, handle):
         w1 = FakeWorker(*handle.address, name="victim")
@@ -147,7 +195,7 @@ class TestStealMediation:
             w_victim.recv(P.STEAL)  # on behalf of the idle thief
             w_victim.send(stolen_frame(root, [(4,)]))
             t2 = w_thief.recv(P.TASK)
-            assert P.decode_node(t2["node"]) == (4,)
+            assert P.decode_node(t2["nodes"]) == [(4,)]
             w_victim.send(result_frame(root, knowledge=1))
             w_thief.send(result_frame(t2, knowledge=10))
             res = fut.result(timeout=10)
@@ -177,7 +225,7 @@ class TestStealMediation:
             # The STOLEN answer crosses the RETIRE on the wire.
             w1.send(stolen_frame(root, [("s",)]))
             t2 = w2.recv(P.TASK)
-            assert P.decode_node(t2["node"]) == ("s",)
+            assert P.decode_node(t2["nodes"]) == [("s",)]
             # The retiring worker finishes its running task and is gone;
             # it must never be asked to split again.
             w1.send(result_frame(root, value=3, node=("r3",)))
@@ -204,11 +252,12 @@ class TestStealMediation:
             w1.recv(P.STEAL)
             w1.send({"type": P.STOLEN, "job": root["job"], "nodes": []})
             w1.assert_no_frame(P.STEAL, within=0.3)  # dry
-            # Late fruit: one subtree each for the victim's free slot
-            # and the thief, none left queued.
-            w1.send(stolen_frame(root, [(1,), (2,)]))
-            extra = w1.recv(P.TASK)
+            # Late fruit for the thief; then, with nobody idle, a
+            # hand-over from the thief lands in the victim's free slot.
+            w1.send(stolen_frame(root, [(1,)]))
             t2 = w2.recv(P.TASK)
+            w2.send(stolen_frame(t2, [(2,)]))
+            extra = w1.recv(P.TASK)
             # A newcomer starves.  The victim holds the most leases and
             # its verdict went with the grant: it is the one asked.
             w3 = FakeWorker(*handle.address, name="newcomer")
@@ -262,18 +311,17 @@ class TestBudgetSteals:
             w1.send(dict(stolen_frame(root, [(1, 2), (3, 4)], depth=1), pool=5))
             t2 = w2.recv(P.TASK)
             assert t2["depth"] == 1
-            assert P.decode_node(t2["node"]) == (1, 2)  # pool order kept
-            assert handle.load_stats()["queued_tasks"] == 1 + 5
-            # One RESULT answers for the root and the 40 subtrees its
-            # holder ran from its own pool.
-            w1.send(result_frame(root, knowledge=1, spawns=40))
-            t3 = w1.recv(P.TASK)
+            assert P.decode_node(t2["nodes"]) == [(1, 2), (3, 4)]  # pool order kept
+            assert handle.load_stats()["queued_tasks"] == 0 + 5
+            # One RESULT answers for the root and every subtree its
+            # holder ran from its own pool; it split 42 off its stacks,
+            # the two that crossed among them.
+            w1.send(result_frame(root, knowledge=1, spawns=42))
             w2.send(result_frame(t2, knowledge=10, spawns=7))
-            w1.send(result_frame(t3, knowledge=100))
             res = fut.result(timeout=10)
-            assert res.value == 111
+            assert res.value == 11
             assert res.metrics.steals == 2  # what crossed
-            assert res.metrics.spawns == 2 + 40 + 7  # crossed + run at home
+            assert res.metrics.spawns == 42 + 7  # each where it was split
             assert res.workers == 2
         finally:
             w1.close()
@@ -302,6 +350,15 @@ class TestBudgetSteals:
 WORKER_INSTANCE = "uts-geo-med"
 
 
+JOB_FRAME = {
+    "type": P.JOB, "job": 1,
+    "factory": P.factory_path(library_spec_factory),
+    "factory_args": [WORKER_INSTANCE],
+    "stype_kind": "enumeration", "stype_kwargs": {},
+    "chunked": True, "budget": 100, "share_poll": 32, "best": None,
+}
+
+
 def stub_worker(coordination, *, faults=None, budget=100, share_poll=32):
     """A real :class:`ClusterWorker` with the wire cut out: frames it
     would send are recorded in the returned list, frames it would
@@ -317,18 +374,13 @@ def stub_worker(coordination, *, faults=None, budget=100, share_poll=32):
             worker._drain = True  # nothing more to do: BYE and return
 
     worker._send = record
-    worker._on_message({
-        "type": P.JOB, "job": 1,
-        "factory": P.factory_path(library_spec_factory),
-        "factory_args": [WORKER_INSTANCE],
-        "stype_kind": "enumeration", "stype_kwargs": {},
-        "coordination": coordination, "chunked": True,
-        "budget": budget, "share_poll": share_poll, "best": None,
-    })
+    worker._on_message(dict(
+        JOB_FRAME, coordination=coordination, budget=budget, share_poll=share_poll,
+    ))
     root = worker._ctx.spec.root
     worker._on_message({
         "type": P.TASK, "job": 1,
-        "leases": [[1, 0, P.encode_node(root), 0]],
+        "leases": [[1, 0, [P.encode_node(root)], 0]],
     })
     return worker, sent
 
@@ -385,10 +437,10 @@ class TestWorkerAnswersSteals:
         assert [m["type"] for m in sent] == [P.STOLEN, P.RESULT, P.BYE]
         stolen, result = sent[0], sent[1]
         # The first trip's offcuts are the root's other children: the
-        # shallowest level there is, all of it, and the deeper levels
-        # pooled by then stay home.
+        # shallowest level there is.  Every other one of them goes, the
+        # rest and the deeper levels pooled by then stay home.
         assert stolen["depth"] == 1 and stolen["nodes"]
-        assert stolen["pool"] >= 0
+        assert stolen["pool"] >= len(stolen["nodes"])
         assert result["spawns"] > 0
         assert result["nodes"] + subtree_nodes(worker, stolen) == whole_tree()
 
@@ -412,6 +464,55 @@ class TestWorkerAnswersSteals:
         # inside a lease.
         assert started == list(range(1, result["spawns"] + 2))
         assert worker.tasks_run == result["spawns"] + 1
+
+
+    def test_a_steal_that_trailed_the_last_job_is_not_answered_in_this_one(self):
+        """The coordinator asks for work the moment a worker goes idle,
+        which at the end of a job can be after the victim's last RESULT:
+        the request then waits in the worker.  Answered out of the next
+        job's lease it would be a hand-over nobody is waiting for."""
+        worker, sent = stub_worker("stacksteal")
+        worker._local_q.get_nowait()  # job 1 is over, its STEAL is late
+        worker._on_message({"type": P.STEAL, "job": 1})
+        job2 = dict(JOB_FRAME, job=2, coordination="stacksteal")
+        worker._on_message(job2)
+        worker._on_message({
+            "type": P.TASK, "job": 2,
+            "leases": [[1, 0, [P.encode_node(worker._ctx.spec.root)], 0]],
+        })
+        worker._search_loop()
+        assert [m["type"] for m in sent] == [P.RESULT, P.BYE]
+        assert sent[0]["nodes"] == whole_tree()
+
+
+SPECS_BUILT = []
+
+
+def counting_factory(instance):
+    SPECS_BUILT.append(instance)
+    return library_spec_factory(instance)
+
+
+class TestWorkerKeepsItsSpec:
+    def test_the_factory_runs_again_only_for_another_factory_or_arguments(self):
+        worker = ClusterWorker("127.0.0.1", 1, name="stub")
+
+        def job(number, instance):
+            worker._on_message(dict(
+                JOB_FRAME, job=number, coordination="budget",
+                factory=P.factory_path(counting_factory), factory_args=[instance],
+            ))
+            return worker._ctx
+
+        del SPECS_BUILT[:]
+        first = job(1, WORKER_INSTANCE)
+        again = job(2, WORKER_INSTANCE)
+        assert again is not first and again.id == 2  # a new job...
+        assert again.spec is first.spec  # ...on the spec it already had
+        other = job(3, "brock90-1")
+        assert other.spec is not first.spec
+        job(4, WORKER_INSTANCE)  # one entry: the last one
+        assert SPECS_BUILT == [WORKER_INSTANCE, "brock90-1", WORKER_INSTANCE]
 
 
 class TestWorkerDrain:
@@ -453,7 +554,7 @@ class TestWorkerDrain:
             ).root
             conn.sendall(P.frame_bytes({
                 "type": P.TASK, "job": 1,
-                "leases": [[1, 0, P.encode_node(root), 0]],
+                "leases": [[1, 0, [P.encode_node(root)], 0]],
             }))
             time.sleep(0.1)  # mid-lease
             conn.sendall(P.frame_bytes({"type": P.SHUTDOWN}))

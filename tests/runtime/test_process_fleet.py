@@ -121,6 +121,29 @@ class TestIsolationBetweenJobs:
         assert len(FLEET.pids()) == 2
 
 
+    def test_a_goal_with_hand_overs_about_leaves_no_straggler(self, uts_nodes, clique_optimum):
+        """Budget and Stack-Stealing decision jobs that end on one
+        worker's goal while the others hold, or are about to dequeue,
+        hand-overs of several roots: none of those roots may be run, or
+        counted, in the enumeration that follows."""
+        sharing = (
+            (multiprocessing_budget_search, {"budget": 20, "share_poll": 4}),
+            (multiprocessing_stacksteal_search, {"share_poll": 4}),
+        )
+        moved = 0
+        for round_ in range(50):
+            search, knobs = sharing[round_ % 2]
+            hit = search(
+                clique_spec_factory, CLIQUE_ARGS, decision_factory, (clique_optimum,),
+                n_processes=3, **knobs,
+            )
+            assert hit.found is True and hit.value == clique_optimum
+            moved += hit.metrics.steals
+            search, knobs = sharing[(round_ + 1) % 2]
+            assert count_uts(search, n=3, **knobs) == uts_nodes, (round_, search.__name__)
+        assert moved > 50  # work was changing hands when the goals were hit
+
+
 class TestFailure:
     def test_crash_raises_and_the_next_call_gets_a_fresh_fleet(self, uts_nodes):
         assert count_uts() == uts_nodes

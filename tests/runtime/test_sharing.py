@@ -30,8 +30,9 @@ class Transport:
     """What a runtime hands :func:`execute_lease`, kept in memory.
 
     ``demand`` is the script: called with this transport, it answers
-    for the peers.  ``shipped`` logs ``(depth, nodes, depths left in
-    the pool, index of the demand() call that caused it)``.
+    for the peers.  ``shipped`` logs one hand-over per entry: ``(depth,
+    nodes, depths left in the pool, index of the demand() call that
+    caused it)``.
     """
 
     def __init__(self, demand=lambda transport: False, abort=lambda transport: False):
@@ -58,9 +59,9 @@ class Transport:
     def on_subtree(self):
         self.subtrees += 1
 
-    def run(self, spec, stype, root, depth, knowledge, **knobs):
+    def run(self, spec, stype, roots, depth, knowledge, **knobs):
         return execute_lease(
-            spec, stype, root, depth, knowledge, self.pool,
+            spec, stype, roots, depth, knowledge, self.pool,
             demand=self.demand, ship=self.ship, bound=lambda: self.best,
             publish=self.publish, should_abort=lambda: self._abort(self),
             on_subtree=self.on_subtree, **knobs,
@@ -68,22 +69,38 @@ class Transport:
 
 
 def run_to_the_end(spec, stype, transport, **knobs):
-    """The lease of the whole tree, then a lease for every subtree any
-    lease shipped: ``(knowledge, nodes, leases)``."""
+    """The lease of the whole tree, then one lease for every hand-over
+    any lease shipped: ``(knowledge, nodes, leases)``."""
     knowledge = stype.initial_knowledge(spec)
     nodes = leases = taken = 0
-    work = [(spec.root, 0)]
+    work = [([spec.root], 0)]
     while work:
-        root, depth = work.pop()
-        out = transport.run(spec, stype, root, depth, knowledge, **knobs)
+        roots, depth = work.pop()
+        out = transport.run(spec, stype, roots, depth, knowledge, **knobs)
         assert not out.abandoned and not transport.pool
         knowledge = out.knowledge
         nodes += out.metrics.nodes
         leases += 1
-        for depth, shipped, _, _ in transport.shipped[taken:]:
-            work.extend((node, depth) for node in shipped)
+        work.extend(
+            (shipped, depth) for depth, shipped, _, _ in transport.shipped[taken:]
+            if shipped
+        )
         taken = len(transport.shipped)
     return knowledge, nodes, leases
+
+
+def siblings(spec, at_least):
+    """The children of the first node, breadth first, that has
+    ``at_least`` of them, and their depth."""
+    level, depth = [spec.root], 0
+    while level:
+        families = [list(spec.children(spec.space, node)) for node in level]
+        depth += 1
+        for kids in families:
+            if len(kids) >= at_least:
+                return kids, depth
+        level = [kid for kids in families for kid in kids]
+    raise AssertionError(f"no node with {at_least} children")
 
 
 def visiting(spec):
@@ -116,7 +133,7 @@ class TestWorkConservation:
             spec, Enumeration(), transport, budget=budget, poll=4,
         )
         assert (value, nodes) == (seq.value, seq.metrics.nodes)
-        assert leases == 1 + sum(len(s[1]) for s in transport.shipped)
+        assert leases == 1 + sum(1 for s in transport.shipped if s[1])
         if somebody == "nobody" or budget == 10**9:
             assert leases == 1  # a budget never reached pools nothing
         elif somebody == "always":
@@ -147,30 +164,70 @@ class TestBudgetPool:
         in_order = visited[:]
         del visited[:]
         transport = Transport()
-        out = transport.run(spec, Enumeration(), spec.root, 0, 0, budget=1, poll=1)
+        out = transport.run(spec, Enumeration(), [spec.root], 0, 0, budget=1, poll=1)
         assert visited == in_order
-        assert out.from_pool == out.metrics.spawns == transport.subtrees > 10
+        assert out.metrics.spawns == transport.subtrees > 10
+
+    @pytest.mark.parametrize("budget", [1, 50, None])
+    def test_a_lease_of_siblings_walks_them_in_sequential_order(self, budget):
+        """The roots beyond the first wait in the pool, where they sort
+        before every offcut of the one in hand and behind its deeper
+        ones: left alone, a k-root lease is ``sequential_search`` over
+        those k subtrees, one after the other."""
+        spec, visited = visiting(uts_spec_factory(*UTS_ARGS))
+        roots, depth = siblings(spec, 4)
+        for root in roots:
+            sequential_search(dataclasses.replace(spec, root=root), Enumeration())
+        in_order = visited[:]
+        del visited[:]
+        transport = Transport()
+        out = transport.run(spec, Enumeration(), roots, depth, 0, budget=budget, poll=1)
+        assert visited == in_order
+        assert out.metrics.nodes == len(in_order)
+        # A root the lease came with is nobody's spawn; it is a pool pop.
+        assert transport.subtrees == out.metrics.spawns + len(roots) - 1
+        assert transport.shipped == [] and not transport.pool
 
     def test_nothing_is_shipped_while_nobody_starves(self):
         spec = uts_spec_factory(*UTS_ARGS)
         transport = Transport()
-        out = transport.run(spec, Enumeration(), spec.root, 0, 0, budget=5, poll=1)
+        out = transport.run(spec, Enumeration(), [spec.root], 0, 0, budget=5, poll=1)
         assert transport.shipped == []
-        assert out.metrics.spawns == out.from_pool > 0
+        assert out.metrics.spawns == transport.subtrees > 0
         # Asked only while there was something to give.
         assert 0 < transport.asked
 
     def test_a_starving_peer_gets_the_level_nearest_the_root(self):
+        """Half of it, rounded up: every other node from the first (the
+        holder has a subtree in hand besides), and the half that stays
+        can be run or given away next."""
         spec = uts_spec_factory(*UTS_ARGS)
-        # Wait for a pool three levels deep, then starve once.
-        transport = Transport(
-            lambda t: not t.shipped and len(set(t.pool.depths())) >= 3
-        )
-        out = transport.run(spec, Enumeration(), spec.root, 0, 0, budget=1, poll=1)
+        seen = []  # the pool's depths when the one demand was made
+
+        def starve_once(t):
+            depths = t.pool.depths()
+            if t.shipped or len(set(depths)) < 3 or depths.count(depths[0]) < 3:
+                return False
+            seen.append(depths)
+            return True
+
+        transport = Transport(starve_once)
+        out = transport.run(spec, Enumeration(), [spec.root], 0, 0, budget=1, poll=1)
         (depth, nodes, left, _), = transport.shipped
-        # One whole level went, and every level left was deeper.
-        assert nodes and len(set(left)) >= 2 and depth < left[0]
-        assert out.from_pool + len(nodes) == out.metrics.spawns
+        (before,) = seen
+        level = before.count(before[0])
+        assert depth == before[0] and len(nodes) == (level + 1) // 2
+        # The other half is still pooled at that depth, above the rest.
+        assert left == before[:level - len(nodes)] + before[level:]
+        assert transport.subtrees + len(nodes) == out.metrics.spawns
+
+    def test_a_lone_node_goes_whole(self):
+        spec = uts_spec_factory(*UTS_ARGS)
+        transport = Transport(lambda t: t.pool.depths().count(t.pool.depths()[0]) == 1)
+        transport.run(spec, Enumeration(), [spec.root], 0, 0, budget=1, poll=1)
+        assert transport.shipped
+        for depth, nodes, left, _ in transport.shipped:
+            assert len(nodes) == 1 and depth not in left
 
     def test_flush_hands_over_the_whole_pool_one_call_per_depth(self):
         spec = uts_spec_factory(*UTS_ARGS)
@@ -203,35 +260,57 @@ class TestStackStealing:
         )
         transport = Transport(SOMEBODY["always"])
         out = transport.run(
-            chain, Enumeration(), "root", 0, 0, budget=None, poll=1,
+            chain, Enumeration(), ["root"], 0, 0, budget=None, poll=1,
         )
         assert transport.shipped and all(
             nodes == [] for _, nodes, _, _ in transport.shipped
         )
         assert (out.knowledge, out.metrics.nodes) == (10, 5)
-        assert out.metrics.spawns == out.from_pool == 0
+        assert out.metrics.spawns == transport.subtrees == 0
 
     @pytest.mark.parametrize("chunked", [True, False])
     def test_offcuts_leave_at_once_and_no_pool_is_kept(self, chunked):
+        """The stack is split only for somebody who is waiting, and no
+        pool is kept beyond the half of that split the thief left: one
+        level, gone before the stack is split again."""
         spec = uts_spec_factory(*UTS_ARGS)
         transport = Transport(SOMEBODY["always"])
         out = transport.run(
-            spec, Enumeration(), spec.root, 0, 0,
+            spec, Enumeration(), [spec.root], 0, 0,
             budget=None, chunked=chunked, poll=4,
         )
         given = [nodes for _, nodes, _, _ in transport.shipped if nodes]
-        assert given and all(left == [] for _, _, left, _ in transport.shipped)
-        assert out.from_pool == transport.subtrees == 0
-        assert out.metrics.spawns == sum(len(nodes) for nodes in given)
+        assert given
+        for depth, nodes, left, _ in transport.shipped:
+            assert set(left) <= {depth} and len(left) <= len(nodes) + 1
+        assert out.metrics.spawns == sum(map(len, given)) + transport.subtrees
         if not chunked:
             assert all(len(nodes) == 1 for nodes in given)
+            assert transport.subtrees == 0
+
+    def test_the_roots_it_came_with_go_before_the_stack_is_split(self):
+        spec = uts_spec_factory(*UTS_ARGS)
+        roots, depth = siblings(spec, 6)
+        transport = Transport(lambda t: len(t.shipped) < 2)
+        out = transport.run(
+            spec, Enumeration(), roots, depth, 0, budget=None, poll=1,
+        )
+        first, second = transport.shipped
+        # Every other one of the waiting siblings, then some of those
+        # that left (it may have started one or two in between)...
+        waiting = roots[1:]
+        assert first[:2] == (depth, waiting[::2])
+        assert second[0] == depth and second[1]
+        assert set(second[1]) <= set(waiting[1::2])
+        # ...and no stack was split for either.
+        assert out.metrics.spawns == 0
 
     def test_nobody_asking_is_one_sequential_search(self):
         spec = uts_spec_factory(*UTS_ARGS)
         seq = sequential_search(spec, Enumeration())
         transport = Transport()
         out = transport.run(
-            spec, Enumeration(), spec.root, 0, 0, budget=None, poll=4,
+            spec, Enumeration(), [spec.root], 0, 0, budget=None, poll=4,
         )
         assert transport.shipped == []
         assert out.metrics.nodes == seq.metrics.nodes
@@ -251,9 +330,9 @@ class TestAbandon:
                 finished.append(len(visited))
 
         transport = Watch(abort=lambda t: len(visited) >= 300)
-        out = transport.run(spec, Enumeration(), spec.root, 0, 0, budget=20, poll=1)
+        out = transport.run(spec, Enumeration(), [spec.root], 0, 0, budget=20, poll=1)
         assert out.abandoned and not out.goal
-        assert out.from_pool == transport.subtrees > 5
+        assert transport.subtrees > 5
         # Node 300 fell inside a pooled subtree, which was cut short.
         assert 0 < finished[-1] < len(visited) == 300
         assert out.metrics.nodes == finished[-1]
@@ -265,7 +344,7 @@ class TestAbandon:
         stype = Optimisation()
         transport = Transport(abort=lambda t: len(t.published) >= 2)
         out = transport.run(
-            spec, stype, spec.root, 0, stype.initial_knowledge(spec),
+            spec, stype, [spec.root], 0, stype.initial_knowledge(spec),
             budget=50, poll=1,
         )
         assert out.abandoned
