@@ -13,7 +13,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     install_requires=["numpy", "networkx"],
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

@@ -12,16 +12,14 @@ being included::
 ``include`` entries are directories (scanned recursively for ``*.py``),
 files, or glob patterns relative to the project root; ``exclude``
 entries are fnmatch patterns applied to root-relative posix paths.
-Python 3.11+ parses the table with :mod:`tomllib`; older interpreters
-fall back to a tiny parser that understands exactly this table shape,
-so the analyzer has zero third-party dependencies everywhere CI runs.
+The table is parsed with the standard library's :mod:`tomllib`, so the
+analyzer has zero third-party dependencies.
 """
 
 from __future__ import annotations
 
-import ast
 import fnmatch
-import re
+import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -63,11 +61,7 @@ def load_config(root: Path) -> AnalyzeConfig:
 
 
 def _read_table(text: str, name: str) -> dict:
-    """Parse one TOML table; tomllib when available, else minimal."""
-    try:
-        import tomllib
-    except ImportError:  # py3.10: no tomllib, use the mini parser
-        return _mini_toml_table(text, name)
+    """Parse one TOML table (empty if absent or the file is not TOML)."""
     try:
         data = tomllib.loads(text)
     except tomllib.TOMLDecodeError:
@@ -78,43 +72,6 @@ def _read_table(text: str, name: str) -> dict:
             return {}
         node = node[part]
     return node if isinstance(node, dict) else {}
-
-
-def _mini_toml_table(text: str, name: str) -> dict:
-    """Extract ``[name]`` key/values; strings and string arrays only.
-
-    Good enough for the analyze table on interpreters without
-    :mod:`tomllib`; TOML arrays of strings happen to be valid Python
-    literals, so :func:`ast.literal_eval` does the value parsing.
-    """
-    header = re.compile(r"^\s*\[(?P<name>[^\]]+)\]\s*$")
-    lines = text.splitlines()
-    table: dict = {}
-    in_table = False
-    idx = 0
-    while idx < len(lines):
-        line = lines[idx]
-        idx += 1
-        m = header.match(line)
-        if m:
-            in_table = m.group("name").strip() == name
-            continue
-        if not in_table:
-            continue
-        stripped = line.split("#", 1)[0].strip() if '"' not in line else line
-        if "=" not in stripped:
-            continue
-        key, _, value = stripped.partition("=")
-        value = value.strip()
-        # Multiline arrays: keep consuming until brackets balance.
-        while value.count("[") > value.count("]") and idx < len(lines):
-            value += " " + lines[idx].strip()
-            idx += 1
-        try:
-            table[key.strip()] = ast.literal_eval(value)
-        except (ValueError, SyntaxError):
-            continue
-    return table
 
 
 def discover_files(

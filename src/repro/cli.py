@@ -58,12 +58,19 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from repro.core.backends import BACKENDS, COORDINATION_NAMES
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchResult
 from repro.core.searchtypes import make_search_type
 from repro.core.skeletons import COORDINATIONS, make_skeleton
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_wire_codec(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument(
+        "--wire-codec", default="binary", choices=["json", "binary"], help=help
+    )
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -98,10 +105,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=0, help="simulator seed")
     parser.add_argument(
-        "--backend", default="sim", choices=["sim", "processes", "cluster"],
-        help="run parallel skeletons on the simulator (default), on real "
-        "OS processes (depthbounded/budget/stacksteal/ordered), or on a "
-        "localhost TCP cluster (budget/stacksteal/ordered)",
+        "--backend", default="sim", choices=list(BACKENDS),
+        help="run parallel skeletons on: "
+        + "; ".join(
+            f"{name} ({'/'.join(row.coordinations)})"
+            for name, row in BACKENDS.items()
+        ),
     )
     parser.add_argument(
         "--processes", type=int, default=2, metavar="N",
@@ -115,9 +124,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--cluster-workers", type=int, default=2, metavar="N",
         help="worker nodes for --backend cluster (default 2)",
     )
-    parser.add_argument(
-        "--wire-codec", default="binary", choices=["json", "binary"],
-        help="cluster backend: frame body format on the wire (binary is "
+    _add_wire_codec(
+        parser,
+        "cluster backend: frame body format on the wire (binary is "
         "compact and fast; json is readable under tcpdump)",
     )
     parser.add_argument(
@@ -187,7 +196,7 @@ def _run(spec, search_type: str, args: argparse.Namespace, out,
     skeleton = make_skeleton(args.skeleton, search_type)
     stype = make_search_type(search_type, **type_kwargs)
     cluster = None
-    if args.backend in ("processes", "cluster") and args.skeleton != "sequential":
+    if BACKENDS[args.backend].rebuilds_spec and args.skeleton != "sequential":
         if args.trace:
             raise SystemExit(
                 "--trace records the simulated schedule; it is not "
@@ -221,6 +230,14 @@ def _run(spec, search_type: str, args: argparse.Namespace, out,
 # -- subcommands ----------------------------------------------------------
 
 
+def _decision_or(search_type: str, kwargs: dict, args) -> tuple:
+    """``--decisionBound K`` turns any search into the decision search
+    for objective ``K``."""
+    if args.decisionBound is not None:
+        return "decision", {"target": args.decisionBound}
+    return search_type, kwargs
+
+
 def _cmd_maxclique(args, out) -> int:
     from repro.apps.maxclique import maxclique_spec
     from repro.instances.dimacs import parse_dimacs
@@ -234,12 +251,9 @@ def _cmd_maxclique(args, out) -> int:
 
         spec, _, _ = _library_instance(args.instance, "maxclique")
         factory, fargs = library_spec_factory, (args.instance,)
-    if args.decisionBound is not None:
-        _run(spec, "decision", args, out, spec_factory=factory,
-             factory_args=fargs, target=args.decisionBound)
-    else:
-        _run(spec, "optimisation", args, out, spec_factory=factory,
-             factory_args=fargs)
+    search_type, kwargs = _decision_or("optimisation", {}, args)
+    _run(spec, search_type, args, out, spec_factory=factory,
+         factory_args=fargs, **kwargs)
     return 0
 
 
@@ -247,42 +261,22 @@ def _cmd_generic_library(app: str):
     def cmd(args, out) -> int:
         from repro.instances.library import library_spec_factory
 
-        spec, stype_name, kwargs = _library_instance(args.instance, app)
-        factory, fargs = library_spec_factory, (args.instance,)
-        if args.decisionBound is not None:
-            if stype_name == "decision":
-                kwargs = {"target": args.decisionBound}
-                _run(spec, "decision", args, out, spec_factory=factory,
-                     factory_args=fargs, **kwargs)
-            else:
-                _run(spec, "decision", args, out, spec_factory=factory,
-                     factory_args=fargs, target=args.decisionBound)
-        else:
-            _run(spec, stype_name, args, out, spec_factory=factory,
-                 factory_args=fargs, **kwargs)
+        spec, search_type, kwargs = _library_instance(args.instance, app)
+        search_type, kwargs = _decision_or(search_type, kwargs, args)
+        _run(spec, search_type, args, out, spec_factory=library_spec_factory,
+             factory_args=(args.instance,), **kwargs)
         return 0
 
     return cmd
 
 
 def _cmd_uts(args, out) -> int:
-    from repro.apps.uts import UTSInstance, uts_spec, uts_spec_from_params
+    from repro.apps.uts import uts_spec_from_params
 
-    inst = UTSInstance(
-        shape=args.shape,
-        b0=args.b0,
-        max_depth=args.depth,
-        m=args.m,
-        q=args.q,
-        seed=args.tree_seed,
-    )
-    spec = uts_spec(inst, name=f"uts-{args.shape}")
-    _run(
-        spec, "enumeration", args, out,
-        spec_factory=uts_spec_from_params,
-        factory_args=(args.shape, args.b0, args.depth, args.m, args.q,
-                      args.tree_seed, f"uts-{args.shape}"),
-    )
+    fargs = (args.shape, args.b0, args.depth, args.m, args.q,
+             args.tree_seed, f"uts-{args.shape}")
+    _run(uts_spec_from_params(*fargs), "enumeration", args, out,
+         spec_factory=uts_spec_from_params, factory_args=fargs)
     return 0
 
 
@@ -297,7 +291,6 @@ def _cmd_ns(args, out) -> int:
 
 
 def _cmd_tune(args, out) -> int:
-    from repro.core.searchtypes import make_search_type
     from repro.tuning import tune
 
     spec, stype_name, kwargs = _library_instance(args.instance)
@@ -413,6 +406,76 @@ def _submit_remote(spec, args, out) -> int:
     return 0
 
 
+def _read_jobfile(path: str, out, accept) -> int:
+    """Hand every job line of ``path`` ('-' reads stdin) to
+    ``accept(spec)``.  A line that does not parse, or that ``accept``
+    refuses with ValueError, is reported; returns how many were."""
+    import json
+
+    from repro.service.jobs import JobSpec
+
+    if path == "-":
+        lines = sys.stdin.readlines()
+    else:
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise SystemExit(f"cannot read jobfile: {exc}") from None
+    rejected = 0
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            accept(JobSpec.from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            rejected += 1
+            print(f"line {lineno}: rejected ({exc})", file=out)
+    return rejected
+
+
+def _check_fleet_bounds(args) -> None:
+    if args.min_workers < 1:
+        raise SystemExit("--min-workers must be >= 1")
+    if args.max_workers < args.min_workers:
+        raise SystemExit("--max-workers must be >= --min-workers")
+
+
+def _service_backend(args, *, name_prefix: str, on_event, metrics=None):
+    """``--backend inproc|processes|cluster [--adaptive]`` of `serve`
+    and of each `gateway` shard, as ``(backend, deployment)``: backend
+    None is inproc (the scheduler's threads search); a deployment is
+    for the caller to ``adapt()`` to its queue once that exists."""
+    if args.adaptive:
+        if args.backend != "cluster":
+            raise SystemExit("--adaptive requires --backend cluster")
+        _check_fleet_bounds(args)
+    if args.backend == "processes":
+        from repro.service import ProcessBackend
+
+        return ProcessBackend(), None
+    if args.backend != "cluster":
+        return None, None
+    from repro.cluster.backend import ClusterBackend
+
+    if not args.adaptive:
+        return ClusterBackend(
+            local_workers=args.cluster_workers, wire_codec=args.wire_codec
+        ), None
+    from repro.deploy import ClusterDeployment, WorkerSpec
+
+    deployment = ClusterDeployment(
+        WorkerSpec(name_prefix=name_prefix, wire_codec=args.wire_codec),
+        wire_codec=args.wire_codec,
+        metrics=metrics,
+        on_event=on_event,
+    )
+    return ClusterBackend(
+        deployment=deployment, min_workers=args.min_workers
+    ), deployment
+
+
 def _cmd_gateway(args, out) -> int:
     """Run the HTTP front door until SIGTERM/SIGINT, then drain: finish
     in-flight jobs, cancel queued ones, stop serving."""
@@ -423,45 +486,19 @@ def _cmd_gateway(args, out) -> int:
 
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
-    if args.adaptive and args.backend != "cluster":
-        raise SystemExit("--adaptive requires --backend cluster")
-    if args.adaptive:
-        if args.min_workers < 1:
-            raise SystemExit("--min-workers must be >= 1")
-        if args.max_workers < args.min_workers:
-            raise SystemExit("--max-workers must be >= --min-workers")
     host, port = _parse_addr(args.listen)
 
     deployments = []
 
     def backend_factory(index: int):
-        if args.backend == "processes":
-            from repro.service import ProcessBackend
-
-            return ProcessBackend()
-        if args.backend == "cluster":
-            from repro.cluster.backend import ClusterBackend
-
-            if args.adaptive:
-                from repro.deploy import ClusterDeployment, WorkerSpec
-
-                deployment = ClusterDeployment(
-                    WorkerSpec(
-                        name_prefix=f"gw{index}", wire_codec=args.wire_codec
-                    ),
-                    wire_codec=args.wire_codec,
-                    on_event=lambda line, i=index: print(
-                        f"shard {i} fleet: {line}", file=out
-                    ),
-                )
-                deployments.append((index, deployment))
-                return ClusterBackend(
-                    deployment=deployment, min_workers=args.min_workers
-                )
-            return ClusterBackend(
-                local_workers=args.cluster_workers, wire_codec=args.wire_codec
-            )
-        return None  # inproc: the shard's scheduler threads run the searches
+        backend, deployment = _service_backend(
+            args,
+            name_prefix=f"gw{index}",
+            on_event=lambda line: print(f"shard {index} fleet: {line}", file=out),
+        )
+        if deployment is not None:
+            deployments.append((index, deployment))
+        return backend
 
     try:
         router = ShardRouter(
@@ -542,56 +579,53 @@ def _parse_addr(text: str) -> tuple[str, int]:
         raise SystemExit(f"bad port in {text!r}") from None
 
 
-def _cmd_cluster_coordinator(args, out) -> int:
-    """Run a coordinator over a job file: wait for workers, run each job
-    across them, report like the single-shot commands."""
-    import json
+def _cmd_cluster_jobs(args, out) -> int:
+    """`cluster-coordinator`: wait for --min-workers to connect, run
+    each job of a job file across them, report like the single-shot
+    commands.  `cluster-deploy` (``args.elastic``) is that plus an
+    adaptive local fleet between --min-workers and --max-workers."""
+    from repro.cluster.backend import wire_job
+    from repro.cluster.coordinator import ClusterError
+    from repro.deploy import ClusterDeployment, WorkerSpec
 
-    from repro.cluster.backend import ClusterBackend
-    from repro.cluster.coordinator import ClusterError, ClusterHandle
-    from repro.service.jobs import JobSpec
-
+    if args.elastic:
+        _check_fleet_bounds(args)
     host, port = _parse_addr(args.listen)
-    if args.jobfile == "-":
-        lines = sys.stdin.readlines()
-    else:
-        try:
-            with open(args.jobfile) as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise SystemExit(f"cannot read jobfile: {exc}") from None
     specs = []
-    failed = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            specs.append(JobSpec.from_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
-            failed += 1
-            print(f"line {lineno}: rejected ({exc})", file=out)
-
-    handle = ClusterHandle(
-        host=host, port=port, heartbeat_timeout=args.heartbeat_timeout,
-        wire_codec=args.wire_codec,
-    )
+    failed = _read_jobfile(args.jobfile, out, specs.append)
+    # Pending jobs count as demand: the fleet bursts while the backlog
+    # exists and drains once only the in-flight job remains.
+    pending = len(specs)
     try:
-        bound_host, bound_port = handle.start()
+        # Until adapt() is called the deployment is a bare coordinator.
+        cluster = ClusterDeployment(
+            WorkerSpec(name_prefix="deploy", wire_codec=args.wire_codec),
+            host=host,
+            port=port,
+            heartbeat_timeout=args.heartbeat_timeout,
+            wire_codec=args.wire_codec,
+            on_event=lambda line: print(f"fleet: {line}", file=out),
+        )
     except OSError as exc:
         raise SystemExit(f"cannot listen on {host}:{port}: {exc}") from None
+    handle = cluster.handle
     try:
-        print(f"coordinator listening on {bound_host}:{bound_port}", file=out)
+        print("coordinator listening on %s:%d" % handle.address, file=out)
+        if args.elastic:
+            cluster.adapt(
+                args.min_workers, args.max_workers, queue_depth=lambda: pending
+            )
         try:
             handle.wait_for_workers(args.min_workers, timeout=args.worker_wait)
         except ClusterError as exc:
             raise SystemExit(str(exc)) from None
-        print(f"workers connected: {handle.n_workers()}", file=out)
+        if not args.elastic:
+            print(f"workers connected: {handle.n_workers()}", file=out)
         for spec in specs:
+            pending -= 1
             label = f"{spec.app}/{spec.instance}"
             try:
-                payload = ClusterBackend._payload_for(spec)
-                res = handle.run_job(payload, timeout=spec.timeout)
+                res = handle.run_job(wire_job(spec), timeout=spec.timeout)
             except (ClusterError, ValueError) as exc:
                 failed += 1
                 print(f"== {label}: FAILED ({exc})", file=out)
@@ -599,8 +633,15 @@ def _cmd_cluster_coordinator(args, out) -> int:
             print(f"== {label} (workers: {res.workers}, "
                   f"reassigned: {res.metrics.reassigned})", file=out)
             _report(res, out)
+        if args.elastic:
+            print(
+                f"fleet: peak {cluster.fleet_peak}  "
+                f"spawned {cluster.workers_spawned}  "
+                f"retired {cluster.workers_retired}",
+                file=out,
+            )
     finally:
-        handle.shutdown(drain_workers=True)
+        cluster.close()
     return 1 if failed else 0
 
 
@@ -610,6 +651,14 @@ def _cmd_cluster_worker(args, out) -> int:
 
     host, port = _parse_addr(args.connect)
     print(f"worker ({args.processes} process(es)) -> {host}:{port}", file=out)
+    # With --processes 1 this process *is* the worker: its search
+    # thread's neighbours (frame receiver, heartbeat) get the short GIL
+    # hand-over the fanned-out worker processes set for themselves.
+    # Restored on the way out for callers that run main() in-process.
+    from repro.runtime.fleet import WORKER_SWITCH_INTERVAL
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(WORKER_SWITCH_INTERVAL)
     try:
         run_worker(
             host, port,
@@ -623,177 +672,39 @@ def _cmd_cluster_worker(args, out) -> int:
     except ConnectionError as exc:
         print(str(exc), file=out)
         return 1
+    finally:
+        sys.setswitchinterval(previous)
     print("drained; exiting", file=out)
     return 0
-
-
-def _cmd_cluster_deploy(args, out) -> int:
-    """Run a job file on an elastic deployment: the coordinator plus an
-    adaptive worker fleet that grows toward --max-workers while work is
-    queued and drains back to --min-workers when it is not."""
-    import json
-
-    from repro.cluster.backend import ClusterBackend
-    from repro.cluster.coordinator import ClusterError
-    from repro.deploy import ClusterDeployment, WorkerSpec
-    from repro.service.jobs import JobSpec
-
-    if args.min_workers < 1:
-        raise SystemExit("--min-workers must be >= 1")
-    if args.max_workers < args.min_workers:
-        raise SystemExit("--max-workers must be >= --min-workers")
-    host, port = _parse_addr(args.listen)
-    if args.jobfile == "-":
-        lines = sys.stdin.readlines()
-    else:
-        try:
-            with open(args.jobfile) as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise SystemExit(f"cannot read jobfile: {exc}") from None
-    specs = []
-    failed = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            specs.append(JobSpec.from_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
-            failed += 1
-            print(f"line {lineno}: rejected ({exc})", file=out)
-
-    # Pending jobs count as demand: the fleet bursts while the backlog
-    # exists and drains once only the in-flight job remains.
-    pending = len(specs)
-
-    try:
-        deployment = ClusterDeployment(
-            WorkerSpec(name_prefix="deploy", wire_codec=args.wire_codec),
-            host=host,
-            port=port,
-            heartbeat_timeout=args.heartbeat_timeout,
-            wire_codec=args.wire_codec,
-            on_event=lambda line: print(f"fleet: {line}", file=out),
-        )
-    except OSError as exc:
-        raise SystemExit(f"cannot listen on {host}:{port}: {exc}") from None
-    try:
-        bound_host, bound_port = deployment.handle.address
-        print(f"coordinator listening on {bound_host}:{bound_port}", file=out)
-        deployment.adapt(
-            args.min_workers, args.max_workers, queue_depth=lambda: pending
-        )
-        try:
-            deployment.wait_for_workers(
-                args.min_workers, timeout=args.worker_wait
-            )
-        except ClusterError as exc:
-            raise SystemExit(str(exc)) from None
-        for spec in specs:
-            pending -= 1
-            label = f"{spec.app}/{spec.instance}"
-            try:
-                payload = ClusterBackend._payload_for(spec)
-                res = deployment.run_job(payload, timeout=spec.timeout)
-            except (ClusterError, ValueError) as exc:
-                failed += 1
-                print(f"== {label}: FAILED ({exc})", file=out)
-                continue
-            print(f"== {label} (workers: {res.workers}, "
-                  f"reassigned: {res.metrics.reassigned})", file=out)
-            _report(res, out)
-        print(
-            f"fleet: peak {deployment.fleet_peak}  "
-            f"spawned {deployment.workers_spawned}  "
-            f"retired {deployment.workers_retired}",
-            file=out,
-        )
-    finally:
-        deployment.close()
-    return 1 if failed else 0
 
 
 def _cmd_serve(args, out) -> int:
     import json
 
-    from repro.service import (
-        JobQueue,
-        JobSpec,
-        JobState,
-        ProcessBackend,
-        ResultCache,
-        Scheduler,
-    )
+    from repro.service import JobQueue, JobState, ResultCache, Scheduler
+    from repro.service.metrics import ServiceMetrics
 
     queue = JobQueue(
         max_depth=args.queue_depth, max_per_submitter=args.per_submitter
     )
     cache = ResultCache(capacity=args.cache_size, ttl=args.cache_ttl)
-    metrics = None
-    deployment = None
-    if args.adaptive and args.backend != "cluster":
-        raise SystemExit("--adaptive requires --backend cluster")
-    if args.backend == "processes":
-        backend = ProcessBackend()
-    elif args.backend == "cluster":
-        from repro.cluster.backend import ClusterBackend
-
-        if args.adaptive:
-            from repro.deploy import ClusterDeployment, WorkerSpec
-            from repro.service.metrics import ServiceMetrics
-
-            if args.min_workers < 1:
-                raise SystemExit("--min-workers must be >= 1")
-            if args.max_workers < args.min_workers:
-                raise SystemExit("--max-workers must be >= --min-workers")
-            metrics = ServiceMetrics()
-            deployment = ClusterDeployment(
-                WorkerSpec(name_prefix="svc", wire_codec=args.wire_codec),
-                wire_codec=args.wire_codec,
-                metrics=metrics,
-                on_event=lambda line: print(f"fleet: {line}", file=out),
-            )
-            # The service queue's depth is part of the demand signal, so
-            # the fleet grows while jobs are still waiting for a slot on
-            # the (one-job-at-a-time) coordinator.
-            deployment.adapt(
-                args.min_workers, args.max_workers, queue_depth=queue.depth
-            )
-            backend = ClusterBackend(
-                deployment=deployment, min_workers=args.min_workers
-            )
-        else:
-            backend = ClusterBackend(
-                local_workers=args.cluster_workers,
-                wire_codec=args.wire_codec,
-            )
-    else:
-        backend = None
+    metrics = ServiceMetrics()
+    backend, deployment = _service_backend(
+        args, name_prefix="svc", metrics=metrics,
+        on_event=lambda line: print(f"fleet: {line}", file=out),
+    )
+    if deployment is not None:
+        # The service queue's depth is part of the demand signal, so
+        # the fleet grows while jobs are still waiting for a slot on
+        # the (one-job-at-a-time) coordinator.
+        deployment.adapt(
+            args.min_workers, args.max_workers, queue_depth=queue.depth
+        )
     sched = Scheduler(
         backend=backend, queue=queue, cache=cache, n_workers=args.pool,
         metrics=metrics,
     )
-
-    if args.jobfile == "-":
-        lines = sys.stdin.readlines()
-    else:
-        try:
-            with open(args.jobfile) as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise SystemExit(f"cannot read jobfile: {exc}") from None
-    bad_lines = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            spec = JobSpec.from_dict(json.loads(line))
-            sched.submit(spec)
-        except (ValueError, KeyError, TypeError) as exc:
-            bad_lines += 1
-            print(f"line {lineno}: rejected ({exc})", file=out)
+    bad_lines = _read_jobfile(args.jobfile, out, sched.submit)
     snap = None
     try:
         jobs = sched.run_until_idle()
@@ -802,15 +713,13 @@ def _cmd_serve(args, out) -> int:
             # fleet back to the floor, then freeze the footer snapshot
             # *before* teardown empties the fleet — so the footer (and
             # the elastic-e2e assertions) see the settled size.
-            import time as _time
-
-            settle = deployment.policy.down_cooldown + 10.0
-            deadline = _time.monotonic() + settle
-            while (
-                deployment.fleet_size() > args.min_workers
-                and _time.monotonic() < deadline
-            ):
-                _time.sleep(0.1)
+            try:
+                deployment.wait_for_fleet(
+                    args.min_workers,
+                    timeout=deployment.policy.down_cooldown + 10.0,
+                )
+            except TimeoutError:
+                pass  # report the size it got to
             snap = sched.metrics_snapshot()
     finally:
         if hasattr(backend, "close"):
@@ -859,6 +768,12 @@ def _cmd_verify(args, out) -> int:
     # and a cycle fails the command even if all answers matched.
     graph = lockorder.maybe_install_from_env()
     try:
+        common = dict(
+            seed=args.seed,
+            artifact_dir=args.artifacts,
+            log=lambda line: print(line, file=out),
+            cluster_timeout=args.cluster_timeout,
+        )
         if args.repeat > 1:
             # Repetition mode: fewer instances, each hammered repeat
             # times across worker counts — so the unset default is
@@ -866,24 +781,18 @@ def _cmd_verify(args, out) -> int:
             status = run_repetition(
                 backend=args.backend if args.backend != "all" else "cluster",
                 coordination=args.coordination or "ordered",
-                seed=args.seed,
                 rounds=args.rounds if args.rounds is not None else 3,
                 repeat=args.repeat,
                 chaos=args.chaos or None,
-                artifact_dir=args.artifacts,
-                log=lambda line: print(line, file=out),
-                cluster_timeout=args.cluster_timeout,
+                **common,
             )
         else:
             status = run_verify(
                 backend=args.backend,
-                seed=args.seed,
                 rounds=args.rounds if args.rounds is not None else 20,
                 chaos=args.chaos,
                 coordination=args.coordination,
-                artifact_dir=args.artifacts,
-                log=lambda line: print(line, file=out),
-                cluster_timeout=args.cluster_timeout,
+                **common,
             )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
@@ -906,14 +815,10 @@ def _cmd_analyze(args, out) -> int:
     from pathlib import Path
 
     from repro.analysis import (
-        Project,
-        Severity,
+        analyze_paths,
         apply_baseline,
-        discover_files,
         load_baseline,
         load_config,
-        resolve_rules,
-        run_analysis,
         save_baseline,
     )
     from repro.analysis.rules import RULE_CLASSES
@@ -924,26 +829,20 @@ def _cmd_analyze(args, out) -> int:
         return 0
 
     root = Path(args.root).resolve()
-    config = load_config(root)
     rule_names = (
         [r.strip() for r in args.rules.split(",") if r.strip()]
         if args.rules
         else None
     )
     try:
-        rules = resolve_rules(rule_names)
+        report = analyze_paths(root, args.paths or None, rules=rule_names)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    files = discover_files(root, config, args.paths or None)
-    if not files:
+    if not report.files:
         print("no files selected for analysis", file=out)
         return 1
-    project = Project.load(root, files)
-    report = run_analysis(
-        project, rules, check_suppression_hygiene=rule_names is None
-    )
 
-    baseline_path = args.baseline or config.baseline
+    baseline_path = args.baseline or load_config(root).baseline
     if args.write_baseline:
         if not baseline_path:
             raise SystemExit(
@@ -985,6 +884,52 @@ def _cmd_list(args, out) -> int:
         for name in suite(app):
             print(f"  {name}", file=out)
     return 0
+
+
+def _add_service_options(p: argparse.ArgumentParser) -> None:
+    """What `serve` and each `gateway` shard share: one scheduler over
+    one execution backend."""
+    p.add_argument("--backend", default="inproc",
+                   choices=["inproc", "processes", "cluster"],
+                   help="execution backend: scheduler threads, OS processes, "
+                   "or a TCP cluster coordinator (one per gateway shard)")
+    p.add_argument("--cluster-workers", type=int, default=2, metavar="N",
+                   help="local worker nodes for --backend cluster")
+    _add_wire_codec(p, "cluster backend: frame body format on the wire")
+    p.add_argument("--adaptive", action="store_true",
+                   help="with --backend cluster: run an elastic worker "
+                   "fleet that follows the queue depth (see docs/deploy.md)")
+    p.add_argument("--min-workers", type=int, default=1, metavar="N",
+                   help="adaptive fleet floor (with --adaptive)")
+    p.add_argument("--max-workers", type=int, default=4, metavar="N",
+                   help="adaptive fleet ceiling (with --adaptive)")
+    p.add_argument("--pool", type=int, default=2,
+                   help="scheduler worker threads")
+    p.add_argument("--queue-depth", type=int, default=256,
+                   help="admission bound on queued jobs")
+    p.add_argument("--per-submitter", type=int, default=None,
+                   help="per-submitter admission quota")
+    p.add_argument("--cache-size", type=int, default=256,
+                   help="result cache capacity (entries)")
+    p.add_argument("--cache-ttl", type=float, default=None,
+                   help="result cache TTL in seconds (default: no expiry)")
+
+
+def _add_cluster_job_options(p: argparse.ArgumentParser, *, listen: str) -> None:
+    """What `cluster-coordinator` and `cluster-deploy` share: a
+    coordinator address, a job file, the worker floor to wait for."""
+    p.add_argument("--listen", default=listen, metavar="HOST:PORT",
+                   help="coordinator listen address (port 0 picks a free one)")
+    p.add_argument("--jobfile", default="jobs.jsonl",
+                   help="JSONL job file from `submit` ('-' reads stdin)")
+    p.add_argument("--min-workers", type=int, default=1, metavar="N",
+                   help="wait for this many workers before starting (the "
+                   "floor of cluster-deploy's fleet)")
+    p.add_argument("--worker-wait", type=float, default=60.0, metavar="S",
+                   help="seconds to wait for --min-workers")
+    p.add_argument("--heartbeat-timeout", type=float, default=5.0, metavar="S",
+                   help="silence before a worker is declared dead")
+    _add_wire_codec(p, "preferred frame body format (negotiated per worker)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1046,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dual oracles, per-backend knob sweeps, optional cluster chaos",
     )
     p.add_argument("--backend", default="all",
-                   choices=["all", "sequential", "sim", "processes", "cluster"],
+                   choices=["all", "sequential", *BACKENDS],
                    help="which backend(s) to check (default: all)")
     p.add_argument("--seed", type=int, default=0,
                    help="harness seed; fixes instances, knobs and fault plans")
@@ -1058,8 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "the cluster backend) and require stable values — and, "
                    "for --coordination ordered, bit-identical node counts")
     p.add_argument("--coordination", default=None,
-                   choices=["depthbounded", "budget", "stacksteal",
-                            "ordered", "random"],
+                   choices=COORDINATION_NAMES[1:],  # the parallel ones
                    help="pin every parallel cell to one coordination "
                    "(default: seeded draw; 'ordered' with --repeat)")
     p.add_argument("--chaos", action="store_true", default=False,
@@ -1132,32 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=2, metavar="N",
                    help="independent scheduler shards; also the modulus of "
                    "the job-hash routing rule (default 2)")
-    p.add_argument("--backend", default="inproc",
-                   choices=["inproc", "processes", "cluster"],
-                   help="per-shard execution backend: scheduler threads, OS "
-                   "processes, or a TCP cluster coordinator per shard")
-    p.add_argument("--cluster-workers", type=int, default=2, metavar="N",
-                   help="local worker nodes per shard for --backend cluster")
-    p.add_argument("--wire-codec", default="binary",
-                   choices=["json", "binary"],
-                   help="cluster backend: frame body format on the wire")
-    p.add_argument("--adaptive", action="store_true",
-                   help="with --backend cluster: each shard runs an elastic "
-                   "worker fleet that follows its queue depth")
-    p.add_argument("--min-workers", type=int, default=1, metavar="N",
-                   help="adaptive fleet floor per shard (with --adaptive)")
-    p.add_argument("--max-workers", type=int, default=4, metavar="N",
-                   help="adaptive fleet ceiling per shard (with --adaptive)")
-    p.add_argument("--pool", type=int, default=2,
-                   help="scheduler worker threads per shard")
-    p.add_argument("--queue-depth", type=int, default=256,
-                   help="per-shard admission bound on queued jobs")
-    p.add_argument("--per-submitter", type=int, default=None,
-                   help="per-submitter admission quota per shard")
-    p.add_argument("--cache-size", type=int, default=256,
-                   help="per-shard result cache capacity (entries)")
-    p.add_argument("--cache-ttl", type=float, default=None,
-                   help="result cache TTL in seconds (default: no expiry)")
+    _add_service_options(p)
     p.add_argument("--retry-after", type=float, default=1.0, metavar="S",
                    help="Retry-After pacing hint on 429/503 responses")
     p.add_argument("--drain-timeout", type=float, default=120.0, metavar="S",
@@ -1185,31 +1104,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--jobfile", default="jobs.jsonl",
                    help="JSONL job file from `submit` ('-' reads stdin)")
-    p.add_argument("--backend", default="inproc",
-                   choices=["inproc", "processes", "cluster"],
-                   help="worker backend: scheduler threads, OS processes, "
-                   "or a TCP cluster coordinator")
-    p.add_argument("--cluster-workers", type=int, default=2, metavar="N",
-                   help="local worker nodes for --backend cluster")
-    p.add_argument("--wire-codec", default="binary",
-                   choices=["json", "binary"],
-                   help="cluster backend: frame body format on the wire")
-    p.add_argument("--adaptive", action="store_true",
-                   help="with --backend cluster: run an elastic worker "
-                   "fleet that follows demand (see docs/deploy.md)")
-    p.add_argument("--min-workers", type=int, default=1, metavar="N",
-                   help="adaptive fleet floor (with --adaptive)")
-    p.add_argument("--max-workers", type=int, default=4, metavar="N",
-                   help="adaptive fleet ceiling (with --adaptive)")
-    p.add_argument("--pool", type=int, default=2, help="worker pool size")
-    p.add_argument("--queue-depth", type=int, default=256,
-                   help="admission bound on queued jobs")
-    p.add_argument("--per-submitter", type=int, default=None,
-                   help="per-submitter admission quota")
-    p.add_argument("--cache-size", type=int, default=256,
-                   help="result cache capacity (entries)")
-    p.add_argument("--cache-ttl", type=float, default=None,
-                   help="result cache TTL in seconds (default: no expiry)")
+    _add_service_options(p)
     p.add_argument("--results", default=None, metavar="FILE",
                    help="write per-job results as JSONL to FILE")
     p.set_defaults(fn=_cmd_serve)
@@ -1218,41 +1113,17 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster-coordinator",
         help="run a cluster coordinator over a job file (see `submit`)",
     )
-    p.add_argument("--listen", default="127.0.0.1:7031", metavar="HOST:PORT",
-                   help="listen address (port 0 picks a free port)")
-    p.add_argument("--jobfile", default="jobs.jsonl",
-                   help="JSONL job file from `submit` ('-' reads stdin)")
-    p.add_argument("--min-workers", type=int, default=1, metavar="N",
-                   help="wait for this many workers before starting")
-    p.add_argument("--worker-wait", type=float, default=60.0, metavar="S",
-                   help="seconds to wait for --min-workers")
-    p.add_argument("--heartbeat-timeout", type=float, default=5.0, metavar="S",
-                   help="silence before a worker is declared dead")
-    p.add_argument("--wire-codec", default="binary",
-                   choices=["json", "binary"],
-                   help="preferred frame body format (negotiated per worker)")
-    p.set_defaults(fn=_cmd_cluster_coordinator)
+    _add_cluster_job_options(p, listen="127.0.0.1:7031")
+    p.set_defaults(fn=_cmd_cluster_jobs, elastic=False)
 
     p = sub.add_parser(
         "cluster-deploy",
         help="run a job file on an elastic, self-scaling worker fleet",
     )
-    p.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-                   help="coordinator listen address (port 0 picks a free one)")
-    p.add_argument("--jobfile", default="jobs.jsonl",
-                   help="JSONL job file from `submit` ('-' reads stdin)")
-    p.add_argument("--min-workers", type=int, default=1, metavar="N",
-                   help="fleet floor (always at least this many workers)")
+    _add_cluster_job_options(p, listen="127.0.0.1:0")
     p.add_argument("--max-workers", type=int, default=4, metavar="N",
                    help="fleet ceiling under load")
-    p.add_argument("--worker-wait", type=float, default=60.0, metavar="S",
-                   help="seconds to wait for the initial --min-workers")
-    p.add_argument("--heartbeat-timeout", type=float, default=5.0, metavar="S",
-                   help="silence before a worker is declared dead")
-    p.add_argument("--wire-codec", default="binary",
-                   choices=["json", "binary"],
-                   help="preferred frame body format (negotiated per worker)")
-    p.set_defaults(fn=_cmd_cluster_deploy)
+    p.set_defaults(fn=_cmd_cluster_jobs, elastic=True)
 
     p = sub.add_parser(
         "cluster-worker", help="run a worker node against a coordinator"
@@ -1265,10 +1136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--give-up-after", type=float, default=None, metavar="S",
                    help="exit if no coordinator is reachable for S seconds "
                    "(default: retry forever)")
-    p.add_argument("--wire-codec", default="binary",
-                   choices=["json", "binary"],
-                   help="codecs offered in HELLO (json offers json only — "
-                   "the debugging veto)")
+    _add_wire_codec(p, "codecs offered in HELLO (json offers json only — "
+                    "the debugging veto)")
     p.set_defaults(fn=_cmd_cluster_worker)
 
     return parser

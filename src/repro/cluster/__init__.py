@@ -52,11 +52,7 @@ failure model.
 
 from repro.cluster.backend import ClusterBackend
 from repro.cluster.coordinator import ClusterHandle, Coordinator
-from repro.cluster.local import (
-    cluster_budget_search,
-    cluster_search,
-    run_with_cluster,
-)
+from repro.cluster.local import LocalCluster, cluster_search
 from repro.cluster.worker import ClusterWorker, run_worker
 
 __all__ = [
@@ -65,7 +61,6 @@ __all__ = [
     "ClusterWorker",
     "run_worker",
     "cluster_search",
-    "cluster_budget_search",
-    "run_with_cluster",
+    "LocalCluster",
     "ClusterBackend",
 ]

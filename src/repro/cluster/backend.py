@@ -26,7 +26,6 @@ from __future__ import annotations
 import concurrent.futures
 import threading
 import time
-from multiprocessing import Process
 from typing import Optional
 
 from repro.cluster.coordinator import (
@@ -35,13 +34,34 @@ from repro.cluster.coordinator import (
     ClusterJobCancelled,
     ClusterJobTimeout,
 )
-from repro.cluster.local import job_payload
-from repro.cluster.worker import _worker_process_main
+from repro.cluster.local import LocalCluster, job_knobs, job_payload
+from repro.core.backends import BACKENDS
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchResult
-from repro.runtime.processes import graceful_stop
 
-__all__ = ["ClusterBackend"]
+__all__ = ["ClusterBackend", "wire_job"]
+
+
+def wire_job(spec) -> dict:
+    """Reduce a service :class:`JobSpec` to a wire job definition.
+
+    The instance name doubles as the spec-factory argument (the
+    registry is deterministic on every node), the search type comes
+    from :func:`~repro.instances.library.resolve_job`, the knobs from
+    the spec's :class:`SkeletonParams` overrides.  ValueError for a
+    skeleton the cluster does not implement.
+    """
+    from repro.instances.library import library_spec_factory, resolve_job
+
+    _, stype = resolve_job(spec.instance, spec.search_type, spec.stype_kwargs)
+    params = SkeletonParams(**dict(spec.params))
+    return job_payload(
+        library_spec_factory,
+        (spec.instance,),
+        stype,
+        coordination=spec.skeleton,
+        **job_knobs(params),
+    )
 
 
 class ClusterBackend:
@@ -68,6 +88,10 @@ class ClusterBackend:
             handle/deployment keeps its own setting).
     """
 
+    # The skeletons a job may name; the scheduler refuses the rest at
+    # submission instead of retrying them as worker crashes.
+    coordinations = BACKENDS["cluster"].coordinations
+
     def __init__(
         self,
         handle: Optional[ClusterHandle] = None,
@@ -84,32 +108,22 @@ class ClusterBackend:
                 "pass either a deployment or a handle/local_workers "
                 "topology, not both"
             )
-        self.deployment = deployment
-        if deployment is not None:
-            handle = deployment.handle
-        self._owns_handle = handle is None
-        self.handle = (
-            handle if handle is not None
-            else ClusterHandle(wire_codec=wire_codec)
+        # Both own "a coordinator plus worker processes" behind the same
+        # .handle/.close(); only the deployment's fleet changes size.
+        self._cluster = (
+            deployment if deployment is not None
+            else LocalCluster(handle, wire_codec=wire_codec)
         )
-        if self._owns_handle:
-            self.handle.start()
+        self.handle = self._cluster.handle
         self.min_workers = (
             min_workers if min_workers is not None else max(1, local_workers)
         )
         self.worker_wait = worker_wait
         self.poll_interval = poll_interval
         self._lock = threading.Lock()
-        self._procs: list[Process] = []
-        host, port = self.handle.address
         for i in range(local_workers):
-            p = Process(
-                target=_worker_process_main,
-                args=(host, port, f"svc-{i}", None, None, 2, wire_codec),
-                daemon=True,
-            )
-            p.start()
-            self._procs.append(p)
+            # Forked: a fixed fan-out made here, from the calling thread.
+            self._cluster.start_worker(f"svc-{i}", wire_codec=wire_codec)
 
     def execute(
         self,
@@ -122,7 +136,7 @@ class ClusterBackend:
         from repro.service.scheduler import JobCancelled, JobTimeout, WorkerCrash
 
         try:
-            payload = self._payload_for(job.spec)
+            payload = wire_job(job.spec)
         except ValueError as exc:
             raise WorkerCrash(f"job not clusterable: {exc}") from exc
         with self._lock:
@@ -163,36 +177,6 @@ class ClusterBackend:
             finally:
                 self.handle.coordinator.on_incumbent = None
 
-    @staticmethod
-    def _payload_for(spec) -> dict:
-        """Reduce a service :class:`JobSpec` to a wire job definition.
-
-        The instance name doubles as the spec-factory argument (the
-        registry is deterministic on every node), the search type comes
-        from :func:`~repro.instances.library.resolve_job`, and the
-        budget, stacksteal and ordered skeletons are accepted — the
-        coordinations whose work movement the cluster implements.
-        """
-        from repro.instances.library import library_spec_factory, resolve_job
-
-        if spec.skeleton not in ("budget", "stacksteal", "ordered"):
-            raise ValueError(
-                f"the cluster backend runs the 'budget', 'stacksteal' or "
-                f"'ordered' skeletons, not {spec.skeleton!r}"
-            )
-        _, stype = resolve_job(spec.instance, spec.search_type, spec.stype_kwargs)
-        params = SkeletonParams(**dict(spec.params)) if spec.params else SkeletonParams()
-        return job_payload(
-            library_spec_factory,
-            (spec.instance,),
-            stype,
-            coordination=spec.skeleton,
-            budget=params.budget,
-            share_poll=params.share_poll,
-            d_cutoff=params.d_cutoff,
-            chunked=params.chunked,
-        )
-
     def load_stats(self) -> dict:
         """The coordinator's point-in-time load snapshot (queued/leased
         tasks, per-worker liveness) — surfaced on the gateway's
@@ -202,11 +186,4 @@ class ClusterBackend:
     def close(self) -> None:
         """Drain local workers / the deployment and (if owned) stop the
         coordinator."""
-        if self.deployment is not None:
-            self.deployment.close()
-        if self._owns_handle:
-            self.handle.shutdown(drain_workers=True)
-        for p in self._procs:
-            p.join(timeout=3.0)
-            graceful_stop(p, grace=1.0)
-        self._procs.clear()
+        self._cluster.close()

@@ -69,6 +69,7 @@ from typing import Any, Callable, Optional
 
 from repro.cluster import protocol as P
 from repro.cluster.faults import CoordinatorFaults
+from repro.core.backends import backend_for
 from repro.core.ordered import (
     OrderedLedger,
     OrderedRun,
@@ -165,11 +166,7 @@ class _Job:
         )
         self.enum = self.stype.kind == "enumeration"
         self.coordination = str(payload.get("coordination") or "budget")
-        if self.coordination not in ("budget", "stacksteal", "ordered"):
-            raise ValueError(
-                f"the cluster runs 'budget', 'stacksteal' or 'ordered' "
-                f"jobs, not {self.coordination!r}"
-            )
+        backend_for("cluster", self.coordination)  # wire input: ValueError
         self.chunked = bool(payload.get("chunked", True))
         self.d_cutoff = int(payload.get("d_cutoff", 2))
         self.knowledge = self.stype.initial_knowledge(self.spec)

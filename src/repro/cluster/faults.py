@@ -58,7 +58,7 @@ __all__ = ["CHAOS_ENV", "KILL_EXIT_CODE", "SAFE_DROP_TYPES",
            "WorkerFaults", "CoordinatorFaults"]
 
 # Environment variable carrying a JSON FaultPlan for workers launched
-# outside cluster_budget_search (the `repro cluster-worker` CLI path).
+# outside cluster_search (the `repro cluster-worker` CLI path).
 CHAOS_ENV = "REPRO_CHAOS"
 
 # Exit code of a chaos-killed worker: distinguishable from real crashes

@@ -7,9 +7,10 @@ but the work movement (pooled budget offcuts and stack-steal splits
 handed to a starving peer, or ordered fixed-bound leases) happens over
 real TCP sockets through an embedded
 coordinator instead of through ``multiprocessing`` queues.  It exists
-so the ``backend="cluster"`` skeleton route, the tests and the scaling
-benchmark can exercise the genuine wire path without shell
-choreography.
+so the ``backend="cluster"`` skeleton route (:func:`run_skeleton`, the
+``"cluster"`` row of :data:`repro.core.backends.BACKENDS`), the tests
+and the verify harness can exercise the genuine wire path without
+shell choreography.
 
 The topology it builds::
 
@@ -23,26 +24,34 @@ SIGTERM -> SIGKILL escalation as the backstop.
 
 from __future__ import annotations
 
-from multiprocessing import Process
 from typing import Any, Callable, Optional
 
 from repro.cluster import protocol as P
 from repro.cluster.coordinator import ClusterHandle
 from repro.cluster.faults import CoordinatorFaults
-from repro.cluster.worker import _worker_process_main
+from repro.cluster.worker import start_worker_process
+from repro.core.backends import backend_for
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchResult
 from repro.core.searchtypes import SearchType
 from repro.runtime.processes import _stype_payload, graceful_stop
 
 __all__ = [
+    "JOB_KNOBS",
+    "job_knobs",
+    "LocalCluster",
     "job_payload",
     "cluster_search",
-    "cluster_budget_search",
-    "run_with_cluster",
+    "run_skeleton",
 ]
 
-CLUSTER_COORDINATIONS = ("budget", "stacksteal", "ordered")
+# The SkeletonParams fields a wire job carries (job_payload's knobs).
+JOB_KNOBS = ("budget", "share_poll", "d_cutoff", "chunked")
+
+
+def job_knobs(params: SkeletonParams) -> dict:
+    """``params`` reduced to :func:`job_payload`'s knob keywords."""
+    return {knob: getattr(params, knob) for knob in JOB_KNOBS}
 
 
 def job_payload(
@@ -66,13 +75,10 @@ def job_payload(
     movement: ``"budget"`` (split on a cadence into the worker's own
     pool, shared on STEAL), ``"stacksteal"`` (split only on STEAL), or
     ``"ordered"`` (replicable fixed-bound tasks finalised by the
-    coordinator's ledger).
+    coordinator's ledger); anything else is a ValueError naming the
+    backends that do implement it.
     """
-    if coordination not in CLUSTER_COORDINATIONS:
-        raise ValueError(
-            f"the cluster backend implements {CLUSTER_COORDINATIONS}, "
-            f"not {coordination!r}"
-        )
+    backend_for("cluster", coordination)
     kind, kwargs = _stype_payload(stype)
     return {
         "factory": P.factory_path(spec_factory),
@@ -87,6 +93,48 @@ def job_payload(
     }
 
 
+class LocalCluster:
+    """A coordinator and the local worker processes started against it:
+    the one bring-up and tear-down under :func:`cluster_search`,
+    ``ClusterBackend(local_workers=...)`` and
+    :class:`~repro.deploy.deployment.ClusterDeployment`.
+
+    ``handle`` attaches to an already-started :class:`ClusterHandle`
+    (left running by :meth:`close`); by default one is created from the
+    ``coordinator`` keywords, started, and shut down by :meth:`close`.
+    """
+
+    def __init__(
+        self, handle: Optional[ClusterHandle] = None, **coordinator: Any
+    ) -> None:
+        self._owns_handle = handle is None
+        if handle is None:
+            handle = ClusterHandle(**coordinator)
+            try:
+                handle.start()
+            except BaseException:
+                handle.shutdown(drain_workers=False)  # stops the loop thread
+                raise
+        self.handle = handle
+        self.procs: dict = {}  # worker name -> process
+
+    def start_worker(self, name: str, **worker: Any) -> None:
+        """Start the worker process ``name`` (keywords as for
+        :func:`~repro.cluster.worker.start_worker_process`)."""
+        host, port = self.handle.address
+        self.procs[name] = start_worker_process(host, port, name, **worker)
+
+    def close(self, *, timeout: float = 10.0) -> None:
+        """Drain the workers (SHUTDOWN first, the SIGTERM -> SIGKILL
+        escalation as the backstop) and stop an owned coordinator."""
+        if self._owns_handle:
+            self.handle.shutdown(drain_workers=True, timeout=timeout)
+        for proc in self.procs.values():
+            proc.join(timeout=3.0)
+            graceful_stop(proc, grace=1.0)
+        self.procs.clear()
+
+
 def cluster_search(
     spec_factory: Callable[..., Any],
     factory_args: tuple,
@@ -94,24 +142,23 @@ def cluster_search(
     *,
     coordination: str = "budget",
     n_workers: int = 2,
-    budget: int = 1000,
-    share_poll: int = 64,
-    d_cutoff: int = 2,
-    chunked: bool = True,
     timeout: Optional[float] = None,
     heartbeat_interval: float = 0.5,
     heartbeat_timeout: float = 5.0,
     worker_join_timeout: float = 20.0,
     wire_codec: str = "binary",
     fault_plan: Optional[dict] = None,
+    **knobs: Any,
 ) -> SearchResult:
     """One search over an embedded coordinator + N local workers.
 
-    Spins the topology up, runs one job, drains it down.  Raises the
-    coordinator's :class:`~repro.cluster.coordinator.ClusterError`
-    family on timeout/failure; returns the same :class:`SearchResult`
-    shape as every other backend (``metrics.reassigned`` > 0 means the
-    run survived a worker failure — or, for ordered jobs, counted
+    Spins the topology up, runs one job, drains it down.  ``knobs``
+    (``budget``, ``share_poll``, ``d_cutoff``, ``chunked``) go to
+    :func:`job_payload`.  Raises the coordinator's
+    :class:`~repro.cluster.coordinator.ClusterError` family on
+    timeout/failure; returns the same :class:`SearchResult` shape as
+    every other backend (``metrics.reassigned`` > 0 means the run
+    survived a worker failure — or, for ordered jobs, counted
     bound-mismatch re-runs).
 
     ``fault_plan`` is an optional chaos schedule — a dict with an
@@ -124,84 +171,44 @@ def cluster_search(
     if n_workers < 1:
         raise ValueError("need at least one cluster worker")
     payload = job_payload(
-        spec_factory, factory_args, stype,
-        coordination=coordination, budget=budget, share_poll=share_poll,
-        d_cutoff=d_cutoff, chunked=chunked,
+        spec_factory, factory_args, stype, coordination=coordination, **knobs
     )
     events = list((fault_plan or {}).get("events", []))
-    handle = ClusterHandle(
+    cluster = LocalCluster(
         heartbeat_interval=heartbeat_interval,
         heartbeat_timeout=heartbeat_timeout,
         wire_codec=wire_codec,
         faults=CoordinatorFaults(events) if events else None,
     )
-    procs: list[Process] = []
     try:
-        host, port = handle.start()
-        procs = [
-            Process(
-                target=_worker_process_main,
-                # give_up_after bounds orphan spin if this process dies
-                # before the drain: workers stop retrying on their own.
-                args=(host, port, f"local-{i}", 15.0, events or None, 2,
-                      wire_codec),
-                daemon=True,
+        for i in range(n_workers):
+            # Forked: a fixed fan-out made here, from the calling thread.
+            cluster.start_worker(
+                f"local-{i}", give_up_after=15.0,
+                chaos_events=events or None, wire_codec=wire_codec,
             )
-            for i in range(n_workers)
-        ]
-        for p in procs:
-            p.start()
-        handle.wait_for_workers(n_workers, timeout=worker_join_timeout)
-        return handle.run_job(payload, timeout=timeout)
+        cluster.handle.wait_for_workers(n_workers, timeout=worker_join_timeout)
+        return cluster.handle.run_job(payload, timeout=timeout)
     finally:
-        handle.shutdown(drain_workers=True)
-        for p in procs:
-            p.join(timeout=3.0)
-            graceful_stop(p, grace=1.0)
+        cluster.close()
 
 
-def cluster_budget_search(
-    spec_factory: Callable[..., Any],
-    factory_args: tuple,
-    stype: SearchType,
-    **kwargs: Any,
-) -> SearchResult:
-    """Budget search over an embedded cluster (compatibility wrapper
-    around :func:`cluster_search` with ``coordination="budget"``)."""
-    return cluster_search(
-        spec_factory, factory_args, stype, coordination="budget", **kwargs
-    )
-
-
-def run_with_cluster(
+def run_skeleton(
     coordination: str,
+    spec: Any,
     spec_factory: Callable[..., Any],
     factory_args: tuple,
     stype: SearchType,
     params: SkeletonParams,
 ) -> SearchResult:
-    """Dispatch a skeleton run onto a localhost cluster.
-
-    Entry point for ``SkeletonParams(backend="cluster")``: the budget,
-    stacksteal and ordered coordinations move (or pin) work dynamically
-    enough to be worth a wire; everything else is rejected with advice
-    (mirroring :func:`repro.runtime.processes.run_with_processes`).
-    """
-    if coordination not in CLUSTER_COORDINATIONS:
-        raise ValueError(
-            f"the cluster backend implements the {CLUSTER_COORDINATIONS} "
-            f"coordinations, not {coordination!r}; use backend='processes' "
-            "or backend='sim'"
-        )
+    """The ``"cluster"`` runner of :data:`repro.core.backends.BACKENDS`:
+    one :func:`cluster_search` over ``params.cluster_workers`` workers."""
     return cluster_search(
         spec_factory,
         factory_args,
         stype,
         coordination=coordination,
         n_workers=params.cluster_workers,
-        budget=params.budget,
-        share_poll=params.share_poll,
-        d_cutoff=params.d_cutoff,
-        chunked=params.chunked,
         wire_codec=params.wire_codec,
+        **job_knobs(params),
     )

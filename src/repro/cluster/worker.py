@@ -49,6 +49,7 @@ installed here turns the first rung into an orderly abandon-and-BYE.
 
 from __future__ import annotations
 
+import multiprocessing
 import queue
 import random
 import signal
@@ -56,7 +57,6 @@ import socket
 import sys
 import threading
 import time
-from multiprocessing import Process
 from typing import Optional
 
 from repro.cluster import protocol as P
@@ -68,7 +68,7 @@ from repro.runtime.processes import graceful_stop, make_stype
 from repro.runtime.sharing import FLUSH, execute_lease
 from repro.runtime.workpool import Workpool
 
-__all__ = ["ClusterWorker", "run_worker"]
+__all__ = ["ClusterWorker", "run_worker", "start_worker_process"]
 
 
 class _JobContext:
@@ -669,6 +669,43 @@ def _worker_process_main(
         raise SystemExit(1)
 
 
+def start_worker_process(
+    host: str,
+    port: int,
+    name: str,
+    *,
+    give_up_after: Optional[float] = None,
+    chaos_events: Optional[list] = None,
+    slots: int = 2,
+    wire_codec: str = "binary",
+    spawn: bool = False,
+):
+    """Start one local worker process against a coordinator — the one
+    place that does (it owns :func:`_worker_process_main`'s arguments).
+
+    ``spawn`` is the caller's to choose in code, from where it starts
+    workers.  A fixed fan-out made once from the calling thread forks
+    (a few ms).  A fleet that grows at unpredictable moments from a
+    background thread, while other threads run arbitrary code, must
+    spawn: fork would snapshot whatever locks those threads hold
+    (module import locks especially) into a child that has no thread to
+    ever release them — a worker that connects and heartbeats but never
+    searches.  Spawn pays ~0.5 s of interpreter start-up per worker for
+    immunity to that whole class of deadlock.
+
+    ``give_up_after`` bounds orphan spin if the starter dies before it
+    drains the worker: the worker stops retrying on its own.
+    """
+    ctx = multiprocessing.get_context("spawn") if spawn else multiprocessing
+    proc = ctx.Process(
+        target=_worker_process_main,
+        args=(host, port, name, give_up_after, chaos_events, slots, wire_codec),
+        daemon=True,
+    )
+    proc.start()
+    return proc
+
+
 def run_worker(
     host: str,
     port: int,
@@ -701,15 +738,12 @@ def run_worker(
         return
     base = name or f"worker-{socket.gethostname()}"
     procs = [
-        Process(
-            target=_worker_process_main,
-            args=(host, port, f"{base}-{i}", give_up_after, None, 2, wire_codec),
-            daemon=True,
+        start_worker_process(
+            host, port, f"{base}-{i}",
+            give_up_after=give_up_after, wire_codec=wire_codec,
         )
         for i in range(processes)
     ]
-    for p in procs:
-        p.start()
     try:
         while any(p.is_alive() for p in procs):
             if stop_event is not None and stop_event.is_set():

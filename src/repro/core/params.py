@@ -12,18 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-__all__ = ["SkeletonParams"]
+from repro.core.backends import BACKENDS, COORDINATION_NAMES
 
-# Kept in sync with repro.core.skeletons.COORDINATIONS (params cannot
-# import skeletons: skeletons imports params).
-_COORDINATION_NAMES = (
-    "sequential",
-    "depthbounded",
-    "stacksteal",
-    "budget",
-    "random",
-    "ordered",
-)
+__all__ = ["SkeletonParams"]
 
 
 @dataclass(frozen=True)
@@ -45,13 +36,12 @@ class SkeletonParams:
         seed: simulator seed (victim selection and tie-breaking).
         backend: execution backend — ``"sim"`` runs parallel skeletons
             on the discrete-event simulator; ``"processes"`` runs them
-            on real OS processes (:mod:`repro.runtime.processes`: the
-            depthbounded, budget, stacksteal and ordered
-            coordinations); ``"cluster"`` runs the budget, stacksteal
-            and ordered coordinations on a real localhost TCP cluster
+            on real OS processes (:mod:`repro.runtime.processes`);
+            ``"cluster"`` on a real localhost TCP cluster
             (:mod:`repro.cluster`) — an embedded coordinator plus
             ``cluster_workers`` worker processes talking the wire
-            protocol.
+            protocol.  :data:`repro.core.backends.BACKENDS` lists the
+            coordinations each one implements.
         n_processes: worker processes for the ``"processes"`` backend.
         share_poll: processes/cluster backends — nodes searched between
             reads of the shared incumbent (smaller = tighter pruning,
@@ -101,10 +91,10 @@ class SkeletonParams:
             raise ValueError("spawn_probability must be in [0, 1]")
         if self.localities < 1 or self.workers_per_locality < 1:
             raise ValueError("topology must have >= 1 locality and worker")
-        if self.backend not in ("sim", "processes", "cluster"):
+        if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
-                "expected 'sim', 'processes' or 'cluster'"
+                f"expected one of {tuple(BACKENDS)}"
             )
         if self.wire_codec not in ("json", "binary"):
             raise ValueError(
@@ -113,11 +103,11 @@ class SkeletonParams:
             )
         if (
             self.coordination is not None
-            and self.coordination not in _COORDINATION_NAMES
+            and self.coordination not in COORDINATION_NAMES
         ):
             raise ValueError(
                 f"unknown coordination {self.coordination!r}; "
-                f"expected one of {_COORDINATION_NAMES} (or None to "
+                f"expected one of {COORDINATION_NAMES} (or None to "
                 "defer to the skeleton)"
             )
         # Worker/granularity counts share one validator so a bad CLI or

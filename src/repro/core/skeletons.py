@@ -10,9 +10,10 @@ the module also exposes each combination as a ready-made constant
 
     result = DepthBoundedOptimisation.search(spec, params)
 
-Parallel skeletons execute on a :class:`SimulatedCluster` sized from the
-params (see :mod:`repro.runtime` and DESIGN.md for why the cluster is
-simulated); the Sequential skeleton runs the plain depth-first driver.
+The Sequential skeleton runs the plain depth-first driver; a parallel
+skeleton runs on the runtime ``params.backend`` names — the simulator,
+real OS processes or a localhost TCP cluster — looked up in
+:data:`repro.core.backends.BACKENDS`, the one table of what runs where.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.core.backends import backend_for
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchResult
 from repro.core.searchtypes import SearchType, make_search_type
@@ -94,15 +96,16 @@ class Skeleton:
 
         ``type_kwargs`` go to the search-type constructor (e.g.
         ``target=27`` for decision searches).  ``cluster`` optionally
-        supplies a pre-configured :class:`SimulatedCluster` (for custom
-        cost models); otherwise one is built from ``params``.
+        supplies a pre-configured :class:`SimulatedCluster` (custom
+        cost models, tracing) to run on instead of the runtime
+        ``params.backend`` names.
 
-        With ``params.backend == "processes"`` the parallel
-        coordinations run on real OS processes instead of the simulator,
-        which needs the spec in rebuildable form: ``spec_factory`` must
-        be a top-level picklable callable with picklable
-        ``factory_args`` such that ``spec_factory(*factory_args)``
-        reproduces ``spec`` in a worker process.
+        The ``"processes"`` and ``"cluster"`` backends rebuild the spec
+        in each worker: ``spec_factory`` must be a top-level importable
+        callable with picklable ``factory_args`` such that
+        ``spec_factory(*factory_args)`` reproduces ``spec``.  A
+        coordination the backend does not implement raises ValueError
+        naming the backends that do.
         """
         if stype is None:
             stype = make_search_type(self.search_type, **type_kwargs)
@@ -119,40 +122,11 @@ class Skeleton:
         policy = COORDINATIONS[coordination]
         if policy == SEQ:
             return sequential_search(spec, stype)
-        if params.backend == "processes":
-            if spec_factory is None:
-                raise ValueError(
-                    "backend='processes' rebuilds the spec in each worker "
-                    "and therefore needs spec_factory (a top-level picklable "
-                    "callable) and factory_args"
-                )
-            from repro.runtime.processes import run_with_processes
-
-            return run_with_processes(
-                coordination, spec_factory, factory_args, stype, params
-            )
-        if params.backend == "cluster":
-            if spec_factory is None:
-                raise ValueError(
-                    "backend='cluster' rebuilds the spec on each worker node "
-                    "and therefore needs spec_factory (a top-level importable "
-                    "callable) and factory_args"
-                )
-            from repro.cluster.local import run_with_cluster
-
-            return run_with_cluster(
-                coordination, spec_factory, factory_args, stype, params
-            )
-        if cluster is None:
-            # Imported here so the core package has no hard dependency
-            # direction issue with runtime (runtime imports core).
-            from repro.runtime.executor import SimulatedCluster
-            from repro.runtime.topology import Topology
-
-            cluster = SimulatedCluster(
-                Topology(params.localities, params.workers_per_locality)
-            )
-        return cluster.run(spec, stype, policy, params)
+        if cluster is not None:
+            return cluster.run(spec, stype, policy, params)
+        return backend_for(params.backend, coordination).run(
+            coordination, spec, spec_factory, factory_args, stype, params
+        )
 
 
 def make_skeleton(coordination: str, search_type: str) -> Skeleton:

@@ -1,8 +1,10 @@
 """Elastic cluster deployment: a coordinator plus a self-scaling fleet.
 
-:class:`ClusterDeployment` owns what `cluster_budget_search` wires up by
-hand — an embedded :class:`~repro.cluster.coordinator.ClusterHandle`
-and a set of worker subprocesses — but makes the fleet *mutable*:
+:class:`ClusterDeployment` is a
+:class:`~repro.cluster.local.LocalCluster` — an embedded
+:class:`~repro.cluster.coordinator.ClusterHandle` and a set of worker
+subprocesses, what :func:`~repro.cluster.local.cluster_search` brings
+up for one job — whose fleet is *mutable*:
 
 - :meth:`scale` converges the fleet to an exact size, spawning workers
   stamped from the :class:`~repro.deploy.spec.WorkerSpec` or retiring
@@ -30,11 +32,11 @@ from __future__ import annotations
 import concurrent.futures
 import threading
 import time
-from multiprocessing import Process
 from typing import Any, Callable, Optional
 
 from repro.cluster.coordinator import ClusterHandle
 from repro.cluster.faults import CoordinatorFaults
+from repro.cluster.local import LocalCluster, job_payload
 from repro.core.results import SearchResult
 from repro.core.searchtypes import SearchType
 from repro.deploy.adaptive import Adaptive, LoadSignals
@@ -79,23 +81,21 @@ class ClusterDeployment:
         on_event: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.spec = spec if spec is not None else WorkerSpec()
-        self._owns_handle = handle is None
-        if handle is None:
-            handle = ClusterHandle(
-                host=host,
-                port=port,
-                heartbeat_interval=heartbeat_interval,
-                heartbeat_timeout=heartbeat_timeout,
-                wire_codec=wire_codec,
-                faults=coordinator_faults,
-            )
-            handle.start()
-        self.handle = handle
+        self._cluster = LocalCluster(
+            handle,
+            host=host,
+            port=port,
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_timeout=heartbeat_timeout,
+            wire_codec=wire_codec,
+            faults=coordinator_faults,
+        )
+        self.handle = self._cluster.handle
         self.metrics = metrics
         self._on_event = on_event
         self._lock = threading.RLock()
         # name -> live-ish process
-        self._procs: dict[str, Process] = {}  # guarded-by: _lock
+        self._procs: dict = self._cluster.procs  # guarded-by: _lock
         self._retiring: set[str] = set()  # guarded-by: _lock
         self._next_index = 0  # guarded-by: _lock
         self.workers_spawned = 0  # guarded-by: _lock
@@ -187,11 +187,18 @@ class ClusterDeployment:
             self.metrics.set_fleet_size(size)
 
     def _spawn_one(self) -> str:  # repro: holds[_lock]
-        host, port = self.handle.address
-        index = self._next_index
+        spec = self.spec
+        name = spec.worker_name(self._next_index)
         self._next_index += 1
-        name = self.spec.worker_name(index)
-        self._procs[name] = self.spec.spawn(host, port, index)
+        # Spawned, not forked: scale() also runs on the adapt thread.
+        self._cluster.start_worker(
+            name,
+            give_up_after=spec.give_up_after,
+            chaos_events=list(spec.chaos_events) if spec.chaos_events else None,
+            slots=spec.slots,
+            wire_codec=spec.wire_codec,
+            spawn=True,
+        )
         self.workers_spawned += 1
         if self.metrics is not None:
             self.metrics.worker_spawned()
@@ -350,13 +357,8 @@ class ClusterDeployment:
                 return
             self._closed = True
         self.stop_adapting()
-        if self._owns_handle:
-            self.handle.shutdown(drain_workers=True, timeout=timeout)
         with self._lock:
-            for proc in self._procs.values():
-                proc.join(timeout=3.0)
-                graceful_stop(proc, grace=1.0)
-            self._procs.clear()
+            self._cluster.close(timeout=timeout)
             self._retiring.clear()
             self._record_fleet()
 
@@ -375,10 +377,6 @@ def elastic_budget_search(
     coordination: str = "budget",
     minimum: int = 1,
     maximum: int = 4,
-    budget: int = 1000,
-    share_poll: int = 64,
-    d_cutoff: int = 2,
-    chunked: bool = True,
     timeout: Optional[float] = None,
     heartbeat_interval: float = 0.5,
     heartbeat_timeout: float = 5.0,
@@ -386,17 +384,18 @@ def elastic_budget_search(
     burst_hold: float = 0.4,
     wire_codec: str = "binary",
     fault_plan: Optional[dict] = None,
+    **knobs: Any,
 ) -> SearchResult:
-    """Budget search on a deployment that scales mid-job.
+    """A search on a deployment that scales mid-job.
 
-    The elastic twin of
-    :func:`repro.cluster.local.cluster_budget_search`, and the unit the
-    conformance harness sweeps: start at ``minimum`` workers, burst to
-    ``maximum`` once the job is submitted, hold for ``burst_hold``
-    seconds so the extra workers take leases, then scale back down to
-    ``minimum`` *while the job runs* — forcing the RETIRE drain (and,
-    under a ``kill_on_retire`` chaos plan, the crash-during-drain
-    path) on every call.  The result must be bit-identical to the
+    The elastic twin of :func:`repro.cluster.local.cluster_search`
+    (``knobs`` likewise go to :func:`~repro.cluster.local.job_payload`),
+    and the unit the conformance harness sweeps: start at ``minimum``
+    workers, burst to ``maximum`` once the job is submitted, hold for
+    ``burst_hold`` seconds so the extra workers take leases, then scale
+    back down to ``minimum`` *while the job runs* — forcing the RETIRE
+    drain (and, under a ``kill_on_retire`` chaos plan, the
+    crash-during-drain path) on every call.  The result must be bit-identical to the
     sequential oracle regardless.
 
     Chaos workers are named ``deploy-0 .. deploy-{maximum-1}``; the
@@ -407,16 +406,12 @@ def elastic_budget_search(
     ``"stacksteal"`` or ``"ordered"``) — despite the historical name,
     any cluster coordination can run elastically.
     """
-    from repro.cluster.local import job_payload
-
     if minimum < 1:
         raise ValueError("need at least one elastic worker")
     if maximum < minimum:
         raise ValueError("maximum must be >= minimum")
     payload = job_payload(
-        spec_factory, factory_args, stype,
-        coordination=coordination, budget=budget, share_poll=share_poll,
-        d_cutoff=d_cutoff, chunked=chunked,
+        spec_factory, factory_args, stype, coordination=coordination, **knobs
     )
     events = list((fault_plan or {}).get("events", []))
     spec = WorkerSpec(

@@ -8,28 +8,18 @@ scaling is just "spawn another one of these" / "retire one of these".
 
 The spec also carries the optional chaos-event list so fault plans ride
 into elastically-spawned workers exactly as they do into the fixed
-fan-out of :func:`repro.cluster.local.cluster_budget_search`.
+fan-out of :func:`repro.cluster.local.cluster_search`.  The process
+itself is started by
+:func:`repro.cluster.worker.start_worker_process`, like every other
+local cluster worker.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cluster.worker import _worker_process_main
-
 __all__ = ["WorkerSpec"]
-
-# Fleet workers are started with the *spawn* context, not the platform
-# default fork.  An elastic deployment forks at unpredictable moments
-# from a background adapt thread while scheduler threads are running
-# arbitrary code; fork would snapshot whatever locks those threads hold
-# (module import locks especially) into a child that has no thread to
-# ever release them — a worker that connects and heartbeats but never
-# searches.  Spawn pays ~0.5s of interpreter start-up per worker for
-# immunity to that whole class of deadlock.
-_CTX = multiprocessing.get_context("spawn")
 
 
 @dataclass(frozen=True)
@@ -65,21 +55,3 @@ class WorkerSpec:
     def worker_name(self, index: int) -> str:
         """The fleet-unique name of worker ``index``."""
         return f"{self.name_prefix}-{index}"
-
-    def spawn(self, host: str, port: int, index: int):
-        """Start one worker process stamped from this spec."""
-        proc = _CTX.Process(
-            target=_worker_process_main,
-            args=(
-                host,
-                port,
-                self.worker_name(index),
-                self.give_up_after,
-                list(self.chaos_events) if self.chaos_events else None,
-                self.slots,
-                self.wire_codec,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        return proc

@@ -36,6 +36,7 @@ from repro.core.params import SkeletonParams
 from repro.core.results import SearchMetrics, SearchResult
 from repro.core.searchtypes import Incumbent, SearchType
 from repro.core.sequential import sequential_search
+from repro.core.skeletons import COORDINATIONS
 from repro.core.space import SearchSpec
 from repro.core.tasks import BUDGET, DEPTH, ORDERED, RANDOM, STACK, SearchTask, SpawnedTask
 from repro.runtime.costmodel import CostModel
@@ -46,9 +47,25 @@ from repro.runtime.topology import Topology
 from repro.runtime.workpool import Workpool
 from repro.util.rng import SplitMix64
 
-__all__ = ["SimulatedCluster", "virtual_sequential_time"]
+__all__ = ["SimulatedCluster", "run_skeleton", "virtual_sequential_time"]
 
 _PARALLEL_POLICIES = (DEPTH, BUDGET, STACK, RANDOM, ORDERED)
+
+
+def run_skeleton(
+    coordination: str,
+    spec: SearchSpec,
+    spec_factory: Any,
+    factory_args: tuple,
+    stype: SearchType,
+    params: SkeletonParams,
+) -> SearchResult:
+    """The ``"sim"`` runner of :data:`repro.core.backends.BACKENDS`: a
+    simulated cluster sized from ``params``, default cost model."""
+    cluster = SimulatedCluster(
+        Topology(params.localities, params.workers_per_locality)
+    )
+    return cluster.run(spec, stype, COORDINATIONS[coordination], params)
 
 
 def virtual_sequential_time(

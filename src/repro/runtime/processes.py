@@ -85,7 +85,7 @@ __all__ = [
     "multiprocessing_budget_search",
     "multiprocessing_stacksteal_search",
     "multiprocessing_ordered_search",
-    "run_with_processes",
+    "run_skeleton",
     "make_stype",
     "run_library_search",
     "run_job_in_subprocess",
@@ -754,34 +754,26 @@ def multiprocessing_ordered_search(
     )
 
 
-def run_with_processes(
+def run_skeleton(
     coordination: str,
+    spec: Any,
     spec_factory: Callable[..., Any],
     factory_args: tuple,
     stype: SearchType,
     params: SkeletonParams,
 ) -> SearchResult:
-    """Dispatch a skeleton run onto the real-process backends.
+    """The ``"processes"`` runner of :data:`repro.core.backends.BACKENDS`.
 
-    Entry point for ``SkeletonParams(backend="processes")``: maps the
-    coordination name onto the matching ``multiprocessing_*`` function
-    and the knobs it takes from ``params``, shipping the search type by
-    ``(kind, kwargs)`` payload (standard types only — see
-    :func:`_stype_payload`).
+    Each coordination reads its own knobs from ``params``; the search
+    type travels as its ``(kind, kwargs)`` payload (standard types only
+    — see :func:`_stype_payload`).
     """
-    backends = {
+    search, knobs = {
         "depthbounded": (multiprocessing_depthbounded_search, ("d_cutoff",)),
         "budget": (multiprocessing_budget_search, ("budget", "share_poll")),
         "stacksteal": (multiprocessing_stacksteal_search, ("chunked", "share_poll")),
         "ordered": (multiprocessing_ordered_search, ("d_cutoff", "share_poll")),
-    }
-    if coordination not in backends:
-        raise ValueError(
-            f"the processes backend implements the 'depthbounded', 'budget', "
-            f"'stacksteal' and 'ordered' coordinations, not {coordination!r}; "
-            "use backend='sim' for the rest"
-        )
-    search, knobs = backends[coordination]
+    }[coordination]
     return search(
         spec_factory, factory_args, make_stype, _stype_payload(stype),
         n_processes=params.n_processes,

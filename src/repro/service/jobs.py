@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Optional
 
+from repro.core.backends import backend_for
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchResult
 from repro.core.skeletons import COORDINATIONS, SEARCH_TYPES
@@ -112,9 +113,13 @@ class JobSpec:
             raise ValueError("instance name must be non-empty")
         if not self.submitter:
             raise ValueError("submitter must be non-empty")
-        # Validate parameter overrides eagerly: a typo'd knob should be
+        # Validate parameter overrides eagerly: a typo'd knob — or a
+        # skeleton the chosen backend does not implement — should be
         # rejected at submission, not when a worker picks the job up.
-        SkeletonParams(**dict(self.params))
+        params = SkeletonParams(**dict(self.params))
+        coordination = params.coordination or self.skeleton
+        if coordination != "sequential":
+            backend_for(params.backend, coordination)
 
     # -- identity -----------------------------------------------------------
 

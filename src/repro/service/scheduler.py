@@ -74,7 +74,12 @@ class WorkerCrash(Exception):
 
 
 class Backend(Protocol):
-    """Executes one job attempt; raises the exceptions above on failure."""
+    """Executes one job attempt; raises the exceptions above on failure.
+
+    A backend that runs only some skeletons names them in a
+    ``coordinations`` attribute; :meth:`Scheduler.submit` refuses the
+    rest.
+    """
 
     def execute(
         self,
@@ -264,10 +269,11 @@ class Scheduler:
         """Admit one job; returns its (possibly already terminal) record.
 
         Raises ValueError for malformed specs (unknown instance, app
-        mismatch) — caller errors.  Backpressure does *not* raise: a
-        rejected job comes back ``FAILED`` with the admission reason in
-        ``job.error`` and is counted in the ``rejected`` metric, so a
-        batch submitter can keep going and report per-job outcomes.
+        mismatch, a skeleton the backend does not run) — caller errors.
+        Backpressure does *not* raise: a rejected job comes back
+        ``FAILED`` with the admission reason in ``job.error`` and is
+        counted in the ``rejected`` metric, so a batch submitter can
+        keep going and report per-job outcomes.
         """
         self._validate(spec)
         with self._lock:
@@ -311,10 +317,15 @@ class Scheduler:
             self._work.notify()
             return job
 
-    @staticmethod
-    def _validate(spec: JobSpec) -> None:
+    def _validate(self, spec: JobSpec) -> None:
         from repro.instances.library import _entry
 
+        runs = getattr(self.backend, "coordinations", None)
+        if runs is not None and spec.skeleton not in runs:
+            raise ValueError(
+                f"this scheduler's backend runs the {runs} skeletons, "
+                f"not {spec.skeleton!r}"
+            )
         try:
             entry = _entry(spec.instance)
         except KeyError as exc:

@@ -63,7 +63,7 @@ def make_plan(
     """Generate a survivable fault schedule for an N-worker topology.
 
     Workers are assumed named ``{worker_prefix}0 .. {worker_prefix}N-1``
-    (the :func:`repro.cluster.local.cluster_budget_search` convention).
+    (the :func:`repro.cluster.local.cluster_search` convention).
     ``allow_kill=False`` restricts the menu to perturbations that never
     remove a worker permanently — required for enumeration jobs.
 

@@ -19,6 +19,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.core.backends import BACKENDS
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchResult
 from repro.core.searchtypes import make_search_type
@@ -37,7 +38,7 @@ from repro.verify.generators import (
 from repro.verify.oracle import build_report, check_result, oracle_self_check
 
 __all__ = [
-    "BACKENDS",
+    "TARGETS",
     "BackendConfig",
     "sample_config",
     "run_config",
@@ -45,14 +46,11 @@ __all__ = [
     "run_verify",
 ]
 
-# Differential targets.  "sequential" is the search kernel on one
-# worker, judged against the stepped machine the oracle runs — the
-# kernel-vs-machine differential, kept cheap and first.
-BACKENDS = ("sequential", "sim", "processes", "cluster")
-
-_SIM_COORDINATIONS = ("depthbounded", "stacksteal", "budget", "random", "ordered")
-_PROC_COORDINATIONS = ("depthbounded", "budget", "stacksteal", "ordered")
-_CLUSTER_COORDINATIONS = ("budget", "stacksteal", "ordered")
+# Differential targets: every runtime in the table, behind
+# "sequential" — the search kernel on one worker, judged against the
+# stepped machine the oracle runs (the kernel-vs-machine differential,
+# kept cheap and first).
+TARGETS = ("sequential", *BACKENDS)
 
 # Families whose search type tolerates losing a worker (enumeration is
 # defined to fail loudly instead — exercised by a dedicated test).
@@ -111,7 +109,7 @@ def sample_config(
     if backend == "sequential":
         return BackendConfig("sequential", "sequential")
     if backend == "sim":
-        coordination = coordination or _choice(rng, _SIM_COORDINATIONS)
+        coordination = coordination or _choice(rng, BACKENDS["sim"].coordinations)
         return BackendConfig(
             "sim",
             coordination,
@@ -127,7 +125,7 @@ def sample_config(
             },
         )
     if backend == "processes":
-        coordination = coordination or _choice(rng, _PROC_COORDINATIONS)
+        coordination = coordination or _choice(rng, BACKENDS["processes"].coordinations)
         return BackendConfig(
             "processes",
             coordination,
@@ -144,43 +142,26 @@ def sample_config(
         # RETIRE/RELEASE handback path is part of the conformance
         # surface, not a separate test universe.
         if rng.randrange(2) == 1:
-            maximum = 2 + rng.randrange(2)
-            plan = (
-                make_plan(
-                    rng.next_u64() & 0x7FFFFFFF,
-                    maximum,
-                    allow_kill=True,
-                    worker_prefix="deploy-",
-                    elastic=True,
-                )
-                if chaos
-                else None
-            )
-            return BackendConfig(
-                "cluster",
-                coordination or _choice(rng, _CLUSTER_COORDINATIONS),
-                {
-                    "elastic": True,
-                    "min_workers": 1,
-                    "max_workers": maximum,
-                    "budget": _choice(rng, (1, 2, 5, 20)),
-                    "share_poll": _choice(rng, (4, 16, 64)),
-                    "wire_codec": _choice(rng, ("json", "binary")),
-                },
-                fault_plan=plan,
-            )
-        # A kill plan needs a surviving worker, so chaos draws >= 2.
-        workers = 2 + rng.randrange(2) if chaos else 1 + rng.randrange(3)
+            workers = 2 + rng.randrange(2)
+            fleet = {"elastic": True, "min_workers": 1, "max_workers": workers}
+            names = {"worker_prefix": "deploy-", "elastic": True}
+        else:
+            # A kill plan needs a surviving worker, so chaos draws >= 2.
+            workers = 2 + rng.randrange(2) if chaos else 1 + rng.randrange(3)
+            fleet = {"cluster_workers": workers}
+            names = {}
         plan = (
-            make_plan(rng.next_u64() & 0x7FFFFFFF, workers, allow_kill=True)
+            make_plan(
+                rng.next_u64() & 0x7FFFFFFF, workers, allow_kill=True, **names
+            )
             if chaos
             else None
         )
         return BackendConfig(
             "cluster",
-            coordination or _choice(rng, _CLUSTER_COORDINATIONS),
+            coordination or _choice(rng, BACKENDS["cluster"].coordinations),
             {
-                "cluster_workers": workers,
+                **fleet,
                 "budget": _choice(rng, (1, 2, 5, 20)),
                 "share_poll": _choice(rng, (4, 16, 64)),
                 "wire_codec": _choice(rng, ("json", "binary")),
@@ -198,64 +179,28 @@ def run_config(
     stype = make_search_type(kind, **stype_kwargs)
     if cfg.backend == "sequential":
         return sequential_search(spec, stype)
-    if cfg.backend == "sim":
-        params = SkeletonParams(
-            backend="sim",
-            localities=cfg.knobs.get("localities", 1),
-            workers_per_locality=cfg.knobs.get("workers_per_locality", 2),
-            seed=cfg.knobs.get("seed", 0),
-            d_cutoff=cfg.knobs.get("d_cutoff", 2),
-            budget=cfg.knobs.get("budget", 5),
-            spawn_probability=cfg.knobs.get("spawn_probability", 0.1),
-        )
-        return Skeleton(cfg.coordination, kind).search(spec, params, stype=stype)
-    if cfg.backend == "processes":
-        params = SkeletonParams(
-            backend="processes",
-            n_processes=cfg.knobs.get("n_processes", 2),
-            d_cutoff=cfg.knobs.get("d_cutoff", 2),
-            budget=cfg.knobs.get("budget", 5),
-            share_poll=cfg.knobs.get("share_poll", 16),
-        )
-        return Skeleton(cfg.coordination, kind).search(
-            spec,
-            params,
-            stype=stype,
-            spec_factory=instance_spec,
-            factory_args=(inst.family, inst.args),
-        )
     if cfg.backend == "cluster":
-        from repro.cluster.local import cluster_search
+        # A cluster cell needs what SkeletonParams does not carry — a
+        # job timeout, a fault plan, the watchdog cadence, an elastic
+        # fleet — so it calls the one-job drivers directly.
+        from repro.cluster.local import JOB_KNOBS, cluster_search
 
-        chaotic = cfg.fault_plan is not None and bool(cfg.fault_plan.events)
         if cfg.knobs.get("elastic"):
-            from repro.deploy import elastic_budget_search
+            from repro.deploy import elastic_budget_search as search
 
-            return elastic_budget_search(
-                instance_spec,
-                (inst.family, inst.args),
-                stype,
-                coordination=cfg.coordination,
-                minimum=cfg.knobs.get("min_workers", 1),
-                maximum=cfg.knobs.get("max_workers", 2),
-                budget=cfg.knobs.get("budget", 5),
-                share_poll=cfg.knobs.get("share_poll", 16),
-                d_cutoff=cfg.knobs.get("d_cutoff", 2),
-                timeout=cluster_timeout,
-                heartbeat_interval=0.1 if chaotic else 0.5,
-                heartbeat_timeout=1.0 if chaotic else 5.0,
-                wire_codec=cfg.knobs.get("wire_codec", "binary"),
-                fault_plan=cfg.fault_plan.to_dict() if chaotic else None,
-            )
-        return cluster_search(
+            fleet = {
+                "minimum": cfg.knobs.get("min_workers", 1),
+                "maximum": cfg.knobs.get("max_workers", 2),
+            }
+        else:
+            search = cluster_search
+            fleet = {"n_workers": cfg.knobs.get("cluster_workers", 2)}
+        chaotic = cfg.fault_plan is not None and bool(cfg.fault_plan.events)
+        return search(
             instance_spec,
             (inst.family, inst.args),
             stype,
             coordination=cfg.coordination,
-            n_workers=cfg.knobs.get("cluster_workers", 2),
-            budget=cfg.knobs.get("budget", 5),
-            share_poll=cfg.knobs.get("share_poll", 16),
-            d_cutoff=cfg.knobs.get("d_cutoff", 2),
             timeout=cluster_timeout,
             # Chaos leans on the watchdog: beat fast, declare death
             # fast, so injected partitions resolve within the timeout.
@@ -263,8 +208,17 @@ def run_config(
             heartbeat_timeout=1.0 if chaotic else 5.0,
             wire_codec=cfg.knobs.get("wire_codec", "binary"),
             fault_plan=cfg.fault_plan.to_dict() if chaotic else None,
+            **fleet,
+            **{k: cfg.knobs[k] for k in JOB_KNOBS if k in cfg.knobs},
         )
-    raise ValueError(f"unknown backend {cfg.backend!r}")
+    # Every other cell is a SkeletonParams away from the table.
+    return Skeleton(cfg.coordination, kind).search(
+        spec,
+        SkeletonParams(backend=cfg.backend, **cfg.knobs),
+        stype=stype,
+        spec_factory=instance_spec,
+        factory_args=(inst.family, inst.args),
+    )
 
 
 def check_config(
@@ -309,27 +263,22 @@ def run_verify(
     """
     emit = log if log is not None else (lambda line: None)
     if backend == "all":
-        backends = list(BACKENDS)
-    elif backend in BACKENDS:
+        backends = list(TARGETS)
+    elif backend in TARGETS:
         backends = [backend]
     else:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of "
-            f"{BACKENDS + ('all',)}"
+            f"{TARGETS + ('all',)}"
         )
     if chaos and "cluster" not in backends:
         raise ValueError("--chaos only applies to the cluster backend")
     if coordination is not None:
-        supported = {
-            "sim": _SIM_COORDINATIONS,
-            "processes": _PROC_COORDINATIONS,
-            "cluster": _CLUSTER_COORDINATIONS,
-        }
         # sequential stays (the kernel-vs-machine differential);
         # parallel backends that don't implement the pin drop out.
         backends = [
             b for b in backends
-            if b == "sequential" or coordination in supported[b]
+            if b == "sequential" or coordination in BACKENDS[b].coordinations
         ]
         if all(b == "sequential" for b in backends):
             raise ValueError(

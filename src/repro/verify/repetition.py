@@ -39,7 +39,7 @@ from repro.core.searchtypes import make_search_type
 from repro.core.sequential import sequential_search_stepped
 from repro.util.rng import SplitMix64
 from repro.verify.chaos import FaultPlan
-from repro.verify.differential import BackendConfig, run_config
+from repro.verify.differential import TARGETS, BackendConfig, run_config
 from repro.verify.generators import (
     FAMILIES,
     Instance,
@@ -159,7 +159,7 @@ def run_repetition(
     elsewhere.
     """
     emit = log if log is not None else (lambda line: None)
-    if backend not in ("sequential", "sim", "processes", "cluster"):
+    if backend not in TARGETS:
         raise ValueError(f"unknown backend {backend!r}")
     if chaos is None:
         chaos = backend == "cluster"

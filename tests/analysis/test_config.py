@@ -2,14 +2,7 @@
 
 from __future__ import annotations
 
-import textwrap
-
-from repro.analysis.config import (
-    AnalyzeConfig,
-    _mini_toml_table,
-    discover_files,
-    load_config,
-)
+from repro.analysis.config import AnalyzeConfig, discover_files, load_config
 
 PYPROJECT = """\
 [project]
@@ -50,32 +43,6 @@ class TestLoadConfig:
         config = load_config(root)
         assert config.include == ("src/repro",)
         assert config.baseline == "analysis-baseline.json"
-
-
-class TestMiniToml:
-    """The py3.10 fallback parser must agree with tomllib on our table."""
-
-    def test_extracts_only_named_table(self):
-        table = _mini_toml_table(PYPROJECT, "tool.repro.analyze")
-        assert table["include"] == ["pkg"]
-        assert table["exclude"] == ["pkg/vendored/*"]
-        assert table["baseline"] == "base.json"
-
-    def test_multiline_array(self):
-        text = textwrap.dedent(
-            """\
-            [tool.repro.analyze]
-            include = [
-                "a",
-                "b",
-            ]
-            """
-        )
-        table = _mini_toml_table(text, "tool.repro.analyze")
-        assert table["include"] == ["a", "b"]
-
-    def test_missing_table_is_empty(self):
-        assert _mini_toml_table("[tool.x]\ny = 1\n", "tool.repro.analyze") == {}
 
 
 class TestDiscoverFiles:

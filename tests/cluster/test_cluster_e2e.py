@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.cluster.coordinator import ClusterHandle
-from repro.cluster.local import cluster_budget_search, job_payload
+from repro.cluster.local import cluster_search, job_payload
 from repro.cluster.worker import ClusterWorker, _worker_process_main
 from repro.core.params import SkeletonParams
 from repro.core.results import validate_result
@@ -36,7 +36,7 @@ def _stype_for(instance):
 class TestMatchesSequential:
     def test_enumeration_bit_identical(self):
         spec, stype = _stype_for("uts-geo-med")
-        res = cluster_budget_search(
+        res = cluster_search(
             library_spec_factory, ("uts-geo-med",), stype,
             n_workers=2, budget=500, share_poll=32, timeout=60,
         )
@@ -48,7 +48,7 @@ class TestMatchesSequential:
 
     def test_refuted_decision_bit_identical(self):
         spec, stype = _stype_for("kclique-fig4")  # k=14 does not exist
-        res = cluster_budget_search(
+        res = cluster_search(
             library_spec_factory, ("kclique-fig4",), stype,
             n_workers=2, budget=300, share_poll=32, timeout=120,
         )
@@ -60,7 +60,7 @@ class TestMatchesSequential:
 
     def test_optimisation_value_and_witness(self):
         spec, stype = _stype_for("brock90-1")
-        res = cluster_budget_search(
+        res = cluster_search(
             library_spec_factory, ("brock90-1",), stype,
             n_workers=2, budget=500, share_poll=32, timeout=60,
         )
@@ -70,7 +70,7 @@ class TestMatchesSequential:
 
     def test_single_worker(self):
         spec, stype = _stype_for("uts-geo-med")
-        res = cluster_budget_search(
+        res = cluster_search(
             library_spec_factory, ("uts-geo-med",), stype,
             n_workers=1, budget=500, timeout=60,
         )
@@ -107,16 +107,6 @@ class TestSkeletonRoute:
                 stype=stype,
             )
 
-    def test_non_budget_coordination_rejected(self):
-        from repro.cluster.local import run_with_cluster
-
-        spec, stype = _stype_for("brock90-1")
-        with pytest.raises(ValueError, match="budget"):
-            run_with_cluster(
-                "depthbounded", library_spec_factory, ("brock90-1",),
-                stype, SkeletonParams(backend="cluster"),
-            )
-
 
 class TestFaultTolerance:
     def test_worker_killed_mid_search_result_still_exact(self):
@@ -128,7 +118,7 @@ class TestFaultTolerance:
         # epoch and the answer is still exact; what had been shipped is
         # searched twice, so the node count may only overcount.
         spec, stype = _stype_for("kclique-fig4")
-        res = cluster_budget_search(
+        res = cluster_search(
             library_spec_factory, ("kclique-fig4",), stype,
             n_workers=2, budget=300, share_poll=32, timeout=120,
             heartbeat_interval=0.2, heartbeat_timeout=1.0,
@@ -238,15 +228,16 @@ class TestServiceBackend:
                 app="maxclique", instance="brock90-1",
                 skeleton="budget", params={"budget": 500},
             ))
-            bad = sched.submit(JobSpec(
-                app="maxclique", instance="brock90-2",
-                skeleton="depthbounded",  # cluster runs budget only
-            ))
+            # Not a cluster coordination: refused at the door, never run
+            # (see test_scheduler.py::TestBackendCoordinations).
+            with pytest.raises(ValueError, match="budget"):
+                sched.submit(JobSpec(
+                    app="maxclique", instance="brock90-2",
+                    skeleton="depthbounded",
+                ))
             sched.run_until_idle()
         finally:
             backend.close()
         assert ok.state is JobState.DONE
         assert ok.result.value == 14
         assert ok.result.workers == 2
-        assert bad.state is JobState.FAILED
-        assert "budget" in bad.error

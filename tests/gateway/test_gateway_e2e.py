@@ -190,6 +190,22 @@ class TestErrors:
         finally:
             handle.close()
 
+    def test_skeleton_the_backend_cannot_run_is_400(self):
+        class BudgetOnly(InstantBackend):
+            coordinations = ("budget",)
+
+        handle, client, backends = make_gateway(
+            n_shards=1, backend_cls=BudgetOnly
+        )
+        try:
+            with pytest.raises(GatewayError) as err:
+                client.submit(spec_json(skeleton="sequential"))
+            assert err.value.status == 400
+            assert "budget" in str(err.value)
+            assert backends[0].executed == []
+        finally:
+            handle.close()
+
     def test_result_is_202_while_running(self):
         handle, client, backends = make_gateway(n_shards=1,
                                                 backend_cls=GatedBackend)

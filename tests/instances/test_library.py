@@ -65,9 +65,11 @@ class TestSpecFor:
 
 class TestDecoySip:
     def test_anomaly_structure(self):
-        # The decoy instance's whole point (bench_cluster_scaling): the
-        # only candidates for the first pattern vertex are the three
-        # decoy hubs, then the planted image — in that fail-first order.
+        # The decoy instance's whole point (an acceleration anomaly for
+        # parallel runs; cluster speedup itself is the ledger's
+        # cluster.*.speedup_vs_seq): the only candidates for the first
+        # pattern vertex are the three decoy hubs, then the planted
+        # image — in that fail-first order.
         inst = load_instance("sip-decoy-24-200")
         p0 = inst.order[0]
         dp0 = inst.pattern.degree(p0)

@@ -104,6 +104,35 @@ class TestSubmission:
         assert snap.rejected == 1
 
 
+class TestBackendCoordinations:
+    def test_job_the_cluster_can_never_run_is_refused_at_submit(self):
+        # Regression: the job was admitted, executed twice and ended
+        # FAILED "worker crash: job not clusterable" with attempts == 2
+        # and the retried metric bumped — for the `submit` CLI's default
+        # skeleton.  A coordinator with no workers is enough to show it.
+        from repro.cluster.backend import ClusterBackend
+        from repro.core.backends import BACKENDS
+
+        backend = ClusterBackend()
+        try:
+            s = make_sched(backend)
+            for skeleton in ("sequential", "depthbounded"):
+                with pytest.raises(ValueError) as refused:
+                    s.submit(spec(skeleton=skeleton))
+                for runs in BACKENDS["cluster"].coordinations:
+                    assert runs in str(refused.value)
+            assert s.run_until_idle() == []
+            assert s.metrics_snapshot().retries == 0
+        finally:
+            backend.close()
+
+    def test_a_backend_without_the_attribute_runs_every_skeleton(self):
+        s = make_sched()
+        job = s.submit(spec(skeleton="depthbounded"))
+        s.run_until_idle()
+        assert job.state is JobState.DONE
+
+
 class TestCoalescing:
     def test_duplicate_while_queued_is_coalesced(self):
         backend = ScriptedBackend()

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.cluster.coordinator import ClusterJobFailed
-from repro.cluster.local import cluster_budget_search
+from repro.cluster.local import cluster_search
 from repro.core.searchtypes import make_search_type
 from repro.verify.differential import run_verify
 from repro.verify.generators import Instance, instance_spec
@@ -57,7 +57,7 @@ class TestEnumerationFailsLoudly:
         # ClusterJobFailed, never a silently wrong total.
         inst = Instance("uts", (2, 3, 12345))
         with pytest.raises(ClusterJobFailed):
-            cluster_budget_search(
+            cluster_search(
                 instance_spec,
                 (inst.family, inst.args),
                 make_search_type("enumeration"),
