@@ -101,7 +101,7 @@ _KEYS = (
     "__tuple__", "__set__", "__frozenset__", "__pickle__",
     "coordination", "chunked", "d_cutoff", "bound",
     "stacksteal", "ordered",
-    "records", "seq", "more",
+    "blocks", "seqs", "more",
     "spawns", "pool",
 )
 _KEY_INDEX = {name: i for i, name in enumerate(_KEYS)}
@@ -223,7 +223,13 @@ def _encode_value(out: bytearray, value: Any) -> None:
         out.append(T_LIST)
         _append_uvarint(out, len(value))
         for item in value:
-            _encode_value(out, item)
+            if type(item) is int and 0 <= item < 64:
+                # A counter column of an ordered block is thousands of
+                # these: two bytes, no call.
+                out.append(T_INT)
+                out.append(item << 1)
+            else:
+                _encode_value(out, item)
     elif value is None:
         out.append(T_NONE)
     elif tv is bool:
@@ -339,8 +345,12 @@ def _decode_value(buf: bytes, pos: int) -> tuple[Any, int]:
         items = []
         append = items.append
         for _ in range(count):
-            item, pos = _decode_value(buf, pos)
-            append(item)
+            if buf[pos] == T_INT and not (byte := buf[pos + 1]) & 0x81:
+                append(byte >> 1)  # a one-byte non-negative int, inline
+                pos += 2
+            else:
+                item, pos = _decode_value(buf, pos)
+                append(item)
         return items, pos
     if tag == T_DICT:
         count, pos = _read_uvarint(buf, pos)

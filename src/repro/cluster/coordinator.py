@@ -184,24 +184,11 @@ class _Job:
         self.started = time.perf_counter()
         self.done: asyncio.Future = loop.create_future()
         self._next_task = 0
+        self.share_poll = int(payload.get("share_poll", 64))
+        # Ordered jobs only, and only once :meth:`walk` has run.
         self.ledger: Optional[OrderedLedger] = None
         self.policy: Optional[OrderedRunPolicy] = None
-        if self.coordination == "ordered":
-            # Phase 1 runs here, synchronously: the sequential
-            # depth-bounded expansion that numbers the frontier.  It is
-            # the region above d_cutoff — small by construction — so
-            # blocking the loop for it is fine.  No task records yet:
-            # the policy cuts runs as slots come free (see lease_run).
-            frontier = ordered_frontier(
-                self.spec, self.stype, d_cutoff=self.d_cutoff
-            )
-            self.frontier_tasks = frontier.tasks
-            self.ledger = OrderedLedger(self.stype, frontier)
-            self.policy = OrderedRunPolicy(self.ledger)
-            if not self.enum:
-                self.best_value = self.ledger.required_bound()
-            self.outstanding = self.ledger.task_count
-        else:
+        if self.coordination != "ordered":
             root = TaskRecord(
                 id=self._new_task_id(),
                 nodes=[P.encode_node(self.spec.root)],
@@ -214,6 +201,21 @@ class _Job:
     def _new_task_id(self) -> int:
         self._next_task += 1
         return self._next_task
+
+    def walk(self) -> None:
+        """Ordered jobs, phase 1: the sequential depth-bounded expansion
+        that numbers the frontier, run synchronously on the loop *after*
+        the JOB frames have left, so that the workers are walking their
+        own copies meanwhile.  It is the region above d_cutoff — small
+        by construction — so blocking the loop for it is fine.  No task
+        records yet: the policy cuts runs as slots come free (see
+        lease_run)."""
+        frontier = ordered_frontier(self.spec, self.stype, d_cutoff=self.d_cutoff)
+        self.ledger = OrderedLedger(self.stype, frontier)
+        self.policy = OrderedRunPolicy(self.ledger, self.share_poll)
+        if not self.enum:
+            self.best_value = self.ledger.required_bound()
+        self.outstanding = self.ledger.task_count
 
     def lease_run(self, workers: int) -> Optional[TaskRecord]:
         """Ordered jobs: the next run the policy hands out, as a fresh
@@ -230,11 +232,10 @@ class _Job:
         run = rec.run
         if run is None:
             return [rec.id, rec.epoch, rec.nodes, rec.depth]
-        roots = [
-            [P.encode_node(t.node), t.depth]
-            for t in self.frontier_tasks[run.first:run.first + run.count]
+        return [
+            rec.id, rec.epoch, P.pack_seqs(run.seqs), run.bound,
+            self.ledger.task_count,
         ]
-        return [rec.id, rec.epoch, roots, run.first, run.bound]
 
     def requeue(self, rec: TaskRecord) -> None:
         """A lease was lost (worker death or retire handback): make its
@@ -278,7 +279,7 @@ class _Job:
             "stype_kind": self.payload["stype_kind"],
             "stype_kwargs": dict(self.payload.get("stype_kwargs") or {}),
             "budget": int(self.payload.get("budget", 1000)),
-            "share_poll": int(self.payload.get("share_poll", 64)),
+            "share_poll": self.share_poll,
             "coordination": self.coordination,
             "chunked": self.chunked,
             "d_cutoff": self.d_cutoff,
@@ -491,15 +492,26 @@ class Coordinator:
         except (P.ProtocolError, TypeError, ValueError) as exc:
             raise ClusterJobFailed(f"bad job payload: {exc}") from exc
         self._job = job
-        msg = job.job_message()
-        for worker in list(self.workers.values()):
-            # Steal state is per-job; a STOLEN still in flight for the
-            # previous job is dropped by the job-id check in _dispatch.
-            worker.steal_pending = False
-            worker.steal_dry = False
-            worker.pool = 0
-            self._post(worker, msg)
-        if job.ledger is not None and job.ledger.finished:
+        ordered = job.coordination == "ordered"
+        if not ordered or job.d_cutoff > 0:
+            msg = job.job_message()
+            for worker in list(self.workers.values()):
+                # Steal state is per-job; a STOLEN still in flight for the
+                # previous job is dropped by the job-id check in _dispatch.
+                worker.steal_pending = False
+                worker.steal_dry = False
+                worker.pool = 0
+                self._post(worker, msg)
+        # else phase 1 is the whole search: nobody is told, nobody walks.
+        if ordered:
+            try:
+                job.walk()
+            except Exception as exc:
+                self._fail_job(job, ClusterJobFailed(
+                    f"frontier walk failed: {type(exc).__name__}: {exc}"
+                ))
+                raise job.done.exception() from exc
+        if ordered and job.ledger.finished:
             # Phase 1 already finished the search (empty frontier, or a
             # decision goal during expansion): no tasks to lease.
             self._finish_ordered(job)
@@ -655,6 +667,11 @@ class Coordinator:
             self._on_result(worker, job, msg)
         elif mtype == P.RELEASE:
             self._on_release(worker, job, msg)
+        elif mtype == P.ERROR:
+            self._fail_job(job, ClusterJobFailed(
+                f"worker {worker.name!r} cannot run the job: "
+                f"{msg.get('reason', 'unspecified')}"
+            ))
 
     def _valid_lease(self, worker: WorkerConn, job: _Job, msg: dict):
         """The task record iff this frame matches a live lease held by
@@ -789,26 +806,29 @@ class Coordinator:
     def _on_result_ordered(
         self, worker: WorkerConn, job: _Job, rec: TaskRecord, msg: dict
     ) -> None:
-        """Feed one RESULT's per-task records to the policy and act on
-        the verdict: the ledger finalises the ready prefix, whatever it
+        """Feed one RESULT's blocks to the policy and act on the
+        verdict: the ledger finalises the ready prefix, whatever it
         rejects goes back to the front of the policy's queue, and a new
         finalised-prefix best is broadcast.  A frame flagged ``more`` is
-        an early flush: the run lease stays live."""
+        an early flush: the run lease stays live.  A block that is
+        malformed, or names a task outside its lease, is dropped."""
         ledger = job.ledger
-        run = rec.run
+        leased = set(rec.run.seqs)
         done = not msg.get("more")
         if done:
             rec.state = DONE
             rec.worker = None
             worker.tasks.discard(rec.id)
         job.contributors.add(worker.id)
-        records = [
-            payload for payload in (
-                self._ordered_record(job, run, record)
-                for record in msg.get("records") or []
-            ) if payload is not None
-        ]
-        moved = job.policy.accept(records, done)
+        blocks = []
+        for wire in msg.get("blocks") or []:
+            try:
+                block = P.unpack_block(wire, job.enum, ledger.task_count)
+            except P.ProtocolError:
+                continue
+            if leased.issuperset(block["seqs"]):
+                blocks.append(block)
+        moved = job.policy.accept(blocks, done)
         job.outstanding = ledger.task_count - ledger.next_seq
         if moved:
             # The broadcast value is the *finalised-prefix* best —
@@ -827,36 +847,6 @@ class Coordinator:
             self._finish_ordered(job)
             return
         self._pump()
-
-    @staticmethod
-    def _ordered_record(job: _Job, run: OrderedRun, record: Any) -> Optional[dict]:
-        """One wire record as a ledger payload; None drops a record
-        that is malformed or names a task outside its lease."""
-        if not isinstance(record, dict):
-            return None
-        seq = record.get("seq")
-        if not isinstance(seq, int) or not (
-            run.first <= seq < run.first + run.count
-        ):
-            return None
-        payload: dict = {
-            "seq": seq,
-            "nodes": int(record.get("nodes", 0)),
-            "prunes": int(record.get("prunes", 0)),
-            "backtracks": int(record.get("backtracks", 0)),
-            "max_depth": int(record.get("max_depth", 0)),
-            "goal": bool(record.get("goal")),
-        }
-        if job.enum:
-            payload["knowledge"] = record.get("knowledge")
-            return payload
-        bound, value = record.get("bound"), record.get("value")
-        if not isinstance(bound, int) or not isinstance(value, (int, type(None))):
-            return None
-        payload["bound"] = bound
-        payload["value"] = value
-        payload["node"] = P.decode_node(record.get("node"))
-        return payload
 
     def _finish_ordered(self, job: _Job) -> None:
         """Copy the ledger's authoritative state into the job and
@@ -912,9 +902,9 @@ class Coordinator:
         hoard the whole frontier and serialise the search.  All of a
         worker's grants then go out in ONE batched TASK frame (``leases:
         [[id, epoch, [node, ...], depth], ...]``).  An ordered job
-        leases *runs*: its entries are ``[id, epoch, [[node, depth],
-        ...], first_seq, bound]``, cut by the job's run policy as slots
-        come free.  When a budget or stack-stealing job has nothing
+        leases *runs* of task numbers: its entries are ``[id, epoch,
+        seqs, bound, of]``, cut by the job's run policy as slots come
+        free.  When a budget or stack-stealing job has nothing
         queued, idle workers are served by asking busy ones
         (:meth:`_victims`); a worker's STEAL leaves in the same write
         as its TASK.

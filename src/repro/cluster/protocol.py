@@ -30,8 +30,10 @@ JOB        c -> w      search definition: spec factory, search type, knobs
 TASK       c -> w      lease subtrees: up to ``slots`` ``[id, epoch, [node,
                        ...], depth]`` entries — sibling roots at one
                        depth, one hand-over — batched in one ``leases``
-                       list; an ordered job's entries are *runs*: ``[id,
-                       epoch, [[node, depth], ...], first_seq, bound]``
+                       list; an ordered job's entries are *runs* of task
+                       numbers, ``[id, epoch, seqs, bound, of]``: positions
+                       in the frontier the worker walked for itself at JOB,
+                       ``of`` that frontier's size (see *Ordered runs*)
 OFFCUT     w -> c      unsolicited hand-over: the unstarted subtrees of a
                        retiring or draining worker's pool, one frame per
                        depth
@@ -48,9 +50,9 @@ RESULT     w -> c      a lease finished: counters + local best.  A lease
                        is its roots and every subtree its holder ran from
                        its own pool; ``spawns`` is how many subtrees it
                        split off its stacks, wherever they then ran.  For
-                       an ordered run, ``records``: one ``{seq, bound,
-                       counters, value, node}`` per task, with ``more`` set
-                       on an early flush that leaves the lease live
+                       an ordered run, ``blocks``: columns of counters per
+                       stretch of the run, with ``more`` set on an early
+                       flush that leaves the lease live
 RELEASE    w -> c      retire handback: unstarted leases returned for re-lease
 HEARTBEAT  w -> c      liveness (any frame also refreshes the deadline, so
                        workers suppress it while other traffic flows), and
@@ -62,7 +64,9 @@ RETIRE     c -> w      scale-down drain: hand the pool back (OFFCUT), finish
 SHUTDOWN   c -> w      drain: hand the pool back (OFFCUT), finish the leases
                        held, say BYE, exit for good (never reconnect)
 BYE        w -> c      orderly goodbye; the connection closes after it
-ERROR      c -> w      protocol violation report before disconnect
+ERROR      both        c -> w: protocol violation report before disconnect;
+                       w -> c, with ``job``: this worker cannot run that job
+                       correctly (its frontier differs), so fail it
 ========== =========== ====================================================
 
 ``RETIRE`` differs from ``SHUTDOWN`` in what happens to leases the
@@ -74,6 +78,24 @@ cooperatively, before any partial state exists.  That makes retirement
 safe even for enumeration jobs, where losing a *started* task is fatal:
 the task in flight runs to its RESULT, and everything else was never
 touched.
+
+Ordered runs
+------------
+
+An ordered job ships no nodes at all.  The frontier is a function of
+the JOB frame (spec, search type, ``d_cutoff``), so the coordinator
+posts JOB first and walks it while every worker does the same; a task
+is then its sequence number in that walk.  Sequence numbers travel as
+flat ``[first, count, first, count, ...]`` stretches
+(:func:`pack_seqs`): a lease of fresh work is one stretch, tasks to run
+again are as many as they have gaps.  A RESULT's ``blocks`` entry
+(:func:`pack_block`) is ``{seqs, bound, nodes, prunes, backtracks,
+max_depth}`` — the four counters as lists, one int per task of the
+stretch, all run from ``bound`` — plus ``knowledge`` (a list) for
+enumeration, and ``value`` / ``node`` / ``goal`` for the block's last
+task when that task improved the bound.  A worker
+whose own walk numbered another count than a lease's ``of`` answers
+with ERROR, which fails the job.
 
 Node transport
 --------------
@@ -134,6 +156,10 @@ __all__ = [
     "recv_exact",
     "encode_node",
     "decode_node",
+    "pack_seqs",
+    "unpack_seqs",
+    "pack_block",
+    "unpack_block",
     "factory_path",
     "resolve_factory",
     "LastSpec",
@@ -156,10 +182,10 @@ __all__ = [
 ]
 
 # The one version both sides speak: coordination-aware JOBs, batched
-# TASK leases of several roots each (runs for ordered jobs),
-# STEAL/STOLEN, codec negotiation.  A HELLO with any other version is
-# refused.
-PROTOCOL_VERSION = 4
+# TASK leases of several roots each (runs of sequence numbers for
+# ordered jobs, answered in column blocks), STEAL/STOLEN, codec
+# negotiation.  A HELLO with any other version is refused.
+PROTOCOL_VERSION = 5
 
 # One frame must hold a message-sized payload (a task node, an offcut
 # batch), never a bulk transfer; anything bigger than this is a protocol
@@ -322,6 +348,90 @@ def decode_node(value: Any) -> Any:
                 return pickle.loads(base64.b64decode(value[_PICKLE_TAG]))
         return {k: decode_node(v) for k, v in value.items()}
     return value
+
+
+# -- ordered runs: sequence numbers and column blocks ------------------------
+
+_COUNTERS = ("nodes", "prunes", "backtracks", "max_depth")
+
+
+def _ints(items: Any, length: Optional[int] = None) -> bool:
+    """Is ``items`` a list of ints proper (no bools), ``length`` long?"""
+    return (
+        isinstance(items, list)
+        and (length is None or len(items) == length)
+        and set(map(type, items)) <= {int}
+    )
+
+
+def pack_seqs(seqs: Any) -> list:
+    """Ascending sequence numbers as flat ``[first, count, ...]``
+    stretches (a ``range`` is one stretch)."""
+    if isinstance(seqs, range):
+        return [seqs.start, len(seqs)] if seqs else []
+    out: list = []
+    for seq in seqs:
+        if out and seq == out[-2] + out[-1]:
+            out[-1] += 1
+        else:
+            out += [seq, 1]
+    return out
+
+
+def unpack_seqs(wire: Any, of: Any) -> Any:
+    """Inverse of :func:`pack_seqs`: a ``range`` for one stretch, a list
+    for several.  Anything but strictly ascending stretches of the
+    positions ``0 .. of - 1`` is a :class:`ProtocolError`."""
+    if not _ints(wire) or not wire or len(wire) % 2 or type(of) is not int:
+        raise ProtocolError("sequence numbers must be [first, count, ...] ints")
+    stretches = []
+    floor = 0
+    for first, count in zip(wire[::2], wire[1::2]):
+        if first < floor or count < 1 or first + count > of:
+            raise ProtocolError(f"sequence-number stretches must ascend below {of}")
+        floor = first + count
+        stretches.append(range(first, floor))
+    if len(stretches) == 1:
+        return stretches[0]
+    return [seq for stretch in stretches for seq in stretch]
+
+
+def pack_block(block: dict) -> dict:
+    """One :func:`~repro.core.ordered.execute_run` block for the wire:
+    its ``seqs`` packed, its witness (if any) node-encoded."""
+    out = dict(block, seqs=pack_seqs(block["seqs"]))
+    if out.get("node") is not None:
+        out["node"] = encode_node(out["node"])
+    return out
+
+
+def unpack_block(wire: Any, enum: bool, of: int) -> dict:
+    """Inverse of :func:`pack_block`, checked: ``seqs`` of a frontier of
+    ``of`` tasks, every column a list of ints as long as ``seqs``, an
+    int ``bound`` and an int-or-absent ``value`` unless ``enum``.
+    :class:`ProtocolError` otherwise."""
+    if not isinstance(wire, dict):
+        raise ProtocolError("a block must be an object")
+    seqs = unpack_seqs(wire.get("seqs"), of)
+    block: dict = {"seqs": seqs, "bound": None}
+    for name in _COUNTERS:
+        block[name] = column = wire.get(name)
+        if not _ints(column, len(seqs)):
+            raise ProtocolError(f"block column {name!r} does not match its seqs")
+    if enum:
+        knowledge = wire.get("knowledge")
+        if not isinstance(knowledge, list) or len(knowledge) != len(seqs):
+            raise ProtocolError("block column 'knowledge' does not match its seqs")
+        block["knowledge"] = knowledge
+        return block
+    bound, value = wire.get("bound"), wire.get("value")
+    if type(bound) is not int or not (value is None or type(value) is int):
+        raise ProtocolError("a block needs an int bound and an int or no value")
+    block.update(
+        bound=bound, value=value,
+        node=decode_node(wire.get("node")), goal=bool(wire.get("goal")),
+    )
+    return block
 
 
 # -- spec transport ----------------------------------------------------------

@@ -10,8 +10,11 @@ INCUMBENT frames, the short lease count became the coordinator's STEAL,
 what a starving peer is given leaves in one STOLEN frame and reaches it
 as one lease of several roots, and the outstanding counter lives on the
 coordinator.  A lease is its roots and everything its holder ran from
-its own pool, answered by one RESULT.  The spec of the last job is kept
-while the next JOB names the same factory and arguments.
+its own pool, answered by one RESULT.  An ordered job's leases carry no
+roots: the worker walks the frontier for itself when the JOB arrives
+(on the search thread, while the coordinator walks its own) and is
+leased positions in it.  The spec of the last job is kept while the
+next JOB names the same factory and arguments.
 
 Threading model (per connection):
 
@@ -61,7 +64,7 @@ from typing import Optional
 
 from repro.cluster import protocol as P
 from repro.cluster.faults import WorkerFaults
-from repro.core.ordered import execute_run
+from repro.core.ordered import execute_run, worker_tasks
 from repro.core.searchtypes import Incumbent
 from repro.runtime.fleet import WORKER_SWITCH_INTERVAL
 from repro.runtime.processes import graceful_stop, make_stype
@@ -92,6 +95,10 @@ class _JobContext:
         self.share_poll = max(1, int(msg.get("share_poll", 64)))
         self.coordination = str(msg["coordination"])
         self.chunked = bool(msg.get("chunked", True))
+        self.d_cutoff = int(msg.get("d_cutoff", 2))
+        # Ordered jobs: this worker's own walk of the frontier, made by
+        # the search thread before it runs the job's first lease.
+        self.tasks: list = []
         best = msg.get("best")
         self.bound = best if isinstance(best, int) else 0
         self.done = False
@@ -347,22 +354,19 @@ class ClusterWorker:
                     file=sys.stderr,
                 )
                 self._ctx = None
+            ctx = self._ctx
+            if ctx is not None and ctx.coordination == "ordered":
+                # Ahead of every lease of the job: the walk (no task id).
+                self._local_q.put((ctx, None, None, None))
         elif mtype == P.TASK:
             ctx = self._ctx
             if ctx is not None and msg.get("job") == ctx.id and not ctx.done:
                 for lease in msg["leases"]:
                     task_id, epoch = lease[:2]
                     if ctx.coordination == "ordered":
-                        # A run: [[node, depth], ...] numbered from
-                        # first_seq, plus the bound it was cut under.
-                        roots, first, bound = lease[2:5]
-                        work = (
-                            [
-                                (first + i, P.decode_node(node), int(depth))
-                                for i, (node, depth) in enumerate(roots)
-                            ],
-                            bound,
-                        )
+                        # A run: seqs, the bound it was cut under, and
+                        # the size of the frontier it was cut from.
+                        work = (P.unpack_seqs(lease[2], lease[4]), *lease[3:5])
                     else:
                         work = (P.decode_node(lease[2]), int(lease[3]))  # roots, depth
                     self._local_q.put((ctx, task_id, epoch, work))
@@ -445,12 +449,14 @@ class ClusterWorker:
             ctx, task_id, epoch, work = item
             if ctx.done or ctx is not self._ctx:
                 continue
-            if self._faults is not None:
+            if self._faults is not None and task_id is not None:
                 # Chaos: may hard-exit here, dying with this lease live
                 # so the coordinator's re-lease path has to recover it.
                 self._faults.on_task_start(self.tasks_run + 1)
             try:
-                if ctx.coordination == "ordered":
+                if task_id is None:
+                    self._walk_frontier(ctx)
+                elif ctx.coordination == "ordered":
                     self._run_ordered_lease(ctx, task_id, epoch, *work)
                 else:
                     self._run_task(ctx, task_id, epoch, *work)
@@ -462,6 +468,19 @@ class ClusterWorker:
         """Should the lease in hand stop with nothing sent?  JOB_DONE, a
         stop request, a dead session: lease accounting covers us."""
         return ctx.done or self._session_dead.is_set() or self._stopped()
+
+    def _fail_job(self, ctx, reason: str) -> None:
+        """This worker cannot run ``ctx``'s job correctly: say so (the
+        coordinator fails the job) and take no more of it."""
+        ctx.done = True
+        self._send({"type": P.ERROR, "job": ctx.id, "reason": reason})
+
+    def _walk_frontier(self, ctx) -> None:
+        """Number an ordered job's frontier for ourselves."""
+        try:
+            ctx.tasks = worker_tasks(ctx.spec, ctx.stype, ctx.d_cutoff)
+        except Exception as exc:
+            self._fail_job(ctx, f"frontier walk failed: {type(exc).__name__}: {exc}")
 
     def _say_bye(self) -> None:
         try:
@@ -483,7 +502,7 @@ class ClusterWorker:
                 item_ctx, task_id, epoch, _work = self._local_q.get_nowait()
             except queue.Empty:
                 break
-            if ctx is not None and item_ctx is ctx and not ctx.done:
+            if ctx is not None and item_ctx is ctx and not ctx.done and task_id is not None:
                 returned.append([task_id, epoch])
         if returned and ctx is not None:
             try:
@@ -599,42 +618,45 @@ class ClusterWorker:
             result["node"] = P.encode_node(knowledge.node)
         self._send(result)
 
-    def _run_ordered_lease(self, ctx, task_id, epoch, tasks, bound) -> None:
+    def _run_ordered_lease(self, ctx, task_id, epoch, seqs, bound, of) -> None:
         """One ordered lease: a run of replicable tasks, in order.
 
         :func:`~repro.core.ordered.execute_run` threads the bound
         through the run starting from the lease's (``ctx.bound`` is the
         finalised-prefix best as last heard, its restart signal) and
-        hands back per-task records, which leave as RESULT frames —
+        hands back blocks of columns, which leave as RESULT frames —
         flagged ``more`` while the run is still going.  No INCUMBENT is
         ever published mid-run; the coordinator's ledger is the only
         incumbent authority, and it re-issues whatever ran from a bound
-        that turns out wrong.
+        that turns out wrong.  A lease cut from another frontier than
+        the one walked here fails the job.
         """
 
-        def flush(records: list, done: bool) -> None:
-            self.nodes_searched += sum(r["nodes"] for r in records)
-            for record in records:
-                if record.get("node") is not None:
-                    record["node"] = P.encode_node(record["node"])
+        def flush(blocks: list, done: bool) -> None:
+            self.nodes_searched += sum(sum(block["nodes"]) for block in blocks)
             frame = {
                 "type": P.RESULT,
                 "job": ctx.id,
                 "task": task_id,
                 "epoch": epoch,
-                "records": records,
+                "blocks": [P.pack_block(block) for block in blocks],
             }
             if not done:
                 frame["more"] = True
             self._send(frame)
 
+        try:
+            finished = execute_run(
+                ctx.spec, ctx.stype, ctx.tasks, seqs, bound, of, flush,
+                published=lambda: ctx.bound,
+                should_abort=lambda: self._abandoned(ctx),
+                poll=ctx.share_poll,
+            )
+        except ValueError as exc:
+            self._fail_job(ctx, str(exc))
+            return
         # An aborted run just stops: lease accounting covers us.
-        if execute_run(
-            ctx.spec, ctx.stype, tasks, bound, flush,
-            published=lambda: ctx.bound,
-            should_abort=lambda: self._abandoned(ctx),
-            poll=ctx.share_poll,
-        ):
+        if finished:
             self.tasks_run += 1
 
 

@@ -27,6 +27,7 @@ from repro.core.ordered import (
     ordered_frontier,
     ordered_reference_search,
     run_task_fixed_bound,
+    worker_tasks,
 )
 from repro.core.params import SkeletonParams
 from repro.core.results import (
@@ -63,6 +64,7 @@ __all__ = [
     "ordered_frontier",
     "ordered_reference_search",
     "run_task_fixed_bound",
+    "worker_tasks",
     "SearchMetrics",
     "SearchResult",
     "result_from_dict",

@@ -28,26 +28,43 @@ search"):
    whose starting bound equals the **required bound** ``B*_i`` — the
    best objective over the phase-1 prefix and every finalised task
    ``j < i``.  A result computed from any other bound is discarded and
-   the task re-issued; every accepted ``(seq, bound, nodes)`` triple is
-   appended to the :attr:`~OrderedLedger.journal`.  Only finalised runs
-   contribute to the returned metrics, which is what makes the node
-   count a deterministic function of the instance — enforced, not
-   hoped for.
+   the task re-issued, with one exception that changes nothing it
+   records: a task that was *pruned at its root* from a bound
+   ``b < B*_i`` (one node, one prune, no improvement) is final as it
+   stands, because ``upper_bound(root) <= b`` implies
+   ``upper_bound(root) <= B*_i`` — run again from ``B*_i`` it would
+   report the same four counters and the same nothing.  Every accepted
+   task is appended to the :attr:`~OrderedLedger.journal` as ``(seq,
+   B*_i, nodes)``.  Only finalised runs contribute to the returned
+   metrics, which is what makes the node count a deterministic function
+   of the instance — enforced, not hoped for.
 
 4. **Priority tie-break.**  The incumbent merge at finalisation is
    strict (``>`` replaces): when several tasks attain the optimum the
    witness is the one from the lowest sequence number — priority wins
    over arrival time, matching the sequential discovery order.
 
-5. **Leased, executed and reported in runs.**  The unit that crosses a
-   queue or a wire is a *run* of sequence-consecutive tasks plus one
-   bound, not a task.  :class:`OrderedRunPolicy` is the driver half
-   (which seqs to lease next, what a batch of records does to the
-   ledger) and :func:`execute_run` the worker half (thread the bound
-   from task to task, restart a task the published best has overtaken,
-   report per-task records); both are transport-free and shared by the
-   multiprocessing parent/workers and the cluster coordinator/workers.
-   None of it changes what the ledger verifies.
+5. **Numbers cross the wire, nodes never do.**  The frontier is a
+   function of ``(spec, search type, d_cutoff)`` alone (point 1), so
+   every worker walks it for itself when the job starts
+   (:func:`worker_tasks`, while the driver is walking its own) and a
+   task travels as its sequence number.  A *lease* is ``(seqs, bound,
+   frontier size)``: ``seqs`` a ``range`` of fresh work or an ascending
+   list of tasks to run again, ``bound`` the finalised-prefix best it
+   was cut under, and the size what the worker's own walk must have
+   numbered — a worker that counted otherwise fails the job instead of
+   searching the wrong subtrees.  A *report* is a list of *blocks*: a
+   stretch of the run executed from one bound, as parallel integer
+   columns ``nodes`` / ``prunes`` / ``backtracks`` / ``max_depth`` (and
+   ``knowledge`` for enumeration), with ``value`` / ``node`` / ``goal``
+   once, for the block's last task — a block ends at the task that
+   improves the bound.  :class:`OrderedRunPolicy` is the driver half
+   (which seqs to lease next, what a report does to the ledger) and
+   :func:`execute_run` the worker half (thread the bound from task to
+   task, restart a task the published best has overtaken, cut the
+   blocks); both are transport-free and shared by the multiprocessing
+   parent/workers and the cluster coordinator/workers.  None of it
+   changes what the ledger verifies.
 
 :func:`ordered_reference_search` executes the same contract on a single
 thread with no queues and no shared state; it is the oracle the
@@ -61,7 +78,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from itertools import repeat
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.core.kernel import search_subtree
 from repro.core.results import SearchMetrics, SearchResult
@@ -73,6 +91,7 @@ __all__ = [
     "OrderedTask",
     "OrderedFrontier",
     "ordered_frontier",
+    "worker_tasks",
     "run_task_fixed_bound",
     "execute_run",
     "OrderedLedger",
@@ -87,14 +106,15 @@ class _Aborted(Exception):
     answers True; :func:`run_task_fixed_bound` turns it into None."""
 
 
-@dataclass(frozen=True)
-class OrderedTask:
+class OrderedTask(NamedTuple):
     """One frontier subtree with its discovery-order priority.
 
     ``seq`` is the position in the sequential depth-bounded traversal —
     lower runs (and finalises) first.  ``depth`` is the root's global
     depth; ``key`` the sibling-index path from the search root (kept for
-    diagnostics: sorting by key *is* sorting by seq).
+    diagnostics: sorting by key *is* sorting by seq).  It lives where it
+    was walked: the driver and every worker hold their own list, and
+    only ``seq`` travels.
     """
 
     seq: int
@@ -127,11 +147,15 @@ def ordered_frontier(
 ) -> OrderedFrontier:
     """Sequentially expand the depth-``d_cutoff`` frontier in traversal order.
 
-    Subtree roots at depth >= ``d_cutoff`` become :class:`OrderedTask`s
+    Subtree roots at depth ``d_cutoff`` become :class:`OrderedTask`s
     numbered in discovery order; everything above is processed here,
     threading one knowledge value through the walk exactly as the
     sequential search would.  Deterministic by construction — no clocks,
-    no randomness, no worker interleaving.
+    no randomness, no worker interleaving — which is what lets every
+    worker repeat it and be handed positions in the result.  A node's
+    children are taken in one go: from ``spec.children`` where the spec
+    declares the batched form, as the kernel does, else by draining the
+    lazy generator.
     """
     if d_cutoff <= 0:
         # No spawn rule fires at cutoff 0: phase 1 *is* the whole
@@ -149,22 +173,21 @@ def ordered_frontier(
     should_prune = stype.should_prune
     is_goal = stype.is_goal
     generator = spec.generator
+    children = spec.children
     space = spec.space
     node_size = spec.node_size
     knowledge = stype.initial_knowledge(spec)
     metrics = SearchMetrics()
     tasks: list[OrderedTask] = []
     goal = False
-    # Depth-first worklist of (node, depth, path key).  A node's
-    # children are drawn in one go and pushed in reverse, so the pop
-    # order is lexicographic on path keys — the sequential traversal
-    # order — and frontier tasks are met already sorted.
+    # Depth-first worklist of (node, depth, path key) above the cutoff.
+    # A node's children are pushed in reverse, so the pop order is
+    # lexicographic on path keys — the sequential traversal order — and
+    # the children of a node one level above the cutoff, which nothing
+    # can come between, are numbered as they are met.
     pending: list[tuple] = [(spec.root, 0, ())]
     while pending:
         node, depth, key = pending.pop()
-        if depth >= d_cutoff:
-            tasks.append(OrderedTask(len(tasks), node, depth, key))
-            continue
         knowledge, _ = process(spec, node, knowledge)
         metrics.nodes += 1
         metrics.weighted_nodes += node_size(node) if node_size is not None else 1
@@ -175,19 +198,45 @@ def ordered_frontier(
         if should_prune(spec, node, knowledge):
             metrics.prunes += 1
             continue
-        gen = generator(space, node)
-        children = []
-        while gen.has_next():
-            children.append(gen.next())
+        if children is not None:
+            kids = children(space, node)
+        else:
+            gen = generator(space, node)
+            kids = []
+            while gen.has_next():
+                kids.append(gen.next())
         metrics.backtracks += 1
-        if depth + 1 > metrics.max_depth:
-            metrics.max_depth = depth + 1
-        for index in range(len(children) - 1, -1, -1):
-            pending.append((children[index], depth + 1, key + (index,)))
+        depth += 1
+        if depth > metrics.max_depth:
+            metrics.max_depth = depth
+        if depth >= d_cutoff:
+            first = len(tasks)
+            tasks += [
+                OrderedTask(first + index, kid, depth, key + (index,))
+                for index, kid in enumerate(kids)
+            ]
+        else:
+            for index in range(len(kids) - 1, -1, -1):
+                pending.append((kids[index], depth, key + (index,)))
     metrics.spawns = len(tasks)
     return OrderedFrontier(
         tasks=tasks, knowledge=knowledge, goal=goal, metrics=metrics
     )
+
+
+def worker_tasks(spec: SearchSpec, stype: SearchType, d_cutoff: int) -> list[OrderedTask]:
+    """A worker's own copy of the task list, walked when its job starts.
+
+    With ``d_cutoff <= 0`` phase 1 is the whole search: the driver
+    finishes alone, and a worker asked to walk would search the tree a
+    second time for an empty list — refused.
+    """
+    if d_cutoff <= 0:
+        raise ValueError(
+            f"an ordered job with d_cutoff={d_cutoff} has no frontier to walk: "
+            "its driver finishes it in phase 1"
+        )
+    return ordered_frontier(spec, stype, d_cutoff=d_cutoff).tasks
 
 
 def run_task_fixed_bound(
@@ -247,41 +296,62 @@ def run_task_fixed_bound(
     return payload
 
 
+_COLUMNS = ("nodes", "prunes", "backtracks", "max_depth")
+
+
 def execute_run(
     spec: SearchSpec,
     stype: SearchType,
-    tasks: Sequence[tuple[int, Any, int]],
+    tasks: Sequence[OrderedTask],
+    seqs: Sequence[int],
     bound: Optional[int],
+    of: int,
     flush: Callable[[list, bool], None],
     *,
     published: Optional[Callable[[], int]] = None,
     should_abort: Optional[Callable[[], bool]] = None,
     poll: int = 1024,
 ) -> bool:
-    """Execute one leased run of ``(seq, root, depth)`` tasks in order.
+    """Execute one lease — tasks ``seqs`` of this worker's own ``tasks``
+    — in order.
 
     The worker half of the Ordered coordination, shared by both real
-    runtimes.  ``bound`` is the finalised-prefix best the lease was cut
-    under (None for enumeration); ``published()`` is that same best as
-    this worker last heard it.  Each task starts from the largest bound
-    known to hold before it: the lease's, the published one, and the
-    value its predecessors in this run reached — every one of them a
-    floor under the bound the ledger will require, and exactly that
-    bound whenever the predecessors themselves ran from the right one.
-    A task whose starting bound the published best overtakes mid-flight
-    can no longer finalise, so it is restarted from the new bound at its
-    next ``poll``-node check instead of being run to a result the ledger
-    must reject.
+    runtimes.  ``of`` is the size of the frontier the lease was cut
+    from: a worker whose own walk numbered another count would search
+    other subtrees under the same numbers, so that is a ValueError
+    naming both counts, raised before anything runs.  ``bound`` is the
+    finalised-prefix best the lease was cut under (None for
+    enumeration); ``published()`` is that same best as this worker last
+    heard it.  Each task starts from the largest bound known to hold
+    before it: the lease's, the published one, and the value its
+    predecessors in this run reached — every one of them a floor under
+    the bound the ledger will require, and exactly that bound whenever
+    the predecessors themselves ran from the right one.  A task whose
+    starting bound the published best overtakes mid-flight can no longer
+    finalise, so it is restarted from the new bound at its next
+    ``poll``-node check instead of being run to a result the ledger must
+    reject.
 
-    ``flush(records, done)`` ships per-task records — the
-    :func:`run_task_fixed_bound` payload plus ``seq`` and the ``bound``
-    it ran from — with ``done`` marking the run's last message.  A run
-    flushes early whenever a task improves the bound, so the ledger can
-    finalise and publish it while the rest of the run is still
-    executing.  Returns False, having flushed nothing further, when
-    ``should_abort()`` cut it short.
+    ``flush(blocks, done)`` ships what has run since the last flush,
+    ``done`` marking the run's last message.  A block is a dict: the
+    ``seqs`` it covers (a slice of the lease's), the ``bound`` every one
+    of them ran from, one list per counter in ``nodes`` / ``prunes`` /
+    ``backtracks`` / ``max_depth`` (and ``knowledge`` for enumeration),
+    and — only when its last task improved the bound — that task's
+    ``value``, ``node`` and ``goal``.  A block is closed by such a task,
+    or by a newly published bound, and a run flushes as soon as a task
+    improves the bound, so the ledger can finalise and publish it while
+    the rest of the run is still executing.  Returns
+    False, having flushed nothing further, when ``should_abort()`` cut
+    it short.
     """
+    if of != len(tasks):
+        raise ValueError(
+            f"this worker's frontier walk numbered {len(tasks)} tasks, "
+            f"its lease is cut from a frontier of {of}"
+        )
     enum = stype.kind == "enumeration"
+    names = _COLUMNS + ("knowledge",) if enum else _COLUMNS
 
     def overtaken_or_aborted() -> bool:
         # Reads ``bound`` as it stands while the current task runs.
@@ -289,46 +359,67 @@ def execute_run(
             return True
         return not enum and published() > bound
 
-    records: list[dict] = []
-    for position, (seq, root, depth) in enumerate(tasks):
+    def ship(done: bool) -> None:
+        for cut in blocks:
+            at = cut["seqs"]
+            cut["seqs"] = seqs[at:at + len(cut["nodes"])]
+        flush(blocks, done)
+
+    blocks: list[dict] = []
+    columns: Optional[tuple] = None  # the open block's, the last of ``blocks``
+    for position, seq in enumerate(seqs):
+        task = tasks[seq]
         payload = None
         while payload is None:
             # Checked per task too: a run of tasks shorter than ``poll``
             # nodes never reaches the in-task check.
             if should_abort is not None and should_abort():
                 return False
-            if not enum:
-                bound = max(bound, published())
+            if not enum and (heard := published()) > bound:
+                bound, columns = heard, None
             payload = run_task_fixed_bound(
-                spec, stype, root, depth, bound,
+                spec, stype, task.node, task.depth, bound,
                 poll=poll, should_abort=overtaken_or_aborted,
             )
-        payload["seq"] = seq
-        records.append(payload)
-        if enum:
+        if columns is None:
+            # ``seqs`` holds the block's first position until it ships.
+            block = {"seqs": position, "bound": bound}
+            columns = tuple(block.setdefault(name, []) for name in names)
+            blocks.append(block)
+        for name, column in zip(names, columns):
+            column.append(payload[name])
+        if enum or payload["value"] is None:
             continue
-        payload["bound"] = bound
-        if payload["value"] is not None:
-            bound = payload["value"]
-            if position + 1 < len(tasks):
-                flush(records, False)
-                records = []
-    flush(records, True)
+        bound = block["value"] = payload["value"]
+        block["node"] = payload["node"]
+        block["goal"] = payload["goal"]
+        columns = None
+        if position + 1 < len(seqs):
+            ship(False)
+            blocks = []
+    ship(True)
     return True
+
+
+def _root_pruned(row: tuple) -> bool:
+    """Did this parked task stop at its root, pruned, improving nothing?
+    Then it is the same record from any higher bound."""
+    return row[1] == 1 and row[2] == 1 and row[5] is None
 
 
 class OrderedLedger:
     """Finalises ordered task results in sequence order, enforcing bounds.
 
-    Both parallel Ordered drivers feed arriving per-task records to
-    :meth:`record` and then call :meth:`advance`, which finalises the
-    longest ready prefix and answers with every re-run it demands (an
+    Both parallel Ordered drivers feed arriving blocks to :meth:`record`
+    and then call :meth:`advance`, which finalises the longest ready
+    prefix and answers with every re-run it demands (an
     :class:`OrderedRunPolicy` does both and turns the answer into
-    leases).  A parked result whose ``payload["bound"]`` differs from
-    the required bound ``B*_seq`` is discarded and its task handed back
-    for re-issue.  Speculative execution (running a task from whatever
-    bound is known) is therefore always *safe* — at worst the task is
-    run again.
+    leases).  A parked task that ran from another bound than the
+    required ``B*_seq`` is discarded and handed back for re-issue —
+    unless it ran from a *lower* one and was pruned at its root, which
+    it would be again (module docstring, point 3).  Speculative
+    execution (running a task from whatever bound is known) is therefore
+    always *safe* — at worst the task is run again.
 
     The ``ordered-tiebreak`` entry of the ``REPRO_VERIFY_MUTATION``
     switch (docs/verify.md) corrupts exactly the determinism guarantee
@@ -346,7 +437,12 @@ class OrderedLedger:
         self._enum = stype.kind == "enumeration"
         self._n = len(frontier.tasks)
         self._next = 0
-        self._parked: dict[int, dict] = {}
+        # seq -> (bound, nodes, prunes, backtracks, max_depth, found):
+        # ``found`` the task's accumulator (enumeration), else None or
+        # the ``(value, node, goal)`` of a task that improved its bound.
+        self._parked: dict[int, tuple] = {}
+        self._rescan = False  # something parked may be stale already
+        self._prefix_nodes = frontier.metrics.nodes
         self.knowledge = frontier.knowledge
         self.goal = frontier.goal
         self.metrics = SearchMetrics(**frontier.metrics.to_dict())
@@ -382,104 +478,133 @@ class OrderedLedger:
         """
         return self._best
 
+    def nodes_per_task(self) -> float:
+        """Mean size of the tasks finalised so far (0.0 before the first)."""
+        if not self._next:
+            return 0.0
+        return (self.metrics.nodes - self._prefix_nodes) / self._next
+
     # -- the driver protocol ------------------------------------------------
 
-    def record(self, seq: int, payload: dict) -> None:
-        """Park one arrived result (later arrivals for a seq replace)."""
-        if seq < self._next or seq >= self._n or self.finished:
-            return  # finalised already, or arrived after a goal: stale
-        self._parked[seq] = payload
+    def record(self, block: dict) -> None:
+        """Park one arrived block, task by task (a later arrival for a
+        seq replaces an earlier one).  Well-formedness — columns as long
+        as ``seqs`` — is the transport's to check."""
+        if self.finished:
+            return  # arrived after a goal: stale
+        seqs, bound = block["seqs"], block.get("bound")
+        if self._enum:
+            founds = block["knowledge"]
+        else:
+            founds = [None] * len(seqs)
+            if block.get("value") is not None:
+                founds[-1] = (block["value"], block.get("node"), bool(block.get("goal")))
+        if not self._enum and bound < self._best:
+            self._rescan = True  # arrived from a bound already too low
+        parked, first, n = self._parked, self._next, self._n
+        for seq, row in zip(seqs, zip(
+            repeat(bound), block["nodes"], block["prunes"],
+            block["backtracks"], block["max_depth"], founds,
+        )):
+            if first <= seq < n:  # else finalised already, or no such task
+                parked[seq] = row
         if (
             self._mutated
             and not self._enum
-            and payload.get("node") is not None
-            and payload["value"] >= self.knowledge.value
+            and block.get("node") is not None
+            and first <= seqs[-1] < n
+            and block["value"] >= self.knowledge.value
         ):
             # Deliberate bug (mutation test): merge the witness on
             # arrival, >= — whichever tied optimum lands last wins,
             # which is exactly the anomaly Ordered exists to forbid.
-            self.knowledge = Incumbent(payload["value"], payload["node"])
+            self.knowledge = Incumbent(block["value"], block["node"])
 
     def advance(self) -> list[int]:
         """Finalise the ready prefix; return every task to run again.
 
         The answer, in sequence order: the head task ``next_seq`` if its
-        parked result ran from any bound but the required one (nothing
+        parked result cannot stand under the required bound (nothing
         after it can finalise until it is re-run from exactly
-        :meth:`required_bound`, which cannot move before then), followed
-        by every parked result whose bound is *below* the finalised
-        best — required bounds only grow, so those can never finalise
-        either and there is no point waiting for their turn to say so.
-        A parked result from a bound above the best is left for
-        finalisation to judge.  The discarded results are dropped here;
-        the caller must execute each returned task again.
+        :meth:`required_bound`, which cannot move before then), and
+        every arrived result from a bound *below* the finalised best
+        that was not pruned at its root — required bounds only grow, so
+        those can never finalise either and there is no point waiting
+        for their turn to say so.  A parked result from a bound above
+        the best is left for finalisation to judge.  The discarded
+        results are dropped here; the caller must execute each returned
+        task again.
         """
+        parked = self._parked
         reissue: list[int] = []
-        while not self.finished and self._next in self._parked:
-            payload = self._parked.pop(self._next)
-            if not self._enum and payload.get("bound") != self._best:
+        before = self._best
+        # A parked seq is below the task count, so only a goal ends this early.
+        while self._next in parked and not self.goal:
+            row = parked.pop(self._next)
+            if not self._enum and row[0] != self._best and not (
+                row[0] < self._best and _root_pruned(row)
+            ):
                 reissue.append(self._next)
                 break
-            self._finalise(payload)
+            self._finalise(row)
             self._next += 1
         if self.finished:
-            self._parked.clear()
+            parked.clear()
             return []
-        if not self._enum:
-            best = self._best
+        best = self._best
+        if best != before or self._rescan:
+            # What is parked under a bound below the best cannot stand.
             stale = sorted(
-                seq for seq, parked in self._parked.items()
-                if parked["bound"] < best
+                seq for seq, row in parked.items()
+                if row[0] < best and not _root_pruned(row)
             )
             for seq in stale:
-                del self._parked[seq]
+                del parked[seq]
             reissue += stale
+        self._rescan = False
         self.metrics.reassigned += len(reissue)
         return reissue
 
-    def _finalise(self, payload: dict) -> None:
-        self.journal.append(
-            (self._next, payload.get("bound"), payload["nodes"])
-        )
+    def _finalise(self, row: tuple) -> None:
+        _, nodes, prunes, backtracks, max_depth, found = row
+        self.journal.append((self._next, self._best, nodes))
         m = self.metrics
-        m.nodes += payload["nodes"]
-        m.prunes += payload["prunes"]
-        m.backtracks += payload["backtracks"]
-        if payload["max_depth"] > m.max_depth:
-            m.max_depth = payload["max_depth"]
+        m.nodes += nodes
+        m.prunes += prunes
+        m.backtracks += backtracks
+        if max_depth > m.max_depth:
+            m.max_depth = max_depth
         if self._enum:
-            self.knowledge = self._stype.combine(
-                self.knowledge, payload["knowledge"]
-            )
+            self.knowledge = self._stype.combine(self.knowledge, found)
             return
-        value = payload.get("value")
+        value, node, goal = found or (None, None, False)
         if value is not None and value > self._best:
             self._best = value
             if not self._mutated:
                 # Priority tie-break: strict improvement replaces, ties
                 # keep the earlier (lower-seq) witness.
-                self.knowledge = Incumbent(value, payload["node"])
-        if payload["goal"] or self._stype.is_goal(self.knowledge):
+                self.knowledge = Incumbent(value, node)
+        if goal or self._stype.is_goal(self.knowledge):
             self.goal = True
 
 
 @dataclass(frozen=True)
 class OrderedRun:
-    """One lease: tasks ``first .. first + count - 1`` and the
-    finalised-prefix best they were cut under (None for enumeration)."""
+    """One lease: the tasks ``seqs`` — a ``range`` of fresh work, or an
+    ascending list of tasks to run again — and the finalised-prefix
+    best they were cut under (None for enumeration)."""
 
-    first: int
-    count: int
+    seqs: Sequence[int]
     bound: Optional[int] = None
 
 
 class OrderedRunPolicy:
-    """Which seqs to lease next, and what a batch of records does.
+    """Which seqs to lease next, and what a report does.
 
     The transport-free driver half of the Ordered coordination: the
     multiprocessing parent and the cluster coordinator both call
     :meth:`lease` whenever a worker could take work and :meth:`accept`
-    whenever records arrive; queues, sockets, epochs and slots stay
+    whenever blocks arrive; queues, sockets, epochs and slots stay
     theirs.
 
     Leases go out in sequence order — always the lowest-numbered work
@@ -490,13 +615,21 @@ class OrderedRunPolicy:
     knob: it starts at 1, doubles with every lease, is capped at a
     quarter of an even share of what is left to hand out (so the tail
     of the job is cut fine enough to balance), and drops back to 1 when
-    the finalised best moves, so the burst of re-runs that follows is
-    spread over every worker.
+    the finalised best moves.  Under all of that sits a floor: a run is
+    never shorter than the ``poll`` nodes between two of a worker's own
+    looks at the world, counted in tasks of the mean size finalised so
+    far — cutting finer buys a round trip per lease and no balance a
+    worker could act on.  The tasks to run again after the best moved
+    are not cut by that length at all: whatever is waiting goes out in
+    as many leases as there are workers, an even share each, scattered
+    or not.
     """
 
-    def __init__(self, ledger: OrderedLedger) -> None:
+    def __init__(self, ledger: OrderedLedger, poll: int = 1) -> None:
         self.ledger = ledger
+        self._poll = poll
         self._reruns: list[int] = []  # ascending; all below _fresh
+        self._shares = 0  # leases cut from _reruns since it last grew
         self._fresh = 0  # the lowest seq never leased
         self._size = 1
         self._in_flight = 0
@@ -519,39 +652,37 @@ class OrderedRunPolicy:
             return None
         reruns = self._reruns
         # A requeued seq may have finalised meanwhile (a duplicate
-        # record from the lease presumed lost): nothing left to run.
+        # report from the lease presumed lost): nothing left to run.
         while reruns and reruns[0] < ledger.next_seq:
             del reruns[0]
         size = min(self._size, max(1, self.backlog // (4 * workers)))
+        per_task = ledger.nodes_per_task()
+        if per_task:
+            size = max(size, int(self._poll // per_task))
+        seqs: Sequence[int]
         if reruns:
-            count = 1
-            while (
-                count < size
-                and count < len(reruns)
-                and reruns[count] == reruns[0] + count
-            ):
-                count += 1
-            first = reruns[0]
-            del reruns[:count]
+            share = max(size, -(-len(reruns) // max(1, workers - self._shares)))
+            self._shares += 1
+            seqs = reruns[:share]
+            del reruns[:share]
         elif self._fresh < ledger.task_count:
-            first = self._fresh
-            count = min(size, ledger.task_count - first)
-            self._fresh += count
+            seqs = range(self._fresh, min(self._fresh + size, ledger.task_count))
+            self._fresh = seqs.stop
         else:
             return None
         self._size = size * 2
         self._in_flight += 1
-        return OrderedRun(first, count, ledger.required_bound())
+        return OrderedRun(seqs, ledger.required_bound())
 
-    def accept(self, records: Sequence[dict], done: bool) -> bool:
-        """Feed one message's records to the ledger; ``done`` says the
+    def accept(self, blocks: Sequence[dict], done: bool) -> bool:
+        """Feed one message's blocks to the ledger; ``done`` says the
         run that sent it is complete.  Returns True when the finalised
         best moved — the transport's cue to publish it to the workers.
         """
         ledger = self.ledger
         before = ledger.required_bound()
-        for record in records:
-            ledger.record(record["seq"], record)
+        for block in blocks:
+            ledger.record(block)
         self._queue_again(ledger.advance())
         if done:
             self._in_flight -= 1
@@ -565,13 +696,15 @@ class OrderedRunPolicy:
         what it still owes again.  Returns the number of tasks queued.
         """
         self._in_flight -= 1
-        owed = range(max(run.first, self.ledger.next_seq), run.first + run.count)
+        head = self.ledger.next_seq
+        owed = [seq for seq in run.seqs if seq >= head]
         self._queue_again(owed)
         return len(owed)
 
     def _queue_again(self, seqs: Sequence[int]) -> None:
         if seqs:
             self._reruns = sorted(set(self._reruns).union(seqs))
+            self._shares = 0
 
 
 def ordered_reference_search(

@@ -33,7 +33,9 @@ RuntimeError and stops the fleet; the next search starts a fresh one.
   while the shared lease count says another worker is starving.
 - :func:`multiprocessing_ordered_search` — **replicable** search
   (Ordered, after Archibald et al.): discovery-ordered atomic tasks,
-  leased and reported in runs, finalised in sequence order by an
+  numbered by a frontier walk the parent and every worker each do for
+  themselves, leased as runs of numbers and reported as columns,
+  finalised in sequence order by an
   :class:`~repro.core.ordered.OrderedLedger`, making value, witness and
   node counts identical run-to-run at any worker count.
 
@@ -72,6 +74,7 @@ from repro.core.ordered import (
     OrderedRunPolicy,
     execute_run,
     ordered_frontier,
+    worker_tasks,
 )
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchMetrics, SearchResult, result_from_dict
@@ -624,21 +627,25 @@ def _sharing_search(
 # -- replicable Ordered backend ---------------------------------------------
 
 
-def _ordered_worker_main(spec, stype, wires: Wires, epoch: int, share_poll, queue_poll):
+def _ordered_worker_main(
+    spec, stype, wires: Wires, epoch: int, d_cutoff, share_poll, queue_poll
+):
     """One job of a fleet worker on the Ordered coordination: runs of
-    atomic tasks.
+    atomic tasks, named by number.
 
-    Pulls ``(epoch, first_seq, [(root, depth), ...], bound)`` leases and
-    hands each to :func:`~repro.core.ordered.execute_run`, which threads the
-    bound through the run and reports per-task records.  The shared
-    ``best`` is the finalised-prefix best, written only by the parent
-    and read lock-free here; nothing this worker finds is ever merged
-    or published on this side — ordering and merging belong to the
-    parent's ledger alone, which re-issues whatever ran from a bound
-    that turns out wrong.
+    Walks the frontier for itself first (the parent is walking its own
+    meanwhile), then pulls ``(epoch, seqs, bound, frontier size)``
+    leases and hands each to :func:`~repro.core.ordered.execute_run`,
+    which threads the bound through the run and reports blocks.  The
+    shared ``best`` is the finalised-prefix best, written only by the
+    parent and read lock-free here; nothing this worker finds is ever
+    merged or published on this side — ordering and merging belong to
+    the parent's ledger alone, which re-issues whatever ran from a
+    bound that turns out wrong.
     """
     task_q, done_flag = wires.task_q, wires.done
     best_raw = wires.best.get_obj()  # lock-free read (parent is sole writer)
+    tasks = worker_tasks(spec, stype, d_cutoff)
 
     def published() -> int:
         return best_raw.value
@@ -646,13 +653,13 @@ def _ordered_worker_main(spec, stype, wires: Wires, epoch: int, share_poll, queu
     def aborted() -> bool:
         return bool(done_flag.value)
 
-    def flush(records: list, done: bool) -> None:
-        for record in records:
+    def flush(blocks: list, done: bool) -> None:
+        for block in blocks:
             # Keep the value (it drives bound enforcement) even if
             # the witness cannot travel.
-            if record.get("node") is not None:
-                record["node"] = _sendable_witness(record["node"])
-        wires.result_q.put((epoch, "ok", (records, done)))
+            if block.get("node") is not None:
+                block["node"] = _sendable_witness(block["node"])
+        wires.result_q.put((epoch, "ok", (blocks, done)))
 
     while not done_flag.value:
         try:
@@ -661,11 +668,8 @@ def _ordered_worker_main(spec, stype, wires: Wires, epoch: int, share_poll, queu
             continue
         if lease[0] != epoch or done_flag.value:
             continue  # a straggler, or woken by the end-of-job sentinel
-        _, first, roots, bound = lease
         finished = execute_run(
-            spec, stype,
-            [(first + i, root, depth) for i, (root, depth) in enumerate(roots)],
-            bound, flush,
+            spec, stype, tasks, *lease[1:], flush,
             published=published, should_abort=aborted, poll=share_poll,
         )
         if not finished:
@@ -685,24 +689,28 @@ def multiprocessing_ordered_search(
 ) -> SearchResult:
     """Replicable Ordered search over worker processes.
 
-    The parent expands the depth-``d_cutoff`` frontier sequentially
+    The parent engages the workers and then expands the
+    depth-``d_cutoff`` frontier sequentially
     (:func:`~repro.core.ordered.ordered_frontier`), numbering subtree
-    tasks in discovery order, then drives an
+    tasks in discovery order, while every worker does the same for
+    itself; from then on only numbers move.  The parent drives an
     :class:`~repro.core.ordered.OrderedRunPolicy` over an
-    :class:`~repro.core.ordered.OrderedLedger`: runs of consecutive
-    tasks are leased in sequence order, each worker executes its run
-    from the best bound it can know (speculation), and the ledger
-    finalises the per-task records strictly in sequence order,
-    re-issuing every task whose bound proves wrong.
+    :class:`~repro.core.ordered.OrderedLedger`: runs of sequence
+    numbers are leased in order, each worker executes its run from the
+    best bound it can know (speculation), and the ledger finalises the
+    reported blocks task by task, strictly in sequence order, re-issuing
+    every task whose bound proves wrong.
     Two runs with the same instance return the identical value, witness
     *and* node counters at any ``n_processes`` — see
     :func:`~repro.core.ordered.ordered_reference_search` for the
-    executable statement of that contract.
+    executable statement of that contract.  With ``d_cutoff <= 0``
+    phase 1 is the whole search and no worker is engaged.
 
     Factories and the non-negative integer objective requirement are as
     for the other backends; a worker death raises RuntimeError (crash
     *tolerance* for Ordered lives in the cluster backend, which can
-    re-lease atomic tasks).
+    re-lease atomic tasks), and so does a worker whose own walk numbers
+    another frontier than the parent's.
     """
     if n_processes < 1:
         raise ValueError("need at least one process")
@@ -711,45 +719,39 @@ def multiprocessing_ordered_search(
     spec = spec_factory(*factory_args)
     stype = stype_factory(*stype_args)
     started = time.perf_counter()
-
-    frontier = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
-    ledger = OrderedLedger(stype, frontier)
     enum = stype.kind == "enumeration"
     if not enum:
-        _checked_incumbent_seed(frontier.knowledge.value)
+        _checked_incumbent_seed(stype.initial_knowledge(spec).value)
 
-    if not ledger.finished:
-        policy = OrderedRunPolicy(ledger)
-        tasks = frontier.tasks
+    if d_cutoff <= 0:
+        ledger = OrderedLedger(stype, ordered_frontier(spec, stype, d_cutoff=d_cutoff))
+    else:
         with FLEET.job(
             "ordered", n_processes,
             (spec_factory, factory_args, stype_factory, stype_args),
-            _ordered_worker_main, (share_poll, queue_poll),
-            best=0 if enum else frontier.knowledge.value,
+            _ordered_worker_main, (d_cutoff, share_poll, queue_poll),
         ) as (wires, epoch, reports):
+            # The workers are walking: so does the parent.
+            ledger = OrderedLedger(stype, ordered_frontier(spec, stype, d_cutoff=d_cutoff))
+            policy = OrderedRunPolicy(ledger, share_poll)
+            if not enum:
+                # Published for the workers' speculation (this parent is
+                # the only writer); nobody reads it before a lease.
+                wires.best.value = ledger.required_bound()
             while not ledger.finished:
                 while (run := policy.lease(n_processes)) is not None:
-                    wires.task_q.put((
-                        epoch, run.first,
-                        [(t.node, t.depth)
-                         for t in tasks[run.first:run.first + run.count]],
-                        run.bound,
-                    ))
-                records, run_done = next(reports)
-                if policy.accept(records, run_done):
-                    # The finalised-prefix best moved: publish it for the
-                    # workers' speculation (this parent is the only writer).
+                    wires.task_q.put((epoch, run.seqs, run.bound, ledger.task_count))
+                if policy.accept(*next(reports)):
                     wires.best.value = ledger.required_bound()
             # Runs still out are not needed: wake whoever waits for one.
             wires.done.value = 1
             for _ in range(n_processes):
                 wires.task_q.put((epoch,))
 
-    knowledge = ledger.knowledge
     metrics = ledger.metrics
     metrics.weighted_nodes = metrics.nodes
     return SearchResult.from_knowledge(
-        stype, knowledge, ledger.goal, metrics,
+        stype, ledger.knowledge, ledger.goal, metrics,
         time.perf_counter() - started, n_processes,
     )
 

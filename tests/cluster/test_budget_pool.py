@@ -19,6 +19,7 @@ from repro.cluster.coordinator import (
     Coordinator,
 )
 from repro.cluster.local import cluster_search
+from repro.core.ordered import ordered_reference_search
 from repro.core.searchtypes import make_search_type
 from repro.core.sequential import sequential_search
 from repro.instances.library import library_spec_factory, spec_for
@@ -240,6 +241,44 @@ class TestFrameBudget:
             n for t, n in frames.items() if t not in (P.HEARTBEAT, P.INCUMBENT)
         )
         assert job_frames <= 16
+
+
+    def test_brock90_1_ordered_leases_are_numbers_under_8_kb(self, monkeypatch):
+        # 2 159 frontier tasks used to leave as 2 159 encoded nodes,
+        # over 100 KB of TASK frames a job.  Every worker walks the
+        # frontier itself now, so a lease is [id, epoch, seqs, bound,
+        # of]: ints (and no bound at all for an enumeration), nothing
+        # that could hold a node.
+        sent = []
+        post = Coordinator._post
+
+        def recording_post(self, worker, *msgs):
+            sent.extend(
+                (msg, len(P.frame_bytes(msg, worker.codec)))
+                for msg in msgs if msg["type"] == P.TASK
+            )
+            post(self, worker, *msgs)
+
+        monkeypatch.setattr(Coordinator, "_post", recording_post)
+        stype = make_search_type("optimisation")
+        spec = library_spec_factory("brock90-1")
+        want = ordered_reference_search(spec, stype, d_cutoff=2)
+        res = cluster_search(
+            library_spec_factory, ("brock90-1",), stype,
+            coordination="ordered", n_workers=2, d_cutoff=2, timeout=60,
+        )
+        assert (res.value, res.node) == (want.value, want.node)
+        assert res.metrics.nodes == want.metrics.nodes == 6511
+        assert res.metrics.spawns == 2159
+        leases = [lease for msg, _ in sent for lease in msg["leases"]]
+        assert leases
+        for _id, _epoch, seqs, bound, of in leases:
+            assert of == 2159 and type(bound) is int
+            assert seqs and all(type(n) is int for n in seqs)
+        assert sum(size for _, size in sent) < 8 * 1024
+        # Root-pruned tasks stand from any lower bound: far fewer than
+        # the 243-500 re-runs a job used to cost.
+        assert res.metrics.reassigned < 200
 
 
 @pytest.fixture

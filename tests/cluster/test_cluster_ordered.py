@@ -17,7 +17,7 @@ import pytest
 
 from repro.cluster import protocol as P
 from repro.cluster.coordinator import Coordinator
-from repro.cluster.local import cluster_search
+from repro.cluster.local import LocalCluster, cluster_search, job_payload
 from repro.core.ordered import ordered_reference_search
 from repro.core.results import validate_result
 from repro.core.searchtypes import make_search_type
@@ -116,6 +116,37 @@ class TestOrderedReplicable:
 # regression in tests/runtime/test_processes_ordered.py).
 LATE_ARGS = (75, 70, 1)
 LATE_TASKS = 1972
+
+
+class TestFrontierIsPerJob:
+    def test_one_fleet_other_cutoff_other_search_type(self):
+        # A warm worker keeps its spec between jobs, never its
+        # frontier: that depends on the cutoff and the search type too.
+        spec, stype = _setup("maxclique", MAXCLIQUE_ARGS)
+        best = sequential_search(spec, stype).value
+        jobs = [
+            (stype, 1), (stype, 2),
+            (make_search_type("decision", target=best), 2),
+            (stype, 2),
+            (make_search_type("decision", target=best + 1), 1),
+        ]
+        cluster = LocalCluster()
+        try:
+            for i in range(2):
+                cluster.start_worker(f"local-{i}", give_up_after=15.0)
+            cluster.handle.wait_for_workers(2, timeout=20.0)
+            for job_stype, d_cutoff in jobs:
+                want = ordered_reference_search(spec, job_stype, d_cutoff=d_cutoff)
+                res = cluster.handle.run_job(job_payload(
+                    instance_spec, ("maxclique", list(MAXCLIQUE_ARGS)), job_stype,
+                    coordination="ordered", d_cutoff=d_cutoff,
+                ), timeout=60)
+                assert result_fingerprint(res, counts=True) == result_fingerprint(
+                    want, counts=True
+                ), (job_stype, d_cutoff)
+                assert res.metrics.spawns == want.metrics.spawns
+        finally:
+            cluster.close()
 
 
 class TestLateImprovement:

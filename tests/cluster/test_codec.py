@@ -237,30 +237,49 @@ class TestStealFrames:
                 C.decode_body(body[:cut])
 
     def test_ordered_lease_bound_key_is_interned(self):
-        # Ordered leases are runs — [id, epoch, [[node, depth], ...],
-        # first_seq, bound] — and their RESULT frames carry per-task
-        # records; every record key must be in the intern table (one
-        # byte each, they repeat per task) and round-trip exactly.
-        for key in ("bound", "records", "seq", "more"):
+        # Ordered leases are runs of numbers — [id, epoch, seqs, bound,
+        # of] — and their RESULT frames carry blocks of counter columns;
+        # every block key must be in the intern table (one byte each)
+        # and round-trip exactly.
+        for key in ("bound", "blocks", "seqs", "more"):
             assert key in C._KEYS
         lease = {"type": P.TASK, "job": 1, "leases": [
-            [4, 0, [[P.encode_node((1,)), 2], [P.encode_node((2,)), 2]], 17, 9],
+            [4, 0, [17, 2, 40, 1], 9, 2159],
         ]}
         assert C.decode_body(C.BINARY_CODEC.encode(lease)) == lease
         result = {"type": P.RESULT, "job": 1, "task": 4, "epoch": 0,
-                  "more": True, "records": [
-                      {"seq": 17, "bound": 9, "value": None, "node": None,
-                       "nodes": 1, "prunes": 1, "backtracks": 0,
-                       "max_depth": 0, "goal": False},
-                      {"seq": 18, "bound": 9, "value": 11,
-                       "node": P.encode_node((2, 5)), "nodes": 40,
-                       "prunes": 31, "backtracks": 8, "max_depth": 6,
-                       "goal": False},
+                  "more": True, "blocks": [
+                      P.pack_block({
+                          "seqs": [17, 18, 40], "bound": 9,
+                          "nodes": [1, 1, 400], "prunes": [1, 1, 310],
+                          "backtracks": [0, 0, 64], "max_depth": [0, 0, 6],
+                          "value": 11, "node": (2, 5), "goal": False,
+                      }),
                   ]}
         body = C.BINARY_CODEC.encode(result)
         assert C.decode_body(body) == result
         assert C.decode_body(C.JSON_CODEC.encode(result)) == result
         assert len(body) < len(C.JSON_CODEC.encode(result)) / 2
+        (block,) = C.decode_body(body)["blocks"]
+        assert P.unpack_block(block, enum=False, of=41)["seqs"] == [17, 18, 40]
+
+    @pytest.mark.parametrize("column", [
+        [], [0], [63], [64], [1, 63, 64, 127, 128, 1 << 40], [-1, 0, 1],
+        [True, 1], [1, None, "x", [2, 3]],
+    ])
+    def test_int_columns_take_the_inline_path_and_everything_else_does_not(self, column):
+        # Lists of small non-negative ints are encoded and decoded
+        # without a call per item; the bytes and the values are the
+        # ones the general path produces.
+        msg = {"type": P.RESULT, "nodes": column}
+        body = C.BINARY_CODEC.encode(msg)
+        general = bytearray()
+        for item in column:
+            C._encode_value(general, item)
+        assert bytes(general) in body
+        decoded = C.decode_body(body)["nodes"]
+        assert decoded == column
+        assert [type(v) for v in decoded] == [type(v) for v in column]
 
 
 class TestStrictDecode:

@@ -545,11 +545,12 @@ class TestBatching:
         # One protocol version: every coordination needs run leases or
         # STEAL, so a HELLO with any other version gets ERROR and a
         # closed connection — it is never admitted, let alone leased.
-        for version in (1, 2, 3, None):
+        assert P.PROTOCOL_VERSION == 5  # ordered leases are numbers, reports columns
+        for version in (1, 2, 3, 4, 6, None):
             frames = refused_hello(handle.address, version)
             assert [m["type"] for m in frames] == [P.ERROR]
             assert str(P.PROTOCOL_VERSION) in frames[0]["reason"]
-        w4 = FakeWorker(*handle.address, name="v4")
+        w4 = FakeWorker(*handle.address, name="v5")
         try:
             fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
             w4.send(result_frame(w4.recv(P.TASK), knowledge=1))

@@ -279,3 +279,67 @@ class TestSpecTransport:
 
         path = P.factory_path(library_spec_factory)
         assert P.resolve_factory(path) is library_spec_factory
+
+
+class TestOrderedRuns:
+    """Sequence numbers as flat stretches, reports as checked columns."""
+
+    @pytest.mark.parametrize("seqs, wire", [
+        (range(7, 19), [7, 12]),
+        ([3], [3, 1]),
+        ([3, 5, 6, 7, 40], [3, 1, 5, 3, 40, 1]),
+        ([0, 1, 2], [0, 3]),
+    ])
+    def test_seqs_round_trip(self, seqs, wire):
+        assert P.pack_seqs(seqs) == wire
+        back = P.unpack_seqs(wire, of=41)
+        assert list(back) == list(seqs)
+        assert isinstance(back, range) == (len(wire) == 2)  # one stretch: no list
+
+    @pytest.mark.parametrize("wire", [
+        None, [], [3], [3, 1, 5], [3, 0], [-1, 2], [5, 2, 6, 1], [5, 2, 3, 1],
+        [40, 2], [0, 10**12, 10**13, 1], [True, 1], [1.0, 1], ["1", 1], {"first": 1},
+    ])
+    def test_malformed_seqs_are_refused(self, wire):
+        with pytest.raises(P.ProtocolError):
+            P.unpack_seqs(wire, of=41)
+        with pytest.raises(P.ProtocolError):
+            P.unpack_seqs([0, 1], of=None)
+
+    def _block(self, **fields):
+        block = {"seqs": [4, 5, 9], "bound": 7, "nodes": [1, 1, 30],
+                 "prunes": [1, 1, 12], "backtracks": [0, 0, 9], "max_depth": [0, 0, 5]}
+        block.update(fields)
+        return block
+
+    def test_block_round_trip(self):
+        plain = self._block()
+        assert P.unpack_block(P.pack_block(plain), enum=False, of=10) == dict(
+            plain, value=None, node=None, goal=False
+        )
+        improving = self._block(value=9, node=(1, _PairNode(2, 3)), goal=True)
+        wire = C.decode_body(C.BINARY_CODEC.encode(
+            {"type": P.RESULT, "blocks": [P.pack_block(improving)]}
+        ))["blocks"][0]
+        assert wire["seqs"] == [4, 2, 9, 1]
+        assert P.unpack_block(wire, enum=False, of=10) == improving
+        counted = self._block(bound=None, knowledge=[1, 1, 30])
+        assert P.unpack_block(P.pack_block(counted), enum=True, of=10) == counted
+
+    @pytest.mark.parametrize("fields", [
+        {"nodes": [1, 1]}, {"prunes": [1, 1, 12, 0]}, {"backtracks": None},
+        {"max_depth": [0, 0, "5"]}, {"nodes": [1, True, 30]}, {"bound": None},
+        {"bound": "7"}, {"value": 9.5}, {"seqs": [4, 2, 9]}, {"seqs": [4, 5, 11]},
+    ])
+    def test_malformed_blocks_are_refused(self, fields):
+        wire = dict(P.pack_block(self._block()), **{
+            k: v for k, v in fields.items() if k != "seqs"
+        })
+        if "seqs" in fields:
+            wire["seqs"] = fields["seqs"] if len(fields["seqs"]) % 2 else P.pack_seqs(fields["seqs"])
+        with pytest.raises(P.ProtocolError):
+            P.unpack_block(wire, enum=False, of=10)
+        with pytest.raises(P.ProtocolError):
+            P.unpack_block("garbage", enum=False, of=10)
+        with pytest.raises(P.ProtocolError):  # an enumeration block needs its accumulators
+            P.unpack_block(P.pack_block(self._block()), enum=True, of=10)

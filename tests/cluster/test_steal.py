@@ -13,12 +13,14 @@ import time
 import pytest
 
 from repro.cluster import protocol as P
-from repro.cluster.coordinator import ClusterHandle
+from repro.cluster.coordinator import ClusterHandle, ClusterJobFailed
 from repro.cluster.worker import ClusterWorker
 from repro.core.kernel import search_subtree
+from repro.core.ordered import ordered_reference_search
 from repro.core.searchtypes import make_search_type
 from repro.core.sequential import sequential_search
 from repro.instances.library import library_spec_factory
+from repro.verify.generators import instance_spec
 
 from tests.cluster.test_coordinator import (
     ENUM_PAYLOAD,
@@ -570,59 +572,64 @@ class TestWorkerDrain:
 
 
 def run_leases(raw):
-    """The run leases of one raw ordered TASK frame, as dicts."""
+    """The run leases of one raw ordered TASK frame, as dicts (``seqs``
+    unpacked from its ``[first, count, ...]`` stretches)."""
     return [
-        {"job": raw["job"], "task": tid, "epoch": epoch, "roots": roots,
-         "first": first, "bound": bound}
-        for tid, epoch, roots, first, bound in raw["leases"]
+        {"job": raw["job"], "task": tid, "epoch": epoch,
+         "seqs": list(P.unpack_seqs(seqs, of)), "bound": bound, "of": of}
+        for tid, epoch, seqs, bound, of in raw["leases"]
     ]
 
 
-def records_frame(lease, records, *, more=False):
-    """A RESULT frame reporting per-task ``records`` for a run lease."""
+def blocks_frame(lease, blocks, *, more=False):
+    """A RESULT frame reporting ``blocks`` for a run lease."""
     msg = {
         "type": P.RESULT,
         "job": lease["job"],
         "task": lease["task"],
         "epoch": lease["epoch"],
-        "records": records,
+        "blocks": blocks,
     }
     if more:
         msg["more"] = True
     return msg
 
 
-def task_record(seq, **fields):
-    record = {"seq": seq, "nodes": 5, "prunes": 0, "backtracks": 4,
-              "max_depth": 2, "goal": False}
-    record.update(fields)
-    return record
+def block(seqs, bound, **fields):
+    """A wire block: every task of ``seqs`` ran 5 nodes from ``bound``."""
+    n = len(seqs)
+    out = {"seqs": P.pack_seqs(seqs), "bound": bound, "nodes": [5] * n,
+           "prunes": [0] * n, "backtracks": [4] * n, "max_depth": [2] * n}
+    out.update(fields)
+    return out
 
 
 class TestOrderedLeases:
     def test_leases_carry_bounds_and_reissue_on_stale_bound(self, handle):
         """The replicable-BnB speculation loop at the wire level.
 
-        An ordered lease is a run — ``[id, epoch, [[node, depth], ...],
-        first_seq, bound]`` — cut under the finalised-prefix best.  A
-        record searched from a bound that is stale by finalisation time
-        is discarded and its task leased again, first in line, under
-        the bound the ledger now requires.
+        An ordered lease is a run of numbers — ``[id, epoch, seqs,
+        bound, of]`` — cut under the finalised-prefix best; no lease
+        carries a node.  A block searched from a bound that is stale by
+        finalisation time is discarded and its tasks leased again, first
+        in line, under the bound the ledger now requires.
         """
         w = FakeWorker(*handle.address, slots=1)
         try:
             fut = handle.run_job_future(ORDERED_OPT, timeout=20)
             job = w.recv(P.JOB)
             assert job["coordination"] == "ordered"
+            assert job["d_cutoff"] == 1  # what the worker's own walk needs
             base = job["best"]  # the search type's identity bound
 
-            (first,) = run_leases(w.recv_raw(P.TASK))
-            assert (first["first"], first["bound"]) == (0, base)
-            assert len(first["roots"]) == 1  # run sizing starts at 1
-            node, depth = first["roots"][0]
-            assert depth == 1
-            w.send(records_frame(first, [task_record(
-                0, bound=base, value=5, node=P.encode_node(("w5",)),
+            raw = w.recv_raw(P.TASK)
+            assert raw["leases"][0][2] == [0, 1]  # one stretch: first, count
+            (first,) = run_leases(raw)
+            assert (first["seqs"], first["bound"]) == ([0], base)  # sizing starts at 1
+            frontier = first["of"]
+            assert frontier > 1
+            w.send(blocks_frame(first, [block(
+                [0], base, value=5, node=P.encode_node(("w5",)),
             )]))
             assert w.recv(P.INCUMBENT)["value"] == 5  # finalised, broadcast
 
@@ -633,28 +640,23 @@ class TestOrderedLeases:
                 except (AssertionError, TimeoutError):
                     break  # job completed while we waited
                 for lease in run_leases(raw):
-                    # Every lease after the improvement is cut under it.
-                    assert lease["bound"] == 5
-                    seqs = range(
-                        lease["first"], lease["first"] + len(lease["roots"])
-                    )
-                    records = []
-                    for seq in seqs:
-                        if seq in answered_stale:
-                            records.append(task_record(seq, bound=5, value=None))
-                        else:
-                            # Deliberately answer from the stale identity
-                            # bound so the ledger must reject the record
-                            # and lease the task again.
-                            answered_stale.add(seq)
-                            records.append(
-                                task_record(seq, bound=base, value=None)
-                            )
-                    w.send(records_frame(lease, records))
+                    # Every lease after the improvement is cut under it,
+                    # from the same frontier.
+                    assert (lease["bound"], lease["of"]) == (5, frontier)
+                    fresh = [s for s in lease["seqs"] if s not in answered_stale]
+                    again = [s for s in lease["seqs"] if s in answered_stale]
+                    # Deliberately answer from the stale identity bound
+                    # first, so the ledger must reject the block and
+                    # lease its tasks again.
+                    answered_stale.update(fresh)
+                    w.send(blocks_frame(lease, [
+                        block(seqs, bound)
+                        for seqs, bound in ((fresh, base), (again, 5)) if seqs
+                    ]))
             res = fut.result(timeout=10)
             assert res.value == 5
             assert res.node == ("w5",)
-            assert answered_stale
+            assert answered_stale == set(range(1, frontier))
             assert res.metrics.reassigned == len(answered_stale)
             assert res.metrics.broadcasts == 1  # best=5, once
         finally:
@@ -666,41 +668,44 @@ class TestOrderedLeases:
             fut = handle.run_job_future(ORDERED_OPT, timeout=20)
             base = w.recv(P.JOB)["best"]
             (lease,) = run_leases(w.recv_raw(P.TASK))
-            # An early flush: seq 0's record arrives, the run goes on.
+            good = block([0], base)
+            # An early flush: seq 0's block arrives, the run goes on.
             # The lease stays live, so with slots=1 nothing new is cut.
-            w.send(records_frame(lease, [
-                task_record(0, bound=base, value=None),
-                task_record(17, bound=base, value=None),  # not in this run
-                task_record(0),                           # no bound at all
+            w.send(blocks_frame(lease, [
+                block([1], base, value=99, node=P.encode_node(("bogus",))),  # not in this run
+                dict(good, prunes=[0, 0]),               # a column too long
+                dict(good, nodes=["5"]),                 # not an int
+                dict(good, bound=None),                  # no bound at all
+                dict(good, seqs=[0]),                    # half a stretch
+                {k: v for k, v in good.items() if k != "max_depth"},
                 "garbage",
+                good,
             ], more=True))
             with pytest.raises((AssertionError, TimeoutError)):
                 w.recv_raw(P.TASK, timeout=0.5)
             stats = handle.load_stats()
             # Seq 0 finalised off the flush; everything else still
             # waits for a lease, behind the one that is held.
-            assert stats["outstanding"] == stats["queued_tasks"] > 0
+            assert stats["outstanding"] == stats["queued_tasks"] == lease["of"] - 1
             assert stats["leased_tasks"] == 1
-            w.send(records_frame(lease, []))  # the run's last message
+            w.send(blocks_frame(lease, []))  # the run's last message
             while not fut.done():
                 try:
                     raw = w.recv_raw(P.TASK, timeout=2.0)
                 except (AssertionError, TimeoutError):
                     break
                 for nxt in run_leases(raw):
-                    w.send(records_frame(nxt, [
-                        task_record(nxt["first"] + i, bound=nxt["bound"], value=None)
-                        for i in range(len(nxt["roots"]))
-                    ]))
+                    w.send(blocks_frame(nxt, [block(nxt["seqs"], nxt["bound"])]))
             res = fut.result(timeout=10)
             assert res.metrics.reassigned == 0
+            assert res.value == base  # the bogus improvement never landed
         finally:
             w.close()
 
     def test_ordered_enum_survives_worker_death(self, handle):
         """Ordered enumeration tasks are pure functions of (root,
-        bound), so a worker death re-leases instead of failing the job
-        — the one enumeration flow where that is sound."""
+        bound), so a worker death re-leases the seqs it owed instead of
+        failing the job — the one enumeration flow where that is sound."""
         enum_payload = dict(ORDERED_OPT, stype_kind="enumeration",
                             factory_args=["uts", [2, 3, 7]])
         w1 = FakeWorker(*handle.address, name="doomed")
@@ -717,19 +722,16 @@ class TestOrderedLeases:
                 except (AssertionError, TimeoutError):
                     break  # job completed while we waited
                 for lease in run_leases(raw):
-                    seqs = range(
-                        lease["first"], lease["first"] + len(lease["roots"])
-                    )
-                    for seq in seqs:
+                    for seq in lease["seqs"]:
                         seen[seq] = seen.get(seq, 0) + 1
-                    w2.send(records_frame(
-                        lease, [task_record(seq, knowledge=3) for seq in seqs]
-                    ))
+                    w2.send(blocks_frame(lease, [block(
+                        lease["seqs"], None, knowledge=[3] * len(lease["seqs"]),
+                    )]))
             res = fut.result(timeout=10)
-            # The doomed worker's task was re-run by the survivor, once.
-            assert seen[doomed["first"]] == 1
+            # The doomed worker's tasks were re-run by the survivor, once.
+            assert all(seen[seq] == 1 for seq in doomed["seqs"])
             assert set(seen.values()) == {1}
-            assert res.metrics.reassigned >= 1
+            assert res.metrics.reassigned >= len(doomed["seqs"])
             # Every task's accumulator counted exactly once, on top of
             # the coordinator's own phase-1 prefix contribution.
             assert res.value >= 3 * len(seen)
@@ -737,3 +739,111 @@ class TestOrderedLeases:
         finally:
             w1.close()
             w2.close()
+
+    @pytest.mark.parametrize("d_cutoff", [0, -1])
+    def test_d_cutoff_zero_is_finished_by_the_coordinator_alone(self, handle, d_cutoff):
+        """Phase 1 is the whole search: no JOB is posted, so no worker
+        walks (its walk would be the whole search over again)."""
+        w = FakeWorker(*handle.address, slots=1)
+        try:
+            payload = dict(ORDERED_OPT, d_cutoff=d_cutoff)
+            res = handle.run_job(payload, timeout=20)
+            spec = instance_spec("maxclique", [6, 50, 1])
+            want = ordered_reference_search(
+                spec, make_search_type("optimisation"), d_cutoff=d_cutoff
+            )
+            assert (res.value, res.metrics.nodes) == (want.value, want.metrics.nodes)
+            assert res.metrics.spawns == 0
+            assert _heard_until(w, P.JOB_DONE) == [P.JOB_DONE]  # told nothing else
+        finally:
+            w.close()
+
+    def test_goal_in_phase_one_releases_the_workers_with_no_lease(self, handle):
+        w = FakeWorker(*handle.address, slots=1)
+        try:
+            # Any single vertex is a 1-clique: met at depth 1, above the cutoff.
+            payload = dict(ORDERED_OPT, stype_kind="decision",
+                           stype_kwargs={"target": 1}, d_cutoff=2)
+            res = handle.run_job(payload, timeout=20)
+            assert res.found and res.metrics.spawns == 0
+            assert _heard_until(w, P.JOB_DONE) == [P.JOB, P.JOB_DONE]  # never leased
+        finally:
+            w.close()
+
+    def test_a_worker_that_walked_another_frontier_fails_the_job(self, handle):
+        """A lease is positions in the worker's own walk: one that
+        numbered another count says so, and the job fails naming both."""
+        w = FakeWorker(*handle.address, slots=1)
+        try:
+            fut = handle.run_job_future(ORDERED_OPT, timeout=20)
+            (lease,) = run_leases(w.recv_raw(P.TASK))
+            w.send({
+                "type": P.ERROR, "job": lease["job"],
+                "reason": "this worker's frontier walk numbered 7 tasks, "
+                          f"its lease is cut from a frontier of {lease['of']}",
+            })
+            with pytest.raises(ClusterJobFailed, match=rf"numbered 7 tasks.*of {lease['of']}"):
+                fut.result(timeout=10)
+        finally:
+            w.close()
+
+    def test_a_real_worker_checks_the_lease_against_its_own_walk(self):
+        """The worker half of the same check, on a scripted coordinator."""
+        server = socket.socket()
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+        stop = threading.Event()
+        worker = ClusterWorker(
+            *server.getsockname(), name="walker", stop_event=stop, give_up_after=5.0,
+        )
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            conn, _ = server.accept()
+            conn.settimeout(5.0)
+            assert P.read_frame(conn)["type"] == P.HELLO
+            conn.sendall(P.frame_bytes({
+                "type": P.WELCOME, "worker": 1, "heartbeat": 5.0, "codec": "json",
+            }))
+            conn.sendall(P.frame_bytes(dict(
+                ORDERED_OPT, type=P.JOB, job=1, best=0,
+            )))
+            # The right size: a block of columns comes back, no node in it.
+            size = 6  # the root's children in maxclique(6, 50, 1) at d_cutoff=1
+            conn.sendall(P.frame_bytes({
+                "type": P.TASK, "job": 1, "leases": [[1, 0, [0, 2], 0, size]],
+            }))
+            result = _next_frame(conn, P.RESULT)
+            (first, *_rest) = result["blocks"]
+            assert first["seqs"][0] == 0 and first["bound"] == 0
+            assert len(first["nodes"]) == len(first["prunes"]) == first["seqs"][1]
+            # Another size: ERROR naming both counts, and no RESULT.
+            conn.sendall(P.frame_bytes({
+                "type": P.TASK, "job": 1, "leases": [[2, 0, [2, 1], 0, size + 1]],
+            }))
+            error = _next_frame(conn, P.ERROR)
+            assert error["job"] == 1
+            assert f"numbered {size} tasks" in error["reason"]
+            assert f"frontier of {size + 1}" in error["reason"]
+        finally:
+            stop.set()
+            server.close()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+
+
+def _heard_until(fake, last):
+    """The types of the frames a FakeWorker is sent, up to ``last``."""
+    heard = []
+    fake.sock.settimeout(5.0)
+    while not heard or heard[-1] != last:
+        heard.append(P.read_frame(fake.sock)["type"])
+    return heard
+
+
+def _next_frame(conn, want):
+    while True:
+        msg = P.read_frame(conn)
+        assert msg is not None, f"EOF while waiting for {want}"
+        if msg["type"] == want:
+            return msg

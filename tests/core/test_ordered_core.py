@@ -10,7 +10,12 @@ mutation active, the witness flip the repetition oracle exists to
 catch, demonstrated deterministically.
 """
 
+import random
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ordered import (
     OrderedFrontier,
@@ -230,32 +235,59 @@ class TestRunTaskFixedBound:
         assert p["goal"] is True
 
 
+COUNTERS = ("nodes", "prunes", "backtracks", "max_depth")
+
+
+def _as_block(seq, payload):
+    """One ``run_task_fixed_bound`` payload (plus the ``bound`` it ran
+    from) as the one-task block a worker would report."""
+    block = {"seqs": [seq], "bound": payload.get("bound")}
+    for name in COUNTERS:
+        block[name] = [payload[name]]
+    if "knowledge" in payload:
+        block["knowledge"] = [payload["knowledge"]]
+    elif payload["value"] is not None:
+        block.update(
+            value=payload["value"], node=payload["node"], goal=payload["goal"]
+        )
+    return block
+
+
 def _frontier_and_payloads(spec, stype, *, d_cutoff=1, bound=0):
-    """Phase 1 plus honest speculative payloads for every task."""
+    """Phase 1 plus honest speculative one-task blocks for every task."""
     f = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
-    payloads = {}
+    blocks = {}
     for t in f.tasks:
         p = run_task_fixed_bound(spec, stype, t.node, t.depth, bound)
-        p["bound"] = bound
-        payloads[t.seq] = p
-    return f, payloads
+        if stype.kind != "enumeration":
+            p["bound"] = bound
+        blocks[t.seq] = _as_block(t.seq, p)
+    return f, blocks
+
+
+def _rerun(ledger, spec, stype, seq, node):
+    """Task ``seq`` run again from the bound the ledger now requires."""
+    bound = ledger.required_bound()
+    p = run_task_fixed_bound(spec, stype, node, 1, bound)
+    p["bound"] = bound
+    ledger.record(_as_block(seq, p))
 
 
 class TestOrderedLedger:
     def test_finalises_only_in_sequence_order(self):
         spec = wide_spec()
-        f, payloads = _frontier_and_payloads(spec, Optimisation())
+        f, blocks = _frontier_and_payloads(spec, Optimisation())
         ledger = OrderedLedger(Optimisation(), f)
         # Arrivals out of order: seq 2 and 1 park, nothing finalises.
-        ledger.record(2, payloads[2])
-        ledger.record(1, payloads[1])
+        ledger.record(blocks[2])
+        ledger.record(blocks[1])
         assert ledger.advance() == []
         assert ledger.next_seq == 0
         # seq 0 lands: it finalises (best becomes 3) and nothing after
-        # it does.  Both parked payloads were searched under the
+        # it does.  Both parked results were searched under the
         # now-stale bound 0, so one call hands back both — the head
         # first — rather than one re-run per call.
-        ledger.record(0, payloads[0])
+        ledger.record(blocks[0])
         assert ledger.advance() == [1, 2]
         assert ledger.next_seq == 1
         assert ledger.required_bound() == 3
@@ -263,10 +295,7 @@ class TestOrderedLedger:
         # The re-runs finalise in order, each from the bound required
         # at its turn (3, then 5 once b has been merged).
         for seq, node in ((1, "b"), (2, "c")):
-            bound = ledger.required_bound()
-            p = run_task_fixed_bound(spec, Optimisation(), node, 1, bound)
-            p["bound"] = bound
-            ledger.record(seq, p)
+            _rerun(ledger, spec, Optimisation(), seq, node)
             assert ledger.advance() == []
             assert ledger.next_seq == seq + 1
         assert ledger.finished
@@ -275,52 +304,48 @@ class TestOrderedLedger:
 
     def test_stale_bound_rejected_and_reissued_pinned(self):
         spec = wide_spec()
-        f, payloads = _frontier_and_payloads(spec, Optimisation())
+        f, blocks = _frontier_and_payloads(spec, Optimisation())
         ledger = OrderedLedger(Optimisation(), f)
-        ledger.record(0, payloads[0])  # a: value 3 under bound 0 -> best 3
+        ledger.record(blocks[0])  # a: value 3 under bound 0 -> best 3
         assert ledger.advance() == []
         assert ledger.required_bound() == 3
         # b ran speculatively under bound 0; by its turn the required
         # bound is 3, so it must be discarded and demanded again.
-        ledger.record(1, payloads[1])
+        ledger.record(blocks[1])
         assert ledger.advance() == [1]
         assert ledger.metrics.reassigned == 1
         # The pinned re-run finalises.
-        p1 = run_task_fixed_bound(spec, Optimisation(), "b", 1, 3)
-        p1["bound"] = 3
-        ledger.record(1, p1)
+        _rerun(ledger, spec, Optimisation(), 1, "b")
         assert ledger.advance() == []
         assert ledger.next_seq == 2
         assert ledger.required_bound() == 5
 
     def test_journal_records_finalisation_bounds(self):
         spec = wide_spec()
-        f, payloads = _frontier_and_payloads(spec, Optimisation())
+        f, blocks = _frontier_and_payloads(spec, Optimisation())
         ledger = OrderedLedger(Optimisation(), f)
-        ledger.record(0, payloads[0])
+        ledger.record(blocks[0])
         ledger.advance()
-        assert ledger.journal == [(0, 0, payloads[0]["nodes"])]
+        assert ledger.journal == [(0, 0, blocks[0]["nodes"][0])]
 
     def test_stale_and_out_of_range_arrivals_ignored(self):
         spec = wide_spec()
-        f, payloads = _frontier_and_payloads(spec, Optimisation())
+        f, blocks = _frontier_and_payloads(spec, Optimisation())
         ledger = OrderedLedger(Optimisation(), f)
-        ledger.record(0, payloads[0])
+        ledger.record(blocks[0])
         ledger.advance()
         before = ledger.knowledge
-        ledger.record(0, {"value": 99, "node": "bogus"})  # already final
-        ledger.record(99, {"value": 99, "node": "bogus"})  # no such task
+        ledger.record(_record(0, 3, value=99, node="bogus"))  # already final
+        ledger.record(_record(99, 3, value=99, node="bogus"))  # no such task
         assert ledger.advance() == []
         assert ledger.knowledge == before
 
     def test_enumeration_accumulates_on_prefix(self):
         spec = wide_spec()
-        f, payloads = _frontier_and_payloads(spec, Enumeration(), bound=None)
-        for p in payloads.values():
-            p.pop("bound")
+        f, blocks = _frontier_and_payloads(spec, Enumeration(), bound=None)
         ledger = OrderedLedger(Enumeration(), f)
         for seq in (0, 1, 2):
-            ledger.record(seq, payloads[seq])
+            ledger.record(blocks[seq])
         assert ledger.advance() == []
         assert ledger.finished
         seq_res = sequential_search(spec, Enumeration())
@@ -330,29 +355,105 @@ class TestOrderedLedger:
     def test_decision_goal_finishes_early(self):
         spec = wide_spec()
         stype = Decision(target=5)
-        f, payloads = _frontier_and_payloads(spec, stype)
+        f, blocks = _frontier_and_payloads(spec, stype)
         ledger = OrderedLedger(stype, f)
-        ledger.record(0, payloads[0])
+        ledger.record(blocks[0])
         ledger.advance()
-        rb = ledger.required_bound()
-        p1 = run_task_fixed_bound(spec, stype, "b", 1, rb)
-        p1["bound"] = rb
-        ledger.record(1, p1)  # b hits the target
+        _rerun(ledger, spec, stype, 1, "b")  # b hits the target
         ledger.advance()
         assert ledger.goal is True
         assert ledger.finished
 
+    def test_a_block_is_parked_task_by_task(self):
+        # Three tasks from one bound in one block, the last improving:
+        # they finalise one by one, and the value belongs to the last.
+        policy, ledger = _flat_policy(4)
+        ledger.record({
+            "seqs": range(0, 3), "bound": 0, "nodes": [4, 1, 9],
+            "prunes": [2, 1, 3], "backtracks": [1, 0, 5], "max_depth": [3, 0, 4],
+            "value": 6, "node": "w", "goal": False,
+        })
+        assert ledger.advance() == []
+        assert ledger.next_seq == 3
+        assert ledger.required_bound() == 6
+        assert ledger.knowledge == Incumbent(6, "w")
+        assert ledger.journal == [(0, 0, 4), (1, 0, 1), (2, 0, 9)]
+        m = ledger.metrics
+        assert (m.nodes, m.prunes, m.backtracks, m.max_depth) == (14, 6, 6, 4)
+
+
+class TestRootPrunedRule:
+    """A task pruned at its root from ``b`` is pruned at its root from
+    every ``B* >= b``: its record is final from any *lower* bound."""
+
+    def test_root_pruned_from_a_lower_bound_is_final_under_the_required_one(self):
+        policy, ledger = _flat_policy(4)
+        ledger.record(_pruned(1, 0))
+        ledger.record(_pruned(2, 2))
+        ledger.record(_record(0, 0, value=4, node="w"))
+        assert ledger.advance() == []  # nothing to run again
+        assert ledger.next_seq == 3
+        assert ledger.metrics.reassigned == 0
+        # Journalled under the bound that was required, not the one run from.
+        assert ledger.journal == [(0, 0, 1), (1, 4, 1), (2, 4, 1)]
+
+    def test_root_pruned_from_a_higher_bound_is_still_reissued(self):
+        policy, ledger = _flat_policy(3)
+        ledger.record(_pruned(1, 9))  # might not be pruned under 4
+        ledger.record(_record(0, 0, value=4, node="w"))
+        assert ledger.advance() == [1]
+        assert ledger.next_seq == 1
+
+    def test_unpruned_from_a_lower_bound_is_still_reissued(self):
+        policy, ledger = _flat_policy(3)
+        ledger.record(_record(1, 0, nodes=1))  # one node, not pruned: a leaf
+        ledger.record(_record(2, 0, nodes=7))
+        ledger.record(_record(0, 0, value=4, node="w"))
+        assert ledger.advance() == [1, 2]
+
+    def test_an_improving_root_is_not_root_pruned(self):
+        policy, ledger = _flat_policy(3)
+        improving = _pruned(1, 0)
+        improving.update(value=3, node="x", goal=False)
+        ledger.record(improving)
+        ledger.record(_record(0, 0, value=4, node="w"))
+        assert ledger.advance() == [1]
+
+    def test_late_arrival_from_a_lower_bound(self):
+        # Arriving after the best has moved: the pruned one parks, the
+        # other is handed back without waiting for its turn.
+        policy, ledger = _flat_policy(5)
+        ledger.record(_record(0, 0, value=4, node="w"))
+        assert ledger.advance() == []
+        ledger.record(_pruned(2, 0))
+        ledger.record(_record(3, 0))
+        assert ledger.advance() == [3]
+        ledger.record(_record(1, 4))
+        assert ledger.advance() == []
+        assert ledger.next_seq == 3
+
 
 def _record(seq, bound, value=None, node=None, nodes=1):
-    """A scripted per-task record, as a worker would report it."""
+    """A scripted one-task block, as a worker would report it (the task
+    was not pruned at its root)."""
+    block = {
+        "seqs": [seq], "bound": bound, "nodes": [nodes], "prunes": [0],
+        "backtracks": [0], "max_depth": [1],
+    }
+    if value is not None:
+        block.update(value=value, node=node, goal=False)
+    return block
+
+
+def _pruned(seq, bound):
+    """A scripted task that stopped at its root, pruned, from ``bound``."""
     return {
-        "seq": seq, "bound": bound, "value": value, "node": node,
-        "nodes": nodes, "prunes": 0, "backtracks": 0, "max_depth": 1,
-        "goal": False,
+        "seqs": [seq], "bound": bound, "nodes": [1], "prunes": [1],
+        "backtracks": [0], "max_depth": [0],
     }
 
 
-def _flat_policy(n, best=0):
+def _flat_policy(n, best=0, poll=1):
     """A policy over ``n`` placeholder tasks whose phase-1 best is
     ``best`` — arrivals are scripted, nothing is ever searched."""
     frontier = OrderedFrontier(
@@ -360,11 +461,11 @@ def _flat_policy(n, best=0):
         knowledge=Incumbent(best, "root"),
     )
     ledger = OrderedLedger(Optimisation(), frontier)
-    return OrderedRunPolicy(ledger), ledger
+    return OrderedRunPolicy(ledger, poll), ledger
 
 
 def _seqs(run):
-    return list(range(run.first, run.first + run.count))
+    return list(run.seqs)
 
 
 class TestBulkReissue:
@@ -372,31 +473,31 @@ class TestBulkReissue:
         policy, ledger = _flat_policy(10)
         # seqs 1..6 arrive first, all searched from bound 0.
         for seq in range(1, 7):
-            ledger.record(seq, _record(seq, 0))
+            ledger.record(_record(seq, 0))
         assert ledger.advance() == []
         # The late one: seq 0 improves the bound to 4.  Everything
         # parked is now provably stale and comes back in ONE call.
-        ledger.record(0, _record(0, 0, value=4, node="w"))
+        ledger.record(_record(0, 0, value=4, node="w"))
         assert ledger.advance() == [1, 2, 3, 4, 5, 6]
         assert ledger.next_seq == 1
         assert ledger.advance() == []  # nothing left to hand back
 
     def test_stale_arrival_after_the_improvement_is_handed_back_too(self):
         policy, ledger = _flat_policy(6)
-        ledger.record(0, _record(0, 0, value=4, node="w"))
+        ledger.record(_record(0, 0, value=4, node="w"))
         assert ledger.advance() == []
         # Out of turn (seq 1 is the head) and from the old bound: no
         # need to wait for its turn to know it cannot finalise.
-        ledger.record(3, _record(3, 0))
+        ledger.record(_record(3, 0))
         assert ledger.advance() == [3]
 
     def test_results_from_the_new_bound_stay_parked(self):
         policy, ledger = _flat_policy(6)
-        ledger.record(2, _record(2, 4))  # a worker that threaded 4 locally
-        ledger.record(3, _record(3, 0))
-        ledger.record(0, _record(0, 0, value=4, node="w"))
+        ledger.record(_record(2, 4))  # a worker that threaded 4 locally
+        ledger.record(_record(3, 0))
+        ledger.record(_record(0, 0, value=4, node="w"))
         assert ledger.advance() == [3]
-        ledger.record(1, _record(1, 4))
+        ledger.record(_record(1, 4))
         assert ledger.advance() == []
         assert ledger.next_seq == 3  # 1 and the parked 2 both finalised
 
@@ -404,16 +505,16 @@ class TestBulkReissue:
         policy, ledger = _flat_policy(4)
         # Bound 9 is above anything finalised: the bulk rule (strictly
         # below the best) must leave it alone...
-        ledger.record(2, _record(2, 9))
-        ledger.record(0, _record(0, 0, value=4, node="w"))
+        ledger.record(_record(2, 9))
+        ledger.record(_record(0, 0, value=4, node="w"))
         assert ledger.advance() == []
         assert ledger.metrics.reassigned == 0
         # ...and its turn rejects it, because 9 != the required 4.
-        ledger.record(1, _record(1, 4))
+        ledger.record(_record(1, 4))
         assert ledger.advance() == [2]
         assert ledger.next_seq == 2
-        ledger.record(2, _record(2, 4))
-        ledger.record(3, _record(3, 4))
+        ledger.record(_record(2, 4))
+        ledger.record(_record(3, 4))
         assert ledger.advance() == []
         assert ledger.finished
         assert [bound for _seq, bound, _n in ledger.journal] == [0, 4, 4, 4]
@@ -425,10 +526,11 @@ class TestRunPolicy:
         sizes, first = [], 0
         for _ in range(8):
             run = policy.lease(workers=4)
-            assert run.first == first  # consecutive, nothing skipped
+            assert isinstance(run.seqs, range)  # fresh work is a range
+            assert run.seqs.start == first  # consecutive, nothing skipped
             assert run.bound == 0
-            sizes.append(run.count)
-            first += run.count
+            sizes.append(len(run.seqs))
+            first += len(run.seqs)
         # 1, 2, 4, ... until a quarter of an even share of what is left
         # to hand out (backlog // (4 * workers)) takes over.
         assert sizes[:5] == [1, 2, 4, 8, 16]
@@ -458,22 +560,41 @@ class TestRunPolicy:
             if run is None:
                 policy.accept([], done=True)
                 continue
-            got.append(run.count)
+            got.append(len(run.seqs))
         assert got == [1] * 8
 
     def test_size_resets_when_the_best_moves(self):
         policy, ledger = _flat_policy(400)
         runs = [policy.lease(workers=2) for _ in range(4)]  # 1, 2, 4, 8
-        assert [r.count for r in runs] == [1, 2, 4, 8]
+        assert [len(r.seqs) for r in runs] == [1, 2, 4, 8]
         moved = policy.accept([_record(0, 0, value=7, node="w")], done=True)
         assert moved and ledger.required_bound() == 7
-        assert policy.lease(workers=2).count == 1
+        assert len(policy.lease(workers=2).seqs) == 1
         assert policy.lease(workers=2) is None  # 3 old + 1 new in flight
         # No movement, no reset: doubling carries on from 1.
         assert policy.accept(
             [_record(1, 7), _record(2, 7)], done=True
         ) is False
-        assert policy.lease(workers=2).count == 2
+        assert len(policy.lease(workers=2).seqs) == 2
+
+    def test_a_run_is_never_shorter_than_the_poll_interval(self):
+        # 64 nodes between two of a worker's looks at the world, tasks
+        # of 4 nodes so far: no lease under 16 tasks, doubling or not,
+        # reset or not, tail or not.
+        policy, ledger = _flat_policy(400, poll=64)
+        assert len(policy.lease(workers=2).seqs) == 1  # nothing finalised yet
+        policy.accept([_record(0, 0, nodes=4)], done=True)
+        assert ledger.nodes_per_task() == 4.0
+        assert len(policy.lease(workers=2).seqs) == 16
+        assert len(policy.lease(workers=2).seqs) == 32
+        second = policy.lease(workers=2)
+        policy.accept([_record(1, 0, value=7, node="w", nodes=4)], done=True)
+        assert len(policy.lease(workers=2).seqs) == 16  # reset to 1, floored
+        # Big tasks: the floor is below one task and never binds.
+        coarse, ledger = _flat_policy(400, poll=64)
+        coarse.lease(workers=2)
+        coarse.accept([_record(0, 0, nodes=5000)], done=True)
+        assert len(coarse.lease(workers=2).seqs) == 2
 
     def test_head_rerun_is_first_in_line_and_carries_the_required_bound(self):
         policy, ledger = _flat_policy(400)
@@ -487,19 +608,17 @@ class TestRunPolicy:
         assert ledger.next_seq == 1
         assert policy.backlog == 6 + 400 - 15
         # Re-runs beat fresh work, lowest seq (the blocked head) first,
-        # cut under exactly the bound it must now run from.
+        # cut under exactly the bound it must now run from: one lease
+        # per worker, an even share each.
         first = policy.lease(workers=2)
-        assert (_seqs(first), first.bound) == ([1], 7)
+        assert (_seqs(first), first.bound) == ([1, 2, 3], 7)
         again = policy.lease(workers=2)
-        assert (_seqs(again), again.bound) == ([2, 3], 7)
+        assert (_seqs(again), again.bound) == ([4, 5, 6], 7)
         # Window: [7..14] is still out, so one more and it is full.
-        assert _seqs(policy.lease(workers=2)) == [4, 5, 6]
+        assert policy.lease(workers=2).seqs.start == 15
         assert policy.lease(workers=2) is None
-        # Only when the re-runs are gone does fresh work resume at 15.
-        policy.accept([_record(1, 7)], done=True)
-        assert policy.lease(workers=2).first == 15
 
-    def test_rerun_leases_do_not_bridge_gaps(self):
+    def test_rerun_leases_bridge_gaps(self):
         policy, _ = _flat_policy(400)
         for _ in range(4):
             policy.lease(workers=2)
@@ -507,10 +626,10 @@ class TestRunPolicy:
         policy.accept([], done=True)
         policy.accept([], done=True)
         policy.accept([_record(0, 0, value=7, node="w")], done=True)
-        # Stale: 3, 5, 6.  A run is sequence-consecutive, so 3 goes
-        # alone even though the size would allow more.
-        policy.lease(workers=2)  # [3], size 1
-        assert _seqs(policy.lease(workers=2)) == [5, 6]
+        # Stale: 3, 5, 6.  A lease is any ascending list: two workers,
+        # two leases, not one per consecutive stretch.
+        assert _seqs(policy.lease(workers=2)) == [3, 5]
+        assert _seqs(policy.lease(workers=2)) == [6]
 
     def test_lost_lease_is_queued_again_minus_what_finalised(self):
         policy, ledger = _flat_policy(400)
@@ -534,15 +653,13 @@ class TestRunPolicy:
 
     def test_enumeration_has_no_bounds_and_never_reissues(self):
         spec = wide_spec()
-        f, payloads = _frontier_and_payloads(spec, Enumeration(), bound=None)
+        f, blocks = _frontier_and_payloads(spec, Enumeration(), bound=None)
         ledger = OrderedLedger(Enumeration(), f)
         policy = OrderedRunPolicy(ledger)
         run = policy.lease(workers=1)
-        assert run == OrderedRun(0, 1, None)
+        assert run == OrderedRun(range(0, 1), None)
         for seq in (2, 1, 0):
-            payloads[seq].pop("bound")
-            payloads[seq]["seq"] = seq
-            assert policy.accept([payloads[seq]], done=False) is False
+            assert policy.accept([blocks[seq]], done=False) is False
         assert ledger.finished
         assert ledger.metrics.reassigned == 0
         assert ledger.knowledge == sequential_search(spec, Enumeration()).value
@@ -551,44 +668,69 @@ class TestRunPolicy:
 class TestExecuteRun:
     """The worker half: one leased run, no queues, scripted publisher."""
 
-    def _run(self, tasks, bound, *, published=lambda: 0, **kw):
+    def _run(self, seqs, bound, *, published=lambda: 0, **kw):
+        tasks = ordered_frontier(wide_spec(), Optimisation(), d_cutoff=1).tasks
         sent = []
         finished = execute_run(
-            wide_spec(), Optimisation(), tasks, bound,
-            lambda records, done: sent.append((list(records), done)),
+            wide_spec(), Optimisation(), tasks, seqs, bound, len(tasks),
+            lambda blocks, done: sent.append((list(blocks), done)),
             published=published, **kw,
         )
         return finished, sent
 
     def test_threads_the_bound_and_flushes_on_improvement(self):
-        tasks = [(0, "a", 1), (1, "b", 1), (2, "c", 1)]
-        finished, sent = self._run(tasks, 0)
+        finished, sent = self._run(range(3), 0)
         assert finished
-        # a improves 0 -> 3 and b improves 3 -> 5: each is flushed at
-        # once; c (the last task, 5 -> 7) rides the final message.
-        assert [(len(r), done) for r, done in sent] == [
+        # a improves 0 -> 3 and b improves 3 -> 5: each closes its block
+        # and is flushed at once; c (the last task, 5 -> 7) rides the
+        # final message.
+        assert [(len(b), done) for b, done in sent] == [
             (1, False), (1, False), (1, True),
         ]
-        records = [r for batch, _ in sent for r in batch]
-        assert [r["seq"] for r in records] == [0, 1, 2]
-        assert [r["bound"] for r in records] == [0, 3, 5]
-        assert [r["value"] for r in records] == [3, 5, 7]
+        blocks = [b for batch, _ in sent for b in batch]
+        assert [list(b["seqs"]) for b in blocks] == [[0], [1], [2]]
+        assert [b["bound"] for b in blocks] == [0, 3, 5]
+        assert [b["value"] for b in blocks] == [3, 5, 7]
         # Exactly what the reference does task by task.
-        for r, node in zip(records, "abc"):
+        for b, node in zip(blocks, "abc"):
             want = run_task_fixed_bound(
-                wide_spec(), Optimisation(), node, 1, r["bound"]
+                wide_spec(), Optimisation(), node, 1, b["bound"]
             )
-            assert {k: r[k] for k in want} == want
+            assert _as_block(b["seqs"][0], dict(want, bound=b["bound"])) == dict(
+                b, seqs=list(b["seqs"])
+            )
 
     def test_records_ride_one_message_when_nothing_improves(self):
-        tasks = [(0, "a", 1), (1, "b", 1), (2, "c", 1)]
-        finished, sent = self._run(tasks, 9)
+        finished, sent = self._run(range(3), 9)
         assert finished
-        assert [(len(r), done) for r, done in sent] == [(3, True)]
-        assert all(r["value"] is None for r in sent[0][0])
+        ((block,),) = [b for b, _ in sent]
+        assert sent[0][1] is True
+        # One block: three tasks from one bound, columns in step, and
+        # no value / node / goal at all because nothing improved.
+        assert block["seqs"] == range(3) and block["bound"] == 9
+        assert all(len(block[name]) == 3 for name in COUNTERS)
+        assert set(block) == {"seqs", "bound", *COUNTERS}
+
+    def test_a_scattered_lease_reports_slices_of_its_own_seqs(self):
+        finished, sent = self._run([0, 2], 9)
+        ((block,),) = [b for b, _ in sent]
+        assert block["seqs"] == [0, 2]
+        finished, sent = self._run([0, 2], 0)  # a improves: two blocks
+        assert [b["seqs"] for batch, _ in sent for b in batch] == [[0], [2]]
+
+    def test_a_newly_published_bound_starts_a_new_block(self):
+        heard = iter([0, 9])  # before a; before b: the best has moved
+
+        def published():
+            return next(heard, 9)
+
+        finished, sent = self._run(range(3), 7, published=published)
+        ((first, second),) = [b for b, _ in sent]  # one message, two blocks
+        assert (first["seqs"], first["bound"]) == (range(0, 1), 7)
+        assert (second["seqs"], second["bound"]) == (range(1, 3), 9)
 
     def test_starts_from_the_published_best_when_it_is_ahead(self):
-        finished, sent = self._run([(4, "a", 1)], 0, published=lambda: 2)
+        finished, sent = self._run([0], 0, published=lambda: 2)
         assert sent[0][0][0]["bound"] == 2
 
     def test_overtaken_task_restarts_from_the_new_bound(self):
@@ -599,32 +741,39 @@ class TestExecuteRun:
 
         # poll=1 makes the check fire after c's first child: the
         # published best (6) has overtaken the start bound (0).
-        finished, sent = self._run(
-            [(2, "c", 1)], 0, published=published, poll=1,
-        )
+        finished, sent = self._run([2], 0, published=published, poll=1)
         assert finished
-        (record,) = sent[0][0]
-        assert record["bound"] == 6
+        (block,) = sent[0][0]
+        assert block["bound"] == 6
         want = run_task_fixed_bound(wide_spec(), Optimisation(), "c", 1, 6)
-        assert record["nodes"] == want["nodes"]  # the aborted try left no trace
+        assert block["nodes"] == [want["nodes"]]  # the aborted try left no trace
 
     def test_abort_sends_nothing_more(self):
         finished, sent = self._run(
-            [(0, "c", 1), (1, "a", 1)], 0, poll=1, should_abort=lambda: True,
+            [2, 0], 0, poll=1, should_abort=lambda: True,
         )
         assert finished is False
         assert sent == []
 
+    def test_another_frontier_size_is_refused_before_anything_runs(self):
+        tasks = ordered_frontier(wide_spec(), Optimisation(), d_cutoff=1).tasks
+        with pytest.raises(ValueError, match=r"numbered 3 tasks.*frontier of 4"):
+            execute_run(
+                wide_spec(), Optimisation(), tasks, range(1), 0, 4,
+                lambda blocks, done: pytest.fail("ran"), published=lambda: 0,
+            )
+
     def test_enumeration_runs_without_bounds(self):
+        tasks = ordered_frontier(wide_spec(), Enumeration(), d_cutoff=1).tasks
         sent = []
         assert execute_run(
-            wide_spec(), Enumeration(), [(0, "a", 1), (1, "b", 1)], None,
-            lambda records, done: sent.append((list(records), done)),
+            wide_spec(), Enumeration(), tasks, range(2), None, 3,
+            lambda blocks, done: sent.append((list(blocks), done)),
         )
-        ((records, done),) = sent
-        assert done and [r["seq"] for r in records] == [0, 1]
-        assert [r["knowledge"] for r in records] == [6, 5]
-        assert "bound" not in records[0]
+        (((block,), done),) = sent
+        assert done and block["seqs"] == range(2)
+        assert block["knowledge"] == [6, 5]
+        assert block["bound"] is None and "value" not in block
 
     def test_driving_the_policy_to_completion_matches_the_reference(self):
         # Policy + execute_run + ledger with no transport between them,
@@ -633,7 +782,7 @@ class TestExecuteRun:
         stype = make_search_type(kind, **kwargs)
         frontier = ordered_frontier(spec, stype, d_cutoff=2)
         ledger = OrderedLedger(stype, frontier)
-        policy = OrderedRunPolicy(ledger)
+        policy = OrderedRunPolicy(ledger, 64)
         while not ledger.finished:
             held = []
             while (run := policy.lease(workers=2)) is not None:
@@ -642,14 +791,13 @@ class TestExecuteRun:
             for run in reversed(held):
                 inbox = []
                 execute_run(
-                    spec, stype,
-                    [(t.seq, t.node, t.depth)
-                     for t in frontier.tasks[run.first:run.first + run.count]],
-                    run.bound, lambda recs, done: inbox.append((recs, done)),
+                    spec, stype, frontier.tasks, run.seqs, run.bound,
+                    len(frontier.tasks),
+                    lambda blocks, done: inbox.append((blocks, done)),
                     published=ledger.required_bound,
                 )
-                for recs, done in inbox:
-                    policy.accept(recs, done)
+                for blocks, done in inbox:
+                    policy.accept(blocks, done)
         ref = ordered_reference_search(spec, stype, d_cutoff=2)
         assert ledger.knowledge == Incumbent(ref.value, ref.node)
         got, want = ledger.metrics, ref.metrics
@@ -657,6 +805,89 @@ class TestExecuteRun:
             want.nodes, want.prunes, want.backtracks, want.max_depth
         )
         assert ledger.metrics.reassigned > 0  # speculation did go stale
+
+
+def _reference_journal(spec, stype, frontier):
+    """``(seq, required bound, nodes)`` per task, as the reference runs them."""
+    best = frontier.knowledge.value
+    journal = []
+    for t in frontier.tasks:
+        p = run_task_fixed_bound(spec, stype, t.node, t.depth, best)
+        journal.append((t.seq, best, p["nodes"]))
+        if p["value"] is not None and p["value"] > best:
+            best = p["value"]
+    return journal
+
+
+def _speculate(spec, stype, tasks, seqs, bounds):
+    """Honest blocks for ``seqs``, each task run from its drawn bound:
+    neighbours that drew the same bound and did not improve it share a
+    block, as a worker would cut them."""
+    blocks = []
+    block = None
+    for seq in seqs:
+        bound = bounds[seq]
+        p = run_task_fixed_bound(spec, stype, tasks[seq].node, tasks[seq].depth, bound)
+        if block is None or block["bound"] != bound or block["seqs"][-1] != seq - 1:
+            block = {"seqs": [], "bound": bound, **{name: [] for name in COUNTERS}}
+            blocks.append(block)
+        block["seqs"].append(seq)
+        for name in COUNTERS:
+            block[name].append(p[name])
+        if p["value"] is not None:
+            block.update(value=p["value"], node=p["node"], goal=p["goal"])
+            block = None
+    return blocks
+
+
+class TestLedgerAgainstTheReference:
+    """Whatever lower bounds tasks were speculated from and in whatever
+    order their blocks arrive, the ledger ends where the reference does."""
+
+    def _drive(self, seed, draws):
+        rng = random.Random(draws)
+        spec, kind, kwargs = search_setup(Instance("maxclique", (14, 65, seed)))
+        stype = make_search_type(kind, **kwargs)
+        frontier = ordered_frontier(spec, stype, d_cutoff=2)
+        ref = ordered_reference_search(spec, stype, d_cutoff=2)
+        tasks = frontier.tasks
+        ledger = OrderedLedger(stype, frontier)
+        low = frontier.knowledge.value
+        pending = list(range(len(tasks)))
+        rounds = 0
+        while not ledger.finished:
+            rounds += 1
+            assert rounds <= len(tasks) + 1, "the ledger is not making progress"
+            # Any bound between the prefix's and the optimum is one some
+            # worker could have heard; the head gets the required one.
+            bounds = {seq: rng.randint(low, ref.value) for seq in pending}
+            bounds[ledger.next_seq] = ledger.required_bound()
+            blocks = _speculate(spec, stype, tasks, pending, bounds)
+            rng.shuffle(blocks)
+            for block in blocks:
+                ledger.record(block)
+            pending = ledger.advance()
+        return ledger, ref, _reference_journal(spec, stype, frontier)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 5), draws=st.integers(0, 2**32))
+    def test_shuffled_blocks_from_arbitrary_bounds(self, seed, draws):
+        ledger, ref, journal = self._drive(seed, draws)
+        assert ledger.knowledge == Incumbent(ref.value, ref.node)
+        got, want = ledger.metrics, ref.metrics
+        assert (got.nodes, got.prunes, got.backtracks, got.max_depth) == (
+            want.nodes, want.prunes, want.backtracks, want.max_depth
+        )
+        assert ledger.journal == journal
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 5), draws=st.integers(0, 2**32))
+    def test_the_tiebreak_mutation_moves_the_witness_and_nothing_else(self, seed, draws):
+        with mock.patch.dict("os.environ", REPRO_VERIFY_MUTATION="ordered-tiebreak"):
+            ledger, ref, journal = self._drive(seed, draws)
+        assert ledger.knowledge.value == ref.value
+        assert ledger.metrics.nodes == ref.metrics.nodes
+        assert ledger.journal == journal
 
 
 class TestReferenceEquivalence:
@@ -699,15 +930,13 @@ class TestOrderedTiebreakMutation:
     def _drive(self):
         spec = tied_spec()
         stype = Optimisation()
-        f, payloads = _frontier_and_payloads(spec, stype, bound=0)
+        f, blocks = _frontier_and_payloads(spec, stype, bound=0)
         ledger = OrderedLedger(stype, f)
-        ledger.record(0, payloads[0])        # a: value 5 under bound 0
+        ledger.record(blocks[0])             # a: value 5 under bound 0
         assert ledger.advance() == []
-        ledger.record(1, payloads[1])        # b: tied 5, stale bound 0
+        ledger.record(blocks[1])             # b: tied 5, stale bound 0
         assert ledger.advance() == [1]       # rejected, to re-run from 5
-        p1 = run_task_fixed_bound(spec, stype, "b", 1, 5)
-        p1["bound"] = 5
-        ledger.record(1, p1)                 # nothing beats 5 under 5
+        _rerun(ledger, spec, stype, 1, "b")  # nothing beats 5 under 5
         assert ledger.advance() == []
         assert ledger.finished
         return ledger

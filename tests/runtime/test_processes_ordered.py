@@ -20,7 +20,7 @@ import multiprocessing.queues
 import pytest
 
 import repro.runtime.fleet as fleet
-from repro.core.ordered import ordered_reference_search
+from repro.core.ordered import ordered_frontier, ordered_reference_search
 from repro.core.results import validate_result
 from repro.core.searchtypes import Decision, Enumeration, Optimisation
 from repro.core.sequential import sequential_search
@@ -47,6 +47,14 @@ def tied_witness_factory():
     from tests.conftest import make_toy_spec
 
     return make_toy_spec({"root": ["a", "b"]}, {"root": 0, "a": 5, "b": 5})
+
+
+def wide_factory():
+    """'b', at depth 1, is worth 5: a Decision for 5 is met in phase 1
+    at d_cutoff=2."""
+    from tests.core.test_ordered_core import wide_spec
+
+    return wide_spec()
 
 
 def _reference(spec_factory, args, stype, *, d_cutoff=2):
@@ -115,6 +123,35 @@ class TestReplicable:
         assert miss.found is False
 
 
+class TestFrontierIsPerJob:
+    def test_one_warm_fleet_other_cutoff_other_search_type(self, fresh_fleet):
+        # The workers keep the spec from job to job; the frontier they
+        # walk is a function of the cutoff and the search type too, and
+        # must be walked again for every job.
+        spec = clique_spec_factory(*CLIQUE_ARGS)
+        best = sequential_search(spec, Optimisation()).value
+        jobs = [
+            (optimisation_factory, (), Optimisation(), 1),
+            (optimisation_factory, (), Optimisation(), 2),
+            (decision_factory, (best,), Decision(best), 2),
+            (optimisation_factory, (), Optimisation(), 2),
+            (decision_factory, (best + 1,), Decision(best + 1), 1),
+        ]
+        pids = None
+        for stype_factory, stype_args, stype, d_cutoff in jobs:
+            ref = ordered_reference_search(spec, stype, d_cutoff=d_cutoff)
+            res = multiprocessing_ordered_search(
+                clique_spec_factory, CLIQUE_ARGS, stype_factory, stype_args,
+                n_processes=2, d_cutoff=d_cutoff,
+            )
+            assert result_fingerprint(res, counts=True) == result_fingerprint(
+                ref, counts=True
+            ), (stype, d_cutoff)
+            assert res.metrics.spawns == ref.metrics.spawns
+            pids = pids or fresh_fleet.pids()
+            assert fresh_fleet.pids() == pids  # the same warm workers
+
+
 # G(75, 0.70) seed 1 at d_cutoff=2: 1972 tasks, and the bound moves at
 # seq 0, 4, 99 and — late — seq 467, after hundreds of tasks have been
 # speculated from the older bound.
@@ -171,7 +208,7 @@ class TestLateImprovement:
 class TestEdgeCases:
     def test_d_cutoff_deeper_than_tree_runs_inline(self):
         # The whole tree fits in the phase-1 prefix: no tasks, no
-        # processes, and the answer still matches the reference.
+        # leases, and the answer still matches the reference.
         args = (2.0, 2, 5)
         ref = _reference(uts_spec_factory, args, Enumeration(), d_cutoff=6)
         res = multiprocessing_ordered_search(
@@ -181,6 +218,65 @@ class TestEdgeCases:
         assert result_fingerprint(res, counts=True) == result_fingerprint(
             ref, counts=True
         )
+
+    @pytest.mark.parametrize("d_cutoff", [0, -1])
+    def test_d_cutoff_zero_finishes_in_the_parent_alone(self, d_cutoff, fresh_fleet):
+        # With no cutoff phase 1 *is* the search.  Were the fleet
+        # engaged, every worker's own frontier walk would search the
+        # whole tree again, for an empty task list.
+        ref = _reference(clique_spec_factory, CLIQUE_ARGS, Optimisation(), d_cutoff=d_cutoff)
+        res = multiprocessing_ordered_search(
+            clique_spec_factory, CLIQUE_ARGS, optimisation_factory,
+            n_processes=2, d_cutoff=d_cutoff,
+        )
+        assert result_fingerprint(res, counts=True) == result_fingerprint(
+            ref, counts=True
+        )
+        assert fresh_fleet.status == "closed" and fresh_fleet.pids() == []
+
+    def test_goal_in_phase_one_releases_the_workers_with_no_lease(
+        self, monkeypatch, fresh_fleet
+    ):
+        queues = []
+
+        def counting_queue():
+            queues.append(CountingQueue())
+            return queues[-1]
+
+        monkeypatch.setattr(fleet._CTX, "Queue", counting_queue)
+        res = multiprocessing_ordered_search(
+            wide_factory, (), decision_factory, (5,), n_processes=2, d_cutoff=2,
+        )
+        ref = ordered_reference_search(wide_factory(), Decision(5), d_cutoff=2)
+        assert res.found and result_fingerprint(res, counts=True) == result_fingerprint(
+            ref, counts=True
+        )
+        task_q, result_q = queues
+        assert task_q.puts == 2  # the end-of-job wake-ups, nothing else
+        assert result_q.gets == 2  # the idle reports
+
+    def test_a_worker_that_walked_another_frontier_fails_the_search(
+        self, monkeypatch, fresh_fleet
+    ):
+        import repro.runtime.processes as processes
+
+        def one_short(spec, stype, *, d_cutoff):
+            frontier = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
+            frontier.tasks.pop()
+            return frontier
+
+        # The parent's walk only: the workers call the real one.
+        monkeypatch.setattr(processes, "ordered_frontier", one_short)
+        n = len(ordered_frontier(
+            clique_spec_factory(*CLIQUE_ARGS), Optimisation(), d_cutoff=2
+        ).tasks)
+        with pytest.raises(
+            RuntimeError, match=rf"numbered {n} tasks.*frontier of {n - 1}"
+        ):
+            multiprocessing_ordered_search(
+                clique_spec_factory, CLIQUE_ARGS, optimisation_factory,
+                n_processes=2, d_cutoff=2,
+            )
 
     def test_singleton_tree(self):
         args = (1, 0.5, 0)
