@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.apps.graph import Graph
-from repro.core.nodegen import NodeGenerator
+from repro.core.nodegen import ColumnNodeGenerator
 from repro.core.space import SearchSpec
 from repro.util.bitset import bit_indices, count_bits, mask_below
 
 __all__ = [
     "CliqueNode",
     "CliqueGen",
-    "clique_children",
     "greedy_colour",
     "maxclique_spec",
     "degree_order",
@@ -44,7 +43,7 @@ def degree_order(graph: Graph) -> list[int]:
     return sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
 
 
-def greedy_colour(graph: Graph, candidates: int) -> tuple[list[int], list[int]]:
+def greedy_colour(graph: Graph, candidates: int, base: int = 0) -> tuple[list[int], list[int]]:
     """Greedy sequential colouring of the subgraph induced by ``candidates``.
 
     Returns ``(p_vertex, p_colour)`` exactly as in Listing 1:
@@ -53,7 +52,9 @@ def greedy_colour(graph: Graph, candidates: int) -> tuple[list[int], list[int]]:
     colour ``p_vertex[0..i]`` — an upper bound on the clique extension
     possible within ``p_vertex[0..i]``.  Iterating ``p_vertex`` in
     *reverse* visits the highest-colour (heuristically best) vertex
-    first.
+    first.  Colours are counted from ``base``: with the size of the
+    clique the candidates extend, ``p_colour`` is the bound on the whole
+    clique.
     """
     p_vertex: list[int] = []
     p_colour: list[int] = []
@@ -65,7 +66,7 @@ def greedy_colour(graph: Graph, candidates: int) -> tuple[list[int], list[int]]:
     vertex_append = p_vertex.append
     colour_append = p_colour.append
     uncoloured = candidates
-    colour = 0
+    colour = base
     while uncoloured:
         colour += 1
         available = uncoloured
@@ -121,47 +122,72 @@ class CliqueNode:
         )
 
 
-class CliqueGen(NodeGenerator[Graph, CliqueNode]):
-    """Lazy Node Generator for Maximum Clique (Listing 1's ``Gen``)."""
+class CliqueGen(ColumnNodeGenerator[Graph, CliqueNode]):
+    """Lazy Node Generator for Maximum Clique (Listing 1's ``Gen``).
 
-    __slots__ = ("graph", "parent", "p_vertex", "p_colour", "remaining", "k")
+    The one colouring of the parent's candidates prices every child:
+    child ``i`` (reverse colour order) has ``size + 1`` vertices and
+    can reach at most ``size + 1 + colours``, so both columns are known
+    before any child exists and ``build`` runs only for a child the
+    search expands or crowns — Listing 1's ``next()``, reached after
+    the bound check.  ``clique`` is the parent's and ``size`` the
+    children's; ``remaining`` has the vertices of children
+    ``0..stripped-1`` taken out, and a child skipped unbuilt is stripped
+    when a later one is built.
+    """
+
+    __slots__ = (
+        "adj", "clique", "size", "vertices", "values", "bounds", "pos", "remaining", "stripped",
+    )
 
     def __init__(self, graph: Graph, parent: CliqueNode) -> None:
-        self.graph = graph
-        self.parent = parent
+        self.adj = graph.adj
+        self.clique = parent.clique
+        self.size = size = parent.size + 1
         self.remaining = parent.candidates
-        self.p_vertex, self.p_colour = greedy_colour(graph, self.remaining)
-        self.k = count_bits(self.remaining)
+        vertices, bounds = greedy_colour(graph, parent.candidates, size)
+        vertices.reverse()
+        bounds.reverse()
+        self.vertices = vertices
+        self.values = [size] * len(vertices)
+        self.bounds = bounds
+        self.pos = self.stripped = 0
 
-    def has_next(self) -> bool:
-        return self.k > 0
+    def build(self, i: int) -> CliqueNode:
+        self.pos = i
+        return self.next()
 
     def next(self) -> CliqueNode:
-        self.k -= 1
-        v = self.p_vertex[self.k]
-        self.remaining &= ~(1 << v)
-        return CliqueNode(
-            self.parent.clique | (1 << v),
-            self.parent.size + 1,
-            self.remaining & self.graph.adj[v],
-            self.p_colour[self.k],
-        )
+        i = self.pos
+        vertices = self.vertices
+        remaining = self.remaining
+        k = self.stripped
+        while k < i:  # skipped unbuilt
+            remaining ^= 1 << vertices[k]
+            k += 1
+        v = vertices[i]
+        bit = 1 << v
+        self.remaining = remaining = remaining ^ bit
+        self.pos = self.stripped = i + 1
+        size = self.size
+        return CliqueNode(self.clique | bit, size, remaining & self.adj[v], self.bounds[i] - size)
 
-
-def clique_children(graph: Graph, parent: CliqueNode) -> list[CliqueNode]:
-    """Every child :class:`CliqueGen` yields, in its order: the batched
-    form the search kernel drains by index (tests pin the two together)."""
-    remaining = parent.candidates
-    p_vertex, p_colour = greedy_colour(graph, remaining)
-    adj = graph.adj
-    clique = parent.clique
-    size = parent.size + 1
-    out = []
-    for k in range(len(p_vertex) - 1, -1, -1):
-        v = p_vertex[k]
-        remaining ^= 1 << v
-        out.append(CliqueNode(clique | (1 << v), size, remaining & adj[v], p_colour[k]))
-    return out
+    def drain(self) -> list[CliqueNode]:
+        """``next()`` to exhaustion as one loop: the Ordered frontier
+        walk takes every child of every node above the cutoff."""
+        vertices, bounds, adj, clique, size = self.vertices, self.bounds, self.adj, self.clique, self.size
+        remaining = self.remaining
+        for k in range(self.stripped, self.pos):
+            remaining ^= 1 << vertices[k]
+        out = []
+        for i in range(self.pos, len(vertices)):
+            v = vertices[i]
+            bit = 1 << v
+            remaining ^= bit
+            out.append(CliqueNode(clique | bit, size, remaining & adj[v], bounds[i] - size))
+        self.remaining = remaining
+        self.pos = self.stripped = len(vertices)
+        return out
 
 
 def _root_node(graph: Graph) -> CliqueNode:
@@ -187,7 +213,7 @@ def maxclique_spec(graph: Graph, *, name: str = "maxclique", order_by_degree: bo
         space=graph,
         root=_root_node(graph),
         generator=CliqueGen,
-        children=clique_children,
+        columns=CliqueGen,
         objective=lambda node: node.size,
         upper_bound=lambda g, node: node.size + node.bound,
         witness_check=lambda g, node: (

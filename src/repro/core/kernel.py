@@ -1,8 +1,10 @@
 """The search kernel: the one expand/process/prune/backtrack loop.
 
 :func:`search_subtree` is Listing 2 over a plain list of node
-generators — drained by index when the spec hands over whole child
-lists — and every runtime that searches a subtree for real calls it:
+generators — walked by index when the spec hands over whole child
+lists, and with children priced from per-frame columns before they are
+built when it declares those — and every runtime that searches a
+subtree for real calls it:
 the Sequential skeleton, the Ordered task runner, the process workers of
 all four coordinations, the cluster worker and the in-process service
 backend.  A coordination never changes how the tree is traversed, only
@@ -32,9 +34,10 @@ oracle this loop is judged against.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Optional
 
-from repro.core.nodegen import ListNodeGenerator
+from repro.core.nodegen import ColumnListGenerator, ListNodeGenerator
 from repro.core.results import SearchMetrics
 from repro.core.searchtypes import Decision, Enumeration, Incumbent, Optimisation, SearchType
 from repro.core.space import SearchSpec
@@ -71,13 +74,19 @@ def search_subtree(
     what the caller or its peers already had.
 
     The loop is chosen once per call from what the spec declares and
-    the exact type of ``stype``; there is nothing to configure.  A spec
-    with a batched ``children`` form is drained by index with the stock
-    search type's node processing inlined; any other spec, and any other
-    search type (custom monoids, subclasses), gets Listing 2 as written
-    over ``spec.generator``.  All three loops visit the same nodes in
-    the same order, hand ``on_poll`` a stack of has_next/next frames and
-    report the same counters.
+    the exact type of ``stype``; there is nothing to configure.
+    Default-monoid Enumeration over a spec with the list form
+    ``children`` walks list frames by index and sums.  Optimisation and
+    Decision take the one incumbent loop over column frames —
+    ``spec.columns``, or ``spec.children`` through
+    :class:`~repro.core.nodegen.ColumnListGenerator` — which reads each
+    child's objective and bound from the frame's columns and builds a
+    node only for a child that becomes the incumbent or survives its
+    bound.  Any other spec, any other search type (custom monoids,
+    subclasses) and an incumbent search with ``node_size`` get Listing 2
+    as written over ``spec.generator``.  All three loops visit the same
+    nodes in the same order, hand ``on_poll`` a stack of has_next/next
+    frames and report the same counters.
     """
     process = stype.process
     is_goal = stype.is_goal
@@ -111,8 +120,14 @@ def search_subtree(
     next_poll = poll + 1 if on_poll is not None and poll > 0 else 0
 
     kind = type(stype)
-    batched_sum = kind is Enumeration and stype.is_default
-    if children is None or not (batched_sum or kind in (Optimisation, Decision)):
+    batched_sum = kind is Enumeration and stype.is_default and children is not None
+    columns = spec.columns
+    by_column = (
+        (kind is Optimisation or kind is Decision)
+        and node_size is None
+        and (columns is not None or children is not None)
+    )
+    if not (batched_sum or by_column):
         # Listing 2: one has_next/next pair and one process call per child.
         stack = [generator(space, root)]
         while stack:
@@ -143,98 +158,117 @@ def search_subtree(
             else:
                 stack.pop()
                 backtracks += 1
-    else:
-        # The top frame's child list and position live in locals; the
-        # position is written back whenever someone else may look at the
-        # stack: before a push, and before ``on_poll``, which may drain
-        # or replace any frame and so is followed by a reload.  A child
-        # without children never becomes a frame but is counted as the
-        # one it would have been: one backtrack, one level of depth.
+    elif batched_sum:
+        # Default-monoid Enumeration: nothing improves, is a goal or is
+        # pruned.  The top frame's child list and position live in
+        # locals; the position is written back whenever someone else may
+        # look at the stack: before a push, and before ``on_poll``,
+        # which may drain or replace any frame and so is followed by a
+        # reload.  A child without children never becomes a frame but
+        # is counted as the one it would have been: one backtrack, one
+        # level of depth.
         frame = ListNodeGenerator(children(space, root))
         stack = [frame]
         kids, i, n = frame.children, 0, len(frame.children)
-        if batched_sum:
-            # Default-monoid Enumeration: nothing improves, is a goal or is pruned.
-            while True:
-                if i == n:
-                    stack.pop()
-                    backtracks += 1
-                    if not stack:
-                        break
-                    frame = stack[-1]
-                    kids, i, n = frame.children, frame.pos, len(frame.children)
-                    continue
-                child = kids[i]
-                i += 1
-                knowledge += objective(child)
+        while True:
+            if i == n:
+                stack.pop()
+                backtracks += 1
+                if not stack:
+                    break
+                frame = stack[-1]
+                kids, i, n = frame.children, frame.pos, len(frame.children)
+                continue
+            child = kids[i]
+            i += 1
+            knowledge += objective(child)
+            nodes += 1
+            if node_size is not None:
+                weighted += node_size(child)
+            grand = children(space, child)
+            if grand:
+                frame.pos = i
+                frame = ListNodeGenerator(grand)
+                stack.append(frame)
+                kids, i, n = grand, 0, len(grand)
+                if len(stack) > deepest:
+                    deepest = len(stack)
+            else:
+                backtracks += 1
+                if len(stack) >= deepest:
+                    deepest = len(stack) + 1
+            if nodes == next_poll:
+                next_poll += poll
+                frame.pos = i
+                on_poll(stack)
+                frame = stack[-1]
+                kids, i, n = frame.children, frame.pos, len(frame.children)
+    else:
+        # Optimisation, and Decision with its bounded order {0..target}.
+        # A child is counted, crowned and pruned from the frame's two
+        # columns, and built only for ``on_improve`` or to be expanded.
+        # The top frame's columns and position are loaded at the head of
+        # the outer loop: after a pop, and after ``on_poll`` (told the
+        # position first).  ``build`` keeps ``pos`` right below the top.
+        upper_bound = spec.upper_bound
+
+        def adapt(kids: Any) -> ColumnListGenerator:
+            values = [objective(kid) for kid in kids]
+            if upper_bound is None:
+                return ColumnListGenerator(kids, values, [inf] * len(kids))
+            return ColumnListGenerator(kids, values, [upper_bound(space, kid) for kid in kids])
+
+        if columns is None:
+            def columns(space: Any, node: Any) -> ColumnListGenerator:
+                return adapt(children(space, node))
+
+        target = stype.target if kind is Decision else None
+        best = knowledge.value
+        stack = [columns(space, root)]
+        while stack:
+            frame = stack[-1]
+            try:
+                values = frame.values
+            except AttributeError:
+                # A split helper left a plain list generator here.
+                frame = stack[-1] = adapt(frame.drain())
+                values = frame.values
+            bounds, i, n = frame.bounds, frame.pos, len(values)
+            while i < n:
+                value = values[i]
                 nodes += 1
-                if node_size is not None:
-                    weighted += node_size(child)
-                grand = children(space, child)
-                if grand:
-                    frame.pos = i
-                    frame = ListNodeGenerator(grand)
-                    stack.append(frame)
-                    kids, i, n = grand, 0, len(grand)
-                    if len(stack) > deepest:
-                        deepest = len(stack)
-                else:
-                    backtracks += 1
-                    if len(stack) >= deepest:
-                        deepest = len(stack) + 1
-                if nodes == next_poll:
-                    next_poll += poll
-                    frame.pos = i
-                    on_poll(stack)
-                    frame = stack[-1]
-                    kids, i, n = frame.children, frame.pos, len(frame.children)
-        else:
-            # Optimisation, and Decision with its bounded order {0..target}.
-            upper_bound = spec.upper_bound
-            target = stype.target if kind is Decision else None
-            best = knowledge.value
-            while True:
-                if i == n:
-                    stack.pop()
-                    backtracks += 1
-                    if not stack:
-                        break
-                    frame = stack[-1]
-                    kids, i, n = frame.children, frame.pos, len(frame.children)
-                    continue
-                child = kids[i]
-                i += 1
-                value = objective(child)
-                nodes += 1
-                if node_size is not None:
-                    weighted += node_size(child)
+                child = None
                 if value > best:
                     if target is not None and value > target:
                         value = target
                     if value > best:
                         best = value
+                        child = frame.build(i)
                         knowledge = Incumbent(value, child)
                         if on_improve is not None:
                             on_improve(knowledge)
                         if target is not None and value >= target:
                             goal = True
                             break
-                if upper_bound is not None and (
-                    (limit := upper_bound(space, child)) <= best
-                    or (target is not None and limit < target)
-                ):
+                limit = bounds[i]
+                if limit <= best or (target is not None and limit < target):
                     prunes += 1
-                elif grand := children(space, child):
-                    frame.pos = i
-                    frame = ListNodeGenerator(grand)
-                    stack.append(frame)
-                    kids, i, n = grand, 0, len(grand)
-                    if len(stack) > deepest:
-                        deepest = len(stack)
+                    i += 1
                 else:
-                    backtracks += 1
-                    if len(stack) >= deepest:
-                        deepest = len(stack) + 1
+                    if child is None:
+                        child = frame.build(i)
+                    i += 1
+                    grand = columns(space, child)
+                    if grand.values:
+                        stack.append(grand)
+                        frame = grand
+                        values, bounds, i, n = grand.values, grand.bounds, 0, len(grand.values)
+                        if len(stack) > deepest:
+                            deepest = len(stack)
+                    else:
+                        backtracks += 1
+                        if len(stack) >= deepest:
+                            deepest = len(stack) + 1
                 if nodes == next_poll:
                     next_poll += poll
                     frame.pos = i
@@ -242,8 +276,13 @@ def search_subtree(
                     if bound is not None and bound > best:
                         best = bound
                         knowledge = Incumbent(bound, None)
-                    frame = stack[-1]
-                    kids, i, n = frame.children, frame.pos, len(frame.children)
+                    break
+            else:
+                stack.pop()
+                backtracks += 1
+                continue
+            if goal:
+                break
 
     metrics.nodes = nodes
     metrics.weighted_nodes = weighted if node_size is not None else nodes

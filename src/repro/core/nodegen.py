@@ -15,6 +15,24 @@ protocol) because the coordinations need ``has_next`` as a cheap,
 non-consuming probe: Stack-Stealing and Budget scan the generator stack
 bottom-up for the first generator that still *has* work before deciding
 what to steal or spawn (Listings 3 and 4).
+
+A spec may declare its children in up to three forms, all yielding the
+same nodes in the same order:
+
+- ``generator`` — the lazy has_next/next frame above; every spec has
+  one.  The stepped :class:`~repro.core.tasks.SearchTask` machine, the
+  split helpers, the Ordered frontier walk and the kernel's Listing 2
+  loop (custom search types, ``node_size``, lazy-only specs) take it.
+- ``children`` — a function returning the whole child list
+  (:class:`ListNodeGenerator` frames).  The kernel's default-monoid
+  Enumeration loop drains it by index, and the Ordered frontier walk
+  prefers it where declared.
+- ``columns`` — a :class:`ColumnNodeGenerator` factory: a frame that
+  knows every child's objective and bound *before* any child exists.
+  The kernel's incumbent loop (Optimisation, Decision) prunes from the
+  columns and builds only the children it expands or crowns; a spec
+  that declares ``children`` but no ``columns`` reaches the same loop
+  through :class:`ColumnListGenerator`.
 """
 
 from __future__ import annotations
@@ -26,7 +44,14 @@ from typing import Any, Generic, TypeVar
 Space = TypeVar("Space")
 Node = TypeVar("Node")
 
-__all__ = ["NodeGenerator", "IterNodeGenerator", "ListNodeGenerator", "GeneratorFactory"]
+__all__ = [
+    "NodeGenerator",
+    "IterNodeGenerator",
+    "ListNodeGenerator",
+    "ColumnNodeGenerator",
+    "ColumnListGenerator",
+    "GeneratorFactory",
+]
 
 
 class NodeGenerator(ABC, Generic[Space, Node]):
@@ -96,10 +121,12 @@ class IterNodeGenerator(NodeGenerator[Any, Node]):
 class ListNodeGenerator(NodeGenerator[Any, Node]):
     """A generator over a pre-computed child sequence.
 
-    The adapter from a batched child function (``SearchSpec.children``)
-    to the uniform protocol, and the frame the search kernel pushes when
-    it drains one by index — which is why ``children`` and ``pos`` are
-    public: the kernel advances a local and writes ``pos`` back.
+    The adapter from the list form (``SearchSpec.children``) to the
+    uniform protocol, the frame the search kernel's Enumeration loop
+    pushes when it walks one by index — which is why ``children`` and
+    ``pos`` are public: the kernel advances a local and writes ``pos``
+    back — and what a split helper leaves where it could not put a
+    generator's children back.
     """
 
     __slots__ = ("children", "pos")
@@ -117,6 +144,68 @@ class ListNodeGenerator(NodeGenerator[Any, Node]):
         child = self.children[self.pos]
         self.pos += 1
         return child
+
+
+class ColumnNodeGenerator(NodeGenerator[Space, Node]):
+    """A generator whose children are priced before they are built.
+
+    ``values[i]`` is the objective of child ``i`` and ``bounds[i]`` its
+    admissible upper bound (``math.inf`` where the application has
+    none), for all children at once and in generator order; both are
+    filled at construction.  ``build(i)`` constructs child ``i`` and
+    leaves ``pos`` at ``i + 1``.  Calls come with ascending ``i``, never
+    below ``pos``, at most once per child, and may leave gaps: a child
+    that is skipped is never built.  ``next()`` is ``build(pos)``, so
+    the frame is still the has_next/next generator every other caller
+    drains — one that yields the children not yet built or skipped.
+
+    ``pos`` is public because the search kernel walks the columns with
+    a local index and writes it back — past children it pruned without
+    building — before anyone else may look at the frame.
+    """
+
+    __slots__ = ()
+
+    values: Sequence[int]
+    bounds: Sequence[Any]
+    pos: int
+
+    @abstractmethod
+    def build(self, i: int) -> Node:
+        """Child ``i``; afterwards ``pos == i + 1``."""
+
+    def has_next(self) -> bool:
+        return self.pos < len(self.values)
+
+    def next(self) -> Node:
+        if self.pos >= len(self.values):
+            raise StopIteration("generator exhausted")
+        return self.build(self.pos)
+
+
+class ColumnListGenerator(ColumnNodeGenerator[Any, Node]):
+    """The list → columns adapter: children that already exist, beside
+    the two columns the search kernel filled from the spec's
+    ``objective`` and ``upper_bound``.
+
+    How a spec that declares only the list form ``children`` reaches the
+    kernel's column loop, and how that loop takes back a frame a split
+    helper replaced with a plain :class:`ListNodeGenerator`.
+    """
+
+    __slots__ = ("children", "values", "bounds", "pos")
+
+    def __init__(
+        self, children: Sequence[Node], values: Sequence[int], bounds: Sequence[Any]
+    ) -> None:
+        self.children = children
+        self.values = values
+        self.bounds = bounds
+        self.pos = 0
+
+    def build(self, i: int) -> Node:
+        self.pos = i + 1
+        return self.children[i]
 
 
 # An application supplies a factory: (space, parent) -> NodeGenerator.

@@ -154,8 +154,7 @@ def ordered_frontier(
     no randomness, no worker interleaving — which is what lets every
     worker repeat it and be handed positions in the result.  A node's
     children are taken in one go: from ``spec.children`` where the spec
-    declares the batched form, as the kernel does, else by draining the
-    lazy generator.
+    declares the list form, else by draining the lazy generator.
     """
     if d_cutoff <= 0:
         # No spawn rule fires at cutoff 0: phase 1 *is* the whole
@@ -198,13 +197,7 @@ def ordered_frontier(
         if should_prune(spec, node, knowledge):
             metrics.prunes += 1
             continue
-        if children is not None:
-            kids = children(space, node)
-        else:
-            gen = generator(space, node)
-            kids = []
-            while gen.has_next():
-                kids.append(gen.next())
+        kids = children(space, node) if children is not None else generator(space, node).drain()
         metrics.backtracks += 1
         depth += 1
         if depth > metrics.max_depth:

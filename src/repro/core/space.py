@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from repro.core.nodegen import GeneratorFactory
+from repro.core.nodegen import ColumnNodeGenerator, GeneratorFactory
 
 __all__ = ["SearchSpec"]
 
@@ -29,10 +29,16 @@ class SearchSpec:
         root: the root search-tree node.
         generator: factory ``(space, node) -> NodeGenerator`` producing
             the node's children in heuristic order.
-        children: optional batched form, ``(space, node) -> sequence``
-            of all children in the order ``generator`` yields them.  The
-            search kernel drains it by index under the stock search
-            types; every other caller keeps using ``generator``.
+        children: optional list form, ``(space, node) -> sequence`` of
+            all children in the order ``generator`` yields them.
+        columns: optional column form, ``(space, node) ->``
+            :class:`~repro.core.nodegen.ColumnNodeGenerator`: a frame
+            holding ``values[i] == objective(child i)`` and
+            ``bounds[i] == upper_bound(space, child i)`` for every child
+            in ``generator`` order, which builds child ``i`` only on
+            ``build(i)``; it may be the same class as ``generator``.
+            :mod:`repro.core.nodegen` says which caller takes which of
+            the three forms; every spec keeps a working ``generator``.
         objective: ``h(node)`` — the value maximised by optimisation and
             decision searches, and summed by enumeration searches.  Must
             be monotone non-decreasing along the orders required by the
@@ -60,6 +66,7 @@ class SearchSpec:
     node_size: Optional[Callable[[Any], int]] = None
     witness_check: Optional[Callable[[Any, Any], bool]] = None
     children: Optional[Callable[[Any, Any], Sequence[Any]]] = None
+    columns: Optional[Callable[[Any, Any], ColumnNodeGenerator]] = None
 
     def children_of(self, node: Any):
         """Construct a generator for ``node`` (convenience for drivers)."""

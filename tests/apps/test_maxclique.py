@@ -10,7 +10,6 @@ from repro.apps.graph import Graph
 from repro.apps.maxclique import (
     CliqueGen,
     CliqueNode,
-    clique_children,
     degree_order,
     greedy_colour,
     maxclique_spec,
@@ -183,25 +182,56 @@ class TestCliqueGen:
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
 
+def listing1_children(graph, parent):
+    """Listing 1's generator written out as a loop, every child built:
+    what ``CliqueGen`` must yield, in order."""
+    remaining = parent.candidates
+    p_vertex, p_colour = greedy_colour(graph, remaining)
+    out = []
+    for k in range(len(p_vertex) - 1, -1, -1):
+        v = p_vertex[k]
+        remaining &= ~(1 << v)
+        out.append(CliqueNode(
+            parent.clique | (1 << v), parent.size + 1, remaining & graph.adj[v], p_colour[k]
+        ))
+    return out
+
+
+def fields(nodes):
+    return [(c.clique, c.size, c.candidates, c.bound) for c in nodes]
+
+
 class TestBatchedChildrenMatchTheGenerator:
-    """MaxClique hand-writes both child forms (Listing 1's lazy
-    ``CliqueGen`` and the batched ``clique_children``); k-clique and the
+    """MaxClique declares one child class in two roles (Listing 1's
+    lazy generator and the kernel's column frame); k-clique and the
     library instances share the spec, so this pins them all."""
 
-    @given(small_graphs, st.booleans())
+    @given(small_graphs, st.booleans(), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
-    def test_same_children_same_order_on_every_node(self, g, order_by_degree):
+    def test_same_children_same_order_on_every_node(self, g, order_by_degree, rnd):
         spec = maxclique_spec(g, order_by_degree=order_by_degree)
-        assert spec.children is clique_children and spec.generator is CliqueGen
+        assert spec.generator is CliqueGen and spec.columns is CliqueGen
+        assert spec.children is None
         stack = [spec.root]
         while stack:
             node = stack.pop()
-            lazy = spec.generator(spec.space, node).drain()
-            batched = list(spec.children(spec.space, node))
-            assert [(c.clique, c.size, c.candidates, c.bound) for c in batched] == [
-                (c.clique, c.size, c.candidates, c.bound) for c in lazy
-            ]
-            stack.extend(batched)
+            expected = listing1_children(spec.space, node)
+            assert fields(spec.generator(spec.space, node).drain()) == fields(expected)
+            # The columns price every child before it exists.
+            frame = spec.columns(spec.space, node)
+            assert list(frame.values) == [spec.objective(c) for c in expected]
+            assert list(frame.bounds) == [spec.bound(c) for c in expected]
+            # Built with gaps, each child is the one the lazy walk
+            # yields at that position, and the generator carries on
+            # from behind the last one built.
+            picked = sorted(rnd.sample(range(len(expected)), rnd.randint(0, len(expected))))
+            assert fields(frame.build(i) for i in picked) == fields(expected[i] for i in picked)
+            resume = picked[-1] + 1 if picked else 0
+            assert frame.pos == resume and frame.has_next() == (resume < len(expected))
+            if frame.has_next():
+                assert fields([frame.next()]) == fields(expected[resume : resume + 1])
+            assert fields(frame.drain()) == fields(expected[resume + 1 :])
+            stack.extend(expected)
 
 
 class TestSearchCorrectness:

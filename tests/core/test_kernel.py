@@ -13,13 +13,19 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
+import repro.apps.maxclique as maxclique_module
 from repro.cluster.local import cluster_search
 from repro.core.kernel import search_subtree
-from repro.core.searchtypes import Decision, Enumeration, Optimisation
+from repro.core.nodegen import ColumnListGenerator, ColumnNodeGenerator, ListNodeGenerator
+from repro.core.results import SearchMetrics
+from repro.core.searchtypes import Decision, Enumeration, Incumbent, Optimisation
 from repro.core.sequential import sequential_search_stepped
-from repro.core.tasks import split_lowest_inlined, split_one_inlined
+from repro.core.tasks import SearchTask, split_lowest_inlined, split_one_inlined
+from repro.instances.library import library_spec_factory
 from repro.runtime.processes import (
     make_stype,
     multiprocessing_budget_search,
@@ -42,22 +48,31 @@ def run_kernel(spec, stype, **hooks):
 
 
 def lazy_only(spec):
-    """The same instance without its batched ``children`` form, so the
-    kernel takes the has_next/next drain."""
-    return dataclasses.replace(spec, children=None)
+    """The same instance with only its lazy ``generator``, so the kernel
+    takes the has_next/next drain."""
+    return dataclasses.replace(spec, children=None, columns=None)
 
 
-def both_drains(spec):
-    """The instance as declared and lazy-only; the hook and equality
-    tests loop over this inside the test, so their ids stay put."""
-    return spec, lazy_only(spec)
+def list_only(spec):
+    """The same instance with the list form ``children`` (drained from
+    the generator where the spec has none) and no ``columns``, so the
+    incumbent loop goes through the list → columns adapter."""
+    children = spec.children or (lambda space, node: spec.generator(space, node).drain())
+    return dataclasses.replace(spec, children=children, columns=None)
+
+
+def every_drain(spec):
+    """The instance as declared, lazy-only and list-only; the hook and
+    equality tests loop over this inside the test, so their ids stay
+    put."""
+    return spec, lazy_only(spec), list_only(spec)
 
 
 def assert_matches_machine(spec, stype):
-    """Both drains against the stepped machine: value, witness, goal
+    """Every drain against the stepped machine: value, witness, goal
     and every SearchMetrics field."""
     ref = sequential_search_stepped(spec, stype)
-    for drained in both_drains(spec):
+    for drained in every_drain(spec):
         knowledge, goal, m = run_kernel(drained, stype)
         if stype.kind == "enumeration":
             assert knowledge == ref.value
@@ -94,28 +109,122 @@ class TestBitIdenticalToSteppedMachine:
         assert weighted.weighted_nodes > weighted.nodes
 
     def test_the_stock_types_take_the_batched_drain(self):
-        """The equalities above would hold trivially if nothing were
-        ever drained by index."""
+        """The equalities above would hold trivially if every search
+        took Listing 2: which child form is called, and which frames
+        the poll hook sees, per declaration and search type."""
         calls = []
 
-        def spy(factory):
+        def spy(name, factory):
             def counted(space, node):
-                calls.append(factory)
+                calls.append(name)
                 return factory(space, node)
-            return counted
+            return counted if factory is not None else None
 
-        for family, args in (("uts", (3, 5, 2)), ("maxclique", (12, 60, 1))):
-            spec = instance_spec(family, args)
-            spied = dataclasses.replace(
-                spec, children=spy(spec.children), generator=spy(spec.generator)
-            )
-            for stype in (Enumeration(), Optimisation(), Decision(target=3)):
-                del calls[:]
-                run_kernel(spied, stype)
-                assert set(calls) == {spec.children}
+        def drained(spec, stype):
             del calls[:]
-            run_kernel(spied, Enumeration(objective=lambda node: 1))
-            assert set(calls) == {spec.generator}
+            frames = set()
+            spied = dataclasses.replace(
+                spec,
+                generator=spy("generator", spec.generator),
+                children=spy("children", spec.children),
+                columns=spy("columns", spec.columns),
+            )
+            run_kernel(spied, stype, poll=1, on_poll=lambda stack: frames.update(map(type, stack)))
+            return set(calls), frames
+
+        incumbent = (Optimisation(), Decision(target=3))
+        clique = instance_spec("maxclique", (12, 60, 1))
+        column_frame = clique.columns
+        assert clique.children is None and issubclass(column_frame, ColumnNodeGenerator)
+        for stype in incumbent:  # declared columns: the column drain
+            assert drained(clique, stype) == ({"columns"}, {column_frame})
+        uts = instance_spec("uts", (3, 5, 2))
+        assert uts.columns is None
+        for stype in incumbent:  # ``children`` only: the adapter
+            assert drained(uts, stype) == ({"children"}, {ColumnListGenerator})
+        assert drained(uts, Enumeration()) == ({"children"}, {ListNodeGenerator})
+        # Listing 2: no index-walked form for this search type, a custom
+        # search type, or ``node_size``.
+        assert drained(clique, Enumeration())[0] == {"generator"}
+        sized = lambda spec: dataclasses.replace(spec, node_size=lambda node: 2)
+        for spec in (clique, uts):
+            assert drained(spec, Enumeration(objective=lambda node: 1))[0] == {"generator"}
+            for stype in incumbent:
+                assert drained(sized(spec), stype)[0] == {"generator"}
+                assert drained(lazy_only(spec), stype)[0] == {"generator"}
+
+
+class CountedCliqueNode(maxclique_module.CliqueNode):
+    __slots__ = ()
+    built = 0
+
+    def __init__(self, *args):
+        CountedCliqueNode.built += 1
+        super().__init__(*args)
+
+
+class TestAChildIsBuiltOnlyToBeExpandedOrCrowned:
+    @pytest.mark.parametrize(
+        "spec",
+        [instance_spec("maxclique", (14, 60, 3)), library_spec_factory("brock90-1")],
+        ids=["maxclique-14-60-3", "brock90-1"],
+    )
+    def test_constructions_are_bounded_by_survivors_plus_improvements(self, spec, monkeypatch):
+        """The parent of this contract built every child (``nodes - 1``
+        constructions); a later edit must not quietly do so again."""
+        monkeypatch.setattr(maxclique_module, "CliqueNode", CountedCliqueNode)
+        optimum = run_kernel(spec, Optimisation())[0].value
+        for stype in (Optimisation(), Decision(target=optimum)):
+            improvements = []
+            CountedCliqueNode.built = 0
+            m = run_kernel(spec, stype, on_improve=improvements.append)[2]
+            assert 0 < CountedCliqueNode.built <= m.nodes - m.prunes + len(improvements)
+            assert CountedCliqueNode.built < m.nodes - 1 and len(improvements) <= optimum
+
+    @pytest.mark.parametrize("frame_of", ["columns", "adapter"])
+    def test_build_with_gaps_then_the_generator_carries_on(self, frame_of):
+        spec = instance_spec("maxclique", (14, 60, 3))
+        fields = lambda nodes: [(c.clique, c.candidates, c.bound) for c in nodes]
+        lazy = spec.generator(spec.space, spec.root).drain()
+        assert len(lazy) == 14
+        values, bounds = [spec.objective(c) for c in lazy], [spec.bound(c) for c in lazy]
+        if frame_of == "adapter":
+            frame = ColumnListGenerator(list(lazy), values, bounds)
+        else:
+            frame = spec.columns(spec.space, spec.root)
+        assert (list(frame.values), list(frame.bounds)) == (values, bounds)
+        assert fields(frame.build(i) for i in (1, 2, 6)) == fields(lazy[i] for i in (1, 2, 6))
+        assert frame.pos == 7 and frame.has_next()
+        assert fields([frame.next()]) == fields(lazy[7:8])
+        frame.pos = 10  # the kernel, past children it pruned unbuilt
+        assert fields(frame.drain()) == fields(lazy[10:])
+        assert not frame.has_next()
+
+
+class TestDecisionOnTheColumns:
+    """Node values 0..7 in breadth-first order; the optimum is g = 7,
+    under b whose siblings' bounds are 1 and 3."""
+
+    TREE = {"root": ["a", "b", "c"], "b": ["d", "e", "f"], "f": ["g"]}
+
+    @pytest.mark.parametrize("target", [7, 8, 0, 2, 5])
+    def test_every_counter_matches_the_machine(self, target):
+        assert_matches_machine(batched_toy_spec(self.TREE, with_bound=True), Decision(target=target))
+        assert_matches_machine(batched_toy_spec(self.TREE, with_bound=False), Decision(target=target))
+
+    def test_a_target_between_two_bounds_prunes_below_and_clamps_above(self):
+        spec = batched_toy_spec(self.TREE, with_bound=True)
+        knowledge, goal, m = run_kernel(spec, Decision(target=5))
+        # a (bound 1) beat the incumbent 0 and still died: 1 < 5; d = 4
+        # fell short the same way; e = 5 met the target.
+        assert (goal, knowledge.value, knowledge.node) == (True, 5, "e")
+        assert (m.nodes, m.prunes) == (5, 2)
+        # f = 6 overshoots a target of 5 when e is not there to meet it:
+        # the value is clamped, the witness is the node that overshot.
+        tree = {**self.TREE, "b": ["d", "f"]}
+        knowledge, goal, m = run_kernel(batched_toy_spec(tree, with_bound=True), Decision(target=5))
+        assert (goal, knowledge.value, knowledge.node) == (True, 5, "f")
+        assert_matches_machine(batched_toy_spec(tree, with_bound=True), Decision(target=5))
 
 
 def batched_toy_spec(children, *, with_bound):
@@ -163,7 +272,7 @@ UTS = instance_spec("uts", (3, 6, 4))  # 359 nodes, no pruning
 class TestPollHook:
     @pytest.mark.parametrize("poll", [1, 7, 64])
     def test_fires_every_poll_nodes_with_the_live_stack(self, poll):
-        for spec in both_drains(UTS):
+        for spec in every_drain(UTS):
             seen = []
 
             def on_poll(stack):
@@ -178,7 +287,7 @@ class TestPollHook:
             assert max(d for _, d in seen) <= m.max_depth
 
     def test_no_hook_or_zero_poll_never_fires(self):
-        for spec in both_drains(UTS):
+        for spec in every_drain(UTS):
             plain = run_kernel(spec, Enumeration())[2]
             assert run_kernel(spec, Enumeration(), poll=5)[2] == plain
             never = run_kernel(spec, Enumeration(), poll=0, on_poll=pytest.fail)[2]
@@ -186,7 +295,7 @@ class TestPollHook:
 
     def test_splitting_in_place_conserves_the_visited_set(self):
         stype = Enumeration()  # UTS's objective is 1: the value is the count
-        for spec in both_drains(UTS):
+        for spec in every_drain(UTS):
             tree_size = run_kernel(spec, stype)[0]
             for split in (split_lowest_inlined, split_one_inlined):
                 for poll in (1, 16):
@@ -205,7 +314,7 @@ class TestPollHook:
                     assert total == tree_size
 
     def test_a_bound_only_removes_nodes_and_never_changes_the_value(self):
-        for spec in both_drains(instance_spec("maxclique", (16, 70, 5))):
+        for spec in every_drain(instance_spec("maxclique", (16, 70, 5))):
             best, _, alone = run_kernel(spec, Optimisation())
             for bound in (0, best.value - 1, best.value):
                 knowledge, _, m = run_kernel(
@@ -215,6 +324,100 @@ class TestPollHook:
                 assert m.nodes <= alone.nodes
                 # A witness-less incumbent says the bound's owner has it.
                 assert knowledge.node is not None or bound == best.value
+
+
+def machine_from(spec, stype, root, depth, knowledge):
+    """The stepped machine from any root and knowledge:
+    ``(knowledge, nodes, prunes)``."""
+    task = SearchTask(spec, stype, root, root_depth=depth)
+    nodes = prunes = 0
+    while not task.finished:
+        knowledge, out = task.step(knowledge)
+        nodes += out.processed
+        prunes += out.pruned
+    return knowledge, nodes, prunes
+
+
+class TestAFrameWithoutColumns:
+    """Both split helpers may swap a frame — anywhere in the stack —
+    for a plain ``ListNodeGenerator`` (the lone-child refusal, the
+    remainder of a single steal); the column loop meets it when it pops
+    back to it or reloads after ``on_poll``."""
+
+    SPEC = instance_spec("maxclique", (24, 70, 3))  # optimum 9, 290 nodes
+
+    @pytest.mark.parametrize("where", ["bottom", "middle", "top"])
+    @pytest.mark.parametrize("helper", [split_lowest_inlined, split_one_inlined])
+    def test_a_replaced_frame_is_searched_as_if_nothing_happened(self, helper, where):
+        """The helper is let loose on one frame of the live stack, the
+        frame it leaves goes back where it was and what it shipped goes
+        back in front: the stack holds the children it held, behind a
+        frame without columns.  Value, witness and every counter must be
+        the stepped machine's."""
+        replaced = []
+
+        def swap(stack):
+            at = {"bottom": 0, "middle": len(stack) // 2, "top": len(stack) - 1}[where]
+            if len(stack) < 3 or not stack[at].has_next():
+                return
+            view = [stack[at]]
+            shipped, _ = helper(view)
+            stack[at] = ListNodeGenerator(shipped + view[0].drain())
+            replaced.append(at)
+
+        for stype in (Optimisation(), Decision(target=9), Decision(target=10)):
+            ref = sequential_search_stepped(self.SPEC, stype)
+            for poll in (1, 5):
+                del replaced[:]
+                knowledge, goal, m = run_kernel(self.SPEC, stype, poll=poll, on_poll=swap)
+                assert replaced
+                assert (knowledge.value, knowledge.node) == (ref.value, ref.node)
+                assert goal == bool(ref.found)
+                assert dataclasses.asdict(m) == dataclasses.asdict(ref.metrics)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.tuples(st.integers(8, 18), st.sampled_from([50, 70, 90]), st.integers(0, 50)),
+        st.integers(1, 9),
+        st.randoms(use_true_random=False),
+    )
+    def test_random_splits_with_either_helper_conserve_the_search(self, args, poll, rnd):
+        """Unforced: at random polls one helper or the other cuts the
+        live stack, and what it ships is searched the same way."""
+        spec = instance_spec("maxclique", args)
+        stype = Optimisation()
+        ref = sequential_search_stepped(spec, stype)
+        work = []
+
+        def split(stack):
+            if rnd.random() < 0.5:
+                helper = rnd.choice((split_lowest_inlined, split_one_inlined))
+                nodes, index = helper(stack)
+                work.extend((node, depth + index + 1) for node in nodes)
+
+        # From a pinned bound nothing depends on the order the pieces
+        # are searched in: their counters add up to the machine's.
+        pinned = Incumbent(ref.value, None)
+        _, nodes, prunes = machine_from(spec, stype, spec.root, 0, pinned)
+        work.append((spec.root, 0))
+        while work:
+            root, depth = work.pop()
+            knowledge, _, m = search_subtree(
+                spec, stype, root, depth, pinned, poll=poll, on_poll=split
+            )
+            assert knowledge is pinned
+            nodes -= m.nodes
+            prunes -= m.prunes
+        assert (nodes, prunes) == (0, 0)
+        # From scratch a piece prunes by what was found before it: any
+        # order finds the optimum, with a witness.
+        best = stype.initial_knowledge(spec)
+        work.append((spec.root, 0))
+        while work:
+            root, depth = work.pop()
+            best = search_subtree(spec, stype, root, depth, best, poll=poll, on_poll=split)[0]
+        assert best.value == ref.value == best.node.size
+        assert spec.witness_check(spec.space, best.node)
 
 
 class Stop(Exception):

@@ -1,7 +1,9 @@
-"""The real runtimes over the batched drain, end to end.
+"""The real runtimes over the kernel's three drains, end to end.
 
-A worker's ``on_poll`` splits a stack of list frames that the kernel
-drains by index, and the offcuts — UTS's NamedTuple nodes, MaxClique's
+A worker's ``on_poll`` splits a stack of frames the kernel walks with a
+local index — UTS's list frames under Enumeration, MaxClique's column
+frames under Optimisation — or of lazy frames (MaxClique under
+Enumeration), and the offcuts — UTS's NamedTuple nodes, MaxClique's
 slotted nodes — cross a process queue or the cluster wire.  Enumeration
 visits every node exactly once however the stack is cut, so the node
 count and the folded value must equal ``sequential_search``'s; for
@@ -65,7 +67,6 @@ class TestExactAgainstSequential:
     @pytest.mark.parametrize("args", ENUMERATED, ids=[family for family, _ in ENUMERATED])
     def test_enumeration_counts_every_node_once(self, runtime, args):
         spec = instance_spec(*args)
-        assert spec.children is not None  # the drain under test
         seq = sequential_search(spec, Enumeration())
         res = RUNTIMES[runtime](args, "enumeration")
         assert (res.value, res.metrics.nodes) == (seq.value, seq.metrics.nodes)
