@@ -173,18 +173,17 @@ class CliqueGen(ColumnNodeGenerator[Graph, CliqueNode]):
         return CliqueNode(self.clique | bit, size, remaining & self.adj[v], self.bounds[i] - size)
 
     def drain(self) -> list[CliqueNode]:
-        """``next()`` to exhaustion as one loop: the Ordered frontier
-        walk takes every child of every node above the cutoff."""
+        """``next()`` to exhaustion as one loop, stripping the children
+        skipped unbuilt on the way: the Ordered frontier walk and the
+        split helpers take every child not yet built."""
         vertices, bounds, adj, clique, size = self.vertices, self.bounds, self.adj, self.clique, self.size
-        remaining = self.remaining
-        for k in range(self.stripped, self.pos):
-            remaining ^= 1 << vertices[k]
-        out = []
-        for i in range(self.pos, len(vertices)):
+        remaining, pos, out = self.remaining, self.pos, []
+        for i in range(self.stripped, len(vertices)):
             v = vertices[i]
             bit = 1 << v
             remaining ^= bit
-            out.append(CliqueNode(clique | bit, size, remaining & adj[v], bounds[i] - size))
+            if i >= pos:
+                out.append(CliqueNode(clique | bit, size, remaining & adj[v], bounds[i] - size))
         self.remaining = remaining
         self.pos = self.stripped = len(vertices)
         return out

@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from repro.core.nodegen import ListNodeGenerator
+from repro.core.nodegen import ColumnNodeGenerator
 from repro.core.space import SearchSpec
 from repro.util.rng import _GOLDEN, _MASK64, splittable_hash
 
-__all__ = ["UTSInstance", "UTSNode", "uts_children", "uts_spec", "uts_spec_from_params"]
+__all__ = ["UTSInstance", "UTSNode", "UTSGen", "uts_spec", "uts_spec_from_params"]
 
 _GEOMETRIC = "geometric"
 _BINOMIAL = "binomial"
@@ -71,28 +71,45 @@ class UTSNode(NamedTuple):
     depth: int
 
 
-def uts_children(inst: UTSInstance, node: UTSNode) -> Sequence[UTSNode]:
-    """All children of ``node``, hashed from (parent state, child index)
-    — order-independent.  One is built per tree node, so
-    :func:`~repro.util.rng.splittable_hash` is inlined and the nodes are
-    made by ``tuple.__new__`` rather than the NamedTuple constructor."""
-    state, depth = node
-    if inst.shape == _GEOMETRIC:
-        if depth >= inst.max_depth:
-            return ()
-        count = math.floor(math.log(1.0 - (state >> 11) * _UNIT) / inst.log_ratio)
-    elif depth == 0:
-        count = max(1, round(inst.b0))
-    else:
-        count = inst.m if (state >> 11) * _UNIT < inst.q else 0
-    depth += 1
-    out = []
-    for i in range(1, count + 1):
-        z = (state + _GOLDEN * i) & _MASK64
+class UTSGen(ColumnNodeGenerator[UTSInstance, UTSNode]):
+    """The children of one UTS node: its lazy generator and its column
+    frame.  One hash of the parent's state gives the child count; each
+    child is worth 1 and unbounded, and is hashed from (parent state,
+    child index) only when built.  The parent of a geometric tree's last
+    level knows its children are ``leaves``; on a binomial tree a
+    child's count is its own hash, so nothing is promised.  The hash is
+    :func:`~repro.util.rng.splittable_hash` inlined, and a node is made
+    by ``tuple.__new__``: one is built per expanded tree node."""
+
+    __slots__ = ("state", "depth", "values", "pos", "leaves")
+
+    def __init__(self, inst: UTSInstance, node: UTSNode) -> None:
+        state, depth = node
+        u = (state >> 11) * _UNIT
+        if inst.shape == _GEOMETRIC:
+            count = math.floor(math.log(1.0 - u) / inst.log_ratio) if depth < inst.max_depth else 0
+            self.leaves = depth + 1 >= inst.max_depth
+        else:
+            count = max(1, round(inst.b0)) if depth == 0 else inst.m if u < inst.q else 0
+            self.leaves = False
+        self.state = state
+        self.depth = depth + 1  # the children's
+        self.values = [1] * count
+        self.pos = 0
+
+    @property
+    def bounds(self) -> list:
+        return [math.inf] * len(self.values)
+
+    def build(self, i: int) -> UTSNode:
+        self.pos = i + 1
+        z = (self.state + _GOLDEN * self.pos) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out.append(_new_node(UTSNode, (z ^ (z >> 31), depth)))
-    return out
+        return _new_node(UTSNode, (z ^ (z >> 31), self.depth))
+
+    def drain(self) -> list[UTSNode]:
+        return [self.build(i) for i in range(self.pos, len(self.values))]
 
 
 def uts_spec_from_params(
@@ -119,9 +136,7 @@ def uts_spec(inst: UTSInstance, *, name: str = "uts") -> SearchSpec:
         name=name,
         space=inst,
         root=root,
-        # A child is one hash: laziness buys nothing, so the Lazy Node
-        # Generator form is the list adapter over the batched one.
-        generator=lambda inst, node: ListNodeGenerator(uts_children(inst, node)),
+        generator=UTSGen,
+        columns=UTSGen,
         objective=lambda node: 1,
-        children=uts_children,
     )

@@ -1,10 +1,9 @@
 """The search kernel: the one expand/process/prune/backtrack loop.
 
 :func:`search_subtree` is Listing 2 over a plain list of node
-generators — walked by index when the spec hands over whole child
-lists, and with children priced from per-frame columns before they are
-built when it declares those — and every runtime that searches a
-subtree for real calls it:
+generators — with children priced from per-frame columns before they
+are built when the spec declares those — and every runtime that
+searches a subtree for real calls it:
 the Sequential skeleton, the Ordered task runner, the process workers of
 all four coordinations, the cluster worker and the in-process service
 backend.  A coordination never changes how the tree is traversed, only
@@ -37,7 +36,7 @@ from __future__ import annotations
 from math import inf
 from typing import Any, Callable, Optional
 
-from repro.core.nodegen import ColumnListGenerator, ListNodeGenerator
+from repro.core.nodegen import ColumnListGenerator
 from repro.core.results import SearchMetrics
 from repro.core.searchtypes import Decision, Enumeration, Incumbent, Optimisation, SearchType
 from repro.core.space import SearchSpec
@@ -74,27 +73,25 @@ def search_subtree(
     what the caller or its peers already had.
 
     The loop is chosen once per call from what the spec declares and
-    the exact type of ``stype``; there is nothing to configure.
-    Default-monoid Enumeration over a spec with the list form
-    ``children`` walks list frames by index and sums.  Optimisation and
-    Decision take the one incumbent loop over column frames —
-    ``spec.columns``, or ``spec.children`` through
-    :class:`~repro.core.nodegen.ColumnListGenerator` — which reads each
-    child's objective and bound from the frame's columns and builds a
-    node only for a child that becomes the incumbent or survives its
-    bound.  Any other spec, any other search type (custom monoids,
-    subclasses) and an incumbent search with ``node_size`` get Listing 2
-    as written over ``spec.generator``.  All three loops visit the same
-    nodes in the same order, hand ``on_poll`` a stack of has_next/next
-    frames and report the same counters.
+    the exact type of ``stype``; there is nothing to configure.  A spec
+    with ``columns`` and no ``node_size`` takes a column loop, one per
+    search kind, which reads each child's objective from the frame's
+    ``values`` and never calls ``spec.objective`` on a child:
+    default-monoid Enumeration folds ``values[i]``, builds a child only
+    to expand it and counts the rest of a ``leaves`` frame in one step;
+    Optimisation and Decision compare ``values[i]`` and ``bounds[i]``
+    with the incumbent and build a child only to crown or expand it.
+    Any other spec, any other search type (custom monoids, subclasses)
+    and ``node_size`` get Listing 2 as written over ``spec.generator``.
+    Every loop visits the same nodes in the same order, hands
+    ``on_poll`` a stack of has_next/next frames at the same node counts
+    and reports the same counters.
     """
     process = stype.process
     is_goal = stype.is_goal
     prunes_at_all = type(stype).should_prune is not SearchType.should_prune
     should_prune = stype.should_prune if prunes_at_all and spec.can_prune else None
     generator = spec.generator
-    children = spec.children
-    objective = spec.objective
     space = spec.space
     node_size = spec.node_size
     metrics = SearchMetrics(nodes=1, weighted_nodes=1)
@@ -120,14 +117,9 @@ def search_subtree(
     next_poll = poll + 1 if on_poll is not None and poll > 0 else 0
 
     kind = type(stype)
-    batched_sum = kind is Enumeration and stype.is_default and children is not None
-    columns = spec.columns
-    by_column = (
-        (kind is Optimisation or kind is Decision)
-        and node_size is None
-        and (columns is not None or children is not None)
-    )
-    if not (batched_sum or by_column):
+    columns = spec.columns if node_size is None else None
+    enumerating = kind is Enumeration and stype.is_default
+    if columns is None or not (enumerating or kind is Optimisation or kind is Decision):
         # Listing 2: one has_next/next pair and one process call per child.
         stack = [generator(space, root)]
         while stack:
@@ -158,70 +150,77 @@ def search_subtree(
             else:
                 stack.pop()
                 backtracks += 1
-    elif batched_sum:
+    elif enumerating:
         # Default-monoid Enumeration: nothing improves, is a goal or is
-        # pruned.  The top frame's child list and position live in
-        # locals; the position is written back whenever someone else may
-        # look at the stack: before a push, and before ``on_poll``,
-        # which may drain or replace any frame and so is followed by a
-        # reload.  A child without children never becomes a frame but
-        # is counted as the one it would have been: one backtrack, one
-        # level of depth.
-        frame = ListNodeGenerator(children(space, root))
-        stack = [frame]
-        kids, i, n = frame.children, 0, len(frame.children)
-        while True:
+        # pruned, so a child is built only to be expanded, and a
+        # ``leaves`` frame's children are counted from ``values`` in one
+        # step that stops at the next poll node — inline, without a push,
+        # unless that node comes before the last of them.  Both column
+        # loops count a childless child as the frame it would have been
+        # (one backtrack, one level of depth), and load the top frame's
+        # columns and position at the head of the outer loop: after a
+        # pop, and after ``on_poll`` (told the position first), which
+        # may drain or replace any frame; ``build`` keeps ``pos`` right.
+        stack = [columns(space, root)]
+        while stack:
+            frame = stack[-1]
+            try:
+                values = frame.values
+            except AttributeError:  # a split helper left a plain frame
+                frame = stack[-1] = _with_columns(spec, frame)
+                values = frame.values
+            i, n = frame.pos, len(values)
             if i == n:
                 stack.pop()
                 backtracks += 1
-                if not stack:
-                    break
-                frame = stack[-1]
-                kids, i, n = frame.children, frame.pos, len(frame.children)
-                continue
-            child = kids[i]
-            i += 1
-            knowledge += objective(child)
-            nodes += 1
-            if node_size is not None:
-                weighted += node_size(child)
-            grand = children(space, child)
-            if grand:
-                frame.pos = i
-                frame = ListNodeGenerator(grand)
-                stack.append(frame)
-                kids, i, n = grand, 0, len(grand)
-                if len(stack) > deepest:
-                    deepest = len(stack)
-            else:
-                backtracks += 1
+            elif frame.leaves:
+                j = n
+                if next_poll and next_poll - nodes < n - i:
+                    j = i + next_poll - nodes
+                knowledge += sum(values[i:j])
+                nodes += j - i
+                backtracks += j - i
                 if len(stack) >= deepest:
                     deepest = len(stack) + 1
-            if nodes == next_poll:
-                next_poll += poll
-                frame.pos = i
-                on_poll(stack)
-                frame = stack[-1]
-                kids, i, n = frame.children, frame.pos, len(frame.children)
+                frame.pos = j
+                if nodes == next_poll:
+                    next_poll += poll
+                    on_poll(stack)
+            else:
+                while i < n:
+                    knowledge += values[i]
+                    nodes += 1
+                    child = frame.build(i)
+                    i += 1
+                    grand = columns(space, child)
+                    m = len(grand.values)
+                    if not m:
+                        backtracks += 1
+                        if len(stack) >= deepest:
+                            deepest = len(stack) + 1
+                    elif grand.leaves and (not next_poll or nodes + m <= next_poll):
+                        knowledge += sum(grand.values)
+                        nodes += m
+                        backtracks += m + 1
+                        if len(stack) + 2 > deepest:
+                            deepest = len(stack) + 2
+                    else:
+                        stack.append(grand)
+                        if len(stack) > deepest:
+                            deepest = len(stack)
+                        # A ``leaves`` frame comes here only with a poll
+                        # before its last child: n = 0 leaves the count
+                        # to the outer loop, which stops at the poll.
+                        frame, values, i, n = grand, grand.values, 0, 0 if grand.leaves else m
+                    if nodes == next_poll:
+                        next_poll += poll
+                        frame.pos = i
+                        on_poll(stack)
+                        break
     else:
         # Optimisation, and Decision with its bounded order {0..target}.
         # A child is counted, crowned and pruned from the frame's two
         # columns, and built only for ``on_improve`` or to be expanded.
-        # The top frame's columns and position are loaded at the head of
-        # the outer loop: after a pop, and after ``on_poll`` (told the
-        # position first).  ``build`` keeps ``pos`` right below the top.
-        upper_bound = spec.upper_bound
-
-        def adapt(kids: Any) -> ColumnListGenerator:
-            values = [objective(kid) for kid in kids]
-            if upper_bound is None:
-                return ColumnListGenerator(kids, values, [inf] * len(kids))
-            return ColumnListGenerator(kids, values, [upper_bound(space, kid) for kid in kids])
-
-        if columns is None:
-            def columns(space: Any, node: Any) -> ColumnListGenerator:
-                return adapt(children(space, node))
-
         target = stype.target if kind is Decision else None
         best = knowledge.value
         stack = [columns(space, root)]
@@ -229,9 +228,8 @@ def search_subtree(
             frame = stack[-1]
             try:
                 values = frame.values
-            except AttributeError:
-                # A split helper left a plain list generator here.
-                frame = stack[-1] = adapt(frame.drain())
+            except AttributeError:  # a split helper left a plain frame
+                frame = stack[-1] = _with_columns(spec, frame)
                 values = frame.values
             bounds, i, n = frame.bounds, frame.pos, len(values)
             while i < n:
@@ -290,3 +288,14 @@ def search_subtree(
     metrics.backtracks = backtracks
     metrics.max_depth = root_depth + deepest
     return knowledge, goal, metrics
+
+
+def _with_columns(spec: SearchSpec, frame: Any) -> ColumnListGenerator:
+    """The rest of a plain frame ``on_poll`` left in the stack (a split
+    helper's lone-child refusal or remainder), with the columns the
+    kernel's loops read filled from the spec."""
+    kids = frame.drain()
+    bound = spec.upper_bound or (lambda space, kid: inf)
+    return ColumnListGenerator(
+        kids, [spec.objective(kid) for kid in kids], [bound(spec.space, kid) for kid in kids]
+    )

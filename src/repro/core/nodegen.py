@@ -16,23 +16,23 @@ non-consuming probe: Stack-Stealing and Budget scan the generator stack
 bottom-up for the first generator that still *has* work before deciding
 what to steal or spawn (Listings 3 and 4).
 
-A spec may declare its children in up to three forms, all yielding the
+A spec declares its children in one or two forms, both yielding the
 same nodes in the same order:
 
 - ``generator`` — the lazy has_next/next frame above; every spec has
   one.  The stepped :class:`~repro.core.tasks.SearchTask` machine, the
-  split helpers, the Ordered frontier walk and the kernel's Listing 2
-  loop (custom search types, ``node_size``, lazy-only specs) take it.
-- ``children`` — a function returning the whole child list
-  (:class:`ListNodeGenerator` frames).  The kernel's default-monoid
-  Enumeration loop drains it by index, and the Ordered frontier walk
-  prefers it where declared.
+  Ordered frontier walk and the kernel's Listing 2 loop (custom search
+  types, ``node_size``, lazy-only specs) take it; the split helpers
+  take any frame's :meth:`NodeGenerator.drain`.
 - ``columns`` — a :class:`ColumnNodeGenerator` factory: a frame that
-  knows every child's objective and bound *before* any child exists.
-  The kernel's incumbent loop (Optimisation, Decision) prunes from the
-  columns and builds only the children it expands or crowns; a spec
-  that declares ``children`` but no ``columns`` reaches the same loop
-  through :class:`ColumnListGenerator`.
+  knows every child's objective and bound *before* any child exists,
+  and may promise that none of its children has children (``leaves``).
+  The kernel's two column loops — default-monoid Enumeration, and
+  Optimisation/Decision — count, crown and prune from the columns and
+  build only the children they expand or crown; Enumeration counts the
+  rest of a ``leaves`` frame in one step.  An application's column
+  frame is usually its lazy generator too (MaxClique's ``CliqueGen``,
+  UTS's ``UTSGen``).
 """
 
 from __future__ import annotations
@@ -119,15 +119,10 @@ class IterNodeGenerator(NodeGenerator[Any, Node]):
 
 
 class ListNodeGenerator(NodeGenerator[Any, Node]):
-    """A generator over a pre-computed child sequence.
-
-    The adapter from the list form (``SearchSpec.children``) to the
-    uniform protocol, the frame the search kernel's Enumeration loop
-    pushes when it walks one by index — which is why ``children`` and
-    ``pos`` are public: the kernel advances a local and writes ``pos``
-    back — and what a split helper leaves where it could not put a
-    generator's children back.
-    """
+    """A generator over a pre-computed child sequence: what a split
+    helper leaves where it could not put a generator's children back,
+    and the simplest lazy generator of a tree whose children are
+    already lists."""
 
     __slots__ = ("children", "pos")
 
@@ -145,6 +140,11 @@ class ListNodeGenerator(NodeGenerator[Any, Node]):
         self.pos += 1
         return child
 
+    def drain(self) -> Sequence[Node]:
+        out = self.children[self.pos :]
+        self.pos = len(self.children)
+        return out
+
 
 class ColumnNodeGenerator(NodeGenerator[Space, Node]):
     """A generator whose children are priced before they are built.
@@ -152,16 +152,23 @@ class ColumnNodeGenerator(NodeGenerator[Space, Node]):
     ``values[i]`` is the objective of child ``i`` and ``bounds[i]`` its
     admissible upper bound (``math.inf`` where the application has
     none), for all children at once and in generator order; both are
-    filled at construction.  ``build(i)`` constructs child ``i`` and
-    leaves ``pos`` at ``i + 1``.  Calls come with ascending ``i``, never
-    below ``pos``, at most once per child, and may leave gaps: a child
-    that is skipped is never built.  ``next()`` is ``build(pos)``, so
-    the frame is still the has_next/next generator every other caller
-    drains — one that yields the children not yet built or skipped.
+    known at construction.  For the kernel's column loops ``values[i]``
+    *is* the objective: they never call ``SearchSpec.objective`` on a
+    child.  ``build(i)`` constructs child ``i`` and leaves ``pos`` at
+    ``i + 1``.  Calls come with ascending ``i``, never below ``pos``, at
+    most once per child, and may leave gaps: a child that is skipped is
+    never built.  ``next()`` is ``build(pos)``, so the frame is still
+    the has_next/next generator every other caller drains — one that
+    yields the children not yet built or skipped.
+
+    ``leaves`` promises that no child of the frame has children (the
+    default, ``False``, promises nothing): default-monoid Enumeration
+    then counts them from ``values`` without building one.
 
     ``pos`` is public because the search kernel walks the columns with
-    a local index and writes it back — past children it pruned without
-    building — before anyone else may look at the frame.
+    a local index and writes it back — past children it pruned or
+    counted without building — before anyone else may look at the
+    frame.
     """
 
     __slots__ = ()
@@ -169,6 +176,7 @@ class ColumnNodeGenerator(NodeGenerator[Space, Node]):
     values: Sequence[int]
     bounds: Sequence[Any]
     pos: int
+    leaves = False
 
     @abstractmethod
     def build(self, i: int) -> Node:
@@ -184,14 +192,10 @@ class ColumnNodeGenerator(NodeGenerator[Space, Node]):
 
 
 class ColumnListGenerator(ColumnNodeGenerator[Any, Node]):
-    """The list → columns adapter: children that already exist, beside
-    the two columns the search kernel filled from the spec's
-    ``objective`` and ``upper_bound``.
-
-    How a spec that declares only the list form ``children`` reaches the
-    kernel's column loop, and how that loop takes back a frame a split
-    helper replaced with a plain :class:`ListNodeGenerator`.
-    """
+    """Children that already exist, beside the two columns the search
+    kernel filled from the spec's ``objective`` and ``upper_bound``:
+    how the kernel's column loops take back a frame a split helper
+    replaced with a plain :class:`ListNodeGenerator`."""
 
     __slots__ = ("children", "values", "bounds", "pos")
 

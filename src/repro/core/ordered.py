@@ -153,8 +153,7 @@ def ordered_frontier(
     sequential search would.  Deterministic by construction — no clocks,
     no randomness, no worker interleaving — which is what lets every
     worker repeat it and be handed positions in the result.  A node's
-    children are taken in one go: from ``spec.children`` where the spec
-    declares the list form, else by draining the lazy generator.
+    children are taken in one go, by its lazy generator's ``drain()``.
     """
     if d_cutoff <= 0:
         # No spawn rule fires at cutoff 0: phase 1 *is* the whole
@@ -172,7 +171,6 @@ def ordered_frontier(
     should_prune = stype.should_prune
     is_goal = stype.is_goal
     generator = spec.generator
-    children = spec.children
     space = spec.space
     node_size = spec.node_size
     knowledge = stype.initial_knowledge(spec)
@@ -197,7 +195,7 @@ def ordered_frontier(
         if should_prune(spec, node, knowledge):
             metrics.prunes += 1
             continue
-        kids = children(space, node) if children is not None else generator(space, node).drain()
+        kids = generator(space, node).drain()
         metrics.backtracks += 1
         depth += 1
         if depth > metrics.max_depth:

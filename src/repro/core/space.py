@@ -12,7 +12,7 @@ runnable search application, mirroring Figure 3:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.core.nodegen import ColumnNodeGenerator, GeneratorFactory
 
@@ -29,20 +29,22 @@ class SearchSpec:
         root: the root search-tree node.
         generator: factory ``(space, node) -> NodeGenerator`` producing
             the node's children in heuristic order.
-        children: optional list form, ``(space, node) -> sequence`` of
-            all children in the order ``generator`` yields them.
         columns: optional column form, ``(space, node) ->``
             :class:`~repro.core.nodegen.ColumnNodeGenerator`: a frame
             holding ``values[i] == objective(child i)`` and
             ``bounds[i] == upper_bound(space, child i)`` for every child
             in ``generator`` order, which builds child ``i`` only on
             ``build(i)``; it may be the same class as ``generator``.
-            :mod:`repro.core.nodegen` says which caller takes which of
-            the three forms; every spec keeps a working ``generator``.
+            The kernel's column loops read ``values`` *instead of*
+            calling ``objective``: a copy with another ``objective``
+            must also set ``columns=None``.  :mod:`repro.core.nodegen`
+            says which caller takes which form.
         objective: ``h(node)`` — the value maximised by optimisation and
             decision searches, and summed by enumeration searches.  Must
             be monotone non-decreasing along the orders required by the
-            search type (§3.2).
+            search type (§3.2).  With ``columns`` declared it must agree
+            with ``values``: the column loops take a child's objective
+            from there, everything else from here.
         upper_bound: optional ``(space, node) -> value``; an admissible
             bound on the objective of every node in the subtree rooted at
             ``node``.  Enables the (prune) rule; omit it and searches are
@@ -65,7 +67,6 @@ class SearchSpec:
     upper_bound: Optional[Callable[[Any, Any], int]] = None
     node_size: Optional[Callable[[Any], int]] = None
     witness_check: Optional[Callable[[Any, Any], bool]] = None
-    children: Optional[Callable[[Any, Any], Sequence[Any]]] = None
     columns: Optional[Callable[[Any, Any], ColumnNodeGenerator]] = None
 
     def children_of(self, node: Any):

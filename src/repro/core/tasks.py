@@ -123,7 +123,9 @@ def split_lowest_inlined(gens: list) -> tuple[list, int]:
     splitting rule (Listing 4, lines 8-14) to that representation, in
     place: take *all* remaining children of the first
     non-exhausted generator nearest the root — the heuristically largest
-    unexplored subtrees.
+    unexplored subtrees — in one pass, by the frame's own ``drain()``
+    (a column frame builds exactly the children it has not yet
+    processed, including the uncounted rest of a ``leaves`` frame).
 
     Returns ``(nodes, frame_index)`` where ``frame_index`` is the
     position of the drained generator in ``gens`` (the spawned nodes
@@ -147,9 +149,7 @@ def split_lowest_inlined(gens: list) -> tuple[list, int]:
     """
     for index, gen in enumerate(gens):
         if gen.has_next():
-            nodes = [gen.next()]
-            while gen.has_next():
-                nodes.append(gen.next())
+            nodes = gen.drain()
             if len(nodes) == 1 and not any(
                 deeper.has_next() for deeper in gens[index + 1 :]
             ):
@@ -168,7 +168,8 @@ def split_one_inlined(gens: list) -> tuple[list, int]:
     Generators cannot be partially drained and restored one element at a
     time, so the frame is drained as in the chunked split and the
     remainder re-installed as a :class:`ListNodeGenerator` at the same
-    position — the traversal continues from it unchanged.
+    position — the traversal continues from it unchanged (the kernel's
+    column loops give it columns again).
 
     Returns ``(nodes, frame_index)`` with at most one node; the same
     degenerate-split refusal applies (a lone child with no deeper work

@@ -46,17 +46,6 @@ def _thread_nodes(th) -> frozenset:
     return th.task.nodes if th is not None else frozenset()
 
 
-def _all_nodes(cfg: Configuration) -> list:
-    """Multiset of nodes across tasks and threads (as a sorted list)."""
-    out = []
-    for t in cfg.tasks:
-        out.extend(t.nodes)
-    for th in cfg.threads:
-        if th is not None:
-            out.extend(th.task.nodes)
-    return sorted(out)
-
-
 def _changed_threads(a: Configuration, b: Configuration) -> list[int]:
     return [i for i in range(len(a.threads)) if a.threads[i] != b.threads[i]]
 

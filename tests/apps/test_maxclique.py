@@ -211,7 +211,7 @@ class TestBatchedChildrenMatchTheGenerator:
     def test_same_children_same_order_on_every_node(self, g, order_by_degree, rnd):
         spec = maxclique_spec(g, order_by_degree=order_by_degree)
         assert spec.generator is CliqueGen and spec.columns is CliqueGen
-        assert spec.children is None
+        assert not spec.columns(spec.space, spec.root).leaves
         stack = [spec.root]
         while stack:
             node = stack.pop()

@@ -3,7 +3,7 @@
 import pytest
 
 from benchmarks.ledger.instances import handwritten_uts_count
-from repro.apps.uts import UTSInstance, UTSNode, uts_children, uts_spec
+from repro.apps.uts import UTSGen, UTSInstance, UTSNode, uts_spec
 from repro.core.searchtypes import Enumeration
 from repro.core.sequential import sequential_search
 from repro.util.rng import splittable_hash
@@ -59,13 +59,13 @@ class TestNode:
 
     @pytest.mark.parametrize("shape", ["geometric", "binomial"])
     def test_children_are_the_splittable_hash_of_state_and_index(self, shape):
-        """``uts_children`` inlines the hash; this pins it to the one
+        """``UTSGen`` inlines the hash; this pins it to the one
         definition in ``repro.util.rng``."""
         inst = UTSInstance(shape=shape, b0=5.0, max_depth=4, m=3, q=0.3, seed=11)
         frontier = [uts_spec(inst).root]
         for _ in range(50):
             node = frontier.pop()
-            kids = uts_children(inst, node)
+            kids = UTSGen(inst, node).drain()
             assert list(kids) == [
                 UTSNode(state=splittable_hash(node.state, i), depth=node.depth + 1)
                 for i in range(len(kids))
@@ -75,11 +75,22 @@ class TestNode:
             if not frontier:
                 break
 
-    def test_lazy_generator_is_the_adapter_over_children(self):
+    def test_lazy_generator_is_the_column_frame(self):
         inst = UTSInstance(shape="geometric", b0=3.0, max_depth=5, seed=2)
         spec = uts_spec(inst)
-        assert spec.children is uts_children
-        assert spec.children_of(spec.root).drain() == uts_children(inst, spec.root)
+        assert spec.generator is spec.columns is UTSGen
+        frame = spec.children_of(spec.root)
+        assert list(frame.values) == [1] * len(frame.drain()) and not frame.leaves
+
+    @pytest.mark.parametrize("shape", ["geometric", "binomial"])
+    def test_only_the_level_above_the_floor_of_a_geometric_tree_is_leaves(self, shape):
+        inst = UTSInstance(shape=shape, b0=4.0, max_depth=3, m=4, q=0.2, seed=5)
+        level = [uts_spec(inst).root]
+        for depth in range(3):
+            assert level
+            frames = [UTSGen(inst, node) for node in level]
+            assert [frame.leaves for frame in frames] == [shape == "geometric" and depth == 2] * len(frames)
+            level = [kid for frame in frames for kid in frame.drain()]
 
 
 class TestHandwrittenCounterAgrees:

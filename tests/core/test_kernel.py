@@ -10,6 +10,7 @@ exceptions as the only way out.
 import ast
 import dataclasses
 import re
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import repro
 import repro.apps.maxclique as maxclique_module
+from repro.apps.uts import UTSGen, UTSInstance, uts_spec
 from repro.cluster.local import cluster_search
 from repro.core.kernel import search_subtree
 from repro.core.nodegen import ColumnListGenerator, ColumnNodeGenerator, ListNodeGenerator
@@ -49,23 +51,14 @@ def run_kernel(spec, stype, **hooks):
 
 def lazy_only(spec):
     """The same instance with only its lazy ``generator``, so the kernel
-    takes the has_next/next drain."""
-    return dataclasses.replace(spec, children=None, columns=None)
-
-
-def list_only(spec):
-    """The same instance with the list form ``children`` (drained from
-    the generator where the spec has none) and no ``columns``, so the
-    incumbent loop goes through the list → columns adapter."""
-    children = spec.children or (lambda space, node: spec.generator(space, node).drain())
-    return dataclasses.replace(spec, children=children, columns=None)
+    takes Listing 2's has_next/next drain."""
+    return dataclasses.replace(spec, columns=None)
 
 
 def every_drain(spec):
-    """The instance as declared, lazy-only and list-only; the hook and
-    equality tests loop over this inside the test, so their ids stay
-    put."""
-    return spec, lazy_only(spec), list_only(spec)
+    """The instance as declared and lazy-only; the hook and equality
+    tests loop over this inside the test, so their ids stay put."""
+    return spec, lazy_only(spec)
 
 
 def assert_matches_machine(spec, stype):
@@ -126,31 +119,24 @@ class TestBitIdenticalToSteppedMachine:
             spied = dataclasses.replace(
                 spec,
                 generator=spy("generator", spec.generator),
-                children=spy("children", spec.children),
                 columns=spy("columns", spec.columns),
             )
             run_kernel(spied, stype, poll=1, on_poll=lambda stack: frames.update(map(type, stack)))
             return set(calls), frames
 
-        incumbent = (Optimisation(), Decision(target=3))
+        stock = (Enumeration(), Optimisation(), Decision(target=3))
         clique = instance_spec("maxclique", (12, 60, 1))
-        column_frame = clique.columns
-        assert clique.children is None and issubclass(column_frame, ColumnNodeGenerator)
-        for stype in incumbent:  # declared columns: the column drain
-            assert drained(clique, stype) == ({"columns"}, {column_frame})
         uts = instance_spec("uts", (3, 5, 2))
-        assert uts.columns is None
-        for stype in incumbent:  # ``children`` only: the adapter
-            assert drained(uts, stype) == ({"children"}, {ColumnListGenerator})
-        assert drained(uts, Enumeration()) == ({"children"}, {ListNodeGenerator})
-        # Listing 2: no index-walked form for this search type, a custom
-        # search type, or ``node_size``.
-        assert drained(clique, Enumeration())[0] == {"generator"}
-        sized = lambda spec: dataclasses.replace(spec, node_size=lambda node: 2)
-        for spec in (clique, uts):
+        for spec, frame in ((clique, maxclique_module.CliqueGen), (uts, UTSGen)):
+            assert spec.columns is frame and issubclass(frame, ColumnNodeGenerator)
+            for stype in stock:  # declared columns: a column loop
+                assert drained(spec, stype) == ({"columns"}, {frame})
+            # Listing 2: a custom search type, ``node_size``, or no
+            # columns declared.
             assert drained(spec, Enumeration(objective=lambda node: 1))[0] == {"generator"}
-            for stype in incumbent:
-                assert drained(sized(spec), stype)[0] == {"generator"}
+            sized = dataclasses.replace(spec, node_size=lambda node: 2)
+            for stype in stock:
+                assert drained(sized, stype)[0] == {"generator"}
                 assert drained(lazy_only(spec), stype)[0] == {"generator"}
 
 
@@ -227,22 +213,32 @@ class TestDecisionOnTheColumns:
         assert_matches_machine(batched_toy_spec(tree, with_bound=True), Decision(target=5))
 
 
+class ToyFrame(ColumnListGenerator):
+    __slots__ = ("leaves",)
+
+
 def batched_toy_spec(children, *, with_bound):
     """conftest's explicit-tree spec (objective = position of the node
-    in breadth-first order, tightest admissible bound) plus the batched
-    form of its generator."""
+    in breadth-first order, tightest admissible bound) plus a column
+    form of its generator, promising ``leaves`` wherever it holds."""
     names, queue = [], ["root"]
     while queue:
         names.append(queue.pop(0))
         queue.extend(children.get(names[-1], ()))
     spec = make_toy_spec(children, {n: i for i, n in enumerate(names)}, with_bound=with_bound)
-    return dataclasses.replace(
-        spec, children=lambda tree, node: tree.children.get(node, ())
-    )
+
+    def columns(tree, node):
+        kids = list(tree.children.get(node, ()))
+        bounds = [spec.bound(kid) if with_bound else inf for kid in kids]
+        frame = ToyFrame(kids, [spec.objective(kid) for kid in kids], bounds)
+        frame.leaves = not any(tree.children.get(kid) for kid in kids)
+        return frame
+
+    return dataclasses.replace(spec, columns=columns)
 
 
 class TestChildlessNodesAreNotPushed:
-    """The batched drains never build a frame for an empty child list
+    """The column loops never build a frame for an empty child list
     but count it: one backtrack, one level of depth."""
 
     # The deepest node (g) and six of the seven non-root nodes are leaves.
@@ -262,11 +258,43 @@ class TestChildlessNodesAreNotPushed:
             batched_toy_spec(self.BUSHY, with_bound=False), Enumeration(), poll=1,
             on_poll=lambda stack: frames.extend(stack[1:]),
         )[2]
-        assert frames and all(len(frame.children) > 0 for frame in frames)
+        assert frames and all(len(frame.values) > 0 for frame in frames)
         assert (m.nodes, m.backtracks, m.max_depth) == (8, 8, 4)
 
 
+class Unbuildable(UTSGen):
+    """UTS's column frame, except that a ``leaves`` frame refuses to
+    build a child."""
+
+    __slots__ = ()
+
+    def build(self, i):
+        if self.leaves:
+            raise AssertionError("a leaf was built")
+        return super().build(i)
+
+
+class TestLeavesAreCountedNotBuilt:
+    @pytest.mark.parametrize("poll", [0, 1, 7, 64])
+    @pytest.mark.parametrize("args", [(3, 6, 4), (4, 2, 7), (40, 1, 6)], ids=str)
+    def test_a_leaves_frame_is_searched_without_a_single_build(self, args, poll):
+        """Deep, shallow and a root whose children are all leaves: the
+        count, every counter and the poll cadence are the machine's,
+        and no leaf is ever built — inline or pushed for a poll."""
+        spec = instance_spec("uts", args)
+        ref = sequential_search_stepped(spec, Enumeration())
+        polls = []
+        count, _, m = run_kernel(
+            dataclasses.replace(spec, columns=Unbuildable), Enumeration(),
+            poll=poll, on_poll=polls.append if poll else None,
+        )
+        assert count == ref.value and dataclasses.asdict(m) == dataclasses.asdict(ref.metrics)
+        assert len(polls) == ((m.nodes - 1) // poll if poll else 0)
+
+
 UTS = instance_spec("uts", (3, 6, 4))  # 359 nodes, no pruning
+FLAT = uts_spec(UTSInstance(b0=40.0, max_depth=1, seed=6))  # the root and 54 leaves
+FLAT_LEAVES = UTSGen(FLAT.space, FLAT.root).drain()
 
 
 class TestPollHook:
@@ -295,14 +323,23 @@ class TestPollHook:
 
     def test_splitting_in_place_conserves_the_visited_set(self):
         stype = Enumeration()  # UTS's objective is 1: the value is the count
-        for spec in every_drain(UTS):
+        for spec in (*every_drain(UTS), FLAT):
             tree_size = run_kernel(spec, stype)[0]
             for split in (split_lowest_inlined, split_one_inlined):
                 for poll in (1, 16):
-                    offcuts = []
+                    offcuts, polls = [], []
 
                     def give_away(stack):
+                        polls.append(len(stack))
                         nodes, frame = split(stack)
+                        if spec is FLAT:
+                            # Every poll falls inside the root's leaves
+                            # run, which the donor has counted up to the
+                            # poll and not built: a split ships exactly
+                            # the leaves neither counted nor shipped.
+                            uncounted = FLAT_LEAVES[len(polls) * poll + len(offcuts) :]
+                            shipped = uncounted if len(uncounted) > 1 else []
+                            assert nodes == (shipped[:1] if split is split_one_inlined else shipped)
                         offcuts.extend((node, frame + 1) for node in nodes)
 
                     count, _, donor = run_kernel(spec, stype, poll=poll, on_poll=give_away)
@@ -341,7 +378,7 @@ def machine_from(spec, stype, root, depth, knowledge):
 class TestAFrameWithoutColumns:
     """Both split helpers may swap a frame — anywhere in the stack —
     for a plain ``ListNodeGenerator`` (the lone-child refusal, the
-    remainder of a single steal); the column loop meets it when it pops
+    remainder of a single steal); a column loop meets it when it pops
     back to it or reloads after ``on_poll``."""
 
     SPEC = instance_spec("maxclique", (24, 70, 3))  # optimum 9, 290 nodes
@@ -481,11 +518,11 @@ class TestRootAlreadyMeetsTheTarget:
 
 
 def test_one_traversal_loop_in_the_tree():
-    """Code that both takes children — from a generator or from a
-    batched child list — and processes nodes may live in the kernel,
+    """Code that both takes children — one at a time, all at once or
+    from a column frame — and processes nodes may live in the kernel,
     the stepped machine and the Ordered frontier walk; a copy anywhere
-    else, index-drained or not, fails here."""
-    takes_children = re.compile(r"\.has_next\(\)|\bchildren\(|\.children\b")
+    else, drained or index-walked, fails here."""
+    takes_children = re.compile(r"\.has_next\(\)|\.drain\(\)|\.build\(")
     processes_nodes = re.compile(r"\bprocess\(|\bobjective\(")
     src = Path(repro.__file__).parent
     found = set()

@@ -94,7 +94,7 @@ def siblings(spec, at_least):
     ``at_least`` of them, and their depth."""
     level, depth = [spec.root], 0
     while level:
-        families = [list(spec.children(spec.space, node)) for node in level]
+        families = [spec.generator(spec.space, node).drain() for node in level]
         depth += 1
         for kids in families:
             if len(kids) >= at_least:
@@ -105,14 +105,16 @@ def siblings(spec, at_least):
 
 def visiting(spec):
     """``spec`` with an objective that logs every node it is asked
-    about, which the kernel does once per node it processes."""
+    about, which the kernel's Listing 2 loop does once per node it
+    processes.  The copy is lazy-only: a column loop reads a child's
+    objective from its frame's ``values`` and would never ask."""
     visited = []
 
     def objective(node):
         visited.append(node)
         return spec.objective(node)
 
-    return dataclasses.replace(spec, objective=objective), visited
+    return dataclasses.replace(spec, objective=objective, columns=None), visited
 
 
 SOMEBODY = {
