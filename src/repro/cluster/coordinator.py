@@ -79,6 +79,7 @@ from repro.core.ordered import (
 from repro.core.results import SearchMetrics, SearchResult
 from repro.core.searchtypes import Incumbent
 from repro.runtime.processes import make_stype
+from repro.runtime.worker import SpecCache
 
 __all__ = [
     "ClusterError",
@@ -138,7 +139,6 @@ class WorkerConn:
     tasks: set = field(default_factory=set)  # leased task ids
     last_seen: float = 0.0
     alive: bool = True
-    said_bye: bool = False
     retiring: bool = False  # told to RETIRE: no new leases, drain out
     # Stack-stealing mediation state: a STEAL is in flight to this
     # worker (one at a time), / its last STOLEN answer was empty so
@@ -157,10 +157,10 @@ class WorkerConn:
 class _Job:
     """Coordinator-side state of the active search job."""
 
-    def __init__(self, job_id: int, payload: dict, loop, specs: P.LastSpec) -> None:
+    def __init__(self, job_id: int, payload: dict, loop, specs: SpecCache) -> None:
         self.id = job_id
         self.payload = payload
-        self.spec = specs.build(payload)
+        self.spec = P.job_spec(payload, specs)
         self.stype = make_stype(
             payload["stype_kind"], dict(payload.get("stype_kwargs") or {})
         )
@@ -340,7 +340,7 @@ class Coordinator:
         self._retire_on_join: set[str] = set()
         self._next_job = 0
         self._job: Optional[_Job] = None
-        self._specs = P.LastSpec()
+        self._specs = SpecCache()
         self._server: Optional[asyncio.AbstractServer] = None
         self._watchdog_task: Optional[asyncio.Task] = None
         self._worker_event: Optional[asyncio.Event] = None
@@ -594,7 +594,6 @@ class Coordinator:
                     continue
                 worker.last_seen = time.monotonic()
                 if msg["type"] == P.BYE:
-                    worker.said_bye = True
                     break
                 self._dispatch(worker, msg)
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
@@ -660,7 +659,7 @@ class Coordinator:
         if mtype == P.INCUMBENT:
             self._on_incumbent(worker, job, msg)
         elif mtype == P.OFFCUT:
-            self._on_offcut(worker, job, msg)
+            self._take_handover(worker, job, msg)
         elif mtype == P.STOLEN:
             self._on_stolen(worker, job, msg)
         elif mtype == P.RESULT:
@@ -703,17 +702,7 @@ class Coordinator:
         if value > job.best_value:
             # Strict improvement: remember and rebroadcast to everyone
             # else.  Non-improvements (ties, stale publishes) stop here.
-            job.best_value = value
-            job.metrics.broadcasts += 1
-            out = {"type": P.INCUMBENT, "job": job.id, "value": value}
-            for other in list(self.workers.values()):
-                if other.id != worker.id:
-                    self._post(other, out)
-            if self.on_incumbent is not None:
-                try:
-                    self.on_incumbent(value)
-                except Exception:
-                    pass
+            self._publish_best(job, value, worker)
         if job.stype.is_goal(job.knowledge):
             # Goal reached — but complete on the RESULT frame, not here.
             # The publishing worker broke out of its search loop on this
@@ -724,8 +713,22 @@ class Coordinator:
             # lease is re-run and the goal is rediscovered.
             job.goal = True
 
-    def _on_offcut(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
-        self._take_handover(worker, job, msg)
+    def _publish_best(
+        self, job: _Job, value: int, sender: Optional[WorkerConn] = None
+    ) -> None:
+        """Remember a new best and broadcast it: to every worker but its
+        sender, and to the ``on_incumbent`` observer."""
+        job.best_value = value
+        job.metrics.broadcasts += 1
+        out = {"type": P.INCUMBENT, "job": job.id, "value": value}
+        for other in list(self.workers.values()):
+            if other is not sender:
+                self._post(other, out)
+        if self.on_incumbent is not None:
+            try:
+                self.on_incumbent(value)
+            except Exception:
+                pass
 
     def _take_handover(self, worker: WorkerConn, job: _Job, msg: dict) -> int:
         """Queue a STOLEN's or OFFCUT's subtrees for the workers with no
@@ -833,16 +836,7 @@ class Coordinator:
         if moved:
             # The broadcast value is the *finalised-prefix* best —
             # monotone and deterministic — not the raw arrival best.
-            job.best_value = ledger.required_bound()
-            job.metrics.broadcasts += 1
-            out = {"type": P.INCUMBENT, "job": job.id, "value": job.best_value}
-            for other in list(self.workers.values()):
-                self._post(other, out)
-            if self.on_incumbent is not None:
-                try:
-                    self.on_incumbent(job.best_value)
-                except Exception:
-                    pass
+            self._publish_best(job, ledger.required_bound())
         if ledger.finished:
             self._finish_ordered(job)
             return
@@ -872,14 +866,8 @@ class Coordinator:
                 task_id, epoch = int(pair[0]), int(pair[1])
             except (TypeError, ValueError, IndexError):
                 continue
-            rec = job.tasks.get(task_id)
-            if (
-                rec is None
-                or rec.state != LEASED
-                or rec.worker != worker.id
-                or rec.epoch != epoch
-            ):
-                job.stale_dropped += 1
+            rec = self._valid_lease(worker, job, {"task": task_id, "epoch": epoch})
+            if rec is None:
                 continue
             worker.tasks.discard(rec.id)
             job.requeue(rec)
@@ -1000,10 +988,6 @@ class Coordinator:
         worker.tasks.clear()
         if job is None or job.state != "running" or not leased:
             return
-        if worker.said_bye:
-            # An orderly BYE never abandons leases (drain completes
-            # tasks first); if one slips through treat it as a crash.
-            pass
         if job.enum and job.ledger is None:
             # Ordered enumeration is exempt: its tasks are pure
             # functions of (root, bound) with no shared accumulator, so

@@ -35,6 +35,7 @@ from repro.core.params import SkeletonParams
 from repro.core.results import SearchResult
 from repro.core.searchtypes import SearchType
 from repro.runtime.processes import _stype_payload, graceful_stop
+from repro.runtime.worker import JOB_KNOBS, job_knobs
 
 __all__ = [
     "JOB_KNOBS",
@@ -44,14 +45,6 @@ __all__ = [
     "cluster_search",
     "run_skeleton",
 ]
-
-# The SkeletonParams fields a wire job carries (job_payload's knobs).
-JOB_KNOBS = ("budget", "share_poll", "d_cutoff", "chunked")
-
-
-def job_knobs(params: SkeletonParams) -> dict:
-    """``params`` reduced to :func:`job_payload`'s knob keywords."""
-    return {knob: getattr(params, knob) for knob in JOB_KNOBS}
 
 
 def job_payload(

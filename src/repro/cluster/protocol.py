@@ -66,7 +66,8 @@ SHUTDOWN   c -> w      drain: hand the pool back (OFFCUT), finish the leases
 BYE        w -> c      orderly goodbye; the connection closes after it
 ERROR      both        c -> w: protocol violation report before disconnect;
                        w -> c, with ``job``: this worker cannot run that job
-                       correctly (its frontier differs), so fail it
+                       correctly (it cannot build it, a walk or lease
+                       raised, its frontier differs), so fail it
 ========== =========== ====================================================
 
 ``RETIRE`` differs from ``SHUTDOWN`` in what happens to leases the
@@ -162,7 +163,7 @@ __all__ = [
     "unpack_block",
     "factory_path",
     "resolve_factory",
-    "LastSpec",
+    "job_spec",
     "HELLO",
     "WELCOME",
     "JOB",
@@ -464,20 +465,9 @@ def resolve_factory(path: str) -> Callable:
     return fn
 
 
-class LastSpec:
-    """The spec of a peer's last job, kept while the next JOB names the
-    same factory and wire arguments (instances are deterministic, so it
-    would be rebuilt identical) — the rule of the process fleet's
-    workers (:mod:`repro.runtime.fleet`).  One per peer, one entry."""
-
-    def __init__(self) -> None:
-        self._key: Any = None
-        self._spec: Any = None
-
-    def build(self, payload: dict) -> Any:
-        """The spec a JOB frame or job payload describes."""
-        key = (payload["factory"], payload.get("factory_args") or [])
-        if key != self._key:
-            self._spec = resolve_factory(key[0])(*decode_node(key[1]))
-            self._key = key
-        return self._spec
+def job_spec(payload: dict, specs: Any) -> Any:
+    """The spec a JOB frame or job payload describes, from ``specs`` (a
+    :class:`~repro.runtime.worker.SpecCache`) while it names the last
+    one's factory and wire arguments."""
+    key = (payload["factory"], payload.get("factory_args") or [])
+    return specs.get(key, lambda: resolve_factory(key[0])(*decode_node(key[1])))

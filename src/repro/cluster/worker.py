@@ -1,20 +1,22 @@
-"""Cluster worker nodes: the search kernel behind a TCP client.
+"""Cluster worker nodes: the one worker behind a TCP client.
 
-A :class:`ClusterWorker` connects to a coordinator, pulls subtree TASK
-leases, and runs each one through the same transport-free executor the
-multiprocessing workers call
-(:func:`~repro.runtime.sharing.execute_lease` for Budget and
-Stack-Stealing, :func:`~repro.core.ordered.execute_run` for Ordered) —
-only the callbacks differ: the shared incumbent integer became
-INCUMBENT frames, the short lease count became the coordinator's STEAL,
-what a starving peer is given leaves in one STOLEN frame and reaches it
-as one lease of several roots, and the outstanding counter lives on the
-coordinator.  A lease is its roots and everything its holder ran from
-its own pool, answered by one RESULT.  An ordered job's leases carry no
-roots: the worker walks the frontier for itself when the JOB arrives
-(on the search thread, while the coordinator walks its own) and is
-leased positions in it.  The spec of the last job is kept while the
-next JOB names the same factory and arguments.
+A :class:`ClusterWorker` is the socket transport of
+:class:`~repro.runtime.worker.Worker`, the worker the process fleet
+runs too: the same lease loop, the same one call to
+:func:`~repro.runtime.sharing.execute_lease` (Budget, Stack-Stealing)
+or :func:`~repro.core.ordered.execute_run` (Ordered), the same spec
+cache.  Only the transport methods differ: the shared incumbent integer
+became INCUMBENT frames, the short lease count became the
+coordinator's STEAL, what a starving peer is given leaves in one STOLEN
+frame and reaches it as one lease of several roots, and the
+outstanding counter lives on the coordinator.  A lease is its roots
+and everything its holder ran from its own pool, answered by one
+RESULT.  An ordered job's leases carry no roots: the worker walks the
+frontier for itself when the JOB arrives (on the search thread, while
+the coordinator walks its own) and is leased positions in it.  A
+failure — a JOB this worker cannot build, a walk or a lease that
+raises, a frontier of another size — is answered with ERROR, which
+fails the job.
 
 Threading model (per connection):
 
@@ -64,47 +66,16 @@ from typing import Optional
 
 from repro.cluster import protocol as P
 from repro.cluster.faults import WorkerFaults
-from repro.core.ordered import execute_run, worker_tasks
 from repro.core.searchtypes import Incumbent
 from repro.runtime.fleet import WORKER_SWITCH_INTERVAL
 from repro.runtime.processes import graceful_stop, make_stype
-from repro.runtime.sharing import FLUSH, execute_lease
-from repro.runtime.workpool import Workpool
+from repro.runtime.sharing import FLUSH, LeaseOutcome
+from repro.runtime.worker import JOB_KNOBS, Worker, WorkerJob
 
 __all__ = ["ClusterWorker", "run_worker", "start_worker_process"]
 
 
-class _JobContext:
-    """Worker-side state of one job: rebuilt spec/search type + knobs.
-
-    ``bound`` is the incumbent value as last heard (written by the
-    receiver thread, read lock-free by the search loop — the same
-    stale-tolerant discipline as the shared integer in the
-    multiprocessing backend); ``done`` flips when JOB_DONE arrives and
-    is checked on the share_poll cadence to abort mid-task.
-    """
-
-    def __init__(self, msg: dict, specs: P.LastSpec) -> None:
-        self.id = msg["job"]
-        self.spec = specs.build(msg)
-        self.stype = make_stype(
-            msg["stype_kind"], dict(msg.get("stype_kwargs") or {})
-        )
-        self.enum = self.stype.kind == "enumeration"
-        self.budget = max(1, int(msg.get("budget", 1000)))
-        self.share_poll = max(1, int(msg.get("share_poll", 64)))
-        self.coordination = str(msg["coordination"])
-        self.chunked = bool(msg.get("chunked", True))
-        self.d_cutoff = int(msg.get("d_cutoff", 2))
-        # Ordered jobs: this worker's own walk of the frontier, made by
-        # the search thread before it runs the job's first lease.
-        self.tasks: list = []
-        best = msg.get("best")
-        self.bound = best if isinstance(best, int) else 0
-        self.done = False
-
-
-class ClusterWorker:
+class ClusterWorker(Worker):
     """One worker node.  ``run()`` blocks until drained or stopped.
 
     Args:
@@ -149,6 +120,7 @@ class ClusterWorker:
         jitter=None,
         faults: Optional[WorkerFaults] = None,
     ) -> None:
+        super().__init__()  # the spec cache outlives sessions: receiver thread only
         self.host = host
         self.port = port
         self.name = name or f"worker-{socket.gethostname()}"
@@ -163,17 +135,21 @@ class ClusterWorker:
         self._jitter = jitter if jitter is not None else random.random
         self.worker_id: Optional[int] = None
         self.tasks_run = 0
-        self.nodes_searched = 0
         self.sessions = 0
         self.retired = False
         self._finished = False
-        # Per-session state (reset in _session):
-        self._sock: Optional[socket.socket] = None
         self._send_lock = threading.Lock()
+        # Monotonic time of the last frame that actually left.
+        self._last_sent = 0.0  # guarded-by: _send_lock
+        self._new_session(None)
+
+    def _new_session(self, sock: Optional[socket.socket]) -> None:
+        """Fresh per-session state."""
+        self._sock = sock
         self._session_dead = threading.Event()
         self._local_q: queue.Queue = queue.Queue()
-        self._ctx: Optional[_JobContext] = None
-        self._specs = P.LastSpec()  # outlives sessions: receiver thread only
+        self._ctx: Optional[WorkerJob] = None  # the last JOB's
+        self._lease: tuple = (None, None)  # task id and epoch in hand
         self._drain = False
         self._retire = False
         self._codec = None  # negotiated in WELCOME; None => JSON
@@ -181,12 +157,6 @@ class ClusterWorker:
         # thread, consumed by the lease being run: at share_poll
         # cadence, and between two subtrees of a budget lease).
         self._steal_req: Optional[dict] = None
-        # The unstarted subtrees of the lease being run — roots it
-        # came with, offcuts of its stacks — replaced when the lease
-        # ends (main thread only; the heartbeat thread reads its length).
-        self._pool = Workpool("depth")
-        # Monotonic time of the last frame that actually left.
-        self._last_sent = 0.0  # guarded-by: _send_lock
 
     def _stopped(self) -> bool:
         return self.stop_event is not None and self.stop_event.is_set()
@@ -247,14 +217,7 @@ class ClusterWorker:
         drain, or stop."""
         self.sessions += 1
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        self._session_dead = threading.Event()
-        self._local_q = queue.Queue()
-        self._ctx = None
-        self._drain = False
-        self._retire = False
-        self._steal_req = None
-        self._codec = None  # the HELLO below must go out as JSON
+        self._new_session(sock)  # the HELLO below goes out as JSON
 
         sock.settimeout(self.connect_timeout)
         self._send({
@@ -280,7 +243,9 @@ class ClusterWorker:
         recv.start()
         beat.start()
         try:
-            self._search_loop()
+            # The lease loop, until session death, stop, a completed
+            # drain, or a retire handback (BYE sent).
+            self.serve()
         finally:
             self._session_dead.set()
             try:
@@ -318,7 +283,7 @@ class ClusterWorker:
             try:
                 # ``pool``: runnable subtrees this worker holds that the
                 # coordinator cannot see (its load signal adds them up).
-                self._send({"type": P.HEARTBEAT, "pool": len(self._pool)})
+                self._send({"type": P.HEARTBEAT, "pool": len(self.pool)})
             except OSError:
                 self._session_dead.set()
                 return
@@ -339,28 +304,35 @@ class ClusterWorker:
 
     def _on_message(self, msg: dict) -> None:
         mtype = msg.get("type")
+        # The current job, if this frame is about it.
+        ctx = self._ctx if self._ctx is not None and msg.get("job") == self._ctx.id else None
         if mtype == P.JOB:
             # A STEAL that trailed the last job's final RESULT asked for
             # that job's work: it must not be answered out of this one's.
             self._steal_req = None
             try:
-                self._ctx = _JobContext(msg, self._specs)
-            except Exception as exc:
-                # Environment mismatch (factory missing here): stay
-                # idle; the coordinator's job timeout is the backstop.
-                print(
-                    f"[{self.name}] cannot build job "
-                    f"{msg.get('job')}: {exc}",
-                    file=sys.stderr,
+                self._ctx = ctx = WorkerJob(
+                    msg["job"], P.job_spec(msg, self.specs),
+                    make_stype(msg["stype_kind"], dict(msg.get("stype_kwargs") or {})),
+                    str(msg["coordination"]),
+                    **{knob: msg[knob] for knob in JOB_KNOBS if knob in msg},
                 )
+            except Exception as exc:
+                # A factory missing here, say: the coordinator fails the
+                # job rather than lease it to a worker that drops it.
                 self._ctx = None
-            ctx = self._ctx
-            if ctx is not None and ctx.coordination == "ordered":
+                self._send({
+                    "type": P.ERROR, "job": msg.get("job"),
+                    "reason": f"cannot build the job: {type(exc).__name__}: {exc}",
+                })
+                return
+            best = msg.get("best")
+            ctx.bound = best if isinstance(best, int) else 0
+            if ctx.coordination == "ordered":
                 # Ahead of every lease of the job: the walk (no task id).
                 self._local_q.put((ctx, None, None, None))
         elif mtype == P.TASK:
-            ctx = self._ctx
-            if ctx is not None and msg.get("job") == ctx.id and not ctx.done:
+            if ctx is not None and not ctx.done:
                 for lease in msg["leases"]:
                     task_id, epoch = lease[:2]
                     if ctx.coordination == "ordered":
@@ -375,18 +347,11 @@ class ClusterWorker:
             # its next poll; dropped if we turn out to be idle.
             self._steal_req = msg
         elif mtype == P.INCUMBENT:
-            ctx = self._ctx
             value = msg.get("value")
-            if (
-                ctx is not None
-                and msg.get("job") == ctx.id
-                and isinstance(value, int)
-                and value > ctx.bound
-            ):
+            if ctx is not None and isinstance(value, int) and value > ctx.bound:
                 ctx.bound = value
         elif mtype == P.JOB_DONE:
-            ctx = self._ctx
-            if ctx is not None and msg.get("job") == ctx.id:
+            if ctx is not None:
                 ctx.done = True
         elif mtype == P.RETIRE:
             if self._faults is not None:
@@ -408,27 +373,25 @@ class ClusterWorker:
             )
         # HEARTBEAT and unknown types: nothing to do.
 
-    # -- searching ----------------------------------------------------------
+    # -- the socket transport -----------------------------------------------
 
-    def _search_loop(self) -> None:
-        """Pull leased tasks and run them; exit on session death, stop,
-        a completed drain, or a retire handback (BYE sent)."""
+    def next_work(self) -> Optional[tuple]:
         while True:
             if self._session_dead.is_set():
-                return
+                return None
             if self._stopped():
                 self._say_bye()
-                return
+                return None
             if self._retire:
-                # Between tasks, so nothing is in flight: hand every
+                # Between leases, so nothing is in flight: hand every
                 # unstarted lease back and leave for good.  (A RETIRE
-                # that lands mid-task reaches this check right after
-                # that task's RESULT is sent.)
+                # that lands mid-lease reaches this check right after
+                # that lease's RESULT is sent.)
                 self._release_unstarted()
                 self._say_bye()
                 self.retired = True
                 self._finished = True
-                return
+                return None
             if self._steal_req is not None and self._local_q.empty():
                 # Idle with nothing queued: every lease this worker was
                 # sent has had its RESULT, and the request died with it
@@ -438,49 +401,113 @@ class ClusterWorker:
                 # and is answered from its first poll.
                 self._steal_req = None
             try:
-                item = self._local_q.get(timeout=0.05)
+                ctx, task_id, epoch, work = self._local_q.get(timeout=0.05)
             except queue.Empty:
                 if self._drain:
                     # Drain complete: no leases left to finish.
                     self._say_bye()
                     self._finished = True
-                    return
+                    return None
                 continue
-            ctx, task_id, epoch, work = item
             if ctx.done or ctx is not self._ctx:
                 continue
             if self._faults is not None and task_id is not None:
                 # Chaos: may hard-exit here, dying with this lease live
                 # so the coordinator's re-lease path has to recover it.
                 self._faults.on_task_start(self.tasks_run + 1)
-            try:
-                if task_id is None:
-                    self._walk_frontier(ctx)
-                elif ctx.coordination == "ordered":
-                    self._run_ordered_lease(ctx, task_id, epoch, *work)
-                else:
-                    self._run_task(ctx, task_id, epoch, *work)
-            except (ConnectionError, OSError):
-                self._session_dead.set()
-                return
+            self._lease = (task_id, epoch)
+            return ctx, work
 
-    def _abandoned(self, ctx) -> bool:
+    def _frame(self, mtype: str, **fields) -> dict:
+        """A frame about the lease in hand."""
+        task_id, epoch = self._lease
+        return {"type": mtype, "job": self.job.id, "task": task_id, "epoch": epoch, **fields}
+
+    def demand(self) -> int:
+        # A waiting STEAL is the starving peer; a RETIRE or SHUTDOWN
+        # hands the whole pool back, so only the subtree in hand is
+        # finished here.
+        if self.pool and (self._retire or self._drain):
+            return FLUSH
+        return self._steal_req is not None
+
+    def ship(self, nodes: list, depth: int) -> None:
+        # The first frame after a STEAL is its answer (empty included);
+        # anything else shipped is a pool being handed back, one OFFCUT
+        # per depth.
+        stolen = self._steal_req is not None
+        if stolen:
+            self._steal_req = None
+        self._send(self._frame(
+            P.STOLEN if stolen else P.OFFCUT, depth=depth,
+            nodes=[P.encode_node(node) for node in nodes], pool=len(self.pool),
+        ))
+
+    def bound(self) -> int:
+        return self.job.bound
+
+    def publish(self, found: Incumbent) -> None:
+        # A strict local improvement: raise the local bound, ship value
+        # + witness upstream (the witness travels with the publish so a
+        # later crash of this worker cannot orphan it).
+        job = self.job
+        if found.value > job.bound:
+            job.bound = found.value
+        self._send({
+            "type": P.INCUMBENT, "job": job.id,
+            "value": found.value, "node": P.encode_node(found.node),
+        })
+
+    def aborted(self) -> bool:
         """Should the lease in hand stop with nothing sent?  JOB_DONE, a
         stop request, a dead session: lease accounting covers us."""
-        return ctx.done or self._session_dead.is_set() or self._stopped()
+        return self.job.done or self._session_dead.is_set() or self._stopped()
 
-    def _fail_job(self, ctx, reason: str) -> None:
-        """This worker cannot run ``ctx``'s job correctly: say so (the
+    def on_subtree(self) -> None:
+        self.tasks_run += 1  # the subtree that just ended
+        if self._faults is not None:
+            # Chaos: may hard-exit here, dying with the lease live, a
+            # pool behind it and children already shipped.
+            self._faults.on_task_start(self.tasks_run + 1)
+
+    def report(self, outcome: LeaseOutcome) -> None:
+        """One RESULT: the counters of every subtree the lease ran and
+        ``spawns``, the subtrees split off a stack here."""
+        self.tasks_run += 1
+        # A STEAL this lease could not serve dies with its RESULT.
+        self._steal_req = None
+        total, knowledge = outcome.metrics, outcome.knowledge
+        result = self._frame(
+            P.RESULT, nodes=total.nodes, prunes=total.prunes,
+            backtracks=total.backtracks, max_depth=total.max_depth,
+            goal=outcome.goal, spawns=total.spawns,
+        )
+        if self.job.enum:
+            result["knowledge"] = knowledge
+        elif knowledge.node is not None:
+            # Belt and braces: improvements were already published with
+            # their witnesses, but repeat the lease-local best anyway.
+            result["value"] = knowledge.value
+            result["node"] = P.encode_node(knowledge.node)
+        self._send(result)
+
+    def flush(self, blocks: list, done: bool) -> None:
+        """An ordered run's blocks of columns, as a RESULT flagged
+        ``more`` while the run is still going.  No INCUMBENT is ever
+        published mid-run: the coordinator's ledger is the only
+        incumbent authority."""
+        frame = self._frame(P.RESULT, blocks=[P.pack_block(block) for block in blocks])
+        if done:
+            self.tasks_run += 1
+        else:
+            frame["more"] = True
+        self._send(frame)
+
+    def fail(self, reason: str) -> None:
+        """This worker cannot run the job in hand correctly: say so (the
         coordinator fails the job) and take no more of it."""
-        ctx.done = True
-        self._send({"type": P.ERROR, "job": ctx.id, "reason": reason})
-
-    def _walk_frontier(self, ctx) -> None:
-        """Number an ordered job's frontier for ourselves."""
-        try:
-            ctx.tasks = worker_tasks(ctx.spec, ctx.stype, ctx.d_cutoff)
-        except Exception as exc:
-            self._fail_job(ctx, f"frontier walk failed: {type(exc).__name__}: {exc}")
+        self.job.done = True
+        self._send({"type": P.ERROR, "job": self.job.id, "reason": reason})
 
     def _say_bye(self) -> None:
         try:
@@ -509,155 +536,6 @@ class ClusterWorker:
                 self._send({"type": P.RELEASE, "job": ctx.id, "tasks": returned})
             except OSError:
                 pass  # crash path: the lease epochs cover us anyway
-
-    def _run_task(self, ctx, task_id, epoch, roots, root_depth) -> None:
-        """Run one budget or stack-stealing lease to its RESULT.
-
-        :func:`~repro.runtime.sharing.execute_lease` runs the lease;
-        this method is its wire.  A waiting STEAL is the starving peer:
-        it is answered with one STOLEN frame — half of the shallowest
-        level of the lease's pool, which under Stack-Stealing is first
-        filled from the live stack if it is empty (and the answer is
-        empty when the stack has nothing to give); a Budget request the
-        pool cannot serve waits for the next trip, or dies with the
-        RESULT.  A RETIRE or SHUTDOWN makes a lease hand its whole pool
-        back as OFFCUT frames, one per depth, so only the subtree in
-        hand is finished here.  Every strict improvement leaves as
-        INCUMBENT (value + witness).  One RESULT then carries the
-        counters of every subtree run and ``spawns``, the subtrees
-        split off a stack here.
-
-        Nothing is sent if the lease is abandoned (job done / stop /
-        session death), leaving the coordinator's lease accounting to
-        handle it.
-        """
-        pooled = ctx.coordination == "budget"
-        pool = self._pool  # empty between leases
-
-        def demand() -> int:
-            if pool and (self._retire or self._drain):
-                return FLUSH
-            return self._steal_req is not None
-
-        def ship(nodes: list, depth: int) -> None:
-            # The first frame after a STEAL is its answer; anything
-            # else shipped is a pool being handed back.
-            stolen = self._steal_req is not None
-            if stolen:
-                self._steal_req = None
-            self._send({
-                "type": P.STOLEN if stolen else P.OFFCUT,
-                "job": ctx.id,
-                "task": task_id,
-                "epoch": epoch,
-                "depth": depth,
-                "nodes": [P.encode_node(node) for node in nodes],
-                "pool": len(pool),
-            })
-
-        def publish(inc: Incumbent) -> None:
-            # A strict local improvement: raise the local bound, ship
-            # value + witness upstream (the witness travels with the
-            # publish so a later crash of this worker cannot orphan it).
-            if inc.value > ctx.bound:
-                ctx.bound = inc.value
-            self._send({
-                "type": P.INCUMBENT,
-                "job": ctx.id,
-                "value": inc.value,
-                "node": P.encode_node(inc.node),
-            })
-
-        def on_subtree() -> None:
-            self.tasks_run += 1  # the subtree that just ended
-            if self._faults is not None:
-                # Chaos: may hard-exit here, dying with the lease
-                # live, a pool behind it and children already shipped.
-                self._faults.on_task_start(self.tasks_run + 1)
-
-        knowledge = ctx.stype.initial_knowledge(ctx.spec)
-        if not ctx.enum:
-            knowledge = Incumbent(knowledge.value, None)  # no witness of ours yet
-        try:
-            lease = execute_lease(
-                ctx.spec, ctx.stype, roots, root_depth, knowledge, pool,
-                budget=ctx.budget if pooled else None, chunked=ctx.chunked,
-                poll=ctx.share_poll, demand=demand, ship=ship,
-                bound=lambda: ctx.bound, publish=publish,
-                should_abort=lambda: self._abandoned(ctx), on_subtree=on_subtree,
-            )
-        finally:
-            # The lease is over, whatever was left in its pool.
-            self._pool = Workpool("depth")
-        self.nodes_searched += lease.metrics.nodes
-        if lease.abandoned:
-            return
-        self.tasks_run += 1
-
-        # A STEAL this lease could not serve dies with its RESULT.
-        self._steal_req = None
-        total, knowledge = lease.metrics, lease.knowledge
-        result = {
-            "type": P.RESULT,
-            "job": ctx.id,
-            "task": task_id,
-            "epoch": epoch,
-            "nodes": total.nodes,
-            "prunes": total.prunes,
-            "backtracks": total.backtracks,
-            "max_depth": total.max_depth,
-            "goal": lease.goal,
-            "spawns": total.spawns,
-        }
-        if ctx.enum:
-            result["knowledge"] = knowledge
-        elif knowledge.node is not None:
-            # Belt and braces: improvements were already published with
-            # their witnesses, but repeat the lease-local best anyway.
-            result["value"] = knowledge.value
-            result["node"] = P.encode_node(knowledge.node)
-        self._send(result)
-
-    def _run_ordered_lease(self, ctx, task_id, epoch, seqs, bound, of) -> None:
-        """One ordered lease: a run of replicable tasks, in order.
-
-        :func:`~repro.core.ordered.execute_run` threads the bound
-        through the run starting from the lease's (``ctx.bound`` is the
-        finalised-prefix best as last heard, its restart signal) and
-        hands back blocks of columns, which leave as RESULT frames —
-        flagged ``more`` while the run is still going.  No INCUMBENT is
-        ever published mid-run; the coordinator's ledger is the only
-        incumbent authority, and it re-issues whatever ran from a bound
-        that turns out wrong.  A lease cut from another frontier than
-        the one walked here fails the job.
-        """
-
-        def flush(blocks: list, done: bool) -> None:
-            self.nodes_searched += sum(sum(block["nodes"]) for block in blocks)
-            frame = {
-                "type": P.RESULT,
-                "job": ctx.id,
-                "task": task_id,
-                "epoch": epoch,
-                "blocks": [P.pack_block(block) for block in blocks],
-            }
-            if not done:
-                frame["more"] = True
-            self._send(frame)
-
-        try:
-            finished = execute_run(
-                ctx.spec, ctx.stype, ctx.tasks, seqs, bound, of, flush,
-                published=lambda: ctx.bound,
-                should_abort=lambda: self._abandoned(ctx),
-                poll=ctx.share_poll,
-            )
-        except ValueError as exc:
-            self._fail_job(ctx, str(exc))
-            return
-        # An aborted run just stops: lease accounting covers us.
-        if finished:
-            self.tasks_run += 1
 
 
 # -- process fan-out ---------------------------------------------------------

@@ -5,7 +5,9 @@ workpool for the life of the program (§4.3).  :class:`ProcessFleet` is
 that for :mod:`repro.runtime.processes`: worker processes that outlive
 the search that started them, so a search costs a message per worker,
 not a process launch.  This module knows process lifetimes and nothing
-about searching — a job names the worker loop to run.
+about searching: each process holds one worker object, made by the
+fleet's ``make_worker`` when it starts (the pipe transport of
+:mod:`repro.runtime.worker`), and a job is a message to it.
 
 A handle is ``created``, ``running`` from its first job, and ``closed``
 by :meth:`~ProcessFleet.close`, by interpreter exit, or by a job that
@@ -75,8 +77,7 @@ class Wires(NamedTuple):
 
     task_q: Any  # (epoch, ...) work items, owner and workers both put
     result_q: Any  # (epoch, tag, body) messages to the owner
-    done: Any  # raw byte: the job is over
-    goal: Any  # raw byte: a decision target was reached
+    done: Any  # raw byte: the job is over (the tree is searched, or a goal met)
     outstanding: Any  # locked int: leases queued or held
     best: Any  # locked int: the shared incumbent value
 
@@ -92,11 +93,11 @@ def _exit_with_owner() -> None:
     os._exit(1)
 
 
-def _worker_main(ctrl, wires: Wires) -> None:
-    """A fleet worker: run the loop each ``(epoch, blob, loop, knobs)``
-    job names on the spec and search type ``blob`` builds (kept while
-    the next job's blob is the same), report a crash instead of dying
-    silently, report idle, wait for the next job."""
+def _worker_main(ctrl, wires: Wires, make_worker: Callable) -> None:
+    """A fleet worker: make its worker, hand it each ``(epoch, blob)``
+    job as ``run(epoch, message)`` (``blob`` the pickled message), report
+    a crash instead of dying silently, report idle, wait for the next
+    job."""
     # Not the owner's handlers: ^C is the owner's to act on, and
     # SIGTERM is how it stops a worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -113,27 +114,25 @@ def _worker_main(ctrl, wires: Wires) -> None:
     # Nothing unflushed is worth blocking this process's exit for.
     wires.task_q.cancel_join_thread()
     wires.result_q.cancel_join_thread()
-    key = built = None
+    worker = make_worker(wires)
     while True:
         try:
-            epoch, blob, loop, knobs = ctrl.recv()
+            epoch, blob = ctrl.recv()
         except EOFError:
             return
         try:
-            if blob != key:
-                spec_factory, factory_args, stype_factory, stype_args = pickle.loads(blob)
-                built = spec_factory(*factory_args), stype_factory(*stype_args)
-                key = blob
-            loop(*built, wires, epoch, *knobs)
+            worker.run(epoch, pickle.loads(blob))
         except BaseException as exc:
             wires.result_q.put((epoch, "error", f"{type(exc).__name__}: {exc}"))
         wires.result_q.put((epoch, "idle", None))
 
 
 class ProcessFleet:
-    """Lazily started, long-lived worker processes, one job at a time."""
+    """Lazily started, long-lived worker processes, one job at a time;
+    ``make_worker(wires)`` makes each process's worker."""
 
-    def __init__(self) -> None:
+    def __init__(self, make_worker: Callable) -> None:
+        self._make_worker = make_worker
         self.status = "created"
         self._lock = threading.Lock()
         self._workers: list = []  # (Process, send end of its control pipe)
@@ -178,14 +177,15 @@ class ProcessFleet:
         if self._wires is None:
             self._wires = Wires(
                 _CTX.Queue(), _CTX.Queue(),
-                _CTX.Value("b", 0, lock=False), _CTX.Value("b", 0, lock=False),
+                _CTX.Value("b", 0, lock=False),
                 _CTX.Value("q", 0), _CTX.Value("q", 0),
             )
             # A job may end with tasks unread; never wait to flush them.
             self._wires.task_q.cancel_join_thread()
         while len(self._workers) < n:
             theirs, ours = _CTX.Pipe(duplex=False)
-            proc = _CTX.Process(target=_worker_main, args=(theirs, self._wires), daemon=True)
+            args = (theirs, self._wires, self._make_worker)
+            proc = _CTX.Process(target=_worker_main, args=args, daemon=True)
             self._workers.append((proc, ours))  # first: the child disowns it too
             proc.start()
             theirs.close()
@@ -194,33 +194,30 @@ class ProcessFleet:
 
     @contextmanager
     def job(
-        self, label: str, n: int, factories: tuple, loop: Callable, knobs: tuple,
-        *, outstanding: int = 0, best: int = 0,
+        self, label: str, n: int, message: Any, *, outstanding: int = 0, best: int = 0,
     ) -> Iterator[tuple]:
-        """Run ``loop(spec, stype, wires, epoch, *knobs)`` in ``n``
-        workers, the spec and search type rebuilt there from
-        ``factories = (spec_factory, factory_args, stype_factory,
-        stype_args)``, with the shared integers starting at
-        ``outstanding`` and ``best`` (the rest at zero).
+        """Run ``worker.run(epoch, message)`` in ``n`` workers, with the
+        shared integers starting at ``outstanding`` and ``best`` (the
+        rest at zero).
 
         Yields ``(wires, epoch, reports)``: ``reports`` iterates over
         the bodies of the ``(epoch, "ok", body)`` messages the workers
         put on ``result_q`` and ends when every worker has left
-        ``loop``.  Waiting for one is also the crash watchdog.  Leaving
+        ``run``.  Waiting for one is also the crash watchdog.  Leaving
         the block waits for that end; leaving it by an exception stops
         the whole fleet.
         """
-        blob = pickle.dumps(factories)  # a caller's error, before anything starts
+        blob = pickle.dumps(message)  # a caller's error, before anything starts
         with self._lock:
             try:
                 engaged = self._engage(n)
                 wires = self._wires
                 self._epoch = epoch = self._epoch + 1
-                wires.done.value = wires.goal.value = 0
+                wires.done.value = 0
                 wires.outstanding.value = outstanding
                 wires.best.value = best
                 for _, ctrl in engaged:
-                    ctrl.send((epoch, blob, loop, knobs))
+                    ctrl.send((epoch, blob))
 
                 def fail(error: str):
                     raise RuntimeError(f"{label} backend worker failed: {error}")

@@ -4,14 +4,13 @@ These backends achieve *actual* CPython parallel speedup by
 distributing subtree tasks over ``multiprocessing`` workers, each
 searching in its own interpreter.
 
-Four coordinations have process implementations.  Every worker of
-every one searches its subtrees with the one search kernel
-(:func:`~repro.core.kernel.search_subtree`); a coordination is what the
-kernel's poll hook does with the live generator stack, and that is
-written once per coordination, outside this module:
-:func:`~repro.runtime.sharing.execute_lease` for the first three below,
-:func:`~repro.core.ordered.execute_run` for the last.  What is here is
-the transport: queues and shared integers.  The processes belong to
+Four coordinations have process implementations, and one worker runs
+them all: :class:`~repro.runtime.worker.Worker`, the cluster's worker
+too, whose lease loop makes the one call to
+:func:`~repro.runtime.sharing.execute_lease` (the first three below) or
+:func:`~repro.core.ordered.execute_run` (the last).  What is here is
+its pipe transport, :class:`PipeWorker` — queues and shared integers —
+and the parent's half of each coordination.  The processes belong to
 one warm fleet (:mod:`repro.runtime.fleet`, ``FLEET`` below): the first
 search of a process forks its workers, every later one engages them
 with a message each, and they stop when the process exits (or at
@@ -41,8 +40,9 @@ RuntimeError and stops the fleet; the next search starts a fresh one.
 
 Because ``SearchSpec`` objects contain closures (not picklable), every
 backend takes a *spec factory* — a top-level callable plus picklable
-arguments — which travels to the workers pickled; each rebuilds the
-spec from it and keeps it while the next search names the same one.
+arguments — which travels to the workers pickled, with the
+coordination and its knobs; each rebuilds the spec from it and keeps
+it while the next search names the same one.
 Incumbent knowledge is shared through a shared 64-bit integer holding
 the best objective value: workers seed their pruning from it, read it
 lock-free on a fixed node cadence, and take the lock only to publish
@@ -69,19 +69,13 @@ from multiprocessing import Pipe, Process
 from queue import Empty
 from typing import Any, Callable, Optional
 
-from repro.core.ordered import (
-    OrderedLedger,
-    OrderedRunPolicy,
-    execute_run,
-    ordered_frontier,
-    worker_tasks,
-)
+from repro.core.ordered import OrderedLedger, OrderedRunPolicy, ordered_frontier
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchMetrics, SearchResult, result_from_dict
 from repro.core.searchtypes import Incumbent, SearchType
 from repro.runtime.fleet import ProcessFleet, Wires, graceful_stop
-from repro.runtime.sharing import execute_lease
-from repro.runtime.workpool import Workpool
+from repro.runtime.sharing import LeaseOutcome
+from repro.runtime.worker import Worker, WorkerJob, job_knobs
 
 __all__ = [
     "multiprocessing_depthbounded_search",
@@ -95,10 +89,10 @@ __all__ = [
     "graceful_stop",
 ]
 
-
-# Every search of this process runs on these workers (started by the
-# first one that needs any, see :mod:`repro.runtime.fleet`).
-FLEET = ProcessFleet()
+# How long an idle worker waits on the task queue before it looks at
+# the job's ``done`` flag again.  A backstop: whoever raises the flag
+# also posts an end-of-job sentinel per peer, which wakes them at once.
+QUEUE_POLL = 0.02
 
 
 def run_library_search(
@@ -271,10 +265,9 @@ def multiprocessing_depthbounded_search(
     signed shared integer whose idle value is 0, so a negative objective
     would let a stale-zero read *tighten* pruning and corrupt results.
     """
-    return _sharing_search(
-        "depthbounded", (None, True, 256, 0.02),
-        spec_factory, factory_args, stype_factory, stype_args,
-        n_processes=n_processes, d_cutoff=d_cutoff,
+    return _fleet_search(
+        "depthbounded", spec_factory, factory_args, stype_factory, stype_args,
+        n_processes, d_cutoff=d_cutoff, share_poll=256,
     )
 
 
@@ -352,112 +345,134 @@ def _stype_payload(stype: SearchType) -> tuple[str, dict]:
     )
 
 
-# -- queue-based coordinations: Depth-Bounded, Budget, Stack-Stealing ---------
+# -- the pipe transport --------------------------------------------------------
 
 
-def _sharing_worker_main(
-    spec, stype, wires: Wires, epoch: int, n_workers,
-    budget, chunked, share_poll, queue_poll, stealing,
-):
-    """One job of a fleet worker on the queue-based coordinations.
+class PipeWorker(Worker):
+    """The worker of one fleet process, over the fleet's queues and
+    shared integers; ``run`` takes one job.
 
-    Pulls ``(epoch, nodes, depth)`` items — sibling subtree roots, one
-    hand-over — and runs each as a lease through
-    :func:`~repro.runtime.sharing.execute_lease`, which owns the
-    coordination — when the live stack is split, what is pooled, what
-    is given away (``budget`` a node count: Budget; None:
-    Stack-Stealing).  This function is its transport.  The incumbent is
-    the shared integer ``best``, read without the lock and locked only
-    to publish an improvement.  What is given away goes onto ``task_q``
-    as one item, whoever dequeues it is the thief, and ``outstanding``
-    counts items: up by one per hand-over, down when a holder's lease
-    ends; whoever brings it to zero raises ``done``.
-    ``goal`` is raised by the worker that reaches a decision target,
-    and the others abandon their leases at the next poll.  Either flag
-    is followed by a sentinel per peer, so that a worker idling in
-    ``task_q.get`` leaves at once.  Whatever an earlier job left on the
-    queue carries another epoch and is dropped.
+    A sharing lease is an ``(epoch, nodes, depth)`` item on ``task_q``
+    — sibling subtree roots, one hand-over — and whoever dequeues a
+    hand-over is the thief.  ``outstanding`` counts those items: up by
+    one per hand-over, down when a lease ends.  It is also the steal
+    request: while fewer items exist, queued or held, than there are
+    workers, one of them has nothing and nothing is on its way to it,
+    and a holder that sees that at its poll hands one item over, so a
+    request is served exactly once (the spawn-stack rule, with the
+    victim's poll standing in for the interrupt; Depth-Bounded is never
+    asked).  The incumbent is the shared integer ``best``, read without
+    the lock and locked only to publish an improvement.  The worker that
+    brings ``outstanding`` to zero, or reaches a decision target, raises
+    ``done`` and posts a sentinel per peer, so that a worker idling in
+    ``task_q.get`` leaves at once and one holding a lease abandons it at
+    its next poll; whatever an earlier job left on the queue carries
+    another epoch and is dropped.  What the leases found is folded into
+    the job's totals, sent once, when the job is over.
 
-    The steal request of these backends is ``outstanding`` itself:
-    while fewer items exist, queued or held, than there are workers,
-    one of them has nothing and nothing is on its way to it.  A holder
-    that sees that at its poll hands one item over, which takes the
-    count up by one, so a request is served exactly once and from the
-    poll after the thief's last lease ended.  This is the (spawn-stack)
-    rule with the victim's poll standing in for the interrupt.
-    Depth-Bounded is not ``stealing``: nobody is ever asked to share.
+    An Ordered lease is ``(epoch, seqs, bound, frontier size)``; the
+    shared ``best`` is then the finalised-prefix best, written by the
+    parent alone, and the reports go straight to ``result_q``.
     """
-    task_q, done_flag, goal_flag = wires.task_q, wires.done, wires.goal
-    enum = stype.kind == "enumeration"
-    best_raw = wires.best.get_obj()  # lock-free reads (aligned 8-byte load)
-    best_lock = wires.best.get_lock()
-    out_raw = wires.outstanding.get_obj()
-    out_lock = wires.outstanding.get_lock()
 
-    # The accumulator (enumeration) or the best incumbent found in
-    # this job, witness included.
-    knowledge = stype.initial_knowledge(spec)
-    metrics = SearchMetrics()
-    pool = Workpool("depth")  # the lease in hand's other roots and offcuts
-    goal_hit = False
+    def __init__(self, wires: Wires) -> None:
+        super().__init__()
+        self.wires = wires
+        self._best = wires.best.get_obj()  # lock-free reads (aligned 8-byte load)
+        self._best_lock = wires.best.get_lock()
+        self._out = wires.outstanding.get_obj()
+        self._out_lock = wires.outstanding.get_lock()
 
-    def demand() -> bool:
-        return stealing and out_raw.value < n_workers
+    def run(self, epoch: int, message: tuple) -> None:
+        """One job: ``message`` is ``(spec_factory, factory_args,
+        stype_factory, stype_args, workers, coordination, knobs)``, the
+        knobs some of :data:`~repro.runtime.worker.JOB_KNOBS`."""
+        spec_factory, factory_args, stype_factory, stype_args, *rest = message
+        self.workers, coordination, knobs = rest
+        spec = self.specs.get((spec_factory, factory_args), lambda: spec_factory(*factory_args))
+        job = self.job = WorkerJob(epoch, spec, stype_factory(*stype_args), coordination, **knobs)
+        self.stealing = coordination != "depthbounded"
+        self.walk = coordination == "ordered"
+        self.knowledge, self.metrics = job.zero, SearchMetrics()
+        self.goal = self.failed = False
+        self.serve()
+        if coordination != "ordered" and not self.failed:
+            knowledge = self.knowledge
+            if not job.enum:
+                # An unpicklable witness degrades to the value alone.
+                knowledge = Incumbent(knowledge.value, _sendable_witness(knowledge.node))
+            self.wires.result_q.put((epoch, "ok", (knowledge, self.metrics, self.goal)))
 
-    def ship(nodes: list, depth: int) -> None:
+    def next_work(self) -> Optional[tuple]:
+        if self.walk:
+            self.walk = False
+            return self.job, None
+        wires, epoch = self.wires, self.job.id
+        while not (wires.done.value or self.failed):
+            try:
+                item = wires.task_q.get(timeout=QUEUE_POLL)
+            except Empty:
+                continue
+            if item[0] == epoch and len(item) > 1:
+                return self.job, item[1:]
+            # A straggler, or an end-of-job sentinel: ``done`` is up.
+        return None
+
+    def demand(self) -> bool:
+        return self.stealing and self._out.value < self.workers
+
+    def ship(self, nodes: list, depth: int) -> None:
         if nodes:  # "nothing to give" needs no message here
-            with out_lock:
-                out_raw.value += 1
-            task_q.put((epoch, nodes, depth))
-            metrics.steals += len(nodes)
+            with self._out_lock:
+                self._out.value += 1
+            self.wires.task_q.put((self.job.id, nodes, depth))
+            self.metrics.steals += len(nodes)
 
-    def publish(found: Incumbent) -> None:
-        with best_lock:
-            if found.value > best_raw.value:
-                best_raw.value = found.value
+    def bound(self) -> int:
+        return self._best.value
 
-    def bound() -> int:
-        return best_raw.value
+    def publish(self, found: Incumbent) -> None:
+        with self._best_lock:
+            if found.value > self._best.value:
+                self._best.value = found.value
 
-    def goal_elsewhere() -> bool:
-        return bool(goal_flag.value)
+    def aborted(self) -> bool:
+        # A goal reached elsewhere, or the ordered parent has all it needs.
+        return bool(self.wires.done.value)
 
-    def raise_flag(flag) -> None:
-        flag.value = 1
-        for _ in range(n_workers - 1):
-            task_q.put((epoch,))
+    def report(self, outcome: LeaseOutcome) -> None:
+        self.knowledge = self.job.stype.combine(self.knowledge, outcome.knowledge)
+        self.metrics.merge(outcome.metrics)
+        if outcome.goal:
+            self.goal = True
+        else:
+            with self._out_lock:
+                self._out.value -= 1
+                if self._out.value:
+                    return
+        self.wires.done.value = 1  # the job is over: wake every idle peer
+        for _ in range(self.workers - 1):
+            self.wires.task_q.put((self.job.id,))
 
-    while not (done_flag.value or goal_flag.value):
-        try:
-            task = task_q.get(timeout=queue_poll)
-        except Empty:
-            continue
-        if task[0] != epoch or len(task) == 1:
-            continue  # a straggler, or an end-of-job sentinel: the flag is up
-        lease = execute_lease(
-            spec, stype, *task[1:], knowledge, pool,
-            budget=budget, chunked=chunked, poll=share_poll,
-            demand=demand, ship=ship, bound=bound, publish=publish,
-            should_abort=goal_elsewhere,
-        )
-        metrics.merge(lease.metrics)
-        knowledge = lease.knowledge
-        if lease.abandoned:
-            break
-        if lease.goal:
-            goal_hit = True
-            raise_flag(goal_flag)
-            break
-        with out_lock:
-            out_raw.value -= 1
-            last = out_raw.value == 0
-        if last:
-            raise_flag(done_flag)
+    def flush(self, blocks: list, done: bool) -> None:
+        for block in blocks:
+            # Keep the value (it drives bound enforcement) even if the
+            # witness cannot travel.
+            if block.get("node") is not None:
+                block["node"] = _sendable_witness(block["node"])
+        self.wires.result_q.put((self.job.id, "ok", (blocks, done)))
 
-    if not enum:
-        # An unpicklable witness degrades to the value alone.
-        knowledge = Incumbent(knowledge.value, _sendable_witness(knowledge.node))
-    wires.result_q.put((epoch, "ok", (knowledge, metrics, goal_hit)))
+    def fail(self, reason: str) -> None:
+        self.failed = True
+        self.wires.result_q.put((self.job.id, "error", reason))
+
+
+# Every search of this process runs on these workers (started by the
+# first one that needs any, see :mod:`repro.runtime.fleet`).
+FLEET = ProcessFleet(PipeWorker)
+
+
+# -- the parent's half of each coordination -----------------------------------
 
 
 def multiprocessing_budget_search(
@@ -469,7 +484,6 @@ def multiprocessing_budget_search(
     n_processes: int = 2,
     budget: int = 1000,
     share_poll: int = 64,
-    queue_poll: float = 0.02,
 ) -> SearchResult:
     """Budget-style dynamic work-sharing search over worker processes.
 
@@ -502,14 +516,9 @@ def multiprocessing_budget_search(
     dying mid-search raises RuntimeError in the parent: its local
     accumulator is unrecoverable, so completing would silently undercount.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if share_poll < 1:
-        raise ValueError("share_poll must be >= 1")
-    return _sharing_search(
-        "budget", (budget, True, share_poll, queue_poll),
-        spec_factory, factory_args, stype_factory, stype_args,
-        n_processes=n_processes,
+    return _fleet_search(
+        "budget", spec_factory, factory_args, stype_factory, stype_args,
+        n_processes, budget=budget, share_poll=share_poll,
     )
 
 
@@ -522,7 +531,6 @@ def multiprocessing_stacksteal_search(
     n_processes: int = 2,
     chunked: bool = True,
     share_poll: int = 64,
-    queue_poll: float = 0.02,
 ) -> SearchResult:
     """Stack-Stealing search over worker processes (shared-memory steals).
 
@@ -544,136 +552,10 @@ def multiprocessing_stacksteal_search(
     :func:`multiprocessing_budget_search`; a worker death likewise
     raises RuntimeError.
     """
-    if share_poll < 1:
-        raise ValueError("share_poll must be >= 1")
-    return _sharing_search(
-        "stacksteal", (None, bool(chunked), share_poll, queue_poll),
-        spec_factory, factory_args, stype_factory, stype_args,
-        n_processes=n_processes,
+    return _fleet_search(
+        "stacksteal", spec_factory, factory_args, stype_factory, stype_args,
+        n_processes, chunked=chunked, share_poll=share_poll,
     )
-
-
-def _sharing_search(
-    label: str,
-    sharing_args: tuple,
-    spec_factory: Callable[..., Any],
-    factory_args: tuple,
-    stype_factory: Callable[..., SearchType],
-    stype_args: tuple = (),
-    *,
-    n_processes: int = 2,
-    d_cutoff: Optional[int] = None,
-) -> SearchResult:
-    """Shared parent driver for the queue-based coordinations.
-
-    Depth-Bounded, Budget and Stack-Stealing differ only in *who splits
-    the tree and when*; everything around that — the task queue, the
-    shared incumbent, the outstanding-lease termination counter, crash
-    detection and the result merge — is this function.  With a
-    ``d_cutoff`` the parent cuts the depth-``d_cutoff`` frontier itself
-    and the workers only search what they pull; without one the whole
-    tree is the first task and the workers share it out, told how by
-    ``sharing_args``, the ``(budget, chunked, share_poll, queue_poll)``
-    of :func:`_sharing_worker_main`'s arguments (``budget`` None
-    selecting Stack-Stealing).  ``metrics.spawns`` is the number of
-    subtrees split off, by the parent or off a worker's stack;
-    ``metrics.steals`` the number a worker put on the queue for a
-    starving one.
-    """
-    if n_processes < 1:
-        raise ValueError("need at least one process")
-    spec = spec_factory(*factory_args)
-    stype = stype_factory(*stype_args)
-    started = time.perf_counter()
-    enum = stype.kind == "enumeration"
-
-    if d_cutoff is None:
-        tasks = [([spec.root], 0)]
-        knowledge = stype.initial_knowledge(spec)
-        metrics = SearchMetrics()
-        goal = False
-    else:
-        frontier = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
-        tasks = [([task.node], task.depth) for task in frontier.tasks]
-        knowledge, metrics, goal = frontier.knowledge, frontier.metrics, frontier.goal
-    if not enum:
-        _checked_incumbent_seed(knowledge.value)
-
-    if tasks and not goal:
-        with FLEET.job(
-            label, n_processes,
-            (spec_factory, factory_args, stype_factory, stype_args),
-            _sharing_worker_main, (n_processes, *sharing_args, d_cutoff is None),
-            outstanding=len(tasks),  # leases queued or held
-            # Unused by an enumeration: its accumulators stay local.
-            best=0 if enum else knowledge.value,
-        ) as (wires, epoch, reports):
-            for task in tasks:
-                wires.task_q.put((epoch, *task))
-            # One report per worker: what it found (a witness that
-            # could not be pickled is None; the value still counts),
-            # its summed counters, and whether it reached the goal.
-            for found, counters, goal_here in reports:
-                knowledge = stype.combine(knowledge, found)
-                metrics.merge(counters)
-                goal = goal or goal_here
-    metrics.weighted_nodes = metrics.nodes
-    return SearchResult.from_knowledge(
-        stype, knowledge, goal, metrics,
-        time.perf_counter() - started, n_processes,
-    )
-
-
-# -- replicable Ordered backend ---------------------------------------------
-
-
-def _ordered_worker_main(
-    spec, stype, wires: Wires, epoch: int, d_cutoff, share_poll, queue_poll
-):
-    """One job of a fleet worker on the Ordered coordination: runs of
-    atomic tasks, named by number.
-
-    Walks the frontier for itself first (the parent is walking its own
-    meanwhile), then pulls ``(epoch, seqs, bound, frontier size)``
-    leases and hands each to :func:`~repro.core.ordered.execute_run`,
-    which threads the bound through the run and reports blocks.  The
-    shared ``best`` is the finalised-prefix best, written only by the
-    parent and read lock-free here; nothing this worker finds is ever
-    merged or published on this side — ordering and merging belong to
-    the parent's ledger alone, which re-issues whatever ran from a
-    bound that turns out wrong.
-    """
-    task_q, done_flag = wires.task_q, wires.done
-    best_raw = wires.best.get_obj()  # lock-free read (parent is sole writer)
-    tasks = worker_tasks(spec, stype, d_cutoff)
-
-    def published() -> int:
-        return best_raw.value
-
-    def aborted() -> bool:
-        return bool(done_flag.value)
-
-    def flush(blocks: list, done: bool) -> None:
-        for block in blocks:
-            # Keep the value (it drives bound enforcement) even if
-            # the witness cannot travel.
-            if block.get("node") is not None:
-                block["node"] = _sendable_witness(block["node"])
-        wires.result_q.put((epoch, "ok", (blocks, done)))
-
-    while not done_flag.value:
-        try:
-            lease = task_q.get(timeout=queue_poll)
-        except Empty:
-            continue
-        if lease[0] != epoch or done_flag.value:
-            continue  # a straggler, or woken by the end-of-job sentinel
-        finished = execute_run(
-            spec, stype, tasks, *lease[1:], flush,
-            published=published, should_abort=aborted, poll=share_poll,
-        )
-        if not finished:
-            break  # asked to wind down mid-run
 
 
 def multiprocessing_ordered_search(
@@ -685,7 +567,6 @@ def multiprocessing_ordered_search(
     n_processes: int = 2,
     d_cutoff: int = 2,
     share_poll: int = 64,
-    queue_poll: float = 0.02,
 ) -> SearchResult:
     """Replicable Ordered search over worker processes.
 
@@ -712,46 +593,104 @@ def multiprocessing_ordered_search(
     re-lease atomic tasks), and so does a worker whose own walk numbers
     another frontier than the parent's.
     """
+    return _fleet_search(
+        "ordered", spec_factory, factory_args, stype_factory, stype_args,
+        n_processes, d_cutoff=d_cutoff, share_poll=share_poll,
+    )
+
+
+def _fleet_search(
+    coordination: str,
+    spec_factory: Callable[..., Any],
+    factory_args: tuple,
+    stype_factory: Callable[..., SearchType],
+    stype_args: tuple,
+    n_processes: int,
+    **knobs: Any,
+) -> SearchResult:
+    """The parent's half of every process coordination: one fleet job,
+    told the coordination and its ``knobs`` (some of
+    :data:`~repro.runtime.worker.JOB_KNOBS`).
+
+    Depth-Bounded, Budget and Stack-Stealing differ only in *who splits
+    the tree and when*; around that are the task queue, the shared
+    incumbent, the outstanding-lease termination counter, crash
+    detection and the merge of one report per worker.  Depth-Bounded's
+    parent cuts the depth-``d_cutoff`` frontier itself and the workers
+    only search what they pull; otherwise the whole tree is the first
+    task.  ``metrics.spawns`` is the number of subtrees split off, by
+    the parent or off a worker's stack; ``metrics.steals`` the number a
+    worker put on the queue for a starving one.  Ordered's parent walks
+    the frontier while the workers walk theirs, leases runs of its
+    numbers and finalises their reports in its ledger.
+    """
     if n_processes < 1:
         raise ValueError("need at least one process")
-    if share_poll < 1:
-        raise ValueError("share_poll must be >= 1")
+    for knob in ("budget", "share_poll"):
+        if knobs.get(knob, 1) < 1:
+            raise ValueError(f"{knob} must be >= 1")
     spec = spec_factory(*factory_args)
     stype = stype_factory(*stype_args)
     started = time.perf_counter()
     enum = stype.kind == "enumeration"
     if not enum:
         _checked_incumbent_seed(stype.initial_knowledge(spec).value)
+    message = (
+        spec_factory, factory_args, stype_factory, stype_args,
+        n_processes, coordination, knobs,
+    )
 
-    if d_cutoff <= 0:
-        ledger = OrderedLedger(stype, ordered_frontier(spec, stype, d_cutoff=d_cutoff))
-    else:
-        with FLEET.job(
-            "ordered", n_processes,
-            (spec_factory, factory_args, stype_factory, stype_args),
-            _ordered_worker_main, (d_cutoff, share_poll, queue_poll),
-        ) as (wires, epoch, reports):
-            # The workers are walking: so does the parent.
+    if coordination == "ordered":
+        d_cutoff = knobs["d_cutoff"]
+        if d_cutoff <= 0:
             ledger = OrderedLedger(stype, ordered_frontier(spec, stype, d_cutoff=d_cutoff))
-            policy = OrderedRunPolicy(ledger, share_poll)
-            if not enum:
-                # Published for the workers' speculation (this parent is
-                # the only writer); nobody reads it before a lease.
-                wires.best.value = ledger.required_bound()
-            while not ledger.finished:
-                while (run := policy.lease(n_processes)) is not None:
-                    wires.task_q.put((epoch, run.seqs, run.bound, ledger.task_count))
-                if policy.accept(*next(reports)):
+        else:
+            with FLEET.job(coordination, n_processes, message) as (wires, epoch, reports):
+                # The workers are walking: so does the parent.
+                ledger = OrderedLedger(stype, ordered_frontier(spec, stype, d_cutoff=d_cutoff))
+                policy = OrderedRunPolicy(ledger, knobs["share_poll"])
+                if not enum:
+                    # Published for the workers' speculation (this parent
+                    # is the only writer); nobody reads it before a lease.
                     wires.best.value = ledger.required_bound()
-            # Runs still out are not needed: wake whoever waits for one.
-            wires.done.value = 1
-            for _ in range(n_processes):
-                wires.task_q.put((epoch,))
-
-    metrics = ledger.metrics
+                while not ledger.finished:
+                    while (run := policy.lease(n_processes)) is not None:
+                        wires.task_q.put((epoch, run.seqs, run.bound, ledger.task_count))
+                    if policy.accept(*next(reports)):
+                        wires.best.value = ledger.required_bound()
+                # Runs still out are not needed: wake whoever waits for one.
+                wires.done.value = 1
+                for _ in range(n_processes):
+                    wires.task_q.put((epoch,))
+        knowledge, goal, metrics = ledger.knowledge, ledger.goal, ledger.metrics
+    else:
+        if coordination == "depthbounded":
+            frontier = ordered_frontier(spec, stype, d_cutoff=knobs["d_cutoff"])
+            tasks = [([task.node], task.depth) for task in frontier.tasks]
+            knowledge, metrics, goal = frontier.knowledge, frontier.metrics, frontier.goal
+        else:
+            tasks = [([spec.root], 0)]
+            knowledge = stype.initial_knowledge(spec)
+            metrics, goal = SearchMetrics(), False
+        if tasks and not goal:
+            with FLEET.job(
+                coordination, n_processes, message,
+                outstanding=len(tasks),  # leases queued or held
+                # Unused by an enumeration: its accumulators stay local.
+                best=0 if enum else knowledge.value,
+            ) as (wires, epoch, reports):
+                for task in tasks:
+                    wires.task_q.put((epoch, *task))
+                # One report per worker: what it found (a witness that
+                # could not be pickled is None; the value still counts),
+                # its summed counters, and whether it reached the goal.
+                for found, counters, goal_here in reports:
+                    knowledge = stype.combine(knowledge, found)
+                    metrics.merge(counters)
+                    goal = goal or goal_here
     metrics.weighted_nodes = metrics.nodes
     return SearchResult.from_knowledge(
-        stype, ledger.knowledge, ledger.goal, metrics,
+        stype, knowledge, goal, metrics,
         time.perf_counter() - started, n_processes,
     )
 
@@ -766,18 +705,11 @@ def run_skeleton(
 ) -> SearchResult:
     """The ``"processes"`` runner of :data:`repro.core.backends.BACKENDS`.
 
-    Each coordination reads its own knobs from ``params``; the search
-    type travels as its ``(kind, kwargs)`` payload (standard types only
-    — see :func:`_stype_payload`).
+    The job carries every knob of ``params`` a wire job does, and each
+    coordination reads its own; the search type travels as its ``(kind,
+    kwargs)`` payload (standard types only — see :func:`_stype_payload`).
     """
-    search, knobs = {
-        "depthbounded": (multiprocessing_depthbounded_search, ("d_cutoff",)),
-        "budget": (multiprocessing_budget_search, ("budget", "share_poll")),
-        "stacksteal": (multiprocessing_stacksteal_search, ("chunked", "share_poll")),
-        "ordered": (multiprocessing_ordered_search, ("d_cutoff", "share_poll")),
-    }[coordination]
-    return search(
-        spec_factory, factory_args, make_stype, _stype_payload(stype),
-        n_processes=params.n_processes,
-        **{knob: getattr(params, knob) for knob in knobs},
+    return _fleet_search(
+        coordination, spec_factory, factory_args, make_stype, _stype_payload(stype),
+        params.n_processes, **job_knobs(params),
     )

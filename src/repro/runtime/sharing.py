@@ -6,11 +6,10 @@ searches itself before it asks for more.  :func:`execute_lease` is
 everything between "a hand-over arrives" and "the lease is over", the
 counterpart for these two
 coordinations of :func:`repro.core.ordered.execute_run`, and like it
-transport-free: the multiprocessing workers
-(:mod:`repro.runtime.processes`) and the cluster worker
-(:mod:`repro.cluster.worker`) call it and differ only in the callbacks
-they hand it — a shared integer and a queue on one side, INCUMBENT,
-STEAL, STOLEN and OFFCUT frames on the other.
+transport-free: the one worker of both runtimes
+(:class:`repro.runtime.worker.Worker`) calls it, and its two
+transports differ only in the callbacks — a shared integer and a queue
+on one side, INCUMBENT, STEAL, STOLEN and OFFCUT frames on the other.
 
 *When the live stack is split* is what tells the coordinations apart;
 the traversal is the search kernel's
@@ -111,7 +110,7 @@ def execute_lease(
     the holder's ``Workpool("depth")``: empty on entry and — unless the
     lease is abandoned — on return; it is the caller's so that the
     caller can report its length while the lease runs.  The runtime is
-    reached only through the callbacks, built once per lease:
+    reached only through the callbacks, its transport's methods:
 
     - ``demand()`` — is anybody waiting for work?  Falsy: no.  Truthy: a
       peer is starving, give it one hand-over.  :data:`FLUSH`: the

@@ -1,0 +1,159 @@
+"""One worker over two transports.
+
+YewPar starts its workers once per locality and feeds them from the
+locality's workpool (§4.3); a coordination is a policy that runs on
+that worker, not a second worker.  :class:`Worker` is that worker for
+both real runtimes: it holds the job in hand (:class:`WorkerJob`), the
+spec of the last job (:class:`SpecCache`) and the lease loop.  Its
+transport is a subclass — the process fleet's queues and shared
+integers (:class:`repro.runtime.processes.PipeWorker`) or the
+cluster's frames (:class:`repro.cluster.worker.ClusterWorker`) — and
+the kernel reaches it only at its polls.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Optional
+
+from repro.core.ordered import execute_run, worker_tasks
+from repro.core.searchtypes import Incumbent, SearchType
+from repro.runtime.sharing import LeaseOutcome, execute_lease
+from repro.runtime.workpool import Workpool
+
+__all__ = ["JOB_KNOBS", "job_knobs", "SpecCache", "WorkerJob", "Worker"]
+
+# The knobs of a job, beside its coordination, on either transport.
+JOB_KNOBS = ("budget", "share_poll", "d_cutoff", "chunked")
+
+
+def job_knobs(params: Any) -> dict:
+    """A :class:`~repro.core.params.SkeletonParams` reduced to its job knobs."""
+    return {knob: getattr(params, knob) for knob in JOB_KNOBS}
+
+
+class SpecCache:
+    """The spec of the last job, kept while the next names the same key
+    (instances are deterministic: it would be rebuilt identical).  One
+    entry, one per worker and one in the cluster coordinator."""
+
+    def __init__(self) -> None:
+        self._key: Any = None
+        self._spec: Any = None
+
+    def get(self, key: Any, build: Callable[[], Any]) -> Any:
+        """The spec ``key`` names: ``build()``'s, unless it was the last."""
+        if key != self._key:
+            self._spec = build()
+            self._key = key
+        return self._spec
+
+
+class WorkerJob:
+    """Worker-side state of one job.
+
+    ``budget`` is None but for Budget (Depth-Bounded is a Stack-Stealing
+    job nobody asks to share); every lease starts from ``zero``, with
+    no witness of this worker's; ``tasks`` is an Ordered job's frontier
+    as walked here.  ``bound`` and ``done`` are for a transport that is
+    told the incumbent and the end of the job rather than reading them.
+    """
+
+    def __init__(
+        self, id: int, spec: Any, stype: SearchType, coordination: str, *,
+        budget: int = 1000, share_poll: int = 64, d_cutoff: int = 2, chunked: bool = True,
+    ) -> None:
+        self.id = id
+        self.spec = spec
+        self.stype = stype
+        self.enum = stype.kind == "enumeration"
+        self.coordination = coordination
+        self.budget = max(1, int(budget)) if coordination == "budget" else None
+        self.share_poll = max(1, int(share_poll))
+        self.d_cutoff = int(d_cutoff)
+        self.chunked = bool(chunked)
+        zero = stype.initial_knowledge(spec)
+        self.zero = zero if self.enum else Incumbent(zero.value, None)
+        self.tasks: list = []
+        self.bound = 0
+        self.done = False
+
+
+class Worker:
+    """The lease loop, behind the transport a subclass supplies: the
+    methods under "the transport" below.  An ``OSError`` out of the
+    transport ends the loop; what that means is the transport's call.
+    """
+
+    def __init__(self) -> None:
+        self.specs = SpecCache()
+        self.pool = Workpool("depth")  # the lease in hand's unstarted subtrees
+        self.job: Optional[WorkerJob] = None  # the job of the work in hand
+
+    def serve(self) -> None:
+        """Take work from :meth:`next_work` until it hands over None."""
+        while (item := self.next_work()) is not None:
+            job, work = item
+            self.job = job
+            try:
+                if work is None:
+                    job.tasks = worker_tasks(job.spec, job.stype, job.d_cutoff)
+                elif job.coordination == "ordered":
+                    execute_run(
+                        job.spec, job.stype, job.tasks, *work, self.flush,
+                        published=self.bound, should_abort=self.aborted,
+                        poll=job.share_poll,
+                    )
+                else:
+                    self._run_lease(job, work)
+            except OSError:
+                raise
+            except Exception as exc:
+                self.fail(f"{type(exc).__name__}: {exc}")
+
+    def _run_lease(self, job: WorkerJob, work: tuple) -> None:
+        try:
+            outcome = execute_lease(
+                job.spec, job.stype, *work, job.zero, self.pool,
+                budget=job.budget, chunked=job.chunked, poll=job.share_poll,
+                demand=self.demand, ship=self.ship, bound=self.bound,
+                publish=self.publish, should_abort=self.aborted,
+                on_subtree=self.on_subtree,
+            )
+        finally:
+            self.pool = Workpool("depth")  # whatever the lease left in it
+        if not outcome.abandoned:
+            self.report(outcome)
+
+    # -- the transport ---------------------------------------------------
+
+    def next_work(self) -> Optional[tuple]:
+        """What to do next: ``(job, None)`` when an Ordered job starts (it
+        walks its frontier), ``(job, work)`` for a lease — ``(roots,
+        depth)``, or a run's ``(seqs, bound, of)`` — or None to leave."""
+
+    def demand(self) -> int:
+        """Is a peer starving (or :data:`~repro.runtime.sharing.FLUSH`)?"""
+
+    def ship(self, nodes: list, depth: int) -> None:
+        """These subtree roots, all at ``depth``, go: one hand-over."""
+
+    def bound(self) -> int:
+        """The best objective published, as last heard."""
+
+    def publish(self, found: Incumbent) -> None:
+        """A strict improvement found here."""
+
+    def aborted(self) -> bool:
+        """Should the lease or run in hand stop now, reporting nothing?"""
+
+    def on_subtree(self) -> None:
+        """Before each subtree a lease pops from its pool."""
+
+    def report(self, outcome: LeaseOutcome) -> None:
+        """A sharing lease ended, not abandoned."""
+
+    def flush(self, blocks: list, done: bool) -> None:
+        """An Ordered run's blocks, ``done`` on its last report."""
+
+    def fail(self, reason: str) -> None:
+        """The job in hand cannot be run here: fail it."""

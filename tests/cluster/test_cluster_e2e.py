@@ -13,12 +13,13 @@ against :func:`sequential_search` where the maths demands it:
   required.
 """
 
+import multiprocessing
 import threading
 import time
 
 import pytest
 
-from repro.cluster.coordinator import ClusterHandle
+from repro.cluster.coordinator import ClusterHandle, ClusterJobFailed
 from repro.cluster.local import cluster_search, job_payload
 from repro.cluster.worker import ClusterWorker, _worker_process_main
 from repro.core.params import SkeletonParams
@@ -31,6 +32,14 @@ from repro.instances.library import library_spec_factory, spec_for
 def _stype_for(instance):
     spec, tname, kwargs = spec_for(instance)
     return spec, make_search_type(tname, **kwargs)
+
+
+def parent_only_spec_factory(instance):
+    """The library spec in the process that calls it first, and an error
+    in every worker process: a factory one side of the wire cannot run."""
+    if multiprocessing.parent_process() is not None:
+        raise RuntimeError("this instance is not installed here")
+    return library_spec_factory(instance)
 
 
 class TestMatchesSequential:
@@ -172,6 +181,18 @@ class TestFaultTolerance:
                 graceful_stop(p, grace=1.0)
         assert all(p.exitcode == 0 for p in procs)
         assert teardown < 1.0
+
+    def test_a_job_no_worker_can_build_fails_instead_of_timing_out(self):
+        # The coordinator builds the spec; each worker answers the JOB
+        # with ERROR, which fails the job at once, naming the worker.
+        # Without the answer the workers dropped every lease while they
+        # kept heart-beating, and the job waited for its timeout.
+        _, stype = _stype_for("brock90-1")
+        with pytest.raises(ClusterJobFailed, match=r"worker 'local-\d'.*not installed here"):
+            cluster_search(
+                parent_only_spec_factory, ("brock90-1",), stype,
+                n_workers=2, timeout=30,
+            )
 
 
 class TestWorkerLifecycle:

@@ -223,7 +223,7 @@ class TestRetireFlushesThePool:
                 return False
 
         worker, sent = stub_worker("budget", faults=RetireAtFifthSubtree())
-        worker._search_loop()
+        worker.serve()
         kinds = [m["type"] for m in sent]
         flushed = [m for m in sent if m["type"] == P.OFFCUT]
         assert flushed and kinds == [P.OFFCUT] * len(flushed) + [P.RESULT, P.BYE]
@@ -258,11 +258,12 @@ class TestRetireFlushesThePool:
         stype = make_search_type("enumeration")
         payload = job_payload(instance_spec, args, stype, budget=100)
         offcuts = []
-        on_offcut = Coordinator._on_offcut
+        dispatch = Coordinator._dispatch
 
-        def counting(self, worker, job, msg):
-            offcuts.append((worker.name, len(msg.get("nodes") or [])))
-            on_offcut(self, worker, job, msg)
+        def counting(self, worker, msg):
+            if msg["type"] == P.OFFCUT:
+                offcuts.append((worker.name, len(msg.get("nodes") or [])))
+            dispatch(self, worker, msg)
 
         handle = ClusterHandle(heartbeat_interval=0.02, heartbeat_timeout=5.0)
         host, port = handle.start()
@@ -274,7 +275,7 @@ class TestRetireFlushesThePool:
             for i in range(2)
         ]
         try:
-            Coordinator._on_offcut = counting
+            Coordinator._dispatch = counting
             for p in procs:
                 p.start()
             handle.wait_for_workers(2, timeout=15)
@@ -290,7 +291,7 @@ class TestRetireFlushesThePool:
             assert handle.retire_worker(victim) is True
             res = fut.result(timeout=90)
         finally:
-            Coordinator._on_offcut = on_offcut
+            Coordinator._dispatch = dispatch
             handle.shutdown(drain_workers=True)
             for p in procs:
                 graceful_stop(p, grace=1.0)

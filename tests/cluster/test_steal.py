@@ -412,7 +412,7 @@ class TestWorkerAnswersSteals:
         dry before it began, and nothing cleared that until a RESULT."""
         worker, sent = stub_worker("stacksteal")
         worker._on_message({"type": P.STEAL, "job": 1})
-        worker._search_loop()
+        worker.serve()
         stolen = [m for m in sent if m["type"] == P.STOLEN]
         assert len(stolen) == 1
         # Answered from the lease's first poll, with work, in its name.
@@ -429,13 +429,13 @@ class TestWorkerAnswersSteals:
         worker._local_q.get_nowait()
         worker._on_message({"type": P.STEAL, "job": 1})
         worker._on_message({"type": P.SHUTDOWN})
-        worker._search_loop()
+        worker.serve()
         assert [m["type"] for m in sent] == [P.BYE]
 
     def test_budget_lease_answers_from_its_pool_once_it_has_one(self):
         worker, sent = stub_worker("budget")
         worker._on_message({"type": P.STEAL, "job": 1})
-        worker._search_loop()
+        worker.serve()
         assert [m["type"] for m in sent] == [P.STOLEN, P.RESULT, P.BYE]
         stolen, result = sent[0], sent[1]
         # The first trip's offcuts are the root's other children: the
@@ -457,7 +457,7 @@ class TestWorkerAnswersSteals:
                 return False
 
         worker, sent = stub_worker("budget", faults=Hooks())
-        worker._search_loop()
+        worker.serve()
         assert [m["type"] for m in sent] == [P.RESULT, P.BYE]
         result = sent[0]
         assert result["nodes"] == whole_tree()
@@ -482,7 +482,7 @@ class TestWorkerAnswersSteals:
             "type": P.TASK, "job": 2,
             "leases": [[1, 0, [P.encode_node(worker._ctx.spec.root)], 0]],
         })
-        worker._search_loop()
+        worker.serve()
         assert [m["type"] for m in sent] == [P.RESULT, P.BYE]
         assert sent[0]["nodes"] == whole_tree()
 
@@ -515,6 +515,26 @@ class TestWorkerKeepsItsSpec:
         assert other.spec is not first.spec
         job(4, WORKER_INSTANCE)  # one entry: the last one
         assert SPECS_BUILT == [WORKER_INSTANCE, "brock90-1", WORKER_INSTANCE]
+
+
+class TestWorkerThatCannotBuildTheJob:
+    def test_an_unresolvable_factory_is_answered_with_one_error(self):
+        """The coordinator would otherwise keep leasing to a worker that
+        drops every lease while it heart-beats, and the job would wait
+        for its timeout (forever, by default)."""
+        worker = ClusterWorker("127.0.0.1", 1, name="stub")
+        sent: list = []
+        worker._send = sent.append
+        worker._on_message(dict(
+            JOB_FRAME, job=7, coordination="budget", factory="no.such.module:spec",
+        ))
+        worker._on_message({
+            "type": P.TASK, "job": 7, "leases": [[1, 0, [P.encode_node(0)], 0]],
+        })
+        (error,) = sent
+        assert error["type"] == P.ERROR and error["job"] == 7
+        assert "no.such.module:spec" in error["reason"]
+        assert worker._local_q.empty()  # its leases are dropped, never run
 
 
 class TestWorkerDrain:

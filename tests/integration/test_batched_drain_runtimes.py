@@ -9,8 +9,8 @@ visits every node exactly once however the stack is cut, so the node
 count and the folded value must equal ``sequential_search``'s; for
 Optimisation the bound a poll hands back prunes by timing, so the value
 and a valid witness are the bar.  The trees take sequential_search
-0.1-0.2 s, so that a Stack-Stealing peer is hungry (2 ms here) long
-before the victim is done.
+0.1-0.2 s, so that a Stack-Stealing peer is hungry — fewer leases than
+workers — long before the victim is done.
 """
 
 import pytest
@@ -41,7 +41,7 @@ def run_processes_stacksteal(chunked):
     def run(args, kind):
         return multiprocessing_stacksteal_search(
             instance_spec, args, make_stype, (kind, {}),
-            n_processes=2, share_poll=16, chunked=chunked, queue_poll=0.002,
+            n_processes=2, share_poll=16, chunked=chunked,
         )
     return run
 

@@ -72,8 +72,8 @@ class TestCorrectness:
         # A deep irregular tree shared among hungry workers: at least
         # one steal must actually happen (the whole tree starts as one
         # task, so 3 workers stay idle until thefts move work).  162 k
-        # nodes: the victim must still be searching when the others
-        # have waited out their first queue_poll (20 ms) and gone hungry.
+        # nodes: the victim is still searching at its first polls, when
+        # fewer leases exist than workers and the others are hungry.
         res = multiprocessing_stacksteal_search(
             uts_spec_factory, (2.0, 16, 7), enumeration_factory,
             n_processes=4, share_poll=8,
