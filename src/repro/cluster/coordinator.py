@@ -1,6 +1,10 @@
 """The cluster coordinator: task table, steal mediation, incumbent, termination.
 
-One coordinator owns the authoritative state of a distributed search:
+One coordinator owns the authoritative state of a distributed search.
+What the job does — its first work, the published best, the merge of
+every report, the Ordered ledger and its runs, the result — is the
+:class:`~repro.runtime.driver.JobDriver` the process fleet's parent
+runs too; what is here is its transport:
 
 - the **task table** — every hand-over that exists *here* as a unit of
   work: sibling subtree roots at one depth, with their lease (which
@@ -25,12 +29,12 @@ One coordinator owns the authoritative state of a distributed search:
   the whole tree has been searched (the same invariant the
   multiprocessing backend keeps in a shared integer, here maintained by
   the single writer that sees every message);
-- the **incumbent** — best-first merge of every INCUMBENT/RESULT
-  arrival; only *strict* improvements are rebroadcast to the other
-  workers, so bound traffic is proportional to how often the answer
-  actually improves (the real-network realisation of the simulator's
-  delayed PGAS broadcast: a worker holding a stale bound prunes less,
-  never wrongly, §4.3).
+- the **incumbent** broadcast — every INCUMBENT and RESULT goes
+  through the driver's merge, and only a *strict* improvement of the
+  best is rebroadcast to the other workers, so bound traffic is
+  proportional to how often the answer actually improves (the
+  real-network realisation of the simulator's delayed PGAS broadcast:
+  a worker holding a stale bound prunes less, never wrongly, §4.3).
 
 Fault model (see docs/cluster.md for the full argument):
 
@@ -70,15 +74,9 @@ from typing import Any, Callable, Optional
 from repro.cluster import protocol as P
 from repro.cluster.faults import CoordinatorFaults
 from repro.core.backends import backend_for
-from repro.core.ordered import (
-    OrderedLedger,
-    OrderedRun,
-    OrderedRunPolicy,
-    ordered_frontier,
-)
 from repro.core.results import SearchMetrics, SearchResult
 from repro.core.searchtypes import Incumbent
-from repro.runtime.processes import make_stype
+from repro.runtime.driver import JobDriver, OrderedRun
 from repro.runtime.worker import SpecCache
 
 __all__ = [
@@ -124,7 +122,7 @@ class TaskRecord:
     state: str = QUEUED
     worker: Optional[int] = None
     # Ordered jobs only: the record *is* one lease of a run of frontier
-    # tasks, created when the policy cuts it (``nodes`` stays None).
+    # tasks, created when the driver cuts it (``nodes`` stays None).
     run: Optional[OrderedRun] = None
 
 
@@ -155,72 +153,30 @@ class WorkerConn:
 
 
 class _Job:
-    """Coordinator-side state of the active search job."""
+    """Coordinator-side state of the active search job: its
+    :class:`~repro.runtime.driver.JobDriver` and its lease table."""
 
     def __init__(self, job_id: int, payload: dict, loop, specs: SpecCache) -> None:
         self.id = job_id
         self.payload = payload
-        self.spec = P.job_spec(payload, specs)
-        self.stype = make_stype(
-            payload["stype_kind"], dict(payload.get("stype_kwargs") or {})
-        )
-        self.enum = self.stype.kind == "enumeration"
-        self.coordination = str(payload.get("coordination") or "budget")
-        backend_for("cluster", self.coordination)  # wire input: ValueError
-        self.chunked = bool(payload.get("chunked", True))
-        self.d_cutoff = int(payload.get("d_cutoff", 2))
-        self.knowledge = self.stype.initial_knowledge(self.spec)
-        self.best_value: Optional[int] = (
-            None if self.enum else self.knowledge.value
-        )
-        self.metrics = SearchMetrics()
+        self.driver = JobDriver(P.decode_job(job_id, payload, specs))
+        backend_for("cluster", self.driver.job.coordination)  # wire input: ValueError
         self.tasks: dict[int, TaskRecord] = {}
         self.queue: deque[int] = deque()
         self.outstanding = 0
         self.contributors: set[int] = set()
-        self.goal = False
-        self.stale_dropped = 0
         self.state = "running"
-        self.started = time.perf_counter()
         self.done: asyncio.Future = loop.create_future()
         self._next_task = 0
-        self.share_poll = int(payload.get("share_poll", 64))
-        # Ordered jobs only, and only once :meth:`walk` has run.
-        self.ledger: Optional[OrderedLedger] = None
-        self.policy: Optional[OrderedRunPolicy] = None
-        if self.coordination != "ordered":
-            root = TaskRecord(
-                id=self._new_task_id(),
-                nodes=[P.encode_node(self.spec.root)],
-                depth=0,
-            )
-            self.tasks[root.id] = root
-            self.queue.append(root.id)
-            self.outstanding = 1
 
     def _new_task_id(self) -> int:
         self._next_task += 1
         return self._next_task
 
-    def walk(self) -> None:
-        """Ordered jobs, phase 1: the sequential depth-bounded expansion
-        that numbers the frontier, run synchronously on the loop *after*
-        the JOB frames have left, so that the workers are walking their
-        own copies meanwhile.  It is the region above d_cutoff — small
-        by construction — so blocking the loop for it is fine.  No task
-        records yet: the policy cuts runs as slots come free (see
-        lease_run)."""
-        frontier = ordered_frontier(self.spec, self.stype, d_cutoff=self.d_cutoff)
-        self.ledger = OrderedLedger(self.stype, frontier)
-        self.policy = OrderedRunPolicy(self.ledger, self.share_poll)
-        if not self.enum:
-            self.best_value = self.ledger.required_bound()
-        self.outstanding = self.ledger.task_count
-
     def lease_run(self, workers: int) -> Optional[TaskRecord]:
-        """Ordered jobs: the next run the policy hands out, as a fresh
+        """Ordered jobs: the next run the driver hands out, as a fresh
         task record (None while its window for ``workers`` is full)."""
-        run = self.policy.lease(workers)
+        run = self.driver.lease(workers)
         if run is None:
             return None
         rec = TaskRecord(id=self._new_task_id(), nodes=None, depth=0, run=run)
@@ -234,17 +190,17 @@ class _Job:
             return [rec.id, rec.epoch, rec.nodes, rec.depth]
         return [
             rec.id, rec.epoch, P.pack_seqs(run.seqs), run.bound,
-            self.ledger.task_count,
+            self.driver.ledger.task_count,
         ]
 
     def requeue(self, rec: TaskRecord) -> None:
         """A lease was lost (worker death or retire handback): make its
         work leasable again and count the re-lease."""
         if rec.run is not None:
-            # The run goes back to the policy, which re-cuts it; this
+            # The run goes back to the driver, which re-cuts it; this
             # record is spent.
             rec.state = CANCELLED
-            self.metrics.reassigned += self.policy.requeue(rec.run)
+            self.driver.requeue(rec.run)
             return
         # Bump the epoch *before* re-queueing: anything the previous
         # holder still says about this task is stale by construction.
@@ -252,14 +208,15 @@ class _Job:
         rec.state = QUEUED
         rec.worker = None
         self.queue.appendleft(rec.id)
-        self.metrics.reassigned += 1
+        self.driver.metrics.reassigned += 1
 
     def add_offcuts(self, depth: int, nodes: list, idle: int) -> None:
         """Queue the subtrees a lease-holder handed over (STOLEN, OFFCUT)
-        as one record per idle worker, every ``idle``-th node each, so
-        that each of them gets one lease with big and small subtrees in
-        it.  With nobody idle the queue does the balancing: one record
-        per subtree, leased as slots come free."""
+        — or the driver's first lease — as one record per idle worker,
+        every ``idle``-th node each, so that each of them gets one lease
+        with big and small subtrees in it.  With nobody idle the queue
+        does the balancing: one record per subtree, leased as slots come
+        free."""
         shares = min(idle, len(nodes)) or len(nodes)
         for first in range(shares):
             rec = TaskRecord(
@@ -271,6 +228,7 @@ class _Job:
 
     def job_message(self) -> dict:
         """The JOB frame for a (possibly late-joining) worker."""
+        job = self.driver.job
         return {
             "type": P.JOB,
             "job": self.id,
@@ -279,21 +237,12 @@ class _Job:
             "stype_kind": self.payload["stype_kind"],
             "stype_kwargs": dict(self.payload.get("stype_kwargs") or {}),
             "budget": int(self.payload.get("budget", 1000)),
-            "share_poll": self.share_poll,
-            "coordination": self.coordination,
-            "chunked": self.chunked,
-            "d_cutoff": self.d_cutoff,
-            "best": self.best_value,
+            "share_poll": job.share_poll,
+            "coordination": job.coordination,
+            "chunked": job.chunked,
+            "d_cutoff": job.d_cutoff,
+            "best": self.driver.best,
         }
-
-    def result(self, workers_seen: int) -> SearchResult:
-        """Assemble the final :class:`SearchResult` (mirrors the
-        multiprocessing backend's construction)."""
-        self.metrics.weighted_nodes = self.metrics.nodes
-        return SearchResult.from_knowledge(
-            self.stype, self.knowledge, self.goal, self.metrics,
-            time.perf_counter() - self.started, max(1, workers_seen),
-        )
 
 
 class Coordinator:
@@ -409,8 +358,8 @@ class Coordinator:
         active = job is not None and job.state == "running"
         if not active:
             queued = 0
-        elif job.policy is not None:
-            queued = job.policy.backlog
+        elif job.driver.ledger is not None:
+            queued = job.driver.backlog
         else:
             # Runnable and unstarted: the subtrees queued here, plus
             # what the lease-holders keep in their own pools.
@@ -437,7 +386,7 @@ class Coordinator:
                 sum(len(w.tasks) for w in self.workers.values()) if active else 0
             ),
             "outstanding": job.outstanding if active else 0,
-            "reassigned": job.metrics.reassigned if active else 0,
+            "reassigned": job.driver.metrics.reassigned if active else 0,
             "workers": workers,
         }
 
@@ -479,8 +428,11 @@ class Coordinator:
 
         ``payload`` is the wire job definition: ``factory`` (dotted
         path), ``factory_args``, ``stype_kind``, ``stype_kwargs``,
-        ``budget``, ``share_poll``.  Raises :class:`ClusterJobFailed`,
-        :class:`ClusterJobTimeout` or :class:`ClusterJobCancelled`.
+        ``coordination`` and the knobs of
+        :data:`~repro.runtime.worker.JOB_KNOBS`.  Raises ValueError for
+        a coordination the cluster does not run or a knob below 1, and
+        :class:`ClusterJobFailed`, :class:`ClusterJobTimeout` or
+        :class:`ClusterJobCancelled`.
         """
         if self._job is not None:
             raise ClusterError("a cluster job is already running")
@@ -489,11 +441,11 @@ class Coordinator:
             job = _Job(
                 self._next_job, payload, asyncio.get_running_loop(), self._specs
             )
-        except (P.ProtocolError, TypeError, ValueError) as exc:
+        except (P.ProtocolError, TypeError) as exc:
             raise ClusterJobFailed(f"bad job payload: {exc}") from exc
         self._job = job
-        ordered = job.coordination == "ordered"
-        if not ordered or job.d_cutoff > 0:
+
+        def engage() -> None:
             msg = job.job_message()
             for worker in list(self.workers.values()):
                 # Steal state is per-job; a STOLEN still in flight for the
@@ -502,19 +454,22 @@ class Coordinator:
                 worker.steal_dry = False
                 worker.pool = 0
                 self._post(worker, msg)
-        # else phase 1 is the whole search: nobody is told, nobody walks.
-        if ordered:
-            try:
-                job.walk()
-            except Exception as exc:
-                self._fail_job(job, ClusterJobFailed(
-                    f"frontier walk failed: {type(exc).__name__}: {exc}"
-                ))
-                raise job.done.exception() from exc
-        if ordered and job.ledger.finished:
-            # Phase 1 already finished the search (empty frontier, or a
-            # decision goal during expansion): no tasks to lease.
-            self._finish_ordered(job)
+
+        try:
+            # Synchronous on the loop: phase 1 is the region above
+            # d_cutoff, small by construction.
+            tasks = job.driver.start(engage)
+        except Exception as exc:
+            self._fail_job(job, ClusterJobFailed(
+                f"frontier walk failed: {type(exc).__name__}: {exc}"
+            ))
+            raise job.done.exception() from exc
+        for roots, depth in tasks:
+            job.add_offcuts(depth, P.encode_node(roots), 1)
+        if job.driver.ledger is not None:
+            job.outstanding = job.driver.ledger.task_count
+        if job.driver.finished:
+            self._complete_job(job)
         else:
             self._pump()
         try:
@@ -682,44 +637,33 @@ class Coordinator:
             or rec.worker != worker.id
             or rec.epoch != msg.get("epoch")
         ):
-            job.stale_dropped += 1
             return None
         return rec
 
     def _on_incumbent(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
-        if job.enum or job.ledger is not None:
+        driver = job.driver
+        value = msg.get("value")
+        if driver.job.enum or driver.ledger is not None or not isinstance(value, int):
             # Ordered workers never publish mid-task (fixed-bound tasks
             # are pure); the only incumbent authority is the ledger.
             return
-        value = msg.get("value")
-        if not isinstance(value, int):
-            return
-        node = P.decode_node(msg.get("node"))
-        if node is not None:
-            merged = job.stype.combine(job.knowledge, Incumbent(value, node))
-            if merged is not job.knowledge:
-                job.knowledge = merged
-        if value > job.best_value:
-            # Strict improvement: remember and rebroadcast to everyone
-            # else.  Non-improvements (ties, stale publishes) stop here.
-            self._publish_best(job, value, worker)
-        if job.stype.is_goal(job.knowledge):
-            # Goal reached — but complete on the RESULT frame, not here.
-            # The publishing worker broke out of its search loop on this
-            # same improvement and is guaranteed to follow with a RESULT
-            # (goal=True) carrying its node counts; completing on the
-            # INCUMBENT would race ahead of it and report a search that
-            # visited zero nodes.  If the worker dies in between, its
-            # lease is re-run and the goal is rediscovered.
-            job.goal = True
+        if driver.merge(Incumbent(value, P.decode_node(msg.get("node")))):
+            # Strict improvement: rebroadcast to everyone else.  Ties
+            # and stale publishes stop here.
+            self._publish_best(job, worker)
+        # A goal reached is completed on the RESULT frame, not here.
+        # The publishing worker broke out of its search loop on this
+        # same improvement and is guaranteed to follow with a RESULT
+        # (goal=True) carrying its node counts; completing on the
+        # INCUMBENT would race ahead of it and report a search that
+        # visited zero nodes.  If the worker dies in between, its lease
+        # is re-run and the goal is rediscovered.
 
-    def _publish_best(
-        self, job: _Job, value: int, sender: Optional[WorkerConn] = None
-    ) -> None:
-        """Remember a new best and broadcast it: to every worker but its
+    def _publish_best(self, job: _Job, sender: Optional[WorkerConn] = None) -> None:
+        """Broadcast the driver's new best: to every worker but its
         sender, and to the ``on_incumbent`` observer."""
-        job.best_value = value
-        job.metrics.broadcasts += 1
+        value = job.driver.best
+        job.driver.metrics.broadcasts += 1
         out = {"type": P.INCUMBENT, "job": job.id, "value": value}
         for other in list(self.workers.values()):
             if other is not sender:
@@ -748,7 +692,7 @@ class Coordinator:
         and stack had nothing to give."""
         worker.steal_pending = False
         if msg.get("nodes"):
-            job.metrics.steals += self._take_handover(worker, job, msg)
+            job.driver.metrics.steals += self._take_handover(worker, job, msg)
         else:
             # Don't re-ask until the victim reports fresh progress (the
             # flag clears on its next RESULT); retry other victims now.
@@ -756,6 +700,12 @@ class Coordinator:
             self._pump()
 
     def _on_result(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
+        """A lease's report, through the driver: a sharing lease's
+        counters and best, or an Ordered run's blocks for the ledger.
+        An Ordered frame flagged ``more`` is an early flush: the run
+        lease stays live.  A new best is broadcast — for Ordered the
+        *finalised-prefix* best, monotone and deterministic, to every
+        worker."""
         rec = self._valid_lease(worker, job, msg)
         if rec is None:
             return
@@ -765,96 +715,61 @@ class Coordinator:
         worker.pool = 0  # a lease ends when its holder's pool is dry
         for other in self.workers.values():
             other.steal_dry = False
-        if job.ledger is not None:
-            self._on_result_ordered(worker, job, rec, msg)
-            return
-        rec.state = DONE
-        rec.worker = None
-        worker.tasks.discard(rec.id)
-        job.contributors.add(worker.id)
-        m = job.metrics
-        m.nodes += int(msg.get("nodes", 0))
-        m.prunes += int(msg.get("prunes", 0))
-        m.backtracks += int(msg.get("backtracks", 0))
-        m.max_depth = max(m.max_depth, int(msg.get("max_depth", 0)))
-        # The subtrees this lease split off its stacks, wherever each
-        # one was then searched.
-        m.spawns += int(msg.get("spawns", 0))
-        if job.enum:
-            job.knowledge = job.stype.combine(job.knowledge, msg.get("knowledge"))
-        else:
-            value = msg.get("value")
-            node = P.decode_node(msg.get("node"))
-            if node is not None and isinstance(value, int):
-                job.knowledge = job.stype.combine(
-                    job.knowledge, Incumbent(value, node)
-                )
-                if value > job.best_value:
-                    job.best_value = value
-        job.outstanding -= 1
-        if msg.get("goal") or (
-            not job.enum and job.stype.is_goal(job.knowledge)
-        ):
-            job.goal = True
-            self._complete_job(job)
-            return
-        if job.outstanding == 0:
-            # Distributed termination: every task ever created has been
-            # accepted exactly once (epochs make reassignment idempotent
-            # for this counter), so the whole tree is searched.
-            self._complete_job(job)
-            return
-        self._pump()
-
-    def _on_result_ordered(
-        self, worker: WorkerConn, job: _Job, rec: TaskRecord, msg: dict
-    ) -> None:
-        """Feed one RESULT's blocks to the policy and act on the
-        verdict: the ledger finalises the ready prefix, whatever it
-        rejects goes back to the front of the policy's queue, and a new
-        finalised-prefix best is broadcast.  A frame flagged ``more`` is
-        an early flush: the run lease stays live.  A block that is
-        malformed, or names a task outside its lease, is dropped."""
-        ledger = job.ledger
-        leased = set(rec.run.seqs)
-        done = not msg.get("more")
+        driver = job.driver
+        done = rec.run is None or not msg.get("more")
         if done:
             rec.state = DONE
             rec.worker = None
             worker.tasks.discard(rec.id)
         job.contributors.add(worker.id)
+        if rec.run is not None:
+            moved = driver.accept(self._leased_blocks(job, rec, msg), done)
+            job.outstanding = driver.ledger.task_count - driver.ledger.next_seq
+        else:
+            moved = driver.merge(*self._lease_report(job, msg))
+            job.outstanding -= 1
+        if moved:
+            self._publish_best(job, worker if rec.run is None else None)
+        if driver.goal or job.outstanding == 0:
+            # A goal, or distributed termination: every task ever created
+            # has been accepted exactly once (epochs make reassignment
+            # idempotent for this counter), so the whole tree is searched.
+            self._complete_job(job)
+            return
+        self._pump()
+
+    @staticmethod
+    def _lease_report(job: _Job, msg: dict) -> tuple:
+        """A sharing RESULT as the driver's ``merge`` arguments: what
+        the lease found (a witness travels with its value, or the value
+        stays out), its counters — ``spawns`` the subtrees it split off
+        its stacks, wherever each was then searched — and its goal."""
+        counters = SearchMetrics(**{
+            name: int(msg.get(name, 0))
+            for name in ("nodes", "prunes", "backtracks", "max_depth", "spawns")
+        })
+        found = msg.get("knowledge")
+        if not job.driver.job.enum:
+            value, node = msg.get("value"), P.decode_node(msg.get("node"))
+            valid = node is not None and isinstance(value, int)
+            found = Incumbent(value, node) if valid else None
+        return found, counters, bool(msg.get("goal"))
+
+    @staticmethod
+    def _leased_blocks(job: _Job, rec: TaskRecord, msg: dict) -> list:
+        """An Ordered RESULT's blocks, minus any that is malformed or
+        names a task outside its lease."""
+        driver = job.driver
+        leased = set(rec.run.seqs)
         blocks = []
         for wire in msg.get("blocks") or []:
             try:
-                block = P.unpack_block(wire, job.enum, ledger.task_count)
+                block = P.unpack_block(wire, driver.job.enum, driver.ledger.task_count)
             except P.ProtocolError:
                 continue
             if leased.issuperset(block["seqs"]):
                 blocks.append(block)
-        moved = job.policy.accept(blocks, done)
-        job.outstanding = ledger.task_count - ledger.next_seq
-        if moved:
-            # The broadcast value is the *finalised-prefix* best —
-            # monotone and deterministic — not the raw arrival best.
-            self._publish_best(job, ledger.required_bound())
-        if ledger.finished:
-            self._finish_ordered(job)
-            return
-        self._pump()
-
-    def _finish_ordered(self, job: _Job) -> None:
-        """Copy the ledger's authoritative state into the job and
-        complete it (the ledger owns knowledge and every deterministic
-        counter; the job contributes only transport-level bookkeeping)."""
-        ledger = job.ledger
-        ledger.metrics.reassigned += job.metrics.reassigned
-        ledger.metrics.broadcasts = job.metrics.broadcasts
-        ledger.metrics.steals = job.metrics.steals
-        job.metrics = ledger.metrics
-        job.knowledge = ledger.knowledge
-        job.goal = ledger.goal
-        job.outstanding = 0
-        self._complete_job(job)
+        return blocks
 
     def _on_release(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
         """Retire handback: re-queue each returned lease under a bumped
@@ -891,7 +806,7 @@ class Coordinator:
         worker's grants then go out in ONE batched TASK frame (``leases:
         [[id, epoch, [node, ...], depth], ...]``).  An ordered job
         leases *runs* of task numbers: its entries are ``[id, epoch,
-        seqs, bound, of]``, cut by the job's run policy as slots come
+        seqs, bound, of]``, cut by the job's driver as slots come
         free.  When a budget or stack-stealing job has nothing
         queued, idle workers are served by asking busy ones
         (:meth:`_victims`); a worker's STEAL leaves in the same write
@@ -908,7 +823,7 @@ class Coordinator:
             for worker in eligible:
                 if not worker.alive or len(worker.tasks) >= worker.slots:
                     continue
-                if job.policy is not None:
+                if job.driver.ledger is not None:
                     rec = job.lease_run(len(eligible))
                 else:
                     rec = None
@@ -928,7 +843,7 @@ class Coordinator:
                 batches.setdefault(worker.id, []).append(rec)
                 granted = True
         victims = (
-            self._victims(eligible) if job.policy is None and not job.queue else ()
+            self._victims(eligible) if job.driver.ledger is None and not job.queue else ()
         )
         for worker in eligible:
             frames = []
@@ -988,7 +903,7 @@ class Coordinator:
         worker.tasks.clear()
         if job is None or job.state != "running" or not leased:
             return
-        if job.enum and job.ledger is None:
+        if job.driver.job.enum and job.driver.ledger is None:
             # Ordered enumeration is exempt: its tasks are pure
             # functions of (root, bound) with no shared accumulator, so
             # a crashed lease is simply re-run — bit-identical.
@@ -1021,7 +936,7 @@ class Coordinator:
         if job.state != "running":
             return
         job.state = "finished"
-        result = job.result(len(job.contributors))
+        result = job.driver.result(max(1, len(job.contributors)))
         if not job.done.done():
             job.done.set_result(result)
         self._end_job(job)

@@ -7,8 +7,7 @@ schedule* of faults — a :class:`repro.verify.chaos.FaultPlan` — be
 injected at fixed points instead, so every chaos run is reproducible
 from its seed.
 
-Event dicts (JSON-able, so plans travel through process-spawn args or
-the ``REPRO_CHAOS`` environment variable):
+Event dicts (JSON-able, so plans travel through process-spawn args):
 
 - ``{"kind": "kill_worker", "worker": NAME, "at_task": N}`` —
   worker-side: hard-exit (``os._exit``, no BYE, no drain) the moment the
@@ -49,17 +48,11 @@ randomness at injection time.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from typing import Optional
 
-__all__ = ["CHAOS_ENV", "KILL_EXIT_CODE", "SAFE_DROP_TYPES",
-           "WorkerFaults", "CoordinatorFaults"]
-
-# Environment variable carrying a JSON FaultPlan for workers launched
-# outside cluster_search (the `repro cluster-worker` CLI path).
-CHAOS_ENV = "REPRO_CHAOS"
+__all__ = ["KILL_EXIT_CODE", "SAFE_DROP_TYPES", "WorkerFaults", "CoordinatorFaults"]
 
 # Exit code of a chaos-killed worker: distinguishable from real crashes
 # in CI logs, and non-zero so supervisors treat it as a death.
@@ -123,18 +116,6 @@ class WorkerFaults:
             and ev.get("kind") in _WORKER_KINDS
         ]
         return cls(mine) if mine else None
-
-    @classmethod
-    def from_env(cls, worker_name: str) -> Optional["WorkerFaults"]:
-        """Hooks from the ``REPRO_CHAOS`` environment variable, if set."""
-        raw = os.environ.get(CHAOS_ENV)
-        if not raw:
-            return None
-        try:
-            plan = json.loads(raw)
-        except ValueError as exc:
-            raise ValueError(f"undecodable {CHAOS_ENV} plan: {exc}") from None
-        return cls.from_events(plan.get("events", []), worker_name)
 
     # -- hook points ---------------------------------------------------------
 

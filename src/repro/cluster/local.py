@@ -34,8 +34,8 @@ from repro.core.backends import backend_for
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchResult
 from repro.core.searchtypes import SearchType
-from repro.runtime.processes import _stype_payload, graceful_stop
-from repro.runtime.worker import JOB_KNOBS, job_knobs
+from repro.runtime.fleet import graceful_stop
+from repro.runtime.worker import JOB_KNOBS, job_knobs, stype_payload
 
 __all__ = [
     "JOB_KNOBS",
@@ -72,7 +72,7 @@ def job_payload(
     backends that do implement it.
     """
     backend_for("cluster", coordination)
-    kind, kwargs = _stype_payload(stype)
+    kind, kwargs = stype_payload(stype)
     return {
         "factory": P.factory_path(spec_factory),
         "factory_args": P.encode_node(list(factory_args)),

@@ -128,6 +128,8 @@ import struct
 import threading
 from typing import Any, Callable, Optional, Union
 
+from repro.runtime.worker import JOB_KNOBS, WorkerJob, make_stype
+
 from .codec import (
     BINARY_CODEC,
     CODECS,
@@ -163,7 +165,7 @@ __all__ = [
     "unpack_block",
     "factory_path",
     "resolve_factory",
-    "job_spec",
+    "decode_job",
     "HELLO",
     "WELCOME",
     "JOB",
@@ -465,9 +467,17 @@ def resolve_factory(path: str) -> Callable:
     return fn
 
 
-def job_spec(payload: dict, specs: Any) -> Any:
-    """The spec a JOB frame or job payload describes, from ``specs`` (a
+def decode_job(job_id: int, payload: dict, specs: Any) -> WorkerJob:
+    """The job a JOB frame or job payload describes, numbered
+    ``job_id``: its spec from ``specs`` (a
     :class:`~repro.runtime.worker.SpecCache`) while it names the last
-    one's factory and wire arguments."""
+    one's factory and wire arguments, its search type rebuilt by name,
+    its knobs checked (a ValueError below 1)."""
     key = (payload["factory"], payload.get("factory_args") or [])
-    return specs.get(key, lambda: resolve_factory(key[0])(*decode_node(key[1])))
+    return WorkerJob(
+        job_id,
+        specs.get(key, lambda: resolve_factory(key[0])(*decode_node(key[1]))),
+        make_stype(payload["stype_kind"], dict(payload.get("stype_kwargs") or {})),
+        str(payload.get("coordination") or "budget"),
+        **{knob: payload[knob] for knob in JOB_KNOBS if knob in payload},
+    )

@@ -48,7 +48,7 @@ then BYE and exit for good — no reconnect.
 ``run_worker`` is the process-level entry: one in-process worker, or a
 fan-out of several local worker processes (each a full ClusterWorker)
 that are stopped with the SIGTERM -> SIGKILL escalation of
-:func:`repro.runtime.processes.graceful_stop` — the SIGTERM handler
+:func:`repro.runtime.fleet.graceful_stop` — the SIGTERM handler
 installed here turns the first rung into an orderly abandon-and-BYE.
 """
 
@@ -67,10 +67,9 @@ from typing import Optional
 from repro.cluster import protocol as P
 from repro.cluster.faults import WorkerFaults
 from repro.core.searchtypes import Incumbent
-from repro.runtime.fleet import WORKER_SWITCH_INTERVAL
-from repro.runtime.processes import graceful_stop, make_stype
+from repro.runtime.fleet import WORKER_SWITCH_INTERVAL, graceful_stop
 from repro.runtime.sharing import FLUSH, LeaseOutcome
-from repro.runtime.worker import JOB_KNOBS, Worker, WorkerJob
+from repro.runtime.worker import Worker, WorkerJob
 
 __all__ = ["ClusterWorker", "run_worker", "start_worker_process"]
 
@@ -99,9 +98,8 @@ class ClusterWorker(Worker):
             (injectable for deterministic tests; default
             ``random.random``).
         faults: optional :class:`~repro.cluster.faults.WorkerFaults`
-            injection hooks (conformance chaos testing); defaults to
-            whatever the ``REPRO_CHAOS`` environment variable names for
-            this worker, i.e. nothing in normal operation.
+            injection hooks (conformance chaos testing); None in normal
+            operation.
     """
 
     def __init__(
@@ -124,7 +122,7 @@ class ClusterWorker(Worker):
         self.host = host
         self.port = port
         self.name = name or f"worker-{socket.gethostname()}"
-        self._faults = faults if faults is not None else WorkerFaults.from_env(self.name)
+        self._faults = faults
         self.stop_event = stop_event
         self.slots = max(1, int(slots))
         self.wire_codec = P.get_codec(wire_codec).name
@@ -311,12 +309,7 @@ class ClusterWorker(Worker):
             # that job's work: it must not be answered out of this one's.
             self._steal_req = None
             try:
-                self._ctx = ctx = WorkerJob(
-                    msg["job"], P.job_spec(msg, self.specs),
-                    make_stype(msg["stype_kind"], dict(msg.get("stype_kwargs") or {})),
-                    str(msg["coordination"]),
-                    **{knob: msg[knob] for knob in JOB_KNOBS if knob in msg},
-                )
+                self._ctx = ctx = P.decode_job(msg["job"], msg, self.specs)
             except Exception as exc:
                 # A factory missing here, say: the coordinator fails the
                 # job rather than lease it to a worker that drops it.

@@ -20,8 +20,6 @@ from repro.core.nodegen import (
 from repro.core.ordered import (
     OrderedFrontier,
     OrderedLedger,
-    OrderedRun,
-    OrderedRunPolicy,
     OrderedTask,
     execute_run,
     ordered_frontier,
@@ -58,8 +56,6 @@ __all__ = [
     "OrderedTask",
     "OrderedFrontier",
     "OrderedLedger",
-    "OrderedRun",
-    "OrderedRunPolicy",
     "execute_run",
     "ordered_frontier",
     "ordered_reference_search",

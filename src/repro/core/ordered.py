@@ -58,13 +58,15 @@ search"):
    columns ``nodes`` / ``prunes`` / ``backtracks`` / ``max_depth`` (and
    ``knowledge`` for enumeration), with ``value`` / ``node`` / ``goal``
    once, for the block's last task — a block ends at the task that
-   improves the bound.  :class:`OrderedRunPolicy` is the driver half
-   (which seqs to lease next, what a report does to the ledger) and
-   :func:`execute_run` the worker half (thread the bound from task to
-   task, restart a task the published best has overtaken, cut the
-   blocks); both are transport-free and shared by the multiprocessing
-   parent/workers and the cluster coordinator/workers.  None of it
-   changes what the ledger verifies.
+   improves the bound.  :func:`execute_run` is the worker half (thread
+   the bound from task to task, restart a task the published best has
+   overtaken, cut the blocks), shared by the process fleet's and the
+   cluster's workers; the driver half (walk the frontier into a ledger,
+   which seqs to lease next, what a report does to the ledger) is the
+   one job driver of both runtimes,
+   :class:`repro.runtime.driver.JobDriver`, which the fleet's parent and
+   the cluster coordinator each run.  None of it changes what the
+   ledger verifies.
 
 :func:`ordered_reference_search` executes the same contract on a single
 thread with no queues and no shared state; it is the oracle the
@@ -95,8 +97,6 @@ __all__ = [
     "run_task_fixed_bound",
     "execute_run",
     "OrderedLedger",
-    "OrderedRun",
-    "OrderedRunPolicy",
     "ordered_reference_search",
 ]
 
@@ -401,12 +401,12 @@ def _root_pruned(row: tuple) -> bool:
 class OrderedLedger:
     """Finalises ordered task results in sequence order, enforcing bounds.
 
-    Both parallel Ordered drivers feed arriving blocks to :meth:`record`
-    and then call :meth:`advance`, which finalises the longest ready
-    prefix and answers with every re-run it demands (an
-    :class:`OrderedRunPolicy` does both and turns the answer into
-    leases).  A parked task that ran from another bound than the
-    required ``B*_seq`` is discarded and handed back for re-issue —
+    The job driver (:class:`repro.runtime.driver.JobDriver`) feeds
+    arriving blocks to :meth:`record` and then calls :meth:`advance`,
+    which finalises the longest ready prefix and answers with every
+    re-run it demands; the driver turns the answer into leases.  A
+    parked task that ran from another bound than the required
+    ``B*_seq`` is discarded and handed back for re-issue —
     unless it ran from a *lower* one and was pruned at its root, which
     it would be again (module docstring, point 3).  Speculative
     execution (running a task from whatever bound is known) is therefore
@@ -577,125 +577,6 @@ class OrderedLedger:
                 self.knowledge = Incumbent(value, node)
         if goal or self._stype.is_goal(self.knowledge):
             self.goal = True
-
-
-@dataclass(frozen=True)
-class OrderedRun:
-    """One lease: the tasks ``seqs`` — a ``range`` of fresh work, or an
-    ascending list of tasks to run again — and the finalised-prefix
-    best they were cut under (None for enumeration)."""
-
-    seqs: Sequence[int]
-    bound: Optional[int] = None
-
-
-class OrderedRunPolicy:
-    """Which seqs to lease next, and what a report does.
-
-    The transport-free driver half of the Ordered coordination: the
-    multiprocessing parent and the cluster coordinator both call
-    :meth:`lease` whenever a worker could take work and :meth:`accept`
-    whenever blocks arrive; queues, sockets, epochs and slots stay
-    theirs.
-
-    Leases go out in sequence order — always the lowest-numbered work
-    not yet handed out, so a task the ledger wants run again comes
-    before anything fresh — and never more than two runs per worker are
-    in flight, which bounds both how far speculation runs ahead of
-    finalisation and how long a re-run can wait.  Run length needs no
-    knob: it starts at 1, doubles with every lease, is capped at a
-    quarter of an even share of what is left to hand out (so the tail
-    of the job is cut fine enough to balance), and drops back to 1 when
-    the finalised best moves.  Under all of that sits a floor: a run is
-    never shorter than the ``poll`` nodes between two of a worker's own
-    looks at the world, counted in tasks of the mean size finalised so
-    far — cutting finer buys a round trip per lease and no balance a
-    worker could act on.  The tasks to run again after the best moved
-    are not cut by that length at all: whatever is waiting goes out in
-    as many leases as there are workers, an even share each, scattered
-    or not.
-    """
-
-    def __init__(self, ledger: OrderedLedger, poll: int = 1) -> None:
-        self.ledger = ledger
-        self._poll = poll
-        self._reruns: list[int] = []  # ascending; all below _fresh
-        self._shares = 0  # leases cut from _reruns since it last grew
-        self._fresh = 0  # the lowest seq never leased
-        self._size = 1
-        self._in_flight = 0
-
-    @property
-    def in_flight(self) -> int:
-        """Runs leased and not yet reported done or requeued."""
-        return self._in_flight
-
-    @property
-    def backlog(self) -> int:
-        """Tasks waiting for a lease."""
-        return len(self._reruns) + self.ledger.task_count - self._fresh
-
-    def lease(self, workers: int) -> Optional[OrderedRun]:
-        """Cut the next run, or None while the window of ``workers``
-        workers is full or there is nothing left to hand out."""
-        ledger = self.ledger
-        if ledger.finished or self._in_flight >= 2 * workers:
-            return None
-        reruns = self._reruns
-        # A requeued seq may have finalised meanwhile (a duplicate
-        # report from the lease presumed lost): nothing left to run.
-        while reruns and reruns[0] < ledger.next_seq:
-            del reruns[0]
-        size = min(self._size, max(1, self.backlog // (4 * workers)))
-        per_task = ledger.nodes_per_task()
-        if per_task:
-            size = max(size, int(self._poll // per_task))
-        seqs: Sequence[int]
-        if reruns:
-            share = max(size, -(-len(reruns) // max(1, workers - self._shares)))
-            self._shares += 1
-            seqs = reruns[:share]
-            del reruns[:share]
-        elif self._fresh < ledger.task_count:
-            seqs = range(self._fresh, min(self._fresh + size, ledger.task_count))
-            self._fresh = seqs.stop
-        else:
-            return None
-        self._size = size * 2
-        self._in_flight += 1
-        return OrderedRun(seqs, ledger.required_bound())
-
-    def accept(self, blocks: Sequence[dict], done: bool) -> bool:
-        """Feed one message's blocks to the ledger; ``done`` says the
-        run that sent it is complete.  Returns True when the finalised
-        best moved — the transport's cue to publish it to the workers.
-        """
-        ledger = self.ledger
-        before = ledger.required_bound()
-        for block in blocks:
-            ledger.record(block)
-        self._queue_again(ledger.advance())
-        if done:
-            self._in_flight -= 1
-        moved = ledger.required_bound() != before
-        if moved:
-            self._size = 1
-        return moved
-
-    def requeue(self, run: OrderedRun) -> int:
-        """A lease was lost (its worker died or handed it back): queue
-        what it still owes again.  Returns the number of tasks queued.
-        """
-        self._in_flight -= 1
-        head = self.ledger.next_seq
-        owed = [seq for seq in run.seqs if seq >= head]
-        self._queue_again(owed)
-        return len(owed)
-
-    def _queue_again(self, seqs: Sequence[int]) -> None:
-        if seqs:
-            self._reruns = sorted(set(self._reruns).union(seqs))
-            self._shares = 0
 
 
 def ordered_reference_search(

@@ -41,7 +41,7 @@ from repro.core.results import SearchResult
 from repro.core.searchtypes import SearchType
 from repro.deploy.adaptive import Adaptive, LoadSignals
 from repro.deploy.spec import WorkerSpec
-from repro.runtime.processes import graceful_stop
+from repro.runtime.fleet import graceful_stop
 
 __all__ = ["ClusterDeployment", "elastic_budget_search"]
 

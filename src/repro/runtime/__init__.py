@@ -20,7 +20,6 @@ from repro.runtime.sim import Simulator
 from repro.runtime.workpool import Workpool
 from repro.runtime.knowledge import KnowledgeManager
 from repro.runtime.executor import SimulatedCluster, virtual_sequential_time
-from repro.runtime.processes import multiprocessing_depthbounded_search
 from repro.runtime.trace import Trace, render_gantt, utilisation_timeline
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "KnowledgeManager",
     "SimulatedCluster",
     "virtual_sequential_time",
-    "multiprocessing_depthbounded_search",
     "Trace",
     "render_gantt",
     "utilisation_timeline",

@@ -1,0 +1,218 @@
+"""One job driver over two transports.
+
+A coordination has two halves: the workers' (:mod:`repro.runtime.worker`)
+and the driver's, which starts the job, keeps what the workers report
+and says what the search found.  :class:`JobDriver` is the driver's
+half for both real runtimes: the process fleet's parent
+(:mod:`repro.runtime.processes`) and the cluster coordinator
+(:mod:`repro.cluster.coordinator`) each run one per job, and keep only
+what their transport alone knows — queues and shared integers, or a
+lease table, steal mediation and liveness.  For Ordered it is the
+driver half of "Replicable Parallel Branch and Bound Search": it walks
+the frontier, leases runs of it and finalises them in its
+:class:`~repro.core.ordered.OrderedLedger`.
+
+A job goes ``start(engage)``; then, Budget and Stack-Stealing, a
+:meth:`~JobDriver.merge` per report until the transport's own
+termination count says the tree is searched; Ordered,
+:meth:`~JobDriver.lease` / :meth:`~JobDriver.accept` /
+:meth:`~JobDriver.requeue` until :attr:`~JobDriver.finished`; then
+:meth:`~JobDriver.result`.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Sequence
+
+from repro.core.ordered import OrderedLedger, ordered_frontier
+from repro.core.results import SearchMetrics, SearchResult
+from repro.runtime.worker import WorkerJob
+
+__all__ = ["OrderedRun", "JobDriver"]
+
+
+@dataclass(frozen=True)
+class OrderedRun:
+    """One Ordered lease: the tasks ``seqs`` — a ``range`` of fresh
+    work, or an ascending list of tasks to run again — and the
+    finalised-prefix best they were cut under (None for enumeration)."""
+
+    seqs: Sequence[int]
+    bound: Optional[int] = None
+
+
+class JobDriver:
+    """The driver's half of one job (``job`` checked its knobs).
+
+    ``knowledge``, ``metrics`` and ``goal`` are the search so far;
+    ``best`` is the published best (None for enumeration): what the
+    workers prune from, and for Ordered the finalised-prefix best.
+    ``finished`` says the driver needs nothing more: phase 1 ended the
+    search, or every Ordered task is finalised.  A sharing job ends when
+    its transport's termination count says so.
+
+    Ordered leases go out in sequence order — always the lowest-numbered
+    work not yet handed out, so a task the ledger wants run again comes
+    before anything fresh — and never more than two runs per worker are
+    in flight, which bounds both how far speculation runs ahead of
+    finalisation and how long a re-run can wait.  Run length needs no
+    knob: it starts at 1, doubles with every lease, is capped at a
+    quarter of an even share of what is left to hand out (so the tail
+    of the job is cut fine enough to balance), and drops back to 1 when
+    the finalised best moves.  Under all of that sits a floor: a run is
+    never shorter than the ``share_poll`` nodes between two of a
+    worker's own looks at the world, counted in tasks of the mean size
+    finalised so far — cutting finer buys a round trip per lease and no
+    balance a worker could act on.  The tasks to run again after the
+    best moved are not cut by that length at all: whatever is waiting
+    goes out in as many leases as there are workers, an even share each,
+    scattered or not.
+    """
+
+    def __init__(self, job: WorkerJob) -> None:
+        self.job = job
+        self.knowledge = job.stype.initial_knowledge(job.spec)
+        self.best: Optional[int] = None if job.enum else self.knowledge.value
+        self.metrics = SearchMetrics()
+        self.goal = self.finished = False
+        self.ledger: Optional[OrderedLedger] = None  # Ordered, once started
+        self.started = time.perf_counter()
+        self.in_flight = 0  # Ordered runs leased, not yet done or requeued
+        self._reruns: list[int] = []  # ascending; all below _fresh
+        self._shares = 0  # leases cut from _reruns since it last grew
+        self._fresh = 0  # the lowest seq never leased
+        self._size = 1
+
+    def start(self, engage: Callable[[], None]) -> list:
+        """The first work of the job; returns its first leases as
+        ``(roots, depth)`` pairs: the root, or the depth-``d_cutoff``
+        cut of Depth-Bounded, or nothing for Ordered, whose frontier
+        this walks into the ledger.
+
+        ``engage()`` tells the workers about the job.  It is called
+        before the Ordered walk, so that each worker walks its own copy
+        meanwhile, and after phase 1 otherwise — and never when phase 1
+        is the whole search (``d_cutoff <= 0``, a goal met above the
+        cutoff, a tree that ends there), which sets :attr:`finished`.
+        """
+        job = self.job
+        walks = job.coordination == "ordered" and job.d_cutoff > 0
+        if walks:
+            engage()
+        tasks = [([job.spec.root], 0)]
+        if job.coordination in ("depthbounded", "ordered"):
+            frontier = ordered_frontier(job.spec, job.stype, d_cutoff=job.d_cutoff)
+            self.knowledge, self.goal = frontier.knowledge, frontier.goal
+            self.metrics = frontier.metrics
+            self.finished = not frontier.tasks  # a goal empties them too
+            if not job.enum:
+                self.best = self.knowledge.value
+        if job.coordination == "ordered":
+            self.ledger = OrderedLedger(job.stype, frontier)
+            self.metrics, tasks = self.ledger.metrics, []
+        elif job.coordination == "depthbounded":
+            tasks = [([task.node], task.depth) for task in frontier.tasks]
+        if not (walks or self.finished):
+            engage()
+        return tasks
+
+    def merge(self, found: Any, metrics: Optional[SearchMetrics] = None,
+              goal: bool = False) -> bool:
+        """Fold in a sharing report: what it ``found`` (an accumulator,
+        or an incumbent whose witness may be None; None: nothing), the
+        counters of a lease that ended, and whether it met the goal.
+        Returns True when the published best moved."""
+        stype = self.job.stype
+        if found is not None:
+            self.knowledge = stype.combine(self.knowledge, found)
+        if metrics is not None:
+            self.metrics.merge(metrics)
+        if self.job.enum:
+            self.goal = self.goal or goal
+            return False
+        self.goal = self.goal or goal or stype.is_goal(self.knowledge)
+        if found is None or found.value <= self.best:
+            return False
+        self.best = found.value
+        return True
+
+    # -- Ordered runs ------------------------------------------------------
+
+    @property
+    def backlog(self) -> int:
+        """Ordered tasks waiting for a lease."""
+        return len(self._reruns) + self.ledger.task_count - self._fresh
+
+    def lease(self, workers: int) -> Optional[OrderedRun]:
+        """Cut the next run, or None while the window of ``workers``
+        workers is full or there is nothing left to hand out."""
+        ledger = self.ledger
+        if ledger.finished or self.in_flight >= 2 * workers:
+            return None
+        reruns = self._reruns
+        # A requeued seq may have finalised meanwhile (a duplicate
+        # report from the lease presumed lost): nothing left to run.
+        while reruns and reruns[0] < ledger.next_seq:
+            del reruns[0]
+        size = min(self._size, max(1, self.backlog // (4 * workers)))
+        per_task = ledger.nodes_per_task()
+        if per_task:
+            size = max(size, int(self.job.share_poll // per_task))
+        seqs: Sequence[int]
+        if reruns:
+            share = max(size, -(-len(reruns) // max(1, workers - self._shares)))
+            self._shares += 1
+            seqs = reruns[:share]
+            del reruns[:share]
+        elif self._fresh < ledger.task_count:
+            seqs = range(self._fresh, min(self._fresh + size, ledger.task_count))
+            self._fresh = seqs.stop
+        else:
+            return None
+        self._size = size * 2
+        self.in_flight += 1
+        return OrderedRun(seqs, ledger.required_bound())
+
+    def accept(self, blocks: Sequence[dict], done: bool) -> bool:
+        """Feed one report's blocks to the ledger; ``done`` says the run
+        that sent it is complete.  Returns True when the finalised best
+        moved — the transport's cue to publish :attr:`best`."""
+        ledger = self.ledger
+        before = ledger.required_bound()
+        for block in blocks:
+            ledger.record(block)
+        self._queue_again(ledger.advance())
+        if done:
+            self.in_flight -= 1
+        self.knowledge, self.goal = ledger.knowledge, ledger.goal
+        self.finished = ledger.finished
+        self.best = ledger.required_bound()
+        if self.best == before:
+            return False
+        self._size = 1
+        return True
+
+    def requeue(self, run: OrderedRun) -> int:
+        """A lease was lost (its worker died or handed it back): queue
+        what it still owes again, counted as reassigned.  Returns the
+        number of tasks queued."""
+        self.in_flight -= 1
+        owed = [seq for seq in run.seqs if seq >= self.ledger.next_seq]
+        self._queue_again(owed)
+        self.metrics.reassigned += len(owed)
+        return len(owed)
+
+    def _queue_again(self, seqs: Sequence[int]) -> None:
+        if seqs:
+            self._reruns = sorted(set(self._reruns).union(seqs))
+            self._shares = 0
+
+    def result(self, workers: int) -> SearchResult:
+        """What the search found, on ``workers`` workers."""
+        self.metrics.weighted_nodes = self.metrics.nodes
+        return SearchResult.from_knowledge(
+            self.job.stype, self.knowledge, self.goal, self.metrics,
+            time.perf_counter() - self.started, workers,
+        )

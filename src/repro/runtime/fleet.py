@@ -193,12 +193,9 @@ class ProcessFleet:
         return self._workers[:n]
 
     @contextmanager
-    def job(
-        self, label: str, n: int, message: Any, *, outstanding: int = 0, best: int = 0,
-    ) -> Iterator[tuple]:
+    def job(self, label: str, n: int, message: Any) -> Iterator[tuple]:
         """Run ``worker.run(epoch, message)`` in ``n`` workers, with the
-        shared integers starting at ``outstanding`` and ``best`` (the
-        rest at zero).
+        shared integers starting at zero.
 
         Yields ``(wires, epoch, reports)``: ``reports`` iterates over
         the bodies of the ``(epoch, "ok", body)`` messages the workers
@@ -214,8 +211,8 @@ class ProcessFleet:
                 wires = self._wires
                 self._epoch = epoch = self._epoch + 1
                 wires.done.value = 0
-                wires.outstanding.value = outstanding
-                wires.best.value = best
+                wires.outstanding.value = 0
+                wires.best.value = 0
                 for _, ctrl in engaged:
                     ctrl.send((epoch, blob))
 

@@ -8,9 +8,13 @@ Four coordinations have process implementations, and one worker runs
 them all: :class:`~repro.runtime.worker.Worker`, the cluster's worker
 too, whose lease loop makes the one call to
 :func:`~repro.runtime.sharing.execute_lease` (the first three below) or
-:func:`~repro.core.ordered.execute_run` (the last).  What is here is
-its pipe transport, :class:`PipeWorker` — queues and shared integers —
-and the parent's half of each coordination.  The processes belong to
+:func:`~repro.core.ordered.execute_run` (the last), and one driver,
+:class:`~repro.runtime.driver.JobDriver`, the cluster coordinator's
+too, which starts each job, merges or finalises what the workers report
+and assembles the result.  What is here is the pipe transport of both:
+:class:`PipeWorker` for the worker, ``_fleet_search`` for the parent —
+queues and shared integers, the non-negative incumbent-seed check and
+the witness probe.  The processes belong to
 one warm fleet (:mod:`repro.runtime.fleet`, ``FLEET`` below): the first
 search of a process forks its workers, every later one engages them
 with a message each, and they stop when the process exits (or at
@@ -65,17 +69,18 @@ from __future__ import annotations
 import pickle
 import signal
 import time
+from contextlib import ExitStack
 from multiprocessing import Pipe, Process
 from queue import Empty
 from typing import Any, Callable, Optional
 
-from repro.core.ordered import OrderedLedger, OrderedRunPolicy, ordered_frontier
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchMetrics, SearchResult, result_from_dict
 from repro.core.searchtypes import Incumbent, SearchType
+from repro.runtime.driver import JobDriver
 from repro.runtime.fleet import ProcessFleet, Wires, graceful_stop
 from repro.runtime.sharing import LeaseOutcome
-from repro.runtime.worker import Worker, WorkerJob, job_knobs
+from repro.runtime.worker import Worker, WorkerJob, job_knobs, make_stype, stype_payload
 
 __all__ = [
     "multiprocessing_depthbounded_search",
@@ -315,36 +320,6 @@ def _sendable_witness(node: Any) -> Any:
     return node
 
 
-def make_stype(kind: str, kwargs: dict) -> SearchType:
-    """Top-level (picklable) search-type factory used by the backends."""
-    from repro.core.searchtypes import make_search_type
-
-    return make_search_type(kind, **kwargs)
-
-
-def _stype_payload(stype: SearchType) -> tuple[str, dict]:
-    """Reduce a standard search type to ``(kind, kwargs)`` for shipping
-    to worker processes, where :func:`make_stype` rebuilds it.
-
-    Only the three stock types survive this round trip; subclasses and
-    Enumeration instances with custom monoids carry behaviour that
-    cannot be reconstructed by name, so they are rejected with advice.
-    """
-    from repro.core.searchtypes import Decision, Enumeration, Optimisation
-
-    if type(stype) is Decision:
-        return "decision", {"target": stype.target}
-    if type(stype) is Optimisation:
-        return "optimisation", {}
-    if type(stype) is Enumeration and stype.is_default:
-        return "enumeration", {}
-    raise ValueError(
-        f"the processes backend cannot ship search type {stype!r} to workers "
-        "by name; pass an explicit stype_factory to the multiprocessing_* "
-        "functions instead"
-    )
-
-
 # -- the pipe transport --------------------------------------------------------
 
 
@@ -574,8 +549,8 @@ def multiprocessing_ordered_search(
     depth-``d_cutoff`` frontier sequentially
     (:func:`~repro.core.ordered.ordered_frontier`), numbering subtree
     tasks in discovery order, while every worker does the same for
-    itself; from then on only numbers move.  The parent drives an
-    :class:`~repro.core.ordered.OrderedRunPolicy` over an
+    itself; from then on only numbers move.  The parent's
+    :class:`~repro.runtime.driver.JobDriver` keeps an
     :class:`~repro.core.ordered.OrderedLedger`: runs of sequence
     numbers are leased in order, each worker executes its run from the
     best bound it can know (speculation), and the ledger finalises the
@@ -608,91 +583,67 @@ def _fleet_search(
     n_processes: int,
     **knobs: Any,
 ) -> SearchResult:
-    """The parent's half of every process coordination: one fleet job,
-    told the coordination and its ``knobs`` (some of
+    """The parent's half of every process coordination: a
+    :class:`~repro.runtime.driver.JobDriver` over one fleet job, told
+    the coordination and its ``knobs`` (some of
     :data:`~repro.runtime.worker.JOB_KNOBS`).
 
-    Depth-Bounded, Budget and Stack-Stealing differ only in *who splits
-    the tree and when*; around that are the task queue, the shared
-    incumbent, the outstanding-lease termination counter, crash
-    detection and the merge of one report per worker.  Depth-Bounded's
-    parent cuts the depth-``d_cutoff`` frontier itself and the workers
-    only search what they pull; otherwise the whole tree is the first
-    task.  ``metrics.spawns`` is the number of subtrees split off, by
-    the parent or off a worker's stack; ``metrics.steals`` the number a
-    worker put on the queue for a starving one.  Ordered's parent walks
-    the frontier while the workers walk theirs, leases runs of its
-    numbers and finalises their reports in its ledger.
+    The driver says what the job does; this is its transport.  The
+    fleet is engaged when the driver says so (never, when phase 1 is
+    the whole search), its task queue is fed the first leases, and then
+    Budget, Stack-Stealing and Depth-Bounded wait for one report per
+    worker — the workers share the incumbent and count outstanding
+    leases in the shared integers themselves — while Ordered's parent
+    leases runs of its frontier onto the queue, accepts the reports and
+    publishes each new finalised-prefix best in ``best``, whose only
+    writer it is.  ``metrics.spawns`` is the number of subtrees split
+    off, by the parent or off a worker's stack; ``metrics.steals`` the
+    number a worker put on the queue for a starving one.
     """
     if n_processes < 1:
         raise ValueError("need at least one process")
-    for knob in ("budget", "share_poll"):
-        if knobs.get(knob, 1) < 1:
-            raise ValueError(f"{knob} must be >= 1")
-    spec = spec_factory(*factory_args)
-    stype = stype_factory(*stype_args)
-    started = time.perf_counter()
-    enum = stype.kind == "enumeration"
-    if not enum:
-        _checked_incumbent_seed(stype.initial_knowledge(spec).value)
+    driver = JobDriver(WorkerJob(
+        0, spec_factory(*factory_args), stype_factory(*stype_args), coordination, **knobs,
+    ))
+    if not driver.job.enum:
+        _checked_incumbent_seed(driver.best)
     message = (
         spec_factory, factory_args, stype_factory, stype_args,
         n_processes, coordination, knobs,
     )
+    with ExitStack() as stack:
+        engaged = []  # the fleet job, once the driver engages the workers
+        tasks = driver.start(lambda: engaged.append(
+            stack.enter_context(FLEET.job(coordination, n_processes, message))
+        ))
+        if engaged:
+            _serve(driver, n_processes, tasks, *engaged[0])
+    return driver.result(n_processes)
 
-    if coordination == "ordered":
-        d_cutoff = knobs["d_cutoff"]
-        if d_cutoff <= 0:
-            ledger = OrderedLedger(stype, ordered_frontier(spec, stype, d_cutoff=d_cutoff))
-        else:
-            with FLEET.job(coordination, n_processes, message) as (wires, epoch, reports):
-                # The workers are walking: so does the parent.
-                ledger = OrderedLedger(stype, ordered_frontier(spec, stype, d_cutoff=d_cutoff))
-                policy = OrderedRunPolicy(ledger, knobs["share_poll"])
-                if not enum:
-                    # Published for the workers' speculation (this parent
-                    # is the only writer); nobody reads it before a lease.
-                    wires.best.value = ledger.required_bound()
-                while not ledger.finished:
-                    while (run := policy.lease(n_processes)) is not None:
-                        wires.task_q.put((epoch, run.seqs, run.bound, ledger.task_count))
-                    if policy.accept(*next(reports)):
-                        wires.best.value = ledger.required_bound()
-                # Runs still out are not needed: wake whoever waits for one.
-                wires.done.value = 1
-                for _ in range(n_processes):
-                    wires.task_q.put((epoch,))
-        knowledge, goal, metrics = ledger.knowledge, ledger.goal, ledger.metrics
-    else:
-        if coordination == "depthbounded":
-            frontier = ordered_frontier(spec, stype, d_cutoff=knobs["d_cutoff"])
-            tasks = [([task.node], task.depth) for task in frontier.tasks]
-            knowledge, metrics, goal = frontier.knowledge, frontier.metrics, frontier.goal
-        else:
-            tasks = [([spec.root], 0)]
-            knowledge = stype.initial_knowledge(spec)
-            metrics, goal = SearchMetrics(), False
-        if tasks and not goal:
-            with FLEET.job(
-                coordination, n_processes, message,
-                outstanding=len(tasks),  # leases queued or held
-                # Unused by an enumeration: its accumulators stay local.
-                best=0 if enum else knowledge.value,
-            ) as (wires, epoch, reports):
-                for task in tasks:
-                    wires.task_q.put((epoch, *task))
-                # One report per worker: what it found (a witness that
-                # could not be pickled is None; the value still counts),
-                # its summed counters, and whether it reached the goal.
-                for found, counters, goal_here in reports:
-                    knowledge = stype.combine(knowledge, found)
-                    metrics.merge(counters)
-                    goal = goal or goal_here
-    metrics.weighted_nodes = metrics.nodes
-    return SearchResult.from_knowledge(
-        stype, knowledge, goal, metrics,
-        time.perf_counter() - started, n_processes,
-    )
+
+def _serve(driver: JobDriver, n: int, tasks: list, wires: Wires, epoch: int, reports) -> None:
+    """Feed ``driver``'s job to the ``n`` engaged workers until it is
+    over.  Nobody reads the shared integers before a lease exists."""
+    wires.outstanding.value = len(tasks)  # leases queued or held
+    wires.best.value = driver.best or 0  # an enumeration has no best
+    for roots, depth in tasks:
+        wires.task_q.put((epoch, roots, depth))
+    if driver.ledger is None:
+        # One report per worker: what it found (a witness that could not
+        # be pickled is None; the value still counts), its summed
+        # counters, and whether it reached the goal.
+        for report in reports:
+            driver.merge(*report)
+        return
+    while not driver.finished:
+        while (run := driver.lease(n)) is not None:
+            wires.task_q.put((epoch, run.seqs, run.bound, driver.ledger.task_count))
+        if driver.accept(*next(reports)):
+            wires.best.value = driver.best
+    # Runs still out are not needed: wake whoever waits for one.
+    wires.done.value = 1
+    for _ in range(n):
+        wires.task_q.put((epoch,))
 
 
 def run_skeleton(
@@ -707,9 +658,10 @@ def run_skeleton(
 
     The job carries every knob of ``params`` a wire job does, and each
     coordination reads its own; the search type travels as its ``(kind,
-    kwargs)`` payload (standard types only — see :func:`_stype_payload`).
+    kwargs)`` payload (standard types only — see
+    :func:`~repro.runtime.worker.stype_payload`).
     """
     return _fleet_search(
-        coordination, spec_factory, factory_args, make_stype, _stype_payload(stype),
+        coordination, spec_factory, factory_args, make_stype, stype_payload(stype),
         params.n_processes, **job_knobs(params),
     )

@@ -16,11 +16,15 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.core.ordered import execute_run, worker_tasks
-from repro.core.searchtypes import Incumbent, SearchType
+from repro.core.searchtypes import (
+    Decision, Enumeration, Incumbent, Optimisation, SearchType, make_search_type,
+)
 from repro.runtime.sharing import LeaseOutcome, execute_lease
 from repro.runtime.workpool import Workpool
 
-__all__ = ["JOB_KNOBS", "job_knobs", "SpecCache", "WorkerJob", "Worker"]
+__all__ = [
+    "JOB_KNOBS", "job_knobs", "make_stype", "stype_payload", "SpecCache", "WorkerJob", "Worker",
+]
 
 # The knobs of a job, beside its coordination, on either transport.
 JOB_KNOBS = ("budget", "share_poll", "d_cutoff", "chunked")
@@ -29,6 +33,32 @@ JOB_KNOBS = ("budget", "share_poll", "d_cutoff", "chunked")
 def job_knobs(params: Any) -> dict:
     """A :class:`~repro.core.params.SkeletonParams` reduced to its job knobs."""
     return {knob: getattr(params, knob) for knob in JOB_KNOBS}
+
+
+def make_stype(kind: str, kwargs: dict) -> SearchType:
+    """Top-level (picklable) search-type factory used by the backends."""
+    return make_search_type(kind, **kwargs)
+
+
+def stype_payload(stype: SearchType) -> tuple[str, dict]:
+    """Reduce a standard search type to ``(kind, kwargs)`` for shipping
+    to worker processes, where :func:`make_stype` rebuilds it.
+
+    Only the three stock types survive this round trip; subclasses and
+    Enumeration instances with custom monoids carry behaviour that
+    cannot be reconstructed by name, so they are rejected with advice.
+    """
+    if type(stype) is Decision:
+        return "decision", {"target": stype.target}
+    if type(stype) is Optimisation:
+        return "optimisation", {}
+    if type(stype) is Enumeration and stype.is_default:
+        return "enumeration", {}
+    raise ValueError(
+        f"the processes backend cannot ship search type {stype!r} to workers "
+        "by name; pass an explicit stype_factory to the multiprocessing_* "
+        "functions instead"
+    )
 
 
 class SpecCache:
@@ -49,26 +79,30 @@ class SpecCache:
 
 
 class WorkerJob:
-    """Worker-side state of one job.
+    """One job, as both its driver and its workers hold it.
 
-    ``budget`` is None but for Budget (Depth-Bounded is a Stack-Stealing
-    job nobody asks to share); every lease starts from ``zero``, with
-    no witness of this worker's; ``tasks`` is an Ordered job's frontier
-    as walked here.  ``bound`` and ``done`` are for a transport that is
-    told the incumbent and the end of the job rather than reading them.
+    A ``budget`` or ``share_poll`` below 1 is a ValueError.  ``budget``
+    is None but for Budget (Depth-Bounded is a Stack-Stealing job nobody
+    asks to share); every lease starts from ``zero``, with no witness of
+    this worker's; ``tasks`` is an Ordered job's frontier as walked
+    here.  ``bound`` and ``done`` are for a transport that is told the
+    incumbent and the end of the job rather than reading them.
     """
 
     def __init__(
         self, id: int, spec: Any, stype: SearchType, coordination: str, *,
         budget: int = 1000, share_poll: int = 64, d_cutoff: int = 2, chunked: bool = True,
     ) -> None:
+        for knob, value in (("budget", budget), ("share_poll", share_poll)):
+            if int(value) < 1:
+                raise ValueError(f"{knob} must be >= 1")
         self.id = id
         self.spec = spec
         self.stype = stype
         self.enum = stype.kind == "enumeration"
         self.coordination = coordination
-        self.budget = max(1, int(budget)) if coordination == "budget" else None
-        self.share_poll = max(1, int(share_poll))
+        self.budget = int(budget) if coordination == "budget" else None
+        self.share_poll = int(share_poll)
         self.d_cutoff = int(d_cutoff)
         self.chunked = bool(chunked)
         zero = stype.initial_knowledge(spec)

@@ -5,7 +5,10 @@ connection, so every lease/epoch/rebroadcast decision the coordinator
 makes is observable deterministically — no real search involved.
 """
 
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from collections import deque
@@ -460,6 +463,52 @@ class TestIncumbent:
         finally:
             w1.close()
             w2.close()
+
+    def test_a_result_that_raises_the_best_is_broadcast(self, handle):
+        # The finder's INCUMBENT was lost (a frame the chaos plans may
+        # drop): its RESULT is the first the coordinator hears of 7, and
+        # the peers and the observer must hear of it too.
+        seen = []
+        handle.coordinator.on_incumbent = seen.append
+        w1 = FakeWorker(*handle.address, name="finder")
+        w2 = FakeWorker(*handle.address, name="listener")
+        try:
+            fut = handle.run_job_future(OPT_PAYLOAD, timeout=15)
+            root = w1.recv(P.TASK)
+            w1.send(offcut_frame(root, [("a",), ("b",)]))
+            lease = w2.recv(P.TASK)
+            w1.send(result_frame(root, value=7, node=("w7",)))
+            assert w2.recv(P.INCUMBENT)["value"] == 7
+            w2.send(result_frame(lease))
+            res = fut.result(timeout=10)
+            assert (res.value, res.node) == (7, ("w7",))
+            assert res.metrics.broadcasts == 1 and seen == [7]
+        finally:
+            w1.close()
+            w2.close()
+
+
+def test_a_knob_below_one_is_refused(handle):
+    """As on the process backend: a ValueError, and no JOB goes out."""
+    w = FakeWorker(*handle.address)
+    try:
+        for knob in ("budget", "share_poll"):
+            with pytest.raises(ValueError, match=knob):
+                handle.run_job(dict(ENUM_PAYLOAD, **{knob: 0}), timeout=10)
+        w.assert_no_frame(P.JOB)
+    finally:
+        w.close()
+
+
+def test_the_cluster_does_not_import_the_process_backend():
+    """Importing the process backend builds its fleet and registers exit
+    and fork hooks: no coordinator or cluster worker process wants them."""
+    code = (
+        "import sys, repro.cluster.worker, repro.cluster.coordinator; "
+        "sys.exit('repro.runtime.processes' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def offcut_frame(task_msg, nodes, depth=3):

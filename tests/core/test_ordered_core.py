@@ -3,11 +3,11 @@
 Everything here runs in-process with scripted arrival orders, so the
 properties the parallel drivers rely on are pinned exactly: discovery-
 order task numbering, the purity of ``run_task_fixed_bound``, the
-ledger's in-order finalisation with bound enforcement, the run policy
-(which seqs are leased next, what a batch of records does) and the
-worker half that executes a run — and, with the ``ordered-tiebreak``
-mutation active, the witness flip the repetition oracle exists to
-catch, demonstrated deterministically.
+ledger's in-order finalisation with bound enforcement, the job
+driver's run policy (which seqs are leased next, what a batch of
+records does) and the worker half that executes a run — and, with the
+``ordered-tiebreak`` mutation active, the witness flip the repetition
+oracle exists to catch, demonstrated deterministically.
 """
 
 import random
@@ -20,8 +20,6 @@ from hypothesis import strategies as st
 from repro.core.ordered import (
     OrderedFrontier,
     OrderedLedger,
-    OrderedRun,
-    OrderedRunPolicy,
     OrderedTask,
     execute_run,
     ordered_frontier,
@@ -39,6 +37,8 @@ from repro.core.searchtypes import (
 )
 from repro.core.sequential import sequential_search
 from repro.core.tasks import ORDERED, SearchTask, SpawnedTask
+from repro.runtime.driver import JobDriver, OrderedRun
+from repro.runtime.worker import WorkerJob
 from repro.verify.generators import Instance, search_setup
 
 from tests.conftest import make_toy_spec
@@ -367,7 +367,7 @@ class TestOrderedLedger:
     def test_a_block_is_parked_task_by_task(self):
         # Three tasks from one bound in one block, the last improving:
         # they finalise one by one, and the value belongs to the last.
-        policy, ledger = _flat_policy(4)
+        ledger = _flat_ledger(4)
         ledger.record({
             "seqs": range(0, 3), "bound": 0, "nodes": [4, 1, 9],
             "prunes": [2, 1, 3], "backtracks": [1, 0, 5], "max_depth": [3, 0, 4],
@@ -387,7 +387,7 @@ class TestRootPrunedRule:
     every ``B* >= b``: its record is final from any *lower* bound."""
 
     def test_root_pruned_from_a_lower_bound_is_final_under_the_required_one(self):
-        policy, ledger = _flat_policy(4)
+        ledger = _flat_ledger(4)
         ledger.record(_pruned(1, 0))
         ledger.record(_pruned(2, 2))
         ledger.record(_record(0, 0, value=4, node="w"))
@@ -398,21 +398,21 @@ class TestRootPrunedRule:
         assert ledger.journal == [(0, 0, 1), (1, 4, 1), (2, 4, 1)]
 
     def test_root_pruned_from_a_higher_bound_is_still_reissued(self):
-        policy, ledger = _flat_policy(3)
+        ledger = _flat_ledger(3)
         ledger.record(_pruned(1, 9))  # might not be pruned under 4
         ledger.record(_record(0, 0, value=4, node="w"))
         assert ledger.advance() == [1]
         assert ledger.next_seq == 1
 
     def test_unpruned_from_a_lower_bound_is_still_reissued(self):
-        policy, ledger = _flat_policy(3)
+        ledger = _flat_ledger(3)
         ledger.record(_record(1, 0, nodes=1))  # one node, not pruned: a leaf
         ledger.record(_record(2, 0, nodes=7))
         ledger.record(_record(0, 0, value=4, node="w"))
         assert ledger.advance() == [1, 2]
 
     def test_an_improving_root_is_not_root_pruned(self):
-        policy, ledger = _flat_policy(3)
+        ledger = _flat_ledger(3)
         improving = _pruned(1, 0)
         improving.update(value=3, node="x", goal=False)
         ledger.record(improving)
@@ -422,7 +422,7 @@ class TestRootPrunedRule:
     def test_late_arrival_from_a_lower_bound(self):
         # Arriving after the best has moved: the pruned one parks, the
         # other is handed back without waiting for its turn.
-        policy, ledger = _flat_policy(5)
+        ledger = _flat_ledger(5)
         ledger.record(_record(0, 0, value=4, node="w"))
         assert ledger.advance() == []
         ledger.record(_pruned(2, 0))
@@ -453,15 +453,32 @@ def _pruned(seq, bound):
     }
 
 
-def _flat_policy(n, best=0, poll=1):
-    """A policy over ``n`` placeholder tasks whose phase-1 best is
+def _ordered_driver(spec, stype, d_cutoff, poll=1):
+    """A started Ordered job driver (no workers to engage)."""
+    driver = JobDriver(WorkerJob(0, spec, stype, "ordered", d_cutoff=d_cutoff, share_poll=poll))
+    driver.start(lambda: None)
+    return driver
+
+
+def _flat_ledger(n, best=0):
+    """A ledger over ``n`` placeholder tasks whose phase-1 best is
     ``best`` — arrivals are scripted, nothing is ever searched."""
     frontier = OrderedFrontier(
         tasks=[OrderedTask(i, f"t{i}", 1) for i in range(n)],
         knowledge=Incumbent(best, "root"),
     )
-    ledger = OrderedLedger(Optimisation(), frontier)
-    return OrderedRunPolicy(ledger, poll), ledger
+    return OrderedLedger(Optimisation(), frontier)
+
+
+def _flat_driver(n, best=0, poll=1):
+    """A driver over ``n`` placeholder tasks whose phase-1 best is
+    ``best`` — the root's, met by no child — with arrivals scripted and
+    nothing ever searched."""
+    kids = [f"t{i}" for i in range(n)]
+    values = {"root": best, **dict.fromkeys(kids, 0)}
+    spec = make_toy_spec({"root": kids}, values, with_bound=False)
+    driver = _ordered_driver(spec, Optimisation(), 1, poll)
+    return driver, driver.ledger
 
 
 def _seqs(run):
@@ -470,7 +487,7 @@ def _seqs(run):
 
 class TestBulkReissue:
     def test_late_improvement_reissues_every_stale_result_at_once(self):
-        policy, ledger = _flat_policy(10)
+        ledger = _flat_ledger(10)
         # seqs 1..6 arrive first, all searched from bound 0.
         for seq in range(1, 7):
             ledger.record(_record(seq, 0))
@@ -483,7 +500,7 @@ class TestBulkReissue:
         assert ledger.advance() == []  # nothing left to hand back
 
     def test_stale_arrival_after_the_improvement_is_handed_back_too(self):
-        policy, ledger = _flat_policy(6)
+        ledger = _flat_ledger(6)
         ledger.record(_record(0, 0, value=4, node="w"))
         assert ledger.advance() == []
         # Out of turn (seq 1 is the head) and from the old bound: no
@@ -492,7 +509,7 @@ class TestBulkReissue:
         assert ledger.advance() == [3]
 
     def test_results_from_the_new_bound_stay_parked(self):
-        policy, ledger = _flat_policy(6)
+        ledger = _flat_ledger(6)
         ledger.record(_record(2, 4))  # a worker that threaded 4 locally
         ledger.record(_record(3, 0))
         ledger.record(_record(0, 0, value=4, node="w"))
@@ -502,7 +519,7 @@ class TestBulkReissue:
         assert ledger.next_seq == 3  # 1 and the parked 2 both finalised
 
     def test_overshoot_is_rejected_at_finalisation_not_in_bulk(self):
-        policy, ledger = _flat_policy(4)
+        ledger = _flat_ledger(4)
         # Bound 9 is above anything finalised: the bulk rule (strictly
         # below the best) must leave it alone...
         ledger.record(_record(2, 9))
@@ -522,10 +539,10 @@ class TestBulkReissue:
 
 class TestRunPolicy:
     def test_leases_in_sequence_order_doubling_to_the_cap(self):
-        policy, _ = _flat_policy(400)
+        driver, _ = _flat_driver(400)
         sizes, first = [], 0
         for _ in range(8):
-            run = policy.lease(workers=4)
+            run = driver.lease(workers=4)
             assert isinstance(run.seqs, range)  # fresh work is a range
             assert run.seqs.start == first  # consecutive, nothing skipped
             assert run.bound == 0
@@ -538,128 +555,128 @@ class TestRunPolicy:
         assert sizes[6] == (400 - 31 - sizes[5]) // 16
 
     def test_run_ahead_never_exceeds_two_runs_per_worker(self):
-        policy, _ = _flat_policy(400)
-        held = [policy.lease(workers=3) for _ in range(6)]
+        driver, _ = _flat_driver(400)
+        held = [driver.lease(workers=3) for _ in range(6)]
         assert all(run is not None for run in held)
-        assert policy.in_flight == 6
-        assert policy.lease(workers=3) is None  # window full
+        assert driver.in_flight == 6
+        assert driver.lease(workers=3) is None  # window full
         # A flush that is not the run's last message frees nothing.
-        policy.accept([_record(0, 0)], done=False)
-        assert policy.lease(workers=3) is None
-        policy.accept([], done=True)
-        assert policy.lease(workers=3) is not None
-        assert policy.lease(workers=3) is None
+        driver.accept([_record(0, 0)], done=False)
+        assert driver.lease(workers=3) is None
+        driver.accept([], done=True)
+        assert driver.lease(workers=3) is not None
+        assert driver.lease(workers=3) is None
 
     def test_small_frontier_leases_single_tasks(self):
         # 8 tasks on 2 workers: the cap is 8 // 8 = 1, so run sizing
         # never engages and every lease is one task, as before runs.
-        policy, _ = _flat_policy(8)
+        driver, _ = _flat_driver(8)
         got = []
         while len(got) < 8:
-            run = policy.lease(workers=2)
+            run = driver.lease(workers=2)
             if run is None:
-                policy.accept([], done=True)
+                driver.accept([], done=True)
                 continue
             got.append(len(run.seqs))
         assert got == [1] * 8
 
     def test_size_resets_when_the_best_moves(self):
-        policy, ledger = _flat_policy(400)
-        runs = [policy.lease(workers=2) for _ in range(4)]  # 1, 2, 4, 8
+        driver, ledger = _flat_driver(400)
+        runs = [driver.lease(workers=2) for _ in range(4)]  # 1, 2, 4, 8
         assert [len(r.seqs) for r in runs] == [1, 2, 4, 8]
-        moved = policy.accept([_record(0, 0, value=7, node="w")], done=True)
+        moved = driver.accept([_record(0, 0, value=7, node="w")], done=True)
         assert moved and ledger.required_bound() == 7
-        assert len(policy.lease(workers=2).seqs) == 1
-        assert policy.lease(workers=2) is None  # 3 old + 1 new in flight
+        assert len(driver.lease(workers=2).seqs) == 1
+        assert driver.lease(workers=2) is None  # 3 old + 1 new in flight
         # No movement, no reset: doubling carries on from 1.
-        assert policy.accept(
+        assert driver.accept(
             [_record(1, 7), _record(2, 7)], done=True
         ) is False
-        assert len(policy.lease(workers=2).seqs) == 2
+        assert len(driver.lease(workers=2).seqs) == 2
 
     def test_a_run_is_never_shorter_than_the_poll_interval(self):
         # 64 nodes between two of a worker's looks at the world, tasks
         # of 4 nodes so far: no lease under 16 tasks, doubling or not,
         # reset or not, tail or not.
-        policy, ledger = _flat_policy(400, poll=64)
-        assert len(policy.lease(workers=2).seqs) == 1  # nothing finalised yet
-        policy.accept([_record(0, 0, nodes=4)], done=True)
+        driver, ledger = _flat_driver(400, poll=64)
+        assert len(driver.lease(workers=2).seqs) == 1  # nothing finalised yet
+        driver.accept([_record(0, 0, nodes=4)], done=True)
         assert ledger.nodes_per_task() == 4.0
-        assert len(policy.lease(workers=2).seqs) == 16
-        assert len(policy.lease(workers=2).seqs) == 32
-        second = policy.lease(workers=2)
-        policy.accept([_record(1, 0, value=7, node="w", nodes=4)], done=True)
-        assert len(policy.lease(workers=2).seqs) == 16  # reset to 1, floored
+        assert len(driver.lease(workers=2).seqs) == 16
+        assert len(driver.lease(workers=2).seqs) == 32
+        second = driver.lease(workers=2)
+        driver.accept([_record(1, 0, value=7, node="w", nodes=4)], done=True)
+        assert len(driver.lease(workers=2).seqs) == 16  # reset to 1, floored
         # Big tasks: the floor is below one task and never binds.
-        coarse, ledger = _flat_policy(400, poll=64)
+        coarse, ledger = _flat_driver(400, poll=64)
         coarse.lease(workers=2)
         coarse.accept([_record(0, 0, nodes=5000)], done=True)
         assert len(coarse.lease(workers=2).seqs) == 2
 
     def test_head_rerun_is_first_in_line_and_carries_the_required_bound(self):
-        policy, ledger = _flat_policy(400)
-        runs = [policy.lease(workers=2) for _ in range(4)]
+        driver, ledger = _flat_driver(400)
+        runs = [driver.lease(workers=2) for _ in range(4)]
         assert [_seqs(r) for r in runs[:2]] == [[0], [1, 2]]
         # [1, 2] and [3..6] come back first, searched from bound 0 ...
-        policy.accept([_record(s, 0) for s in (1, 2)], done=True)
-        policy.accept([_record(s, 0) for s in (3, 4, 5, 6)], done=True)
+        driver.accept([_record(s, 0) for s in (1, 2)], done=True)
+        driver.accept([_record(s, 0) for s in (3, 4, 5, 6)], done=True)
         # ... then seq 0 improves the bound: all six are stale.
-        assert policy.accept([_record(0, 0, value=7, node="w")], done=True)
+        assert driver.accept([_record(0, 0, value=7, node="w")], done=True)
         assert ledger.next_seq == 1
-        assert policy.backlog == 6 + 400 - 15
+        assert driver.backlog == 6 + 400 - 15
         # Re-runs beat fresh work, lowest seq (the blocked head) first,
         # cut under exactly the bound it must now run from: one lease
         # per worker, an even share each.
-        first = policy.lease(workers=2)
+        first = driver.lease(workers=2)
         assert (_seqs(first), first.bound) == ([1, 2, 3], 7)
-        again = policy.lease(workers=2)
+        again = driver.lease(workers=2)
         assert (_seqs(again), again.bound) == ([4, 5, 6], 7)
         # Window: [7..14] is still out, so one more and it is full.
-        assert policy.lease(workers=2).seqs.start == 15
-        assert policy.lease(workers=2) is None
+        assert driver.lease(workers=2).seqs.start == 15
+        assert driver.lease(workers=2) is None
 
     def test_rerun_leases_bridge_gaps(self):
-        policy, _ = _flat_policy(400)
+        driver, _ = _flat_driver(400)
         for _ in range(4):
-            policy.lease(workers=2)
-        policy.accept([_record(s, 0) for s in (3, 5, 6)], done=True)
-        policy.accept([], done=True)
-        policy.accept([], done=True)
-        policy.accept([_record(0, 0, value=7, node="w")], done=True)
+            driver.lease(workers=2)
+        driver.accept([_record(s, 0) for s in (3, 5, 6)], done=True)
+        driver.accept([], done=True)
+        driver.accept([], done=True)
+        driver.accept([_record(0, 0, value=7, node="w")], done=True)
         # Stale: 3, 5, 6.  A lease is any ascending list: two workers,
         # two leases, not one per consecutive stretch.
-        assert _seqs(policy.lease(workers=2)) == [3, 5]
-        assert _seqs(policy.lease(workers=2)) == [6]
+        assert _seqs(driver.lease(workers=2)) == [3, 5]
+        assert _seqs(driver.lease(workers=2)) == [6]
 
     def test_lost_lease_is_queued_again_minus_what_finalised(self):
-        policy, ledger = _flat_policy(400)
-        runs = [policy.lease(workers=2) for _ in range(3)]  # [0] [1,2] [3..6]
+        driver, ledger = _flat_driver(400)
+        runs = [driver.lease(workers=2) for _ in range(3)]  # [0] [1,2] [3..6]
         # The worker on [1, 2] flushed seq 1 early, then died.
-        policy.accept([_record(0, 0)], done=True)
-        policy.accept([_record(1, 0)], done=False)
+        driver.accept([_record(0, 0)], done=True)
+        driver.accept([_record(1, 0)], done=False)
         assert ledger.next_seq == 2
-        assert policy.in_flight == 2
-        assert policy.requeue(runs[1]) == 1  # only seq 2 is still owed
-        assert policy.in_flight == 1
-        assert _seqs(policy.lease(workers=2)) == [2]
+        assert driver.in_flight == 2
+        assert driver.requeue(runs[1]) == 1  # only seq 2 is still owed
+        assert driver.in_flight == 1
+        assert _seqs(driver.lease(workers=2)) == [2]
 
     def test_nothing_is_leased_once_the_ledger_is_finished(self):
-        policy, ledger = _flat_policy(2)
-        policy.lease(workers=1)
-        policy.lease(workers=1)
-        policy.accept([_record(0, 0), _record(1, 0)], done=True)
+        driver, ledger = _flat_driver(2)
+        driver.lease(workers=1)
+        driver.lease(workers=1)
+        driver.accept([_record(0, 0), _record(1, 0)], done=True)
         assert ledger.finished
-        assert policy.lease(workers=1) is None
+        assert driver.lease(workers=1) is None
 
     def test_enumeration_has_no_bounds_and_never_reissues(self):
         spec = wide_spec()
         f, blocks = _frontier_and_payloads(spec, Enumeration(), bound=None)
-        ledger = OrderedLedger(Enumeration(), f)
-        policy = OrderedRunPolicy(ledger)
-        run = policy.lease(workers=1)
+        driver = _ordered_driver(spec, Enumeration(), 1)
+        ledger = driver.ledger
+        run = driver.lease(workers=1)
         assert run == OrderedRun(range(0, 1), None)
         for seq in (2, 1, 0):
-            assert policy.accept([blocks[seq]], done=False) is False
+            assert driver.accept([blocks[seq]], done=False) is False
         assert ledger.finished
         assert ledger.metrics.reassigned == 0
         assert ledger.knowledge == sequential_search(spec, Enumeration()).value
@@ -776,16 +793,16 @@ class TestExecuteRun:
         assert block["bound"] is None and "value" not in block
 
     def test_driving_the_policy_to_completion_matches_the_reference(self):
-        # Policy + execute_run + ledger with no transport between them,
+        # Driver + execute_run + ledger with no transport between them,
         # leases executed newest-first to force stale speculation.
         spec, kind, kwargs = search_setup(Instance("maxclique", (24, 75, 3)))
         stype = make_search_type(kind, **kwargs)
         frontier = ordered_frontier(spec, stype, d_cutoff=2)
-        ledger = OrderedLedger(stype, frontier)
-        policy = OrderedRunPolicy(ledger, 64)
+        driver = _ordered_driver(spec, stype, 2, 64)
+        ledger = driver.ledger
         while not ledger.finished:
             held = []
-            while (run := policy.lease(workers=2)) is not None:
+            while (run := driver.lease(workers=2)) is not None:
                 held.append(run)
             assert held, "window empty but the ledger is not finished"
             for run in reversed(held):
@@ -797,7 +814,7 @@ class TestExecuteRun:
                     published=ledger.required_bound,
                 )
                 for blocks, done in inbox:
-                    policy.accept(blocks, done)
+                    driver.accept(blocks, done)
         ref = ordered_reference_search(spec, stype, d_cutoff=2)
         assert ledger.knowledge == Incumbent(ref.value, ref.node)
         got, want = ledger.metrics, ref.metrics

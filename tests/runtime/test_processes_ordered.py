@@ -258,7 +258,7 @@ class TestEdgeCases:
     def test_a_worker_that_walked_another_frontier_fails_the_search(
         self, monkeypatch, fresh_fleet
     ):
-        import repro.runtime.processes as processes
+        import repro.runtime.driver as driver
 
         def one_short(spec, stype, *, d_cutoff):
             frontier = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
@@ -266,7 +266,7 @@ class TestEdgeCases:
             return frontier
 
         # The parent's walk only: the workers call the real one.
-        monkeypatch.setattr(processes, "ordered_frontier", one_short)
+        monkeypatch.setattr(driver, "ordered_frontier", one_short)
         n = len(ordered_frontier(
             clique_spec_factory(*CLIQUE_ARGS), Optimisation(), d_cutoff=2
         ).tasks)
