@@ -13,11 +13,11 @@ simulated network or shared memory.
   binary format of :mod:`repro.cluster.codec`, negotiated per
   connection in HELLO/WELCOME.
 - :mod:`repro.cluster.coordinator` — the coordinator: an asyncio accept
-  loop owning the global task queue and incumbent, outstanding-task
-  accounting for distributed termination detection, heartbeat-timeout
-  fault tolerance with task re-lease (epochs prevent double counting),
-  and best-first incumbent merge that rebroadcasts only strict
-  improvements.
+  loop, heartbeat-timeout fault tolerance, and the incumbent broadcast
+  of strict improvements, driving the job's driver and lease table.
+- :mod:`repro.cluster.leases` — the lease table: each record queued or
+  held under an epoch (a stale one is refused), the grant round, steal
+  mediation, and termination when nothing is queued or held.
 - :mod:`repro.cluster.worker` — worker nodes: the search kernel
   wrapped in a TCP client with reconnect-with-backoff and graceful
   drain on SHUTDOWN; ``run_worker`` optionally fans out to several

@@ -425,12 +425,16 @@ def decode_body(body: bytes) -> dict:
     byte.  Raises :class:`ProtocolError` on anything malformed."""
     if not body:
         raise ProtocolError("empty frame body")
-    if body[0] == MAGIC:
-        return _binary_decode(body)
     try:
+        if body[0] == MAGIC:
+            return _binary_decode(body)
         msg = json.loads(body.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from None
+    except RecursionError:
+        # Both decoders recurse per level: a few kilobytes of nesting
+        # exhaust the interpreter's stack.
+        raise ProtocolError("frame nests too deeply") from None
     if not isinstance(msg, dict) or "type" not in msg:
         raise ProtocolError("frame is not a message object with a 'type'")
     return msg

@@ -9,7 +9,7 @@ cache.  Only the transport methods differ: the shared incumbent integer
 became INCUMBENT frames, the short lease count became the
 coordinator's STEAL, what a starving peer is given leaves in one STOLEN
 frame and reaches it as one lease of several roots, and the
-outstanding counter lives on the coordinator.  A lease is its roots
+outstanding counter is the coordinator's lease table.  A lease is its roots
 and everything its holder ran from its own pool, answered by one
 RESULT.  An ordered job's leases carry no roots: the worker walks the
 frontier for itself when the JOB arrives (on the search thread, while

@@ -81,7 +81,7 @@ class Request:
         :class:`HttpError` on anything else)."""
         try:
             data = json.loads(self.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
             raise HttpError(400, f"body is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise HttpError(400, "body must be a JSON object")
@@ -97,13 +97,11 @@ async def read_request(
     (400 bad syntax, 413 oversized body, 501 request chunking).
     """
     try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        line = await _head_line(reader)
+    except ConnectionError:
         return None
     if not line:
         return None
-    if len(line) > _MAX_HEAD_LINE:
-        raise HttpError(400, "request line too long")
     try:
         method, target, version = line.decode("latin-1").strip().split(" ", 2)
     except ValueError:
@@ -113,10 +111,10 @@ async def read_request(
 
     headers: dict = {}
     while True:
-        line = await reader.readline()
+        line = await _head_line(reader)
         if not line or line in (b"\r\n", b"\n"):
             break
-        if len(line) > _MAX_HEAD_LINE or len(headers) > 100:
+        if len(headers) > 100:
             raise HttpError(400, "headers too large")
         try:
             name, _, value = line.decode("latin-1").partition(":")
@@ -141,7 +139,10 @@ async def read_request(
         except (asyncio.IncompleteReadError, ConnectionError):
             return None  # client hung up mid-body; nothing to respond to
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unclosed IPv6 bracket
+        raise HttpError(400, f"bad request target: {exc}") from None
     return Request(
         method=method.upper(),
         path=unquote(split.path) or "/",
@@ -149,6 +150,17 @@ async def read_request(
         headers=headers,
         body=body,
     )
+
+
+async def _head_line(reader: asyncio.StreamReader) -> bytes:
+    """One line of the request head (b"" at EOF)."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # the reader's own limit: a longer line than we take
+        raise HttpError(400, "request head line too long") from None
+    if len(line) > _MAX_HEAD_LINE:
+        raise HttpError(400, "request head line too long")
+    return line
 
 
 def response_bytes(

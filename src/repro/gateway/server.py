@@ -31,7 +31,6 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-import threading
 import time
 from typing import Optional
 
@@ -39,6 +38,7 @@ from repro.gateway import http as H
 from repro.gateway.prometheus import render_service
 from repro.gateway.shard import ShardRouter
 from repro.service.jobs import Job, JobSpec, JobState
+from repro.util.loop import LoopThread
 
 __all__ = ["Gateway", "GatewayHandle", "job_dict"]
 
@@ -313,43 +313,20 @@ class Gateway:
 class GatewayHandle:
     """A gateway running on a dedicated loop thread, for sync callers.
 
-    The CLI, tests and benchmarks are synchronous; this owns the event
-    loop thread the same way :class:`~repro.cluster.coordinator.ClusterHandle`
-    does for the coordinator.
+    The CLI, tests and benchmarks are synchronous; this runs the
+    gateway on a :class:`~repro.util.loop.LoopThread`, as
+    :class:`~repro.cluster.coordinator.ClusterHandle` runs the
+    coordinator.
     """
 
     def __init__(self, gateway: Gateway) -> None:
         self.gateway = gateway
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
+        self._loop = LoopThread("gateway")
 
     def start(self) -> tuple[str, int]:
         """Start the loop thread and the gateway; returns (host, port)."""
-        if self._thread is not None:
-            raise RuntimeError("gateway already started")
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def _run() -> None:
-            asyncio.set_event_loop(self._loop)
-            started.set()
-            self._loop.run_forever()
-            pending = asyncio.all_tasks(self._loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                self._loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            self._loop.close()
-
-        self._thread = threading.Thread(target=_run, name="gateway", daemon=True)
-        self._thread.start()
-        started.wait()
-        future = asyncio.run_coroutine_threadsafe(
-            self.gateway.start(), self._loop
-        )
-        return future.result(timeout=30.0)
+        self._loop.start()
+        return self._loop.run(self.gateway.start(), timeout=30.0)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -365,21 +342,14 @@ class GatewayHandle:
     def drain(self, *, timeout: float = 120.0) -> None:
         """Graceful shutdown: finish in-flight jobs, then stop serving.
         Idempotent."""
-        if self._loop is None:
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.gateway.stop(), self._loop
-        )
-        future.result(timeout=timeout)
+        if self._loop.loop is not None:
+            self._loop.run(self.gateway.stop(), timeout)
 
     def close(self, *, timeout: float = 120.0) -> None:
         """Drain (if not already) and stop the loop thread."""
-        if self._loop is None:
+        if self._loop.loop is None:
             return
         try:
             self.drain(timeout=timeout)
         finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
-            self._loop = None
-            self._thread = None
+            self._loop.stop()

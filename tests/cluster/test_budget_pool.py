@@ -125,13 +125,14 @@ class TestSpawnsAndSteals:
         # another worker (a subtree handed on twice counts twice).
         spec, stype = _enum()
         crossed = []
-        on_stolen = Coordinator._on_stolen
+        dispatch = Coordinator._dispatch
 
-        def counting_stolen(self, worker, job, msg):
-            crossed.append(len(msg.get("nodes") or []))
-            on_stolen(self, worker, job, msg)
+        def counting_stolen(self, worker, msg):
+            if msg["type"] == P.STOLEN:
+                crossed.append(len(msg.get("nodes") or []))
+            dispatch(self, worker, msg)
 
-        monkeypatch.setattr(Coordinator, "_on_stolen", counting_stolen)
+        monkeypatch.setattr(Coordinator, "_dispatch", counting_stolen)
         on_cluster = cluster_search(
             library_spec_factory, (ENUM,), stype,
             n_workers=2, timeout=60, **KNOBS,

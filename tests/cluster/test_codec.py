@@ -15,6 +15,8 @@ import base64
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import codec as C
 from repro.cluster import protocol as P
@@ -346,6 +348,49 @@ class TestStrictDecode:
             C.BINARY_CODEC.encode({"type": "X", "v": object()})
         with pytest.raises(P.ProtocolError, match="string dict keys"):
             C.BINARY_CODEC.encode({"type": "X", "v": {1: 2}})
+
+
+class TestHostileBodies:
+    """Whatever bytes arrive, decoding answers a dict or ProtocolError:
+    both the coordinator's connection handler and the worker's receiver
+    catch nothing else."""
+
+    @pytest.mark.parametrize("body", [
+        b'{"type": "RESULT", "nodes": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+        bytes([C.MAGIC, C._TYPE_INDEX[P.RESULT], 1, C._KEY_INDEX["nodes"]])
+        + bytes([C.T_LIST, 1]) * 5000 + bytes([C.T_LIST, 0]),
+    ], ids=["json", "binary"])
+    def test_deep_nesting_is_a_protocol_error(self, body):
+        # 5 000 nested lists in about 10 KB.
+        assert len(body) < 11_000
+        with pytest.raises(P.ProtocolError, match="nests too deeply"):
+            C.decode_body(body)
+
+    @staticmethod
+    def _decodes_or_refuses(body: bytes) -> None:
+        try:
+            assert isinstance(C.decode_body(body), dict)
+        except P.ProtocolError:
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, body):
+        self._decodes_or_refuses(body)
+        self._decodes_or_refuses(bytes([C.MAGIC]) + body)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        codec=st.sampled_from([C.JSON_CODEC, C.BINARY_CODEC]),
+        edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=4),
+    )
+    def test_mutated_valid_frames(self, seed, codec, edits):
+        body = bytearray(codec.encode(_gen_message(SplitMix64(seed))))
+        for at, byte in edits:
+            body[at % len(body)] = byte
+        self._decodes_or_refuses(bytes(body))
+        self._decodes_or_refuses(bytes(body[: edits[0][0] % len(body)]))
 
 
 class TestNegotiation:

@@ -169,10 +169,11 @@ class FakeWorker:
             pass
 
 
-def refused_hello(address, version):
-    """Every frame a HELLO with ``version`` (None: no version field) is
-    answered with before the coordinator closes the connection."""
-    hello = {"type": P.HELLO, "name": "down-level", "slots": 1}
+def refused_hello(address, version, **fields):
+    """Every frame a HELLO with ``version`` (None: no version field) and
+    ``fields`` is answered with before the coordinator closes the
+    connection."""
+    hello = {"type": P.HELLO, "name": "down-level", "slots": 1, **fields}
     if version is not None:
         hello["version"] = version
     with socket.create_connection(address, timeout=5.0) as sock:
@@ -608,6 +609,19 @@ class TestBatching:
             assert res.workers == 1
         finally:
             w4.close()
+
+    @pytest.mark.parametrize(
+        "fields", [{"slots": None}, {"slots": "x"}, {"codecs": 5}],
+        ids=["null-slots", "str-slots", "int-codecs"],
+    )
+    def test_malformed_hello_is_answered_with_error(self, handle, caplog, fields):
+        frames = refused_hello(handle.address, P.PROTOCOL_VERSION, **fields)
+        assert [m["type"] for m in frames] == [P.ERROR]
+        assert "malformed HELLO" in frames[0]["reason"]
+        assert handle.n_workers() == 0
+        # Refused, not crashed: no "Unhandled exception in
+        # client_connected_cb" from the loop.
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
     def test_binary_codec_negotiated_end_to_end(self, handle):
         w = FakeWorker(*handle.address, codecs=["binary", "json"])

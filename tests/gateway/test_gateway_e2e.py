@@ -6,6 +6,7 @@ backpressure and drain are exercised exactly as a remote client would,
 with scripted backends keeping execution instant and controllable.
 """
 
+import http.client
 import threading
 import time
 
@@ -187,6 +188,13 @@ class TestErrors:
             with pytest.raises(GatewayError) as err:
                 client.submit({"nonsense": True})
             assert err.value.status == 400
+            # Nesting deep enough to exhaust the JSON parser's stack.
+            conn = http.client.HTTPConnection(*handle.address, timeout=10)
+            try:
+                conn.request("POST", "/jobs", body=b"[" * 5000 + b"]" * 5000)
+                assert conn.getresponse().status == 400
+            finally:
+                conn.close()
         finally:
             handle.close()
 

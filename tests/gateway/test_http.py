@@ -7,9 +7,12 @@ sockets — so every malformed-input branch is cheap to hit.
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gateway.http import (
     HttpError,
+    Request,
     read_request,
     response_bytes,
     start_chunked,
@@ -95,6 +98,59 @@ class TestReadRequest:
         with pytest.raises(HttpError) as err:
             req.json()
         assert err.value.status == 400
+
+
+    def test_deeply_nested_json_is_400(self):
+        body = b"[" * 5000 + b"]" * 5000
+        req = parse(b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body)
+        with pytest.raises(HttpError) as err:
+            req.json()
+        assert err.value.status == 400
+
+    def test_unparseable_target_is_400(self):
+        with pytest.raises(HttpError) as err:
+            parse(b"GET http://[::1/jobs HTTP/1.1\r\n\r\n")
+        assert err.value.status == 400
+
+    def test_a_line_past_the_readers_limit_is_400(self):
+        async def run():
+            reader = asyncio.StreamReader(limit=64)
+            reader.feed_data(b"GET /" + b"x" * 100 + b" HTTP/1.1\r\n\r\n")
+            reader.feed_eof()
+            return await read_request(reader)
+
+        with pytest.raises(HttpError) as err:
+            asyncio.run(run())
+        assert err.value.status == 400
+
+
+HEADS = st.sampled_from([
+    b"",
+    b"GET / HTTP/1.1\r\n",
+    b"POST /jobs HTTP/1.1\r\nContent-Length: 40\r\n\r\n",
+    b"POST /jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"",
+])
+
+
+class TestHostileRequests:
+    """Whatever a client sends, parsing it returns a request (or None)
+    or raises HttpError, which the server answers with its status."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(HEADS, st.binary(max_size=200))
+    def test_read_request(self, head, tail):
+        try:
+            parse(head + tail)
+        except HttpError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=200) | st.text(max_size=100).map(str.encode))
+    def test_json(self, body):
+        try:
+            assert isinstance(Request("POST", "/jobs", body=body).json(), dict)
+        except HttpError as err:
+            assert err.status == 400
 
 
 class TestResponses:
