@@ -73,6 +73,16 @@ class ClusterJobCancelled(ClusterError):
     """The job was cancelled by the submitter."""
 
 
+def _field(msg: dict, name: str, kind: type, default: Any) -> Any:
+    """``msg[name]``, ``default`` when absent, if it is exactly a
+    ``kind``; otherwise a :class:`~repro.cluster.protocol.ProtocolError`,
+    which the sender is answered with ``ERROR`` for."""
+    value = msg.get(name, default)
+    if type(value) is not kind:
+        raise P.ProtocolError(f"{msg['type']} field {name!r} must be {kind.__name__}")
+    return value
+
+
 @dataclass
 class WorkerConn:
     """Coordinator-side record of one connected worker."""
@@ -529,11 +539,11 @@ class Coordinator:
     def _take_handover(self, worker: WorkerConn, job: _Job, msg: dict) -> int:
         """Queue a STOLEN's or OFFCUT's subtrees for the workers with no
         lease, and grant.  Returns how many were accepted."""
-        nodes = msg.get("nodes") or []
+        nodes = _field(msg, "nodes", list, [])
         lease = job.leases.held(worker.id, msg.get("task"), msg.get("epoch"))
         accepted = len(nodes) if lease is not None else 0
         if accepted:
-            job.leases.hand_over(nodes, int(msg.get("depth", lease.depth + 1)))
+            job.leases.hand_over(nodes, _field(msg, "depth", int, lease.depth + 1))
         self._pump()
         return accepted
 
@@ -547,14 +557,20 @@ class Coordinator:
         lease = job.leases.held(worker.id, msg.get("task"), msg.get("epoch"))
         if lease is None:
             return
+        # Read before the lease settles: a malformed report leaves it
+        # held, to be requeued when its worker is dropped for it.
+        if lease.run is not None:
+            report = self._leased_blocks(job, lease, msg)
+        else:
+            report = self._lease_report(job, msg)
         done = lease.run is None or not msg.get("more")
         job.leases.settle(worker.id, lease, done)
         job.contributors.add(worker.id)
         driver = job.driver
         if lease.run is not None:
-            moved = driver.accept(self._leased_blocks(job, lease, msg), done)
+            moved = driver.accept(report, done)
         else:
-            moved = driver.merge(*self._lease_report(job, msg))
+            moved = driver.merge(*report)
         if moved:
             self._publish_best(job, worker if lease.run is None else None)
         if driver.goal or job.leases.finished:
@@ -569,15 +585,14 @@ class Coordinator:
         stays out), its counters — ``spawns`` the subtrees it split off
         its stacks, wherever each was then searched — and its goal."""
         counters = SearchMetrics(**{
-            name: int(msg.get(name, 0))
+            name: _field(msg, name, int, 0)
             for name in ("nodes", "prunes", "backtracks", "max_depth", "spawns")
         })
-        found = msg.get("knowledge")
-        if not job.driver.job.enum:
-            value, node = msg.get("value"), P.decode_node(msg.get("node"))
-            valid = node is not None and isinstance(value, int)
-            found = Incumbent(value, node) if valid else None
-        return found, counters, bool(msg.get("goal"))
+        if job.driver.job.enum:
+            return _field(msg, "knowledge", int, 0), counters, bool(msg.get("goal"))
+        value, node = msg.get("value"), P.decode_node(msg.get("node"))
+        valid = node is not None and isinstance(value, int)
+        return Incumbent(value, node) if valid else None, counters, bool(msg.get("goal"))
 
     @staticmethod
     def _leased_blocks(job: _Job, lease: Lease, msg: dict) -> list:
@@ -586,7 +601,7 @@ class Coordinator:
         driver = job.driver
         leased = set(lease.run.seqs)
         blocks = []
-        for wire in msg.get("blocks") or []:
+        for wire in _field(msg, "blocks", list, []):
             try:
                 block = P.unpack_block(wire, driver.job.enum, driver.ledger.task_count)
             except P.ProtocolError:
@@ -600,7 +615,7 @@ class Coordinator:
         epoch (the cooperative twin of the crash re-lease path — same
         accounting, but no partial state ever existed)."""
         released = False
-        for pair in msg.get("tasks") or []:
+        for pair in _field(msg, "tasks", list, []):
             if isinstance(pair, list) and len(pair) == 2:
                 released = job.leases.release(worker.id, *pair) or released
         if released:

@@ -336,20 +336,29 @@ def encode_node(value: Any) -> Any:
 
 
 def decode_node(value: Any) -> Any:
-    """Inverse of :func:`encode_node` (exact round trip)."""
+    """Inverse of :func:`encode_node` (exact round trip).  A tag whose
+    payload does not decode — a tuple of an int, a pickle of garbage —
+    is a :class:`ProtocolError`."""
+    try:
+        return _decode_node(value)
+    except Exception as exc:
+        raise ProtocolError(f"undecodable node: {type(exc).__name__}: {exc}") from None
+
+
+def _decode_node(value: Any) -> Any:
     if isinstance(value, list):
-        return [decode_node(v) for v in value]
+        return [_decode_node(v) for v in value]
     if isinstance(value, dict):
         if len(value) == 1:
             if _TUPLE_TAG in value:
-                return tuple(decode_node(v) for v in value[_TUPLE_TAG])
+                return tuple(_decode_node(v) for v in value[_TUPLE_TAG])
             if _SET_TAG in value:
-                return set(decode_node(v) for v in value[_SET_TAG])
+                return set(_decode_node(v) for v in value[_SET_TAG])
             if _FROZENSET_TAG in value:
-                return frozenset(decode_node(v) for v in value[_FROZENSET_TAG])
+                return frozenset(_decode_node(v) for v in value[_FROZENSET_TAG])
             if _PICKLE_TAG in value:
                 return pickle.loads(base64.b64decode(value[_PICKLE_TAG]))
-        return {k: decode_node(v) for k, v in value.items()}
+        return {k: _decode_node(v) for k, v in value.items()}
     return value
 
 

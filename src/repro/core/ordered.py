@@ -33,7 +33,13 @@ search"):
    ``b < B*_i`` (one node, one prune, no improvement) is final as it
    stands, because ``upper_bound(root) <= b`` implies
    ``upper_bound(root) <= B*_i`` — run again from ``B*_i`` it would
-   report the same four counters and the same nothing.  Every accepted
+   report the same four counters and the same nothing.  That rule and
+   the predicate that condemns a task before it runs
+   (:meth:`FrontierTasks.pruned_at_root`, from
+   :func:`root_prune_floors`) are one fact, read off a record or off
+   the task's column row: from the least bound that prunes a root at
+   its root, every higher bound does, and the record is
+   :data:`ROOT_PRUNED`.  Every accepted
    task is appended to the :attr:`~OrderedLedger.journal` as ``(seq,
    B*_i, nodes)``.  Only finalised runs contribute to the returned
    metrics, which is what makes the node count a deterministic function
@@ -65,8 +71,14 @@ search"):
    which seqs to lease next, what a report does to the ledger) is the
    one job driver of both runtimes,
    :class:`repro.runtime.driver.JobDriver`, which the fleet's parent and
-   the cluster coordinator each run.  None of it changes what the
-   ledger verifies.
+   the cluster coordinator each run.  The frontier is a table of column
+   rows (:class:`FrontierTasks`), and a task is built only to run it:
+   no walk builds a task root, the driver parks a task the finalised
+   best condemns (:meth:`OrderedLedger.condemn`) and never leases it,
+   and a worker reports a task its starting bound condemns without
+   building it or entering the kernel.  None of it changes what the
+   ledger verifies: required bounds only grow, so a task condemned under
+   a floor of ``B*_i`` holds the record a run from ``B*_i`` would.
 
 :func:`ordered_reference_search` executes the same contract on a single
 thread with no queues and no shared state; it is the oracle the
@@ -81,21 +93,25 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
+from math import inf
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.core.kernel import search_subtree
 from repro.core.results import SearchMetrics, SearchResult
-from repro.core.searchtypes import Incumbent, SearchType, _active_mutation
+from repro.core.searchtypes import Decision, Incumbent, Optimisation, SearchType, _active_mutation
 from repro.core.sequential import sequential_search
 from repro.core.space import SearchSpec
 
 __all__ = [
     "OrderedTask",
+    "FrontierTasks",
     "OrderedFrontier",
     "ordered_frontier",
     "worker_tasks",
     "run_task_fixed_bound",
     "execute_run",
+    "ROOT_PRUNED",
+    "root_prune_floors",
     "OrderedLedger",
     "ordered_reference_search",
 ]
@@ -107,20 +123,113 @@ class _Aborted(Exception):
 
 
 class OrderedTask(NamedTuple):
-    """One frontier subtree with its discovery-order priority.
+    """One frontier subtree with its discovery-order priority, built.
 
     ``seq`` is the position in the sequential depth-bounded traversal —
     lower runs (and finalises) first.  ``depth`` is the root's global
     depth; ``key`` the sibling-index path from the search root (kept for
-    diagnostics: sorting by key *is* sorting by seq).  It lives where it
-    was walked: the driver and every worker hold their own list, and
-    only ``seq`` travels.
+    diagnostics: sorting by key *is* sorting by seq).  It is what
+    :class:`FrontierTasks` answers for one of its rows.
     """
 
     seq: int
     node: Any
     depth: int
     key: tuple = ()
+
+
+class FrontierTasks:
+    """The numbered frontier as a table: task ``seq`` is child ``i`` of
+    one parent one level above the cutoff.
+
+    A spec with ``columns`` keeps each parent's column frame, so a task
+    is the row ``(values[i], bounds[i])`` of that frame and its node is
+    built only when :meth:`node` asks — ``frame.build(i)``, or ``build``
+    on a fresh frame of the parent for a row the frame has passed (a
+    re-run, an out-of-order lease).  Other specs keep the parent's
+    drained children.  It lives where it was walked: the driver and
+    every worker hold their own, and only ``seq`` travels.
+    ``tasks[seq]`` is the :class:`OrderedTask`, built.
+    """
+
+    def __init__(self, spec: SearchSpec, stype: SearchType, depth: int) -> None:
+        self.depth = depth  # every task's root depth
+        self._spec = spec
+        self._stype = stype
+        self._parents: list = []  # per parent: its node, frame, path key
+        self._frames: list = []
+        self._keys: list[tuple] = []
+        self._owner: list[int] = []  # per task: its parent's position
+        self._index: list[int] = []  # per task: its child index there
+        # Per task, the least bound that prunes it at its root
+        # (:func:`root_prune_floors`); None when no bound prunes a task.
+        self._floors = (
+            root_prune_floors(spec, stype, (), ()) if spec.columns is not None else None
+        )
+        self._ceiling = stype.target if type(stype) is Decision else inf
+
+    def add(self, parent: Any, key: tuple) -> None:
+        """Number the children of ``parent`` (path ``key``) next."""
+        spec = self._spec
+        if spec.columns is None:
+            frame = spec.generator(spec.space, parent).drain()
+            n = len(frame)
+        else:
+            frame = spec.columns(spec.space, parent)
+            n = len(frame.values)
+            if self._floors is not None:
+                self._floors += root_prune_floors(spec, self._stype, frame.values, frame.bounds)
+        if n:
+            self._owner += repeat(len(self._frames), n)
+            self._index += range(n)
+            self._parents.append(parent)
+            self._frames.append(frame)
+            self._keys.append(key)
+
+    def __len__(self) -> int:
+        return len(self._owner)
+
+    def __getitem__(self, seq: int) -> OrderedTask:
+        return OrderedTask(
+            seq, self.node(seq), self.depth, self._keys[self._owner[seq]] + (self._index[seq],)
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def node(self, seq: int) -> Any:
+        """Task ``seq``'s root, built now."""
+        at, i = self._owner[seq], self._index[seq]
+        frame = self._frames[at]
+        if type(frame) is list:
+            return frame[i]
+        if i < frame.pos:
+            spec = self._spec
+            frame = self._frames[at] = spec.columns(spec.space, self._parents[at])
+        return frame.build(i)
+
+    def pruned_at_root(self, seq: int, bound: Any) -> bool:
+        """Would task ``seq`` run from ``bound`` stop at its root, pruned,
+        improving nothing?  Then its row is :data:`ROOT_PRUNED`."""
+        return self._floors is not None and self._floors[seq] <= bound < self._ceiling
+
+    def split(self, seqs: Sequence[int], bound: Any) -> tuple[list[int], list[int]]:
+        """``seqs`` as ``(survivors, pruned at their root from bound)``."""
+        floors = self._floors
+        if floors is None or not bound < self._ceiling:
+            return list(seqs), []
+        return (
+            [seq for seq in seqs if floors[seq] > bound],
+            [seq for seq in seqs if floors[seq] <= bound],
+        )
+
+    def pop(self) -> OrderedTask:
+        """Take the last task off the table, built."""
+        task = self[len(self) - 1]
+        del self._owner[-1], self._index[-1]
+        if self._floors is not None:
+            del self._floors[-1]
+        return task
 
 
 @dataclass
@@ -130,10 +239,11 @@ class OrderedFrontier:
     ``knowledge`` / ``metrics`` cover exactly the nodes the expansion
     visited (the region above ``d_cutoff``); ``goal`` is True when a
     decision search short-circuited during expansion, in which case
-    ``tasks`` is empty and the search is already complete.
+    ``tasks`` is empty and the search is already complete.  ``tasks``
+    is a :class:`FrontierTasks` table when there was a frontier to walk.
     """
 
-    tasks: list[OrderedTask] = field(default_factory=list)
+    tasks: Sequence[OrderedTask] = field(default_factory=list)
     knowledge: Any = None
     goal: bool = False
     metrics: SearchMetrics = field(default_factory=SearchMetrics)
@@ -147,13 +257,15 @@ def ordered_frontier(
 ) -> OrderedFrontier:
     """Sequentially expand the depth-``d_cutoff`` frontier in traversal order.
 
-    Subtree roots at depth ``d_cutoff`` become :class:`OrderedTask`s
-    numbered in discovery order; everything above is processed here,
-    threading one knowledge value through the walk exactly as the
-    sequential search would.  Deterministic by construction — no clocks,
-    no randomness, no worker interleaving — which is what lets every
-    worker repeat it and be handed positions in the result.  A node's
-    children are taken in one go, by its lazy generator's ``drain()``.
+    Subtree roots at depth ``d_cutoff`` become the rows of a
+    :class:`FrontierTasks` table, numbered in discovery order;
+    everything above is processed here, threading one knowledge value
+    through the walk exactly as the sequential search would.
+    Deterministic by construction — no clocks, no randomness, no worker
+    interleaving — which is what lets every worker repeat it and be
+    handed positions in the result.  Above the last level a node's
+    children are taken in one go, by its lazy generator's ``drain()``;
+    no task root is built here.
     """
     if d_cutoff <= 0:
         # No spawn rule fires at cutoff 0: phase 1 *is* the whole
@@ -175,7 +287,7 @@ def ordered_frontier(
     node_size = spec.node_size
     knowledge = stype.initial_knowledge(spec)
     metrics = SearchMetrics()
-    tasks: list[OrderedTask] = []
+    tasks = FrontierTasks(spec, stype, d_cutoff)
     goal = False
     # Depth-first worklist of (node, depth, path key) above the cutoff.
     # A node's children are pushed in reverse, so the pop order is
@@ -190,23 +302,19 @@ def ordered_frontier(
         metrics.weighted_nodes += node_size(node) if node_size is not None else 1
         if is_goal(knowledge):
             goal = True
-            tasks = []
+            tasks = FrontierTasks(spec, stype, d_cutoff)
             break
         if should_prune(spec, node, knowledge):
             metrics.prunes += 1
             continue
-        kids = generator(space, node).drain()
         metrics.backtracks += 1
         depth += 1
         if depth > metrics.max_depth:
             metrics.max_depth = depth
         if depth >= d_cutoff:
-            first = len(tasks)
-            tasks += [
-                OrderedTask(first + index, kid, depth, key + (index,))
-                for index, kid in enumerate(kids)
-            ]
+            tasks.add(node, key)
         else:
+            kids = generator(space, node).drain()
             for index in range(len(kids) - 1, -1, -1):
                 pending.append((kids[index], depth, key + (index,)))
     metrics.spawns = len(tasks)
@@ -215,8 +323,8 @@ def ordered_frontier(
     )
 
 
-def worker_tasks(spec: SearchSpec, stype: SearchType, d_cutoff: int) -> list[OrderedTask]:
-    """A worker's own copy of the task list, walked when its job starts.
+def worker_tasks(spec: SearchSpec, stype: SearchType, d_cutoff: int) -> FrontierTasks:
+    """A worker's own copy of the task table, walked when its job starts.
 
     With ``d_cutoff <= 0`` phase 1 is the whole search: the driver
     finishes alone, and a worker asked to walk would search the tree a
@@ -293,7 +401,7 @@ _COLUMNS = ("nodes", "prunes", "backtracks", "max_depth")
 def execute_run(
     spec: SearchSpec,
     stype: SearchType,
-    tasks: Sequence[OrderedTask],
+    tasks: FrontierTasks,
     seqs: Sequence[int],
     bound: Optional[int],
     of: int,
@@ -321,7 +429,9 @@ def execute_run(
     starting bound the published best overtakes mid-flight can no longer
     finalise, so it is restarted from the new bound at its next
     ``poll``-node check instead of being run to a result the ledger must
-    reject.
+    reject.  A task its starting bound prunes at its root
+    (:meth:`FrontierTasks.pruned_at_root`) reports :data:`ROOT_PRUNED`
+    as it is: its node is never built, the kernel never entered.
 
     ``flush(blocks, done)`` ships what has run since the last flush,
     ``done`` marking the run's last message.  A block is a dict: the
@@ -359,7 +469,6 @@ def execute_run(
     blocks: list[dict] = []
     columns: Optional[tuple] = None  # the open block's, the last of ``blocks``
     for position, seq in enumerate(seqs):
-        task = tasks[seq]
         payload = None
         while payload is None:
             # Checked per task too: a run of tasks shorter than ``poll``
@@ -368,10 +477,13 @@ def execute_run(
                 return False
             if not enum and (heard := published()) > bound:
                 bound, columns = heard, None
-            payload = run_task_fixed_bound(
-                spec, stype, task.node, task.depth, bound,
-                poll=poll, should_abort=overtaken_or_aborted,
-            )
+            if tasks.pruned_at_root(seq, bound):
+                payload = ROOT_PRUNED
+            else:
+                payload = run_task_fixed_bound(
+                    spec, stype, tasks.node(seq), tasks.depth, bound,
+                    poll=poll, should_abort=overtaken_or_aborted,
+                )
         if columns is None:
             # ``seqs`` holds the block's first position until it ships.
             block = {"seqs": position, "bound": bound}
@@ -392,10 +504,53 @@ def execute_run(
     return True
 
 
+# -- pruned at its root -------------------------------------------------------
+
+# What :func:`run_task_fixed_bound` returns for a task that stops at its
+# root, pruned, improving nothing: one node, one prune, nothing found.
+ROOT_PRUNED = {
+    "nodes": 1, "prunes": 1, "backtracks": 0, "max_depth": 0,
+    "goal": False, "value": None, "node": None,
+}
+
+
+def root_prune_floors(
+    spec: SearchSpec, stype: SearchType, values: Sequence[int], limits: Sequence[Any]
+) -> Optional[list]:
+    """For each child of a column frame, the least bound from which it
+    is pruned at its root: the kernel's root check — process, goal
+    test, prune — read off its row, objective ``values[i]`` and
+    admissible bound ``limits[i]``.  None when no bound prunes any
+    child: enumeration, a spec without ``upper_bound``, a search type
+    the kernel's column loops do not take.
+
+    Optimisation prunes a root from ``max(value, limit)`` up: nothing
+    strengthens and the bound check fires.  Decision, whose bound check
+    also fires on a limit below the target whatever the bound, prunes it
+    from ``value`` up when value and limit are both below the target,
+    from no bound otherwise — and from no bound at or above the target,
+    whose goal test comes first (:meth:`FrontierTasks.pruned_at_root`).
+    Pruned from ``b``, a root is pruned from every higher bound below
+    that ceiling: the fact :func:`_root_pruned` applies to a record.
+    """
+    if not spec.can_prune:
+        return None
+    if type(stype) is Optimisation:
+        return list(map(max, values, limits))
+    if type(stype) is Decision:
+        target = stype.target
+        return [
+            value if value < target and limit < target else inf
+            for value, limit in zip(values, limits)
+        ]
+    return None
+
+
 def _root_pruned(row: tuple) -> bool:
-    """Did this parked task stop at its root, pruned, improving nothing?
-    Then it is the same record from any higher bound."""
-    return row[1] == 1 and row[2] == 1 and row[5] is None
+    """Did this parked task stop at its root, pruned, improving nothing
+    (:data:`ROOT_PRUNED`)?  Then it is the same record from any higher
+    bound."""
+    return row[1] == ROOT_PRUNED["nodes"] and row[2] == ROOT_PRUNED["prunes"] and row[5] is None
 
 
 class OrderedLedger:
@@ -510,6 +665,16 @@ class OrderedLedger:
             # arrival, >= — whichever tied optimum lands last wins,
             # which is exactly the anomaly Ordered exists to forbid.
             self.knowledge = Incumbent(block["value"], block["node"])
+
+    def condemn(self, seqs: Sequence[int]) -> None:
+        """Park tasks ``seqs``, each pruned at its root from the required
+        bound (:meth:`FrontierTasks.pruned_at_root`), as the
+        :data:`ROOT_PRUNED` record each would report run from it."""
+        row = (self._best, *(ROOT_PRUNED[name] for name in _COLUMNS), None)
+        first = self._next
+        for seq in seqs:
+            if seq >= first:
+                self._parked[seq] = row
 
     def advance(self) -> list[int]:
         """Finalise the ready prefix; return every task to run again.

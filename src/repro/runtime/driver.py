@@ -68,7 +68,11 @@ class JobDriver:
     balance a worker could act on.  The tasks to run again after the
     best moved are not cut by that length at all: whatever is waiting
     goes out in as many leases as there are workers, an even share each,
-    scattered or not.
+    scattered or not.  A task the finalised best already prunes at its
+    root is never leased: ``start`` and ``accept`` park it in the ledger
+    as the record it would report, so fresh work is the survivors only —
+    a ``range`` while they are consecutive, an ascending list of
+    stretches when they are not.
     """
 
     def __init__(self, job: WorkerJob) -> None:
@@ -80,9 +84,11 @@ class JobDriver:
         self.ledger: Optional[OrderedLedger] = None  # Ordered, once started
         self.started = time.perf_counter()
         self.in_flight = 0  # Ordered runs leased, not yet done or requeued
-        self._reruns: list[int] = []  # ascending; all below _fresh
+        self._tasks: Any = None  # the Ordered frontier as walked here
+        self._reruns: list[int] = []  # ascending; all below the fresh
         self._shares = 0  # leases cut from _reruns since it last grew
-        self._fresh = 0  # the lowest seq never leased
+        self._fresh: list[int] = []  # ascending: never leased, not condemned
+        self._fresh_under: Any = None  # the best _fresh was last condemned under
         self._size = 1
 
     def start(self, engage: Callable[[], None]) -> list:
@@ -112,6 +118,8 @@ class JobDriver:
         if job.coordination == "ordered":
             self.ledger = OrderedLedger(job.stype, frontier)
             self.metrics, tasks = self.ledger.metrics, []
+            self._tasks, self._fresh = frontier.tasks, list(range(len(frontier.tasks)))
+            self._condemn()
         elif job.coordination == "depthbounded":
             tasks = [([task.node], task.depth) for task in frontier.tasks]
         if not (walks or self.finished):
@@ -143,7 +151,7 @@ class JobDriver:
     @property
     def backlog(self) -> int:
         """Ordered tasks waiting for a lease."""
-        return len(self._reruns) + self.ledger.task_count - self._fresh
+        return len(self._reruns) + len(self._fresh)
 
     def lease(self, workers: int) -> Optional[OrderedRun]:
         """Cut the next run, or None while the window of ``workers``
@@ -166,9 +174,11 @@ class JobDriver:
             self._shares += 1
             seqs = reruns[:share]
             del reruns[:share]
-        elif self._fresh < ledger.task_count:
-            seqs = range(self._fresh, min(self._fresh + size, ledger.task_count))
-            self._fresh = seqs.stop
+        elif self._fresh:
+            seqs = self._fresh[:size]
+            del self._fresh[:size]
+            if seqs[-1] - seqs[0] == len(seqs) - 1:
+                seqs = range(seqs[0], seqs[-1] + 1)
         else:
             return None
         self._size = size * 2
@@ -186,8 +196,8 @@ class JobDriver:
         self._queue_again(ledger.advance())
         if done:
             self.in_flight -= 1
+        self._condemn()
         self.knowledge, self.goal = ledger.knowledge, ledger.goal
-        self.finished = ledger.finished
         self.best = ledger.required_bound()
         if self.best == before:
             return False
@@ -203,6 +213,25 @@ class JobDriver:
         self._queue_again(owed)
         self.metrics.reassigned += len(owed)
         return len(owed)
+
+    def _condemn(self) -> None:
+        """Park every task waiting for a lease that the finalised best
+        prunes at its root (:meth:`~repro.core.ordered.FrontierTasks.pruned_at_root`):
+        it is finalised without a node, a lease or a kernel call.  Called
+        where the transports look for the end of the job — ``start`` and
+        ``accept`` — so :attr:`finished` flips there and nowhere else."""
+        ledger = self.ledger
+        if not ledger.finished:
+            best = ledger.required_bound()
+            self._reruns, doomed = self._tasks.split(self._reruns, best)
+            if best != self._fresh_under:
+                self._fresh, more = self._tasks.split(self._fresh, best)
+                self._fresh_under = best
+                doomed += more
+            if doomed:
+                ledger.condemn(doomed)
+                self._queue_again(ledger.advance())
+        self.finished = ledger.finished
 
     def _queue_again(self, seqs: Sequence[int]) -> None:
         if seqs:

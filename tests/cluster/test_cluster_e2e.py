@@ -22,11 +22,13 @@ import pytest
 from repro.cluster.coordinator import ClusterHandle, ClusterJobFailed
 from repro.cluster.local import cluster_search, job_payload
 from repro.cluster.worker import ClusterWorker, _worker_process_main
+from repro.core.ordered import ordered_reference_search
 from repro.core.params import SkeletonParams
 from repro.core.results import validate_result
-from repro.core.searchtypes import make_search_type
+from repro.core.searchtypes import Optimisation, make_search_type
 from repro.core.sequential import sequential_search
 from repro.instances.library import library_spec_factory, spec_for
+from repro.verify.repetition import result_fingerprint
 
 
 def _stype_for(instance):
@@ -87,6 +89,20 @@ class TestMatchesSequential:
         assert res.value == seq.value
         assert res.metrics.nodes == seq.metrics.nodes
         assert res.workers == 1
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ordered_job_whose_tail_is_condemned_completes(self, n):
+        # The RESULT that finalises task 0 condemns every task after it
+        # that is not out yet: the coordinator completes the job on that
+        # RESULT or on the last one of the runs already out.
+        from tests.runtime.test_processes_ordered import condemned_tail_factory
+
+        want = ordered_reference_search(condemned_tail_factory(), Optimisation(), d_cutoff=1)
+        res = cluster_search(
+            condemned_tail_factory, (), Optimisation(), coordination="ordered",
+            n_workers=n, d_cutoff=1, timeout=60,
+        )
+        assert result_fingerprint(res, counts=True) == result_fingerprint(want, counts=True)
 
 
 class TestSkeletonRoute:

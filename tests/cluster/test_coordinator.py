@@ -14,9 +14,12 @@ import time
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import protocol as P
 from repro.cluster.coordinator import (
+    ClusterError,
     ClusterHandle,
     ClusterJobFailed,
     ClusterJobTimeout,
@@ -39,6 +42,27 @@ OPT_PAYLOAD = {
     "budget": 1000,
     "share_poll": 64,
 }
+
+
+# The fields each frame type is fuzzed in, and what they may hold:
+# anything a codec carries, node tags with payloads that do not decode.
+FUZZED_FIELDS = {
+    P.RESULT: ("nodes", "prunes", "backtracks", "max_depth", "spawns", "knowledge", "value",
+               "node", "goal"),
+    P.OFFCUT: ("nodes", "depth"),
+    P.STOLEN: ("nodes", "depth"),
+    P.INCUMBENT: ("value", "node"),
+}
+FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**40, 2**40),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6),
+    st.lists(st.integers(0, 9), max_size=3),
+    st.dictionaries(
+        st.sampled_from(["__tuple__", "__set__", "__pickle__", "k"]),
+        st.one_of(st.integers(), st.text(max_size=4), st.lists(st.integers(), max_size=2)),
+        max_size=2,
+    ),
+)
 
 
 class FakeWorker:
@@ -621,6 +645,45 @@ class TestBatching:
         assert handle.n_workers() == 0
         # Refused, not crashed: no "Unhandled exception in
         # client_connected_cb" from the loop.
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+    @pytest.mark.parametrize("mtype", list(FUZZED_FIELDS))
+    def test_any_field_value_past_hello_is_handled_or_answered(self, handle, caplog, mtype):
+        """A RESULT, OFFCUT, STOLEN or INCUMBENT for a live lease, each
+        of its fields anything at all: the coordinator takes it, or
+        answers ERROR "protocol violation" and drops the worker — never
+        an exception out of its dispatch, which would close the
+        connection with no answer (and log it from the loop)."""
+        payload = OPT_PAYLOAD if mtype == P.INCUMBENT else ENUM_PAYLOAD
+
+        @settings(max_examples=25, deadline=None)
+        @given(fields=st.fixed_dictionaries(
+            {}, optional=dict.fromkeys(FUZZED_FIELDS[mtype], FIELD_VALUES),
+        ))
+        def check(fields):
+            w = FakeWorker(*handle.address)
+            fut = handle.run_job_future(payload, timeout=30)
+            try:
+                task = w.recv(P.TASK)
+                w.send({
+                    "type": mtype, "job": task["job"], "task": task["task"],
+                    "epoch": task["epoch"], **fields,
+                })
+                w.sock.shutdown(socket.SHUT_WR)  # then EOF: the handler ends either way
+                frames = []
+                while (msg := P.read_frame(w.sock)) is not None:
+                    frames.append(msg)
+                errors = [m for m in frames if m["type"] == P.ERROR]
+                assert errors in ([], [{"type": P.ERROR, "reason": "protocol violation"}])
+            finally:
+                w.close()
+                handle.cancel_job("next example")
+                try:
+                    fut.result(timeout=10)
+                except ClusterError:
+                    pass
+
+        check()
         assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
     def test_binary_codec_negotiated_end_to_end(self, handle):

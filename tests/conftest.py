@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.nodegen import ListNodeGenerator
+from repro.core.nodegen import ColumnListGenerator, ListNodeGenerator
 from repro.core.space import SearchSpec
 
 
@@ -39,8 +39,17 @@ class ToyTree:
         return out
 
 
-def make_toy_spec(children: dict, values: dict, *, with_bound: bool = True) -> SearchSpec:
+def make_toy_spec(
+    children: dict, values: dict, *, with_bound: bool = True, with_columns: bool = False
+) -> SearchSpec:
     tree = ToyTree(children, values)
+
+    def columns(space, node):
+        kids = list(space.children.get(node, []))
+        return ColumnListGenerator(
+            kids, [space.values[kid] for kid in kids], [space.bounds[kid] for kid in kids]
+        )
+
     return SearchSpec(
         name="toy",
         space=tree,
@@ -50,6 +59,7 @@ def make_toy_spec(children: dict, values: dict, *, with_bound: bool = True) -> S
         ),
         objective=lambda node: tree.values[node],
         upper_bound=(lambda space, node: space.bounds[node]) if with_bound else None,
+        columns=columns if with_columns else None,
     )
 
 

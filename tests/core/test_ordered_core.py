@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ordered import (
+    ROOT_PRUNED,
     OrderedFrontier,
     OrderedLedger,
     OrderedTask,
@@ -69,7 +70,7 @@ class TestOrderedFrontier:
         assert [t.seq for t in f.tasks] == [0, 1, 2]
         assert [t.depth for t in f.tasks] == [1, 1, 1]
         # Sorting by key IS sorting by seq.
-        assert sorted(f.tasks, key=lambda t: t.key) == f.tasks
+        assert sorted(f.tasks, key=lambda t: t.key) == list(f.tasks)
 
     def test_prefix_covers_exactly_the_region_above_cutoff(self):
         f = ordered_frontier(wide_spec(), Optimisation(), d_cutoff=1)
@@ -81,14 +82,14 @@ class TestOrderedFrontier:
 
     def test_d_cutoff_zero_completes_inline(self):
         f = ordered_frontier(wide_spec(), Optimisation(), d_cutoff=0)
-        assert f.tasks == []
+        assert list(f.tasks) == []
         seq = sequential_search(wide_spec(), Optimisation())
         assert f.knowledge.value == seq.value
 
     def test_decision_goal_short_circuits_expansion(self):
         f = ordered_frontier(wide_spec(), Decision(target=0), d_cutoff=2)
         assert f.goal is True
-        assert f.tasks == []
+        assert list(f.tasks) == []
 
 
 def stepped_frontier(spec, stype, d_cutoff):
@@ -157,7 +158,7 @@ class TestFrontierPinnedToSteppedWalk:
         stype = make_search_type(kind, **kwargs)
         got = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
         want = stepped_frontier(spec, stype, d_cutoff)
-        assert got.tasks == want.tasks  # seq, node, depth, key
+        assert list(got.tasks) == want.tasks  # seq, built node, depth, key
         assert got.knowledge == want.knowledge
         assert got.goal == want.goal
         assert got.metrics.to_dict() == want.metrics.to_dict()
@@ -166,7 +167,7 @@ class TestFrontierPinnedToSteppedWalk:
         stype = Decision(target=5)  # 'b' at depth 1 reaches it
         got = ordered_frontier(wide_spec(), stype, d_cutoff=2)
         want = stepped_frontier(wide_spec(), stype, 2)
-        assert got.goal and got.tasks == []
+        assert got.goal and list(got.tasks) == []
         assert got.knowledge == want.knowledge
         assert got.metrics.to_dict() == want.metrics.to_dict()
 
@@ -431,6 +432,51 @@ class TestRootPrunedRule:
         ledger.record(_record(1, 4))
         assert ledger.advance() == []
         assert ledger.next_seq == 3
+
+
+class TestPrunedAtRootIsTheKernelsRootCheck:
+    """``FrontierTasks.pruned_at_root`` reads a task's column row; the
+    kernel runs the task.  From any bound they must agree on whether the
+    task stops at its root, pruned, improving nothing — the record the
+    driver parks and a worker reports without building the node."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["maxclique", "kclique", "uts"]),
+        n=st.integers(6, 16),
+        p_pct=st.integers(30, 90),
+        k=st.integers(2, 7),
+        seed=st.integers(0, 2**16),
+        d_cutoff=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_condemned_iff_the_kernel_stops_at_the_root(
+        self, family, n, p_pct, k, seed, d_cutoff, data
+    ):
+        args = {
+            "maxclique": (n, p_pct, seed),
+            "kclique": (n, p_pct, k, seed),
+            "uts": (2 + n % 3, 3 + n % 3, seed),
+        }[family]
+        spec, kind, kwargs = search_setup(Instance(family, args))
+        stype = make_search_type(kind, **kwargs)
+        tasks = ordered_frontier(spec, stype, d_cutoff=d_cutoff).tasks
+        target = kwargs.get("target")
+        for seq in range(len(tasks)):
+            node = tasks.node(seq)
+            # Bounds around the row (objective, admissible bound) and
+            # around a Decision target, which prunes a bound below it
+            # whatever the incumbent.
+            marks = [spec.objective(node), kwargs.get("target", 0)]
+            if spec.can_prune:
+                marks.append(spec.bound(node))
+            bound = data.draw(st.sampled_from(sorted(
+                {max(0, mark + step) for mark in marks for step in (-1, 0, 1)}
+            )))
+            payload = run_task_fixed_bound(spec, stype, node, tasks.depth, bound)
+            stopped = {name: payload.get(name) for name in ROOT_PRUNED} == ROOT_PRUNED
+            assert tasks.pruned_at_root(seq, bound) == stopped, (seq, bound, target)
+            assert tasks.split([seq], bound)[1] == ([seq] if stopped else [])
 
 
 def _record(seq, bound, value=None, node=None, nodes=1):
@@ -764,6 +810,29 @@ class TestExecuteRun:
         assert block["bound"] == 6
         want = run_task_fixed_bound(wide_spec(), Optimisation(), "c", 1, 6)
         assert block["nodes"] == [want["nodes"]]  # the aborted try left no trace
+
+    def test_a_task_condemned_at_its_starting_bound_is_never_built(self, monkeypatch):
+        # Leased under the phase-1 bound, heard the optimum before the
+        # first task: every task starts from the optimum, and only the
+        # ones it does not prune at their root are built and searched.
+        spec, kind, kwargs = search_setup(Instance("maxclique", (24, 75, 3)))
+        stype = make_search_type(kind, **kwargs)
+        frontier = ordered_frontier(spec, stype, d_cutoff=2)
+        tasks, n = frontier.tasks, len(frontier.tasks)
+        best = ordered_reference_search(spec, stype, d_cutoff=2).value
+        built, build = [], tasks.node
+        monkeypatch.setattr(tasks, "node", lambda seq: built.append(seq) or build(seq))
+        sent = []
+        execute_run(
+            spec, stype, tasks, range(n), frontier.knowledge.value, n,
+            lambda blocks, done: sent.extend(blocks), published=lambda: best,
+        )
+        survivors, condemned = tasks.split(range(n), best)
+        assert built == survivors and condemned
+        ((block,),) = [sent]  # nothing beat the optimum: one block
+        assert block["bound"] == best
+        for seq in condemned:
+            assert [block[name][seq] for name in COUNTERS] == [ROOT_PRUNED[name] for name in COUNTERS]
 
     def test_abort_sends_nothing_more(self):
         finished, sent = self._run(

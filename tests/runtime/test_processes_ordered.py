@@ -16,6 +16,8 @@ construction, and the repetition-oracle catch is in
 
 import multiprocessing
 import multiprocessing.queues
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -55,6 +57,37 @@ def wide_factory():
     from tests.core.test_ordered_core import wide_spec
 
     return wide_spec()
+
+
+CONDEMNED_TAIL = 9
+
+
+def condemned_tail_factory():
+    """Task 0 is worth 5; each of the ``CONDEMNED_TAIL`` tasks after it
+    is worth 1 over a child worth 3.  None of those is pruned at its
+    root from the root's 0 and every one is from 5, so the report that
+    finalises task 0 condemns the rest of the frontier (``d_cutoff=1``)."""
+    from tests.conftest import make_toy_spec
+
+    tail = [f"t{i}" for i in range(1, CONDEMNED_TAIL + 1)]
+    children = {"root": ["t0", *tail], **{t: [t + "a"] for t in tail}}
+    values = {"root": 0, "t0": 5, **dict.fromkeys(tail, 1), **{t + "a": 3 for t in tail}}
+    return make_toy_spec(children, values, with_columns=True)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block with TimeoutError after ``seconds``, not hang."""
+    def expired(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _reference(spec_factory, args, stype, *, d_cutoff=2):
@@ -203,6 +236,23 @@ class TestLateImprovement:
         # messages up (minus the idle reports): runs, not one round trip
         # per task each way.
         assert task_q.puts - n + result_q.gets - n < LATE_TASKS / 4
+
+
+class TestCondemnedTail:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_the_report_that_condemns_the_tail_ends_the_job(self, n):
+        # The parent condemns the unleased tail in the accept that moves
+        # its best and finishes as soon as what was already out has
+        # reported, never waiting for a report that cannot come.
+        want = _reference(condemned_tail_factory, (), Optimisation(), d_cutoff=1)
+        with deadline(60):
+            res = multiprocessing_ordered_search(
+                condemned_tail_factory, (), optimisation_factory,
+                n_processes=n, d_cutoff=1,
+            )
+        assert result_fingerprint(res, counts=True) == result_fingerprint(want, counts=True)
+        # The root, task 0 and each tail task's root: no tail child is searched.
+        assert want.value == 5 and want.metrics.nodes == 2 + CONDEMNED_TAIL
 
 
 class TestEdgeCases:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.apps.maxclique as maxclique
 from repro.core.ordered import ordered_frontier, ordered_reference_search
 from repro.core.results import validate_result
 from repro.core.searchtypes import Enumeration, Optimisation
@@ -22,6 +23,7 @@ from repro.runtime.worker import Worker, WorkerJob
 from repro.verify.repetition import result_fingerprint
 
 from tests.runtime.test_processes import clique_spec_factory, uts_spec_factory
+from tests.runtime.test_processes_ordered import condemned_tail_factory
 
 UTS_ARGS = (4.0, 6, 439092716)  # 5 152 nodes
 CLIQUE_ARGS = (30, 0.5, 7)
@@ -212,6 +214,58 @@ class TestOrderedRuns:
             job_of("ordered", spec, Optimisation(), d_cutoff=2), abort_after=0,
         )
         assert worker.flushes == [] and worker.driver.ledger.next_seq == 0
+
+    def test_a_condemned_tail_ends_the_job_on_the_report_that_condemns_it(self):
+        spec = condemned_tail_factory()
+        worker = serve(job_of("ordered", spec, Optimisation(), d_cutoff=1))
+        # One run, of task 0, one report: the accept that finalised it
+        # condemned the rest and finished the job, so the next lease the
+        # worker asked for was no lease at all.
+        assert worker.flushes == [True]
+        want = ordered_reference_search(spec, Optimisation(), d_cutoff=1)
+        assert result_fingerprint(worker.driver.result(1), counts=True) == result_fingerprint(
+            want, counts=True
+        )
+
+    def test_no_task_root_is_built_but_to_run_it(self, monkeypatch):
+        spec = clique_spec_factory(*CLIQUE_ARGS)
+        reference = ordered_frontier(spec, Optimisation(), d_cutoff=2).tasks
+        seq_of = {task.node.clique: task.seq for task in reference}
+        leased_under = [None]  # the bound of the lease in hand
+        built = []  # (node, bound of the lease in hand) per CliqueNode
+
+        class SpyNode(maxclique.CliqueNode):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append((self, leased_under[0]))
+
+        class Recording(MemoryTransport):
+            def next_work(self):
+                item = super().next_work()
+                if item is not None and item[1] is not None:
+                    leased_under[0] = item[1][1]
+                return item
+
+        monkeypatch.setattr(maxclique, "CliqueNode", SpyNode)
+        ordered_frontier(spec, Optimisation(), d_cutoff=2)
+        assert built and {node.size for node, _ in built} == {1}  # no task root
+        built.clear()
+        job = job_of("ordered", spec, Optimisation(), d_cutoff=2, share_poll=16)
+        worker = Recording(JobDriver(job))
+        worker.queue += [(job, task) for task in worker.driver.start(worker.engage)]
+        worker.serve()
+        # Task roots are the cliques of size 2, built only by runs: by
+        # neither walk, and never for a task its lease's bound condemns.
+        roots = [(seq_of[node.clique], bound) for node, bound in built if node.size == 2]
+        assert roots and all(bound is not None for _, bound in roots)
+        assert not any(reference.pruned_at_root(seq, bound) for seq, bound in roots)
+        assert len(roots) < len(reference) // 2
+        want = ordered_reference_search(spec, Optimisation(), d_cutoff=2)
+        assert result_fingerprint(worker.driver.result(1), counts=True) == result_fingerprint(
+            want, counts=True
+        )
 
     def test_a_run_cut_from_another_frontier_fails_the_job(self):
         spec = clique_spec_factory(*CLIQUE_ARGS)
