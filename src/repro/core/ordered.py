@@ -39,7 +39,11 @@ search"):
    :func:`root_prune_floors`) are one fact, read off a record or off
    the task's column row: from the least bound that prunes a root at
    its root, every higher bound does, and the record is
-   :data:`ROOT_PRUNED`.  Every accepted
+   :data:`ROOT_PRUNED`.  A task condemned before it runs is a bit apart
+   from the results that ran: pruned at its root from a required bound,
+   it is final under every later one, never stale, and finalises with
+   one node and one prune, past a merge and goal test it cannot move.
+   Every accepted
    task is appended to the :attr:`~OrderedLedger.journal` as ``(seq,
    B*_i, nodes)``.  Only finalised runs contribute to the returned
    metrics, which is what makes the node count a deterministic function
@@ -567,6 +571,12 @@ class OrderedLedger:
     execution (running a task from whatever bound is known) is therefore
     always *safe* — at worst the task is run again.
 
+    Condemned tasks (:meth:`condemn`) are a bitmap beside the parked
+    results, and a seq is in at most one of the two.  Required bounds
+    only grow, so a condemned record is never stale and no later report
+    replaces it; the stale rescan reads only the results that ran — a
+    few runs per worker, not the frontier.
+
     The ``ordered-tiebreak`` entry of the ``REPRO_VERIFY_MUTATION``
     switch (docs/verify.md) corrupts exactly the determinism guarantee
     this class provides: the witness is merged at *arrival* time with a
@@ -587,6 +597,8 @@ class OrderedLedger:
         # ``found`` the task's accumulator (enumeration), else None or
         # the ``(value, node, goal)`` of a task that improved its bound.
         self._parked: dict[int, tuple] = {}
+        # Per task, 1 once condemned; the spare 0 past the end stops a stretch.
+        self._condemned = bytearray(self._n + 1)
         self._rescan = False  # something parked may be stale already
         self._prefix_nodes = frontier.metrics.nodes
         self.knowledge = frontier.knowledge
@@ -634,8 +646,9 @@ class OrderedLedger:
 
     def record(self, block: dict) -> None:
         """Park one arrived block, task by task (a later arrival for a
-        seq replaces an earlier one).  Well-formedness — columns as long
-        as ``seqs`` — is the transport's to check."""
+        seq replaces an earlier one, but never a condemned task's
+        record).  Well-formedness — columns as long as ``seqs`` — is the
+        transport's to check."""
         if self.finished:
             return  # arrived after a goal: stale
         seqs, bound = block["seqs"], block.get("bound")
@@ -647,12 +660,12 @@ class OrderedLedger:
                 founds[-1] = (block["value"], block.get("node"), bool(block.get("goal")))
         if not self._enum and bound < self._best:
             self._rescan = True  # arrived from a bound already too low
-        parked, first, n = self._parked, self._next, self._n
+        parked, condemned, first, n = self._parked, self._condemned, self._next, self._n
         for seq, row in zip(seqs, zip(
             repeat(bound), block["nodes"], block["prunes"],
             block["backtracks"], block["max_depth"], founds,
         )):
-            if first <= seq < n:  # else finalised already, or no such task
+            if first <= seq < n and not condemned[seq]:  # else final, or no such task
                 parked[seq] = row
         if (
             self._mutated
@@ -670,11 +683,12 @@ class OrderedLedger:
         """Park tasks ``seqs``, each pruned at its root from the required
         bound (:meth:`FrontierTasks.pruned_at_root`), as the
         :data:`ROOT_PRUNED` record each would report run from it."""
-        row = (self._best, *(ROOT_PRUNED[name] for name in _COLUMNS), None)
-        first = self._next
+        condemned, parked, first, n = self._condemned, self._parked, self._next, self._n
         for seq in seqs:
-            if seq >= first:
-                self._parked[seq] = row
+            if first <= seq < n:  # the spare 0 at n stays
+                condemned[seq] = 1
+        for seq in [seq for seq in parked if condemned[seq]]:
+            del parked[seq]  # a seq is parked or condemned, never both
 
     def advance(self) -> list[int]:
         """Finalise the ready prefix; return every task to run again.
@@ -689,27 +703,37 @@ class OrderedLedger:
         for their turn to say so.  A parked result from a bound above
         the best is left for finalisation to judge.  The discarded
         results are dropped here; the caller must execute each returned
-        task again.
+        task again.  A condemned task is final: neither question is asked.
         """
-        parked = self._parked
+        parked, condemned = self._parked, self._condemned
         reissue: list[int] = []
         before = self._best
-        # A parked seq is below the task count, so only a goal ends this early.
-        while self._next in parked and not self.goal:
-            row = parked.pop(self._next)
-            if not self._enum and row[0] != self._best and not (
-                row[0] < self._best and _root_pruned(row)
-            ):
-                reissue.append(self._next)
+        while not self.finished:
+            seq = self._next
+            if condemned[seq]:
+                # A stretch of ROOT_PRUNED: one node, one prune, no merge.
+                end = condemned.find(0, seq)
+                self.journal += zip(range(seq, end), repeat(self._best), repeat(1))
+                self.metrics.nodes += end - seq
+                self.metrics.prunes += end - seq
+                self._next = end
+            elif seq in parked:
+                row = parked.pop(seq)
+                if not self._enum and row[0] != self._best and not (
+                    row[0] < self._best and _root_pruned(row)
+                ):
+                    reissue.append(seq)
+                    break
+                self._finalise(row)
+                self._next = seq + 1
+            else:
                 break
-            self._finalise(row)
-            self._next += 1
         if self.finished:
             parked.clear()
             return []
         best = self._best
         if best != before or self._rescan:
-            # What is parked under a bound below the best cannot stand.
+            # What ran from a bound below the best cannot stand.
             stale = sorted(
                 seq for seq, row in parked.items()
                 if row[0] < best and not _root_pruned(row)

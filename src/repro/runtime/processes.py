@@ -80,7 +80,7 @@ from repro.core.searchtypes import Incumbent, SearchType
 from repro.runtime.driver import JobDriver
 from repro.runtime.fleet import ProcessFleet, Wires, graceful_stop
 from repro.runtime.sharing import LeaseOutcome
-from repro.runtime.worker import Worker, WorkerJob, job_knobs, make_stype, stype_payload
+from repro.runtime.worker import SpecCache, Worker, WorkerJob, job_knobs, make_stype, stype_payload
 
 __all__ = [
     "multiprocessing_depthbounded_search",
@@ -258,8 +258,9 @@ def multiprocessing_depthbounded_search(
     ``d_cutoff=0`` and a decision target met in the prefix all finish in
     the parent, and no process is started.
 
-    ``spec_factory(*factory_args)`` must rebuild the SearchSpec (it is
-    called once in the parent and once per worker); likewise
+    ``spec_factory(*factory_args)`` must rebuild the SearchSpec (the
+    parent and each worker call it for a job whose ``(spec_factory,
+    factory_args)`` differs from their last); likewise
     ``stype_factory(*stype_args)`` for the search type.  Returns a
     :class:`SearchResult` whose ``value`` matches the sequential run;
     for optimisation/decision the witness is the best node seen by any
@@ -445,6 +446,7 @@ class PipeWorker(Worker):
 # Every search of this process runs on these workers (started by the
 # first one that needs any, see :mod:`repro.runtime.fleet`).
 FLEET = ProcessFleet(PipeWorker)
+_SPECS = SpecCache()  # the parent's, keyed as PipeWorker.specs is
 
 
 # -- the parent's half of each coordination -----------------------------------
@@ -602,9 +604,8 @@ def _fleet_search(
     """
     if n_processes < 1:
         raise ValueError("need at least one process")
-    driver = JobDriver(WorkerJob(
-        0, spec_factory(*factory_args), stype_factory(*stype_args), coordination, **knobs,
-    ))
+    spec = _SPECS.get((spec_factory, factory_args), lambda: spec_factory(*factory_args))
+    driver = JobDriver(WorkerJob(0, spec, stype_factory(*stype_args), coordination, **knobs))
     if not driver.job.enum:
         _checked_incumbent_seed(driver.best)
     message = (

@@ -64,18 +64,18 @@ def stype_payload(stype: SearchType) -> tuple[str, dict]:
 class SpecCache:
     """The spec of the last job, kept while the next names the same key
     (instances are deterministic: it would be rebuilt identical).  One
-    entry, one per worker and one in the cluster coordinator."""
+    entry, replaced whole (threads sharing it get the spec they asked
+    for): one per worker, in the fleet's parent and in the coordinator."""
 
     def __init__(self) -> None:
-        self._key: Any = None
-        self._spec: Any = None
+        self._entry: tuple = (None, None)  # (key, spec)
 
     def get(self, key: Any, build: Callable[[], Any]) -> Any:
         """The spec ``key`` names: ``build()``'s, unless it was the last."""
-        if key != self._key:
-            self._spec = build()
-            self._key = key
-        return self._spec
+        entry = self._entry
+        if entry[0] != key:
+            entry = self._entry = (key, build())
+        return entry[1]
 
 
 class WorkerJob:

@@ -27,6 +27,7 @@ from repro.core.ordered import (
     ordered_reference_search,
     run_task_fixed_bound,
 )
+import repro.core.ordered as ordered_module
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchMetrics
 from repro.core.searchtypes import (
@@ -974,6 +975,185 @@ class TestLedgerAgainstTheReference:
         assert ledger.knowledge.value == ref.value
         assert ledger.metrics.nodes == ref.metrics.nodes
         assert ledger.journal == journal
+
+
+class _CondemnedRow(tuple):
+    """A condemned record as the full-scan ledger parks it."""
+
+
+class _FullScanLedger(OrderedLedger):
+    """The ledger as it was before condemned records left the parked
+    results: one dict holds both, ``condemn`` parks a :data:`ROOT_PRUNED`
+    row, and ``advance`` finalises every head through the merge path and
+    rescans every parked row.  It keeps the one rule the split made
+    explicit: a report never replaces a condemned record."""
+
+    def record(self, block):
+        if self.finished:
+            return
+        seqs, bound = block["seqs"], block.get("bound")
+        if self._enum:
+            founds = block["knowledge"]
+        else:
+            founds = [None] * len(seqs)
+            if block.get("value") is not None:
+                founds[-1] = (block["value"], block.get("node"), bool(block.get("goal")))
+        if not self._enum and bound < self._best:
+            self._rescan = True
+        for i, seq in enumerate(seqs):
+            if self._next <= seq < self._n and type(self._parked.get(seq)) is not _CondemnedRow:
+                self._parked[seq] = (bound, *(block[name][i] for name in COUNTERS), founds[i])
+
+    def condemn(self, seqs):
+        row = _CondemnedRow((self._best, *(ROOT_PRUNED[name] for name in COUNTERS), None))
+        for seq in seqs:
+            if seq >= self._next:
+                self._parked[seq] = row
+
+    def advance(self):
+        parked, reissue, before = self._parked, [], self._best
+        while self._next in parked and not self.goal:
+            row = parked.pop(self._next)
+            if not self._enum and row[0] != self._best and not (
+                row[0] < self._best and ordered_module._root_pruned(row)
+            ):
+                reissue.append(self._next)
+                break
+            self._finalise(row)
+            self._next += 1
+        if self.finished:
+            parked.clear()
+            return []
+        if self._best != before or self._rescan:
+            stale = sorted(
+                seq for seq, row in parked.items()
+                if row[0] < self._best and not ordered_module._root_pruned(row)
+            )
+            for seq in stale:
+                del parked[seq]
+            reissue += stale
+        self._rescan = False
+        self.metrics.reassigned += len(reissue)
+        return reissue
+
+
+def _ledger_state(ledger):
+    return (
+        ledger.journal, ledger.metrics.to_dict(), ledger.knowledge, ledger.goal,
+        ledger.next_seq, ledger.required_bound(), ledger.finished,
+    )
+
+
+class TestLedgerAgainstTheFullScan:
+    """Condemned records kept apart, finalised without the merge path
+    and never rescanned: step for step, the ledger answers exactly what
+    the full-scan ledger does."""
+
+    TARGET = 12  # the Decision target
+
+    def _block(self, data, ledger, stype, n):
+        start = data.draw(st.integers(0, n - 1))
+        seqs = range(start, start + data.draw(st.integers(1, min(4, n - start))))
+        enum = stype.kind == "enumeration"
+        bound = None if enum else max(0, ledger.required_bound() + data.draw(st.integers(-2, 2)))
+        block = {"seqs": seqs, "bound": bound, **{name: [] for name in COUNTERS}}
+        for _ in seqs:
+            if data.draw(st.booleans()):
+                row = [ROOT_PRUNED[name] for name in COUNTERS]
+            else:
+                row = [data.draw(st.integers(1, 9)), *data.draw(st.tuples(*[st.integers(0, 4)] * 3))]
+            for name, value in zip(COUNTERS, row):
+                block[name].append(value)
+        if enum:
+            block["knowledge"] = data.draw(st.lists(st.integers(0, 5), min_size=len(seqs), max_size=len(seqs)))
+        elif data.draw(st.booleans()):
+            value = bound + data.draw(st.integers(1, 3))
+            block.update(value=value, node=f"w{start}", goal=type(stype) is Decision and value >= self.TARGET)
+        return block
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["optimisation", "decision", "enumeration"]),
+        n=st.integers(1, 24),
+        data=st.data(),
+    )
+    def test_same_answers_after_every_step(self, kind, n, data):
+        stype = {
+            "optimisation": Optimisation(), "decision": Decision(target=self.TARGET),
+            "enumeration": Enumeration(),
+        }[kind]
+        enum = kind == "enumeration"
+        frontier = OrderedFrontier(
+            tasks=[OrderedTask(i, f"t{i}", 1) for i in range(n)],
+            knowledge=0 if enum else Incumbent(data.draw(st.integers(0, 4)), "root"),
+        )
+        new, old = OrderedLedger(stype, frontier), _FullScanLedger(stype, frontier)
+        # Enumeration prunes nothing, so nothing is ever condemned.
+        ops = ["record", "advance"] if enum else ["record", "condemn", "advance"]
+        for _ in range(data.draw(st.integers(1, 40))):
+            op = data.draw(st.sampled_from(ops))
+            if op == "record":
+                block = self._block(data, new, stype, n)
+                new.record(block)
+                old.record(block)
+            elif op == "condemn":
+                seqs = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+                new.condemn(seqs)
+                old.condemn(seqs)
+            else:
+                assert new.advance() == old.advance()
+            assert _ledger_state(new) == _ledger_state(old)
+
+
+class TestCondemnedRecordsStayOutOfTheRescan:
+    def test_a_rescan_reads_no_condemned_record(self, monkeypatch):
+        seen = []
+        real = ordered_module._root_pruned
+        monkeypatch.setattr(ordered_module, "_root_pruned", lambda row: seen.append(row) or real(row))
+        ledger = _flat_ledger(2003)
+        ledger.condemn(range(2, 2002))
+        stale = _record(2002, 0)
+        ledger.record(stale)
+        assert ledger.advance() == []
+        # Seq 0 moves the best to 4; seq 1 has not arrived, so the
+        # condemned 2..2001 wait behind it, and the one result that ran
+        # from 0 is handed back.
+        ledger.record(_record(0, 0, value=4, node="w"))
+        assert ledger.advance() == [2002]
+        assert ledger.next_seq == 1
+        assert seen == [(0, *(stale[name][0] for name in COUNTERS), None)]
+        ledger.record(_record(1, 4))
+        ledger.record(_record(2002, 4))
+        assert ledger.advance() == []
+        assert ledger.finished
+        assert ledger.journal[2:2002] == [(seq, 4, 1) for seq in range(2, 2002)]
+        m = ledger.metrics
+        assert (m.nodes, m.prunes, m.reassigned) == (1 + 2000 + 1 + 1, 2000, 1)
+
+    def test_a_duplicate_report_for_a_condemned_seq_changes_nothing(self):
+        def drive(duplicates):
+            ledger = _flat_ledger(6)
+            ledger.record(_record(0, 0, value=4, node="w"))
+            assert ledger.advance() == []
+            ledger.condemn([2, 3, 4])
+            assert ledger.advance() == []
+            # A lease presumed lost answers after all, from a lower
+            # bound: a run, a root prune and an improvement.
+            for block in duplicates:
+                ledger.record(block)
+            answers = [ledger.advance()]
+            ledger.record(_record(1, 4))
+            ledger.record(_record(5, 4))
+            answers.append(ledger.advance())
+            assert ledger.finished
+            return answers, ledger.journal, ledger.metrics.to_dict()
+
+        alone = drive([])
+        late = [_record(2, 0, nodes=7), _pruned(3, 0), _record(4, 1, value=3, node="x")]
+        assert drive(late) == alone
+        answers, journal, _ = alone
+        assert answers == [[], []]
+        assert journal == [(0, 0, 1), (1, 4, 1), (2, 4, 1), (3, 4, 1), (4, 4, 1), (5, 4, 1)]
 
 
 class TestReferenceEquivalence:

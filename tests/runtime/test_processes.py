@@ -190,7 +190,28 @@ def exploding_spec_factory():
     )
 
 
+BUILDS = []  # the tags counted_toy_spec_factory built in this process
+
+
+def counted_toy_spec_factory(tag):
+    """toy_spec_factory, noting each build in the calling process."""
+    BUILDS.append(tag)
+    return toy_spec_factory()
+
+
 class TestEdgeCases:
+    def test_the_parent_builds_a_spec_again_only_for_another_key(self):
+        # The parent keeps the last job's spec, keyed as every worker
+        # keeps its own: (spec_factory, factory_args).
+        BUILDS.clear()
+        for tag in ("a", "a", "b", "b", "a"):
+            res = multiprocessing_depthbounded_search(
+                counted_toy_spec_factory, (tag,), optimisation_factory,
+                n_processes=2, d_cutoff=1,
+            )
+            assert res.value == 7
+        assert BUILDS == ["a", "b", "a"]
+
     def test_trivial_root_no_frontier(self):
         # A single-node tree spawns no tasks: the search completes in the
         # parent and no worker is started.

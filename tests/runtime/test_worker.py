@@ -8,6 +8,8 @@ coordination on it answers as the sequential search does."""
 import ast
 import dataclasses
 import re
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from repro.core.results import validate_result
 from repro.core.searchtypes import Enumeration, Optimisation
 from repro.core.sequential import sequential_search
 from repro.runtime.driver import JobDriver
-from repro.runtime.worker import Worker, WorkerJob
+from repro.runtime.worker import SpecCache, Worker, WorkerJob
 from repro.verify.repetition import result_fingerprint
 
 from tests.runtime.test_processes import clique_spec_factory, uts_spec_factory
@@ -315,3 +317,30 @@ def test_the_job_driver_is_the_only_one():
     assert calls["OrderedLedger"] == ["runtime/driver.py"]
     for parent in ("runtime/processes.py", "cluster/coordinator.py"):
         assert parent not in calls["ordered_frontier"] + calls["from_knowledge"]
+
+
+def test_a_shared_spec_cache_gives_each_thread_the_spec_of_its_key():
+    """Threads that share one cache (the fleet's parent serves every
+    caller of the process) each get the spec of the key they asked
+    for, however their gets interleave."""
+    cache = SpecCache()
+    wrong = []
+
+    def hammer(key):
+        for _ in range(3000):
+            spec = cache.get(key, lambda: ("spec", key))
+            if spec != ("spec", key):
+                wrong.append((key, spec))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(i % 3,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
