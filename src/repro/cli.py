@@ -86,15 +86,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "-b", "--budget", type=int, default=1000, metavar="N",
-        help="Budget backtrack budget (default 1000)",
+        help="Budget: nodes a subtree searches between splits (default 1000)",
     )
     parser.add_argument(
         "--chunked", action="store_true", default=False,
         help="Stack-Stealing: steal whole lowest levels",
-    )
-    parser.add_argument(
-        "--spawn-probability", type=float, default=0.02, metavar="P",
-        help="Random coordination spawn probability",
     )
     parser.add_argument(
         "--localities", type=int, default=1, help="simulated localities"
@@ -144,7 +140,6 @@ def _params(args: argparse.Namespace) -> SkeletonParams:
         d_cutoff=args.depth_cutoff,
         budget=args.budget,
         chunked=args.chunked,
-        spawn_probability=args.spawn_probability,
         localities=args.localities,
         workers_per_locality=args.workers,
         seed=args.seed,

@@ -3,9 +3,9 @@
 The paper's headline evaluation is distributed-memory scaling — k-clique
 refutations across 17 localities (Fig. 4) on HPX.  This package is the
 repository's real-network counterpart to that substrate: a socket-based
-multi-node runtime executing the Budget, Stack-Stealing and Ordered
-coordinations, where work and knowledge move over a wire instead of a
-simulated network or shared memory.
+multi-node runtime executing the Depth-Bounded, Budget, Stack-Stealing
+and Ordered coordinations, where work and knowledge move over a wire
+instead of a simulated network or shared memory.
 
 - :mod:`repro.cluster.protocol` — the length-prefixed wire protocol
   (HELLO/TASK/OFFCUT/INCUMBENT/RESULT/HEARTBEAT/SHUTDOWN …) and the

@@ -65,7 +65,8 @@ def job_payload(
     type as its ``(kind, kwargs)`` reduction — so the same stock-type
     restriction as the multiprocessing backend applies, with the same
     loud ValueError for custom types.  ``coordination`` picks the work
-    movement: ``"budget"`` (split on a cadence into the worker's own
+    movement: ``"depthbounded"`` (the coordinator's depth cut, never
+    split again), ``"budget"`` (split on a cadence into the worker's own
     pool, shared on STEAL), ``"stacksteal"`` (split only on STEAL), or
     ``"ordered"`` (replicable fixed-bound tasks finalised by the
     coordinator's ledger); anything else is a ValueError naming the

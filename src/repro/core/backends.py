@@ -11,10 +11,9 @@ harness and the CLI all read it.
 ==============  ====  =========  =======
 coordination    sim   processes  cluster
 ==============  ====  =========  =======
-depthbounded    yes   yes        --
+depthbounded    yes   yes        yes
 stacksteal      yes   yes        yes
 budget          yes   yes        yes
-random          yes   --         --
 ordered         yes   yes        yes
 ==============  ====  =========  =======
 
@@ -67,7 +66,7 @@ class Backend:
 
 BACKENDS: dict[str, Backend] = {
     "sim": Backend(
-        ("depthbounded", "stacksteal", "budget", "random", "ordered"),
+        ("depthbounded", "stacksteal", "budget", "ordered"),
         "repro.runtime.executor:run_skeleton",
         rebuilds_spec=False,
     ),
@@ -77,7 +76,7 @@ BACKENDS: dict[str, Backend] = {
         rebuilds_spec=True,
     ),
     "cluster": Backend(
-        ("budget", "stacksteal", "ordered"),
+        ("depthbounded", "budget", "stacksteal", "ordered"),
         "repro.cluster.local:run_skeleton",
         rebuilds_spec=True,
     ),

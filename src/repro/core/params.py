@@ -27,13 +27,11 @@ class SkeletonParams:
             unexplored subtrees.
         chunked: Stack-Stealing — steal every node at the victim's lowest
             depth instead of a single node.
-        spawn_probability: Random coordination — probability that a
-            generated child is hived off as a task (the generic (spawn)
-            rule with a coin flip; §4.2's "random task creation").
         localities: number of simulated physical machines.
         workers_per_locality: search workers per locality (the paper uses
             15 of 16 cores, reserving one for HPX).
-        seed: simulator seed (victim selection and tie-breaking).
+        seed: the run's seed, for drivers that draw from one; the
+            simulator's schedule is deterministic and does not.
         backend: execution backend — ``"sim"`` runs parallel skeletons
             on the discrete-event simulator; ``"processes"`` runs them
             on real OS processes (:mod:`repro.runtime.processes`);
@@ -65,7 +63,6 @@ class SkeletonParams:
     d_cutoff: int = 2
     budget: int = 1000
     chunked: bool = True
-    spawn_probability: float = 0.02
     localities: int = 1
     workers_per_locality: int = 15
     seed: int = 0
@@ -87,8 +84,6 @@ class SkeletonParams:
     def __post_init__(self) -> None:
         if self.d_cutoff < 0:
             raise ValueError("d_cutoff must be >= 0")
-        if not 0.0 <= self.spawn_probability <= 1.0:
-            raise ValueError("spawn_probability must be in [0, 1]")
         if self.localities < 1 or self.workers_per_locality < 1:
             raise ValueError("topology must have >= 1 locality and worker")
         if self.backend not in BACKENDS:

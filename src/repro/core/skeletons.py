@@ -27,7 +27,7 @@ from repro.core.results import SearchResult
 from repro.core.searchtypes import SearchType, make_search_type
 from repro.core.sequential import sequential_search
 from repro.core.space import SearchSpec
-from repro.core.tasks import BUDGET, DEPTH, ORDERED, RANDOM, SEQ, STACK
+from repro.core.tasks import BUDGET, DEPTH, ORDERED, SEQ, STACK
 
 __all__ = [
     "Skeleton",
@@ -37,16 +37,12 @@ __all__ = [
     "ALL_SKELETONS",
 ]
 
-# public coordination names -> internal task policies.  "random" is the
-# extension coordination of §4.2 ("random task creation"), demonstrating
-# that the library is open to new spawn rules: adding it touched only
-# the task state machine and this registry.
+# public coordination names -> internal task policies.
 COORDINATIONS = {
     "sequential": SEQ,
     "depthbounded": DEPTH,
     "stacksteal": STACK,
     "budget": BUDGET,
-    "random": RANDOM,
     "ordered": ORDERED,
 }
 
@@ -146,7 +142,6 @@ _CAMEL = {
     "depthbounded": "DepthBounded",
     "stacksteal": "StackStealing",
     "budget": "Budget",
-    "random": "RandomSpawn",
     "ordered": "Ordered",
 }
 for _coord, _camel in _CAMEL.items():

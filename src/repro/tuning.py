@@ -87,7 +87,6 @@ def _sweep_points(
     skeletons: Sequence[str],
     d_cutoffs: Sequence[int],
     budgets: Sequence[int],
-    spawn_probabilities: Sequence[float],
 ):
     for skeleton in skeletons:
         if skeleton in ("depthbounded", "ordered"):
@@ -99,9 +98,6 @@ def _sweep_points(
         elif skeleton == "stacksteal":
             for chunked in (True, False):
                 yield skeleton, f"chunked={chunked}", {"chunked": chunked}
-        elif skeleton == "random":
-            for p in spawn_probabilities:
-                yield skeleton, f"spawn_probability={p}", {"spawn_probability": p}
         else:
             raise ValueError(f"cannot tune skeleton {skeleton!r}")
 
@@ -115,7 +111,6 @@ def tune(
     skeletons: Sequence[str] = ("depthbounded", "stacksteal", "budget"),
     d_cutoffs: Sequence[int] = (1, 2, 3, 4),
     budgets: Sequence[int] = (20, 100, 500, 2000),
-    spawn_probabilities: Sequence[float] = (0.01, 0.05, 0.2),
     cost: Optional[CostModel] = None,
     seed: int = 0,
 ) -> TuningReport:
@@ -135,7 +130,7 @@ def tune(
     )
     topology = Topology(localities, workers_per_locality)
     for skeleton, knob, overrides in _sweep_points(
-        skeletons, d_cutoffs, budgets, spawn_probabilities
+        skeletons, d_cutoffs, budgets
     ):
         params = SkeletonParams(
             localities=localities,

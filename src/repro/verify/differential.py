@@ -121,7 +121,6 @@ def sample_config(
                 # opens the stale-incumbent window (§4.3).
                 "localities": 1 + rng.randrange(2),
                 "workers_per_locality": 2 + rng.randrange(3),
-                "spawn_probability": 0.1,
             },
         )
     if backend == "processes":

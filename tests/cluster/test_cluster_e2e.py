@@ -265,12 +265,16 @@ class TestServiceBackend:
                 app="maxclique", instance="brock90-1",
                 skeleton="budget", params={"budget": 500},
             ))
+            cut = sched.submit(JobSpec(
+                app="maxclique", instance="brock90-2",
+                skeleton="depthbounded", params={"d_cutoff": 2},
+            ))
             # Not a cluster coordination: refused at the door, never run
             # (see test_scheduler.py::TestBackendCoordinations).
             with pytest.raises(ValueError, match="budget"):
                 sched.submit(JobSpec(
                     app="maxclique", instance="brock90-2",
-                    skeleton="depthbounded",
+                    skeleton="sequential",
                 ))
             sched.run_until_idle()
         finally:
@@ -278,3 +282,6 @@ class TestServiceBackend:
         assert ok.state is JobState.DONE
         assert ok.result.value == 14
         assert ok.result.workers == 2
+        assert cut.state is JobState.DONE
+        spec, stype = _stype_for("brock90-2")
+        assert cut.result.value == sequential_search(spec, stype).value

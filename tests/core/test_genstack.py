@@ -2,6 +2,7 @@
 
 from repro.core.genstack import GeneratorStack
 from repro.core.nodegen import ListNodeGenerator
+from repro.core.tasks import split_one_inlined
 
 
 def stack_of(*levels):
@@ -36,32 +37,29 @@ class TestStackBasics:
 
 
 class TestSplitOne:
+    """The single-node (spawn-stack) split, on the kernel's stack of
+    generators (:func:`repro.core.tasks.split_one_inlined`)."""
+
     def test_takes_from_bottom_frame(self):
-        s = stack_of([10, 11], [20, 21])
-        node, depth, key = s.split_one()
-        assert node == 10
-        assert depth == 1  # child of the depth-0 frame
-        assert key == (0,)
+        gens = [ListNodeGenerator([10, 11]), ListNodeGenerator([20, 21])]
+        assert split_one_inlined(gens) == ([10], 0)  # a child of frame 0
 
     def test_skips_exhausted_bottom(self):
-        s = stack_of([], [20, 21])
-        node, depth, key = s.split_one()
-        assert node == 20
-        assert depth == 2
-        assert key == (0, 0)
+        gens = [ListNodeGenerator([]), ListNodeGenerator([20, 21])]
+        assert split_one_inlined(gens) == ([20], 1)
 
     def test_none_when_all_exhausted(self):
-        s = stack_of([], [])
-        assert s.split_one() is None
+        gens = [ListNodeGenerator([]), ListNodeGenerator([])]
+        assert split_one_inlined(gens) == ([], -1)
 
     def test_leaves_siblings_behind(self):
-        s = stack_of([10, 11])
-        s.split_one()
-        assert s.top().gen.has_next()
-        assert s.top().gen.next() == 11
+        gens = [ListNodeGenerator([10, 11])]
+        split_one_inlined(gens)
+        assert gens[0].has_next()
+        assert gens[0].next() == 11
 
     def test_empty_stack(self):
-        assert GeneratorStack().split_one() is None
+        assert split_one_inlined([]) == ([], -1)
 
 
 class TestSplitLowest:
@@ -123,6 +121,6 @@ class TestPathKeys:
         # node's sibling path — the total traversal order — exactly.
         s = stack_of([1, 2], [3, 4], [5])
         collected = []
-        while (split := s.split_one()) is not None:
-            collected.append(split[2])
+        while (keys := s.split_lowest()[2]):
+            collected += keys
         assert collected == [(0,), (1,), (0, 0), (0, 1), (0, 0, 0)]

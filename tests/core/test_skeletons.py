@@ -10,9 +10,9 @@ from repro.core.skeletons import ALL_SKELETONS, Skeleton, make_skeleton
 
 class TestComposition:
     def test_skeleton_registry(self):
-        # The paper's 12 (4 coordinations x 3 types) plus two extension
-        # coordinations (Random, Ordered) x 3 types.
-        assert len(ALL_SKELETONS) == 18
+        # The paper's 12 (4 coordinations x 3 types) plus the extension
+        # coordination Ordered x 3 types.
+        assert len(ALL_SKELETONS) == 15
         paper_coords = ("sequential", "depthbounded", "stacksteal", "budget")
         paper_12 = [k for k in ALL_SKELETONS if k.split("-")[0] in paper_coords]
         assert len(paper_12) == 12
@@ -27,7 +27,6 @@ class TestComposition:
         assert sk.DepthBoundedEnumeration.search_type == "enumeration"
         assert sk.BudgetDecision.search_type == "decision"
         assert sk.SequentialOptimisation.coordination == "sequential"
-        assert sk.RandomSpawnEnumeration.coordination == "random"
 
     def test_unknown_coordination_rejected(self):
         with pytest.raises(ValueError):
@@ -85,38 +84,3 @@ class TestTopLevelSearch:
 
         res = search(toy_spec)
         assert res.workers == 1
-
-
-class TestRandomCoordination:
-    """The §4.2 extension: random task creation via the generic (spawn)."""
-
-    def test_matches_sequential(self, toy_spec):
-        params = SkeletonParams(
-            localities=1, workers_per_locality=3, spawn_probability=0.3
-        )
-        res = sk.RandomSpawnOptimisation.search(toy_spec, params)
-        assert res.value == 7
-
-    def test_spawn_rate_scales_with_probability(self):
-        from repro.apps.maxclique import maxclique_spec
-        from repro.instances.graphs import uniform_graph
-
-        spec = maxclique_spec(uniform_graph(25, 0.5, seed=12))
-        lo = sk.RandomSpawnEnumeration.search(
-            spec, SkeletonParams(localities=1, workers_per_locality=3,
-                                 spawn_probability=0.01))
-        hi = sk.RandomSpawnEnumeration.search(
-            spec, SkeletonParams(localities=1, workers_per_locality=3,
-                                 spawn_probability=0.4))
-        assert hi.metrics.spawns > lo.metrics.spawns
-        assert hi.value == lo.value  # enumeration is spawn-invariant
-
-    def test_deterministic_per_seed(self, toy_spec):
-        params = SkeletonParams(localities=1, workers_per_locality=2,
-                                spawn_probability=0.5)
-        from repro.core.searchtypes import Enumeration
-
-        a = sk.RandomSpawnEnumeration.search(toy_spec, params)
-        b = sk.RandomSpawnEnumeration.search(toy_spec, params)
-        assert a.metrics.spawns == b.metrics.spawns
-        assert a.virtual_time == b.virtual_time

@@ -17,11 +17,10 @@ from repro.core.searchtypes import Decision, Enumeration, Optimisation
 from repro.instances.graphs import planted_clique, uniform_graph
 from repro.instances.library import random_knapsack, random_sip, random_tsp
 
-# The paper's three parallel coordinations plus the two extensions.
-PARALLEL = ["depthbounded", "stacksteal", "budget", "random", "ordered"]
+# The paper's three parallel coordinations plus Ordered.
+PARALLEL = ["depthbounded", "stacksteal", "budget", "ordered"]
 PARAMS = SkeletonParams(
-    localities=2, workers_per_locality=3, d_cutoff=2, budget=30,
-    spawn_probability=0.1, seed=1,
+    localities=2, workers_per_locality=3, d_cutoff=2, budget=30, seed=1,
 )
 
 

@@ -15,8 +15,7 @@ from repro.core.skeletons import COORDINATIONS, SEARCH_TYPES, make_skeleton
 from repro.instances.library import spec_for
 
 PARAMS = SkeletonParams(
-    localities=2, workers_per_locality=4, d_cutoff=2, budget=25,
-    spawn_probability=0.1, seed=2,
+    localities=2, workers_per_locality=4, d_cutoff=2, budget=25, seed=2,
 )
 
 # One representative instance per search type.

@@ -16,7 +16,7 @@ from repro.core.params import SkeletonParams
 from repro.core.searchtypes import Enumeration, Optimisation
 from repro.core.sequential import sequential_search
 from repro.core.space import SearchSpec
-from repro.core.tasks import BUDGET, DEPTH, ORDERED, RANDOM, STACK
+from repro.core.tasks import BUDGET, DEPTH, ORDERED, STACK
 from repro.runtime.executor import SimulatedCluster
 from repro.runtime.topology import Topology
 
@@ -57,7 +57,7 @@ topologies = st.tuples(
     st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4)
 )
 
-policies = st.sampled_from([DEPTH, BUDGET, STACK, RANDOM, ORDERED])
+policies = st.sampled_from([DEPTH, BUDGET, STACK, ORDERED])
 
 
 class TestWorkConservation:
@@ -70,7 +70,6 @@ class TestWorkConservation:
             workers_per_locality=topo[1],
             d_cutoff=2,
             budget=2,
-            spawn_probability=0.25,
             seed=seed,
         )
         cluster = SimulatedCluster(Topology(topo[0], topo[1]))
@@ -87,7 +86,6 @@ class TestWorkConservation:
             workers_per_locality=topo[1],
             d_cutoff=1,
             budget=3,
-            spawn_probability=0.2,
             seed=seed,
         )
         cluster = SimulatedCluster(Topology(topo[0], topo[1]))
@@ -99,7 +97,7 @@ class TestWorkConservation:
     def test_busy_never_exceeds_makespan(self, spec, policy, seed):
         params = SkeletonParams(
             localities=2, workers_per_locality=3, d_cutoff=2, budget=2,
-            spawn_probability=0.2, seed=seed,
+            seed=seed,
         )
         cluster = SimulatedCluster(Topology(2, 3))
         res = cluster.run(spec, Enumeration(), policy, params)

@@ -116,7 +116,7 @@ class TestBackendCoordinations:
         backend = ClusterBackend()
         try:
             s = make_sched(backend)
-            for skeleton in ("sequential", "depthbounded"):
+            for skeleton in ("sequential",):
                 with pytest.raises(ValueError) as refused:
                     s.submit(spec(skeleton=skeleton))
                 for runs in BACKENDS["cluster"].coordinations:

@@ -89,11 +89,10 @@ class TestTune:
             Enumeration(),
             localities=1,
             workers_per_locality=3,
-            skeletons=("ordered", "random"),
+            skeletons=("ordered",),
             d_cutoffs=(1,),
-            spawn_probabilities=(0.1,),
         )
-        assert {r.skeleton for r in report.results} == {"ordered", "random"}
+        assert {r.skeleton for r in report.results} == {"ordered"}
 
     def test_optimisation_tuning(self):
         from repro.apps.maxclique import maxclique_spec
