@@ -62,6 +62,7 @@ def run_parallel(
     params: SkeletonParams,
     *,
     cost: CostModel | None = None,
+    pool_discipline: str = "order",
 ):
     """One simulated-cluster run of a library instance."""
     from repro.core.skeletons import COORDINATIONS
@@ -70,6 +71,7 @@ def run_parallel(
     cluster = SimulatedCluster(
         Topology(params.localities, params.workers_per_locality),
         cost if cost is not None else COST,
+        pool_discipline=pool_discipline,
     )
     return cluster.run(spec, stype, COORDINATIONS[skeleton], params)
 

@@ -86,7 +86,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "-b", "--budget", type=int, default=1000, metavar="N",
-        help="Budget: nodes a subtree searches between splits (default 1000)",
+        help="Budget backtrack budget (default 1000)",
     )
     parser.add_argument(
         "--chunked", action="store_true", default=False,

@@ -486,15 +486,15 @@ class Coordinator:
         if job is None or msg.get("job") != job.id:
             return  # stale traffic for a finished job: drop silently
         if mtype == P.INCUMBENT:
-            if job.leases.incumbent(msg.get("value"), P.decode_node(msg.get("node"))):
-                self._publish_best(job, worker)
-        elif mtype in (P.OFFCUT, P.STOLEN):
-            handover = job.leases.stolen if mtype == P.STOLEN else job.leases.offcut
-            nodes = _field(msg, "nodes", list, [])
-            depth = msg.get("depth")
-            handover(worker.id, msg.get("task"), msg.get("epoch"), nodes,
-                     None if depth is None else _field(msg, "depth", int, 0))
-            self._pump()
+            self._on_incumbent(worker, job, msg)
+        elif mtype == P.OFFCUT:
+            self._take_handover(worker, job, msg)
+        elif mtype == P.STOLEN:
+            # A steal answer: half of the shallowest level of the
+            # victim's pool, or nothing (a stack-stealing victim's pool
+            # and stack had nothing to give).
+            job.leases.steal_answered(worker.id, not msg.get("nodes"))
+            job.driver.metrics.steals += self._take_handover(worker, job, msg)
         elif mtype == P.RESULT:
             self._on_result(worker, job, msg)
         elif mtype == P.RELEASE:
@@ -505,14 +505,30 @@ class Coordinator:
                 f"{msg.get('reason', 'unspecified')}"
             ))
 
-    def _publish_best(self, job: _Job, finder: WorkerConn) -> None:
-        """Broadcast the driver's new best — to every worker, ``finder``
-        too only when the lease table :attr:`~repro.cluster.leases.LeaseTable.tells_finder`
-        — and to the ``on_incumbent`` observer."""
+    def _on_incumbent(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
+        driver = job.driver
+        value = msg.get("value")
+        if driver.job.enum or driver.ledger is not None or not isinstance(value, int):
+            # Ordered workers never publish mid-task (fixed-bound tasks
+            # are pure); the only incumbent authority is the ledger.
+            return
+        if driver.merge(Incumbent(value, P.decode_node(msg.get("node")))):
+            # Strict improvement: rebroadcast to everyone else.  Ties
+            # and stale publishes stop here.
+            self._publish_best(job, worker)
+        # A goal is completed on the RESULT (goal=True) that follows,
+        # carrying the publisher's node counts: completing here would
+        # report a search of zero nodes.  A publisher that dies in
+        # between is re-run, and the goal rediscovered.
+
+    def _publish_best(self, job: _Job, sender: Optional[WorkerConn] = None) -> None:
+        """Broadcast the driver's new best: to every worker but its
+        sender, and to the ``on_incumbent`` observer."""
         value = job.driver.best
+        job.driver.metrics.broadcasts += 1
         out = {"type": P.INCUMBENT, "job": job.id, "value": value}
         for other in list(self.workers.values()):
-            if other is not finder or job.leases.tells_finder:
+            if other is not sender:
                 self._post(other, out)
         if self.on_incumbent is not None:
             try:
@@ -520,11 +536,24 @@ class Coordinator:
             except Exception:
                 pass
 
+    def _take_handover(self, worker: WorkerConn, job: _Job, msg: dict) -> int:
+        """Queue a STOLEN's or OFFCUT's subtrees for the workers with no
+        lease, and grant.  Returns how many were accepted."""
+        nodes = _field(msg, "nodes", list, [])
+        lease = job.leases.held(worker.id, msg.get("task"), msg.get("epoch"))
+        accepted = len(nodes) if lease is not None else 0
+        if accepted:
+            job.leases.hand_over(nodes, _field(msg, "depth", int, lease.depth + 1))
+        self._pump()
+        return accepted
+
     def _on_result(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
-        """A lease's report, decoded here and decided by the lease table
-        (:meth:`~repro.cluster.leases.LeaseTable.report`): a sharing
-        lease's counters and best, or an Ordered run's blocks for the
-        ledger.  An Ordered frame flagged ``more`` is an early flush."""
+        """A lease's report, through the driver: a sharing lease's
+        counters and best, or an Ordered run's blocks for the ledger.
+        An Ordered frame flagged ``more`` is an early flush: the run
+        lease stays held.  A new best is broadcast — for Ordered the
+        *finalised-prefix* best, monotone and deterministic, to every
+        worker."""
         lease = job.leases.held(worker.id, msg.get("task"), msg.get("epoch"))
         if lease is None:
             return
@@ -534,10 +563,17 @@ class Coordinator:
             report = self._leased_blocks(job, lease, msg)
         else:
             report = self._lease_report(job, msg)
+        done = lease.run is None or not msg.get("more")
+        job.leases.settle(worker.id, lease, done)
         job.contributors.add(worker.id)
-        if job.leases.report(worker.id, lease, report, bool(msg.get("more"))):
-            self._publish_best(job, worker)
-        if job.leases.over:
+        driver = job.driver
+        if lease.run is not None:
+            moved = driver.accept(report, done)
+        else:
+            moved = driver.merge(*report)
+        if moved:
+            self._publish_best(job, worker if lease.run is None else None)
+        if driver.goal or job.leases.finished:
             self._complete_job(job)
         else:
             self._pump()

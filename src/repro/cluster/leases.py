@@ -15,16 +15,13 @@ keeps its id and bumps its epoch, so whatever its previous holder still
 says about it names an epoch nobody holds, and :meth:`LeaseTable.held`
 refuses it.
 
-The table makes the coordinator's decisions: the grant round and, when
-a Budget or Stack-Stealing job's queue is empty, which busy workers are
-asked for work on behalf of the idle ones (a Depth-Bounded job is never
-asked: its phase 1 did the splitting), and what each decoded frame
-means — :meth:`LeaseTable.incumbent`, :meth:`~LeaseTable.offcut`,
-:meth:`~LeaseTable.stolen` and :meth:`~LeaseTable.report`.  Every lease
+The table makes the coordinator's scheduling decisions: the grant round
+and, when a Budget or Stack-Stealing job's queue is empty, which busy
+workers are asked for work on behalf of the idle ones (a Depth-Bounded
+job is never asked: its depth cut did the splitting).  Every lease
 starts, ends, is handed over or is stolen here, so this is where an
 event stream of those is recorded.  It knows no socket, frame or clock:
-the TCP coordinator drives it on its loop thread, the simulator
-(:mod:`repro.runtime.executor`) in virtual time,
+the coordinator drives it on its loop thread,
 ``tests/cluster/test_leases.py`` in memory.
 """
 
@@ -34,7 +31,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.core.searchtypes import Incumbent
 from repro.runtime.driver import JobDriver, OrderedRun
 
 __all__ = ["Lease", "LeaseTable"]
@@ -167,61 +163,6 @@ class LeaseTable:
             holder.steal_pending = False
             holder.steal_dry = holder.steal_dry or empty
 
-    # -- what a frame says ---------------------------------------------------
-
-    def incumbent(self, value: Any, node: Any) -> bool:
-        """An ``INCUMBENT`` with its witness: True when the best moved.
-        Ordered workers never publish mid-task: its ledger is the only
-        incumbent authority.  A goal completes on the ``RESULT`` that
-        follows, with the publisher's node counts."""
-        driver = self.driver
-        if driver.job.enum or driver.ledger is not None or not isinstance(value, int):
-            return False
-        return self._announce(driver.merge(Incumbent(value, node)))
-
-    def offcut(self, worker: int, task: Any, epoch: Any, nodes: list,
-               depth: Optional[int] = None) -> int:
-        """An ``OFFCUT`` from lease ``task``, at ``depth`` (by default
-        one below its roots): how many subtrees were accepted."""
-        lease = self.held(worker, task, epoch)
-        if lease is None or not nodes:
-            return 0
-        self.hand_over(nodes, lease.depth + 1 if depth is None else depth)
-        return len(nodes)
-
-    def stolen(self, worker: int, task: Any, epoch: Any, nodes: list,
-               depth: Optional[int] = None) -> None:
-        """A ``STOLEN``, the answer to a STEAL (empty: nothing to give):
-        handed over as an ``OFFCUT`` is, and counted as steals."""
-        self.steal_answered(worker, not nodes)
-        self.driver.metrics.steals += self.offcut(worker, task, epoch, nodes, depth)
-
-    def report(self, worker: int, lease: Lease, report: Any, more: bool = False) -> bool:
-        """A ``RESULT`` on ``lease``, decoded: a sharing lease's ``(found,
-        counters, goal)``, or an Ordered run's blocks, ``more`` while the
-        run goes on.  True when the best moved (for Ordered the
-        finalised-prefix best); :attr:`over` then says if the job is."""
-        done = lease.run is None or not more
-        self.settle(worker, lease, done)
-        if lease.run is not None:
-            return self._announce(self.driver.accept(report, done))
-        return self._announce(self.driver.merge(*report))
-
-    def _announce(self, moved: bool) -> bool:
-        self.driver.metrics.broadcasts += moved
-        return moved
-
-    @property
-    def tells_finder(self) -> bool:
-        """Is a new best broadcast to the worker whose frame moved it?
-        Only Ordered's finalised-prefix best is news to its finder."""
-        return self.driver.ledger is not None
-
-    @property
-    def over(self) -> bool:
-        """A goal was met, or the job is searched."""
-        return self.driver.goal or self.finished
-
     # -- the grant round ---------------------------------------------------
 
     def grant(self) -> list:
@@ -235,24 +176,20 @@ class LeaseTable:
         round-robin, not a greedy fill, spreads the first hand-overs
         across the fleet.  An Ordered job's runs are cut by the driver
         as slots come free.  When a Budget or Stack-Stealing job has
-        nothing queued,
-        ``steal`` names the busy workers to ask for work on behalf of
-        the idle ones: one per idle worker, those with the most to give
-        first (the fullest pool as last reported, then the most
-        leases), none with a STEAL in flight or an empty last answer.
+        nothing queued, ``steal`` names the busy workers to ask for work
+        on behalf of the idle ones: one per idle worker, those with the
+        most to give first (the fullest pool as last reported, then the
+        most leases), none with a STEAL in flight or an empty last
+        answer.
         """
-        eligible = [h for h in self.holders.values() if h.eligible]
+        eligible = sorted(
+            (h for h in self.holders.values() if h.eligible), key=lambda h: len(h.leases)
+        )
         granted: dict[int, list] = {}
-
-        def before(holder: _Holder) -> int:  # its leases when the round began
-            return len(holder.leases) - len(granted.get(holder.worker, ()))
-
-        # Only who has a free slot now can be granted anything.
-        free = sorted((h for h in eligible if len(h.leases) < h.slots), key=before)
         more = True
         while more:
             more = False
-            for holder in free:
+            for holder in eligible:
                 if len(holder.leases) >= holder.slots:
                     continue
                 lease = self._next(len(eligible))
@@ -265,19 +202,17 @@ class LeaseTable:
         victims: list = []
         if self.driver.job.coordination in ("budget", "stacksteal") and not self.queue:
             idle = sum(1 for h in eligible if not h.leases)
-            victims = sorted(
-                (h for h in eligible if h.leases and not h.steal_pending and not h.steal_dry),
-                key=before,
-            )
+            victims = [
+                h for h in eligible if h.leases and not h.steal_pending and not h.steal_dry
+            ]
             victims.sort(key=lambda h: (h.pool, len(h.leases)), reverse=True)
             del victims[idle:]
             for holder in victims:
                 holder.steal_pending = True
-        if victims:
-            told = sorted((h for h in eligible if h.worker in granted or h in victims), key=before)
-        else:
-            told = [h for h in free if h.worker in granted]  # in that order already
-        return [(h.worker, granted.get(h.worker, []), h in victims) for h in told]
+        return [
+            (h.worker, granted.get(h.worker, []), h in victims)
+            for h in eligible if h.worker in granted or h in victims
+        ]
 
     def _next(self, workers: int) -> Optional[Lease]:
         if self.driver.ledger is None:

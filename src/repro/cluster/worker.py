@@ -456,7 +456,7 @@ class ClusterWorker(Worker):
         stop request, a dead session: lease accounting covers us."""
         return self.job.done or self._session_dead.is_set() or self._stopped()
 
-    def on_subtree(self, metrics) -> None:
+    def on_subtree(self) -> None:
         self.tasks_run += 1  # the subtree that just ended
         if self._faults is not None:
             # Chaos: may hard-exit here, dying with the lease live, a

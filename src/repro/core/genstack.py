@@ -3,22 +3,21 @@
 Depth-first backtracking traversal is implemented by a stack of Lazy
 Node Generators: advancing the top generator and pushing a generator for
 the child is the (expand) rule; popping an exhausted generator is the
-(backtrack) rule.  It is the stepped :class:`~repro.core.tasks.SearchTask`
-machine's stack; the search kernel keeps a plain list of generators
-instead.  Stack-Stealing and Budget scan a stack *bottom-up* for the
-first generator with remaining children — those are the unexplored
+(backtrack) rule.  Beyond traversal, the stack is how coordinations find
+subtrees to give away: Stack-Stealing and Budget scan it *bottom-up* for
+the first generator with remaining children — those are the unexplored
 subtrees closest to the root, i.e. heuristically the largest (§4.2).
 
 Each frame also records its node's *sibling index* (position within its
 parent's generator output), so any node the stack gives away can carry a
 **path key** — the tuple of sibling indices from the task root.  Path
-keys are lexicographic traversal order (the semantics' ``<<``), the
-order in which the Ordered skeleton numbers its tasks.
+keys are lexicographic traversal order (the semantics' ``<<``), which is
+what the Ordered skeleton's rank-ordered workpool sorts by.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from repro.core.nodegen import NodeGenerator
 
@@ -85,12 +84,28 @@ class GeneratorStack:
         prefix = tuple(self._frames[i].index for i in range(1, frame_pos + 1))
         return prefix + (child_index,)
 
+    def split_one(self) -> Optional[tuple[Any, int, tuple[int, ...]]]:
+        """Steal the first unexplored node closest to the root.
+
+        Scans frames bottom-up (Listing 3, line 7) and takes a single
+        child from the first generator that has one.  Returns
+        ``(node, depth_of_node, path_key)`` or None if the whole stack
+        is exhausted.  This realises the (spawn-stack) rule: the stolen
+        node is ``nextLowest(S, v)``.
+        """
+        for pos, frame in enumerate(self._frames):
+            if frame.gen.has_next():
+                child = frame.gen.next()
+                index = frame.children_yielded
+                frame.children_yielded += 1
+                return child, frame.depth + 1, self._key_at(pos, index)
+        return None
+
     def split_lowest(self) -> tuple[list[Any], int, list[tuple[int, ...]]]:
         """Take *all* remaining children at the lowest non-exhausted depth.
 
-        The (spawn-budget) rule of Listing 4 (lines 8-14) on this stack:
-        the reference that :func:`repro.core.tasks.split_lowest_inlined`,
-        the kernel stack's split, is tested against.  Returns ``(nodes, depth_of_nodes, path_keys)``;
+        Used by (spawn-budget) (Listing 4, lines 8-14) and by chunked
+        Stack-Stealing.  Returns ``(nodes, depth_of_nodes, path_keys)``;
         the node list is in heuristic (traversal) order.  Empty list if
         nothing is splittable.
         """

@@ -26,9 +26,9 @@ exception passes through untouched, so the kernel has no abort protocol,
 and the counters of a subtree abandoned that way are reported nowhere.
 
 The resumable :class:`~repro.core.tasks.SearchTask` machine walks the
-same tree one reduction per call and shares no code with this module:
-the conformance harness uses it as the oracle this loop is judged
-against.
+same tree one reduction per call and shares no code with this module;
+the simulator runs on it, and the conformance harness uses it as the
+oracle this loop is judged against.
 """
 
 from __future__ import annotations

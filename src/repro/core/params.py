@@ -30,8 +30,7 @@ class SkeletonParams:
         localities: number of simulated physical machines.
         workers_per_locality: search workers per locality (the paper uses
             15 of 16 cores, reserving one for HPX).
-        seed: the run's seed, for drivers that draw from one; the
-            simulator's schedule is deterministic and does not.
+        seed: simulator seed (victim selection and tie-breaking).
         backend: execution backend — ``"sim"`` runs parallel skeletons
             on the discrete-event simulator; ``"processes"`` runs them
             on real OS processes (:mod:`repro.runtime.processes`);

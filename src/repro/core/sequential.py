@@ -11,11 +11,12 @@ Two drivers are provided:
   with no callbacks.  This is what the Sequential skeleton runs, and
   what Table 1 times against the hand-specialised solver.
 - :func:`sequential_search_stepped` — the same search driven through
-  the resumable :class:`SearchTask` state machine.  Slower, and
-  structurally independent of the kernel: it is the oracle of the
-  conformance harness (docs/verify.md), and the equivalence tests
+  the resumable :class:`SearchTask` state machine the simulator uses.
+  Slower, and structurally independent of the kernel: it is the oracle
+  of the conformance harness (docs/verify.md), and the equivalence tests
   (`tests/core/test_kernel.py`) pin both drivers to identical results
-  and metrics.
+  and metrics, which is what licenses the simulator's claim to explore
+  the real tree.
 """
 
 from __future__ import annotations

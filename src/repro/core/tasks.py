@@ -3,20 +3,20 @@
 A :class:`SearchTask` is one unit of work from the semantics — a subtree
 rooted at ``root`` — together with the traversal state needed to search
 it: the generator stack and the backtrack counter.  The task advances
-one reduction at a time via :meth:`step`.  No runtime searches with it:
-it is the oracle the search kernel (:mod:`repro.core.kernel`) and the
-Ordered phase 1 (:func:`~repro.core.ordered.ordered_frontier`) are held
-to, stepped by :func:`~repro.core.sequential.sequential_search_stepped`
-and by the tests, and shares no code with either.
+one reduction at a time via :meth:`step`, which makes the *same* state
+machine drivable in two ways:
 
-Its coordination is ``seq`` or the (spawn-depth) rule of Depth-Bounded
-and Ordered (``depth`` / ``ordered``): a child of a node above
-``d_cutoff`` becomes a task instead of being searched in place — the
-rule only changes *when subtrees are given away*, never how the tree is
-traversed, as Figure 2 factors spawn rules apart from traversal rules.
-The Budget and Stack-Stealing rules are the kernel's, applied by
-:func:`~repro.runtime.sharing.execute_lease` with
-:func:`split_lowest_inlined` and :func:`split_one_inlined` below.
+- a tight ``while not finished: step()`` loop (the stepped sequential
+  driver and the real-thread backend), and
+- one step per simulated time quantum (the discrete-event cluster),
+
+so the simulated parallel search expands exactly the tree a real worker
+would, given the same knowledge-arrival timing.
+
+The coordination (``seq`` / ``depth`` / ``budget`` / ``stack`` /
+``ordered``) is a parameter: it only changes *when subtrees are given
+away*, never how the tree is traversed — mirroring how Figure 2 factors
+spawn rules apart from traversal rules.
 """
 
 from __future__ import annotations
@@ -43,27 +43,25 @@ __all__ = [
     "ORDERED",
 ]
 
-# The coordinations' policy names (repro.core.skeletons.COORDINATIONS).
 SEQ = "seq"
 DEPTH = "depth"
 BUDGET = "budget"
 STACK = "stack"
 # Ordered: Depth-Bounded task generation, but tasks carry their
-# heuristic-order path key and finalise in that order — the replicable
-# branch-and-bound discipline of Archibald et al. [4] (cited in the
-# paper's §2.1 as the anomaly-controlling skeleton).
+# heuristic-order path key and execute from a single rank-ordered pool —
+# the replicable branch-and-bound discipline of Archibald et al. [4]
+# (cited in the paper's §2.1 as the anomaly-controlling skeleton).
 ORDERED = "ordered"
-# The policies a SearchTask steps.
-_POLICIES = (SEQ, DEPTH, ORDERED)
+_POLICIES = (SEQ, DEPTH, BUDGET, STACK, ORDERED)
 
 
 @dataclass(frozen=True)
 class SpawnedTask:
-    """A child subtree the (spawn-depth) rule gave away.
+    """A child subtree handed to the workpool.
 
     ``key`` is the root's sibling-index path from the global root —
     lexicographic order on keys is the sequential traversal (heuristic)
-    order, in which the Ordered coordination numbers its tasks.
+    order, which the Ordered coordination's workpool ranks by.
     """
 
     root: Any
@@ -75,17 +73,19 @@ _NO_SPAWNS: tuple = ()
 
 
 class StepOutcome:
-    """What one :meth:`SearchTask.step` did (for the metrics).
+    """What one :meth:`SearchTask.step` did (for metrics and cost model).
 
     A plain mutable record.  Each task *reuses* one outcome object
-    across steps; callers must consume the fields before the task's
-    next step.
+    across steps (one is read per simulated event, so allocation here
+    is simulator hot path); callers must consume the fields before the
+    task's next step.
     """
 
     __slots__ = (
         "processed",
         "pruned",
         "backtracked",
+        "improved",
         "goal",
         "finished",
         "spawned",
@@ -100,6 +100,7 @@ class StepOutcome:
         self.processed = False  # a node was visited and processed
         self.pruned = False  # a processed node's subtree was discarded
         self.backtracked = False  # an exhausted generator was popped
+        self.improved = False  # the incumbent was strengthened
         self.goal = False  # decision target reached -> stop everything
         self.finished = False  # this task is complete
         self.spawned: Any = _NO_SPAWNS  # fresh list only when spawning
@@ -242,8 +243,8 @@ class SearchTask:
         """Perform one reduction; returns updated knowledge and outcome.
 
         Exactly one of the semantics' step shapes happens per call:
-        schedule-and-process the root, spawn a depth-bounded child,
-        expand-and-process a child, or backtrack.
+        schedule-and-process the root, spawn (budget exhaustion or
+        depth-bounded child), expand-and-process a child, or backtrack.
         """
         out = self._out
         out.reset()
@@ -253,6 +254,20 @@ class SearchTask:
 
         if not self._started:
             return self._start(knowledge, out)
+
+        # (spawn-budget): Listing 4 line 7 — check the budget before the
+        # next traversal step, spawn the lowest unexplored subtrees and
+        # reset the counter.
+        if self.policy == BUDGET and self.backtracks >= self.params.budget:
+            nodes, depth, keys = self.stack.split_lowest()
+            self.backtracks = 0
+            if nodes:
+                gdepth = self.root_depth + depth
+                out.spawned = [
+                    SpawnedTask(n, gdepth, self.key + k)
+                    for n, k in zip(nodes, keys)
+                ]
+                return knowledge, out
 
         if not self.stack:
             self._finished = True
@@ -267,7 +282,7 @@ class SearchTask:
             # children become tasks instead of being searched in place.
             # The child is left unprocessed; it is processed when its
             # task is scheduled, as in the semantics.  Ordered uses the
-            # same rule.
+            # same rule; only its workpool discipline differs.
             if (
                 self.policy in (DEPTH, ORDERED)
                 and (self.root_depth + frame.depth) < self.params.d_cutoff
@@ -286,29 +301,69 @@ class SearchTask:
             out.finished = True
         return knowledge, out
 
+    def try_split(self, *, chunked: bool) -> list[SpawnedTask]:
+        """(spawn-stack): give away unexplored subtrees nearest the root.
+
+        Called by the scheduler when a steal request reaches this task's
+        worker.  Returns one stolen node, or all nodes at the victim's
+        lowest unexplored depth when ``chunked``; empty list if there is
+        nothing to give.
+        """
+        if self._finished or not self._started:
+            return []
+        if chunked:
+            nodes, depth, keys = self.stack.split_lowest()
+            if not nodes:
+                return []
+            gdepth = self.root_depth + depth
+            return [
+                SpawnedTask(n, gdepth, self.key + k) for n, k in zip(nodes, keys)
+            ]
+        split = self.stack.split_one()
+        if split is None:
+            return []
+        node, depth, key = split
+        return [SpawnedTask(node, self.root_depth + depth, self.key + key)]
+
     # -- internals ------------------------------------------------------------
 
     def _start(self, knowledge: Any, out: StepOutcome) -> tuple[Any, StepOutcome]:
-        """(schedule) + node-processing of the task root; a root the
-        bound prunes (since the task was spawned) ends the task."""
+        """(schedule) + node-processing of the task root."""
         self._started = True
-        knowledge = self._process_and_push(self.root, 0, knowledge, out)[0]
-        if out.pruned or not self.stack:
-            self._finished = out.finished = True
+        knowledge, out.improved = self.stype.process(self.spec, self.root, knowledge)
+        out.processed = True
+        if self.spec.node_size is not None:
+            out.weight = self.spec.node_size(self.root)
+        if self.stype.is_goal(knowledge):
+            out.goal = True
+            self._finished = True
+            out.finished = True
+            return knowledge, out
+        if self.stype.should_prune(self.spec, self.root, knowledge):
+            # The whole task was invalidated (e.g. by a bound that
+            # arrived since it was spawned): it dies without expansion.
+            out.pruned = True
+            self._finished = True
+            out.finished = True
+            return knowledge, out
+        self.stack.push(self.root, self.spec.children_of(self.root))
         return knowledge, out
 
     def _process_and_push(
-        self, node: Any, index: int, knowledge: Any, out: StepOutcome
+        self, child: Any, child_index: int, knowledge: Any, out: StepOutcome
     ) -> tuple[Any, StepOutcome]:
         """(expand) + node-processing, with the (prune) check."""
-        knowledge, _ = self.stype.process(self.spec, node, knowledge)
+        knowledge, out.improved = self.stype.process(self.spec, child, knowledge)
         out.processed = True
         if self.spec.node_size is not None:
-            out.weight = self.spec.node_size(node)
+            out.weight = self.spec.node_size(child)
         if self.stype.is_goal(knowledge):
-            out.goal = self._finished = out.finished = True
-        elif self.stype.should_prune(self.spec, node, knowledge):
-            out.pruned = True  # the subtree under node abandoned before creation
-        else:
-            self.stack.push(node, self.spec.children_of(node), index=index)
+            out.goal = True
+            self._finished = True
+            out.finished = True
+            return knowledge, out
+        if self.stype.should_prune(self.spec, child, knowledge):
+            out.pruned = True  # subtree under child abandoned before creation
+            return knowledge, out
+        self.stack.push(child, self.spec.children_of(child), index=child_index)
         return knowledge, out

@@ -3,13 +3,13 @@
 The paper runs skeletons over HPX on a 17-node Beowulf cluster.  Python
 cannot express 255-way fine-grained tree search (the GIL serialises it),
 so this package provides a **deterministic discrete-event simulation** of
-the same architecture: localities holding workers, a coordinator on
-locality 0, frames with latency, and delayed incumbent broadcast.  The
-simulated workers are the real :class:`repro.runtime.worker.Worker`
-(the process fleet's and the cluster's) over a virtual clock, and the
-coordinator is the real job driver and lease table, so coordination
-behaviour — load balance, starvation, pruning timing, anomalies — is
-the real runtimes' own, priced under an explicit cost model.
+the same architecture: localities holding workers, per-locality
+order-preserving workpools, steal channels with latency, and delayed
+incumbent broadcast.  The simulated workers drive the *identical*
+:class:`repro.core.tasks.SearchTask` state machines a real worker would,
+one step per time quantum, so coordination behaviour — load balance,
+starvation, pruning timing, anomalies — is reproduced faithfully under
+an explicit cost model.
 
 See DESIGN.md §2 for the substitution argument.
 """
@@ -18,6 +18,7 @@ from repro.runtime.topology import Topology
 from repro.runtime.costmodel import CostModel
 from repro.runtime.sim import Simulator
 from repro.runtime.workpool import Workpool
+from repro.runtime.knowledge import KnowledgeManager
 from repro.runtime.executor import SimulatedCluster, virtual_sequential_time
 from repro.runtime.trace import Trace, render_gantt, utilisation_timeline
 
@@ -26,6 +27,7 @@ __all__ = [
     "CostModel",
     "Simulator",
     "Workpool",
+    "KnowledgeManager",
     "SimulatedCluster",
     "virtual_sequential_time",
     "Trace",

@@ -11,8 +11,6 @@ behaviour:
   inter-locality communication (shared memory vs Ethernet),
 - bound broadcast is asynchronous and slower across localities, so
   remote workers prune on stale bounds for a while (§4.3),
-- the coordinator handles one frame at a time, so its queue grows with
-  the fleet,
 - the *generic framework* pays per-node overhead over hand-written code
   (node copying, generator indirection — Table 1's "cost of
   generality"), plus per-task bookkeeping (workpool entries, scheduling).
@@ -21,7 +19,6 @@ behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
 
 __all__ = ["CostModel"]
 
@@ -36,15 +33,16 @@ class CostModel:
         framework_node_overhead: *additional* per-node cost of the
             generic skeleton (lazy generator allocation, node copies).
             Zero models a hand-specialised implementation.
-        spawn_cost: splitting a subtree off a live stack into a pool.
-        schedule_cost: installing a lease on a worker, and the
-            coordinator handling one frame.
-        steal_latency_local: one-way frame between a worker and the
-            coordinator on the same locality.
-        steal_latency_remote: one-way frame between localities.
+        spawn_cost: creating a task and pushing it to a workpool.
+        schedule_cost: popping a task and installing it on a worker.
+        steal_latency_local: one-way message between same-locality
+            workers / pools.
+        steal_latency_remote: one-way message between localities.
         broadcast_latency_local / _remote: delay until a strengthened
-            incumbent becomes visible on the coordinator's locality / the
-            others.
+            incumbent becomes visible on the publishing / other
+            localities.
+        steal_retry_backoff: initial idle retry delay for thieves; grows
+            exponentially to ``steal_retry_cap`` while steals fail.
     """
 
     node_cost: float = 1.0
@@ -56,6 +54,8 @@ class CostModel:
     steal_latency_remote: float = 25.0
     broadcast_latency_local: float = 1.0
     broadcast_latency_remote: float = 20.0
+    steal_retry_backoff: float = 2.0
+    steal_retry_cap: float = 64.0
 
     def __post_init__(self) -> None:
         if self.node_cost <= 0:
@@ -72,20 +72,13 @@ class CostModel:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.steal_retry_backoff <= 0 or self.steal_retry_cap < self.steal_retry_backoff:
+            raise ValueError("invalid steal retry backoff parameters")
 
     def per_node(self, size: int = 1) -> float:
         """Cost of processing a node of weight ``size`` under the
         generic skeleton."""
         return (self.node_cost + self.framework_node_overhead) * size
-
-    def work(self, metrics: Any) -> float:
-        """Time to do what ``metrics`` counts: its weighted nodes, its
-        backtracks and the subtrees it split off its stacks."""
-        return (
-            self.per_node(metrics.weighted_nodes)
-            + metrics.backtracks * self.backtrack_cost
-            + metrics.spawns * self.spawn_cost
-        )
 
     def specialised(self) -> "CostModel":
         """This model with all framework overheads removed — the

@@ -100,7 +100,7 @@ def execute_lease(
     bound: Callable[[], int],
     publish: Callable[[Incumbent], None],
     should_abort: Callable[[], bool],
-    on_subtree: Optional[Callable[[SearchMetrics], None]] = None,
+    on_subtree: Optional[Callable[[], None]] = None,
 ) -> LeaseOutcome:
     """Search the subtrees under ``roots`` — siblings, all at
     ``root_depth``, in the heuristic's order; one of them is the usual
@@ -127,9 +127,8 @@ def execute_lease(
     - ``publish(incumbent)`` — a strict improvement found here.
     - ``should_abort()`` — True to abandon the lease now: asked every
       ``poll`` nodes and before each pooled subtree.
-    - ``on_subtree(metrics)`` — optional; runs before each subtree popped
-      from the pool is started, with the counters of the subtrees the
-      lease has finished so far.
+    - ``on_subtree()`` — optional; runs before each subtree popped from
+      the pool is started.
     """
     enum = stype.kind == "enumeration"
     pooled = budget is not None
@@ -212,7 +211,7 @@ def execute_lease(
             if should_abort():
                 raise _Abandoned
             if on_subtree is not None:
-                on_subtree(total)
+                on_subtree()
             root, root_depth = task
             since_trip = 0
     except _Abandoned:

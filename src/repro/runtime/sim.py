@@ -2,8 +2,9 @@
 
 A minimal event loop: callbacks scheduled at virtual times, executed in
 (time, insertion-sequence) order.  The sequence number makes simultaneous
-events execute in a deterministic order, which makes every simulated
-cluster run exactly reproducible.
+events execute in a deterministic order, which — together with the
+seeded RNG used for victim selection — makes every cluster run exactly
+reproducible.
 """
 
 from __future__ import annotations

@@ -36,12 +36,19 @@ class Trace:
     intervals: list[TaskInterval] = field(default_factory=list)
     improvements: list[tuple[float, int]] = field(default_factory=list)  # (time, value)
     makespan: float = 0.0
+    # Per-worker view of `intervals`, maintained so repeated per-worker
+    # queries (the service metrics layer issues many) cost O(own
+    # intervals) instead of scanning every interval each call.
+    _by_worker: dict[int, list[TaskInterval]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError("worker count must be >= 0")
 
-    # -- recording (by the simulator) --------------------------------------
+    # -- recording (called by the executor) --------------------------------
 
     def record_interval(self, worker: int, start: float, end: float, nodes: int) -> None:
         """Record one task execution interval on ``worker``."""
@@ -51,7 +58,11 @@ class Trace:
             )
         if end < start:
             raise ValueError("interval ends before it starts")
-        self.intervals.append(TaskInterval(worker, start, end, nodes))
+        self._index()  # keep the index current before extending it
+        interval = TaskInterval(worker, start, end, nodes)
+        self.intervals.append(interval)
+        self._by_worker.setdefault(worker, []).append(interval)
+        self._indexed += 1
 
     def record_improvement(self, time: float, value: int) -> None:
         """Record an incumbent strengthening at virtual ``time``."""
@@ -59,13 +70,31 @@ class Trace:
 
     # -- analysis -----------------------------------------------------------
 
+    def _index(self) -> None:
+        """Bring the per-worker index up to date with ``intervals``.
+
+        ``intervals`` is a public list; callers may append to it
+        directly, so the index is verified lazily (a length check) and
+        only the new tail is folded in.
+        """
+        if self._indexed == len(self.intervals):
+            return
+        if self._indexed > len(self.intervals):  # intervals were replaced/truncated
+            self._by_worker = {}
+            self._indexed = 0
+        for interval in self.intervals[self._indexed:]:
+            self._by_worker.setdefault(interval.worker, []).append(interval)
+        self._indexed = len(self.intervals)
+
     def busy_time(self, worker: int) -> float:
         """Total in-task time of ``worker`` across its intervals."""
-        return sum(i.end - i.start for i in self.intervals if i.worker == worker)
+        self._index()
+        return sum(i.end - i.start for i in self._by_worker.get(worker, ()))
 
     def tasks_of(self, worker: int) -> list[TaskInterval]:
         """The worker's intervals, ordered by start time."""
-        return sorted((i for i in self.intervals if i.worker == worker), key=lambda i: i.start)
+        self._index()
+        return sorted(self._by_worker.get(worker, ()), key=lambda i: i.start)
 
     def ramp_up_time(self) -> Optional[float]:
         """Time until every worker has run at least one task (None if

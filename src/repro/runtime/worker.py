@@ -3,13 +3,12 @@
 YewPar starts its workers once per locality and feeds them from the
 locality's workpool (§4.3); a coordination is a policy that runs on
 that worker, not a second worker.  :class:`Worker` is that worker for
-every runtime: it holds the job in hand (:class:`WorkerJob`), the
+both real runtimes: it holds the job in hand (:class:`WorkerJob`), the
 spec of the last job (:class:`SpecCache`) and the lease loop.  Its
 transport is a subclass — the process fleet's queues and shared
-integers (:class:`repro.runtime.processes.PipeWorker`), the
-cluster's frames (:class:`repro.cluster.worker.ClusterWorker`) or the
-simulator's virtual clock (:class:`repro.runtime.executor.SimWorker`)
-— and the kernel reaches it only at its polls.
+integers (:class:`repro.runtime.processes.PipeWorker`) or the
+cluster's frames (:class:`repro.cluster.worker.ClusterWorker`) — and
+the kernel reaches it only at its polls.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.core.ordered import execute_run, worker_tasks
-from repro.core.results import SearchMetrics
 from repro.core.searchtypes import (
     Decision, Enumeration, Incumbent, Optimisation, SearchType, make_search_type,
 )
@@ -182,9 +180,8 @@ class Worker:
     def aborted(self) -> bool:
         """Should the lease or run in hand stop now, reporting nothing?"""
 
-    def on_subtree(self, metrics: SearchMetrics) -> None:
-        """Before each subtree a lease pops from its pool, with the
-        counters of the subtrees the lease has finished."""
+    def on_subtree(self) -> None:
+        """Before each subtree a lease pops from its pool."""
 
     def report(self, outcome: LeaseOutcome) -> None:
         """A sharing lease ended, not abandoned."""

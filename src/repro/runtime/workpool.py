@@ -1,4 +1,4 @@
-"""The order-preserving workpool a sharing worker owns.
+"""Order-preserving distributed workpools.
 
 Standard deque-based work-stealing breaks heuristic search order (§2.3),
 so YewPar uses bespoke order-preserving pools (§4.3): tasks are handed
@@ -6,14 +6,22 @@ out in the order the search heuristic would visit them, and steals
 prefer tasks *near the root* — heuristically the largest subtrees, which
 amortise the communication cost (§4.2).
 
-A Budget or Stack-Stealing worker (:mod:`repro.runtime.sharing`) owns
-its pool outright and uses both ends of it, as YewPar's depth pool
-does: :meth:`Workpool.pop` hands the owner its *deepest* task, spawn
-order within a depth, so a worker left alone walks its subtrees in the
-order the sequential search would and the pool never holds more than
-the open siblings of one root-to-leaf path, while
-:meth:`Workpool.pop_shallowest` takes out the whole level nearest the
-root, in spawn order, of which a starving peer is given half.
+:class:`Workpool` realises this as a priority pool keyed on
+``(depth, spawn sequence)``: local pops and remote steals both take the
+shallowest, earliest-spawned task.  For the ordering ablation bench a
+``"lifo"`` discipline (most-recently-spawned first, the classic deque)
+is also provided.
+
+The simulator's localities share one end of the pool.  A Budget worker
+of the real runtimes (:mod:`repro.runtime.processes`,
+:mod:`repro.cluster.worker`) owns its pool outright and uses both ends
+of it, as YewPar's depth pool does: under the ``"depth"`` discipline
+:meth:`Workpool.pop` hands the owner its *deepest* task, so a worker
+left alone walks its subtrees in the order the sequential search would
+and the pool never holds more than the open siblings of one root-to-leaf
+path, while :meth:`Workpool.pop_shallowest` takes out the whole level
+nearest the root, of which a starving peer is given half
+(:mod:`repro.runtime.sharing`).
 """
 
 from __future__ import annotations
@@ -36,13 +44,18 @@ class PoolEntry:
 
 
 class Workpool:
-    """One worker's pool of pending tasks.  ``discipline`` is
-    ``"depth"``, the one there is: deepest first, spawn order within a
-    depth, at the owner's end."""
+    """One locality's pool of pending tasks.
 
-    DISCIPLINES = ("depth",)
+    ``discipline`` is ``"order"`` (depth-then-spawn-order priority, the
+    YewPar depthpool analogue), ``"depth"`` (deepest first, spawn order
+    within a depth: the owner's end of that pool), ``"lifo"`` (most
+    recent first, the classic work-stealing deque that *breaks*
+    heuristic order) or ``"fifo"`` (strict spawn order, ignoring depth).
+    """
 
-    def __init__(self, discipline: str = "depth") -> None:
+    DISCIPLINES = ("order", "depth", "lifo", "fifo")
+
+    def __init__(self, discipline: str = "order") -> None:
         if discipline not in self.DISCIPLINES:
             raise ValueError(f"unknown pool discipline {discipline!r}")
         self.discipline = discipline
@@ -55,15 +68,33 @@ class Workpool:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def push(self, task: Any, depth: int) -> None:
-        """Add a spawned task; ``depth`` is its root's global depth."""
+    def _key(self, depth: int, seq: int) -> tuple:
+        if self.discipline == "order":
+            return (depth, seq)
+        if self.discipline == "depth":
+            return (-depth, seq)
+        if self.discipline == "fifo":
+            return (seq,)
+        return (-seq,)  # lifo
+
+    def push(self, task: Any, depth: int, rank: tuple | None = None) -> None:
+        """Add a spawned task; ``depth`` is its root's global depth.
+
+        ``rank`` overrides the discipline key: the Ordered skeleton
+        passes the task's heuristic path key so pops follow the exact
+        sequential traversal order regardless of spawn interleaving.
+        """
         entry = PoolEntry(depth, self._seq, task)
-        heapq.heappush(self._heap, ((-depth, self._seq), self._seq, entry))
+        key = rank if rank is not None else self._key(depth, self._seq)
+        heapq.heappush(self._heap, (key, self._seq, entry))
         self._seq += 1
 
     def pop(self) -> Optional[Any]:
-        """The owner's end: the deepest task, earliest spawned first; None
-        if the pool is empty."""
+        """Take the highest-priority task, or None if empty.
+
+        Local pops and remote steals use the same end: the simulator
+        models contention in time, not in data-structure slots.
+        """
         if not self._heap:
             return None
         _, _, entry = heapq.heappop(self._heap)
@@ -72,11 +103,12 @@ class Workpool:
     def pop_shallowest(self) -> list:
         """Take every task at the shallowest depth, in spawn order.
 
-        The thief's end: the subtrees nearest the root — heuristically
-        the largest, so one hand-over amortises its round trip (§4.2) —
-        all siblings, in the heuristic's order.  A scan of the pool,
-        where :meth:`pop` is a heap operation: owners pop per task, peers
-        starve a few times a search.  Empty pool, empty list.
+        The thief's end of the pool, whatever the discipline: the
+        subtrees nearest the root — heuristically the largest, so one
+        hand-over amortises its round trip (§4.2) — all siblings, in the
+        heuristic's order.  A scan of the pool, where :meth:`pop` is a
+        heap operation: owners pop per task, peers starve a few times a
+        search.  Empty pool, empty list.
         """
         if not self._heap:
             return []

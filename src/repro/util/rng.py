@@ -1,6 +1,7 @@
 """Splittable deterministic random number generation.
 
-Two consumers need reproducible randomness:
+Two consumers need reproducible randomness that is *independent of
+traversal order*:
 
 - **UTS** (Unbalanced Tree Search, Section 5.1) derives each node's child
   count from a hash of the node's path, so that the same tree is generated
@@ -9,8 +10,8 @@ Two consumers need reproducible randomness:
   the same "hash of (parent state, child index)" structure and excellent
   avalanche behaviour at a fraction of the cost.
 
-- The **verify harness** draws its instances, knobs and fault plans
-  from a seed, so ``repro verify --seed N`` replays exactly.
+- The **simulator** (victim selection in random work stealing) must be a
+  pure function of its seed so every benchmark run is exactly repeatable.
 """
 
 from __future__ import annotations
@@ -40,8 +41,13 @@ def splittable_hash(state: int, index: int) -> int:
 
 
 class SplitMix64:
-    """Minimal sequential PRNG over the SplitMix64 stream: uniform
-    integers and floats, seeded, no ``numpy``."""
+    """Minimal sequential PRNG over the SplitMix64 stream.
+
+    Deliberately tiny: the simulator only needs uniform integers for
+    victim selection and jitter, and carrying a full ``numpy`` generator
+    per worker would dominate the footprint of the (thousands of)
+    simulated workers.
+    """
 
     __slots__ = ("_state",)
 

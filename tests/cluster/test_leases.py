@@ -11,6 +11,7 @@ are current.
 import ast
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -208,6 +209,20 @@ TestSharingJob = SharingJob.TestCase
 TestSharingJob.settings = SETTINGS
 TestOrderedJob = OrderedJob.TestCase
 TestOrderedJob.settings = SETTINGS
+
+
+@pytest.mark.parametrize(
+    "coordination,asked", [("depthbounded", False), ("budget", True), ("stacksteal", True)]
+)
+def test_only_budget_and_stack_stealing_jobs_are_asked_for_work(coordination, asked):
+    # A Depth-Bounded job's depth cut did its splitting: an idle worker
+    # waits for a record, it never has one stolen for it.
+    table = started_table(coordination, d_cutoff=1)
+    table.join(1, 64)
+    table.grant()
+    assert not table.queue
+    table.join(2, 1)
+    assert [worker for worker, _leases, steal in table.grant() if steal] == ([1] if asked else [])
 
 
 def test_the_lease_table_is_the_only_one():

@@ -2,7 +2,6 @@
 
 from repro.core.genstack import GeneratorStack
 from repro.core.nodegen import ListNodeGenerator
-from repro.core.tasks import split_one_inlined
 
 
 def stack_of(*levels):
@@ -37,29 +36,32 @@ class TestStackBasics:
 
 
 class TestSplitOne:
-    """The single-node (spawn-stack) split, on the kernel's stack of
-    generators (:func:`repro.core.tasks.split_one_inlined`)."""
-
     def test_takes_from_bottom_frame(self):
-        gens = [ListNodeGenerator([10, 11]), ListNodeGenerator([20, 21])]
-        assert split_one_inlined(gens) == ([10], 0)  # a child of frame 0
+        s = stack_of([10, 11], [20, 21])
+        node, depth, key = s.split_one()
+        assert node == 10
+        assert depth == 1  # child of the depth-0 frame
+        assert key == (0,)
 
     def test_skips_exhausted_bottom(self):
-        gens = [ListNodeGenerator([]), ListNodeGenerator([20, 21])]
-        assert split_one_inlined(gens) == ([20], 1)
+        s = stack_of([], [20, 21])
+        node, depth, key = s.split_one()
+        assert node == 20
+        assert depth == 2
+        assert key == (0, 0)
 
     def test_none_when_all_exhausted(self):
-        gens = [ListNodeGenerator([]), ListNodeGenerator([])]
-        assert split_one_inlined(gens) == ([], -1)
+        s = stack_of([], [])
+        assert s.split_one() is None
 
     def test_leaves_siblings_behind(self):
-        gens = [ListNodeGenerator([10, 11])]
-        split_one_inlined(gens)
-        assert gens[0].has_next()
-        assert gens[0].next() == 11
+        s = stack_of([10, 11])
+        s.split_one()
+        assert s.top().gen.has_next()
+        assert s.top().gen.next() == 11
 
     def test_empty_stack(self):
-        assert split_one_inlined([]) == ([], -1)
+        assert GeneratorStack().split_one() is None
 
 
 class TestSplitLowest:
@@ -121,6 +123,6 @@ class TestPathKeys:
         # node's sibling path — the total traversal order — exactly.
         s = stack_of([1, 2], [3, 4], [5])
         collected = []
-        while (keys := s.split_lowest()[2]):
-            collected += keys
+        while (split := s.split_one()) is not None:
+            collected.append(split[2])
         assert collected == [(0,), (1,), (0, 0), (0, 1), (0, 0, 0)]

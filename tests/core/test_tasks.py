@@ -1,10 +1,10 @@
-"""Tests for the resumable SearchTask state machine and the spawn rules."""
+"""Tests for the resumable SearchTask state machines (every coordination)."""
 
 import pytest
 
 from repro.core.params import SkeletonParams
 from repro.core.searchtypes import Decision, Enumeration, Optimisation
-from repro.core.tasks import DEPTH, SEQ, SearchTask, split_lowest_inlined, split_one_inlined
+from repro.core.tasks import BUDGET, DEPTH, SEQ, STACK, SearchTask
 
 from .conftest import make_toy_spec
 
@@ -160,12 +160,8 @@ class TestDepthBoundedPolicy:
 
 
 class TestBudgetPolicy:
-    """(spawn-budget) as the kernel applies it: a lease splits its
-    stack's lowest frame into its pool every ``budget`` nodes
-    (:func:`repro.runtime.sharing.execute_lease`)."""
-
     def _deep_spec(self):
-        # A left spine with right leaves: the stack is deep at once.
+        # A left spine with right leaves: backtracks accumulate quickly.
         children = {
             "root": ["l1", "r1"],
             "l1": ["l2", "r2"],
@@ -175,75 +171,92 @@ class TestBudgetPolicy:
         nodes = ["root", "l1", "r1", "l2", "r2", "l3", "r3", "l4"]
         return make_toy_spec(children, {n: 1 for n in nodes}, with_bound=False)
 
-    def _lease(self, spec, budget):
-        from repro.runtime.sharing import execute_lease
-        from repro.runtime.workpool import Workpool
-
-        stype = Enumeration()
-        return execute_lease(
-            spec, stype, [spec.root], 0, stype.initial_knowledge(spec), Workpool(),
-            budget=budget, poll=1, demand=lambda: 0, ship=None,
-            bound=lambda: 0, publish=None, should_abort=lambda: False,
-        )
-
     def test_budget_spawns_lowest_and_resets(self):
-        out = self._lease(self._deep_spec(), budget=2)
-        # The trips are every second node, the counter starting afresh
-        # with each subtree popped from the pool.
-        assert out.metrics.spawns >= 2
+        spec = self._deep_spec()
+        stype = Enumeration()
+        params = SkeletonParams(budget=2)
+        task = SearchTask(spec, stype, spec.root, policy=BUDGET, params=params)
+        k = stype.initial_knowledge(spec)
+        spawned = []
+        while not task.finished:
+            before = task.backtracks
+            k, out = task.step(k)
+            if out.spawned:
+                spawned.extend(out.spawned)
+                assert before >= params.budget
+                assert task.backtracks == 0
+        assert spawned, "budget exhaustion must spawn work"
 
     def test_budget_conserves_total_count(self):
-        out = self._lease(self._deep_spec(), budget=1)
-        assert out.knowledge == out.metrics.nodes == 8
+        spec = self._deep_spec()
+        stype = Enumeration()
+        params = SkeletonParams(budget=1)
+        task = SearchTask(spec, stype, spec.root, policy=BUDGET, params=params)
+        k, processed, _ = run_to_completion(task, stype, spec)
+        assert k == 8
 
     def test_huge_budget_never_spawns(self):
-        out = self._lease(self._deep_spec(), budget=10_000)
-        assert out.metrics.spawns == 0
+        spec = self._deep_spec()
+        stype = Enumeration()
+        params = SkeletonParams(budget=10_000)
+        task = SearchTask(spec, stype, spec.root, policy=BUDGET, params=params)
+        _, _, spawned = run_to_completion(task, stype, spec)
+        assert spawned == []
 
 
 class TestStackStealSplit:
-    """(spawn-stack) on the kernel's stack of generators: what a
-    Stack-Stealing lease gives a thief (:func:`split_one_inlined`, or
-    :func:`split_lowest_inlined` when chunked)."""
-
     def _spec(self):
         children = {"root": ["a", "b", "c"], "a": ["aa", "ab"]}
         nodes = ["root", "a", "b", "c", "aa", "ab"]
         return make_toy_spec(children, {n: 1 for n in nodes}, with_bound=False)
 
-    def _started_stack(self, spec):
-        # The root processed and its first child "a" expanded into.
-        root = spec.generator(spec.space, spec.root)
-        assert root.next() == "a"
-        return [root, spec.generator(spec.space, "a")]
+    def _started_task(self, spec, stype):
+        task = SearchTask(spec, stype, spec.root, policy=STACK)
+        k = stype.initial_knowledge(spec)
+        k, _ = task.step(k)  # process root, push its generator
+        k, _ = task.step(k)  # expand into "a"
+        return task, k
 
     def test_split_one_takes_lowest_unexplored(self):
-        stolen, frame = split_one_inlined(self._started_stack(self._spec()))
-        assert stolen == ["b"]
-        assert frame + 1 == 1  # the stolen node's depth
+        spec = self._spec()
+        task, _ = self._started_task(spec, Enumeration())
+        stolen = task.try_split(chunked=False)
+        assert [sp.root for sp in stolen] == ["b"]
+        assert stolen[0].depth == 1
 
     def test_split_chunked_takes_whole_level(self):
-        stolen, _ = split_lowest_inlined(self._started_stack(self._spec()))
-        assert stolen == ["b", "c"]
+        spec = self._spec()
+        task, _ = self._started_task(spec, Enumeration())
+        stolen = task.try_split(chunked=True)
+        assert [sp.root for sp in stolen] == ["b", "c"]
 
     def test_split_before_start_gives_nothing(self):
-        assert split_lowest_inlined([]) == ([], -1)
+        spec = self._spec()
+        task = SearchTask(spec, Enumeration(), spec.root, policy=STACK)
+        assert task.try_split(chunked=True) == []
 
     def test_split_conserves_total_work(self):
-        from repro.core.kernel import search_subtree
-
         spec = self._spec()
-        stack = self._started_stack(spec)
-        stolen, _ = split_lowest_inlined(stack)
-        left = [node for gen in stack for node in gen.drain()]
-        size = lambda node: search_subtree(spec, Enumeration(), node, 1, 0)[2].nodes
-        # root and "a" processed, then what stayed and what was stolen.
-        assert 2 + sum(map(size, left)) + sum(map(size, stolen)) == 6
+        stype = Enumeration()
+        task, k = self._started_task(spec, stype)
+        stolen = task.try_split(chunked=True)
+        # finish the victim
+        while not task.finished:
+            k, out = task.step(k)
+        # run the stolen subtrees
+        for sp in stolen:
+            t = SearchTask(spec, stype, sp.root, policy=STACK, root_depth=sp.depth)
+            while not t.finished:
+                k, out = t.step(k)
+        assert k == 6
 
     def test_split_exhausted_task_gives_nothing(self):
         spec = self._spec()
-        leaf = [spec.generator(spec.space, "b")]
-        assert split_lowest_inlined(leaf) == ([], -1)
+        stype = Enumeration()
+        task = SearchTask(spec, stype, "b", policy=STACK)  # leaf task
+        k = stype.initial_knowledge(spec)
+        k, _ = task.step(k)
+        assert task.try_split(chunked=True) == []
 
 
 class TestChainTreeBudgetRegression:

@@ -111,27 +111,27 @@ class TestDeterminism:
         assert a.metrics.steals == b.metrics.steals
         assert a.per_worker_busy == b.per_worker_busy
 
-    def test_latencies_change_schedule(self):
-        # The schedule is the lease table's, with no randomness in it:
-        # what moves it is when frames arrive.
+    def test_different_seeds_change_schedule(self):
+        # Stack-Stealing picks victims at random, so the seed must be
+        # able to change the schedule (on a 2-locality pool topology the
+        # only remote choice is forced, hence the stack policy here).
         spec = wide_spec(width=4, depth=4)
         params = SkeletonParams(chunked=False)
-        times = [
-            cluster(localities=1, workers=6, steal_latency_local=latency)
-            .run(spec, Enumeration(), STACK, params)
+        times = {
+            cluster(localities=1, workers=6)
+            .run(spec, Enumeration(), STACK, params.with_(seed=s))
             .virtual_time
-            for latency in (1.0, 5.0, 25.0)
-        ]
-        assert times == sorted(set(times))
+            for s in range(8)
+        }
+        assert len(times) > 1  # victim selection actually randomises
 
 
 class TestCoordinationBehaviour:
     def test_depthbounded_spawns_all_nodes_above_cutoff(self):
         spec = wide_spec(width=3, depth=3)
         res = cluster().run(spec, Enumeration(), DEPTH, SkeletonParams(d_cutoff=2))
-        # Phase 1 searches above the cutoff and leases every node at it:
-        # the 3 x 3 at depth 2.
-        assert res.metrics.spawns == 9
+        # nodes at depths 1 and 2: 3 + 9
+        assert res.metrics.spawns == 12
 
     def test_budget_spawn_counts_grow_as_budget_shrinks(self):
         spec = wide_spec(width=4, depth=4)

@@ -35,7 +35,7 @@ def wide_spec(width, depth):
 class TestGuards:
     def test_max_events_exceeded_raises(self):
         spec = wide_spec(4, 4)
-        cluster = SimulatedCluster(Topology(1, 2), max_events=20)  # the run takes 46
+        cluster = SimulatedCluster(Topology(1, 2), max_events=50)
         with pytest.raises(RuntimeError):
             cluster.run(spec, Enumeration(), DEPTH, SkeletonParams(d_cutoff=2))
 

@@ -1,102 +1,76 @@
-"""Delayed incumbent broadcast in simulation (§4.3 knowledge management).
+"""Tests for delayed incumbent broadcast (§4.3 knowledge management)."""
 
-A worker's strict improvement reaches the coordinator as an INCUMBENT
-frame; the lease table decides whether the best moved, and the new best
-reaches every other worker after the broadcast latency of its locality.
-A stale bound only misses pruning, so late and out-of-order arrivals
-are harmless as long as no worker's bound ever goes down.
-"""
-
-import pytest
-
-from repro.core.params import SkeletonParams
 from repro.core.searchtypes import Decision, Incumbent, Optimisation
 from repro.runtime.costmodel import CostModel
-from repro.runtime.executor import SimulatedCluster, _SimRun
+from repro.runtime.knowledge import KnowledgeManager
+from repro.runtime.sim import Simulator
 from repro.runtime.topology import Topology
 
-from tests.conftest import make_toy_spec
 
-
-@pytest.fixture
-def make_run():
-    """A budget job's coordinator and its parked workers, two on each of
-    two localities; worker 0 shares locality 0 with the coordinator."""
-    runs = []
-
-    def make(stype=None):
-        cluster = SimulatedCluster(
-            Topology(localities=2, workers_per_locality=2),
-            CostModel(broadcast_latency_local=1.0, broadcast_latency_remote=10.0),
-        )
-        spec = make_toy_spec({"root": ["a"]}, {"root": 0, "a": 1})
-        run = _SimRun(cluster, spec, stype or Optimisation(), "budget", SkeletonParams())
-        runs.append(run)
-        run._start_workers()
-        return run
-
-    yield make
-    for run in runs:
-        run._close()
-
-
-def bounds(run):
-    return [worker.ctx.bound for worker in run.workers]
+def make_km(stype=None, localities=2, on_goal=None):
+    sim = Simulator()
+    km = KnowledgeManager(
+        stype or Optimisation(),
+        Incumbent(0, "root"),
+        Topology(localities=localities, workers_per_locality=1),
+        CostModel(broadcast_latency_local=1.0, broadcast_latency_remote=10.0),
+        sim,
+        on_goal,
+    )
+    return sim, km
 
 
 class TestBroadcastDelay:
-    def test_publish_updates_global_immediately(self, make_run):
-        run = make_run()
-        run.on_incumbent(0, 5, "x")
-        assert run.driver.best == 5
-        # but no worker has heard it yet
-        assert bounds(run) == [0, 0, 0, 0]
+    def test_publish_updates_global_immediately(self):
+        sim, km = make_km()
+        km.publish(0, Incumbent(5, "x"))
+        assert km.global_best.value == 5
+        # but no locality view has changed yet
+        assert km.view(0).value == 0
+        assert km.view(1).value == 0
 
-    def test_local_view_updates_after_local_latency(self, make_run):
-        run = make_run()
-        run.on_incumbent(0, 5, "x")
-        run.sim.at(2.0, run.sim.stop)  # run past the local latency only
-        run.sim.run()
-        # Worker 0 found it (and is not told); 1 shares locality 0 with
-        # the coordinator, 2 and 3 are remote (latency 10).
-        assert bounds(run) == [0, 5, 0, 0]
+    def test_local_view_updates_after_local_latency(self):
+        sim, km = make_km()
+        km.publish(0, Incumbent(5, "x"))
+        sim.at(2.0, sim.stop)  # run past local latency only
+        sim.run()
+        assert km.view(0).value == 5
+        assert km.view(1).value == 0  # remote latency (10) not reached
 
-    def test_remote_view_updates_after_remote_latency(self, make_run):
-        run = make_run()
-        run.on_incumbent(0, 5, "x")
-        run.sim.run()
-        assert bounds(run)[1:] == [5, 5, 5]
+    def test_remote_view_updates_after_remote_latency(self):
+        sim, km = make_km()
+        km.publish(0, Incumbent(5, "x"))
+        sim.run()
+        assert km.view(1).value == 5
 
-    def test_out_of_order_arrivals_never_regress(self, make_run):
-        run = make_run()
-        run.on_incumbent(0, 5, "x")
-        # Worker 2 finds a weaker one meanwhile: its own bound rises to 3
-        # at once, the 5 reaches it later, and its frame, arriving after
-        # that, is not news.
-        run.workers[2].publish(Incumbent(3, "y"))
-        assert bounds(run)[2] == 3
-        run.sim.run()
-        assert bounds(run)[1:] == [5, 5, 5]
-        assert run.driver.best == 5
-        assert run.driver.metrics.broadcasts == 1
+    def test_out_of_order_arrivals_never_regress(self):
+        sim, km = make_km()
+        km.publish(0, Incumbent(5, "x"))
+        km.publish(1, Incumbent(3, "y"))  # weaker, published elsewhere
+        sim.run()
+        assert km.view(0).value == 5
+        assert km.view(1).value == 5
+        assert km.global_best.value == 5
 
-    def test_broadcast_counter(self, make_run):
-        run = make_run()
-        run.on_incumbent(0, 1, "a")
-        run.on_incumbent(1, 2, "b")
-        run.on_incumbent(2, 2, "c")  # a tie moves nothing
-        assert run.driver.metrics.broadcasts == 2
+    def test_broadcast_counter(self):
+        sim, km = make_km()
+        km.publish(0, Incumbent(1, "a"))
+        km.publish(1, Incumbent(2, "b"))
+        assert km.broadcasts == 2
 
 
 class TestGoalCallback:
-    def test_on_goal_fires_at_target(self, make_run):
-        run = make_run(Decision(target=4))
-        run.on_incumbent(0, 3, "x")
-        assert not run.driver.goal
-        run.on_incumbent(1, 4, "y")
-        assert run.driver.goal and run.leases.over
+    def test_on_goal_fires_at_target(self):
+        hits = []
+        sim, km = make_km(stype=Decision(target=4), on_goal=hits.append)
+        km.publish(0, Incumbent(3, "x"))
+        assert hits == []
+        km.publish(1, Incumbent(4, "y"))
+        assert len(hits) == 1
+        assert hits[0].value == 4
 
-    def test_on_goal_not_fired_for_optimisation(self, make_run):
-        run = make_run()
-        run.on_incumbent(0, 100, "x")
-        assert not run.driver.goal
+    def test_on_goal_not_fired_for_optimisation(self):
+        hits = []
+        sim, km = make_km(on_goal=hits.append)
+        km.publish(0, Incumbent(100, "x"))
+        assert hits == []

@@ -56,7 +56,7 @@ class Transport:
         self.published.append(incumbent)
         self.best = max(self.best, incumbent.value)
 
-    def on_subtree(self, metrics):
+    def on_subtree(self):
         self.subtrees += 1
 
     def run(self, spec, stype, roots, depth, knowledge, **knobs):
@@ -327,8 +327,8 @@ class TestAbandon:
         finished = []  # nodes visited when each pooled subtree started
 
         class Watch(Transport):
-            def on_subtree(self, metrics):
-                super().on_subtree(metrics)
+            def on_subtree(self):
+                super().on_subtree()
                 finished.append(len(visited))
 
         transport = Watch(abort=lambda t: len(visited) >= 300)

@@ -126,3 +126,5 @@ class TestCostModel:
             CostModel(node_cost=0.0)
         with pytest.raises(ValueError):
             CostModel(spawn_cost=-1.0)
+        with pytest.raises(ValueError):
+            CostModel(steal_retry_backoff=10.0, steal_retry_cap=1.0)

@@ -1,4 +1,4 @@
-"""Tests for the order-preserving workpool."""
+"""Tests for the order-preserving workpool disciplines."""
 
 import pytest
 
@@ -6,31 +6,29 @@ from repro.runtime.workpool import Workpool
 
 
 class TestOrderDiscipline:
-    """Order preservation at the thief's end of the pool: the level
-    nearest the root, siblings in spawn order."""
-
     def test_pops_shallowest_first(self):
-        p = Workpool()
+        p = Workpool("order")
         p.push("deep", depth=5)
         p.push("shallow", depth=1)
-        assert p.pop_shallowest() == ["shallow"]
-        assert p.pop_shallowest() == ["deep"]
+        assert p.pop() == "shallow"
+        assert p.pop() == "deep"
 
     def test_ties_by_spawn_order(self):
-        p = Workpool()
+        p = Workpool("order")
         p.push("first", depth=2)
         p.push("second", depth=2)
-        assert p.pop_shallowest() == ["first", "second"]
+        assert p.pop() == "first"
+        assert p.pop() == "second"
 
     def test_preserves_heuristic_order_within_depth(self):
         # Tasks spawned in traversal order come back in traversal order
-        # — the property that deque-based stealing breaks (§2.3) — at
-        # either end of the pool.
-        p = Workpool()
+        # — the property that deque-based stealing breaks (§2.3).
+        p = Workpool("order")
         for i in range(10):
             p.push(f"t{i}", depth=3)
-        assert [p.pop() for _ in range(5)] == [f"t{i}" for i in range(5)]
-        assert p.pop_shallowest() == [f"t{i}" for i in range(5, 10)]
+        assert [p.pop() for _ in range(10)] == [f"t{i}" for i in range(10)]
+
+
 
 
 class TestDepthDiscipline:
@@ -65,6 +63,30 @@ class TestDepthDiscipline:
         assert p.pop_shallowest() == ["d2"]
         assert p.pop_shallowest() == []
         assert not p
+
+    def test_shallowest_level_under_the_order_discipline(self):
+        p = Workpool("order")
+        p.push("deep", depth=5)
+        p.push("a", depth=1)
+        p.push("b", depth=1)
+        assert p.pop_shallowest() == ["a", "b"]
+        assert p.pop() == "deep"
+
+
+class TestLifoDiscipline:
+    def test_most_recent_first(self):
+        p = Workpool("lifo")
+        p.push("old", depth=1)
+        p.push("new", depth=9)
+        assert p.pop() == "new"
+
+
+class TestFifoDiscipline:
+    def test_spawn_order_ignores_depth(self):
+        p = Workpool("fifo")
+        p.push("deep-but-first", depth=9)
+        p.push("shallow-later", depth=0)
+        assert p.pop() == "deep-but-first"
 
 
 class TestCommon:

@@ -226,7 +226,7 @@ class TestVerifyCommand:
     ):
         monkeypatch.setenv("REPRO_VERIFY_MUTATION", "incumbent-ordering")
         code, out = run_cli(
-            "verify", "--backend", "sim", "--seed", "7", "--rounds", "4",
+            "verify", "--backend", "sim", "--seed", "9", "--rounds", "4",
             "--artifacts", str(tmp_path / "arts"),
         )
         assert code == 1

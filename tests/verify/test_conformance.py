@@ -87,7 +87,7 @@ class TestMutationSensitivity:
     so the catching seed below fails every time.
     """
 
-    SEED = 7  # fails at round 1: maxclique(10, ...), Depth-Bounded on 2x2 sim workers
+    SEED = 9  # fails at round 3: knapsack(7, ...) under 3 sim workers
 
     def test_incumbent_ordering_bug_caught_and_shrunk(
         self, monkeypatch, tmp_path
