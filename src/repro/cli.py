@@ -89,8 +89,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="Budget backtrack budget (default 1000)",
     )
     parser.add_argument(
-        "--chunked", action="store_true", default=False,
-        help="Stack-Stealing: steal whole lowest levels",
+        "--chunked", action=argparse.BooleanOptionalAction,
+        default=SkeletonParams().chunked,
+        help="Stack-Stealing: steal whole lowest levels (--no-chunked: "
+        "one node at a time, YewPar's single-node steal)",
     )
     parser.add_argument(
         "--localities", type=int, default=1, help="simulated localities"
@@ -641,7 +643,7 @@ def _cmd_cluster_jobs(args, out) -> int:
 
 
 def _cmd_cluster_worker(args, out) -> int:
-    """Run worker capacity against a coordinator until drained."""
+    """Run worker capacity against a coordinator until retired."""
     from repro.cluster.worker import run_worker
 
     host, port = _parse_addr(args.connect)
@@ -669,7 +671,7 @@ def _cmd_cluster_worker(args, out) -> int:
         return 1
     finally:
         sys.setswitchinterval(previous)
-    print("drained; exiting", file=out)
+    print("retired; exiting", file=out)
     return 0
 
 

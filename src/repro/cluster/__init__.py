@@ -8,7 +8,7 @@ and Ordered coordinations, where work and knowledge move over a wire
 instead of a simulated network or shared memory.
 
 - :mod:`repro.cluster.protocol` — the length-prefixed wire protocol
-  (HELLO/TASK/OFFCUT/INCUMBENT/RESULT/HEARTBEAT/SHUTDOWN …) and the
+  (HELLO/TASK/OFFCUT/INCUMBENT/RESULT/HEARTBEAT/RETIRE …) and the
   node/spec transport codecs; frame bodies are JSON or the compact
   binary format of :mod:`repro.cluster.codec`, negotiated per
   connection in HELLO/WELCOME.
@@ -19,13 +19,14 @@ instead of a simulated network or shared memory.
   held under an epoch (a stale one is refused), the grant round, steal
   mediation, and termination when nothing is queued or held.
 - :mod:`repro.cluster.worker` — worker nodes: the search kernel
-  wrapped in a TCP client with reconnect-with-backoff and graceful
-  drain on SHUTDOWN; ``run_worker`` optionally fans out to several
-  local worker processes.
-- :mod:`repro.cluster.local` — ``cluster_search``: spin up an embedded
-  coordinator plus N localhost worker processes for one search under
-  any cluster coordination (the ``backend="cluster"`` skeleton route
-  and the benchmark driver).
+  wrapped in a TCP client with reconnect-with-backoff, leaving for
+  good on RETIRE (scale-down, or the coordinator closing);
+  ``run_worker`` optionally fans out to several local worker
+  processes.
+- :mod:`repro.cluster.local` — ``job_payload`` and ``cluster_search``:
+  one search under any cluster coordination on a
+  :class:`~repro.deploy.deployment.ClusterDeployment` of N forked
+  localhost workers (the ``backend="cluster"`` skeleton route).
 - :mod:`repro.cluster.backend` — :class:`ClusterBackend`, the service
   :class:`~repro.service.scheduler.Backend` that dispatches scheduler
   jobs cluster-wide (``repro serve --backend cluster``).
@@ -52,7 +53,7 @@ failure model.
 
 from repro.cluster.backend import ClusterBackend
 from repro.cluster.coordinator import ClusterHandle, Coordinator
-from repro.cluster.local import LocalCluster, cluster_search
+from repro.cluster.local import cluster_search
 from repro.cluster.worker import ClusterWorker, run_worker
 
 __all__ = [
@@ -61,6 +62,5 @@ __all__ = [
     "ClusterWorker",
     "run_worker",
     "cluster_search",
-    "LocalCluster",
     "ClusterBackend",
 ]

@@ -1,10 +1,10 @@
 """ClusterBackend: scheduler jobs dispatched cluster-wide.
 
 Implements the service layer's :class:`~repro.service.scheduler.Backend`
-protocol on top of a :class:`~repro.cluster.coordinator.ClusterHandle`,
-so ``repro serve --backend cluster`` runs every queued search across
-whatever workers are connected — local fan-out processes, other
-machines, or both.
+protocol on top of the coordinator of a
+:class:`~repro.deploy.deployment.ClusterDeployment`, so ``repro serve
+--backend cluster`` runs every queued search across whatever workers
+are connected — local fan-out processes, other machines, or both.
 
 Failure translation keeps the scheduler's policy intact end to end:
 
@@ -30,11 +30,10 @@ from typing import Optional
 
 from repro.cluster.coordinator import (
     ClusterError,
-    ClusterHandle,
     ClusterJobCancelled,
     ClusterJobTimeout,
 )
-from repro.cluster.local import LocalCluster, job_knobs, job_payload
+from repro.cluster.local import job_knobs, job_payload
 from repro.core.backends import BACKENDS
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchResult
@@ -68,24 +67,21 @@ class ClusterBackend:
     """Execute scheduler jobs on a cluster coordinator.
 
     Args:
-        handle: an already-started :class:`ClusterHandle` to attach to;
-            None starts an embedded one (owned, shut down by
-            :meth:`close`).
         deployment: an elastic
             :class:`~repro.deploy.deployment.ClusterDeployment` to run
-            over instead; the backend uses (and on :meth:`close`,
-            closes) the deployment's coordinator, and the fleet size is
-            the deployment's business — typically an ``adapt()`` loop
-            fed by the service queue's depth.  Mutually exclusive with
-            ``handle`` and ``local_workers``.
+            over; the backend uses (and on :meth:`close`, closes) the
+            deployment's coordinator, and the fleet size is the
+            deployment's business — typically an ``adapt()`` loop fed
+            by the service queue's depth.  None builds one whose fleet
+            is ``local_workers`` forked workers ``svc-0..``.
         local_workers: fan out this many localhost worker processes
             (0 means external workers are expected to connect).
+            Mutually exclusive with ``deployment``.
         min_workers: block each job until at least this many workers are
             connected (default: ``local_workers`` or 1).
         poll_interval: cancellation poll cadence while a job runs.
-        wire_codec: preferred frame body format for an *embedded*
-            coordinator and the local fan-out workers (an attached
-            handle/deployment keeps its own setting).
+        wire_codec: preferred frame body format for the deployment built
+            here and its workers (a given deployment keeps its own).
     """
 
     # The skeletons a job may name; the scheduler refuses the rest at
@@ -94,7 +90,6 @@ class ClusterBackend:
 
     def __init__(
         self,
-        handle: Optional[ClusterHandle] = None,
         *,
         deployment=None,
         local_workers: int = 0,
@@ -103,27 +98,24 @@ class ClusterBackend:
         poll_interval: float = 0.05,
         wire_codec: str = "binary",
     ) -> None:
-        if deployment is not None and (handle is not None or local_workers):
-            raise ValueError(
-                "pass either a deployment or a handle/local_workers "
-                "topology, not both"
+        if deployment is not None and local_workers:
+            raise ValueError("pass either a deployment or local_workers, not both")
+        if deployment is None:
+            from repro.deploy import ClusterDeployment, WorkerSpec
+
+            deployment = ClusterDeployment(
+                WorkerSpec(name_prefix="svc", wire_codec=wire_codec),
+                wire_codec=wire_codec,
             )
-        # Both own "a coordinator plus worker processes" behind the same
-        # .handle/.close(); only the deployment's fleet changes size.
-        self._cluster = (
-            deployment if deployment is not None
-            else LocalCluster(handle, wire_codec=wire_codec)
-        )
-        self.handle = self._cluster.handle
+            deployment.fork(local_workers)
+        self._deployment = deployment
+        self.handle = deployment.handle
         self.min_workers = (
             min_workers if min_workers is not None else max(1, local_workers)
         )
         self.worker_wait = worker_wait
         self.poll_interval = poll_interval
         self._lock = threading.Lock()
-        for i in range(local_workers):
-            # Forked: a fixed fan-out made here, from the calling thread.
-            self._cluster.start_worker(f"svc-{i}", wire_codec=wire_codec)
 
     def execute(
         self,
@@ -184,6 +176,5 @@ class ClusterBackend:
         return self.handle.load_stats()
 
     def close(self) -> None:
-        """Drain local workers / the deployment and (if owned) stop the
-        coordinator."""
-        self._cluster.close()
+        """Close the deployment: its coordinator and its workers."""
+        self._deployment.close()

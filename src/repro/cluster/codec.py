@@ -78,10 +78,11 @@ class ProtocolError(Exception):
 MAGIC = 0xB1
 
 # Frame-type codes: index into this tuple is the 1-byte type tag.
-# Append-only — renumbering breaks mixed-version clusters.
+# Renumbering breaks mixed-version clusters: it takes a
+# ``PROTOCOL_VERSION`` bump, so that HELLO refuses the other version.
 FRAME_TYPES = (
     "HELLO", "WELCOME", "JOB", "TASK", "OFFCUT", "INCUMBENT", "RESULT",
-    "RELEASE", "HEARTBEAT", "JOB_DONE", "RETIRE", "SHUTDOWN", "BYE", "ERROR",
+    "RELEASE", "HEARTBEAT", "JOB_DONE", "RETIRE", "BYE", "ERROR",
     "STEAL", "STOLEN",
 )
 _TYPE_INDEX = {name: i for i, name in enumerate(FRAME_TYPES)}

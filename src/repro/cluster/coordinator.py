@@ -205,12 +205,14 @@ class Coordinator:
         self._watchdog_task = asyncio.create_task(self._watchdog())
 
     async def stop(self, *, drain_workers: bool = True) -> None:
-        """Stop serving.  With ``drain_workers`` a SHUTDOWN is broadcast
-        first so workers finish their current task and exit cleanly."""
+        """Stop serving.  With ``drain_workers`` every worker is sent
+        RETIRE first, so it says BYE and exits for good instead of
+        reconnecting.  A worker that joins while this runs is sent
+        RETIRE either way."""
         self.shutting_down = True
         if drain_workers:
             for worker in list(self.workers.values()):
-                self._post(worker, {"type": P.SHUTDOWN})
+                self._retire(worker)
         if self._watchdog_task is not None:
             self._watchdog_task.cancel()
         if self._server is not None:
@@ -281,11 +283,7 @@ class Coordinator:
         """
         for worker in self.workers.values():
             if worker.name == name and worker.alive:
-                if not worker.retiring:
-                    worker.retiring = True
-                    if self._job is not None:
-                        self._job.leases.retire(worker.id)
-                    self._post(worker, {"type": P.RETIRE})
+                self._retire(worker)
                 return True
         # Not connected (yet).  Remember the request: a worker that was
         # still starting up when it was retired must join as retiring,
@@ -293,6 +291,14 @@ class Coordinator:
         # and says BYE holding it.
         self._retire_on_join.add(name)
         return False
+
+    def _retire(self, worker: WorkerConn) -> None:
+        """Lease ``worker`` nothing more and send it RETIRE (once)."""
+        if not worker.retiring:
+            worker.retiring = True
+            if self._job is not None:
+                self._job.leases.retire(worker.id)
+            self._post(worker, {"type": P.RETIRE})
 
     # -- job execution ------------------------------------------------------
 
@@ -388,28 +394,28 @@ class Coordinator:
             })
             # Everything after the WELCOME speaks the negotiated codec.
             worker.codec = P.get_codec(codec_name)
-            if worker.name in self._retire_on_join:
-                worker.retiring = True
-                self._post(worker, {"type": P.RETIRE})
+            if self.shutting_down or worker.name in self._retire_on_join:
+                self._retire(worker)
             job = self._job
             if job is not None and not worker.retiring:
                 job.leases.join(worker.id, worker.slots)
-            if self.shutting_down:
-                self._post(worker, {"type": P.SHUTDOWN})
-            elif job is not None:
                 self._post(worker, job.job_message())
             self._worker_event.set()
             self._pump()
+            severed = False
             while worker.alive:
                 msg = await self._read_frame(reader)
                 if msg is None:
                     break
                 # Fault injection: a partitioned worker's frames vanish
                 # before they can refresh liveness, so the watchdog
-                # re-leases exactly as it would for a severed link.
-                if self._faults is not None and self._faults.drop_inbound(
-                    worker.name, msg["type"]
+                # re-leases exactly as it would for a severed link.  TCP
+                # never loses a frame and delivers the next, so neither
+                # does a link that lost one: it stays severed.
+                if self._faults is not None and (
+                    self._faults.drop_inbound(worker.name, msg["type"]) or severed
                 ):
+                    severed = True
                     continue
                 worker.last_seen = time.monotonic()
                 if msg["type"] == P.BYE:

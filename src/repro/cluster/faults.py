@@ -37,7 +37,8 @@ Event dicts (JSON-able, so plans travel through process-spawn args):
 - ``{"kind": "partition", "worker": NAME, "after_frames": K,
   "count": C}`` — coordinator-side: drop inbound frames ``K+1 .. K+C``
   from that worker (counted across reconnects), simulating a severed
-  link.  The watchdog declares the worker dead and re-leases its tasks;
+  link: the connection that lost a frame counts nothing more.  The
+  watchdog declares the worker dead and re-leases its tasks;
   once the drop budget is spent the link "heals" and the worker may
   rejoin.
 

@@ -12,14 +12,16 @@ so the ``backend="cluster"`` skeleton route (:func:`run_skeleton`, the
 and the verify harness can exercise the genuine wire path without
 shell choreography.
 
-The topology it builds::
+The topology it builds is a
+:class:`~repro.deploy.deployment.ClusterDeployment`, the one owner of
+a coordinator and its local worker processes::
 
     this process ── ClusterHandle (coordinator on a loop thread)
          │                 ▲ TCP (127.0.0.1, ephemeral port)
-         └─ fork ──► worker process 1..N (ClusterWorker each)
+         └─ fork ──► worker process local-0..N-1 (ClusterWorker each)
 
-Workers are stopped with a SHUTDOWN drain first and the
-SIGTERM -> SIGKILL escalation as the backstop.
+Workers are sent away with RETIRE first and the SIGTERM -> SIGKILL
+escalation as the backstop.
 """
 
 from __future__ import annotations
@@ -27,20 +29,16 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.cluster import protocol as P
-from repro.cluster.coordinator import ClusterHandle
 from repro.cluster.faults import CoordinatorFaults
-from repro.cluster.worker import start_worker_process
 from repro.core.backends import backend_for
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchResult
 from repro.core.searchtypes import SearchType
-from repro.runtime.fleet import graceful_stop
 from repro.runtime.worker import JOB_KNOBS, job_knobs, stype_payload
 
 __all__ = [
     "JOB_KNOBS",
     "job_knobs",
-    "LocalCluster",
     "job_payload",
     "cluster_search",
     "run_skeleton",
@@ -87,48 +85,6 @@ def job_payload(
     }
 
 
-class LocalCluster:
-    """A coordinator and the local worker processes started against it:
-    the one bring-up and tear-down under :func:`cluster_search`,
-    ``ClusterBackend(local_workers=...)`` and
-    :class:`~repro.deploy.deployment.ClusterDeployment`.
-
-    ``handle`` attaches to an already-started :class:`ClusterHandle`
-    (left running by :meth:`close`); by default one is created from the
-    ``coordinator`` keywords, started, and shut down by :meth:`close`.
-    """
-
-    def __init__(
-        self, handle: Optional[ClusterHandle] = None, **coordinator: Any
-    ) -> None:
-        self._owns_handle = handle is None
-        if handle is None:
-            handle = ClusterHandle(**coordinator)
-            try:
-                handle.start()
-            except BaseException:
-                handle.shutdown(drain_workers=False)  # stops the loop thread
-                raise
-        self.handle = handle
-        self.procs: dict = {}  # worker name -> process
-
-    def start_worker(self, name: str, **worker: Any) -> None:
-        """Start the worker process ``name`` (keywords as for
-        :func:`~repro.cluster.worker.start_worker_process`)."""
-        host, port = self.handle.address
-        self.procs[name] = start_worker_process(host, port, name, **worker)
-
-    def close(self, *, timeout: float = 10.0) -> None:
-        """Drain the workers (SHUTDOWN first, the SIGTERM -> SIGKILL
-        escalation as the backstop) and stop an owned coordinator."""
-        if self._owns_handle:
-            self.handle.shutdown(drain_workers=True, timeout=timeout)
-        for proc in self.procs.values():
-            proc.join(timeout=3.0)
-            graceful_stop(proc, grace=1.0)
-        self.procs.clear()
-
-
 def cluster_search(
     spec_factory: Callable[..., Any],
     factory_args: tuple,
@@ -162,29 +118,27 @@ def cluster_search(
     also tighten ``heartbeat_interval``/``heartbeat_timeout`` so
     re-leases happen within test budgets.
     """
+    from repro.deploy import ClusterDeployment, WorkerSpec
+
     if n_workers < 1:
         raise ValueError("need at least one cluster worker")
     payload = job_payload(
         spec_factory, factory_args, stype, coordination=coordination, **knobs
     )
-    events = list((fault_plan or {}).get("events", []))
-    cluster = LocalCluster(
+    events = tuple((fault_plan or {}).get("events", ()))
+    with ClusterDeployment(
+        WorkerSpec(
+            name_prefix="local", give_up_after=15.0, wire_codec=wire_codec,
+            chaos_events=events or None,
+        ),
         heartbeat_interval=heartbeat_interval,
         heartbeat_timeout=heartbeat_timeout,
         wire_codec=wire_codec,
-        faults=CoordinatorFaults(events) if events else None,
-    )
-    try:
-        for i in range(n_workers):
-            # Forked: a fixed fan-out made here, from the calling thread.
-            cluster.start_worker(
-                f"local-{i}", give_up_after=15.0,
-                chaos_events=events or None, wire_codec=wire_codec,
-            )
-        cluster.handle.wait_for_workers(n_workers, timeout=worker_join_timeout)
-        return cluster.handle.run_job(payload, timeout=timeout)
-    finally:
-        cluster.close()
+        coordinator_faults=CoordinatorFaults(events) if events else None,
+    ) as cluster:
+        cluster.fork(n_workers)
+        cluster.wait_for_workers(n_workers, timeout=worker_join_timeout)
+        return cluster.run_job(payload, timeout=timeout)
 
 
 def run_skeleton(

@@ -35,8 +35,7 @@ TASK       c -> w      lease subtrees: up to ``slots`` ``[id, epoch, [node,
                        in the frontier the worker walked for itself at JOB,
                        ``of`` that frontier's size (see *Ordered runs*)
 OFFCUT     w -> c      unsolicited hand-over: the unstarted subtrees of a
-                       retiring or draining worker's pool, one frame per
-                       depth
+                       retiring worker's pool, one frame per depth
 STEAL      c -> w      an idle worker needs work: give some away and answer
                        with a STOLEN frame (budget and stacksteal jobs)
 STOLEN     w -> c      steal answer: every other node of the shallowest
@@ -58,11 +57,10 @@ HEARTBEAT  w -> c      liveness (any frame also refreshes the deadline, so
                        workers suppress it while other traffic flows), and
                        ``pool``: the subtrees in the worker's own pool
 JOB_DONE   c -> w      job over (result known / cancelled): drop its state
-RETIRE     c -> w      scale-down drain: hand the pool back (OFFCUT), finish
-                       the subtree in hand, RELEASE the leases not started,
-                       say BYE, exit (no new leases arrive)
-SHUTDOWN   c -> w      drain: hand the pool back (OFFCUT), finish the leases
-                       held, say BYE, exit for good (never reconnect)
+RETIRE     c -> w      leave (scale-down, or the coordinator closing): hand
+                       the pool back (OFFCUT), finish the subtree in hand,
+                       RELEASE the leases not started, say BYE, exit for
+                       good (no new leases arrive, never reconnect)
 BYE        w -> c      orderly goodbye; the connection closes after it
 ERROR      both        c -> w: protocol violation report before disconnect;
                        w -> c, with ``job``: this worker cannot run that job
@@ -70,8 +68,7 @@ ERROR      both        c -> w: protocol violation report before disconnect;
                        raised, its frontier differs), so fail it
 ========== =========== ====================================================
 
-``RETIRE`` differs from ``SHUTDOWN`` in what happens to leases the
-worker holds but has not *started*: a retiring worker hands them back
+A retiring worker hands the leases it holds but has not *started* back
 in a ``RELEASE`` frame (``tasks: [[id, epoch], ...]``) so the
 coordinator can re-lease them under a bumped epoch — the same epoch
 machinery that recovers a crashed worker's leases, but initiated
@@ -179,7 +176,6 @@ __all__ = [
     "HEARTBEAT",
     "JOB_DONE",
     "RETIRE",
-    "SHUTDOWN",
     "BYE",
     "ERROR",
 ]
@@ -187,8 +183,9 @@ __all__ = [
 # The one version both sides speak: coordination-aware JOBs, batched
 # TASK leases of several roots each (runs of sequence numbers for
 # ordered jobs, answered in column blocks), STEAL/STOLEN, codec
-# negotiation.  A HELLO with any other version is refused.
-PROTOCOL_VERSION = 5
+# negotiation, and RETIRE as the one way a worker is sent away.  A
+# HELLO with any other version is refused.
+PROTOCOL_VERSION = 6
 
 # One frame must hold a message-sized payload (a task node, an offcut
 # batch), never a bulk transfer; anything bigger than this is a protocol
@@ -208,7 +205,6 @@ RELEASE = "RELEASE"
 HEARTBEAT = "HEARTBEAT"
 JOB_DONE = "JOB_DONE"
 RETIRE = "RETIRE"
-SHUTDOWN = "SHUTDOWN"
 BYE = "BYE"
 ERROR = "ERROR"
 

@@ -22,7 +22,7 @@ Threading model (per connection):
 
 - the **receiver** thread reads frames and updates cheap shared state:
   the current job context, the local task queue, the pruning bound (a
-  plain int — atomic to read under the GIL), and the drain/done flags;
+  plain int — atomic to read under the GIL), and the retire/done flags;
 - the **heartbeat** thread sends HEARTBEAT at the interval the
   coordinator announced in WELCOME;
 - the **main** thread runs the search loop, so incumbent updates and
@@ -36,14 +36,14 @@ stale.  The worker then reconnects with *capped, jittered* exponential
 backoff: the delay doubles up to ``reconnect_max`` and each sleep is
 scaled by a random factor in [0.5, 1.0], so a churning fleet of
 respawned workers neither stalls for minutes on an unbounded backoff
-nor reconnects in thundering-herd lockstep.  SHUTDOWN triggers a
-graceful drain: hand the pool back (OFFCUT), finish the leased work,
-send the RESULTs, say BYE — and never reconnect, whichever of BYE and
-the closing coordinator's EOF comes first.  RETIRE (elastic scale-down,
-see :mod:`repro.deploy`) is stricter: hand the pool back, finish only
-the subtree already *in hand*, hand every unstarted lease back in a
-RELEASE frame so the coordinator re-leases it under a bumped epoch,
-then BYE and exit for good — no reconnect.
+nor reconnects in thundering-herd lockstep.  A session that ends
+before its WELCOME (a refused handshake) counts as a refused connect:
+same backoff, same ``give_up_after``.  RETIRE is the one way to leave,
+sent on elastic scale-down (see :mod:`repro.deploy`) and by a closing
+coordinator: hand the pool back (OFFCUT), finish only the subtree
+already *in hand*, hand every unstarted lease back in a RELEASE frame
+so the coordinator re-leases it under a bumped epoch, then BYE and exit
+for good — never reconnect, however the session then ends.
 
 ``run_worker`` is the process-level entry: one in-process worker, or a
 fan-out of several local worker processes (each a full ClusterWorker)
@@ -75,7 +75,7 @@ __all__ = ["ClusterWorker", "run_worker", "start_worker_process"]
 
 
 class ClusterWorker(Worker):
-    """One worker node.  ``run()`` blocks until drained or stopped.
+    """One worker node.  ``run()`` blocks until retired or stopped.
 
     Args:
         host/port: the coordinator's address.
@@ -83,12 +83,6 @@ class ClusterWorker(Worker):
         stop_event: optional ``threading.Event``; when set the worker
             abandons its current task and exits at the next poll (the
             SIGTERM hook for process fan-out).
-        slots: concurrent leases to ask the coordinator for (leases
-            beyond the one being searched sit in the local queue as
-            prefetch; a RETIRE hands them back untouched).  The default
-            of 2 double-buffers: while one task runs, its successor is
-            already local, so finishing a task never stalls on a
-            RESULT -> TASK round trip.
         wire_codec: preferred body format, offered in HELLO (the
             coordinator's own preference wins if this worker offers
             it).  ``"json"`` offers *only* JSON — the debugging veto.
@@ -102,6 +96,12 @@ class ClusterWorker(Worker):
             operation.
     """
 
+    # Concurrent leases asked for in HELLO.  Leases beyond the one being
+    # searched sit in the local queue as prefetch (a RETIRE hands them
+    # back untouched); two double-buffer, so finishing a task never
+    # stalls on a RESULT -> TASK round trip.
+    SLOTS = 2
+
     def __init__(
         self,
         host: str,
@@ -109,7 +109,6 @@ class ClusterWorker(Worker):
         *,
         name: Optional[str] = None,
         stop_event: Optional[threading.Event] = None,
-        slots: int = 2,
         wire_codec: str = "binary",
         reconnect_initial: float = 0.1,
         reconnect_max: float = 2.0,
@@ -124,7 +123,6 @@ class ClusterWorker(Worker):
         self.name = name or f"worker-{socket.gethostname()}"
         self._faults = faults
         self.stop_event = stop_event
-        self.slots = max(1, int(slots))
         self.wire_codec = P.get_codec(wire_codec).name
         self.reconnect_initial = reconnect_initial
         self.reconnect_max = reconnect_max
@@ -148,7 +146,6 @@ class ClusterWorker(Worker):
         self._local_q: queue.Queue = queue.Queue()
         self._ctx: Optional[WorkerJob] = None  # the last JOB's
         self._lease: tuple = (None, None)  # task id and epoch in hand
-        self._drain = False
         self._retire = False
         self._codec = None  # negotiated in WELCOME; None => JSON
         # The unanswered STEAL frame, if any (written by the receiver
@@ -173,8 +170,7 @@ class ClusterWorker(Worker):
 
     def run(self) -> None:
         """Connect (and reconnect with capped, jittered exponential
-        backoff) until a graceful drain/retire completes or the stop
-        event fires."""
+        backoff) until a retire completes or the stop event fires."""
         backoff = self.reconnect_initial
         last_contact = time.monotonic()
         while not self._finished and not self._stopped():
@@ -183,46 +179,51 @@ class ClusterWorker(Worker):
                     (self.host, self.port), timeout=self.connect_timeout
                 )
             except OSError:
-                if (
-                    self.give_up_after is not None
-                    and time.monotonic() - last_contact > self.give_up_after
-                ):
-                    raise ConnectionError(
-                        f"no coordinator at {self.host}:{self.port} for "
-                        f"{self.give_up_after:.1f}s; giving up"
-                    ) from None
-                delay = self.reconnect_delay(backoff)
-                if self.stop_event is not None:
-                    self.stop_event.wait(delay)
-                else:
-                    time.sleep(delay)
-                backoff = min(backoff * 2, self.reconnect_max)
-                continue
-            backoff = self.reconnect_initial
-            try:
-                self._session(sock)
-            except (ConnectionError, OSError, P.ProtocolError):
-                pass  # session died: reconnect (leases reassigned by epoch)
-            if self._drain:
-                # SHUTDOWN was the coordinator closing: however the
-                # session then ended (BYE sent, or EOF first), there is
-                # nothing to reconnect to.
-                self._finished = True
-            last_contact = time.monotonic()
+                pass  # refused: back off below
+            else:
+                try:
+                    self._session(sock)
+                except (ConnectionError, OSError, P.ProtocolError):
+                    pass  # session died: reconnect (leases reassigned by epoch)
+                if self._retire:
+                    # Told to leave: however the session then ended (BYE
+                    # sent, or EOF first), there is nothing to come back to.
+                    self._finished = True
+                if self._codec is not None:
+                    # Welcomed (the codec is negotiated there): a
+                    # coordinator was reached.  A handshake it refused
+                    # backs off like a refused connect.
+                    backoff = self.reconnect_initial
+                    last_contact = time.monotonic()
+                    continue
+            if (
+                self.give_up_after is not None
+                and time.monotonic() - last_contact > self.give_up_after
+            ):
+                raise ConnectionError(
+                    f"no coordinator at {self.host}:{self.port} for "
+                    f"{self.give_up_after:.1f}s; giving up"
+                )
+            delay = self.reconnect_delay(backoff)
+            if self.stop_event is not None:
+                self.stop_event.wait(delay)
+            else:
+                time.sleep(delay)
+            backoff = min(backoff * 2, self.reconnect_max)
 
     def _session(self, sock: socket.socket) -> None:
         """One connection lifetime: handshake, then search until EOF,
-        drain, or stop."""
+        retire, or stop."""
+        self._new_session(sock)  # the HELLO below goes out as JSON
         self.sessions += 1
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._new_session(sock)  # the HELLO below goes out as JSON
 
         sock.settimeout(self.connect_timeout)
         self._send({
             "type": P.HELLO,
             "version": P.PROTOCOL_VERSION,
             "name": self.name,
-            "slots": self.slots,
+            "slots": self.SLOTS,
             "codecs": P.offered_codecs(self.wire_codec),
         })
         welcome = P.read_frame(sock)
@@ -241,8 +242,8 @@ class ClusterWorker(Worker):
         recv.start()
         beat.start()
         try:
-            # The lease loop, until session death, stop, a completed
-            # drain, or a retire handback (BYE sent).
+            # The lease loop, until session death, stop, or a retire
+            # handback (BYE sent).
             self.serve()
         finally:
             self._session_dead.set()
@@ -353,8 +354,6 @@ class ClusterWorker(Worker):
                 # must recover what the handback would have returned.
                 self._faults.on_retire()
             self._retire = True
-        elif mtype == P.SHUTDOWN:
-            self._drain = True
         elif mtype == P.ERROR:
             # The coordinator rejected something we sent; surface the
             # reason (diagnosis only — the session keeps running, and
@@ -396,11 +395,6 @@ class ClusterWorker(Worker):
             try:
                 ctx, task_id, epoch, work = self._local_q.get(timeout=0.05)
             except queue.Empty:
-                if self._drain:
-                    # Drain complete: no leases left to finish.
-                    self._say_bye()
-                    self._finished = True
-                    return None
                 continue
             if ctx.done or ctx is not self._ctx:
                 continue
@@ -417,10 +411,9 @@ class ClusterWorker(Worker):
         return {"type": mtype, "job": self.job.id, "task": task_id, "epoch": epoch, **fields}
 
     def demand(self) -> int:
-        # A waiting STEAL is the starving peer; a RETIRE or SHUTDOWN
-        # hands the whole pool back, so only the subtree in hand is
-        # finished here.
-        if self.pool and (self._retire or self._drain):
+        # A waiting STEAL is the starving peer; a RETIRE hands the
+        # whole pool back, so only the subtree in hand is finished here.
+        if self.pool and self._retire:
             return FLUSH
         return self._steal_req is not None
 
@@ -535,8 +528,7 @@ class ClusterWorker(Worker):
 
 
 def _worker_process_main(
-    host, port, name, give_up_after, chaos_events=None, slots=2,
-    wire_codec="binary",
+    host, port, name, give_up_after, chaos_events=None, wire_codec="binary",
 ) -> None:
     """Entry point of one fanned-out worker process.
 
@@ -552,8 +544,7 @@ def _worker_process_main(
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
     sys.setswitchinterval(WORKER_SWITCH_INTERVAL)
     worker = ClusterWorker(
-        host, port, name=name, stop_event=stop, slots=slots,
-        wire_codec=wire_codec, give_up_after=give_up_after,
+        host, port, name=name, stop_event=stop, wire_codec=wire_codec, give_up_after=give_up_after,
         faults=WorkerFaults.from_events(chaos_events, name),
     )
     try:
@@ -569,7 +560,6 @@ def start_worker_process(
     *,
     give_up_after: Optional[float] = None,
     chaos_events: Optional[list] = None,
-    slots: int = 2,
     wire_codec: str = "binary",
     spawn: bool = False,
 ):
@@ -587,12 +577,12 @@ def start_worker_process(
     immunity to that whole class of deadlock.
 
     ``give_up_after`` bounds orphan spin if the starter dies before it
-    drains the worker: the worker stops retrying on its own.
+    retires the worker: the worker stops retrying on its own.
     """
     ctx = multiprocessing.get_context("spawn") if spawn else multiprocessing
     proc = ctx.Process(
         target=_worker_process_main,
-        args=(host, port, name, give_up_after, chaos_events, slots, wire_codec),
+        args=(host, port, name, give_up_after, chaos_events, wire_codec),
         daemon=True,
     )
     proc.start()
@@ -614,7 +604,7 @@ def run_worker(
     With ``processes == 1`` the worker runs in this process.  With more,
     each becomes its own OS process (its own interpreter, so searches
     run truly in parallel) and this call supervises them: it returns
-    when all children exit (drain) and stops them with the
+    when all children exit (retired) and stops them with the
     SIGTERM -> SIGKILL escalation on interrupt.
     """
     if processes < 1:

@@ -1,10 +1,12 @@
-"""Elastic cluster deployment: a coordinator plus a self-scaling fleet.
+"""Cluster deployment: a coordinator plus its local worker processes.
 
-:class:`ClusterDeployment` is a
-:class:`~repro.cluster.local.LocalCluster` — an embedded
-:class:`~repro.cluster.coordinator.ClusterHandle` and a set of worker
-subprocesses, what :func:`~repro.cluster.local.cluster_search` brings
-up for one job — whose fleet is *mutable*:
+:class:`ClusterDeployment` is the one owner of an embedded
+:class:`~repro.cluster.coordinator.ClusterHandle` and the worker
+subprocesses started against it, each stamped from the deployment's
+:class:`~repro.deploy.spec.WorkerSpec`.  A fixed fan-out
+(:func:`~repro.cluster.local.cluster_search`,
+``ClusterBackend(local_workers=n)``) forks its workers once with
+:meth:`fork`; an elastic fleet is *mutable*:
 
 - :meth:`scale` converges the fleet to an exact size, spawning workers
   stamped from the :class:`~repro.deploy.spec.WorkerSpec` or retiring
@@ -36,7 +38,8 @@ from typing import Any, Callable, Optional
 
 from repro.cluster.coordinator import ClusterHandle
 from repro.cluster.faults import CoordinatorFaults
-from repro.cluster.local import LocalCluster, job_payload
+from repro.cluster.local import job_payload
+from repro.cluster.worker import start_worker_process
 from repro.core.results import SearchResult
 from repro.core.searchtypes import SearchType
 from repro.deploy.adaptive import Adaptive, LoadSignals
@@ -47,18 +50,14 @@ __all__ = ["ClusterDeployment", "elastic_budget_search"]
 
 
 class ClusterDeployment:
-    """A coordinator and an elastically-sized fleet of worker processes.
+    """A coordinator and the fleet of worker processes started against it.
 
     Args:
         spec: template for fleet workers (default :class:`WorkerSpec`).
-        handle: an already-*started* :class:`ClusterHandle` to attach
-            to; by default the deployment creates and owns one (started
-            immediately, closed by :meth:`close`).
         host/port, heartbeat_interval, heartbeat_timeout, wire_codec:
-            forwarded to the owned coordinator (ignored when ``handle``
-            is given).
-        coordinator_faults: optional coordinator-side chaos hooks for
-            the owned coordinator.
+            for the coordinator, started here and stopped by
+            :meth:`close`.
+        coordinator_faults: optional coordinator-side chaos hooks.
         metrics: optional :class:`~repro.service.metrics.ServiceMetrics`
             sink; the deployment records every spawn/retire and keeps
             the live fleet size in it.
@@ -70,7 +69,6 @@ class ClusterDeployment:
         self,
         spec: Optional[WorkerSpec] = None,
         *,
-        handle: Optional[ClusterHandle] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         heartbeat_interval: float = 0.5,
@@ -81,8 +79,7 @@ class ClusterDeployment:
         on_event: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.spec = spec if spec is not None else WorkerSpec()
-        self._cluster = LocalCluster(
-            handle,
+        self.handle = ClusterHandle(
             host=host,
             port=port,
             heartbeat_interval=heartbeat_interval,
@@ -90,12 +87,16 @@ class ClusterDeployment:
             wire_codec=wire_codec,
             faults=coordinator_faults,
         )
-        self.handle = self._cluster.handle
+        try:
+            self.handle.start()
+        except BaseException:
+            self.handle.shutdown(drain_workers=False)  # stops the loop thread
+            raise
         self.metrics = metrics
         self._on_event = on_event
         self._lock = threading.RLock()
         # name -> live-ish process
-        self._procs: dict = self._cluster.procs  # guarded-by: _lock
+        self._procs: dict = {}  # guarded-by: _lock
         self._retiring: set[str] = set()  # guarded-by: _lock
         self._next_index = 0  # guarded-by: _lock
         self.workers_spawned = 0  # guarded-by: _lock
@@ -186,25 +187,33 @@ class ClusterDeployment:
         if self.metrics is not None:
             self.metrics.set_fleet_size(size)
 
-    def _spawn_one(self) -> str:  # repro: holds[_lock]
+    def _start_one(self, *, spawn: bool) -> None:  # repro: holds[_lock]
+        """Start the next worker stamped from the spec (see
+        :func:`~repro.cluster.worker.start_worker_process` on ``spawn``)."""
         spec = self.spec
         name = spec.worker_name(self._next_index)
         self._next_index += 1
-        # Spawned, not forked: scale() also runs on the adapt thread.
-        self._cluster.start_worker(
+        self._procs[name] = start_worker_process(
+            *self.handle.address,
             name,
             give_up_after=spec.give_up_after,
             chaos_events=list(spec.chaos_events) if spec.chaos_events else None,
-            slots=spec.slots,
             wire_codec=spec.wire_codec,
-            spawn=True,
+            spawn=spawn,
         )
         self.workers_spawned += 1
         if self.metrics is not None:
             self.metrics.worker_spawned()
         self._record_fleet()
         self._event(f"spawned {name}")
-        return name
+
+    def fork(self, n: int) -> None:
+        """Fork ``n`` more workers: a fixed fan-out, made once from the
+        calling thread.  A fleet that :meth:`scale` grows spawns them
+        instead, since it also runs on the adapt thread."""
+        with self._lock:
+            for _ in range(n):
+                self._start_one(spawn=False)
 
     def _retire_one(self, name: str) -> None:  # repro: holds[_lock]
         self._retiring.add(name)
@@ -234,7 +243,7 @@ class ClusterDeployment:
             ]
             if len(active) < n:
                 for _ in range(n - len(active)):
-                    self._spawn_one()
+                    self._start_one(spawn=True)
             elif len(active) > n:
                 # Youngest first: survivors are always the oldest
                 # (lowest-index) workers, which keeps retire targeting
@@ -341,24 +350,30 @@ class ClusterDeployment:
     def run_job(
         self, payload: dict, *, timeout: Optional[float] = None
     ) -> SearchResult:
-        """Run one job on the owned coordinator (blocking)."""
+        """Run one job on the coordinator (blocking)."""
         return self.handle.run_job(payload, timeout=timeout)
 
     def run_job_future(self, payload: dict, *, timeout: Optional[float] = None):
-        """Submit one job to the owned coordinator; returns a future."""
+        """Submit one job to the coordinator; returns a future."""
         return self.handle.run_job_future(payload, timeout=timeout)
 
     # -- teardown ------------------------------------------------------------
 
     def close(self, *, timeout: float = 10.0) -> None:
-        """Stop adapting, drain the fleet and (if owned) the handle."""
+        """Stop adapting, stop the coordinator (every worker is sent
+        RETIRE first) and reap the fleet, with the SIGTERM -> SIGKILL
+        escalation as the backstop."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         self.stop_adapting()
+        self.handle.shutdown(drain_workers=True, timeout=timeout)
         with self._lock:
-            self._cluster.close(timeout=timeout)
+            for proc in self._procs.values():
+                proc.join(timeout=3.0)
+                graceful_stop(proc, grace=1.0)
+            self._procs.clear()
             self._retiring.clear()
             self._record_fleet()
 
@@ -416,7 +431,6 @@ def elastic_budget_search(
     events = list((fault_plan or {}).get("events", []))
     spec = WorkerSpec(
         name_prefix="deploy",
-        slots=2,  # prefetch one: retiring workers hold leases to hand back
         give_up_after=15.0,
         wire_codec=wire_codec,
         chaos_events=tuple(events) if events else None,

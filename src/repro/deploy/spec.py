@@ -3,15 +3,12 @@
 A :class:`WorkerSpec` is the deployment's template for spawning
 `cluster-worker` processes — the dask ``SpecCluster`` idea reduced to
 what this runtime needs: every worker in the fleet is stamped from one
-spec (name prefix + monotone index, lease slots, give-up budget), so
+spec (name prefix + monotone index, give-up budget, wire codec), so
 scaling is just "spawn another one of these" / "retire one of these".
 
-The spec also carries the optional chaos-event list so fault plans ride
-into elastically-spawned workers exactly as they do into the fixed
-fan-out of :func:`repro.cluster.local.cluster_search`.  The process
-itself is started by
-:func:`repro.cluster.worker.start_worker_process`, like every other
-local cluster worker.
+The spec also carries the optional chaos-event list, so fault plans
+ride into the workers of every deployment, the fixed fan-out of
+:func:`repro.cluster.local.cluster_search` and the elastic fleet alike.
 """
 
 from __future__ import annotations
@@ -31,10 +28,6 @@ class WorkerSpec:
             monotone index — names never recycle, so coordinator
             diagnostics and chaos plans address workers unambiguously
             across respawns.
-        slots: concurrent leases each worker asks for (>1 enables task
-            prefetch; unstarted prefetched leases are what a RETIRE
-            hands back).  Defaults to 2 — double-buffering, so the hot
-            loop never stalls on a RESULT -> TASK round trip.
         give_up_after: seconds a worker keeps retrying an unreachable
             coordinator before exiting on its own — bounds orphan spin
             if the deployment dies without draining.
@@ -47,7 +40,6 @@ class WorkerSpec:
     """
 
     name_prefix: str = "deploy"
-    slots: int = 2
     give_up_after: Optional[float] = 30.0
     wire_codec: str = "binary"
     chaos_events: Optional[tuple] = None

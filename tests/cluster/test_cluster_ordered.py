@@ -17,11 +17,12 @@ import pytest
 
 from repro.cluster import protocol as P
 from repro.cluster.coordinator import Coordinator
-from repro.cluster.local import LocalCluster, cluster_search, job_payload
+from repro.cluster.local import cluster_search, job_payload
 from repro.core.ordered import ordered_reference_search
 from repro.core.results import validate_result
 from repro.core.searchtypes import make_search_type
 from repro.core.sequential import sequential_search
+from repro.deploy import ClusterDeployment, WorkerSpec
 from repro.instances.library import library_spec_factory, spec_for
 from repro.verify.generators import Instance, instance_spec, search_setup
 from repro.verify.repetition import result_fingerprint
@@ -130,14 +131,12 @@ class TestFrontierIsPerJob:
             (stype, 2),
             (make_search_type("decision", target=best + 1), 1),
         ]
-        cluster = LocalCluster()
-        try:
-            for i in range(2):
-                cluster.start_worker(f"local-{i}", give_up_after=15.0)
-            cluster.handle.wait_for_workers(2, timeout=20.0)
+        with ClusterDeployment(WorkerSpec(name_prefix="local", give_up_after=15.0)) as cluster:
+            cluster.fork(2)
+            cluster.wait_for_workers(2, timeout=20.0)
             for job_stype, d_cutoff in jobs:
                 want = ordered_reference_search(spec, job_stype, d_cutoff=d_cutoff)
-                res = cluster.handle.run_job(job_payload(
+                res = cluster.run_job(job_payload(
                     instance_spec, ("maxclique", list(MAXCLIQUE_ARGS)), job_stype,
                     coordination="ordered", d_cutoff=d_cutoff,
                 ), timeout=60)
@@ -145,8 +144,6 @@ class TestFrontierIsPerJob:
                     want, counts=True
                 ), (job_stype, d_cutoff)
                 assert res.metrics.spawns == want.metrics.spawns
-        finally:
-            cluster.close()
 
 
 class TestLateImprovement:

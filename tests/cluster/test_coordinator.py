@@ -24,6 +24,7 @@ from repro.cluster.coordinator import (
     ClusterJobFailed,
     ClusterJobTimeout,
 )
+from repro.cluster.faults import CoordinatorFaults
 
 ENUM_PAYLOAD = {
     "factory": "repro.instances.library:library_spec_factory",
@@ -380,6 +381,34 @@ class TestEpochs:
             w1.close()
             w2.close()
 
+    def test_a_link_that_lost_a_frame_to_a_partition_stays_severed(self):
+        """A partition window of one frame, then the link would heal.
+        TCP never loses a frame and delivers the next, so the worker's
+        later frames (its RESULT too) do not count either: though it
+        keeps beating, the watchdog re-leases its work as for a cut
+        cable, and the lost frame cannot strand the job."""
+        h = ClusterHandle(
+            heartbeat_interval=0.1, heartbeat_timeout=0.6,
+            faults=CoordinatorFaults([
+                {"kind": "partition", "worker": "cut", "after_frames": 0, "count": 1},
+            ]),
+        )
+        h.start()
+        w1 = FakeWorker(*h.address, name="cut")
+        w2 = FakeWorker(*h.address, name="survivor")
+        try:
+            fut = h.run_job_future(OPT_PAYLOAD, timeout=15)
+            task1 = w1.recv(P.TASK)
+            w1.send(result_frame(task1, value=3, node=("n3",)))
+            task2 = w2.recv(P.TASK, timeout=5.0)
+            assert (task2["task"], task2["epoch"]) == (task1["task"], 1)
+            w2.send(result_frame(task2, value=9, node=("n9",)))
+            assert fut.result(timeout=10).value == 9
+        finally:
+            w1.close()
+            w2.close()
+            h.shutdown(drain_workers=False)
+
     @pytest.mark.parametrize("payload", [OPT_PAYLOAD, ENUM_PAYLOAD], ids=["opt", "enum"])
     def test_dead_holder_of_a_lease_of_siblings(self, handle, payload):
         """Nothing is acknowledged per root: a dead holder's lease goes
@@ -619,12 +648,14 @@ class TestBatching:
         # One protocol version: every coordination needs run leases or
         # STEAL, so a HELLO with any other version gets ERROR and a
         # closed connection — it is never admitted, let alone leased.
-        assert P.PROTOCOL_VERSION == 5  # ordered leases are numbers, reports columns
-        for version in (1, 2, 3, 4, 6, None):
+        # 5: ordered leases are numbers, reports columns; 6: no SHUTDOWN
+        # frame, so the binary codec's type tags after RETIRE moved.
+        assert P.PROTOCOL_VERSION == 6
+        for version in (1, 2, 3, 4, 5, 7, None):
             frames = refused_hello(handle.address, version)
             assert [m["type"] for m in frames] == [P.ERROR]
             assert str(P.PROTOCOL_VERSION) in frames[0]["reason"]
-        w4 = FakeWorker(*handle.address, name="v5")
+        w4 = FakeWorker(*handle.address, name="v6")
         try:
             fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
             w4.send(result_frame(w4.recv(P.TASK), knowledge=1))

@@ -199,7 +199,7 @@ class TestEveryFrameTypeAdversarial:
          "goal": False},
         {"type": P.HEARTBEAT},
         {"type": P.JOB_DONE, "job_id": "j"},
-        {"type": P.SHUTDOWN},
+        {"type": P.RETIRE},
         {"type": P.BYE},
         {"type": P.ERROR, "reason": "нет — 不行 — ❌"},
     ]

@@ -6,6 +6,8 @@ observable; the e2e class runs real elastic scale-downs and checks the
 results stay bit-identical to the sequential oracle.
 """
 
+import socket
+import threading
 import time
 
 import pytest
@@ -370,3 +372,61 @@ class TestReconnectBackoffSatellites:
                 h.wait_for_workers(2, timeout=0.3)
         finally:
             h.shutdown(drain_workers=False)
+
+    def test_a_refused_handshake_backs_off_and_gives_up(self):
+        """A coordinator that answers HELLO with ERROR (another protocol
+        version, say) was reached but never WELCOMEd the worker: that
+        takes the refused-connect path, backoff and ``give_up_after``
+        included, not an immediate reconnect."""
+        server = socket.socket()
+        server.bind(("127.0.0.1", 0))
+        server.listen(8)
+        server.settimeout(0.1)
+        connections = []
+        done = threading.Event()
+
+        def refuse_every_hello():
+            while not done.is_set():
+                try:
+                    conn, _ = server.accept()
+                except OSError:
+                    continue
+                connections.append(conn)
+                with conn:
+                    conn.settimeout(1.0)
+                    try:
+                        P.read_frame(conn)
+                        conn.sendall(P.frame_bytes({
+                            "type": P.ERROR, "reason": "expected HELLO with "
+                            f"protocol version {P.PROTOCOL_VERSION + 1}",
+                        }))
+                    except OSError:
+                        pass
+
+        listener = threading.Thread(target=refuse_every_hello, daemon=True)
+        listener.start()
+        stop = threading.Event()
+        worker = ClusterWorker(
+            *server.getsockname(), stop_event=stop, give_up_after=0.5,
+        )
+        raised = []
+
+        def run():
+            try:
+                worker.run()
+            except ConnectionError as exc:
+                raised.append(exc)
+
+        running = threading.Thread(target=run, daemon=True)
+        running.start()
+        try:
+            running.join(timeout=3.0)
+            assert not running.is_alive()
+            assert "giving up" in str(raised[0])
+            assert 1 <= len(connections) <= 10
+        finally:
+            stop.set()
+            done.set()
+            running.join(timeout=2.0)
+            listener.join(timeout=2.0)
+            server.close()

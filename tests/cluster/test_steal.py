@@ -373,7 +373,7 @@ def stub_worker(coordination, *, faults=None, budget=100, share_poll=32):
     def record(msg):
         sent.append(msg)
         if msg["type"] == P.RESULT:
-            worker._drain = True  # nothing more to do: BYE and return
+            worker._retire = True  # nothing more to do: BYE and return
 
     worker._send = record
     worker._on_message(dict(
@@ -428,8 +428,15 @@ class TestWorkerAnswersSteals:
         worker, sent = stub_worker("stacksteal")
         worker._local_q.get_nowait()
         worker._on_message({"type": P.STEAL, "job": 1})
-        worker._on_message({"type": P.SHUTDOWN})
-        worker.serve()
+        serving = threading.Thread(target=worker.serve, daemon=True)
+        serving.start()
+        deadline = time.monotonic() + 5.0
+        while worker._steal_req is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert worker._steal_req is None  # dropped by the idle loop
+        worker._on_message({"type": P.RETIRE})
+        serving.join(timeout=5.0)
+        assert not serving.is_alive()
         assert [m["type"] for m in sent] == [P.BYE]
 
     def test_budget_lease_answers_from_its_pool_once_it_has_one(self):
@@ -537,52 +544,85 @@ class TestWorkerThatCannotBuildTheJob:
         assert worker._local_q.empty()  # its leases are dropped, never run
 
 
+def scripted_coordinator():
+    """A listening socket standing in for the coordinator, and its
+    ``(host, port)``."""
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    return server, server.getsockname()
+
+
+def welcome(server):
+    """Accept one worker and answer its HELLO; returns the connection."""
+    conn, _ = server.accept()
+    conn.settimeout(5.0)
+    assert P.read_frame(conn)["type"] == P.HELLO
+    conn.sendall(P.frame_bytes({
+        "type": P.WELCOME, "worker": 1, "heartbeat": 0.5, "codec": "json",
+    }))
+    return conn
+
+
 class TestWorkerDrain:
-    def test_shutdown_then_eof_mid_lease_never_reconnects(self):
-        """SHUTDOWN is the coordinator closing.  A worker that sees it
-        and then loses the connection before it could say BYE used to
+    def test_retire_then_eof_mid_lease_never_reconnects(self):
+        """RETIRE is also the coordinator closing.  A worker that sees it
+        and then loses the connection before it could say BYE must not
         count as crashed, reconnect, and sit out ``connect_timeout``
         waiting for a WELCOME from a listener that was going away."""
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        port = server.getsockname()[1]
+        server, address = scripted_coordinator()
         stop = threading.Event()
         worker = ClusterWorker(
-            "127.0.0.1", port, name="drainer", stop_event=stop,
-            reconnect_initial=0.05,
+            *address, name="drainer", stop_event=stop, reconnect_initial=0.05,
         )
         thread = threading.Thread(target=worker.run, daemon=True)
         thread.start()
         try:
-            conn, _ = server.accept()
-            conn.settimeout(5.0)
-            assert P.read_frame(conn)["type"] == P.HELLO
-            for msg in (
-                {"type": P.WELCOME, "worker": 1, "heartbeat": 0.5,
-                 "codec": "json"},
-                # A lease long enough to still be running below: the
-                # whole tree, ~0.4 s, and nobody steals from it.
-                {"type": P.JOB, "job": 1,
-                 "factory": "repro.verify.generators:instance_spec",
-                 "factory_args": ["uts", [4, 9, 1330772960]],
-                 "stype_kind": "enumeration", "stype_kwargs": {},
-                 "coordination": "stacksteal", "chunked": True,
-                 "share_poll": 64, "best": None},
-            ):
-                conn.sendall(P.frame_bytes(msg))
-            root = P.resolve_factory("repro.verify.generators:instance_spec")(
-                "uts", [4, 9, 1330772960]
-            ).root
+            conn = welcome(server)
+            # A lease long enough to still be running below: the whole
+            # tree, ~3 s, and nobody steals from it.
+            factory_args = ["uts", [4, 12, 1330772960]]
+            conn.sendall(P.frame_bytes({
+                "type": P.JOB, "job": 1,
+                "factory": "repro.verify.generators:instance_spec",
+                "factory_args": factory_args,
+                "stype_kind": "enumeration", "stype_kwargs": {},
+                "coordination": "stacksteal", "chunked": True,
+                "share_poll": 64, "best": None,
+            }))
+            root = instance_spec(*factory_args).root
             conn.sendall(P.frame_bytes({
                 "type": P.TASK, "job": 1,
                 "leases": [[1, 0, [P.encode_node(root)], 0]],
             }))
             time.sleep(0.1)  # mid-lease
-            conn.sendall(P.frame_bytes({"type": P.SHUTDOWN}))
+            conn.sendall(P.frame_bytes({"type": P.RETIRE}))
             conn.close()
             server.close()
             thread.join(timeout=2.0)
+            assert not thread.is_alive()
+            assert worker.sessions == 1
+        finally:
+            stop.set()
+            server.close()
+            thread.join(timeout=5.0)
+
+    def test_retire_then_close_when_idle_ends_the_run(self):
+        """WELCOME, RETIRE, close: the worker's ``run()`` returns after
+        that one session.  The receiver may see the EOF before the lease
+        loop sees the RETIRE; the worker leaves either way."""
+        server, address = scripted_coordinator()
+        stop = threading.Event()
+        worker = ClusterWorker(
+            *address, name="retiree", stop_event=stop, reconnect_initial=0.05,
+        )
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            conn = welcome(server)
+            conn.sendall(P.frame_bytes({"type": P.RETIRE}))
+            conn.close()
+            thread.join(timeout=1.5)
             assert not thread.is_alive()
             assert worker.sessions == 1
         finally:

@@ -8,7 +8,11 @@ import time
 
 import pytest
 
+from repro.cluster.coordinator import ClusterJobCancelled
+from repro.cluster.local import job_payload
+from repro.core.searchtypes import make_search_type
 from repro.deploy import Adaptive, ClusterDeployment, WorkerSpec
+from repro.verify.generators import instance_spec
 
 
 @pytest.fixture
@@ -109,6 +113,43 @@ class TestAdaptLoop:
             time.sleep(0.05)
         assert deployment.worker_names() == ["t-1"]
         assert deployment.workers_spawned == 2
+
+
+class TestCoordinatorCloseIsARetire:
+    @pytest.mark.parametrize("grow", ["fork", "scale"])
+    def test_shutdown_mid_job_cancels_it_and_every_worker_exits_cleanly(self, grow):
+        """``shutdown(drain_workers=True)`` sends every worker RETIRE
+        before it closes their connections: the job in flight is
+        cancelled, and each worker leaves for good, with exit code 0,
+        instead of reconnecting until it gives up.  A fixed fan-out
+        (``fork``) and an elastic fleet (``scale``) alike."""
+        dep = ClusterDeployment(
+            WorkerSpec(name_prefix="s", give_up_after=15.0),
+            heartbeat_interval=0.1,
+            heartbeat_timeout=2.0,
+        )
+        try:
+            getattr(dep, grow)(2)
+            dep.wait_for_workers(2, timeout=30)
+            procs = list(dep._procs.values())
+            # ~3 s of sequential search: still running below.
+            future = dep.run_job_future(job_payload(
+                instance_spec, ("uts", [4, 12, 1330772960]),
+                make_search_type("enumeration"), budget=10_000,
+            ), timeout=120)
+            deadline = time.monotonic() + 10
+            while dep.handle.load_stats()["leased_tasks"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            dep.handle.shutdown(drain_workers=True)
+            with pytest.raises(ClusterJobCancelled):
+                future.result(timeout=5)
+            deadline = time.monotonic() + 5
+            for proc in procs:
+                proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert [proc.exitcode for proc in procs] == [0, 0]
+        finally:
+            dep.close()
 
 
 class TestMetricsIntegration:

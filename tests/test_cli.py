@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _params, build_parser, main
+from repro.core.params import SkeletonParams
 
 
 def run_cli(*argv):
@@ -101,6 +102,23 @@ class TestMisc:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             run_cli()
+
+
+class TestSkeletonDefaults:
+    @pytest.mark.parametrize(
+        "app", ["maxclique", "knapsack", "tsp", "sip", "uts", "ns", "tune"]
+    )
+    def test_a_bare_search_runs_the_library_defaults(self, app):
+        """`repro uts --skeleton stacksteal` runs what the same job runs
+        submitted to the service: ``SkeletonParams()``, chunked steals
+        included."""
+        params = _params(build_parser().parse_args([app]))
+        assert params == SkeletonParams()
+
+    def test_no_chunked_selects_the_single_node_steal(self):
+        parser = build_parser()
+        assert _params(parser.parse_args(["uts", "--chunked"])).chunked is True
+        assert _params(parser.parse_args(["uts", "--no-chunked"])).chunked is False
 
 
 class TestTraceFlag:
