@@ -617,13 +617,16 @@ class Coordinator:
         return blocks
 
     def _on_release(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
-        """Retire handback: re-queue each returned lease under a bumped
-        epoch (the cooperative twin of the crash re-lease path — same
-        accounting, but no partial state ever existed)."""
+        """Unstarted leases handed back, by a retiring worker or as an
+        Ordered or Depth-Bounded holder's answer to a STEAL (empty: none
+        was still queued): each is requeued under a bumped epoch or cut
+        again, the cooperative twin of the crash re-lease path — same
+        accounting, but no partial state ever existed."""
         released = False
         for pair in _field(msg, "tasks", list, []):
             if isinstance(pair, list) and len(pair) == 2:
                 released = job.leases.release(worker.id, *pair) or released
+        job.leases.steal_answered(worker.id, not released)
         if released:
             self._pump()
 

@@ -16,9 +16,11 @@ says about it names an epoch nobody holds, and :meth:`LeaseTable.held`
 refuses it.
 
 The table makes the coordinator's scheduling decisions: the grant round
-and, when a Budget or Stack-Stealing job's queue is empty, which busy
-workers are asked for work on behalf of the idle ones (a Depth-Bounded
-job is never asked: its depth cut did the splitting).  Every lease
+and, when a job's queue is empty, which busy workers are asked for work
+on behalf of the idle ones.  A Budget or Stack-Stealing holder gives
+from its pool or its stack; an Ordered or Depth-Bounded lease is never
+split, so its holder is asked only for the lease queued behind the one
+it runs, which comes back as a release.  Every lease
 starts, ends, is handed over or is stolen here, so this is where an
 event stream of those is recorded.  It knows no socket, frame or clock:
 the coordinator drives it on its loop thread,
@@ -175,12 +177,13 @@ class LeaseTable:
         away — until nothing is left to lease or every slot is full;
         round-robin, not a greedy fill, spreads the first hand-overs
         across the fleet.  An Ordered job's runs are cut by the driver
-        as slots come free.  When a Budget or Stack-Stealing job has
-        nothing queued, ``steal`` names the busy workers to ask for work
-        on behalf of the idle ones: one per idle worker, those with the
-        most to give first (the fullest pool as last reported, then the
-        most leases), none with a STEAL in flight or an empty last
-        answer.
+        as slots come free.  When nothing is left to lease, ``steal``
+        names the busy workers to ask for work on behalf of the idle
+        ones: one per idle worker, those with the most to give first
+        (the fullest pool as last reported, then the most leases), none
+        with a STEAL in flight or an empty last answer, and for Ordered
+        and Depth-Bounded only those with a lease queued behind the one
+        they run.
         """
         eligible = sorted(
             (h for h in self.holders.values() if h.eligible), key=lambda h: len(h.leases)
@@ -200,10 +203,14 @@ class LeaseTable:
                 granted.setdefault(holder.worker, []).append(lease)
                 more = True
         victims: list = []
-        if self.driver.job.coordination in ("budget", "stacksteal") and not self.queue:
+        if not self.queue:
             idle = sum(1 for h in eligible if not h.leases)
+            # Leases a holder must have to be asked: any, if it can split
+            # the one it runs; else one queued behind it.
+            least = 1 if self.driver.job.coordination in ("budget", "stacksteal") else 2
             victims = [
-                h for h in eligible if h.leases and not h.steal_pending and not h.steal_dry
+                h for h in eligible
+                if len(h.leases) >= least and not h.steal_pending and not h.steal_dry
             ]
             victims.sort(key=lambda h: (h.pool, len(h.leases)), reverse=True)
             del victims[idle:]

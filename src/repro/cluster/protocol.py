@@ -36,8 +36,11 @@ TASK       c -> w      lease subtrees: up to ``slots`` ``[id, epoch, [node,
                        ``of`` that frontier's size (see *Ordered runs*)
 OFFCUT     w -> c      unsolicited hand-over: the unstarted subtrees of a
                        retiring worker's pool, one frame per depth
-STEAL      c -> w      an idle worker needs work: give some away and answer
-                       with a STOLEN frame (budget and stacksteal jobs)
+STEAL      c -> w      an idle worker needs work: give some away.  Budget
+                       and stacksteal answer with a STOLEN frame; ordered
+                       and depthbounded never split a lease, and answer at
+                       once with a RELEASE of the leases still queued
+                       (empty if the one queued was started meanwhile)
 STOLEN     w -> c      steal answer: every other node of the shallowest
                        level of the worker's pool (a lone node whole).
                        Budget never answers empty (an unservable request
@@ -52,7 +55,8 @@ RESULT     w -> c      a lease finished: counters + local best.  A lease
                        an ordered run, ``blocks``: columns of counters per
                        stretch of the run, with ``more`` set on an early
                        flush that leaves the lease live
-RELEASE    w -> c      retire handback: unstarted leases returned for re-lease
+RELEASE    w -> c      unstarted leases returned for re-lease: a retire
+                       handback, or an ordered or depthbounded STEAL answer
 HEARTBEAT  w -> c      liveness (any frame also refreshes the deadline, so
                        workers suppress it while other traffic flows), and
                        ``pool``: the subtrees in the worker's own pool
@@ -75,7 +79,9 @@ machinery that recovers a crashed worker's leases, but initiated
 cooperatively, before any partial state exists.  That makes retirement
 safe even for enumeration jobs, where losing a *started* task is fatal:
 the task in flight runs to its RESULT, and everything else was never
-touched.
+touched.  An ordered or depthbounded holder answers a STEAL the same
+way, with what sits in its prefetch slot, so its late report on it is
+stale.
 
 Ordered runs
 ------------
@@ -182,10 +188,11 @@ __all__ = [
 
 # The one version both sides speak: coordination-aware JOBs, batched
 # TASK leases of several roots each (runs of sequence numbers for
-# ordered jobs, answered in column blocks), STEAL/STOLEN, codec
-# negotiation, and RETIRE as the one way a worker is sent away.  A
-# HELLO with any other version is refused.
-PROTOCOL_VERSION = 6
+# ordered jobs, answered in column blocks), STEAL/STOLEN, a STEAL on an
+# Ordered or Depth-Bounded job answered with RELEASE, codec negotiation,
+# and RETIRE as the one way a worker is sent away.  A HELLO with any
+# other version is refused.
+PROTOCOL_VERSION = 7
 
 # One frame must hold a message-sized payload (a task node, an offcut
 # batch), never a bulk transfer; anything bigger than this is a protocol

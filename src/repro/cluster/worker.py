@@ -77,6 +77,10 @@ __all__ = ["ClusterWorker", "run_worker", "start_worker_process"]
 class ClusterWorker(Worker):
     """One worker node.  ``run()`` blocks until retired or stopped.
 
+    A STEAL is answered by the Budget or Stack-Stealing lease in hand at
+    its next poll (STOLEN), or on an Ordered or Depth-Bounded job, whose
+    leases are never split, at once by a RELEASE of those still queued.
+
     Args:
         host/port: the coordinator's address.
         name: reported in HELLO (diagnostics on the coordinator side).
@@ -98,8 +102,9 @@ class ClusterWorker(Worker):
 
     # Concurrent leases asked for in HELLO.  Leases beyond the one being
     # searched sit in the local queue as prefetch (a RETIRE hands them
-    # back untouched); two double-buffer, so finishing a task never
-    # stalls on a RESULT -> TASK round trip.
+    # back untouched, and so does an Ordered or Depth-Bounded STEAL);
+    # two double-buffer, so finishing a task never stalls on a RESULT ->
+    # TASK round trip.
     SLOTS = 2
 
     def __init__(
@@ -337,9 +342,14 @@ class ClusterWorker(Worker):
                         work = (P.decode_node(lease[2]), int(lease[3]))  # roots, depth
                     self._local_q.put((ctx, task_id, epoch, work))
         elif mtype == P.STEAL:
-            # Answered by the lease being run (or the one queued), at
-            # its next poll; dropped if we turn out to be idle.
-            self._steal_req = msg
+            if ctx is not None and ctx.coordination in ("ordered", "depthbounded"):
+                # An atomic lease is never split: the answer is the
+                # leases queued behind the one in hand, handed back now.
+                self._release_unstarted(answer=True)
+            else:
+                # Answered by the lease being run (or the one queued),
+                # at its next poll; dropped if we turn out to be idle.
+                self._steal_req = msg
         elif mtype == P.INCUMBENT:
             value = msg.get("value")
             if ctx is not None and isinstance(value, int) and value > ctx.bound:
@@ -501,23 +511,28 @@ class ClusterWorker(Worker):
         except OSError:
             pass
 
-    def _release_unstarted(self) -> None:
-        """RELEASE every lease still sitting in the local queue.
+    def _release_unstarted(self, answer: bool = False) -> None:
+        """RELEASE the job's leases still in the local queue: a RETIRE's
+        handback, or with ``answer`` a STEAL's, sent even when the main
+        thread's dequeue took the last one first.
 
-        Only tasks this worker never *started* are returned — the
+        Only leases this worker never *started* are returned — the
         coordinator re-leases them under a bumped epoch, so the handback
         is exact for every search type (no partial accumulator exists
-        for work that never began)."""
-        returned: list[list] = []
+        for work that never began).  The queue is filtered under its own
+        lock, so each lease is dequeued or returned, never both, and an
+        Ordered job's walk marker stays ahead of the leases that need
+        it."""
         ctx = self._ctx
-        while True:
-            try:
-                item_ctx, task_id, epoch, _work = self._local_q.get_nowait()
-            except queue.Empty:
-                break
-            if ctx is not None and item_ctx is ctx and not ctx.done and task_id is not None:
-                returned.append([task_id, epoch])
-        if returned and ctx is not None:
+        if ctx is None or ctx.done:
+            return
+        with self._local_q.mutex:
+            queued = self._local_q.queue
+            leases = [item for item in queued if item[0] is ctx and item[1] is not None]
+            for item in leases:
+                queued.remove(item)
+        returned = [[task_id, epoch] for _ctx, task_id, epoch, _work in leases]
+        if returned or answer:
             try:
                 self._send({"type": P.RELEASE, "job": ctx.id, "tasks": returned})
             except OSError:

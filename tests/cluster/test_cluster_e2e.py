@@ -281,7 +281,10 @@ class TestServiceBackend:
             backend.close()
         assert ok.state is JobState.DONE
         assert ok.result.value == 14
-        assert ok.result.workers == 2
         assert cut.state is JobState.DONE
         spec, stype = _stype_for("brock90-2")
         assert cut.result.value == sequential_search(spec, stype).value
+        # The depth cut's first grant round leases a record to each of
+        # the two workers the backend waited for.  (The Budget job may
+        # end on one worker before a steal reaches the other.)
+        assert cut.result.workers == 2

@@ -2,8 +2,9 @@
 
 :class:`~repro.cluster.leases.LeaseTable` knows no socket, so hypothesis
 drives it through what the coordinator would feed it — hand-overs,
-grant rounds, results, releases, empty steal answers, retirements and
-worker deaths — and after every step checks the table against the
+grant rounds, results, releases, steal answers (an Ordered or
+Depth-Bounded holder's is a release of its queued lease), retirements
+and worker deaths — and after every step checks the table against the
 test's own books of which records the job still owes and which grants
 are current.
 """
@@ -49,11 +50,14 @@ def started_table(coordination, **knobs):
 class _Fleet(RuleBasedStateMachine):
     """Workers joining, retiring and dying, grant rounds, and the grants
     the test saw: ``current`` maps (worker, lease id) to the epoch it was
-    granted at while the worker still holds it; ``stale`` is every grant
-    that ended, whose frames the table must refuse from then on;
-    ``given_by`` says whose hand-over each record came from."""
+    granted at while the worker still holds it, in grant order; ``stale``
+    is every grant that ended, whose frames the table must refuse from
+    then on; ``given_by`` says whose hand-over each record came from;
+    ``asked`` is the workers with a STEAL unanswered, and ``dry`` those
+    whose last answer was empty."""
 
     coordination = "stacksteal"
+    least = 1  # leases a holder must have to be asked for work
 
     def __init__(self):
         super().__init__()
@@ -63,6 +67,8 @@ class _Fleet(RuleBasedStateMachine):
         self.current: dict[tuple, int] = {}
         self.stale: set[tuple] = set()
         self.given_by: dict[int, int] = {}
+        self.asked: set[int] = set()
+        self.dry: set[int] = set()
         self.joined = 0
 
     def _end(self, worker, task):
@@ -87,19 +93,25 @@ class _Fleet(RuleBasedStateMachine):
         worker = data.draw(st.sampled_from(sorted(self.slots)))
         self.table.leave(worker)
         del self.slots[worker]
+        self.asked.discard(worker)
+        self.dry.discard(worker)
         for held in [key for key in self.current if key[0] == worker]:
             self._end(*held)
 
     @rule()
     def grant(self):
         before = {worker: len(self.table.holders[worker].leases) for worker in self.slots}
-        prefetched_own = []
-        for worker, leases, _steal in self.table.grant():
+        prefetched_own, asked = [], []
+        for worker, leases, steal in self.table.grant():
             assert worker in self.slots and worker not in self.retired
             for k, lease in enumerate(leases):
                 self.current[(worker, lease.id)] = lease.epoch
                 if self.given_by.get(lease.id) == worker and before[worker] + k:
                     prefetched_own.append(worker)
+            if leases:
+                self.dry.discard(worker)  # a fresh lease is fresh stack
+            if steal:
+                asked.append(worker)
         idle = [
             worker for worker in self.slots
             if worker not in self.retired and len(self.table.holders[worker].leases) == 0
@@ -107,6 +119,18 @@ class _Fleet(RuleBasedStateMachine):
         # A hand-over never goes back to a prefetch slot of the worker
         # that gave it while another holds nothing.
         assert not (prefetched_own and idle)
+        # A STEAL goes out only when nothing is left to lease, one per
+        # idle worker, to a holder with enough to give that was neither
+        # asked already nor dry.
+        if asked:
+            assert self.nothing_left() and len(asked) <= len(idle)
+        for worker in asked:
+            assert len(self.table.holders[worker].leases) >= self.least
+            assert worker not in self.asked | self.dry
+        self.asked.update(asked)
+
+    def nothing_left(self):
+        return not self.table.queue
 
     @precondition(lambda self: self.current)
     @rule(data=st.data())
@@ -135,32 +159,36 @@ class _Fleet(RuleBasedStateMachine):
             assert self.table.held(worker, task, epoch - 1) is None
 
 
-class SharingJob(_Fleet):
-    """Budget and Stack-Stealing: records cut from hand-overs, dropped
-    on their RESULT.  ``owed`` is the ids of records the job still
-    owes."""
+class _HandsBack(_Fleet):
+    """Ordered and Depth-Bounded: a lease is never split, so a STEAL is
+    answered with a RELEASE of the lease queued behind the one its
+    holder runs — or an empty one, when the holder's own dequeue won."""
+
+    least = 2
+
+    @precondition(lambda self: self.asked)
+    @rule(data=st.data(), dequeued=st.booleans())
+    def hand_back(self, data, dequeued):
+        worker = data.draw(st.sampled_from(sorted(self.asked)))
+        self.asked.discard(worker)
+        held = [task for holder, task in self.current if holder == worker]
+        released = not dequeued and len(held) >= 2
+        if released:
+            queued = held[-1]  # the last granted sits behind the others
+            assert self.table.release(worker, queued, self.current[(worker, queued)])
+            self._end(worker, queued)
+        else:
+            self.dry.add(worker)
+        self.table.steal_answered(worker, empty=not released)
+
+
+class _Records(_Fleet):
+    """Records of roots, dropped on their RESULT.  ``owed`` is the ids
+    of records the job still owes."""
 
     def __init__(self):
         super().__init__()
         self.owed = {lease.id for lease in self.table.queue}
-
-    @precondition(lambda self: self.current)
-    @rule(data=st.data(), size=st.integers(1, 6), stolen=st.booleans())
-    def hand_over(self, data, size, stolen):
-        worker, task = data.draw(st.sampled_from(sorted(self.current)))
-        lease = self.table.held(worker, task, self.current[(worker, task)])
-        if stolen:
-            self.table.steal_answered(worker, empty=False)
-        queued = {queued.id for queued in self.table.queue}
-        self.table.hand_over(list(range(size)), lease.depth + 1)
-        for new in {queued.id for queued in self.table.queue} - queued:
-            self.owed.add(new)
-            self.given_by[new] = worker
-
-    @precondition(lambda self: self.slots)
-    @rule(data=st.data())
-    def empty_steal_answer(self, data):
-        self.table.steal_answered(data.draw(st.sampled_from(sorted(self.slots))), empty=True)
 
     @precondition(lambda self: self.current)
     @rule(data=st.data())
@@ -170,6 +198,9 @@ class SharingJob(_Fleet):
         self.table.settle(worker, lease, done=True)
         self.owed.discard(task)
         self._end(worker, task)
+        # A report is fresh progress, and its sender's STEAL died with it.
+        self.asked.discard(worker)
+        self.dry.clear()
 
     @invariant()
     def every_owed_record_is_queued_or_held_once(self):
@@ -184,13 +215,51 @@ class SharingJob(_Fleet):
         assert self.table.finished == (not self.owed)
 
 
-class OrderedJob(_Fleet):
-    """Ordered: runs cut from the driver, a lost run handed back to it
-    and cut again under a new id.  With nothing finalised, every task
-    of the frontier is waiting in the driver or in exactly one held
-    run."""
+class SharingJob(_Records):
+    """Budget and Stack-Stealing: records cut from hand-overs too."""
+
+    @precondition(lambda self: self.current)
+    @rule(data=st.data(), size=st.integers(1, 6), stolen=st.booleans())
+    def hand_over(self, data, size, stolen):
+        worker, task = data.draw(st.sampled_from(sorted(self.current)))
+        lease = self.table.held(worker, task, self.current[(worker, task)])
+        if stolen:
+            self.table.steal_answered(worker, empty=False)
+            self.asked.discard(worker)
+        queued = {queued.id for queued in self.table.queue}
+        self.table.hand_over(list(range(size)), lease.depth + 1)
+        for new in {queued.id for queued in self.table.queue} - queued:
+            self.owed.add(new)
+            self.given_by[new] = worker
+
+    @precondition(lambda self: self.slots)
+    @rule(data=st.data())
+    def empty_steal_answer(self, data):
+        worker = data.draw(st.sampled_from(sorted(self.slots)))
+        self.table.steal_answered(worker, empty=True)
+        self.asked.discard(worker)
+        self.dry.add(worker)
+
+
+class DepthBoundedJob(_HandsBack, _Records):
+    """Depth-Bounded: the depth cut's records, never split; a record
+    handed back keeps its id under a bumped epoch."""
+
+    coordination = "depthbounded"
+
+
+class OrderedJob(_HandsBack):
+    """Ordered: runs cut from the driver, a lost or handed-back run
+    given back to it and cut again under a new id.  With nothing
+    finalised, every task of the frontier is waiting in the driver or in
+    exactly one held run."""
 
     coordination = "ordered"
+
+    def nothing_left(self):
+        driver = self.table.driver
+        eligible = len(self.slots) - len(self.retired)
+        return driver.backlog == 0 or driver.in_flight >= 2 * eligible
 
     @invariant()
     def every_task_is_waiting_or_held_once(self):
@@ -209,20 +278,35 @@ TestSharingJob = SharingJob.TestCase
 TestSharingJob.settings = SETTINGS
 TestOrderedJob = OrderedJob.TestCase
 TestOrderedJob.settings = SETTINGS
+TestDepthBoundedJob = DepthBoundedJob.TestCase
+TestDepthBoundedJob.settings = SETTINGS
 
 
-@pytest.mark.parametrize(
-    "coordination,asked", [("depthbounded", False), ("budget", True), ("stacksteal", True)]
-)
-def test_only_budget_and_stack_stealing_jobs_are_asked_for_work(coordination, asked):
-    # A Depth-Bounded job's depth cut did its splitting: an idle worker
-    # waits for a record, it never has one stolen for it.
+def fill(coordination, slots):
+    """Workers of ``slots`` slots join one at a time, each followed by
+    a grant round, until one is left with nothing: the table, and the
+    workers that last round asked for work on its behalf."""
     table = started_table(coordination, d_cutoff=1)
-    table.join(1, 64)
-    table.grant()
-    assert not table.queue
-    table.join(2, 1)
-    assert [worker for worker, _leases, steal in table.grant() if steal] == ([1] if asked else [])
+    worker = 0
+    while True:
+        worker += 1
+        table.join(worker, slots)
+        rounds = table.grant()
+        if not table.holders[worker].leases:
+            return table, [asked for asked, _leases, steal in rounds if steal]
+
+
+@pytest.mark.parametrize("coordination", ["budget", "stacksteal", "depthbounded", "ordered"])
+def test_atomic_holders_are_asked_only_for_a_queued_lease(coordination):
+    # A sharing holder splits the lease it runs, so holding one is
+    # enough to be asked.  An Ordered or Depth-Bounded lease is never
+    # split: its holder is asked only for one queued behind it.
+    atomic = coordination in ("depthbounded", "ordered")
+    _table, asked = fill(coordination, slots=1)
+    assert asked == ([] if atomic else [1])
+    table, asked = fill(coordination, slots=2)
+    assert len(asked) == 1
+    assert len(table.holders[asked[0]].leases) == (2 if atomic else 1)
 
 
 def test_the_lease_table_is_the_only_one():

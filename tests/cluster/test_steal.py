@@ -7,6 +7,7 @@ coordinator emits (or must NOT emit) is observable deterministically.
 """
 
 import socket
+import sys
 import threading
 import time
 
@@ -494,6 +495,111 @@ class TestWorkerAnswersSteals:
         assert sent[0]["nodes"] == whole_tree()
 
 
+def ordered_stub(runs):
+    """A socketless worker holding an Ordered job: its walk marker, then
+    ``runs`` run leases (ids 1, 2, ...) of one task each, all queued."""
+    worker = ClusterWorker("127.0.0.1", 1, name="stub")
+    sent: list = []
+    worker._send = sent.append
+    worker._on_message(dict(JOB_FRAME, coordination="ordered", d_cutoff=1))
+    worker._on_message({
+        "type": P.TASK, "job": 1,
+        "leases": [[task, 0, [task - 1, 1], 0, 64] for task in range(1, runs + 1)],
+    })
+    return worker, sent
+
+
+def queued(worker):
+    """The task ids still in the local queue (None: the walk marker)."""
+    return [task_id for _ctx, task_id, _epoch, _work in worker._local_q.queue]
+
+
+class TestAtomicStealsAreAnsweredWithRelease:
+    """An Ordered or Depth-Bounded lease is never split: the receiver
+    answers a STEAL at once with a RELEASE of what is still queued."""
+
+    def test_the_queued_run_goes_and_the_run_in_hand_stays(self):
+        worker, sent = ordered_stub(runs=2)
+        assert worker.next_work()[1] is None  # the walk, done
+        assert worker.next_work()[1][0] == range(0, 1)  # run 1, in hand
+        worker._on_message({"type": P.STEAL, "job": 1})
+        assert sent == [{"type": P.RELEASE, "job": 1, "tasks": [[2, 0]]}]
+        assert queued(worker) == [] and worker._steal_req is None
+
+    def test_the_walk_marker_is_kept(self):
+        # A run is positions in the worker's own walk: with the marker
+        # gone, the next run would fail the frontier-size check.
+        worker, sent = ordered_stub(runs=2)
+        worker._on_message({"type": P.STEAL, "job": 1})
+        assert sent == [{"type": P.RELEASE, "job": 1, "tasks": [[1, 0], [2, 0]]}]
+        assert queued(worker) == [None]
+
+    def test_nothing_queued_is_answered_empty(self):
+        worker, sent = ordered_stub(runs=1)
+        worker.next_work()
+        worker.next_work()  # the one run, in hand
+        worker._on_message({"type": P.STEAL, "job": 1})
+        assert sent == [{"type": P.RELEASE, "job": 1, "tasks": []}]
+
+    def test_a_depth_bounded_stack_is_never_split(self):
+        stealing = []
+
+        class Hooks:
+            """Delivers a STEAL as the lease in hand starts, as the
+            receiver thread would mid-lease."""
+
+            def on_task_start(self, n):
+                if not stealing:
+                    stealing.append(n)
+                    worker._on_message({"type": P.STEAL, "job": 1})
+
+            def drop_outbound(self, frame_type):
+                return False
+
+        worker, sent = stub_worker("depthbounded", faults=Hooks())
+        worker._on_message({
+            "type": P.TASK, "job": 1,
+            "leases": [[2, 0, [P.encode_node(worker._ctx.spec.root)], 0]],
+        })
+        worker.serve()
+        assert [m["type"] for m in sent] == [P.RELEASE, P.RESULT, P.BYE]
+        assert sent[0]["tasks"] == [[2, 0]]
+        assert (sent[1]["task"], sent[1]["nodes"], sent[1]["spawns"]) == (1, whole_tree(), 0)
+
+    def test_a_lease_is_run_or_released_exactly_once(self):
+        """The receiver filters the local queue while the main thread
+        dequeues from it: every lease is taken by one of them, and the
+        walk marker is dequeued first."""
+        worker, sent = ordered_stub(runs=0)
+        leases = 3000
+        taken: list = []
+
+        def main_thread():
+            while (item := worker.next_work()) is not None:
+                taken.append(worker._lease[0] if item[1] is not None else None)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        serving = threading.Thread(target=main_thread, daemon=True)
+        serving.start()
+        try:
+            for task in range(1, leases + 1):
+                worker._on_message({
+                    "type": P.TASK, "job": 1, "leases": [[task, 0, [task - 1, 1], 0, leases]],
+                })
+                if task % 3 == 0:
+                    worker._on_message({"type": P.STEAL, "job": 1})
+            worker._on_message({"type": P.RETIRE})
+            serving.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not serving.is_alive()
+        released = [task for m in sent if m["type"] == P.RELEASE for task, _epoch in m["tasks"]]
+        assert taken[0] is None and None not in taken[1:]
+        assert sorted(taken[1:] + released) == list(range(1, leases + 1))
+        assert released and taken[1:]  # both sides won some
+
+
 SPECS_BUILT = []
 
 
@@ -801,6 +907,43 @@ class TestOrderedLeases:
         finally:
             w1.close()
             w2.close()
+
+    def test_a_queued_run_moves_to_the_idle_worker(self, handle):
+        """A holds two runs and B reports its last one: with nothing
+        left to lease, A is asked for the run queued behind the one it
+        runs.  It reaches B under a new lease id, and A's late report on
+        it is refused."""
+        a = FakeWorker(*handle.address, name="a", slots=2)
+        b = FakeWorker(*handle.address, name="b", slots=2)
+        try:
+            fut = handle.run_job_future(ORDERED_OPT, timeout=20)
+            running, behind = run_leases(a.recv_raw(P.TASK))
+            ids = {running["task"], behind["task"]}
+            while True:
+                try:
+                    raw = b.recv_raw(P.TASK, timeout=0.5)
+                except (AssertionError, TimeoutError):
+                    break  # B holds nothing, and nothing is left to lease
+                for lease in run_leases(raw):
+                    ids.add(lease["task"])
+                    b.send(blocks_frame(lease, [block(lease["seqs"], lease["bound"])]))
+            a.recv(P.STEAL)
+            a.send({"type": P.RELEASE, "job": behind["job"],
+                    "tasks": [[behind["task"], behind["epoch"]]]})
+            (moved,) = run_leases(b.recv_raw(P.TASK))
+            assert moved["seqs"] == behind["seqs"] and moved["task"] not in ids
+            # A's report on the run it gave back would land a bogus best.
+            a.send(blocks_frame(behind, [block(
+                behind["seqs"], behind["bound"], value=99, node=P.encode_node(("bogus",)),
+            )]))
+            b.send(blocks_frame(moved, [block(moved["seqs"], moved["bound"])]))
+            a.send(blocks_frame(running, [block(running["seqs"], running["bound"])]))
+            res = fut.result(timeout=10)
+            assert res.value == running["bound"]
+            assert res.metrics.reassigned == len(behind["seqs"])
+        finally:
+            a.close()
+            b.close()
 
     @pytest.mark.parametrize("d_cutoff", [0, -1])
     def test_d_cutoff_zero_is_finished_by_the_coordinator_alone(self, handle, d_cutoff):
