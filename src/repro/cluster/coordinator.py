@@ -119,10 +119,7 @@ class _Job:
         run = lease.run
         if run is None:
             return [lease.id, lease.epoch, lease.nodes, lease.depth]
-        return [
-            lease.id, lease.epoch, P.pack_seqs(run.seqs), run.bound,
-            self.driver.ledger.task_count,
-        ]
+        return [lease.id, lease.epoch, P.pack_run(run.stretches), run.bound]
 
     def job_message(self) -> dict:
         """The JOB frame for a (possibly late-joining) worker."""
@@ -636,7 +633,7 @@ class Coordinator:
         """Run a grant round of the job's lease table and post what it
         decided: all of a worker's grants in ONE batched TASK frame
         (``leases: [[id, epoch, [node, ...], depth], ...]``, or for an
-        Ordered run ``[id, epoch, seqs, bound, of]``), and a STEAL in
+        Ordered run ``[id, epoch, stretches, bound]``), and a STEAL in
         the same write."""
         job = self._job
         if job is None:

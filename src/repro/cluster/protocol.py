@@ -30,10 +30,9 @@ JOB        c -> w      search definition: spec factory, search type, knobs
 TASK       c -> w      lease subtrees: up to ``slots`` ``[id, epoch, [node,
                        ...], depth]`` entries — sibling roots at one
                        depth, one hand-over — batched in one ``leases``
-                       list; an ordered job's entries are *runs* of task
-                       numbers, ``[id, epoch, seqs, bound, of]``: positions
-                       in the frontier the worker walked for itself at JOB,
-                       ``of`` that frontier's size (see *Ordered runs*)
+                       list; an ordered job's entries are *runs*, ``[id,
+                       epoch, stretches, bound]``: tasks named by their
+                       parent's child-index path (see *Ordered runs*)
 OFFCUT     w -> c      unsolicited hand-over: the unstarted subtrees of a
                        retiring worker's pool, one frame per depth
 STEAL      c -> w      an idle worker needs work: give some away.  Budget
@@ -68,8 +67,9 @@ RETIRE     c -> w      leave (scale-down, or the coordinator closing): hand
 BYE        w -> c      orderly goodbye; the connection closes after it
 ERROR      both        c -> w: protocol violation report before disconnect;
                        w -> c, with ``job``: this worker cannot run that job
-                       correctly (it cannot build it, a walk or lease
-                       raised, its frontier differs), so fail it
+                       correctly (it cannot build it, a lease raised, a
+                       lease names a child or a child count its tree
+                       lacks), so fail it
 ========== =========== ====================================================
 
 A retiring worker hands the leases it holds but has not *started* back
@@ -86,20 +86,16 @@ stale.
 Ordered runs
 ------------
 
-An ordered job ships no nodes at all.  The frontier is a function of
-the JOB frame (spec, search type, ``d_cutoff``), so the coordinator
-posts JOB first and walks it while every worker does the same; a task
-is then its sequence number in that walk.  Sequence numbers travel as
-flat ``[first, count, first, count, ...]`` stretches
-(:func:`pack_seqs`): a lease of fresh work is one stretch, tasks to run
-again are as many as they have gaps.  A RESULT's ``blocks`` entry
-(:func:`pack_block`) is ``{seqs, bound, nodes, prunes, backtracks,
-max_depth}`` — the four counters as lists, one int per task of the
-stretch, all run from ``bound`` — plus ``knowledge`` (a list) for
-enumeration, and ``value`` / ``node`` / ``goal`` for the block's last
-task when that task improved the bound.  A worker
-whose own walk numbered another count than a lease's ``of`` answers
-with ERROR, which fails the job.
+An ordered job ships no nodes at all: the coordinator's walk is the
+job's only one, and a run names its tasks by their parent's child-index
+path, ``[seq, path, children, index, count]`` per stretch
+(:func:`pack_run`), which a worker replays from the root.  A RESULT's
+``blocks`` entry (:func:`pack_block`) is ``{seqs, bound, nodes, prunes,
+backtracks, max_depth}`` — ``seqs`` flat ``[first, count, ...]``
+stretches (:func:`pack_seqs`), the counters as lists, one int per task,
+all run from ``bound`` — plus ``knowledge`` (a list) for enumeration,
+and ``value`` / ``node`` / ``goal`` for the block's last task when that
+task improved the bound.
 
 Node transport
 --------------
@@ -164,6 +160,8 @@ __all__ = [
     "decode_node",
     "pack_seqs",
     "unpack_seqs",
+    "pack_run",
+    "unpack_run",
     "pack_block",
     "unpack_block",
     "factory_path",
@@ -187,12 +185,12 @@ __all__ = [
 ]
 
 # The one version both sides speak: coordination-aware JOBs, batched
-# TASK leases of several roots each (runs of sequence numbers for
-# ordered jobs, answered in column blocks), STEAL/STOLEN, a STEAL on an
-# Ordered or Depth-Bounded job answered with RELEASE, codec negotiation,
-# and RETIRE as the one way a worker is sent away.  A HELLO with any
-# other version is refused.
-PROTOCOL_VERSION = 7
+# TASK leases of several roots each (for ordered jobs, runs of tasks
+# named by child-index path, answered in column blocks), STEAL/STOLEN, a
+# STEAL on an Ordered or Depth-Bounded job answered with RELEASE, codec
+# negotiation, and RETIRE as the one way a worker is sent away.  A HELLO
+# with any other version is refused.
+PROTOCOL_VERSION = 8
 
 # One frame must hold a message-sized payload (a task node, an offcut
 # batch), never a bulk transfer; anything bigger than this is a protocol
@@ -365,7 +363,7 @@ def _decode_node(value: Any) -> Any:
     return value
 
 
-# -- ordered runs: sequence numbers and column blocks ------------------------
+# -- ordered runs: stretches by path, sequence numbers and column blocks -----
 
 _COUNTERS = ("nodes", "prunes", "backtracks", "max_depth")
 
@@ -409,6 +407,39 @@ def unpack_seqs(wire: Any, of: Any) -> Any:
     if len(stretches) == 1:
         return stretches[0]
     return [seq for stretch in stretches for seq in stretch]
+
+
+def pack_run(stretches: Any) -> list:
+    """A run's :meth:`~repro.core.ordered.FrontierTasks.stretches` for
+    the wire: ``[seq, path, children, index, count]`` each."""
+    return [[seq, list(path), *rest] for seq, path, *rest in stretches]
+
+
+def unpack_run(wire: Any, d_cutoff: int) -> list:
+    """Inverse of :func:`pack_run` for a job cut at ``d_cutoff``:
+    non-empty stretches of non-negative ints ascending by ``seq``, each
+    path ``d_cutoff - 1`` long, or a :class:`ProtocolError`.  Whether an
+    index names a child is the tree's to say, when the run executes."""
+    if not isinstance(wire, list) or not wire:
+        raise ProtocolError("a run is a list of stretches")
+    stretches: list = []
+    floor = 0
+    for stretch in wire:
+        if not (isinstance(stretch, list) and len(stretch) == 5 and isinstance(stretch[1], list)):
+            raise ProtocolError("a stretch is [seq, path, children, index, count]")
+        seq, path, children, index, count = stretch
+        ints = [seq, children, index, count, *path]
+        if not (
+            _ints(ints) and min(ints) >= 0 and len(path) == d_cutoff - 1
+            and floor <= seq < seq + count
+        ):
+            raise ProtocolError(
+                f"stretches are non-negative ints, non-empty and ascending, "
+                f"each path {d_cutoff - 1} long"
+            )
+        floor = seq + count
+        stretches.append([seq, tuple(path), children, index, count])
+    return stretches
 
 
 def pack_block(block: dict) -> dict:

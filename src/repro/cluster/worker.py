@@ -11,12 +11,10 @@ coordinator's STEAL, what a starving peer is given leaves in one STOLEN
 frame and reaches it as one lease of several roots, and the
 outstanding counter is the coordinator's lease table.  A lease is its roots
 and everything its holder ran from its own pool, answered by one
-RESULT.  An ordered job's leases carry no roots: the worker walks the
-frontier for itself when the JOB arrives (on the search thread, while
-the coordinator walks its own) and is leased positions in it.  A
-failure — a JOB this worker cannot build, a walk or a lease that
-raises, a frontier of another size — is answered with ERROR, which
-fails the job.
+RESULT.  An ordered job's leases carry no roots: a run names its tasks
+by their parent's child-index path.  A failure — a JOB this worker
+cannot build, a lease that raises, a run naming what this worker's tree
+lacks — is answered with ERROR, which fails the job.
 
 Threading model (per connection):
 
@@ -327,17 +325,14 @@ class ClusterWorker(Worker):
                 return
             best = msg.get("best")
             ctx.bound = best if isinstance(best, int) else 0
-            if ctx.coordination == "ordered":
-                # Ahead of every lease of the job: the walk (no task id).
-                self._local_q.put((ctx, None, None, None))
         elif mtype == P.TASK:
             if ctx is not None and not ctx.done:
                 for lease in msg["leases"]:
                     task_id, epoch = lease[:2]
                     if ctx.coordination == "ordered":
-                        # A run: seqs, the bound it was cut under, and
-                        # the size of the frontier it was cut from.
-                        work = (P.unpack_seqs(lease[2], lease[4]), *lease[3:5])
+                        # A run: its stretches by path, and the bound it
+                        # was cut under.
+                        work = (P.unpack_run(lease[2], ctx.d_cutoff), lease[3])
                     else:
                         work = (P.decode_node(lease[2]), int(lease[3]))  # roots, depth
                     self._local_q.put((ctx, task_id, epoch, work))
@@ -408,7 +403,7 @@ class ClusterWorker(Worker):
                 continue
             if ctx.done or ctx is not self._ctx:
                 continue
-            if self._faults is not None and task_id is not None:
+            if self._faults is not None:
                 # Chaos: may hard-exit here, dying with this lease live
                 # so the coordinator's re-lease path has to recover it.
                 self._faults.on_task_start(self.tasks_run + 1)
@@ -520,15 +515,13 @@ class ClusterWorker(Worker):
         coordinator re-leases them under a bumped epoch, so the handback
         is exact for every search type (no partial accumulator exists
         for work that never began).  The queue is filtered under its own
-        lock, so each lease is dequeued or returned, never both, and an
-        Ordered job's walk marker stays ahead of the leases that need
-        it."""
+        lock, so each lease is dequeued or returned, never both."""
         ctx = self._ctx
         if ctx is None or ctx.done:
             return
         with self._local_q.mutex:
             queued = self._local_q.queue
-            leases = [item for item in queued if item[0] is ctx and item[1] is not None]
+            leases = [item for item in queued if item[0] is ctx]
             for item in leases:
                 queued.remove(item)
         returned = [[task_id, epoch] for _ctx, task_id, epoch, _work in leases]

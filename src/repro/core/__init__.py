@@ -25,7 +25,6 @@ from repro.core.ordered import (
     ordered_frontier,
     ordered_reference_search,
     run_task_fixed_bound,
-    worker_tasks,
 )
 from repro.core.params import SkeletonParams
 from repro.core.results import (
@@ -60,7 +59,6 @@ __all__ = [
     "ordered_frontier",
     "ordered_reference_search",
     "run_task_fixed_bound",
-    "worker_tasks",
     "SearchMetrics",
     "SearchResult",
     "result_from_dict",

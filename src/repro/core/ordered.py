@@ -28,61 +28,40 @@ search"):
    whose starting bound equals the **required bound** ``B*_i`` — the
    best objective over the phase-1 prefix and every finalised task
    ``j < i``.  A result computed from any other bound is discarded and
-   the task re-issued, with one exception that changes nothing it
-   records: a task that was *pruned at its root* from a bound
-   ``b < B*_i`` (one node, one prune, no improvement) is final as it
-   stands, because ``upper_bound(root) <= b`` implies
-   ``upper_bound(root) <= B*_i`` — run again from ``B*_i`` it would
-   report the same four counters and the same nothing.  That rule and
-   the predicate that condemns a task before it runs
+   the task re-issued, with one exception: a task *pruned at its root*
+   from a bound ``b < B*_i`` (one node, one prune, no improvement) is
+   final as it stands, because ``upper_bound(root) <= b <= B*_i``.  The
+   same fact, read off a task's column row
    (:meth:`FrontierTasks.pruned_at_root`, from
-   :func:`root_prune_floors`) are one fact, read off a record or off
-   the task's column row: from the least bound that prunes a root at
-   its root, every higher bound does, and the record is
-   :data:`ROOT_PRUNED`.  A task condemned before it runs is a bit apart
-   from the results that ran: pruned at its root from a required bound,
-   it is final under every later one, never stale, and finalises with
-   one node and one prune, past a merge and goal test it cannot move.
-   Every accepted
-   task is appended to the :attr:`~OrderedLedger.journal` as ``(seq,
-   B*_i, nodes)``.  Only finalised runs contribute to the returned
-   metrics, which is what makes the node count a deterministic function
-   of the instance — enforced, not hoped for.
+   :func:`root_prune_floors`), condemns a task before it runs: pruned
+   at its root from a required bound, it is final under every later
+   one, never stale, and finalises as :data:`ROOT_PRUNED`.  Every
+   accepted task is appended to the :attr:`~OrderedLedger.journal` as
+   ``(seq, B*_i, nodes)``.  Only finalised runs contribute to the
+   returned metrics, which is what makes the node count a deterministic
+   function of the instance — enforced, not hoped for.
 
 4. **Priority tie-break.**  The incumbent merge at finalisation is
    strict (``>`` replaces): when several tasks attain the optimum the
    witness is the one from the lowest sequence number — priority wins
    over arrival time, matching the sequential discovery order.
 
-5. **Numbers cross the wire, nodes never do.**  The frontier is a
-   function of ``(spec, search type, d_cutoff)`` alone (point 1), so
-   every worker walks it for itself when the job starts
-   (:func:`worker_tasks`, while the driver is walking its own) and a
-   task travels as its sequence number.  A *lease* is ``(seqs, bound,
-   frontier size)``: ``seqs`` a ``range`` of fresh work or an ascending
-   list of tasks to run again, ``bound`` the finalised-prefix best it
-   was cut under, and the size what the worker's own walk must have
-   numbered — a worker that counted otherwise fails the job instead of
-   searching the wrong subtrees.  A *report* is a list of *blocks*: a
-   stretch of the run executed from one bound, as parallel integer
-   columns ``nodes`` / ``prunes`` / ``backtracks`` / ``max_depth`` (and
-   ``knowledge`` for enumeration), with ``value`` / ``node`` / ``goal``
-   once, for the block's last task — a block ends at the task that
-   improves the bound.  :func:`execute_run` is the worker half (thread
-   the bound from task to task, restart a task the published best has
-   overtaken, cut the blocks), shared by the process fleet's and the
-   cluster's workers; the driver half (walk the frontier into a ledger,
-   which seqs to lease next, what a report does to the ledger) is the
-   one job driver of both runtimes,
-   :class:`repro.runtime.driver.JobDriver`, which the fleet's parent and
-   the cluster coordinator each run.  The frontier is a table of column
-   rows (:class:`FrontierTasks`), and a task is built only to run it:
-   no walk builds a task root, the driver parks a task the finalised
-   best condemns (:meth:`OrderedLedger.condemn`) and never leases it,
-   and a worker reports a task its starting bound condemns without
-   building it or entering the kernel.  None of it changes what the
-   ledger verifies: required bounds only grow, so a task condemned under
-   a floor of ``B*_i`` holds the record a run from ``B*_i`` would.
+5. **Paths cross the wire, nodes never do.**  The driver's walk is the
+   job's only one, and a task travels as its parent's child-index path
+   and its child index there (the indexed-search-tree encoding of
+   Abu-Khzam et al., PAPERS.md): a *lease* is a run of such stretches
+   (:meth:`FrontierTasks.stretches`) and the finalised-prefix best it
+   was cut under.  A worker replays each parent down its path the first
+   time a lease names it (:meth:`FrontierTasks.rows`), and a *report*
+   is *blocks*, stretches of the run executed from one bound as integer
+   columns.  :func:`execute_run` is the worker half, shared by both
+   real runtimes; the driver half is
+   :class:`repro.runtime.driver.JobDriver`.  A task is built only to
+   run it: the driver parks a task the finalised best condemns
+   (:meth:`OrderedLedger.condemn`) and never leases it, and a worker
+   reports a task its starting bound condemns without building it.
+   Required bounds only grow, so a task condemned under a floor of
+   ``B*_i`` holds the record a run from ``B*_i`` would.
 
 :func:`ordered_reference_search` executes the same contract on a single
 thread with no queues and no shared state; it is the oracle the
@@ -111,7 +90,6 @@ __all__ = [
     "FrontierTasks",
     "OrderedFrontier",
     "ordered_frontier",
-    "worker_tasks",
     "run_task_fixed_bound",
     "execute_run",
     "ROOT_PRUNED",
@@ -143,29 +121,34 @@ class OrderedTask(NamedTuple):
 
 
 class FrontierTasks:
-    """The numbered frontier as a table: task ``seq`` is child ``i`` of
-    one parent one level above the cutoff.
+    """The numbered frontier as a table: row ``r`` is child ``i`` of one
+    parent one level above the cutoff, the node at child-index path
+    ``key`` from the root.
 
     A spec with ``columns`` keeps each parent's column frame, so a task
     is the row ``(values[i], bounds[i])`` of that frame and its node is
     built only when :meth:`node` asks — ``frame.build(i)``, or ``build``
     on a fresh frame of the parent for a row the frame has passed (a
     re-run, an out-of-order lease).  Other specs keep the parent's
-    drained children.  It lives where it was walked: the driver and
-    every worker hold their own, and only ``seq`` travels.
-    ``tasks[seq]`` is the :class:`OrderedTask`, built.
+    drained children.  The driver's table is walked
+    (:func:`ordered_frontier`), its rows are the seqs and ``tasks[seq]``
+    is the :class:`OrderedTask`, built.  A worker's starts empty and
+    holds the parents its leases name (:meth:`rows`).
     """
 
     def __init__(self, spec: SearchSpec, stype: SearchType, depth: int) -> None:
         self.depth = depth  # every task's root depth
         self._spec = spec
         self._stype = stype
-        self._parents: list = []  # per parent: its node, frame, path key
-        self._frames: list = []
+        # Per parent: its path key, first row and number of children.
         self._keys: list[tuple] = []
-        self._owner: list[int] = []  # per task: its parent's position
-        self._index: list[int] = []  # per task: its child index there
-        # Per task, the least bound that prunes it at its root
+        self._starts: list[int] = []
+        self._widths: list[int] = []
+        self._at: dict[tuple, int] = {}  # path key -> parent position
+        self._owner: list[int] = []  # per row: its parent's position
+        # Each parent, and each node a replay built, by path: [node, frame].
+        self._nodes: dict[tuple, list] = {(): [spec.root, None]}
+        # Per row, the least bound that prunes it at its root
         # (:func:`root_prune_floors`); None when no bound prunes a task.
         self._floors = (
             root_prune_floors(spec, stype, (), ()) if spec.columns is not None else None
@@ -174,48 +157,36 @@ class FrontierTasks:
 
     def add(self, parent: Any, key: tuple) -> None:
         """Number the children of ``parent`` (path ``key``) next."""
-        spec = self._spec
-        if spec.columns is None:
-            frame = spec.generator(spec.space, parent).drain()
-            n = len(frame)
-        else:
-            frame = spec.columns(spec.space, parent)
-            n = len(frame.values)
-            if self._floors is not None:
-                self._floors += root_prune_floors(spec, self._stype, frame.values, frame.bounds)
+        entry = self._nodes[key] = [parent, None]
+        frame = self._frame(entry, 0)
+        n = len(frame) if type(frame) is list else len(frame.values)
+        if self._floors is not None:
+            self._floors += root_prune_floors(self._spec, self._stype, frame.values, frame.bounds)
         if n:
-            self._owner += repeat(len(self._frames), n)
-            self._index += range(n)
-            self._parents.append(parent)
-            self._frames.append(frame)
+            self._at[key] = len(self._keys)
             self._keys.append(key)
+            self._starts.append(len(self._owner))
+            self._widths.append(n)
+            self._owner += repeat(len(self._keys) - 1, n)
 
     def __len__(self) -> int:
         return len(self._owner)
 
     def __getitem__(self, seq: int) -> OrderedTask:
+        at = self._owner[seq]
         return OrderedTask(
-            seq, self.node(seq), self.depth, self._keys[self._owner[seq]] + (self._index[seq],)
+            seq, self.node(seq), self.depth, self._keys[at] + (seq - self._starts[at],)
         )
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+    def node(self, row: int) -> Any:
+        """Row ``row``'s task root, built now."""
+        at = self._owner[row]
+        return self._child(self._nodes[self._keys[at]], row - self._starts[at])
 
-    def node(self, seq: int) -> Any:
-        """Task ``seq``'s root, built now."""
-        at, i = self._owner[seq], self._index[seq]
-        frame = self._frames[at]
-        if type(frame) is list:
-            return frame[i]
-        if i < frame.pos:
-            spec = self._spec
-            frame = self._frames[at] = spec.columns(spec.space, self._parents[at])
-        return frame.build(i)
-
-    def pruned_at_root(self, seq: int, bound: Any) -> bool:
-        """Would task ``seq`` run from ``bound`` stop at its root, pruned,
-        improving nothing?  Then its row is :data:`ROOT_PRUNED`."""
-        return self._floors is not None and self._floors[seq] <= bound < self._ceiling
+    def pruned_at_root(self, row: int, bound: Any) -> bool:
+        """Would row ``row``'s task run from ``bound`` stop at its root,
+        pruned, improving nothing?  Then its record is :data:`ROOT_PRUNED`."""
+        return self._floors is not None and self._floors[row] <= bound < self._ceiling
 
     def split(self, seqs: Sequence[int], bound: Any) -> tuple[list[int], list[int]]:
         """``seqs`` as ``(survivors, pruned at their root from bound)``."""
@@ -227,13 +198,65 @@ class FrontierTasks:
             [seq for seq in seqs if floors[seq] <= bound],
         )
 
-    def pop(self) -> OrderedTask:
-        """Take the last task off the table, built."""
-        task = self[len(self) - 1]
-        del self._owner[-1], self._index[-1]
-        if self._floors is not None:
-            del self._floors[-1]
-        return task
+    def stretches(self, seqs: Sequence[int]) -> list[list]:
+        """Ascending ``seqs`` as a lease carries them: ``[seq, path,
+        children, index, count]`` per stretch of consecutive tasks under
+        one parent — ``count`` tasks from ``seq`` on, children ``index``
+        onwards of the parent at ``path``, which has ``children``."""
+        owner, out = self._owner, []
+        for seq in seqs:
+            last = out[-1] if out else None
+            if last is not None and last[0] + last[4] == seq and owner[last[0]] == owner[seq]:
+                last[4] += 1
+            else:
+                at = owner[seq]
+                out.append([seq, self._keys[at], self._widths[at], seq - self._starts[at], 1])
+        return out
+
+    def rows(self, stretches: Sequence[Sequence]) -> tuple[list[int], list[int]]:
+        """A lease's :meth:`stretches` as its seqs and their rows here,
+        each parent they name added the first time — built by replaying
+        ``build(i)`` down its path, keeping the frames on the way.  A
+        ValueError, before any task is built, when a path index names no
+        child here or a parent has another child count than the driver
+        numbered: a worker whose spec differs fails the job instead of
+        searching other subtrees."""
+        seqs, rows = [], []
+        for seq, path, children, index, count in stretches:
+            if path not in self._at:
+                for depth in range(len(path)):
+                    if path[:depth + 1] not in self._nodes:
+                        child = self._child(self._nodes[path[:depth]], path[depth], path)
+                        self._nodes[path[:depth + 1]] = [child, None]
+                self.add(self._nodes[path][0], path)
+            width = self._widths[self._at[path]] if path in self._at else 0
+            if not width == children >= index + count:
+                raise ValueError(
+                    f"the parent at path {list(path)} has {width} children here; its "
+                    f"lease says {children} and names child {index + count - 1}"
+                )
+            row = self._starts[self._at[path]] + index
+            seqs += range(seq, seq + count)
+            rows += range(row, row + count)
+        return seqs, rows
+
+    def _frame(self, entry: list, i: int) -> Any:
+        """The children's frame of ``entry``'s node, built anew unless
+        it is at or before child ``i``."""
+        frame, spec = entry[1], self._spec
+        if frame is None or (type(frame) is not list and i < frame.pos):
+            frame = entry[1] = (
+                spec.columns(spec.space, entry[0]) if spec.columns is not None
+                else spec.generator(spec.space, entry[0]).drain()
+            )
+        return frame
+
+    def _child(self, entry: list, i: int, path: tuple = ()) -> Any:
+        frame = self._frame(entry, i)
+        width = len(frame) if type(frame) is list else len(frame.values)
+        if not 0 <= i < width:
+            raise ValueError(f"path {list(path)} names child {i} of a node with {width} here")
+        return frame[i] if type(frame) is list else frame.build(i)
 
 
 @dataclass
@@ -266,8 +289,8 @@ def ordered_frontier(
     everything above is processed here, threading one knowledge value
     through the walk exactly as the sequential search would.
     Deterministic by construction — no clocks, no randomness, no worker
-    interleaving — which is what lets every worker repeat it and be
-    handed positions in the result.  Above the last level a node's
+    interleaving — so a task's seq is a function of the instance and a
+    job needs one walk, its driver's.  Above the last level a node's
     children are taken in one go, by its lazy generator's ``drain()``;
     no task root is built here.
     """
@@ -275,14 +298,8 @@ def ordered_frontier(
         # No spawn rule fires at cutoff 0: phase 1 *is* the whole
         # search, and the task list comes back empty.
         done = sequential_search(spec, stype)
-        knowledge = (
-            done.value
-            if stype.kind == "enumeration"
-            else Incumbent(done.value, done.node)
-        )
-        return OrderedFrontier(
-            knowledge=knowledge, goal=bool(done.found), metrics=done.metrics
-        )
+        knowledge = done.value if stype.kind == "enumeration" else Incumbent(done.value, done.node)
+        return OrderedFrontier(knowledge=knowledge, goal=bool(done.found), metrics=done.metrics)
     process = stype.process
     should_prune = stype.should_prune
     is_goal = stype.is_goal
@@ -322,24 +339,7 @@ def ordered_frontier(
             for index in range(len(kids) - 1, -1, -1):
                 pending.append((kids[index], depth, key + (index,)))
     metrics.spawns = len(tasks)
-    return OrderedFrontier(
-        tasks=tasks, knowledge=knowledge, goal=goal, metrics=metrics
-    )
-
-
-def worker_tasks(spec: SearchSpec, stype: SearchType, d_cutoff: int) -> FrontierTasks:
-    """A worker's own copy of the task table, walked when its job starts.
-
-    With ``d_cutoff <= 0`` phase 1 is the whole search: the driver
-    finishes alone, and a worker asked to walk would search the tree a
-    second time for an empty list — refused.
-    """
-    if d_cutoff <= 0:
-        raise ValueError(
-            f"an ordered job with d_cutoff={d_cutoff} has no frontier to walk: "
-            "its driver finishes it in phase 1"
-        )
-    return ordered_frontier(spec, stype, d_cutoff=d_cutoff).tasks
+    return OrderedFrontier(tasks=tasks, knowledge=knowledge, goal=goal, metrics=metrics)
 
 
 def run_task_fixed_bound(
@@ -406,23 +406,21 @@ def execute_run(
     spec: SearchSpec,
     stype: SearchType,
     tasks: FrontierTasks,
-    seqs: Sequence[int],
+    stretches: Sequence[Sequence],
     bound: Optional[int],
-    of: int,
     flush: Callable[[list, bool], None],
     *,
     published: Optional[Callable[[], int]] = None,
     should_abort: Optional[Callable[[], bool]] = None,
     poll: int = 1024,
 ) -> bool:
-    """Execute one lease — tasks ``seqs`` of this worker's own ``tasks``
-    — in order.
+    """Execute one lease — the tasks ``stretches`` name
+    (:meth:`FrontierTasks.stretches`) — in order.
 
     The worker half of the Ordered coordination, shared by both real
-    runtimes.  ``of`` is the size of the frontier the lease was cut
-    from: a worker whose own walk numbered another count would search
-    other subtrees under the same numbers, so that is a ValueError
-    naming both counts, raised before anything runs.  ``bound`` is the
+    runtimes.  ``tasks`` is this worker's table of the job's parents
+    (:meth:`FrontierTasks.rows`: a lease naming what this worker's tree
+    lacks is a ValueError before anything runs).  ``bound`` is the
     finalised-prefix best the lease was cut under (None for
     enumeration); ``published()`` is that same best as this worker last
     heard it.  Each task starts from the largest bound known to hold
@@ -430,12 +428,10 @@ def execute_run(
     predecessors in this run reached — every one of them a floor under
     the bound the ledger will require, and exactly that bound whenever
     the predecessors themselves ran from the right one.  A task whose
-    starting bound the published best overtakes mid-flight can no longer
-    finalise, so it is restarted from the new bound at its next
-    ``poll``-node check instead of being run to a result the ledger must
-    reject.  A task its starting bound prunes at its root
-    (:meth:`FrontierTasks.pruned_at_root`) reports :data:`ROOT_PRUNED`
-    as it is: its node is never built, the kernel never entered.
+    starting bound the published best overtakes mid-flight is restarted
+    from the new bound at its next ``poll``-node check.  A task its
+    starting bound prunes at its root reports :data:`ROOT_PRUNED`
+    without being built.
 
     ``flush(blocks, done)`` ships what has run since the last flush,
     ``done`` marking the run's last message.  A block is a dict: the
@@ -445,16 +441,12 @@ def execute_run(
     and — only when its last task improved the bound — that task's
     ``value``, ``node`` and ``goal``.  A block is closed by such a task,
     or by a newly published bound, and a run flushes as soon as a task
-    improves the bound, so the ledger can finalise and publish it while
-    the rest of the run is still executing.  Returns
-    False, having flushed nothing further, when ``should_abort()`` cut
-    it short.
+    improves the bound.  Returns False, having flushed nothing further,
+    when ``should_abort()`` cut it short.
     """
-    if of != len(tasks):
-        raise ValueError(
-            f"this worker's frontier walk numbered {len(tasks)} tasks, "
-            f"its lease is cut from a frontier of {of}"
-        )
+    seqs, rows = tasks.rows(stretches)
+    if seqs and seqs[-1] - seqs[0] == len(seqs) - 1:
+        seqs = range(seqs[0], seqs[-1] + 1)
     enum = stype.kind == "enumeration"
     names = _COLUMNS + ("knowledge",) if enum else _COLUMNS
 
@@ -472,7 +464,7 @@ def execute_run(
 
     blocks: list[dict] = []
     columns: Optional[tuple] = None  # the open block's, the last of ``blocks``
-    for position, seq in enumerate(seqs):
+    for position, row in enumerate(rows):
         payload = None
         while payload is None:
             # Checked per task too: a run of tasks shorter than ``poll``
@@ -481,11 +473,11 @@ def execute_run(
                 return False
             if not enum and (heard := published()) > bound:
                 bound, columns = heard, None
-            if tasks.pruned_at_root(seq, bound):
+            if tasks.pruned_at_root(row, bound):
                 payload = ROOT_PRUNED
             else:
                 payload = run_task_fixed_bound(
-                    spec, stype, tasks.node(seq), tasks.depth, bound,
+                    spec, stype, tasks.node(row), tasks.depth, bound,
                     poll=poll, should_abort=overtaken_or_aborted,
                 )
         if columns is None:
@@ -797,9 +789,7 @@ def ordered_reference_search(
     for task in frontier.tasks:
         if goal:
             break
-        payload = run_task_fixed_bound(
-            spec, stype, task.node, task.depth, best
-        )
+        payload = run_task_fixed_bound(spec, stype, task.node, task.depth, best)
         metrics.nodes += payload["nodes"]
         metrics.prunes += payload["prunes"]
         metrics.backtracks += payload["backtracks"]

@@ -9,8 +9,8 @@ half for both real runtimes: the process fleet's parent
 what their transport alone knows — queues and shared integers, or a
 lease table, steal mediation and liveness.  For Ordered it is the
 driver half of "Replicable Parallel Branch and Bound Search": it walks
-the frontier, leases runs of it and finalises them in its
-:class:`~repro.core.ordered.OrderedLedger`.
+the frontier (the job's one walk), leases runs of it by child-index
+path and finalises them in its :class:`~repro.core.ordered.OrderedLedger`.
 
 A job goes ``start(engage)``; then, Budget and Stack-Stealing, a
 :meth:`~JobDriver.merge` per report until the transport's own
@@ -36,11 +36,13 @@ __all__ = ["OrderedRun", "JobDriver"]
 @dataclass(frozen=True)
 class OrderedRun:
     """One Ordered lease: the tasks ``seqs`` — a ``range`` of fresh
-    work, or an ascending list of tasks to run again — and the
-    finalised-prefix best they were cut under (None for enumeration)."""
+    work, or an ascending list — the finalised-prefix best they were
+    cut under (None for enumeration), and the same tasks by path, as a
+    worker is told them (:meth:`~repro.core.ordered.FrontierTasks.stretches`)."""
 
     seqs: Sequence[int]
     bound: Optional[int] = None
+    stretches: Sequence[list] = ()
 
 
 class JobDriver:
@@ -56,23 +58,16 @@ class JobDriver:
     Ordered leases go out in sequence order — always the lowest-numbered
     work not yet handed out, so a task the ledger wants run again comes
     before anything fresh — and never more than two runs per worker are
-    in flight, which bounds both how far speculation runs ahead of
-    finalisation and how long a re-run can wait.  Run length needs no
-    knob: it starts at 1, doubles with every lease, is capped at a
-    quarter of an even share of what is left to hand out (so the tail
-    of the job is cut fine enough to balance), and drops back to 1 when
-    the finalised best moves.  Under all of that sits a floor: a run is
+    in flight.  Run length needs no knob: it starts at 1, doubles with
+    every lease, is capped at a quarter of an even share of what is left
+    to hand out, drops back to 1 when the finalised best moves, and is
     never shorter than the ``share_poll`` nodes between two of a
-    worker's own looks at the world, counted in tasks of the mean size
-    finalised so far — cutting finer buys a round trip per lease and no
-    balance a worker could act on.  The tasks to run again after the
-    best moved are not cut by that length at all: whatever is waiting
-    goes out in as many leases as there are workers, an even share each,
-    scattered or not.  A task the finalised best already prunes at its
-    root is never leased: ``start`` and ``accept`` park it in the ledger
-    as the record it would report, so fresh work is the survivors only —
-    a ``range`` while they are consecutive, an ascending list of
-    stretches when they are not.
+    worker's looks at the world, in tasks of the mean size finalised so
+    far (docs/parallel.md).  The tasks to run again after the best moved
+    go out in as many leases as there are workers, an even share each.
+    A task the finalised best already prunes at its root is never
+    leased: ``start`` and ``accept`` park it in the ledger as the record
+    it would report, so fresh work is the survivors only.
     """
 
     def __init__(self, job: WorkerJob) -> None:
@@ -84,7 +79,7 @@ class JobDriver:
         self.ledger: Optional[OrderedLedger] = None  # Ordered, once started
         self.started = time.perf_counter()
         self.in_flight = 0  # Ordered runs leased, not yet done or requeued
-        self._tasks: Any = None  # the Ordered frontier as walked here
+        self._tasks: Any = None  # the Ordered frontier, walked here alone
         self._reruns: list[int] = []  # ascending; all below the fresh
         self._shares = 0  # leases cut from _reruns since it last grew
         self._fresh: list[int] = []  # ascending: never leased, not condemned
@@ -97,9 +92,9 @@ class JobDriver:
         cut of Depth-Bounded, or nothing for Ordered, whose frontier
         this walks into the ledger.
 
-        ``engage()`` tells the workers about the job.  It is called
-        before the Ordered walk, so that each worker walks its own copy
-        meanwhile, and after phase 1 otherwise — and never when phase 1
+        ``engage()`` tells the workers about the job: before the
+        Ordered walk, so that they build the spec meanwhile, after
+        phase 1 otherwise — and never when phase 1
         is the whole search (``d_cutoff <= 0``, a goal met above the
         cutoff, a tree that ends there), which sets :attr:`finished`.
         """
@@ -183,7 +178,7 @@ class JobDriver:
             return None
         self._size = size * 2
         self.in_flight += 1
-        return OrderedRun(seqs, ledger.required_bound())
+        return OrderedRun(seqs, ledger.required_bound(), self._tasks.stretches(seqs))
 
     def accept(self, blocks: Sequence[dict], done: bool) -> bool:
         """Feed one report's blocks to the ledger; ``done`` says the run

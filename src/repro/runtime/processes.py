@@ -36,8 +36,8 @@ RuntimeError and stops the fleet; the next search starts a fresh one.
   while the shared lease count says another worker is starving.
 - :func:`multiprocessing_ordered_search` — **replicable** search
   (Ordered, after Archibald et al.): discovery-ordered atomic tasks,
-  numbered by a frontier walk the parent and every worker each do for
-  themselves, leased as runs of numbers and reported as columns,
+  numbered by the parent's frontier walk, leased as runs named by
+  child-index path and reported as columns,
   finalised in sequence order by an
   :class:`~repro.core.ordered.OrderedLedger`, making value, witness and
   node counts identical run-to-run at any worker count.
@@ -346,9 +346,9 @@ class PipeWorker(Worker):
     another epoch and is dropped.  What the leases found is folded into
     the job's totals, sent once, when the job is over.
 
-    An Ordered lease is ``(epoch, seqs, bound, frontier size)``; the
-    shared ``best`` is then the finalised-prefix best, written by the
-    parent alone, and the reports go straight to ``result_q``.
+    An Ordered lease is ``(epoch, stretches, bound)``; the shared
+    ``best`` is then the finalised-prefix best, written by the parent
+    alone, and the reports go straight to ``result_q``.
     """
 
     def __init__(self, wires: Wires) -> None:
@@ -368,7 +368,6 @@ class PipeWorker(Worker):
         spec = self.specs.get((spec_factory, factory_args), lambda: spec_factory(*factory_args))
         job = self.job = WorkerJob(epoch, spec, stype_factory(*stype_args), coordination, **knobs)
         self.stealing = coordination != "depthbounded"
-        self.walk = coordination == "ordered"
         self.knowledge, self.metrics = job.zero, SearchMetrics()
         self.goal = self.failed = False
         self.serve()
@@ -380,9 +379,6 @@ class PipeWorker(Worker):
             self.wires.result_q.put((epoch, "ok", (knowledge, self.metrics, self.goal)))
 
     def next_work(self) -> Optional[tuple]:
-        if self.walk:
-            self.walk = False
-            return self.job, None
         wires, epoch = self.wires, self.job.id
         while not (wires.done.value or self.failed):
             try:
@@ -550,14 +546,13 @@ def multiprocessing_ordered_search(
     The parent engages the workers and then expands the
     depth-``d_cutoff`` frontier sequentially
     (:func:`~repro.core.ordered.ordered_frontier`), numbering subtree
-    tasks in discovery order, while every worker does the same for
-    itself; from then on only numbers move.  The parent's
-    :class:`~repro.runtime.driver.JobDriver` keeps an
-    :class:`~repro.core.ordered.OrderedLedger`: runs of sequence
-    numbers are leased in order, each worker executes its run from the
-    best bound it can know (speculation), and the ledger finalises the
-    reported blocks task by task, strictly in sequence order, re-issuing
-    every task whose bound proves wrong.
+    tasks in discovery order: the job's one walk.  Its
+    :class:`~repro.runtime.driver.JobDriver` leases runs of tasks in
+    order, named by child-index path; each worker executes its run from
+    the best bound it can know (speculation), and the
+    :class:`~repro.core.ordered.OrderedLedger` finalises the reported
+    blocks strictly in sequence order, re-issuing every task whose bound
+    proves wrong.
     Two runs with the same instance return the identical value, witness
     *and* node counters at any ``n_processes`` — see
     :func:`~repro.core.ordered.ordered_reference_search` for the
@@ -567,8 +562,8 @@ def multiprocessing_ordered_search(
     Factories and the non-negative integer objective requirement are as
     for the other backends; a worker death raises RuntimeError (crash
     *tolerance* for Ordered lives in the cluster backend, which can
-    re-lease atomic tasks), and so does a worker whose own walk numbers
-    another frontier than the parent's.
+    re-lease atomic tasks), and so does a lease naming a child or a
+    child count a worker's own tree lacks.
     """
     return _fleet_search(
         "ordered", spec_factory, factory_args, stype_factory, stype_args,
@@ -638,7 +633,7 @@ def _serve(driver: JobDriver, n: int, tasks: list, wires: Wires, epoch: int, rep
         return
     while not driver.finished:
         while (run := driver.lease(n)) is not None:
-            wires.task_q.put((epoch, run.seqs, run.bound, driver.ledger.task_count))
+            wires.task_q.put((epoch, run.stretches, run.bound))
         if driver.accept(*next(reports)):
             wires.best.value = driver.best
     # Runs still out are not needed: wake whoever waits for one.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.core.ordered import execute_run, worker_tasks
+from repro.core.ordered import FrontierTasks, execute_run
 from repro.core.searchtypes import (
     Decision, Enumeration, Incumbent, Optimisation, SearchType, make_search_type,
 )
@@ -84,9 +84,9 @@ class WorkerJob:
     A ``budget`` or ``share_poll`` below 1 is a ValueError.  ``budget``
     is None but for Budget (Depth-Bounded is a Stack-Stealing job nobody
     asks to share); every lease starts from ``zero``, with no witness of
-    this worker's; ``tasks`` is an Ordered job's frontier as walked
-    here.  ``bound`` and ``done`` are for a transport that is told the
-    incumbent and the end of the job rather than reading them.
+    this worker's; ``tasks`` is an Ordered job's table of the parents
+    its leases named.  ``bound`` and ``done`` are for a transport that
+    is told the incumbent and the end of the job rather than reading it.
     """
 
     def __init__(
@@ -107,7 +107,8 @@ class WorkerJob:
         self.chunked = bool(chunked)
         zero = stype.initial_knowledge(spec)
         self.zero = zero if self.enum else Incumbent(zero.value, None)
-        self.tasks: list = []
+        ordered = coordination == "ordered"
+        self.tasks = FrontierTasks(spec, stype, self.d_cutoff) if ordered else None
         self.bound = 0
         self.done = False
 
@@ -129,9 +130,7 @@ class Worker:
             job, work = item
             self.job = job
             try:
-                if work is None:
-                    job.tasks = worker_tasks(job.spec, job.stype, job.d_cutoff)
-                elif job.coordination == "ordered":
+                if job.coordination == "ordered":
                     execute_run(
                         job.spec, job.stype, job.tasks, *work, self.flush,
                         published=self.bound, should_abort=self.aborted,
@@ -161,9 +160,8 @@ class Worker:
     # -- the transport ---------------------------------------------------
 
     def next_work(self) -> Optional[tuple]:
-        """What to do next: ``(job, None)`` when an Ordered job starts (it
-        walks its frontier), ``(job, work)`` for a lease — ``(roots,
-        depth)``, or a run's ``(seqs, bound, of)`` — or None to leave."""
+        """What to do next: ``(job, work)`` for a lease — ``(roots,
+        depth)``, or a run's ``(stretches, bound)`` — or None to leave."""
 
     def demand(self) -> int:
         """Is a peer starving (or :data:`~repro.runtime.sharing.FLUSH`)?"""

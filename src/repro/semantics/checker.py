@@ -42,10 +42,6 @@ class Judgement:
     reason: Optional[str] = None  # why it was rejected
 
 
-def _thread_nodes(th) -> frozenset:
-    return th.task.nodes if th is not None else frozenset()
-
-
 def _changed_threads(a: Configuration, b: Configuration) -> list[int]:
     return [i for i in range(len(a.threads)) if a.threads[i] != b.threads[i]]
 

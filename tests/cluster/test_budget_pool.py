@@ -246,10 +246,10 @@ class TestFrameBudget:
 
     def test_brock90_1_ordered_leases_are_numbers_under_8_kb(self, monkeypatch):
         # 2 159 frontier tasks used to leave as 2 159 encoded nodes,
-        # over 100 KB of TASK frames a job.  Every worker walks the
-        # frontier itself now, so a lease is [id, epoch, seqs, bound,
-        # of]: ints (and no bound at all for an enumeration), nothing
-        # that could hold a node.
+        # over 100 KB of TASK frames a job.  A lease names its tasks by
+        # path now, [id, epoch, stretches, bound], each stretch [seq,
+        # path, children, index, count]: ints (and no bound at all for
+        # an enumeration), nothing that could hold a node.
         sent = []
         post = Coordinator._post
 
@@ -273,9 +273,11 @@ class TestFrameBudget:
         assert res.metrics.spawns == 2159
         leases = [lease for msg, _ in sent for lease in msg["leases"]]
         assert leases
-        for _id, _epoch, seqs, bound, of in leases:
-            assert of == 2159 and type(bound) is int
-            assert seqs and all(type(n) is int for n in seqs)
+        for _id, _epoch, stretches, bound in leases:
+            assert stretches and type(bound) is int
+            for seq, path, *counts in stretches:
+                assert len(path) == 1  # d_cutoff - 1 child indices
+                assert all(type(n) is int for n in [seq, *path, *counts])
         assert sum(size for _, size in sent) < 8 * 1024
         # Root-pruned tasks stand from any lower bound: far fewer than
         # the 243-500 re-runs a job used to cost.

@@ -14,6 +14,7 @@ against :func:`sequential_search` where the maths demands it:
 """
 
 import multiprocessing
+import os
 import threading
 import time
 
@@ -103,6 +104,55 @@ class TestMatchesSequential:
             n_workers=n, d_cutoff=1, timeout=60,
         )
         assert result_fingerprint(res, counts=True) == result_fingerprint(want, counts=True)
+
+
+class TestOrderedWalkIsTheCoordinators:
+    def test_the_frontier_is_walked_once_by_the_coordinator(self, monkeypatch, tmp_path):
+        import repro.core.ordered as ordered_module
+        import repro.runtime.driver as driver_module
+
+        log = tmp_path / "walks"
+        walk = ordered_module.ordered_frontier
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return walk(*args, **kwargs)
+
+        spec, stype = _stype_for("brock90-1")
+        want = ordered_reference_search(spec, stype, d_cutoff=2)
+        # Before the workers fork, so each would log a walk too.
+        for module in (ordered_module, driver_module):
+            monkeypatch.setattr(module, "ordered_frontier", logged)
+        res = cluster_search(
+            library_spec_factory, ("brock90-1",), stype, coordination="ordered",
+            n_workers=2, d_cutoff=2, timeout=60,
+        )
+        assert result_fingerprint(res, counts=True) == result_fingerprint(want, counts=True)
+        assert res.workers == 2
+        assert log.read_text().split() == [str(os.getpid())]
+
+    @pytest.mark.parametrize("tamper, match", [
+        (lambda seq, path, children, index, count: (seq, path, children + 1, index, count),
+         r"worker 'local-\d'.*the parent at path \[\d+\] has \d+ children here"),
+        (lambda seq, path, children, index, count: (seq, path, children, index + children, count),
+         r"worker 'local-\d'.*the parent at path \[\d+\] has (\d+) children here; its "
+         r"lease says \1 and names child \d+"),
+    ], ids=["child-count", "child"])
+    def test_a_lease_naming_what_the_tree_lacks_fails_the_job(self, monkeypatch, tamper, match):
+        from repro.core.ordered import FrontierTasks
+
+        # The coordinator's leases only: the workers never cut one.
+        stretches = FrontierTasks.stretches
+        monkeypatch.setattr(FrontierTasks, "stretches", lambda tasks, seqs: [
+            tamper(*stretch) for stretch in stretches(tasks, seqs)
+        ])
+        _, stype = _stype_for("brock90-1")
+        with pytest.raises(ClusterJobFailed, match=match):
+            cluster_search(
+                library_spec_factory, ("brock90-1",), stype, coordination="ordered",
+                n_workers=2, d_cutoff=2, timeout=30,
+            )
 
 
 class TestSkeletonRoute:

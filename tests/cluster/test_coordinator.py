@@ -651,13 +651,15 @@ class TestBatching:
         # 5: ordered leases are numbers, reports columns; 6: no SHUTDOWN
         # frame, so the binary codec's type tags after RETIRE moved; 7: a
         # STEAL on a Depth-Bounded job asks for a queued lease back, where
-        # a version-6 worker would split its stack.
-        assert P.PROTOCOL_VERSION == 7
-        for version in (1, 2, 3, 4, 5, 6, 8, None):
+        # a version-6 worker would split its stack; 8: an ordered run names
+        # its tasks by child-index path, where a version-7 worker would
+        # read positions in a frontier it walked itself.
+        assert P.PROTOCOL_VERSION == 8
+        for version in (1, 2, 3, 4, 5, 6, 7, 9, None):
             frames = refused_hello(handle.address, version)
             assert [m["type"] for m in frames] == [P.ERROR]
             assert str(P.PROTOCOL_VERSION) in frames[0]["reason"]
-        w4 = FakeWorker(*handle.address, name="v7")
+        w4 = FakeWorker(*handle.address, name="v8")
         try:
             fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
             w4.send(result_frame(w4.recv(P.TASK), knowledge=1))

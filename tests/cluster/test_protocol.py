@@ -9,6 +9,7 @@ import pytest
 from repro.apps.uts import UTSNode
 from repro.cluster import codec as C
 from repro.cluster import protocol as P
+from repro.cluster.worker import ClusterWorker
 
 
 def _pipe():
@@ -305,6 +306,38 @@ class TestOrderedRuns:
             P.unpack_seqs(wire, of=41)
         with pytest.raises(P.ProtocolError):
             P.unpack_seqs([0, 1], of=None)
+
+    def test_run_round_trip(self):
+        stretches = [[4, (2, 0), 3, 1, 2], [6, (2, 5), 9, 0, 4]]
+        wire = C.decode_body(C.BINARY_CODEC.encode(
+            {"type": P.TASK, "leases": [[1, 0, P.pack_run(stretches), 7]]}
+        ))["leases"][0][2]
+        assert wire == [[4, [2, 0], 3, 1, 2], [6, [2, 5], 9, 0, 4]]
+        assert P.unpack_run(wire, d_cutoff=3) == stretches
+        assert P.unpack_run([[0, [], 5, 0, 5]], d_cutoff=1) == [[0, (), 5, 0, 5]]
+
+    @pytest.mark.parametrize("wire", [
+        None, [], "garbage", [[0, [1], 3, 0]], [[0, 1, 3, 0, 1]],
+        [[0, [1.0], 3, 0, 1]], [[0, [1], 3, "0", 1]], [[0, [True], 3, 0, 1]],  # not ints
+        [[0, [-1], 3, 0, 1]], [[0, [1], 3, -1, 1]], [[-1, [1], 3, 0, 1]],  # negative
+        [[0, [1, 0], 3, 0, 1]], [[0, [], 3, 0, 1]],  # a path of another length
+        [[0, [1], 3, 0, 0]], [[0, [1], 3, 0, -2]],  # empty
+        [[5, [1], 3, 0, 2], [6, [2], 3, 0, 1]],  # not ascending
+    ], ids=lambda wire: repr(wire)[:40])
+    def test_malformed_runs_are_refused(self, wire):
+        with pytest.raises(P.ProtocolError):
+            P.unpack_run(wire, d_cutoff=2)
+        # A worker refuses the TASK that carries one, and queues nothing.
+        worker = ClusterWorker("127.0.0.1", 1, name="stub")
+        worker._send = lambda msg: pytest.fail(f"answered {msg}")
+        worker._on_message({
+            "type": P.JOB, "job": 1, "factory": "repro.verify.generators:instance_spec",
+            "factory_args": ["maxclique", [6, 50, 1]], "stype_kind": "optimisation",
+            "coordination": "ordered", "d_cutoff": 2, "best": 0,
+        })
+        with pytest.raises(P.ProtocolError):
+            worker._on_message({"type": P.TASK, "job": 1, "leases": [[1, 0, wire, 0]]})
+        assert worker._local_q.empty()
 
     def _block(self, **fields):
         block = {"seqs": [4, 5, 9], "bound": 7, "nodes": [1, 1, 30],

@@ -17,7 +17,7 @@ from repro.cluster import protocol as P
 from repro.cluster.coordinator import ClusterHandle, ClusterJobFailed
 from repro.cluster.worker import ClusterWorker
 from repro.core.kernel import search_subtree
-from repro.core.ordered import ordered_reference_search
+from repro.core.ordered import ordered_frontier, ordered_reference_search
 from repro.core.searchtypes import make_search_type
 from repro.core.sequential import sequential_search
 from repro.instances.library import library_spec_factory
@@ -46,6 +46,12 @@ ORDERED_OPT = {
     "budget": 1000,
     "share_poll": 64,
 }
+
+
+# Its tasks at d_cutoff=1: the root's children.
+FRONTIER = len(ordered_frontier(
+    instance_spec(*ORDERED_OPT["factory_args"]), make_search_type("optimisation"), d_cutoff=1,
+).tasks)
 
 
 @pytest.fixture
@@ -495,22 +501,27 @@ class TestWorkerAnswersSteals:
         assert sent[0]["nodes"] == whole_tree()
 
 
+def run_lease(task, children=64):
+    """Run lease ``task`` of a d_cutoff=1 job: task ``task - 1`` alone,
+    child ``task - 1`` of the root."""
+    return [task, 0, [[task - 1, [], children, task - 1, 1]], 0]
+
+
 def ordered_stub(runs):
-    """A socketless worker holding an Ordered job: its walk marker, then
-    ``runs`` run leases (ids 1, 2, ...) of one task each, all queued."""
+    """A socketless worker holding an Ordered job and ``runs`` run
+    leases (ids 1, 2, ...) of one task each, all queued."""
     worker = ClusterWorker("127.0.0.1", 1, name="stub")
     sent: list = []
     worker._send = sent.append
     worker._on_message(dict(JOB_FRAME, coordination="ordered", d_cutoff=1))
     worker._on_message({
-        "type": P.TASK, "job": 1,
-        "leases": [[task, 0, [task - 1, 1], 0, 64] for task in range(1, runs + 1)],
+        "type": P.TASK, "job": 1, "leases": [run_lease(task) for task in range(1, runs + 1)],
     })
     return worker, sent
 
 
 def queued(worker):
-    """The task ids still in the local queue (None: the walk marker)."""
+    """The task ids still in the local queue."""
     return [task_id for _ctx, task_id, _epoch, _work in worker._local_q.queue]
 
 
@@ -520,23 +531,13 @@ class TestAtomicStealsAreAnsweredWithRelease:
 
     def test_the_queued_run_goes_and_the_run_in_hand_stays(self):
         worker, sent = ordered_stub(runs=2)
-        assert worker.next_work()[1] is None  # the walk, done
-        assert worker.next_work()[1][0] == range(0, 1)  # run 1, in hand
+        assert worker.next_work()[1][0] == [[0, (), 64, 0, 1]]  # run 1, in hand
         worker._on_message({"type": P.STEAL, "job": 1})
         assert sent == [{"type": P.RELEASE, "job": 1, "tasks": [[2, 0]]}]
         assert queued(worker) == [] and worker._steal_req is None
 
-    def test_the_walk_marker_is_kept(self):
-        # A run is positions in the worker's own walk: with the marker
-        # gone, the next run would fail the frontier-size check.
-        worker, sent = ordered_stub(runs=2)
-        worker._on_message({"type": P.STEAL, "job": 1})
-        assert sent == [{"type": P.RELEASE, "job": 1, "tasks": [[1, 0], [2, 0]]}]
-        assert queued(worker) == [None]
-
     def test_nothing_queued_is_answered_empty(self):
         worker, sent = ordered_stub(runs=1)
-        worker.next_work()
         worker.next_work()  # the one run, in hand
         worker._on_message({"type": P.STEAL, "job": 1})
         assert sent == [{"type": P.RELEASE, "job": 1, "tasks": []}]
@@ -568,15 +569,14 @@ class TestAtomicStealsAreAnsweredWithRelease:
 
     def test_a_lease_is_run_or_released_exactly_once(self):
         """The receiver filters the local queue while the main thread
-        dequeues from it: every lease is taken by one of them, and the
-        walk marker is dequeued first."""
+        dequeues from it: every lease is taken by one of them."""
         worker, sent = ordered_stub(runs=0)
         leases = 3000
         taken: list = []
 
         def main_thread():
-            while (item := worker.next_work()) is not None:
-                taken.append(worker._lease[0] if item[1] is not None else None)
+            while worker.next_work() is not None:
+                taken.append(worker._lease[0])
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -585,7 +585,7 @@ class TestAtomicStealsAreAnsweredWithRelease:
         try:
             for task in range(1, leases + 1):
                 worker._on_message({
-                    "type": P.TASK, "job": 1, "leases": [[task, 0, [task - 1, 1], 0, leases]],
+                    "type": P.TASK, "job": 1, "leases": [run_lease(task, leases)],
                 })
                 if task % 3 == 0:
                     worker._on_message({"type": P.STEAL, "job": 1})
@@ -595,9 +595,8 @@ class TestAtomicStealsAreAnsweredWithRelease:
             sys.setswitchinterval(switch)
         assert not serving.is_alive()
         released = [task for m in sent if m["type"] == P.RELEASE for task, _epoch in m["tasks"]]
-        assert taken[0] is None and None not in taken[1:]
-        assert sorted(taken[1:] + released) == list(range(1, leases + 1))
-        assert released and taken[1:]  # both sides won some
+        assert sorted(taken + released) == list(range(1, leases + 1))
+        assert released and taken  # both sides won some
 
 
 SPECS_BUILT = []
@@ -739,11 +738,13 @@ class TestWorkerDrain:
 
 def run_leases(raw):
     """The run leases of one raw ordered TASK frame, as dicts (``seqs``
-    unpacked from its ``[first, count, ...]`` stretches)."""
+    the sequence numbers its stretches name)."""
     return [
-        {"job": raw["job"], "task": tid, "epoch": epoch,
-         "seqs": list(P.unpack_seqs(seqs, of)), "bound": bound, "of": of}
-        for tid, epoch, seqs, bound, of in raw["leases"]
+        {"job": raw["job"], "task": tid, "epoch": epoch, "stretches": stretches,
+         "seqs": [seq + k for seq, _path, _children, _index, count in stretches
+                  for k in range(count)],
+         "bound": bound}
+        for tid, epoch, stretches, bound in raw["leases"]
     ]
 
 
@@ -774,9 +775,9 @@ class TestOrderedLeases:
     def test_leases_carry_bounds_and_reissue_on_stale_bound(self, handle):
         """The replicable-BnB speculation loop at the wire level.
 
-        An ordered lease is a run of numbers — ``[id, epoch, seqs,
-        bound, of]`` — cut under the finalised-prefix best; no lease
-        carries a node.  A block searched from a bound that is stale by
+        An ordered lease is a run of tasks named by path — ``[id,
+        epoch, stretches, bound]`` — cut under the finalised-prefix
+        best; no lease carries a node.  A block searched from a bound that is stale by
         finalisation time is discarded and its tasks leased again, first
         in line, under the bound the ledger now requires.
         """
@@ -785,15 +786,16 @@ class TestOrderedLeases:
             fut = handle.run_job_future(ORDERED_OPT, timeout=20)
             job = w.recv(P.JOB)
             assert job["coordination"] == "ordered"
-            assert job["d_cutoff"] == 1  # what the worker's own walk needs
+            assert job["d_cutoff"] == 1  # a parent's path is d_cutoff - 1 long
             base = job["best"]  # the search type's identity bound
 
             raw = w.recv_raw(P.TASK)
-            assert raw["leases"][0][2] == [0, 1]  # one stretch: first, count
+            # One stretch: task 0, child 0 of the root, which has
+            # FRONTIER children.
+            assert raw["leases"][0][2] == [[0, [], FRONTIER, 0, 1]]
             (first,) = run_leases(raw)
             assert (first["seqs"], first["bound"]) == ([0], base)  # sizing starts at 1
-            frontier = first["of"]
-            assert frontier > 1
+            frontier = FRONTIER
             # An improvement to 1 prunes no other task at its root (the
             # least bound that does is 2), so every one is leased.
             w.send(blocks_frame(first, [block(
@@ -809,8 +811,12 @@ class TestOrderedLeases:
                     break  # job completed while we waited
                 for lease in run_leases(raw):
                     # Every lease after the improvement is cut under it,
-                    # from the same frontier.
-                    assert (lease["bound"], lease["of"]) == (1, frontier)
+                    # each task child ``seq`` of the root.
+                    assert lease["bound"] == 1
+                    assert all(
+                        (path, children, index) == ([], frontier, seq)
+                        for seq, path, children, index, _count in lease["stretches"]
+                    )
                     fresh = [s for s in lease["seqs"] if s not in answered_stale]
                     again = [s for s in lease["seqs"] if s in answered_stale]
                     # Deliberately answer from the stale identity bound
@@ -854,7 +860,7 @@ class TestOrderedLeases:
             stats = handle.load_stats()
             # Seq 0 finalised off the flush; everything else still
             # waits for a lease, behind the one that is held.
-            assert stats["outstanding"] == stats["queued_tasks"] == lease["of"] - 1
+            assert stats["outstanding"] == stats["queued_tasks"] == FRONTIER - 1
             assert stats["leased_tasks"] == 1
             w.send(blocks_frame(lease, []))  # the run's last message
             while not fut.done():
@@ -947,8 +953,7 @@ class TestOrderedLeases:
 
     @pytest.mark.parametrize("d_cutoff", [0, -1])
     def test_d_cutoff_zero_is_finished_by_the_coordinator_alone(self, handle, d_cutoff):
-        """Phase 1 is the whole search: no JOB is posted, so no worker
-        walks (its walk would be the whole search over again)."""
+        """Phase 1 is the whole search: no JOB is posted, and no lease."""
         w = FakeWorker(*handle.address, slots=1)
         try:
             payload = dict(ORDERED_OPT, d_cutoff=d_cutoff)
@@ -975,25 +980,28 @@ class TestOrderedLeases:
         finally:
             w.close()
 
-    def test_a_worker_that_walked_another_frontier_fails_the_job(self, handle):
-        """A lease is positions in the worker's own walk: one that
-        numbered another count says so, and the job fails naming both."""
+    def test_a_worker_that_cannot_run_a_lease_fails_the_job(self, handle):
+        """A worker whose tree lacks what a lease names says so, and the
+        job fails with its reason."""
         w = FakeWorker(*handle.address, slots=1)
         try:
             fut = handle.run_job_future(ORDERED_OPT, timeout=20)
             (lease,) = run_leases(w.recv_raw(P.TASK))
             w.send({
                 "type": P.ERROR, "job": lease["job"],
-                "reason": "this worker's frontier walk numbered 7 tasks, "
-                          f"its lease is cut from a frontier of {lease['of']}",
+                "reason": f"ValueError: the parent at path [] has 5 children here; "
+                          f"its lease says {FRONTIER} and names child 0",
             })
-            with pytest.raises(ClusterJobFailed, match=rf"numbered 7 tasks.*of {lease['of']}"):
+            failed = rf"has 5 children here; its lease says {FRONTIER}"
+            with pytest.raises(ClusterJobFailed, match=failed):
                 fut.result(timeout=10)
         finally:
             w.close()
 
-    def test_a_real_worker_checks_the_lease_against_its_own_walk(self):
-        """The worker half of the same check, on a scripted coordinator."""
+    def test_a_real_worker_checks_the_lease_against_its_own_tree(self):
+        """The worker half of the same check, on a scripted coordinator:
+        a lease naming a parent with another child count, or a child its
+        parent lacks, is answered with ERROR and never run."""
         server = socket.socket()
         server.bind(("127.0.0.1", 0))
         server.listen(1)
@@ -1010,26 +1018,31 @@ class TestOrderedLeases:
             conn.sendall(P.frame_bytes({
                 "type": P.WELCOME, "worker": 1, "heartbeat": 5.0, "codec": "json",
             }))
-            conn.sendall(P.frame_bytes(dict(
-                ORDERED_OPT, type=P.JOB, job=1, best=0,
-            )))
-            # The right size: a block of columns comes back, no node in it.
-            size = 6  # the root's children in maxclique(6, 50, 1) at d_cutoff=1
+            conn.sendall(P.frame_bytes(dict(ORDERED_OPT, type=P.JOB, job=1, best=0)))
+            # The right tree: a block of columns comes back, no node in it.
             conn.sendall(P.frame_bytes({
-                "type": P.TASK, "job": 1, "leases": [[1, 0, [0, 2], 0, size]],
+                "type": P.TASK, "job": 1, "leases": [[1, 0, [[0, [], FRONTIER, 0, 2]], 0]],
             }))
             result = _next_frame(conn, P.RESULT)
             (first, *_rest) = result["blocks"]
             assert first["seqs"][0] == 0 and first["bound"] == 0
             assert len(first["nodes"]) == len(first["prunes"]) == first["seqs"][1]
-            # Another size: ERROR naming both counts, and no RESULT.
+            # Another child count: ERROR naming both, and no RESULT.
             conn.sendall(P.frame_bytes({
-                "type": P.TASK, "job": 1, "leases": [[2, 0, [2, 1], 0, size + 1]],
+                "type": P.TASK, "job": 1, "leases": [[2, 0, [[2, [], FRONTIER + 1, 2, 1]], 0]],
             }))
             error = _next_frame(conn, P.ERROR)
             assert error["job"] == 1
-            assert f"numbered {size} tasks" in error["reason"]
-            assert f"frontier of {size + 1}" in error["reason"]
+            said = f"has {FRONTIER} children here; its lease says {FRONTIER + 1}"
+            assert said in error["reason"]
+            # A child the root lacks, in a job cut one level deeper.
+            conn.sendall(P.frame_bytes(dict(ORDERED_OPT, type=P.JOB, job=2, best=0, d_cutoff=2)))
+            conn.sendall(P.frame_bytes({
+                "type": P.TASK, "job": 2, "leases": [[1, 0, [[0, [FRONTIER], 1, 0, 1]], 0]],
+            }))
+            error = _next_frame(conn, P.ERROR)
+            assert error["job"] == 2
+            assert f"names child {FRONTIER} of a node with {FRONTIER} here" in error["reason"]
         finally:
             stop.set()
             server.close()

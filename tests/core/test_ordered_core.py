@@ -10,6 +10,7 @@ records does) and the worker half that executes a run — and, with the
 oracle exists to catch, demonstrated deterministically.
 """
 
+import dataclasses
 import random
 from unittest import mock
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.ordered import (
     ROOT_PRUNED,
+    FrontierTasks,
     OrderedFrontier,
     OrderedLedger,
     OrderedTask,
@@ -721,7 +723,8 @@ class TestRunPolicy:
         driver = _ordered_driver(spec, Enumeration(), 1)
         ledger = driver.ledger
         run = driver.lease(workers=1)
-        assert run == OrderedRun(range(0, 1), None)
+        # Task 0 is child 0 of the root (path ()), which has 3 children.
+        assert run == OrderedRun(range(0, 1), None, [[0, (), 3, 0, 1]])
         for seq in (2, 1, 0):
             assert driver.accept([blocks[seq]], done=False) is False
         assert ledger.finished
@@ -733,10 +736,11 @@ class TestExecuteRun:
     """The worker half: one leased run, no queues, scripted publisher."""
 
     def _run(self, seqs, bound, *, published=lambda: 0, **kw):
-        tasks = ordered_frontier(wide_spec(), Optimisation(), d_cutoff=1).tasks
+        walked = ordered_frontier(wide_spec(), Optimisation(), d_cutoff=1).tasks
         sent = []
         finished = execute_run(
-            wide_spec(), Optimisation(), tasks, seqs, bound, len(tasks),
+            wide_spec(), Optimisation(), FrontierTasks(wide_spec(), Optimisation(), 1),
+            walked.stretches(seqs), bound,
             lambda blocks, done: sent.append((list(blocks), done)),
             published=published, **kw,
         )
@@ -825,7 +829,7 @@ class TestExecuteRun:
         monkeypatch.setattr(tasks, "node", lambda seq: built.append(seq) or build(seq))
         sent = []
         execute_run(
-            spec, stype, tasks, range(n), frontier.knowledge.value, n,
+            spec, stype, tasks, tasks.stretches(range(n)), frontier.knowledge.value,
             lambda blocks, done: sent.extend(blocks), published=lambda: best,
         )
         survivors, condemned = tasks.split(range(n), best)
@@ -842,19 +846,48 @@ class TestExecuteRun:
         assert finished is False
         assert sent == []
 
-    def test_another_frontier_size_is_refused_before_anything_runs(self):
-        tasks = ordered_frontier(wide_spec(), Optimisation(), d_cutoff=1).tasks
-        with pytest.raises(ValueError, match=r"numbered 3 tasks.*frontier of 4"):
+    @pytest.mark.parametrize("stretches, match", [
+        # The root has 3 children, and "a" (path (0,)) has 2.
+        ([(0, (), 3, 0, 1), (1, (), 4, 1, 1)], r"path \[\] has 3 children here; its lease says 4"),
+        ([(0, (), 3, 2, 2)], r"path \[\] has 3 children here; its lease says 3 and names child 3"),
+        ([(0, (0,), 3, 0, 1)], r"path \[0\] has 2 children here; its lease says 3"),
+        ([(0, (3,), 1, 0, 1)], r"path \[3\] names child 3 of a node with 3 here"),
+    ], ids=["child-count", "child", "child-count-below", "path"])
+    def test_another_tree_is_refused_before_anything_runs(self, stretches, match):
+        d_cutoff = len(stretches[0][1]) + 1
+        tasks = FrontierTasks(wide_spec(), Optimisation(), d_cutoff)
+        with pytest.raises(ValueError, match=match):
             execute_run(
-                wide_spec(), Optimisation(), tasks, range(1), 0, 4,
+                wide_spec(), Optimisation(), tasks, stretches, 0,
                 lambda blocks, done: pytest.fail("ran"), published=lambda: 0,
             )
 
+    def test_each_parent_is_built_once_by_replaying_its_path(self):
+        # d_cutoff=2: the parents are a and c (b is a leaf), at paths
+        # (0,) and (2,).  Three leases name them; each is built once,
+        # and the root's frame once, for both of them.
+        spec = wide_spec()
+        walked = ordered_frontier(spec, Enumeration(), d_cutoff=2).tasks
+        assert [t.key for t in walked] == [(0, 0), (0, 1), (2, 0)]
+        framed = []
+        generator = spec.generator
+        spec = dataclasses.replace(
+            spec, generator=lambda space, node: framed.append(node) or generator(space, node),
+        )
+        tasks = FrontierTasks(spec, Enumeration(), 2)
+        for seqs in ([0], [1, 2], [2]):
+            execute_run(spec, Enumeration(), tasks, walked.stretches(seqs), None,
+                        lambda blocks, done: None)
+        assert framed.count("root") == 1
+        assert framed.count("a") == framed.count("c") == 1  # c's re-run kept its frame
+        assert len(tasks) == 3
+
     def test_enumeration_runs_without_bounds(self):
-        tasks = ordered_frontier(wide_spec(), Enumeration(), d_cutoff=1).tasks
+        tasks = FrontierTasks(wide_spec(), Enumeration(), 1)
+        walked = ordered_frontier(wide_spec(), Enumeration(), d_cutoff=1).tasks
         sent = []
         assert execute_run(
-            wide_spec(), Enumeration(), tasks, range(2), None, 3,
+            wide_spec(), Enumeration(), tasks, walked.stretches(range(2)), None,
             lambda blocks, done: sent.append((list(blocks), done)),
         )
         (((block,), done),) = sent
@@ -867,7 +900,7 @@ class TestExecuteRun:
         # leases executed newest-first to force stale speculation.
         spec, kind, kwargs = search_setup(Instance("maxclique", (24, 75, 3)))
         stype = make_search_type(kind, **kwargs)
-        frontier = ordered_frontier(spec, stype, d_cutoff=2)
+        worker = FrontierTasks(spec, stype, 2)  # filled by the runs it is leased
         driver = _ordered_driver(spec, stype, 2, 64)
         ledger = driver.ledger
         while not ledger.finished:
@@ -878,8 +911,7 @@ class TestExecuteRun:
             for run in reversed(held):
                 inbox = []
                 execute_run(
-                    spec, stype, frontier.tasks, run.seqs, run.bound,
-                    len(frontier.tasks),
+                    spec, stype, worker, run.stretches, run.bound,
                     lambda blocks, done: inbox.append((blocks, done)),
                     published=ledger.required_bound,
                 )

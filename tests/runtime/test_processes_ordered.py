@@ -16,13 +16,16 @@ construction, and the repetition-oracle catch is in
 
 import multiprocessing
 import multiprocessing.queues
+import os
 import signal
 from contextlib import contextmanager
 
 import pytest
 
+import repro.core.ordered as ordered_module
+import repro.runtime.driver as driver_module
 import repro.runtime.fleet as fleet
-from repro.core.ordered import ordered_frontier, ordered_reference_search
+from repro.core.ordered import FrontierTasks, ordered_frontier, ordered_reference_search
 from repro.core.results import validate_result
 from repro.core.searchtypes import Decision, Enumeration, Optimisation
 from repro.core.sequential import sequential_search
@@ -158,9 +161,9 @@ class TestReplicable:
 
 class TestFrontierIsPerJob:
     def test_one_warm_fleet_other_cutoff_other_search_type(self, fresh_fleet):
-        # The workers keep the spec from job to job; the frontier they
-        # walk is a function of the cutoff and the search type too, and
-        # must be walked again for every job.
+        # The workers keep the spec from job to job; the parents they
+        # build from a lease's paths depend on the cutoff and the search
+        # type too, and are built again for every job.
         spec = clique_spec_factory(*CLIQUE_ARGS)
         best = sequential_search(spec, Optimisation()).value
         jobs = [
@@ -271,9 +274,8 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("d_cutoff", [0, -1])
     def test_d_cutoff_zero_finishes_in_the_parent_alone(self, d_cutoff, fresh_fleet):
-        # With no cutoff phase 1 *is* the search.  Were the fleet
-        # engaged, every worker's own frontier walk would search the
-        # whole tree again, for an empty task list.
+        # With no cutoff phase 1 *is* the search: the parent finishes
+        # alone and the fleet is never engaged.
         ref = _reference(clique_spec_factory, CLIQUE_ARGS, Optimisation(), d_cutoff=d_cutoff)
         res = multiprocessing_ordered_search(
             clique_spec_factory, CLIQUE_ARGS, optimisation_factory,
@@ -305,28 +307,46 @@ class TestEdgeCases:
         assert task_q.puts == 2  # the end-of-job wake-ups, nothing else
         assert result_q.gets == 2  # the idle reports
 
-    def test_a_worker_that_walked_another_frontier_fails_the_search(
-        self, monkeypatch, fresh_fleet
+    @pytest.mark.parametrize("tamper, match", [
+        (lambda seq, path, children, index, count: (seq, path, children + 1, index, count),
+         r"ValueError: the parent at path \[\d+\] has \d+ children here"),
+        (lambda seq, path, children, index, count: (seq, path, children, index + children, count),
+         r"ValueError: the parent at path \[\d+\] has (\d+) children here; its lease "
+         r"says \1 and names child \d+"),
+    ], ids=["child-count", "child"])
+    def test_a_lease_naming_what_the_tree_lacks_fails_the_search(
+        self, monkeypatch, fresh_fleet, tamper, match
     ):
-        import repro.runtime.driver as driver
-
-        def one_short(spec, stype, *, d_cutoff):
-            frontier = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
-            frontier.tasks.pop()
-            return frontier
-
-        # The parent's walk only: the workers call the real one.
-        monkeypatch.setattr(driver, "ordered_frontier", one_short)
-        n = len(ordered_frontier(
-            clique_spec_factory(*CLIQUE_ARGS), Optimisation(), d_cutoff=2
-        ).tasks)
-        with pytest.raises(
-            RuntimeError, match=rf"numbered {n} tasks.*frontier of {n - 1}"
-        ):
+        # The parent's leases only: the workers never cut one.
+        stretches = FrontierTasks.stretches
+        monkeypatch.setattr(FrontierTasks, "stretches", lambda tasks, seqs: [
+            tamper(*stretch) for stretch in stretches(tasks, seqs)
+        ])
+        with pytest.raises(RuntimeError, match=match):
             multiprocessing_ordered_search(
                 clique_spec_factory, CLIQUE_ARGS, optimisation_factory,
                 n_processes=2, d_cutoff=2,
             )
+
+    def test_the_frontier_is_walked_once_by_the_parent(self, monkeypatch, fresh_fleet, tmp_path):
+        log = tmp_path / "walks"
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return ordered_frontier(*args, **kwargs)
+
+        ref = _reference(clique_spec_factory, CLIQUE_ARGS, Optimisation(), d_cutoff=2)
+        # Before the fleet forks, so every worker would log a walk too.
+        for module in (ordered_module, driver_module):
+            monkeypatch.setattr(module, "ordered_frontier", logged)
+        res = multiprocessing_ordered_search(
+            clique_spec_factory, CLIQUE_ARGS, optimisation_factory,
+            n_processes=2, d_cutoff=2,
+        )
+        assert result_fingerprint(res, counts=True) == result_fingerprint(ref, counts=True)
+        assert len(fresh_fleet.pids()) == 2
+        assert log.read_text().split() == [str(os.getpid())]
 
     def test_singleton_tree(self):
         args = (1, 0.5, 0)

@@ -16,7 +16,7 @@ import pytest
 
 import repro
 import repro.apps.maxclique as maxclique
-from repro.core.ordered import ordered_frontier, ordered_reference_search
+from repro.core.ordered import execute_run, ordered_frontier, ordered_reference_search
 from repro.core.results import validate_result
 from repro.core.searchtypes import Enumeration, Optimisation
 from repro.core.sequential import sequential_search
@@ -50,8 +50,6 @@ class MemoryTransport(Worker):
 
     def engage(self):
         self.engaged = True
-        if self.driver.job.coordination == "ordered":
-            self.queue.append((self.driver.job, None))  # the worker's own walk
 
     def next_work(self):
         if self.abort_after is not None and self.polls > self.abort_after:
@@ -62,7 +60,7 @@ class MemoryTransport(Worker):
         if driver.ledger is not None and not driver.finished:
             run = driver.lease(1)
             assert run is not None, "the driver has nothing out and nothing to lease"
-            return driver.job, (run.seqs, run.bound, driver.ledger.task_count)
+            return driver.job, (run.stretches, run.bound)
         return None
 
     def demand(self):
@@ -204,7 +202,8 @@ class TestOrderedRuns:
     def test_matches_the_reference_fingerprint(self, stype):
         spec = clique_spec_factory(*CLIQUE_ARGS)
         worker = serve(job_of("ordered", spec, stype, d_cutoff=2, share_poll=16))
-        assert worker.job.tasks  # the job's first item was the walk
+        # The worker holds the parents its leases named, and no others.
+        assert 0 < len(worker.job.tasks) <= worker.driver.ledger.task_count
         want = ordered_reference_search(spec, stype, d_cutoff=2)
         assert result_fingerprint(worker.driver.result(1), counts=True) == result_fingerprint(
             want, counts=True
@@ -246,7 +245,7 @@ class TestOrderedRuns:
         class Recording(MemoryTransport):
             def next_work(self):
                 item = super().next_work()
-                if item is not None and item[1] is not None:
+                if item is not None:
                     leased_under[0] = item[1][1]
                 return item
 
@@ -258,8 +257,9 @@ class TestOrderedRuns:
         worker = Recording(JobDriver(job))
         worker.queue += [(job, task) for task in worker.driver.start(worker.engage)]
         worker.serve()
-        # Task roots are the cliques of size 2, built only by runs: by
-        # neither walk, and never for a task its lease's bound condemns.
+        # Task roots are the cliques of size 2, built only by runs: not
+        # by the walk or a replay, and never for a task its lease's
+        # bound condemns.
         roots = [(seq_of[node.clique], bound) for node, bound in built if node.size == 2]
         assert roots and all(bound is not None for _, bound in roots)
         assert not any(reference.pruned_at_root(seq, bound) for seq, bound in roots)
@@ -272,12 +272,51 @@ class TestOrderedRuns:
     def test_a_run_cut_from_another_frontier_fails_the_job(self):
         spec = clique_spec_factory(*CLIQUE_ARGS)
         job = job_of("ordered", spec, Optimisation(), d_cutoff=2)
-        # Never started: nothing but the walk and this one run.
+        walked = ordered_frontier(spec, Optimisation(), d_cutoff=2).tasks
+        ((seq, path, children, index, count),) = walked.stretches(range(1))
+        # Never started: nothing but this one run, whose parent the
+        # driver numbered with one child more than it has.
         worker = MemoryTransport(JobDriver(job))
-        worker.queue += [(job, None), (job, (range(1), 0, 1))]
+        worker.queue.append((job, ([(seq, path, children + 1, index, count)], 0)))
         worker.serve()
         (reason,) = worker.failures
-        assert reason.startswith("ValueError") and "frontier of 1" in reason
+        assert reason.startswith("ValueError")
+        assert f"has {children} children here; its lease says {children + 1}" in reason
+        assert worker.flushes == []
+
+    def test_a_worker_builds_each_leased_parent_once_per_job(self, monkeypatch):
+        spec = clique_spec_factory(*CLIQUE_ARGS)
+        framed = []  # the clique of every node a frame of children was built for
+        frame = maxclique.CliqueGen
+
+        def spy(space, node):
+            children = frame(space, node)
+            if len(children.values):
+                framed.append(node.clique)
+            return children
+
+        spec = dataclasses.replace(spec, columns=spy)
+        walked = ordered_frontier(spec, Enumeration(), d_cutoff=2).tasks
+        parents = list(framed)  # a walk frames the parents alone, in order
+        job = job_of("ordered", spec, Enumeration(), d_cutoff=2, share_poll=16)
+        worker = MemoryTransport(JobDriver(job))
+        worker.driver.start(worker.engage)
+        del framed[:]  # the walks
+        worker.serve()
+        assert worker.failures == [] and worker.driver.finished
+        assert worker.driver.metrics.reassigned == 0  # no row ran twice
+        # The root's frame once, for every path below it, and each
+        # parent's once, for every lease that named it.
+        assert framed.count(0) == 1
+        assert sorted(clique for clique in framed if clique in parents) == sorted(parents)
+        # A row behind its frame's cursor, a re-run of task 0, builds
+        # that one frame again.
+        del framed[:]
+        execute_run(
+            spec, Enumeration(), worker.job.tasks, walked.stretches([0]), None,
+            lambda blocks, done: None,
+        )
+        assert [clique for clique in framed if clique in parents] == parents[:1]
 
 
 def _calls(names):
@@ -317,6 +356,8 @@ def test_the_job_driver_is_the_only_one():
     assert calls["OrderedLedger"] == ["runtime/driver.py"]
     for parent in ("runtime/processes.py", "cluster/coordinator.py"):
         assert parent not in calls["ordered_frontier"] + calls["from_knowledge"]
+    # The job driver walks, and the single-threaded reference; no worker.
+    assert sorted(calls["ordered_frontier"]) == ["core/ordered.py", "runtime/driver.py"]
 
 
 def test_a_shared_spec_cache_gives_each_thread_the_spec_of_its_key():
