@@ -3,7 +3,8 @@
 One coordinator owns the authoritative state of a distributed search,
 in two units it drives on its loop thread: the job is the
 :class:`~repro.runtime.driver.JobDriver` the process fleet's parent runs
-too (first work, published best, merge, Ordered ledger, result), and its
+too (first work or runs, published best, merge, Ordered ledger,
+result), and its
 work is the :class:`~repro.cluster.leases.LeaseTable` (every record
 queued or held under an epoch, the grant round, steal mediation, and
 termination).  What is here is what only a socket needs: the accept
@@ -17,10 +18,10 @@ improves (a stale bound prunes less, never wrongly, §4.3).
 Fault model (docs/cluster.md has the argument): a worker that
 disconnects or misses heartbeats is dead, and its leases are requeued
 under a bumped epoch, so frames it still sends are dropped.  A dead
-holder's lease re-runs from its root — idempotent for optimisation and
-decision (knowledge is max-merged; ``metrics.reassigned`` counts it),
-while a non-ordered enumeration fails loudly, its partial accumulator
-lost with the worker.
+holder's lease re-runs from its roots — idempotent for optimisation
+and decision (``metrics.reassigned`` counts it) and exact for a run,
+which reports once, while a Budget or Stack-Stealing enumeration fails
+loudly, its partial accumulator lost with the worker.
 
 One job runs at a time (the service's
 :class:`~repro.cluster.backend.ClusterBackend` holds a lock).  Workers
@@ -338,7 +339,7 @@ class Coordinator:
                 f"frontier walk failed: {type(exc).__name__}: {exc}"
             ))
             raise job.done.exception() from exc
-        for roots, depth in tasks:
+        for roots, depth in tasks:  # Budget's or Stack-Stealing's root
             job.leases.offer(P.encode_node(roots), depth)
         if job.leases.finished:
             self._complete_job(job)
@@ -541,9 +542,12 @@ class Coordinator:
 
     def _take_handover(self, worker: WorkerConn, job: _Job, msg: dict) -> int:
         """Queue a STOLEN's or OFFCUT's subtrees for the workers with no
-        lease, and grant.  Returns how many were accepted."""
+        lease, and grant.  Returns how many were accepted; a run is
+        never split, so one named is a protocol violation."""
         nodes = _field(msg, "nodes", list, [])
         lease = job.leases.held(worker.id, msg.get("task"), msg.get("epoch"))
+        if lease is not None and lease.run is not None:
+            raise P.ProtocolError(f"{msg['type']} names run lease {lease.id}")
         accepted = len(nodes) if lease is not None else 0
         if accepted:
             job.leases.hand_over(nodes, _field(msg, "depth", int, lease.depth + 1))
@@ -551,31 +555,28 @@ class Coordinator:
         return accepted
 
     def _on_result(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
-        """A lease's report, through the driver: a sharing lease's
-        counters and best, or an Ordered run's blocks for the ledger.
-        An Ordered frame flagged ``more`` is an early flush: the run
-        lease stays held.  A new best is broadcast — for Ordered the
-        *finalised-prefix* best, monotone and deterministic, to every
-        worker."""
+        """A lease's report, through the driver: an Ordered run's blocks
+        for the ledger, else counters and best.  An Ordered frame flagged
+        ``more`` is an early flush: the run lease stays held.  A new best
+        is broadcast — for Ordered the *finalised-prefix* best, monotone
+        and deterministic, to every worker."""
         lease = job.leases.held(worker.id, msg.get("task"), msg.get("epoch"))
         if lease is None:
             return
+        driver = job.driver
+        ordered = driver.ledger is not None
         # Read before the lease settles: a malformed report leaves it
         # held, to be requeued when its worker is dropped for it.
-        if lease.run is not None:
-            report = self._leased_blocks(job, lease, msg)
-        else:
-            report = self._lease_report(job, msg)
-        done = lease.run is None or not msg.get("more")
+        report = self._leased_blocks(job, lease, msg) if ordered else self._lease_report(job, msg)
+        done = not (ordered and msg.get("more"))
         job.leases.settle(worker.id, lease, done)
         job.contributors.add(worker.id)
-        driver = job.driver
-        if lease.run is not None:
+        if ordered:
             moved = driver.accept(report, done)
         else:
-            moved = driver.merge(*report)
+            moved = driver.merge(*report, tasks=len(lease.run.seqs) if lease.run else 0)
         if moved:
-            self._publish_best(job, worker if lease.run is None else None)
+            self._publish_best(job, None if ordered else worker)
         if driver.goal or job.leases.finished:
             self._complete_job(job)
         else:
@@ -614,11 +615,11 @@ class Coordinator:
         return blocks
 
     def _on_release(self, worker: WorkerConn, job: _Job, msg: dict) -> None:
-        """Unstarted leases handed back, by a retiring worker or as an
-        Ordered or Depth-Bounded holder's answer to a STEAL (empty: none
-        was still queued): each is requeued under a bumped epoch or cut
-        again, the cooperative twin of the crash re-lease path — same
-        accounting, but no partial state ever existed."""
+        """Unstarted leases handed back, by a retiring worker or as a run
+        holder's answer to a STEAL (empty: none was still queued): each
+        is requeued under a bumped epoch or cut again, the cooperative
+        twin of the crash re-lease path — same accounting, but no
+        partial state ever existed."""
         released = False
         for pair in _field(msg, "tasks", list, []):
             if isinstance(pair, list) and len(pair) == 2:
@@ -632,9 +633,9 @@ class Coordinator:
     def _pump(self) -> None:
         """Run a grant round of the job's lease table and post what it
         decided: all of a worker's grants in ONE batched TASK frame
-        (``leases: [[id, epoch, [node, ...], depth], ...]``, or for an
-        Ordered run ``[id, epoch, stretches, bound]``), and a STEAL in
-        the same write."""
+        (``leases: [[id, epoch, [node, ...], depth], ...]``, or for a run
+        ``[id, epoch, stretches, bound]``), and a STEAL in the same
+        write."""
         job = self._job
         if job is None:
             return
@@ -652,8 +653,8 @@ class Coordinator:
                 self._post(self.workers[worker], *frames)
 
     def _drop_worker(self, worker: WorkerConn) -> None:
-        """Remove a worker; re-lease what it held (or fail an
-        enumeration job, whose partial accumulator died with it)."""
+        """Remove a worker; re-lease what it held (or fail a sharing
+        enumeration, whose partial accumulator died with it)."""
         if not worker.alive:
             return
         worker.alive = False
@@ -666,10 +667,9 @@ class Coordinator:
         lost = job.leases.leave(worker.id) if job is not None else 0
         if not lost:
             return
-        if job.driver.job.enum and job.driver.ledger is None:
-            # Ordered enumeration is exempt: its tasks are pure
-            # functions of (root, bound) with no shared accumulator, so
-            # a crashed lease is simply re-run — bit-identical.
+        if job.driver.job.enum and not job.driver.job.runs:
+            # A run is exempt: it reports once and never ships a
+            # subtree, so a crashed one is simply re-run — exactly.
             self._fail_job(job, ClusterJobFailed(
                 f"worker {worker.name!r} was lost holding "
                 f"{lost} enumeration lease(s); a partial "

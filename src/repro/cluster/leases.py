@@ -1,14 +1,15 @@
 """The coordinator's lease table: a job's work is queued, held or gone.
 
-A record is sibling subtree roots at one depth (kept wire-encoded, so a
-re-lease is cheap), or for Ordered one run of frontier tasks cut by the
-job's :class:`~repro.runtime.driver.JobDriver`.  It is queued or held by
-one worker.  A record whose ``RESULT`` is accepted is dropped, and so
-is a lost Ordered run, whose tasks go back to the driver to be cut
-again under a new id.  A sharing job is searched when nothing is queued
-or held — the mts master's rule (PAPERS.md): done when its list of
-unexplored subtrees is empty and no worker holds one — and an Ordered
-job when its driver says so.
+A Budget or Stack-Stealing record is sibling subtree roots at one
+depth (kept wire-encoded, so a re-lease is cheap); an Ordered or
+Depth-Bounded lease is one run of frontier tasks, named by path, that
+the job's :class:`~repro.runtime.driver.JobDriver` cuts as slots come
+free.  A record is queued or held by one worker, a run only held.  A
+lease whose last ``RESULT`` is accepted is dropped, and so is a lost
+run, whose tasks go back to the driver to be cut again under a new id.
+A sharing job is searched when nothing is queued or held — the mts
+master's rule (PAPERS.md): done when its list of unexplored subtrees is
+empty and no worker holds one — and a run job when its driver says so.
 
 A record's **epoch** is its fault-recovery value.  A requeued record
 keeps its id and bumps its epoch, so whatever its previous holder still
@@ -18,9 +19,9 @@ refuses it.
 The table makes the coordinator's scheduling decisions: the grant round
 and, when a job's queue is empty, which busy workers are asked for work
 on behalf of the idle ones.  A Budget or Stack-Stealing holder gives
-from its pool or its stack; an Ordered or Depth-Bounded lease is never
-split, so its holder is asked only for the lease queued behind the one
-it runs, which comes back as a release.  Every lease
+from its pool or its stack; a run is never split, so its holder is
+asked only for the lease queued behind the one it runs, which comes
+back as a release.  Every lease
 starts, ends, is handed over or is stolen here, so this is where an
 event stream of those is recorded.  It knows no socket, frame or clock:
 the coordinator drives it on its loop thread,
@@ -40,7 +41,7 @@ __all__ = ["Lease", "LeaseTable"]
 
 @dataclass
 class Lease:
-    """One record: sibling roots at one depth, or an Ordered run."""
+    """One lease: a record of sibling roots at one depth, or a run."""
 
     id: int
     nodes: Any  # wire-encoded roots; None for a run
@@ -176,14 +177,13 @@ class LeaseTable:
         nothing, not for a prefetch slot of the worker that gave it
         away — until nothing is left to lease or every slot is full;
         round-robin, not a greedy fill, spreads the first hand-overs
-        across the fleet.  An Ordered job's runs are cut by the driver
-        as slots come free.  When nothing is left to lease, ``steal``
-        names the busy workers to ask for work on behalf of the idle
-        ones: one per idle worker, those with the most to give first
-        (the fullest pool as last reported, then the most leases), none
-        with a STEAL in flight or an empty last answer, and for Ordered
-        and Depth-Bounded only those with a lease queued behind the one
-        they run.
+        across the fleet.  A run job's runs are cut by the driver as
+        slots come free.  When nothing is left to lease, ``steal`` names
+        the busy workers to ask for work on behalf of the idle ones: one
+        per idle worker, those with the most to give first (the fullest
+        pool as last reported, then the most leases), none with a STEAL
+        in flight or an empty last answer, and on a run job only those
+        with a lease queued behind the one they run.
         """
         eligible = sorted(
             (h for h in self.holders.values() if h.eligible), key=lambda h: len(h.leases)
@@ -207,7 +207,7 @@ class LeaseTable:
             idle = sum(1 for h in eligible if not h.leases)
             # Leases a holder must have to be asked: any, if it can split
             # the one it runs; else one queued behind it.
-            least = 1 if self.driver.job.coordination in ("budget", "stacksteal") else 2
+            least = 2 if self.driver.job.runs else 1
             victims = [
                 h for h in eligible
                 if len(h.leases) >= least and not h.steal_pending and not h.steal_dry
@@ -222,7 +222,7 @@ class LeaseTable:
         ]
 
     def _next(self, workers: int) -> Optional[Lease]:
-        if self.driver.ledger is None:
+        if not self.driver.job.runs:
             return self.queue.popleft() if self.queue else None
         run = self.driver.lease(workers)
         if run is None:
@@ -234,10 +234,10 @@ class LeaseTable:
 
     @property
     def finished(self) -> bool:
-        """Ordered: the driver says so.  Sharing: nothing is queued or
-        held (TCP keeps a lease's hand-overs ahead of its ``RESULT``,
-        so never while work is in flight)."""
-        if self.driver.ledger is not None:
+        """Runs: the driver says so.  Sharing: nothing is queued or held
+        (TCP keeps a lease's hand-overs ahead of its ``RESULT``, so
+        never while work is in flight)."""
+        if self.driver.job.runs:
             return self.driver.finished
         return not self.queue and not self.leased
 
@@ -247,17 +247,17 @@ class LeaseTable:
 
     @property
     def outstanding(self) -> int:
-        """Ordered tasks not finalised, or records queued or held."""
-        ledger = self.driver.ledger
-        if ledger is not None:
-            return ledger.task_count - ledger.next_seq
+        """Frontier tasks not done (the driver's ``outstanding``), or
+        records queued or held."""
+        if self.driver.job.runs:
+            return self.driver.outstanding
         return len(self.queue) + self.leased
 
     @property
     def backlog(self) -> int:
-        """Runnable, unstarted subtrees: Ordered tasks waiting for a
+        """Runnable, unstarted subtrees: frontier tasks waiting for a
         lease, or the roots queued here plus the holders' own pools."""
-        if self.driver.ledger is not None:
+        if self.driver.job.runs:
             return self.driver.backlog
         return sum(len(lease.nodes) for lease in self.queue) + sum(
             h.pool for h in self.holders.values()

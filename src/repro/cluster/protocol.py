@@ -30,11 +30,11 @@ JOB        c -> w      search definition: spec factory, search type, knobs
 TASK       c -> w      lease subtrees: up to ``slots`` ``[id, epoch, [node,
                        ...], depth]`` entries — sibling roots at one
                        depth, one hand-over — batched in one ``leases``
-                       list; an ordered job's entries are *runs*, ``[id,
-                       epoch, stretches, bound]``: tasks named by their
-                       parent's child-index path (see *Ordered runs*)
+                       list; a run job's entries are *runs*, ``[id, epoch,
+                       stretches, bound]`` (see *Runs*)
 OFFCUT     w -> c      unsolicited hand-over: the unstarted subtrees of a
-                       retiring worker's pool, one frame per depth
+                       retiring worker's pool, one frame per depth (one
+                       naming a run, as a STOLEN, is a ProtocolError)
 STEAL      c -> w      an idle worker needs work: give some away.  Budget
                        and stacksteal answer with a STOLEN frame; ordered
                        and depthbounded never split a lease, and answer at
@@ -83,19 +83,19 @@ touched.  An ordered or depthbounded holder answers a STEAL the same
 way, with what sits in its prefetch slot, so its late report on it is
 stale.
 
-Ordered runs
-------------
+Runs
+----
 
-An ordered job ships no nodes at all: the coordinator's walk is the
-job's only one, and a run names its tasks by their parent's child-index
-path, ``[seq, path, children, index, count]`` per stretch
-(:func:`pack_run`), which a worker replays from the root.  A RESULT's
-``blocks`` entry (:func:`pack_block`) is ``{seqs, bound, nodes, prunes,
-backtracks, max_depth}`` — ``seqs`` flat ``[first, count, ...]``
-stretches (:func:`pack_seqs`), the counters as lists, one int per task,
-all run from ``bound`` — plus ``knowledge`` (a list) for enumeration,
-and ``value`` / ``node`` / ``goal`` for the block's last task when that
-task improved the bound.
+An ordered or depthbounded job ships no nodes to its workers: a run
+names its tasks by their parent's child-index path, ``[seq, path,
+children, index, count]`` per stretch (:func:`pack_run`), which a
+worker replays from the root.  A depthbounded run is answered by one
+plain RESULT, an ordered run's ``blocks`` entry (:func:`pack_block`) is ``{seqs,
+bound, nodes, prunes, backtracks, max_depth}`` — ``seqs`` flat
+``[first, count, ...]`` stretches (:func:`pack_seqs`), the counters as
+lists, one int per task, all run from ``bound`` — plus ``knowledge`` (a
+list) for enumeration, and ``value`` / ``node`` / ``goal`` for the
+block's last task when that task improved the bound.
 
 Node transport
 --------------
@@ -185,12 +185,12 @@ __all__ = [
 ]
 
 # The one version both sides speak: coordination-aware JOBs, batched
-# TASK leases of several roots each (for ordered jobs, runs of tasks
-# named by child-index path, answered in column blocks), STEAL/STOLEN, a
-# STEAL on an Ordered or Depth-Bounded job answered with RELEASE, codec
-# negotiation, and RETIRE as the one way a worker is sent away.  A HELLO
-# with any other version is refused.
-PROTOCOL_VERSION = 8
+# TASK leases of several roots each (or runs of tasks named by path,
+# an ordered one answered in column blocks), STEAL/STOLEN, a STEAL on a
+# run job answered with RELEASE, codec negotiation, and RETIRE as the
+# one way a worker is sent away.  A HELLO with any other version is
+# refused.
+PROTOCOL_VERSION = 9
 
 # One frame must hold a message-sized payload (a task node, an offcut
 # batch), never a bulk transfer; anything bigger than this is a protocol
@@ -363,7 +363,7 @@ def _decode_node(value: Any) -> Any:
     return value
 
 
-# -- ordered runs: stretches by path, sequence numbers and column blocks -----
+# -- runs: stretches by path, sequence numbers and column blocks -------------
 
 _COUNTERS = ("nodes", "prunes", "backtracks", "max_depth")
 

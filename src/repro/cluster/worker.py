@@ -3,18 +3,18 @@
 A :class:`ClusterWorker` is the socket transport of
 :class:`~repro.runtime.worker.Worker`, the worker the process fleet
 runs too: the same lease loop, the same one call to
-:func:`~repro.runtime.sharing.execute_lease` (Budget, Stack-Stealing)
-or :func:`~repro.core.ordered.execute_run` (Ordered), the same spec
-cache.  Only the transport methods differ: the shared incumbent integer
-became INCUMBENT frames, the short lease count became the
-coordinator's STEAL, what a starving peer is given leaves in one STOLEN
-frame and reaches it as one lease of several roots, and the
-outstanding counter is the coordinator's lease table.  A lease is its roots
-and everything its holder ran from its own pool, answered by one
-RESULT.  An ordered job's leases carry no roots: a run names its tasks
-by their parent's child-index path.  A failure — a JOB this worker
-cannot build, a lease that raises, a run naming what this worker's tree
-lacks — is answered with ERROR, which fails the job.
+:func:`~repro.runtime.sharing.execute_lease` (Budget, Stack-Stealing,
+Depth-Bounded) or :func:`~repro.core.ordered.execute_run` (Ordered),
+the same spec cache.  Only the transport methods differ: the shared
+incumbent integer became INCUMBENT frames, the short lease count became
+the coordinator's STEAL, what a starving peer is given leaves in one
+STOLEN frame and reaches it as one lease of several roots, and the
+outstanding counter is the coordinator's lease table.  A lease is its
+roots and everything its holder ran from its own pool, answered by one
+RESULT.  An Ordered or Depth-Bounded job's leases carry no roots: a run
+names its tasks by their parent's child-index path.  A failure — a JOB
+this worker cannot build, a lease that raises, a run naming what this
+worker's tree lacks — is answered with ERROR, which fails the job.
 
 Threading model (per connection):
 
@@ -76,8 +76,8 @@ class ClusterWorker(Worker):
     """One worker node.  ``run()`` blocks until retired or stopped.
 
     A STEAL is answered by the Budget or Stack-Stealing lease in hand at
-    its next poll (STOLEN), or on an Ordered or Depth-Bounded job, whose
-    leases are never split, at once by a RELEASE of those still queued.
+    its next poll (STOLEN), or on a run job, whose leases are never
+    split, at once by a RELEASE of those still queued.
 
     Args:
         host/port: the coordinator's address.
@@ -100,7 +100,7 @@ class ClusterWorker(Worker):
 
     # Concurrent leases asked for in HELLO.  Leases beyond the one being
     # searched sit in the local queue as prefetch (a RETIRE hands them
-    # back untouched, and so does an Ordered or Depth-Bounded STEAL);
+    # back untouched, and so does a run job's STEAL);
     # two double-buffer, so finishing a task never stalls on a RESULT ->
     # TASK round trip.
     SLOTS = 2
@@ -329,7 +329,7 @@ class ClusterWorker(Worker):
             if ctx is not None and not ctx.done:
                 for lease in msg["leases"]:
                     task_id, epoch = lease[:2]
-                    if ctx.coordination == "ordered":
+                    if ctx.runs:
                         # A run: its stretches by path, and the bound it
                         # was cut under.
                         work = (P.unpack_run(lease[2], ctx.d_cutoff), lease[3])
@@ -337,9 +337,9 @@ class ClusterWorker(Worker):
                         work = (P.decode_node(lease[2]), int(lease[3]))  # roots, depth
                     self._local_q.put((ctx, task_id, epoch, work))
         elif mtype == P.STEAL:
-            if ctx is not None and ctx.coordination in ("ordered", "depthbounded"):
-                # An atomic lease is never split: the answer is the
-                # leases queued behind the one in hand, handed back now.
+            if ctx is not None and ctx.runs:
+                # A run is never split: the answer is the leases queued
+                # behind the one in hand, handed back now.
                 self._release_unstarted(answer=True)
             else:
                 # Answered by the lease being run (or the one queued),
@@ -461,7 +461,7 @@ class ClusterWorker(Worker):
             # pool behind it and children already shipped.
             self._faults.on_task_start(self.tasks_run + 1)
 
-    def report(self, outcome: LeaseOutcome) -> None:
+    def report(self, outcome: LeaseOutcome, tasks: int) -> None:
         """One RESULT: the counters of every subtree the lease ran and
         ``spawns``, the subtrees split off a stack here."""
         self.tasks_run += 1

@@ -20,7 +20,6 @@ from repro.core.nodegen import (
 from repro.core.ordered import (
     OrderedFrontier,
     OrderedLedger,
-    OrderedTask,
     execute_run,
     ordered_frontier,
     ordered_reference_search,
@@ -52,7 +51,6 @@ __all__ = [
     "ListNodeGenerator",
     "GeneratorFactory",
     "SkeletonParams",
-    "OrderedTask",
     "OrderedFrontier",
     "OrderedLedger",
     "execute_run",

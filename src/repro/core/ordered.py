@@ -77,7 +77,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import inf
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Sized
 
 from repro.core.kernel import search_subtree
 from repro.core.results import SearchMetrics, SearchResult
@@ -86,7 +86,6 @@ from repro.core.sequential import sequential_search
 from repro.core.space import SearchSpec
 
 __all__ = [
-    "OrderedTask",
     "FrontierTasks",
     "OrderedFrontier",
     "ordered_frontier",
@@ -104,22 +103,6 @@ class _Aborted(Exception):
     answers True; :func:`run_task_fixed_bound` turns it into None."""
 
 
-class OrderedTask(NamedTuple):
-    """One frontier subtree with its discovery-order priority, built.
-
-    ``seq`` is the position in the sequential depth-bounded traversal —
-    lower runs (and finalises) first.  ``depth`` is the root's global
-    depth; ``key`` the sibling-index path from the search root (kept for
-    diagnostics: sorting by key *is* sorting by seq).  It is what
-    :class:`FrontierTasks` answers for one of its rows.
-    """
-
-    seq: int
-    node: Any
-    depth: int
-    key: tuple = ()
-
-
 class FrontierTasks:
     """The numbered frontier as a table: row ``r`` is child ``i`` of one
     parent one level above the cutoff, the node at child-index path
@@ -131,9 +114,9 @@ class FrontierTasks:
     on a fresh frame of the parent for a row the frame has passed (a
     re-run, an out-of-order lease).  Other specs keep the parent's
     drained children.  The driver's table is walked
-    (:func:`ordered_frontier`), its rows are the seqs and ``tasks[seq]``
-    is the :class:`OrderedTask`, built.  A worker's starts empty and
-    holds the parents its leases name (:meth:`rows`).
+    (:func:`ordered_frontier`) and its rows are the seqs, lower run (and
+    finalised) first.  A worker's starts empty and holds the parents its
+    leases name (:meth:`rows`).
     """
 
     def __init__(self, spec: SearchSpec, stype: SearchType, depth: int) -> None:
@@ -171,12 +154,6 @@ class FrontierTasks:
 
     def __len__(self) -> int:
         return len(self._owner)
-
-    def __getitem__(self, seq: int) -> OrderedTask:
-        at = self._owner[seq]
-        return OrderedTask(
-            seq, self.node(seq), self.depth, self._keys[at] + (seq - self._starts[at],)
-        )
 
     def node(self, row: int) -> Any:
         """Row ``row``'s task root, built now."""
@@ -270,7 +247,7 @@ class OrderedFrontier:
     is a :class:`FrontierTasks` table when there was a frontier to walk.
     """
 
-    tasks: Sequence[OrderedTask] = field(default_factory=list)
+    tasks: Sized = ()
     knowledge: Any = None
     goal: bool = False
     metrics: SearchMetrics = field(default_factory=SearchMetrics)
@@ -592,7 +569,6 @@ class OrderedLedger:
         # Per task, 1 once condemned; the spare 0 past the end stops a stretch.
         self._condemned = bytearray(self._n + 1)
         self._rescan = False  # something parked may be stale already
-        self._prefix_nodes = frontier.metrics.nodes
         self.knowledge = frontier.knowledge
         self.goal = frontier.goal
         self.metrics = SearchMetrics(**frontier.metrics.to_dict())
@@ -627,12 +603,6 @@ class OrderedLedger:
         later task.  None for enumeration, which has no bound.
         """
         return self._best
-
-    def nodes_per_task(self) -> float:
-        """Mean size of the tasks finalised so far (0.0 before the first)."""
-        if not self._next:
-            return 0.0
-        return (self.metrics.nodes - self._prefix_nodes) / self._next
 
     # -- the driver protocol ------------------------------------------------
 
@@ -786,10 +756,11 @@ def ordered_reference_search(
     goal = frontier.goal
     enum = stype.kind == "enumeration"
     best = None if enum else knowledge.value
-    for task in frontier.tasks:
+    tasks = frontier.tasks
+    for row in range(len(tasks)):
         if goal:
             break
-        payload = run_task_fixed_bound(spec, stype, task.node, task.depth, best)
+        payload = run_task_fixed_bound(spec, stype, tasks.node(row), tasks.depth, best)
         metrics.nodes += payload["nodes"]
         metrics.prunes += payload["prunes"]
         metrics.backtracks += payload["backtracks"]

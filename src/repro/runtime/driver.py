@@ -7,15 +7,17 @@ half for both real runtimes: the process fleet's parent
 (:mod:`repro.runtime.processes`) and the cluster coordinator
 (:mod:`repro.cluster.coordinator`) each run one per job, and keep only
 what their transport alone knows — queues and shared integers, or a
-lease table, steal mediation and liveness.  For Ordered it is the
-driver half of "Replicable Parallel Branch and Bound Search": it walks
-the frontier (the job's one walk), leases runs of it by child-index
-path and finalises them in its :class:`~repro.core.ordered.OrderedLedger`.
+lease table, steal mediation and liveness.  For Ordered and
+Depth-Bounded (§4.3: Ordered is Depth-Bounded with an ordered workpool)
+it walks the frontier, the job's one walk, and leases runs of it by
+child-index path; a run's report is finalised in the
+:class:`~repro.core.ordered.OrderedLedger` or merged under the live
+incumbent (the split of "Replicable Parallel Branch and Bound Search").
 
 A job goes ``start(engage)``; then, Budget and Stack-Stealing, a
 :meth:`~JobDriver.merge` per report until the transport's own
-termination count says the tree is searched; Ordered,
-:meth:`~JobDriver.lease` / :meth:`~JobDriver.accept` /
+termination count says the tree is searched; runs, :meth:`~JobDriver.lease`
+/ :meth:`~JobDriver.accept` (Ordered) or :meth:`~JobDriver.merge` /
 :meth:`~JobDriver.requeue` until :attr:`~JobDriver.finished`; then
 :meth:`~JobDriver.result`.
 """
@@ -35,10 +37,10 @@ __all__ = ["OrderedRun", "JobDriver"]
 
 @dataclass(frozen=True)
 class OrderedRun:
-    """One Ordered lease: the tasks ``seqs`` — a ``range`` of fresh
-    work, or an ascending list — the finalised-prefix best they were
-    cut under (None for enumeration), and the same tasks by path, as a
-    worker is told them (:meth:`~repro.core.ordered.FrontierTasks.stretches`)."""
+    """One run: the tasks ``seqs`` — a ``range`` of fresh work, or an
+    ascending list — the best they were cut under (None for
+    enumeration), and the same tasks by path, as a worker is told them
+    (:meth:`~repro.core.ordered.FrontierTasks.stretches`)."""
 
     seqs: Sequence[int]
     bound: Optional[int] = None
@@ -52,22 +54,21 @@ class JobDriver:
     ``best`` is the published best (None for enumeration): what the
     workers prune from, and for Ordered the finalised-prefix best.
     ``finished`` says the driver needs nothing more: phase 1 ended the
-    search, or every Ordered task is finalised.  A sharing job ends when
-    its transport's termination count says so.
+    search, a goal was met, or every task is done (:attr:`outstanding`).
+    A sharing job ends when its transport's termination count says so.
 
-    Ordered leases go out in sequence order — always the lowest-numbered
+    Runs go out in sequence order — always the lowest-numbered
     work not yet handed out, so a task the ledger wants run again comes
     before anything fresh — and never more than two runs per worker are
     in flight.  Run length needs no knob: it starts at 1, doubles with
     every lease, is capped at a quarter of an even share of what is left
     to hand out, drops back to 1 when the finalised best moves, and is
     never shorter than the ``share_poll`` nodes between two of a
-    worker's looks at the world, in tasks of the mean size finalised so
-    far (docs/parallel.md).  The tasks to run again after the best moved
-    go out in as many leases as there are workers, an even share each.
-    A task the finalised best already prunes at its root is never
-    leased: ``start`` and ``accept`` park it in the ledger as the record
-    it would report, so fresh work is the survivors only.
+    worker's looks at the world, in tasks of the mean size done so far
+    (docs/parallel.md).  The tasks to run again go out in as many leases
+    as there are workers, an even share each.  An Ordered task the
+    finalised best already prunes at its root is never leased: ``start``
+    and ``accept`` park it in the ledger as the record it would report.
     """
 
     def __init__(self, job: WorkerJob) -> None:
@@ -78,8 +79,10 @@ class JobDriver:
         self.goal = self.finished = False
         self.ledger: Optional[OrderedLedger] = None  # Ordered, once started
         self.started = time.perf_counter()
-        self.in_flight = 0  # Ordered runs leased, not yet done or requeued
-        self._tasks: Any = None  # the Ordered frontier, walked here alone
+        self.in_flight = 0  # runs leased, not yet done or requeued
+        self._tasks: Any = ()  # the frontier of a run job, walked here alone
+        self._prefix = 0  # the nodes above it
+        self._owed = 0  # Depth-Bounded tasks not yet reported
         self._reruns: list[int] = []  # ascending; all below the fresh
         self._shares = 0  # leases cut from _reruns since it last grew
         self._fresh: list[int] = []  # ascending: never leased, not condemned
@@ -88,9 +91,8 @@ class JobDriver:
 
     def start(self, engage: Callable[[], None]) -> list:
         """The first work of the job; returns its first leases as
-        ``(roots, depth)`` pairs: the root, or the depth-``d_cutoff``
-        cut of Depth-Bounded, or nothing for Ordered, whose frontier
-        this walks into the ledger.
+        ``(roots, depth)`` pairs: Budget's and Stack-Stealing's root, or
+        nothing for Ordered and Depth-Bounded, whose frontier this walks.
 
         ``engage()`` tells the workers about the job: before the
         Ordered walk, so that they build the spec meanwhile, after
@@ -102,65 +104,73 @@ class JobDriver:
         walks = job.coordination == "ordered" and job.d_cutoff > 0
         if walks:
             engage()
-        tasks = [([job.spec.root], 0)]
-        if job.coordination in ("depthbounded", "ordered"):
+        if job.runs:
             frontier = ordered_frontier(job.spec, job.stype, d_cutoff=job.d_cutoff)
             self.knowledge, self.goal = frontier.knowledge, frontier.goal
-            self.metrics = frontier.metrics
-            self.finished = not frontier.tasks  # a goal empties them too
+            self.metrics, self._prefix = frontier.metrics, frontier.metrics.nodes
+            self._tasks, self._owed = frontier.tasks, len(frontier.tasks)
+            self._fresh = list(range(self._owed))
+            self.finished = not self._owed  # a goal empties them too
             if not job.enum:
                 self.best = self.knowledge.value
         if job.coordination == "ordered":
             self.ledger = OrderedLedger(job.stype, frontier)
-            self.metrics, tasks = self.ledger.metrics, []
-            self._tasks, self._fresh = frontier.tasks, list(range(len(frontier.tasks)))
+            self.metrics = self.ledger.metrics
             self._condemn()
-        elif job.coordination == "depthbounded":
-            tasks = [([task.node], task.depth) for task in frontier.tasks]
         if not (walks or self.finished):
             engage()
-        return tasks
+        return [] if job.runs else [([job.spec.root], 0)]
 
     def merge(self, found: Any, metrics: Optional[SearchMetrics] = None,
-              goal: bool = False) -> bool:
-        """Fold in a sharing report: what it ``found`` (an accumulator,
-        or an incumbent whose witness may be None; None: nothing), the
-        counters of a lease that ended, and whether it met the goal.
-        Returns True when the published best moved."""
+              goal: bool = False, tasks: int = 0) -> bool:
+        """Fold in a report: what it ``found`` (an accumulator, or an
+        incumbent whose witness may be None; None: nothing), the counters
+        of a lease that ended, its goal, and a Depth-Bounded run's number
+        of ``tasks``, which ends the run.  Returns True when the published
+        best moved.  An incumbent's goal is read off the knowledge: a
+        lease stopped by a target published elsewhere holds no witness."""
         stype = self.job.stype
         if found is not None:
             self.knowledge = stype.combine(self.knowledge, found)
         if metrics is not None:
             self.metrics.merge(metrics)
-        if self.job.enum:
-            self.goal = self.goal or goal
-            return False
-        self.goal = self.goal or goal or stype.is_goal(self.knowledge)
-        if found is None or found.value <= self.best:
+        if tasks:
+            self.in_flight -= 1
+            self._owed -= tasks
+        self.goal = self.goal or (goal if self.job.enum else stype.is_goal(self.knowledge))
+        if self.job.runs:
+            self.finished = self.goal or not self._owed
+        if self.job.enum or found is None or found.value <= self.best:
             return False
         self.best = found.value
         return True
 
-    # -- Ordered runs ------------------------------------------------------
+    # -- runs ------------------------------------------------------------
 
     @property
     def backlog(self) -> int:
-        """Ordered tasks waiting for a lease."""
+        """Frontier tasks waiting for a lease."""
         return len(self._reruns) + len(self._fresh)
+
+    @property
+    def outstanding(self) -> int:
+        """Frontier tasks not finalised (Ordered) or reported (Depth-Bounded)."""
+        ledger = self.ledger
+        return self._owed if ledger is None else ledger.task_count - ledger.next_seq
 
     def lease(self, workers: int) -> Optional[OrderedRun]:
         """Cut the next run, or None while the window of ``workers``
         workers is full or there is nothing left to hand out."""
-        ledger = self.ledger
-        if ledger.finished or self.in_flight >= 2 * workers:
+        if self.finished or self.in_flight >= 2 * workers:
             return None
-        reruns = self._reruns
+        reruns, ledger = self._reruns, self.ledger
         # A requeued seq may have finalised meanwhile (a duplicate
         # report from the lease presumed lost): nothing left to run.
-        while reruns and reruns[0] < ledger.next_seq:
+        while ledger is not None and reruns and reruns[0] < ledger.next_seq:
             del reruns[0]
         size = min(self._size, max(1, self.backlog // (4 * workers)))
-        per_task = ledger.nodes_per_task()
+        done = len(self._tasks) - self.outstanding
+        per_task = (self.metrics.nodes - self._prefix) / done if done else 0.0
         if per_task:
             size = max(size, int(self.job.share_poll // per_task))
         seqs: Sequence[int]
@@ -178,7 +188,7 @@ class JobDriver:
             return None
         self._size = size * 2
         self.in_flight += 1
-        return OrderedRun(seqs, ledger.required_bound(), self._tasks.stretches(seqs))
+        return OrderedRun(seqs, self.best, self._tasks.stretches(seqs))
 
     def accept(self, blocks: Sequence[dict], done: bool) -> bool:
         """Feed one report's blocks to the ledger; ``done`` says the run
@@ -200,11 +210,11 @@ class JobDriver:
         return True
 
     def requeue(self, run: OrderedRun) -> int:
-        """A lease was lost (its worker died or handed it back): queue
-        what it still owes again, counted as reassigned.  Returns the
-        number of tasks queued."""
+        """A run was lost (its worker died or handed it back): queue what
+        it owes again, counted as reassigned; returns how many tasks."""
         self.in_flight -= 1
-        owed = [seq for seq in run.seqs if seq >= self.ledger.next_seq]
+        first = 0 if self.ledger is None else self.ledger.next_seq
+        owed = [seq for seq in run.seqs if seq >= first]
         self._queue_again(owed)
         self.metrics.reassigned += len(owed)
         return len(owed)

@@ -23,9 +23,9 @@ caller waits its turn — and a search that loses a worker raises
 RuntimeError and stops the fleet; the next search starts a fresh one.
 
 - :func:`multiprocessing_depthbounded_search` — **static** splitting:
-  the parent cuts the depth-``d`` frontier
-  (:func:`~repro.core.ordered.ordered_frontier`) and queues it; workers
-  never split further (the OpenMP-style baseline of Table 1).
+  the parent walks the depth-``d`` frontier and leases runs of it, as
+  for Ordered; workers never split further (the OpenMP-style baseline
+  of Table 1).
 - :func:`multiprocessing_budget_search` — **dynamic** work sharing
   (Budget): subtrees that outrun their node budget shed offcuts into
   the worker's own order-preserving pool, and half of the pool's
@@ -250,26 +250,22 @@ def multiprocessing_depthbounded_search(
     """Depth-Bounded search over worker processes.
 
     The parent searches the tree above depth ``d_cutoff`` sequentially
-    (:func:`~repro.core.ordered.ordered_frontier`) and puts every
-    subtree root it meets at that depth on the shared task queue, in
-    traversal order; the workers pull them and search each to its end,
-    never splitting further.  ``metrics.spawns`` is the number of
-    frontier subtrees.  A tree that ends above the cutoff,
+    (:func:`~repro.core.ordered.ordered_frontier`) and leases runs of
+    the subtrees it meets at that depth, in traversal order, named by
+    path; a worker searches a run's subtrees to their end under the
+    shared incumbent and reports it once.  ``metrics.spawns`` is the
+    number of frontier subtrees.  A tree that ends above the cutoff,
     ``d_cutoff=0`` and a decision target met in the prefix all finish in
     the parent, and no process is started.
 
     ``spec_factory(*factory_args)`` must rebuild the SearchSpec (the
     parent and each worker call it for a job whose ``(spec_factory,
     factory_args)`` differs from their last); likewise
-    ``stype_factory(*stype_args)`` for the search type.  Returns a
-    :class:`SearchResult` whose ``value`` matches the sequential run;
-    for optimisation/decision the witness is the best node seen by any
-    single task (exact because tasks run their subtrees completely).
+    ``stype_factory(*stype_args)`` for the search type.  The value
+    matches the sequential run's, the witness is a finder's.
 
-    Optimisation/decision objectives must be non-negative ints (raises
-    ValueError otherwise): the incumbent travels between workers as a
-    signed shared integer whose idle value is 0, so a negative objective
-    would let a stale-zero read *tighten* pruning and corrupt results.
+    Optimisation/decision objectives must be non-negative ints
+    (ValueError otherwise): see :func:`_checked_incumbent_seed`.
     """
     return _fleet_search(
         "depthbounded", spec_factory, factory_args, stype_factory, stype_args,
@@ -336,9 +332,9 @@ class PipeWorker(Worker):
     workers, one of them has nothing and nothing is on its way to it,
     and a holder that sees that at its poll hands one item over, so a
     request is served exactly once (the spawn-stack rule, with the
-    victim's poll standing in for the interrupt; Depth-Bounded is never
-    asked).  The incumbent is the shared integer ``best``, read without
-    the lock and locked only to publish an improvement.  The worker that
+    victim's poll standing in for the interrupt).  The incumbent is the
+    shared integer ``best``, read without the lock and locked only to
+    publish an improvement.  The worker that
     brings ``outstanding`` to zero, or reaches a decision target, raises
     ``done`` and posts a sentinel per peer, so that a worker idling in
     ``task_q.get`` leaves at once and one holding a lease abandons it at
@@ -346,9 +342,10 @@ class PipeWorker(Worker):
     another epoch and is dropped.  What the leases found is folded into
     the job's totals, sent once, when the job is over.
 
-    An Ordered lease is ``(epoch, stretches, bound)``; the shared
-    ``best`` is then the finalised-prefix best, written by the parent
-    alone, and the reports go straight to ``result_q``.
+    A run is ``(epoch, stretches, bound)``, reported straight to
+    ``result_q``: Ordered's as blocks, ``best`` then written by the
+    parent alone; Depth-Bounded's once, ``(knowledge, metrics, goal,
+    tasks)``.
     """
 
     def __init__(self, wires: Wires) -> None:
@@ -367,16 +364,18 @@ class PipeWorker(Worker):
         self.workers, coordination, knobs = rest
         spec = self.specs.get((spec_factory, factory_args), lambda: spec_factory(*factory_args))
         job = self.job = WorkerJob(epoch, spec, stype_factory(*stype_args), coordination, **knobs)
-        self.stealing = coordination != "depthbounded"
         self.knowledge, self.metrics = job.zero, SearchMetrics()
         self.goal = self.failed = False
         self.serve()
-        if coordination != "ordered" and not self.failed:
-            knowledge = self.knowledge
-            if not job.enum:
-                # An unpicklable witness degrades to the value alone.
-                knowledge = Incumbent(knowledge.value, _sendable_witness(knowledge.node))
-            self.wires.result_q.put((epoch, "ok", (knowledge, self.metrics, self.goal)))
+        if not (job.runs or self.failed):
+            body = (self._sendable(self.knowledge), self.metrics, self.goal)
+            self.wires.result_q.put((epoch, "ok", body))
+
+    def _sendable(self, knowledge: Any) -> Any:
+        """An unpicklable witness degrades to the value alone."""
+        if self.job.enum:
+            return knowledge
+        return Incumbent(knowledge.value, _sendable_witness(knowledge.node))
 
     def next_work(self) -> Optional[tuple]:
         wires, epoch = self.wires, self.job.id
@@ -391,7 +390,7 @@ class PipeWorker(Worker):
         return None
 
     def demand(self) -> bool:
-        return self.stealing and self._out.value < self.workers
+        return self._out.value < self.workers
 
     def ship(self, nodes: list, depth: int) -> None:
         if nodes:  # "nothing to give" needs no message here
@@ -412,7 +411,11 @@ class PipeWorker(Worker):
         # A goal reached elsewhere, or the ordered parent has all it needs.
         return bool(self.wires.done.value)
 
-    def report(self, outcome: LeaseOutcome) -> None:
+    def report(self, outcome: LeaseOutcome, tasks: int) -> None:
+        if tasks:
+            body = (self._sendable(outcome.knowledge), outcome.metrics, outcome.goal, tasks)
+            self.wires.result_q.put((self.job.id, "ok", body))
+            return
         self.knowledge = self.job.stype.combine(self.knowledge, outcome.knowledge)
         self.metrics.merge(outcome.metrics)
         if outcome.goal:
@@ -588,14 +591,15 @@ def _fleet_search(
     The driver says what the job does; this is its transport.  The
     fleet is engaged when the driver says so (never, when phase 1 is
     the whole search), its task queue is fed the first leases, and then
-    Budget, Stack-Stealing and Depth-Bounded wait for one report per
-    worker — the workers share the incumbent and count outstanding
-    leases in the shared integers themselves — while Ordered's parent
-    leases runs of its frontier onto the queue, accepts the reports and
-    publishes each new finalised-prefix best in ``best``, whose only
-    writer it is.  ``metrics.spawns`` is the number of subtrees split
-    off, by the parent or off a worker's stack; ``metrics.steals`` the
-    number a worker put on the queue for a starving one.
+    Budget and Stack-Stealing wait for one report per worker — the
+    workers share the incumbent and count outstanding leases in the
+    shared integers themselves — while for runs the parent leases its
+    frontier onto the queue and finishes each report: Ordered's in the
+    ledger, publishing each new finalised-prefix best in ``best``;
+    Depth-Bounded's by a merge.  ``metrics.spawns`` is the number of
+    subtrees split off, by the parent or off a worker's stack;
+    ``metrics.steals`` the number a worker put on the queue for a
+    starving one.
     """
     if n_processes < 1:
         raise ValueError("need at least one process")
@@ -624,7 +628,7 @@ def _serve(driver: JobDriver, n: int, tasks: list, wires: Wires, epoch: int, rep
     wires.best.value = driver.best or 0  # an enumeration has no best
     for roots, depth in tasks:
         wires.task_q.put((epoch, roots, depth))
-    if driver.ledger is None:
+    if not driver.job.runs:
         # One report per worker: what it found (a witness that could not
         # be pickled is None; the value still counts), its summed
         # counters, and whether it reached the goal.
@@ -634,7 +638,10 @@ def _serve(driver: JobDriver, n: int, tasks: list, wires: Wires, epoch: int, rep
     while not driver.finished:
         while (run := driver.lease(n)) is not None:
             wires.task_q.put((epoch, run.stretches, run.bound))
-        if driver.accept(*next(reports)):
+        report = next(reports)
+        if driver.ledger is None:
+            driver.merge(*report)  # Depth-Bounded: the workers publish ``best``
+        elif driver.accept(*report):
             wires.best.value = driver.best
     # Runs still out are not needed: wake whoever waits for one.
     wires.done.value = 1

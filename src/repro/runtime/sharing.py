@@ -36,8 +36,8 @@ a holder told to flush hands over every level.
   nothing to give ships the empty list: that is the answer "nothing to
   give".
 
-A Depth-Bounded worker, whose parent did all the splitting, is a
-Stack-Stealing worker that is never asked.
+A Depth-Bounded run, whose driver did all the splitting, is one lease
+of the run's roots that nobody asks to share.
 """
 
 from __future__ import annotations

@@ -23,11 +23,16 @@ from repro.runtime.sharing import LeaseOutcome, execute_lease
 from repro.runtime.workpool import Workpool
 
 __all__ = [
-    "JOB_KNOBS", "job_knobs", "make_stype", "stype_payload", "SpecCache", "WorkerJob", "Worker",
+    "JOB_KNOBS", "RUNS", "job_knobs", "make_stype", "stype_payload", "SpecCache", "WorkerJob",
+    "Worker",
 ]
 
 # The knobs of a job, beside its coordination, on either transport.
 JOB_KNOBS = ("budget", "share_poll", "d_cutoff", "chunked")
+
+# Coordinations leased in runs of the driver's frontier, named by path:
+# one report each, never split, no node shipped.
+RUNS = ("ordered", "depthbounded")
 
 
 def job_knobs(params: Any) -> dict:
@@ -82,11 +87,11 @@ class WorkerJob:
     """One job, as both its driver and its workers hold it.
 
     A ``budget`` or ``share_poll`` below 1 is a ValueError.  ``budget``
-    is None but for Budget (Depth-Bounded is a Stack-Stealing job nobody
-    asks to share); every lease starts from ``zero``, with no witness of
-    this worker's; ``tasks`` is an Ordered job's table of the parents
-    its leases named.  ``bound`` and ``done`` are for a transport that
-    is told the incumbent and the end of the job rather than reading it.
+    is None but for Budget; every lease starts from ``zero``, with no
+    witness of this worker's.  ``runs``: the leases are runs (:data:`RUNS`),
+    and ``tasks`` the table of the parents they named.  ``bound`` and
+    ``done`` are for a transport that is told the incumbent and the end
+    of the job rather than reading it.
     """
 
     def __init__(
@@ -107,8 +112,8 @@ class WorkerJob:
         self.chunked = bool(chunked)
         zero = stype.initial_knowledge(spec)
         self.zero = zero if self.enum else Incumbent(zero.value, None)
-        ordered = coordination == "ordered"
-        self.tasks = FrontierTasks(spec, stype, self.d_cutoff) if ordered else None
+        self.runs = coordination in RUNS
+        self.tasks = FrontierTasks(spec, stype, self.d_cutoff) if self.runs else None
         self.bound = 0
         self.done = False
 
@@ -136,26 +141,30 @@ class Worker:
                         published=self.bound, should_abort=self.aborted,
                         poll=job.share_poll,
                     )
+                elif job.runs:  # Depth-Bounded: one lease, nobody asks for it
+                    _seqs, rows = job.tasks.rows(work[0])
+                    roots = [job.tasks.node(row) for row in rows]
+                    self._run_lease(job, roots, job.tasks.depth, lambda: 0)
                 else:
-                    self._run_lease(job, work)
+                    self._run_lease(job, *work, self.demand)
             except OSError:
                 raise
             except Exception as exc:
                 self.fail(f"{type(exc).__name__}: {exc}")
 
-    def _run_lease(self, job: WorkerJob, work: tuple) -> None:
+    def _run_lease(self, job: WorkerJob, roots: list, depth: int, demand: Callable) -> None:
         try:
             outcome = execute_lease(
-                job.spec, job.stype, *work, job.zero, self.pool,
+                job.spec, job.stype, roots, depth, job.zero, self.pool,
                 budget=job.budget, chunked=job.chunked, poll=job.share_poll,
-                demand=self.demand, ship=self.ship, bound=self.bound,
+                demand=demand, ship=self.ship, bound=self.bound,
                 publish=self.publish, should_abort=self.aborted,
                 on_subtree=self.on_subtree,
             )
         finally:
             self.pool = Workpool("depth")  # whatever the lease left in it
         if not outcome.abandoned:
-            self.report(outcome)
+            self.report(outcome, len(roots) if job.runs else 0)
 
     # -- the transport ---------------------------------------------------
 
@@ -181,8 +190,8 @@ class Worker:
     def on_subtree(self) -> None:
         """Before each subtree a lease pops from its pool."""
 
-    def report(self, outcome: LeaseOutcome) -> None:
-        """A sharing lease ended, not abandoned."""
+    def report(self, outcome: LeaseOutcome, tasks: int) -> None:
+        """A lease ended, not abandoned: ``tasks`` > 0 for a Depth-Bounded run."""
 
     def flush(self, blocks: list, done: bool) -> None:
         """An Ordered run's blocks, ``done`` on its last report."""

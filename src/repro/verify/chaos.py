@@ -11,9 +11,10 @@ survive:
 
 - at most ``n_workers - 1`` workers are killed (someone must finish);
 - kills/partitions are only generated for optimisation/decision jobs —
-  losing a worker mid-enumeration is *defined* to fail loudly (the
-  partial accumulator is unrecoverable), which gets its own dedicated
-  test rather than a place in the random mix;
+  losing a worker mid-enumeration is *defined* to fail loudly on Budget
+  and Stack-Stealing (the partial accumulator is unrecoverable), which
+  gets its own dedicated test rather than a place in the random mix (a
+  lost run is re-run exactly: ``repro verify --repeat`` covers those);
 - frame drops are limited to the protocol's safe-drop set (HEARTBEAT,
   INCUMBENT), enforced again at injection time by
   :class:`repro.cluster.faults.WorkerFaults`.
@@ -65,7 +66,7 @@ def make_plan(
     Workers are assumed named ``{worker_prefix}0 .. {worker_prefix}N-1``
     (the :func:`repro.cluster.local.cluster_search` convention).
     ``allow_kill=False`` restricts the menu to perturbations that never
-    remove a worker permanently — required for enumeration jobs.
+    remove a worker permanently — required for sharing enumeration jobs.
 
     With ``elastic=True`` the plan targets an elastic deployment
     (:func:`repro.deploy.elastic_budget_search`): the menu gains

@@ -52,7 +52,8 @@ __all__ = [
 # kept cheap and first).
 TARGETS = ("sequential", *BACKENDS)
 
-# Families whose search type tolerates losing a worker (enumeration is
+# Families whose search type tolerates losing a worker under every
+# coordination a draw may pick (Budget and Stack-Stealing enumeration is
 # defined to fail loudly instead — exercised by a dedicated test).
 _CHAOS_FAMILIES = tuple(f for f in FAMILIES if f != "uts")
 

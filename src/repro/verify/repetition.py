@@ -17,7 +17,9 @@ backend *against itself*.  ``run_repetition`` executes every
 - **ordered under chaos** (cluster): a ``kill_worker`` fault plan must
   not change the fingerprint either — re-leased ordered tasks are pure
   functions of (root, bound), so a worker death is invisible in the
-  final counts.
+  final counts;
+- **depthbounded enumeration under chaos** (cluster): nor the count —
+  a lost run is re-run whole.
 
 ``metrics.reassigned`` is deliberately *outside* the fingerprint: it
 counts speculative re-runs and fault re-leases, which depend on arrival
@@ -37,6 +39,7 @@ from repro.core.ordered import ordered_reference_search
 from repro.core.results import SearchResult, _encode_node
 from repro.core.searchtypes import make_search_type
 from repro.core.sequential import sequential_search_stepped
+from repro.runtime.worker import RUNS
 from repro.util.rng import SplitMix64
 from repro.verify.chaos import FaultPlan
 from repro.verify.differential import TARGETS, BackendConfig, run_config
@@ -200,10 +203,10 @@ def run_repetition(
             (f"w={w}", _cell_config(backend, coordination, w, knobs))
             for w in (worker_counts if backend != "sequential" else (1,))
         ]
-        if chaos and (coordination == "ordered" or kind != "enumeration"):
-            # Enumeration only survives worker death under ordered
-            # (pure re-runnable tasks); elsewhere it fails loudly by
-            # design, so the chaos cell would test the wrong thing.
+        if chaos and (coordination in RUNS or kind != "enumeration"):
+            # Enumeration only survives worker death in runs (re-run
+            # whole); elsewhere it fails loudly by design, so the chaos
+            # cell would test the wrong thing.
             cells.append((
                 f"w={_CHAOS_WORKERS} chaos[kill_worker local-1]",
                 _cell_config(

@@ -119,6 +119,47 @@ LATE_ARGS = (75, 70, 1)
 LATE_TASKS = 1972
 
 
+def _depthbounded(family, args, *, n_workers, d_cutoff=2, **kw):
+    return cluster_search(
+        instance_spec, (family, list(args)),
+        _setup(family, args)[1],
+        coordination="depthbounded", n_workers=n_workers, d_cutoff=d_cutoff,
+        timeout=120, **kw,
+    )
+
+
+class TestDepthBoundedRuns:
+    """Depth-Bounded is leased in runs by path, as Ordered is: a run
+    reports once and never ships a subtree, so a lost one is re-run
+    exactly, and no frontier node crosses the wire."""
+
+    def test_enumeration_survives_kill_worker(self):
+        spec, stype = _setup("uts", UTS_ARGS)
+        seq = sequential_search(spec, stype)
+        res = _depthbounded(
+            "uts", UTS_ARGS, n_workers=3, fault_plan=KILL_PLAN, **CHAOS,
+        )
+        assert (res.value, res.metrics.nodes) == (seq.value, seq.metrics.nodes)
+        assert res.metrics.reassigned >= 1
+
+    def test_no_lease_encodes_a_node(self, monkeypatch):
+        spec, stype = _setup("maxclique", MAXCLIQUE_ARGS)
+        payload = job_payload(
+            instance_spec, ("maxclique", list(MAXCLIQUE_ARGS)), stype,
+            coordination="depthbounded", d_cutoff=2,
+        )
+        encoded = []
+        encode = P.encode_node
+        monkeypatch.setattr(P, "encode_node", lambda node: encoded.append(node) or encode(node))
+        with ClusterDeployment(WorkerSpec(name_prefix="local", give_up_after=15.0)) as cluster:
+            cluster.fork(2)
+            cluster.wait_for_workers(2, timeout=20.0)
+            res = cluster.run_job(payload, timeout=60)
+        assert res.value == sequential_search(spec, stype).value
+        assert validate_result(spec, res)
+        assert res.metrics.spawns > 1 and encoded == []
+
+
 class TestFrontierIsPerJob:
     def test_one_fleet_other_cutoff_other_search_type(self):
         # A warm worker keeps its spec between jobs, never its

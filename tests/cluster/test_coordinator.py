@@ -653,13 +653,15 @@ class TestBatching:
         # STEAL on a Depth-Bounded job asks for a queued lease back, where
         # a version-6 worker would split its stack; 8: an ordered run names
         # its tasks by child-index path, where a version-7 worker would
-        # read positions in a frontier it walked itself.
-        assert P.PROTOCOL_VERSION == 8
-        for version in (1, 2, 3, 4, 5, 6, 7, 9, None):
+        # read positions in a frontier it walked itself; 9: a
+        # Depth-Bounded lease is a run named by path, where a version-8
+        # worker would decode nodes.
+        assert P.PROTOCOL_VERSION == 9
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 10, None):
             frames = refused_hello(handle.address, version)
             assert [m["type"] for m in frames] == [P.ERROR]
             assert str(P.PROTOCOL_VERSION) in frames[0]["reason"]
-        w4 = FakeWorker(*handle.address, name="v8")
+        w4 = FakeWorker(*handle.address, name="v9")
         try:
             fut = handle.run_job_future(ENUM_PAYLOAD, timeout=10)
             w4.send(result_frame(w4.recv(P.TASK), knowledge=1))

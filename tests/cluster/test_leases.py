@@ -26,7 +26,7 @@ import repro
 from repro.cluster.leases import LeaseTable
 from repro.core.searchtypes import make_search_type
 from repro.runtime.driver import JobDriver
-from repro.runtime.worker import WorkerJob
+from repro.runtime.worker import RUNS, WorkerJob
 from repro.verify.generators import instance_spec
 from tests.runtime.test_worker import _calls
 
@@ -241,13 +241,6 @@ class SharingJob(_Records):
         self.dry.add(worker)
 
 
-class DepthBoundedJob(_HandsBack, _Records):
-    """Depth-Bounded: the depth cut's records, never split; a record
-    handed back keeps its id under a bumped epoch."""
-
-    coordination = "depthbounded"
-
-
 class OrderedJob(_HandsBack):
     """Ordered: runs cut from the driver, a lost or handed-back run
     given back to it and cut again under a new id.  With nothing
@@ -269,9 +262,15 @@ class OrderedJob(_HandsBack):
         ]
         seqs = [seq for run in runs for seq in run.seqs]
         assert len(seqs) == len(set(seqs))
-        assert driver.backlog + len(seqs) == driver.ledger.task_count
+        assert driver.backlog + len(seqs) == driver.outstanding
         assert driver.in_flight == len(runs)
         assert not self.table.queue and not self.table.finished
+
+
+class DepthBoundedJob(OrderedJob):
+    """Depth-Bounded: leased by the same runs, so held to the same books."""
+
+    coordination = "depthbounded"
 
 
 TestSharingJob = SharingJob.TestCase
@@ -301,7 +300,7 @@ def test_atomic_holders_are_asked_only_for_a_queued_lease(coordination):
     # A sharing holder splits the lease it runs, so holding one is
     # enough to be asked.  An Ordered or Depth-Bounded lease is never
     # split: its holder is asked only for one queued behind it.
-    atomic = coordination in ("depthbounded", "ordered")
+    atomic = coordination in RUNS
     _table, asked = fill(coordination, slots=1)
     assert asked == ([] if atomic else [1])
     table, asked = fill(coordination, slots=2)

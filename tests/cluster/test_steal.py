@@ -520,6 +520,28 @@ def ordered_stub(runs):
     return worker, sent
 
 
+def depth_bounded_stub(runs, faults):
+    """A socketless worker holding a Depth-Bounded job cut at depth 1
+    and ``runs`` leases (ids 1, 2, ...) of its whole frontier, with the
+    nodes above the frontier: it leaves once a lease is answered."""
+    worker = ClusterWorker("127.0.0.1", 1, name="stub", faults=faults)
+    sent: list = []
+
+    def record(msg):
+        sent.append(msg)
+        if msg["type"] == P.RESULT:
+            worker._retire = True  # nothing more to do: BYE and return
+
+    worker._send = record
+    worker._on_message(dict(JOB_FRAME, coordination="depthbounded", d_cutoff=1))
+    walked = ordered_frontier(worker._ctx.spec, make_search_type("enumeration"), d_cutoff=1)
+    whole = P.pack_run(walked.tasks.stretches(range(len(walked.tasks))))
+    worker._on_message({
+        "type": P.TASK, "job": 1, "leases": [[task, 0, whole, None] for task in range(1, runs + 1)],
+    })
+    return worker, sent, walked.metrics.nodes
+
+
 def queued(worker):
     """The task ids still in the local queue."""
     return [task_id for _ctx, task_id, _epoch, _work in worker._local_q.queue]
@@ -557,15 +579,33 @@ class TestAtomicStealsAreAnsweredWithRelease:
             def drop_outbound(self, frame_type):
                 return False
 
-        worker, sent = stub_worker("depthbounded", faults=Hooks())
-        worker._on_message({
-            "type": P.TASK, "job": 1,
-            "leases": [[2, 0, [P.encode_node(worker._ctx.spec.root)], 0]],
-        })
+        worker, sent, prefix = depth_bounded_stub(runs=2, faults=Hooks())
         worker.serve()
         assert [m["type"] for m in sent] == [P.RELEASE, P.RESULT, P.BYE]
         assert sent[0]["tasks"] == [[2, 0]]
-        assert (sent[1]["task"], sent[1]["nodes"], sent[1]["spawns"]) == (1, whole_tree(), 0)
+        nodes = whole_tree() - prefix
+        assert (sent[1]["task"], sent[1]["nodes"], sent[1]["spawns"]) == (1, nodes, 0)
+
+    def test_a_retiring_depth_bounded_worker_hands_no_root_of_its_run_over(self):
+        class Hooks:
+            """Delivers a RETIRE as the run's second subtree starts, with
+            the rest of its roots unstarted."""
+
+            def on_task_start(self, n):
+                if n == 2:
+                    worker._on_message({"type": P.RETIRE})
+
+            def on_retire(self):
+                pass
+
+            def drop_outbound(self, frame_type):
+                return False
+
+        worker, sent, prefix = depth_bounded_stub(runs=1, faults=Hooks())
+        worker.serve()
+        # The run in hand is finished whole and reported once: no OFFCUT.
+        assert [m["type"] for m in sent] == [P.RESULT, P.BYE]
+        assert sent[0]["nodes"] == whole_tree() - prefix
 
     def test_a_lease_is_run_or_released_exactly_once(self):
         """The receiver filters the local queue while the main thread
@@ -950,6 +990,38 @@ class TestOrderedLeases:
         finally:
             a.close()
             b.close()
+
+    @pytest.mark.parametrize("frame_type", [P.OFFCUT, P.STOLEN])
+    def test_a_hand_over_naming_a_run_is_a_protocol_violation(self, handle, frame_type):
+        """A run is never split, so an OFFCUT or STOLEN naming one is
+        answered as a protocol violation: its sender is dropped and the
+        run cut again for another worker.  Queued as records, its nodes
+        would never be leased in a run job, and would stop every later
+        STEAL of it."""
+        a = FakeWorker(*handle.address, name="a", slots=1)
+        b = None
+        try:
+            fut = handle.run_job_future(ORDERED_OPT, timeout=20)
+            (lease,) = run_leases(a.recv_raw(P.TASK))
+            a.send({
+                "type": frame_type, "job": lease["job"], "task": lease["task"],
+                "epoch": lease["epoch"], "depth": 2, "nodes": [P.encode_node((1,))],
+            })
+            assert a.recv_raw(P.ERROR)["reason"] == "protocol violation"
+            b = FakeWorker(*handle.address, name="b", slots=1)
+            while not fut.done():
+                try:
+                    raw = b.recv_raw(P.TASK, timeout=2.0)
+                except (AssertionError, TimeoutError):
+                    break
+                for nxt in run_leases(raw):
+                    b.send(blocks_frame(nxt, [block(nxt["seqs"], nxt["bound"])]))
+            res = fut.result(timeout=10)
+            assert res.metrics.reassigned == len(lease["seqs"])
+        finally:
+            a.close()
+            if b is not None:
+                b.close()
 
     @pytest.mark.parametrize("d_cutoff", [0, -1])
     def test_d_cutoff_zero_is_finished_by_the_coordinator_alone(self, handle, d_cutoff):

@@ -23,7 +23,6 @@ from repro.core.ordered import (
     FrontierTasks,
     OrderedFrontier,
     OrderedLedger,
-    OrderedTask,
     execute_run,
     ordered_frontier,
     ordered_reference_search,
@@ -66,14 +65,26 @@ def tied_spec():
     return make_toy_spec({"root": ["a", "b"]}, {"root": 0, "a": 5, "b": 5})
 
 
+def rows_of(tasks):
+    """Each task of a frontier table as ``(seq, node, depth, key)``: its
+    row, its root built, its depth and its child-index path from the
+    root (what a lease's stretch names)."""
+    return [
+        (seq, tasks.node(seq), tasks.depth, path + (index,))
+        for seq in range(len(tasks))
+        for _first, path, _children, index, _count in tasks.stretches([seq])
+    ]
+
+
 class TestOrderedFrontier:
     def test_tasks_numbered_in_discovery_order(self):
         f = ordered_frontier(wide_spec(), Optimisation(), d_cutoff=1)
-        assert [t.node for t in f.tasks] == ["a", "b", "c"]
-        assert [t.seq for t in f.tasks] == [0, 1, 2]
-        assert [t.depth for t in f.tasks] == [1, 1, 1]
+        rows = rows_of(f.tasks)
+        assert [node for _seq, node, _depth, _key in rows] == ["a", "b", "c"]
+        assert [seq for seq, _node, _depth, _key in rows] == [0, 1, 2]
+        assert [depth for _seq, _node, depth, _key in rows] == [1, 1, 1]
         # Sorting by key IS sorting by seq.
-        assert sorted(f.tasks, key=lambda t: t.key) == list(f.tasks)
+        assert sorted(rows, key=lambda row: row[3]) == rows
 
     def test_prefix_covers_exactly_the_region_above_cutoff(self):
         f = ordered_frontier(wide_spec(), Optimisation(), d_cutoff=1)
@@ -81,18 +92,18 @@ class TestOrderedFrontier:
         assert f.metrics.spawns == 3
         f2 = ordered_frontier(wide_spec(), Optimisation(), d_cutoff=2)
         assert f2.metrics.nodes == 4  # root, a, b, c
-        assert [t.node for t in f2.tasks] == ["aa", "ab", "ca"]
+        assert [node for _seq, node, _depth, _key in rows_of(f2.tasks)] == ["aa", "ab", "ca"]
 
     def test_d_cutoff_zero_completes_inline(self):
         f = ordered_frontier(wide_spec(), Optimisation(), d_cutoff=0)
-        assert list(f.tasks) == []
+        assert len(f.tasks) == 0
         seq = sequential_search(wide_spec(), Optimisation())
         assert f.knowledge.value == seq.value
 
     def test_decision_goal_short_circuits_expansion(self):
         f = ordered_frontier(wide_spec(), Decision(target=0), d_cutoff=2)
         assert f.goal is True
-        assert list(f.tasks) == []
+        assert len(f.tasks) == 0
 
 
 def stepped_frontier(spec, stype, d_cutoff):
@@ -133,10 +144,7 @@ def stepped_frontier(spec, stype, d_cutoff):
     frontier.sort(key=lambda sp: sp.key)
     metrics.spawns = len(frontier)
     return OrderedFrontier(
-        tasks=[
-            OrderedTask(seq=i, node=sp.root, depth=sp.depth, key=sp.key)
-            for i, sp in enumerate(frontier)
-        ],
+        tasks=[(i, sp.root, sp.depth, sp.key) for i, sp in enumerate(frontier)],
         knowledge=knowledge, goal=goal, metrics=metrics,
     )
 
@@ -161,7 +169,7 @@ class TestFrontierPinnedToSteppedWalk:
         stype = make_search_type(kind, **kwargs)
         got = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
         want = stepped_frontier(spec, stype, d_cutoff)
-        assert list(got.tasks) == want.tasks  # seq, built node, depth, key
+        assert rows_of(got.tasks) == want.tasks  # seq, built node, depth, key
         assert got.knowledge == want.knowledge
         assert got.goal == want.goal
         assert got.metrics.to_dict() == want.metrics.to_dict()
@@ -170,7 +178,7 @@ class TestFrontierPinnedToSteppedWalk:
         stype = Decision(target=5)  # 'b' at depth 1 reaches it
         got = ordered_frontier(wide_spec(), stype, d_cutoff=2)
         want = stepped_frontier(wide_spec(), stype, 2)
-        assert got.goal and list(got.tasks) == []
+        assert got.goal and len(got.tasks) == 0
         assert got.knowledge == want.knowledge
         assert got.metrics.to_dict() == want.metrics.to_dict()
 
@@ -261,11 +269,11 @@ def _frontier_and_payloads(spec, stype, *, d_cutoff=1, bound=0):
     """Phase 1 plus honest speculative one-task blocks for every task."""
     f = ordered_frontier(spec, stype, d_cutoff=d_cutoff)
     blocks = {}
-    for t in f.tasks:
-        p = run_task_fixed_bound(spec, stype, t.node, t.depth, bound)
+    for seq, node, depth, _key in rows_of(f.tasks):
+        p = run_task_fixed_bound(spec, stype, node, depth, bound)
         if stype.kind != "enumeration":
             p["bound"] = bound
-        blocks[t.seq] = _as_block(t.seq, p)
+        blocks[seq] = _as_block(seq, p)
     return f, blocks
 
 
@@ -513,7 +521,7 @@ def _flat_ledger(n, best=0):
     """A ledger over ``n`` placeholder tasks whose phase-1 best is
     ``best`` — arrivals are scripted, nothing is ever searched."""
     frontier = OrderedFrontier(
-        tasks=[OrderedTask(i, f"t{i}", 1) for i in range(n)],
+        tasks=range(n),  # the ledger reads only their number
         knowledge=Incumbent(best, "root"),
     )
     return OrderedLedger(Optimisation(), frontier)
@@ -650,7 +658,6 @@ class TestRunPolicy:
         driver, ledger = _flat_driver(400, poll=64)
         assert len(driver.lease(workers=2).seqs) == 1  # nothing finalised yet
         driver.accept([_record(0, 0, nodes=4)], done=True)
-        assert ledger.nodes_per_task() == 4.0
         assert len(driver.lease(workers=2).seqs) == 16
         assert len(driver.lease(workers=2).seqs) == 32
         second = driver.lease(workers=2)
@@ -868,7 +875,7 @@ class TestExecuteRun:
         # and the root's frame once, for both of them.
         spec = wide_spec()
         walked = ordered_frontier(spec, Enumeration(), d_cutoff=2).tasks
-        assert [t.key for t in walked] == [(0, 0), (0, 1), (2, 0)]
+        assert [key for _seq, _node, _depth, key in rows_of(walked)] == [(0, 0), (0, 1), (2, 0)]
         framed = []
         generator = spec.generator
         spec = dataclasses.replace(
@@ -928,11 +935,11 @@ class TestExecuteRun:
 
 def _reference_journal(spec, stype, frontier):
     """``(seq, required bound, nodes)`` per task, as the reference runs them."""
-    best = frontier.knowledge.value
+    best, tasks = frontier.knowledge.value, frontier.tasks
     journal = []
-    for t in frontier.tasks:
-        p = run_task_fixed_bound(spec, stype, t.node, t.depth, best)
-        journal.append((t.seq, best, p["nodes"]))
+    for seq in range(len(tasks)):
+        p = run_task_fixed_bound(spec, stype, tasks.node(seq), tasks.depth, best)
+        journal.append((seq, best, p["nodes"]))
         if p["value"] is not None and p["value"] > best:
             best = p["value"]
     return journal
@@ -946,7 +953,7 @@ def _speculate(spec, stype, tasks, seqs, bounds):
     block = None
     for seq in seqs:
         bound = bounds[seq]
-        p = run_task_fixed_bound(spec, stype, tasks[seq].node, tasks[seq].depth, bound)
+        p = run_task_fixed_bound(spec, stype, tasks.node(seq), tasks.depth, bound)
         if block is None or block["bound"] != bound or block["seqs"][-1] != seq - 1:
             block = {"seqs": [], "bound": bound, **{name: [] for name in COUNTERS}}
             blocks.append(block)
@@ -1116,7 +1123,7 @@ class TestLedgerAgainstTheFullScan:
         }[kind]
         enum = kind == "enumeration"
         frontier = OrderedFrontier(
-            tasks=[OrderedTask(i, f"t{i}", 1) for i in range(n)],
+            tasks=range(n),
             knowledge=0 if enum else Incumbent(data.draw(st.integers(0, 4)), "root"),
         )
         new, old = OrderedLedger(stype, frontier), _FullScanLedger(stype, frontier)

@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from repro.core.ordered import ordered_frontier
+from repro.core.results import validate_result
 from repro.core.searchtypes import Decision, Enumeration, Optimisation
 from repro.core.sequential import sequential_search
 from repro.runtime.processes import (
@@ -81,6 +82,8 @@ class TestCorrectness:
         )
         assert res.found is True
         assert res.value == seq.value
+        # The witness is the finder's, whichever run stopped first.
+        assert validate_result(clique_spec_factory(*CLIQUE_ARGS), res)
 
     def test_decision_refuted(self):
         seq = sequential_search(clique_spec_factory(*CLIQUE_ARGS), Optimisation())

@@ -17,8 +17,8 @@ import pytest
 import repro
 import repro.apps.maxclique as maxclique
 from repro.core.ordered import execute_run, ordered_frontier, ordered_reference_search
-from repro.core.results import validate_result
-from repro.core.searchtypes import Enumeration, Optimisation
+from repro.core.results import SearchMetrics, validate_result
+from repro.core.searchtypes import Decision, Enumeration, Incumbent, Optimisation
 from repro.core.sequential import sequential_search
 from repro.runtime.driver import JobDriver
 from repro.runtime.worker import SpecCache, Worker, WorkerJob
@@ -35,8 +35,9 @@ COORDINATIONS = ["depthbounded", "budget", "stacksteal", "ordered"]
 class MemoryTransport(Worker):
     """A worker whose transport is a list and whose driver is ``driver``.
     ``starving`` is the script for the imaginary peers: asked at every
-    poll whether one of them is waiting for work (never, for
-    Depth-Bounded).  ``abort_after`` polls, the job is called off."""
+    poll of a sharing lease whether one of them is waiting for work.
+    ``abort_after`` polls, the job is called off.  ``runs`` is every run
+    the driver cut."""
 
     def __init__(self, driver, *, starving=lambda t: True, abort_after=None):
         super().__init__()
@@ -46,7 +47,7 @@ class MemoryTransport(Worker):
         self.abort_after = abort_after
         self.polls = 0
         self.engaged = False
-        self.reports, self.flushes, self.failures = [], [], []
+        self.reports, self.flushes, self.failures, self.runs = [], [], [], []
 
     def engage(self):
         self.engaged = True
@@ -57,14 +58,15 @@ class MemoryTransport(Worker):
         if self.queue:
             return self.queue.pop(0)
         driver = self.driver
-        if driver.ledger is not None and not driver.finished:
+        if driver.job.runs and not driver.finished and driver.outstanding:  # started
             run = driver.lease(1)
             assert run is not None, "the driver has nothing out and nothing to lease"
+            self.runs.append(run)
             return driver.job, (run.stretches, run.bound)
         return None
 
     def demand(self):
-        return self.driver.job.coordination != "depthbounded" and self.starving(self)
+        return self.starving(self)
 
     def ship(self, nodes, depth):
         if nodes:
@@ -80,9 +82,9 @@ class MemoryTransport(Worker):
         self.polls += 1
         return self.abort_after is not None and self.polls > self.abort_after
 
-    def report(self, outcome):
+    def report(self, outcome, tasks):
         self.reports.append(outcome)
-        self.driver.merge(outcome.knowledge, outcome.metrics, outcome.goal)
+        self.driver.merge(outcome.knowledge, outcome.metrics, outcome.goal, tasks)
 
     def flush(self, blocks, done):
         self.flushes.append(done)
@@ -158,11 +160,35 @@ class TestSharingLeases:
         seq = sequential_search(spec, Enumeration())
         frontier = ordered_frontier(spec, Enumeration(), d_cutoff=2)
         worker = serve(job_of("depthbounded", spec, Enumeration(), share_poll=4))
-        assert len(worker.reports) == len(frontier.tasks)
+        # The runs partition the frontier, and each reports once.
+        seqs = [seq for run in worker.runs for seq in run.seqs]
+        assert sorted(seqs) == list(range(len(frontier.tasks)))
+        assert len(worker.reports) == len(worker.runs) < len(frontier.tasks)
+        assert all(outcome.metrics.spawns == 0 for outcome in worker.reports)
         leased = sum(outcome.metrics.nodes for outcome in worker.reports)
         assert frontier.metrics.nodes + leased == seq.metrics.nodes
         driver = worker.driver
         assert (driver.knowledge, driver.metrics.nodes) == (seq.value, seq.metrics.nodes)
+
+    def test_a_run_stopped_on_a_published_target_ends_nothing(self):
+        spec = clique_spec_factory(*CLIQUE_ARGS)
+        found = sequential_search(spec, Optimisation())
+        stype = Decision(found.value)
+        driver = JobDriver(job_of("depthbounded", spec, stype, d_cutoff=1))
+        driver.start(lambda: None)
+        heard, finder = driver.lease(2), driver.lease(2)
+        # The run that heard the target published stops at its first
+        # root with the goal met and no witness of it: no end of the job.
+        zero = stype.initial_knowledge(spec)
+        driver.merge(Incumbent(zero.value, None), SearchMetrics(nodes=1), True, len(heard.seqs))
+        assert not (driver.goal or driver.finished)
+        driver.merge(
+            Incumbent(found.value, found.node), SearchMetrics(nodes=9), True, len(finder.seqs)
+        )
+        assert driver.goal and driver.finished
+        res = driver.result(2)
+        assert (res.value, res.found) == (found.value, True)
+        assert validate_result(spec, res)
 
     @pytest.mark.parametrize("coordination", ["budget", "stacksteal"])
     def test_optimisation_value_and_witness(self, coordination):
@@ -231,7 +257,7 @@ class TestOrderedRuns:
     def test_no_task_root_is_built_but_to_run_it(self, monkeypatch):
         spec = clique_spec_factory(*CLIQUE_ARGS)
         reference = ordered_frontier(spec, Optimisation(), d_cutoff=2).tasks
-        seq_of = {task.node.clique: task.seq for task in reference}
+        seq_of = {reference.node(seq).clique: seq for seq in range(len(reference))}
         leased_under = [None]  # the bound of the lease in hand
         built = []  # (node, bound of the lease in hand) per CliqueNode
 
