@@ -6,7 +6,7 @@
 but the work movement (pooled budget offcuts and stack-steal splits
 handed to a starving peer, or ordered fixed-bound leases) happens over
 real TCP sockets through an embedded
-coordinator instead of through ``multiprocessing`` queues.  It exists
+coordinator instead of through the process fleet's pipes.  It exists
 so the ``backend="cluster"`` skeleton route (:func:`run_skeleton`, the
 ``"cluster"`` row of :data:`repro.core.backends.BACKENDS`), the tests
 and the verify harness can exercise the genuine wire path without

@@ -6,7 +6,7 @@ and says what the search found.  :class:`JobDriver` is the driver's
 half for both real runtimes: the process fleet's parent
 (:mod:`repro.runtime.processes`) and the cluster coordinator
 (:mod:`repro.cluster.coordinator`) each run one per job, and keep only
-what their transport alone knows — queues and shared integers, or a
+what their transport alone knows — pipes and shared integers, or a
 lease table, steal mediation and liveness.  For Ordered and
 Depth-Bounded (§4.3: Ordered is Depth-Bounded with an ordered workpool)
 it walks the frontier, the job's one walk, and leases runs of it by

@@ -13,9 +13,8 @@ too, whose lease loop makes the one call to
 too, which starts each job, merges or finalises what the workers report
 and assembles the result.  What is here is the pipe transport of both:
 :class:`PipeWorker` for the worker, ``_fleet_search`` for the parent —
-queues and shared integers, the non-negative incumbent-seed check and
-the witness probe.  The processes belong to
-one warm fleet (:mod:`repro.runtime.fleet`, ``FLEET`` below): the first
+pipes and shared integers and the non-negative incumbent-seed check.
+The processes belong to one warm fleet (:mod:`repro.runtime.fleet`, ``FLEET`` below): the first
 search of a process forks its workers, every later one engages them
 with a message each, and they stop when the process exits (or at
 ``FLEET.close()``).  One search runs on the fleet at a time — a second
@@ -29,7 +28,7 @@ RuntimeError and stops the fleet; the next search starts a fresh one.
 - :func:`multiprocessing_budget_search` — **dynamic** work sharing
   (Budget): subtrees that outrun their node budget shed offcuts into
   the worker's own order-preserving pool, and half of the pool's
-  shallowest level goes to the shared queue, as one item for one thief,
+  shallowest level goes to the shared task pipe, as one item for one thief,
   only while another worker is starving.
 - :func:`multiprocessing_stacksteal_search` — **demand-driven** work
   sharing (Stack-Stealing): the same worker, but a stack is split only
@@ -57,11 +56,12 @@ be non-negative ints; every backend validates that at launch (see
 :func:`_checked_incumbent_seed`).
 
 Remaining limitations, stated plainly: witness nodes travel back by
-pickling, and even on a warm fleet a search pays about a millisecond of
-messages and queue wake-ups before a node is expanded and work reaches
-a second worker only at the first worker's next poll, so a tree of a
-few thousand nodes is still no faster than sequentially.  The simulator
-remains the instrument for studying coordination at scale.
+pickling, and even on a warm fleet a search pays for its messages — a
+one-node Budget search on two workers takes 0.25–0.33 ms (2-core host,
+median of 1 000) — and work reaches a second worker only at the first
+worker's next poll, so a tree of a few thousand nodes is still no
+faster than sequentially.  The simulator remains the instrument for
+studying coordination at scale.
 """
 
 from __future__ import annotations
@@ -71,14 +71,13 @@ import signal
 import time
 from contextlib import ExitStack
 from multiprocessing import Pipe, Process
-from queue import Empty
 from typing import Any, Callable, Optional
 
 from repro.core.params import SkeletonParams
 from repro.core.results import SearchMetrics, SearchResult, result_from_dict
 from repro.core.searchtypes import Incumbent, SearchType
 from repro.runtime.driver import JobDriver
-from repro.runtime.fleet import ProcessFleet, Wires, graceful_stop
+from repro.runtime.fleet import POLL, ProcessFleet, Wires, graceful_stop
 from repro.runtime.sharing import LeaseOutcome
 from repro.runtime.worker import SpecCache, Worker, WorkerJob, job_knobs, make_stype, stype_payload
 
@@ -93,12 +92,6 @@ __all__ = [
     "run_job_in_subprocess",
     "graceful_stop",
 ]
-
-# How long an idle worker waits on the task queue before it looks at
-# the job's ``done`` flag again.  A backstop: whoever raises the flag
-# also posts an end-of-job sentinel per peer, which wakes them at once.
-QUEUE_POLL = 0.02
-
 
 def run_library_search(
     instance: str,
@@ -301,51 +294,37 @@ def _checked_incumbent_seed(value: Any) -> int:
     return value
 
 
-def _sendable_witness(node: Any) -> Any:
-    """``node`` if it survives pickling, else None.
-
-    ``Queue.put`` never raises on an unpicklable object: pickling
-    happens later in the queue's feeder thread, which prints a
-    traceback and drops the whole item.  A worker therefore has to
-    probe its witness *before* the put and degrade to value-only
-    itself, or its message silently never arrives.
-    """
-    try:
-        pickle.dumps(node)
-    except Exception:
-        return None
-    return node
-
-
 # -- the pipe transport --------------------------------------------------------
 
 
 class PipeWorker(Worker):
-    """The worker of one fleet process, over the fleet's queues and
+    """The worker of one fleet process, over the fleet's pipes and
     shared integers; ``run`` takes one job.
 
-    A sharing lease is an ``(epoch, nodes, depth)`` item on ``task_q``
-    — sibling subtree roots, one hand-over — and whoever dequeues a
+    A sharing lease is a ``(nodes, depth)`` item on the task pipe —
+    sibling subtree roots, one hand-over — and whoever reads a
     hand-over is the thief.  ``outstanding`` counts those items: up by
     one per hand-over, down when a lease ends.  It is also the steal
     request: while fewer items exist, queued or held, than there are
     workers, one of them has nothing and nothing is on its way to it,
     and a holder that sees that at its poll hands one item over, so a
     request is served exactly once (the spawn-stack rule, with the
-    victim's poll standing in for the interrupt).  The incumbent is the
-    shared integer ``best``, read without the lock and locked only to
-    publish an improvement.  The worker that
-    brings ``outstanding`` to zero, or reaches a decision target, raises
-    ``done`` and posts a sentinel per peer, so that a worker idling in
-    ``task_q.get`` leaves at once and one holding a lease abandons it at
-    its next poll; whatever an earlier job left on the queue carries
-    another epoch and is dropped.  What the leases found is folded into
-    the job's totals, sent once, when the job is over.
+    victim's poll standing in for the interrupt).  A hand-over that
+    cannot be pickled raises in ``ship`` and fails the job.  The
+    incumbent is the shared integer ``best``, read without the lock and
+    locked only to publish an improvement.  The worker that brings
+    ``outstanding`` to zero, or reaches a decision target, raises
+    ``done``, so that one holding a lease abandons it at its next poll,
+    and once it has sent its own report it posts a sentinel ``()`` per
+    peer, so that one idling on the task pipe leaves at once.  What the
+    leases found is folded into the job's totals, sent once, when the
+    job is over.
 
-    A run is ``(epoch, stretches, bound)``, reported straight to
-    ``result_q``: Ordered's as blocks, ``best`` then written by the
+    A run is ``(stretches, bound)``, reported straight down the
+    result pipe: Ordered's as blocks, ``best`` then written by the
     parent alone; Depth-Bounded's once, ``(knowledge, metrics, goal,
-    tasks)``.
+    tasks)``.  A report whose witness cannot be pickled is sent again
+    without it: the value still counts.
     """
 
     def __init__(self, wires: Wires) -> None:
@@ -356,37 +335,47 @@ class PipeWorker(Worker):
         self._out = wires.outstanding.get_obj()
         self._out_lock = wires.outstanding.get_lock()
 
-    def run(self, epoch: int, message: tuple) -> None:
+    def run(self, message: tuple) -> None:
         """One job: ``message`` is ``(spec_factory, factory_args,
         stype_factory, stype_args, workers, coordination, knobs)``, the
         knobs some of :data:`~repro.runtime.worker.JOB_KNOBS`."""
         spec_factory, factory_args, stype_factory, stype_args, *rest = message
         self.workers, coordination, knobs = rest
         spec = self.specs.get((spec_factory, factory_args), lambda: spec_factory(*factory_args))
-        job = self.job = WorkerJob(epoch, spec, stype_factory(*stype_args), coordination, **knobs)
+        job = self.job = WorkerJob(0, spec, stype_factory(*stype_args), coordination, **knobs)
         self.knowledge, self.metrics = job.zero, SearchMetrics()
-        self.goal = self.failed = False
+        self.goal = self.failed = self.ended = False
         self.serve()
         if not (job.runs or self.failed):
-            body = (self._sendable(self.knowledge), self.metrics, self.goal)
-            self.wires.result_q.put((epoch, "ok", body))
+            self._send_report(self.knowledge, self.metrics, self.goal)
+        if self.ended:  # after the report, which wakes a parent that must drain
+            for _ in range(self.workers - 1):
+                self.wires.tasks.put(())
 
-    def _sendable(self, knowledge: Any) -> Any:
-        """An unpicklable witness degrades to the value alone."""
-        if self.job.enum:
-            return knowledge
-        return Incumbent(knowledge.value, _sendable_witness(knowledge.node))
+    def _send(self, body: tuple, witnessless: Callable[[], tuple]) -> None:
+        """``("ok", body)`` to the parent, or ``witnessless()`` if
+        ``body`` cannot be pickled (the send pickles before it writes)."""
+        try:
+            self.wires.results.send(("ok", body))
+        except OSError:
+            raise
+        except Exception:
+            self.wires.results.send(("ok", witnessless()))
+
+    def _send_report(self, knowledge: Any, *rest: Any) -> None:
+        """A lease report; an incumbent degrades to its value alone."""
+        job = self.job
+        self._send((knowledge, *rest), lambda: (
+            knowledge if job.enum else Incumbent(knowledge.value, None), *rest
+        ))
 
     def next_work(self) -> Optional[tuple]:
-        wires, epoch = self.wires, self.job.id
+        wires = self.wires
         while not (wires.done.value or self.failed):
-            try:
-                item = wires.task_q.get(timeout=QUEUE_POLL)
-            except Empty:
-                continue
-            if item[0] == epoch and len(item) > 1:
-                return self.job, item[1:]
-            # A straggler, or an end-of-job sentinel: ``done`` is up.
+            item = wires.tasks.get(POLL)
+            if item:
+                return self.job, item
+            # None, for nothing; (), an end-of-job sentinel: ``done`` is up.
         return None
 
     def demand(self) -> bool:
@@ -396,7 +385,7 @@ class PipeWorker(Worker):
         if nodes:  # "nothing to give" needs no message here
             with self._out_lock:
                 self._out.value += 1
-            self.wires.task_q.put((self.job.id, nodes, depth))
+            self.wires.tasks.put((nodes, depth))
             self.metrics.steals += len(nodes)
 
     def bound(self) -> int:
@@ -413,8 +402,7 @@ class PipeWorker(Worker):
 
     def report(self, outcome: LeaseOutcome, tasks: int) -> None:
         if tasks:
-            body = (self._sendable(outcome.knowledge), outcome.metrics, outcome.goal, tasks)
-            self.wires.result_q.put((self.job.id, "ok", body))
+            self._send_report(outcome.knowledge, outcome.metrics, outcome.goal, tasks)
             return
         self.knowledge = self.job.stype.combine(self.knowledge, outcome.knowledge)
         self.metrics.merge(outcome.metrics)
@@ -425,21 +413,25 @@ class PipeWorker(Worker):
                 self._out.value -= 1
                 if self._out.value:
                     return
-        self.wires.done.value = 1  # the job is over: wake every idle peer
-        for _ in range(self.workers - 1):
-            self.wires.task_q.put((self.job.id,))
+        self.wires.done.value = 1  # the job is over
+        self.ended = True
 
     def flush(self, blocks: list, done: bool) -> None:
-        for block in blocks:
+        def witnessless() -> tuple:
             # Keep the value (it drives bound enforcement) even if the
             # witness cannot travel.
-            if block.get("node") is not None:
-                block["node"] = _sendable_witness(block["node"])
-        self.wires.result_q.put((self.job.id, "ok", (blocks, done)))
+            for block in blocks:
+                try:
+                    pickle.dumps(block.get("node"))
+                except Exception:
+                    block["node"] = None
+            return blocks, done
+
+        self._send((blocks, done), witnessless)
 
     def fail(self, reason: str) -> None:
         self.failed = True
-        self.wires.result_q.put((self.job.id, "error", reason))
+        self.wires.results.send(("error", reason))
 
 
 # Every search of this process runs on these workers (started by the
@@ -463,7 +455,7 @@ def multiprocessing_budget_search(
 ) -> SearchResult:
     """Budget-style dynamic work-sharing search over worker processes.
 
-    The whole tree starts as one task on a shared queue.  A worker
+    The whole tree starts as one task on the shared task pipe.  A worker
     searches the task it pulled with the search kernel; any subtree
     that runs past ``budget`` nodes splits the unexplored subtrees
     nearest its root into the worker's own order-preserving pool (the
@@ -471,14 +463,14 @@ def multiprocessing_budget_search(
     unit, spawning to the local workpool of §4.3), and the worker pops
     its pool — deepest level first, spawn order within a level, which
     is the order the sequential search would reach them in — before it
-    looks at the queue again.  A subtree is pickled onto the queue only
+    looks at the pipe again.  A subtree is pickled onto the pipe only
     while another worker is starving: then half of the shallowest level
-    of the pool goes, as one queue item that its taker runs as one
+    of the pool goes, as one item that its taker runs as one
     lease, so what moves is near the root and load still balances at
     runtime instead of being fixed by a depth-``d`` frontier.
     ``metrics.spawns`` counts the subtrees split off (on an enumeration
     a function of the tree, ``budget`` and ``share_poll`` alone),
-    ``metrics.steals`` the ones that crossed the queue (a subtree handed
+    ``metrics.steals`` the ones that crossed the pipe (a subtree handed
     on twice counts twice).
 
     ``spec_factory(*factory_args)`` / ``stype_factory(*stype_args)``
@@ -510,14 +502,14 @@ def multiprocessing_stacksteal_search(
 ) -> SearchResult:
     """Stack-Stealing search over worker processes (shared-memory steals).
 
-    The whole tree starts as one task on the shared queue.  A worker
+    The whole tree starts as one task on the shared task pipe.  A worker
     with nothing to do is a *steal request* by being one: the shared
     count of leases, queued or held, is then below the number of
     workers.  Busy workers read that count on their ``share_poll``
     periodic duties and, seeing it short, expose the lowest-depth frame
     of their live generator stack — all remaining children there when
     ``chunked``, a single node otherwise — and push every other node of
-    it to the queue as one item for the thief, keeping the rest to run
+    it to the pipe as one item for the thief, keeping the rest to run
     or give away next (:func:`~repro.runtime.sharing.execute_lease`
     with no budget).  This is the paper's Stack-Stealing coordination
     with the victim's poll standing in for an interrupt: work moves
@@ -590,15 +582,15 @@ def _fleet_search(
 
     The driver says what the job does; this is its transport.  The
     fleet is engaged when the driver says so (never, when phase 1 is
-    the whole search), its task queue is fed the first leases, and then
+    the whole search), its task pipe is fed the first leases, and then
     Budget and Stack-Stealing wait for one report per worker — the
     workers share the incumbent and count outstanding leases in the
     shared integers themselves — while for runs the parent leases its
-    frontier onto the queue and finishes each report: Ordered's in the
+    frontier onto the pipe and finishes each report: Ordered's in the
     ledger, publishing each new finalised-prefix best in ``best``;
     Depth-Bounded's by a merge.  ``metrics.spawns`` is the number of
     subtrees split off, by the parent or off a worker's stack;
-    ``metrics.steals`` the number a worker put on the queue for a
+    ``metrics.steals`` the number a worker put on the pipe for a
     starving one.
     """
     if n_processes < 1:
@@ -621,13 +613,13 @@ def _fleet_search(
     return driver.result(n_processes)
 
 
-def _serve(driver: JobDriver, n: int, tasks: list, wires: Wires, epoch: int, reports) -> None:
+def _serve(driver: JobDriver, n: int, tasks: list, wires: Wires, reports) -> None:
     """Feed ``driver``'s job to the ``n`` engaged workers until it is
     over.  Nobody reads the shared integers before a lease exists."""
     wires.outstanding.value = len(tasks)  # leases queued or held
     wires.best.value = driver.best or 0  # an enumeration has no best
-    for roots, depth in tasks:
-        wires.task_q.put((epoch, roots, depth))
+    for task in tasks:
+        wires.tasks.put(task)
     if not driver.job.runs:
         # One report per worker: what it found (a witness that could not
         # be pickled is None; the value still counts), its summed
@@ -637,16 +629,18 @@ def _serve(driver: JobDriver, n: int, tasks: list, wires: Wires, epoch: int, rep
         return
     while not driver.finished:
         while (run := driver.lease(n)) is not None:
-            wires.task_q.put((epoch, run.stretches, run.bound))
+            wires.tasks.put((run.stretches, run.bound))
         report = next(reports)
         if driver.ledger is None:
             driver.merge(*report)  # Depth-Bounded: the workers publish ``best``
         elif driver.accept(*report):
             wires.best.value = driver.best
-    # Runs still out are not needed: wake whoever waits for one.
+    # Runs still out are not needed: wake whoever waits for one, with
+    # room made for the wake-ups.
     wires.done.value = 1
+    wires.tasks.drain()
     for _ in range(n):
-        wires.task_q.put((epoch,))
+        wires.tasks.put(())
 
 
 def run_skeleton(

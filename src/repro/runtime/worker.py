@@ -5,7 +5,7 @@ locality's workpool (§4.3); a coordination is a policy that runs on
 that worker, not a second worker.  :class:`Worker` is that worker for
 both real runtimes: it holds the job in hand (:class:`WorkerJob`), the
 spec of the last job (:class:`SpecCache`) and the lease loop.  Its
-transport is a subclass — the process fleet's queues and shared
+transport is a subclass — the process fleet's pipes and shared
 integers (:class:`repro.runtime.processes.PipeWorker`) or the
 cluster's frames (:class:`repro.cluster.worker.ClusterWorker`) — and
 the kernel reaches it only at its polls.

@@ -37,6 +37,7 @@ from tests.runtime.test_processes import (
     uts_spec_factory,
 )
 from tests.runtime.test_processes_budget import UTS_ARGS, crashing_spec_factory
+from tests.runtime.test_processes_witness import hard_timeout
 
 pytestmark = pytest.mark.usefixtures("fresh_fleet")
 
@@ -142,6 +143,91 @@ class TestIsolationBetweenJobs:
             search, knobs = sharing[(round_ + 1) % 2]
             assert count_uts(search, n=3, **knobs) == uts_nodes, (round_, search.__name__)
         assert moved > 50  # work was changing hands when the goals were hit
+
+
+def _threads(pid: int) -> int:
+    with open(f"/proc/{pid}/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+
+class SlowPad:
+    """Padding that takes ``delay`` seconds to pickle, and arrives as
+    plain bytes: a hand-over holding it is written that long after its
+    sender decided to hand it over."""
+
+    def __init__(self, size: int, delay: float) -> None:
+        self.data, self.delay = bytes(size), delay
+
+    def __reduce__(self):
+        time.sleep(self.delay)
+        return bytes, (self.data,)
+
+
+PAD = 256 * 1024  # four pipe buffers: no hand-over fits one
+PADDED_NODES = 1 + 4 + 16 + 64 + 256 + 1024
+
+
+def padded_factory(pad: int, delay: float = 0.0):
+    """Four children a node, five levels down; every node but the root
+    holds one shared ``pad``-byte padding, so a hand-over of any number
+    of them pickles to more than ``pad`` bytes.  The objective is 1 at
+    the root's second child alone."""
+    from repro.core.nodegen import ListNodeGenerator
+    from repro.core.space import SearchSpec
+
+    padding = SlowPad(pad, delay)
+
+    def generator(space, node):
+        depth, index, _ = node
+        if depth == 5:
+            return ListNodeGenerator([])
+        return ListNodeGenerator([(depth + 1, 4 * index + i, padding) for i in range(4)])
+
+    return SearchSpec(
+        name="padded", space=None, root=(0, 0, None), generator=generator,
+        objective=lambda node: int(node[:2] == (1, 1)), upper_bound=None,
+    )
+
+
+class TestWires:
+    """Every message is written on its sender's thread, over pipes."""
+
+    def test_no_process_runs_a_feeder_thread(self, uts_nodes):
+        for search, knobs in (
+            (multiprocessing_budget_search, {"budget": 20}),
+            (multiprocessing_stacksteal_search, {}),
+            (multiprocessing_ordered_search, {"d_cutoff": 2}),
+            (multiprocessing_depthbounded_search, {"d_cutoff": 2}),
+        ):
+            assert count_uts(search, **knobs) == uts_nodes
+        assert not [t for t in threading.enumerate() if t.name == "QueueFeederThread"]
+        # A worker's search, and the thread that waits for its owner's death.
+        assert [_threads(pid) for pid in FLEET.pids()] == [2, 2]
+
+    def test_a_hand_over_bigger_than_a_pipe_buffer_arrives(self):
+        with hard_timeout(60):
+            res = multiprocessing_budget_search(
+                padded_factory, (PAD,), enumeration_factory,
+                n_processes=2, budget=20, share_poll=4,
+            )
+        assert res.metrics.nodes == PADDED_NODES
+        assert res.metrics.steals > 0
+
+    def test_a_goal_met_while_such_a_hand_over_is_written(self, uts_nodes):
+        """Three Stack-Stealing workers, one lease: the holder hands
+        the root's second child to one starving peer, which meets the
+        goal there at once, and meanwhile pickles a hand-over for the
+        other, which leaves on the goal before a byte of it is written.
+        Nobody reads what it writes then but the parent's drain.  The
+        next job must not see it."""
+        with hard_timeout(60):
+            for _ in range(3):
+                hit = multiprocessing_stacksteal_search(
+                    padded_factory, (PAD, 0.05), decision_factory, (1,),
+                    n_processes=3, share_poll=1,
+                )
+                assert hit.found is True and hit.value == 1
+                assert count_uts(n=3) == uts_nodes
 
 
 class TestFailure:

@@ -14,11 +14,10 @@ construction, and the repetition-oracle catch is in
 ``tests/verify/test_repetition.py``.
 """
 
-import multiprocessing
-import multiprocessing.queues
 import os
 import signal
 from contextlib import contextmanager
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -195,36 +194,32 @@ LATE_ARGS = ("maxclique", (75, 70, 1))
 LATE_TASKS = 1972
 
 
-class CountingQueue(multiprocessing.queues.Queue):
-    """A real ``multiprocessing.Queue`` that counts its own traffic.
-    Forked workers count in their own copy, so the numbers read in the
-    parent are the parent's: leases put, result messages got."""
+@pytest.fixture
+def wire_counts(monkeypatch):
+    """The parent's traffic on the fleet's wires: ``down``, items
+    written to the task pipe; ``up``, messages read off the result
+    pipes.  Forked workers count in their own copy, so the numbers read
+    in the parent are the parent's."""
+    counts = {"down": 0, "up": 0}
+    put, recv = fleet.TaskPipe.put, Connection.recv
 
-    def __init__(self):
-        super().__init__(ctx=multiprocessing.get_context("fork"))
-        self.puts = self.gets = 0
+    def counting_put(self, item):
+        counts["down"] += 1
+        put(self, item)
 
-    def put(self, *args, **kwargs):
-        self.puts += 1
-        super().put(*args, **kwargs)
+    def counting_recv(self):
+        message = recv(self)
+        counts["up"] += 1
+        return message
 
-    def get(self, *args, **kwargs):
-        item = super().get(*args, **kwargs)
-        self.gets += 1
-        return item
+    monkeypatch.setattr(fleet.TaskPipe, "put", counting_put)
+    monkeypatch.setattr(Connection, "recv", counting_recv)
+    return counts
 
 
 class TestLateImprovement:
     @pytest.mark.parametrize("n", [1, 2, 4])
-    def test_fingerprint_and_message_count(self, n, monkeypatch, fresh_fleet):
-        queues = []
-
-        def counting_queue():
-            queues.append(CountingQueue())
-            return queues[-1]
-
-        # The fleet this search starts is wired with counting queues.
-        monkeypatch.setattr(fleet._CTX, "Queue", counting_queue)
+    def test_fingerprint_and_message_count(self, n, wire_counts, fresh_fleet):
         ref = _reference(instance_spec, LATE_ARGS, Optimisation())
         assert ref.metrics.spawns == LATE_TASKS
         res = multiprocessing_ordered_search(
@@ -234,11 +229,10 @@ class TestLateImprovement:
         assert result_fingerprint(res, counts=True) == result_fingerprint(
             ref, counts=True
         )
-        task_q, result_q = queues
         # Leases down (minus the end-of-job wake-ups) plus record
         # messages up (minus the idle reports): runs, not one round trip
         # per task each way.
-        assert task_q.puts - n + result_q.gets - n < LATE_TASKS / 4
+        assert wire_counts["down"] - n + wire_counts["up"] - n < LATE_TASKS / 4
 
 
 class TestCondemnedTail:
@@ -287,15 +281,8 @@ class TestEdgeCases:
         assert fresh_fleet.status == "closed" and fresh_fleet.pids() == []
 
     def test_goal_in_phase_one_releases_the_workers_with_no_lease(
-        self, monkeypatch, fresh_fleet
+        self, wire_counts, fresh_fleet
     ):
-        queues = []
-
-        def counting_queue():
-            queues.append(CountingQueue())
-            return queues[-1]
-
-        monkeypatch.setattr(fleet._CTX, "Queue", counting_queue)
         res = multiprocessing_ordered_search(
             wide_factory, (), decision_factory, (5,), n_processes=2, d_cutoff=2,
         )
@@ -303,9 +290,8 @@ class TestEdgeCases:
         assert res.found and result_fingerprint(res, counts=True) == result_fingerprint(
             ref, counts=True
         )
-        task_q, result_q = queues
-        assert task_q.puts == 2  # the end-of-job wake-ups, nothing else
-        assert result_q.gets == 2  # the idle reports
+        assert wire_counts["down"] == 2  # the end-of-job wake-ups, nothing else
+        assert wire_counts["up"] == 2  # the idle reports
 
     @pytest.mark.parametrize("tamper, match", [
         (lambda seq, path, children, index, count: (seq, path, children + 1, index, count),

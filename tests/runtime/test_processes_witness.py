@@ -1,12 +1,16 @@
-"""An unpicklable witness degrades to value-only on every process backend.
+"""What cannot be pickled on the process backend: a witness degrades to
+value-only, and a hand-over fails the search.
 
-``multiprocessing.Queue.put`` never raises on an unpicklable object —
-pickling happens in the queue's feeder thread, which prints a traceback
-and drops the item — so a worker that does not probe its witness first
-loses its whole message: budget and stack-stealing then fail the run
-for a missing payload, and the ordered parent waits forever for a
-record that never arrives.  Each run here sits under a hard SIGALRM
-deadline so that hang is a failure, not a stuck suite.
+Every fleet message is pickled on its sender's thread as it is written,
+so an object that cannot be pickled raises in the sender.  A report
+whose witness holds one is sent again without the witness (the value
+still counts); a hand-over of subtrees that hold one cannot travel at
+all, so the worker fails the job and the search raises at once.  Were
+the pickling left to a queue's feeder thread, the item would be dropped
+with a traceback instead: the ordered parent would wait for ever for a
+record, and a sharing search for a lease count that never reaches zero.
+Each run here sits under a hard SIGALRM deadline so that hang is a
+failure, not a stuck suite.
 """
 
 import signal
@@ -48,6 +52,28 @@ def lambda_leaf_factory():
     )
 
 
+def lambda_tree_factory():
+    """Four children a node, three levels down (85 nodes); every node
+    but the root holds a lambda, so no subtree can be handed over."""
+
+    def node(depth, index):
+        return (depth, index, lambda: index)
+
+    def children(space, parent):
+        depth, index = parent[0], parent[1]
+        if depth == 3:
+            return ListNodeGenerator([])
+        return ListNodeGenerator([node(depth + 1, 4 * index + i) for i in range(4)])
+
+    return SearchSpec(
+        name="lambda-tree",
+        space=None,
+        root=(0, 0, None),
+        generator=children,
+        objective=lambda n: n[0],
+    )
+
+
 @contextmanager
 def hard_timeout(seconds):
     def expired(signum, frame):
@@ -83,3 +109,17 @@ def test_unpicklable_witness_degrades_to_value_only(coordination):
     assert res.value == 5
     assert res.node is None  # the lambda-holding witness stayed behind
     assert res.metrics.nodes == len(VALUES)
+
+
+@pytest.mark.parametrize("search, knobs", [
+    (multiprocessing_budget_search, {"budget": 2}),
+    (multiprocessing_stacksteal_search, {}),
+], ids=["budget", "stacksteal"])
+def test_a_hand_over_that_cannot_be_pickled_fails_the_search(search, knobs):
+    with hard_timeout(30), pytest.raises(
+        RuntimeError, match=r"backend worker failed: .*[Pp]ickle"
+    ):
+        search(
+            lambda_tree_factory, (), optimisation_factory,
+            n_processes=2, share_poll=1, **knobs,
+        )
