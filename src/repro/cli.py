@@ -440,7 +440,7 @@ def _check_fleet_bounds(args) -> None:
 
 
 def _service_backend(args, *, name_prefix: str, on_event, metrics=None):
-    """``--backend inproc|processes|cluster [--adaptive]`` of `serve`
+    """``--backend inproc|cluster [--adaptive]`` of `serve`
     and of each `gateway` shard, as ``(backend, deployment)``: backend
     None is inproc (the scheduler's threads search); a deployment is
     for the caller to ``adapt()`` to its queue once that exists."""
@@ -448,10 +448,6 @@ def _service_backend(args, *, name_prefix: str, on_event, metrics=None):
         if args.backend != "cluster":
             raise SystemExit("--adaptive requires --backend cluster")
         _check_fleet_bounds(args)
-    if args.backend == "processes":
-        from repro.service import ProcessBackend
-
-        return ProcessBackend(), None
     if args.backend != "cluster":
         return None, None
     from repro.cluster.backend import ClusterBackend
@@ -887,9 +883,9 @@ def _add_service_options(p: argparse.ArgumentParser) -> None:
     """What `serve` and each `gateway` shard share: one scheduler over
     one execution backend."""
     p.add_argument("--backend", default="inproc",
-                   choices=["inproc", "processes", "cluster"],
-                   help="execution backend: scheduler threads, OS processes, "
-                   "or a TCP cluster coordinator (one per gateway shard)")
+                   choices=["inproc", "cluster"],
+                   help="execution backend: scheduler threads or a TCP "
+                   "cluster coordinator (one per gateway shard)")
     p.add_argument("--cluster-workers", type=int, default=2, metavar="N",
                    help="local worker nodes for --backend cluster")
     _add_wire_codec(p, "cluster backend: frame body format on the wire")

@@ -14,7 +14,7 @@ Failure translation keeps the scheduler's policy intact end to end:
   -> :class:`WorkerCrash`, which the scheduler retries exactly once —
   so a search that died because one worker crashed mid-enumeration gets
   its second chance on the surviving workers, and the retry resolves
-  any coalesced followers just like the process backend's crash path.
+  any coalesced followers as a retried crash does on any backend.
 
 One coordinator runs one job at a time, so concurrent scheduler workers
 serialise on an internal lock; queueing above that is the scheduler's
@@ -79,6 +79,8 @@ class ClusterBackend:
             Mutually exclusive with ``deployment``.
         min_workers: block each job until at least this many workers are
             connected (default: ``local_workers`` or 1).
+        worker_wait: how long a job waits for them, at most until its
+            deadline; a wait the deadline ends is the job's timeout.
         poll_interval: cancellation poll cadence while a job runs.
         wire_codec: preferred frame body format for the deployment built
             here and its workers (a given deployment keeps its own).
@@ -132,16 +134,21 @@ class ClusterBackend:
         except ValueError as exc:
             raise WorkerCrash(f"job not clusterable: {exc}") from exc
         with self._lock:
+            wait = self.worker_wait
+            if deadline is not None:
+                wait = min(wait, max(0.0, deadline - time.monotonic()))
+            try:
+                self.handle.wait_for_workers(self.min_workers, timeout=wait)
+            except ClusterError as exc:
+                # A wait the deadline cut short is the job's timeout, not
+                # a crash to retry.
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise JobTimeout from exc
+                raise WorkerCrash(str(exc)) from exc
             timeout = (
                 None if deadline is None
                 else max(0.01, deadline - time.monotonic())
             )
-            try:
-                self.handle.wait_for_workers(
-                    self.min_workers, timeout=self.worker_wait
-                )
-            except ClusterError as exc:
-                raise WorkerCrash(str(exc)) from exc
             # One job runs at a time (we hold the lock), so routing the
             # coordinator's incumbent-improvement callback to this job's
             # progress hook is unambiguous.  Fires on the loop thread —

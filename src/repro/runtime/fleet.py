@@ -77,7 +77,7 @@ def graceful_stop(proc, *, grace: float = 5.0) -> None:
     """Stop a child process: SIGTERM, wait up to ``grace``, then SIGKILL.
 
     The graduated escalation gives a cooperating child (one whose main
-    thread handles SIGTERM — the job subprocess and the cluster worker)
+    thread handles SIGTERM, as the cluster worker's does)
     a window to flush its final message and close its pipes cleanly,
     while still guaranteeing death for a child that is wedged or
     blocking the signal.

@@ -67,14 +67,11 @@ studying coordination at scale.
 from __future__ import annotations
 
 import pickle
-import signal
-import time
 from contextlib import ExitStack
-from multiprocessing import Pipe, Process
 from typing import Any, Callable, Optional
 
 from repro.core.params import SkeletonParams
-from repro.core.results import SearchMetrics, SearchResult, result_from_dict
+from repro.core.results import SearchMetrics, SearchResult
 from repro.core.searchtypes import Incumbent, SearchType
 from repro.runtime.driver import JobDriver
 from repro.runtime.fleet import POLL, ProcessFleet, Wires, graceful_stop
@@ -89,7 +86,6 @@ __all__ = [
     "run_skeleton",
     "make_stype",
     "run_library_search",
-    "run_job_in_subprocess",
     "graceful_stop",
 ]
 
@@ -102,10 +98,9 @@ def run_library_search(
 ) -> SearchResult:
     """Run one skeleton over a named library instance.
 
-    Top-level and driven entirely by plain data, so it is picklable and
-    can serve as a subprocess entry point: the service layer's process
-    backend ships ``(instance, skeleton, ...)`` across and the worker
-    rebuilds everything from the instance registry.
+    Driven entirely by plain data: the service's in-process backend
+    runs a job from its :meth:`~repro.service.jobs.JobSpec.run_payload`,
+    and everything is rebuilt from the instance registry.
 
     ``search_type`` and ``stype_kwargs`` are resolved by
     :func:`~repro.instances.library.resolve_job`.
@@ -125,110 +120,6 @@ def run_library_search(
         spec_factory=library_spec_factory,
         factory_args=(instance,),
     )
-
-
-def _job_process_main(conn, payload: dict) -> None:
-    """Subprocess entry: run the search, report through the pipe.
-
-    SIGTERM (the first rung of :func:`graceful_stop`) is converted into
-    ``SystemExit`` so the ``finally`` below runs: the pipe is closed
-    cleanly instead of the parent seeing a torn write, and a stopped
-    notice is flushed so the parent can tell "asked to stop" from
-    "died".  A child wedged in C code never reaches the handler — the
-    caller's SIGKILL escalation covers that.
-    """
-
-    def _on_sigterm(signum, frame):
-        raise SystemExit(143)  # 128 + SIGTERM, the conventional code
-
-    signal.signal(signal.SIGTERM, _on_sigterm)
-    try:
-        result = run_library_search(**payload)
-        try:
-            conn.send(("ok", result))
-        except Exception:
-            # Unpicklable witness: degrade to the JSON-safe dict form.
-            conn.send(("ok_dict", result.to_dict()))
-    except SystemExit:
-        try:
-            conn.send(("stopped", "terminated by SIGTERM"))
-        except Exception:
-            pass
-        raise
-    except BaseException as exc:  # report crashes instead of dying silently
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def run_job_in_subprocess(
-    payload: dict,
-    *,
-    timeout: Optional[float] = None,
-    cancel=None,
-    poll_interval: float = 0.02,
-    term_grace: float = 0.5,
-) -> tuple[str, Any]:
-    """Run :func:`run_library_search` in a dedicated, killable process.
-
-    Unlike in-process execution this gives the caller real preemption:
-    the child is stopped on timeout or when ``cancel`` (any object with
-    ``is_set()``) fires — via :func:`graceful_stop`, so a cooperating
-    child gets ``term_grace`` seconds to flush and close its pipe before
-    SIGKILL.  Returns one of::
-
-        ("ok", SearchResult)   completed
-        ("timeout", None)      deadline hit, child terminated
-        ("cancelled", None)    cancel event fired, child terminated
-        ("crash", message)     child raised or died (exit code in message)
-    """
-    parent_conn, child_conn = Pipe(duplex=False)
-    # Not daemonic: a job whose params select the processes backend
-    # starts worker processes of its own, which a daemon may not.
-    proc = Process(target=_job_process_main, args=(child_conn, payload))
-    proc.start()
-    child_conn.close()
-    deadline = None if timeout is None else time.monotonic() + timeout
-    status: str
-    value: Any = None
-    try:
-        while True:
-            if parent_conn.poll(poll_interval):
-                try:
-                    tag, body = parent_conn.recv()
-                except EOFError:
-                    status, value = "crash", "worker closed the pipe without a result"
-                    break
-                if tag == "ok":
-                    status, value = "ok", body
-                elif tag == "ok_dict":
-                    status, value = "ok", result_from_dict(body)
-                else:
-                    status, value = "crash", body
-                break
-            if cancel is not None and cancel.is_set():
-                graceful_stop(proc, grace=term_grace)
-                status = "cancelled"
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                graceful_stop(proc, grace=term_grace)
-                status = "timeout"
-                break
-            # Re-check the pipe after seeing the child dead: the result
-            # may have been sent in the gap before exit.
-            if not proc.is_alive() and not parent_conn.poll():
-                status, value = "crash", f"worker died with exit code {proc.exitcode}"
-                break
-    finally:
-        proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=5.0)
-        parent_conn.close()
-    return status, value
 
 
 def multiprocessing_depthbounded_search(

@@ -13,7 +13,7 @@ Jordan 2017) take over a bare search engine:
 - :mod:`repro.service.cache` — content-addressed LRU/TTL result cache
   plus coalescing of duplicates submitted while their twin runs.
 - :mod:`repro.service.scheduler` — a worker pool (in-process threads or
-  real OS processes) enforcing timeouts, cancellation and one retry on
+  a TCP cluster) enforcing timeouts, cancellation and one retry on
   worker crash.
 - :mod:`repro.service.metrics` — the operator's snapshot: queue depth,
   cache hit rate, latency percentiles, jobs by terminal state.
@@ -42,7 +42,6 @@ from repro.service.scheduler import (
     InProcessBackend,
     JobCancelled,
     JobTimeout,
-    ProcessBackend,
     Scheduler,
     WorkerCrash,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "Scheduler",
     "Backend",
     "InProcessBackend",
-    "ProcessBackend",
     "JobTimeout",
     "JobCancelled",
     "WorkerCrash",

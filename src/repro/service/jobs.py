@@ -171,8 +171,8 @@ class JobSpec:
 
     def run_payload(self) -> dict:
         """Keyword arguments for
-        :func:`repro.runtime.processes.run_library_search` — plain data,
-        picklable, ready to ship to a worker process."""
+        :func:`repro.runtime.processes.run_library_search`, as plain
+        data."""
         return {
             "instance": self.instance,
             "skeleton": self.skeleton,

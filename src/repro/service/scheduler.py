@@ -11,23 +11,17 @@ The flow of one submission::
 Two execution backends implement :class:`Backend`:
 
 - :class:`InProcessBackend` — runs searches in the scheduler's own
-  worker threads.  This is the simulator-era backend: deterministic,
-  cheap, and the right tool when the "search" is itself a simulated
-  cluster run.  Timeouts are cooperative — the sequential skeleton
-  runs on the search kernel with a deadline/cancel check in its poll
-  hook; simulated parallel skeletons run to
-  completion and are marked ``TIMEOUT`` after the fact if they blew
-  their deadline (documented best-effort, the thread cannot be killed).
-- :class:`ProcessBackend` — one real OS process per attempt via
-  :func:`repro.runtime.processes.run_job_in_subprocess`.  Preemptive:
-  timeout and cancellation terminate the child, so a runaway search
-  cannot poison the pool.
-
-Jobs whose params select ``backend="processes"`` additionally fan the
-*search itself* out over worker processes inside the attempt — static
-depth-bounded task farming, or the dynamic budget-splitting backend
-(:func:`repro.runtime.processes.multiprocessing_budget_search`), whose
-worker/split counts surface in the service metrics footer.
+  worker threads, the default.  Timeouts are cooperative: the
+  sequential skeleton runs on the search kernel with a deadline/cancel
+  check in its 256-node poll hook; a parallel skeleton (simulated, or
+  on the warm process fleet when its params select
+  ``backend="processes"``) runs to completion and is marked
+  ``TIMEOUT`` after the fact if it blew its deadline (best-effort: the
+  thread cannot be killed, and an attempt that never reaches a poll
+  cannot be stopped).
+- :class:`~repro.cluster.backend.ClusterBackend` — every job runs
+  across a TCP cluster coordinator's workers, out of the scheduler's
+  process; the coordinator stops a job on timeout or cancel.
 
 Either way the scheduler enforces the same policy: per-job timeout,
 cancellation (queued jobs never start; running jobs are interrupted
@@ -53,7 +47,6 @@ from repro.service.queue import AdmissionError, JobQueue
 __all__ = [
     "Backend",
     "InProcessBackend",
-    "ProcessBackend",
     "JobTimeout",
     "JobCancelled",
     "WorkerCrash",
@@ -110,8 +103,9 @@ class InProcessBackend:
         cancel: Optional[threading.Event] = None,
     ) -> SearchResult:
         """Run the attempt in this thread.  Sequential jobs honour the
-        deadline/cancel cooperatively; simulated parallel runs cannot be
-        preempted and get a late TIMEOUT verdict instead."""
+        deadline/cancel cooperatively; parallel runs (simulated, or on the
+        process fleet) cannot be preempted and get a late TIMEOUT
+        verdict instead."""
         from repro.runtime.processes import run_library_search
 
         spec = job.spec
@@ -124,7 +118,7 @@ class InProcessBackend:
         except Exception as exc:
             raise WorkerCrash(f"{type(exc).__name__}: {exc}") from exc
         if deadline is not None and time.monotonic() > deadline:
-            # A simulated run cannot be preempted mid-flight; the late
+            # A parallel run cannot be preempted mid-flight; the late
             # verdict is still TIMEOUT so the SLO is reported honestly.
             raise JobTimeout
         return result
@@ -164,39 +158,6 @@ class InProcessBackend:
         return SearchResult.from_knowledge(
             stype, knowledge, goal, metrics, time.perf_counter() - started, 1
         )
-
-
-class ProcessBackend:
-    """One OS process per attempt — preemptive timeout and cancel."""
-
-    def __init__(self, *, poll_interval: float = 0.02) -> None:
-        self.poll_interval = poll_interval
-
-    def execute(
-        self,
-        job: Job,
-        *,
-        deadline: Optional[float] = None,
-        cancel: Optional[threading.Event] = None,
-    ) -> SearchResult:
-        """Run the attempt in a dedicated child process, terminating it
-        on deadline or cancellation."""
-        from repro.runtime.processes import run_job_in_subprocess
-
-        timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
-        status, value = run_job_in_subprocess(
-            job.spec.run_payload(),
-            timeout=timeout,
-            cancel=cancel,
-            poll_interval=self.poll_interval,
-        )
-        if status == "ok":
-            return value
-        if status == "timeout":
-            raise JobTimeout
-        if status == "cancelled":
-            raise JobCancelled
-        raise WorkerCrash(str(value))
 
 
 class Scheduler:
@@ -363,8 +324,9 @@ class Scheduler:
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a job.  Queued jobs never run; running jobs are
-        interrupted best-effort (preemptively under the process
-        backend).  Returns True if cancellation took or was initiated."""
+        interrupted best-effort (in process, a sequential job at its
+        next poll; on a cluster, by the coordinator).  Returns True if
+        cancellation took or was initiated."""
         with self._lock:
             job = self._jobs[job_id]
             if job.terminal:

@@ -4,8 +4,6 @@ Factories must be top-level (picklable) — that constraint is part of
 the backend's contract and these tests exercise it for real.
 """
 
-import threading
-
 import pytest
 
 from repro.core.ordered import ordered_frontier
@@ -14,7 +12,6 @@ from repro.core.searchtypes import Decision, Enumeration, Optimisation
 from repro.core.sequential import sequential_search
 from repro.runtime.processes import (
     multiprocessing_depthbounded_search,
-    run_job_in_subprocess,
     run_library_search,
 )
 
@@ -283,33 +280,6 @@ class TestRunLibrarySearch:
     def test_unknown_instance_raises(self):
         with pytest.raises(KeyError):
             run_library_search("no-such-instance")
-
-
-class TestRunJobInSubprocess:
-    def test_ok(self):
-        status, result = run_job_in_subprocess({"instance": "brock90-1"})
-        assert status == "ok"
-        assert result.value == 14
-
-    def test_timeout_terminates_child(self):
-        status, result = run_job_in_subprocess(
-            {"instance": "ns-genus-16"}, timeout=0.1,
-        )
-        assert status == "timeout"
-        assert result is None
-
-    def test_crash_reports_message(self):
-        status, message = run_job_in_subprocess({"instance": "no-such"})
-        assert status == "crash"
-        assert "no-such" in message
-
-    def test_cancel_event(self):
-        cancel = threading.Event()
-        cancel.set()
-        status, _ = run_job_in_subprocess(
-            {"instance": "ns-genus-16"}, cancel=cancel,
-        )
-        assert status == "cancelled"
 
 
 # -- SIGTERM -> SIGKILL escalation ------------------------------------------

@@ -3,11 +3,11 @@
 Real search execution is covered by the end-to-end test; here a fake
 backend makes the policy paths — dedup, coalescing, rejection, retry,
 timeout, cancellation, follower fan-out — fast and deterministic.  The
-one exception is the last class: the real :class:`ProcessBackend` under
-a job whose params select the processes backend.
+exceptions are the classes that run real searches: a running job's
+cancel and the process fleet under :class:`InProcessBackend`, and
+timeout and cancel through :class:`ClusterBackend`.
 """
 
-import os
 import time
 
 import pytest
@@ -15,16 +15,14 @@ import pytest
 from repro.core.results import SearchResult
 from repro.runtime.processes import run_library_search
 from repro.service import (
+    InProcessBackend,
     JobQueue,
     JobSpec,
     JobState,
     JobTimeout,
-    ProcessBackend,
     Scheduler,
     WorkerCrash,
 )
-
-from tests.conftest import proc_stat
 
 
 def spec(instance="brock90-1", app="maxclique", **kw):
@@ -122,6 +120,25 @@ class TestBackendCoordinations:
                 for runs in BACKENDS["cluster"].coordinations:
                     assert runs in str(refused.value)
             assert s.run_until_idle() == []
+            assert s.metrics_snapshot().retries == 0
+        finally:
+            backend.close()
+
+    def test_worker_wait_ends_at_the_deadline(self):
+        # Regression: the job waited the whole worker_wait for workers
+        # that never came, whatever its deadline, and the miss was a
+        # WorkerCrash the scheduler retried: FAILED after two waits.
+        from repro.cluster.backend import ClusterBackend
+
+        backend = ClusterBackend(min_workers=1, worker_wait=5.0)
+        try:
+            s = make_sched(backend)
+            job = s.submit(spec(skeleton="budget", timeout=0.2))
+            started = time.monotonic()
+            s.run_until_idle()
+            assert job.state is JobState.TIMEOUT, job.error
+            assert job.attempts == 1
+            assert time.monotonic() - started < 2.0
             assert s.metrics_snapshot().retries == 0
         finally:
             backend.close()
@@ -295,43 +312,78 @@ class TestMetricsSnapshot:
         assert json.loads(blob)["submitted"] == 1
 
 
-def _process_group() -> set:
-    """Pids of the live (non-zombie) processes in this process group:
-    every descendant of the test run, however deep, is one of them."""
-    group, pids = os.getpgrp(), set()
-    for entry in os.listdir("/proc"):
-        stat = proc_stat(entry) if entry.isdigit() else None
-        if stat is not None and stat[0] != "Z" and stat[1] == group:
-            pids.add(int(entry))
-    return pids
+def _cancel_once_running(s, job, *, after=0.1):
+    """Cancel ``job`` through the scheduler once it has run ``after``
+    seconds, and wait for it to end."""
+    while job.state is JobState.PENDING:
+        time.sleep(0.01)
+    time.sleep(after)
+    assert s.cancel(job.id) is True
+    while not job.terminal:
+        time.sleep(0.01)
 
 
-class TestProcessBackendFansOut:
-    """A job on :class:`ProcessBackend` whose params select
-    ``backend="processes"``: the job's own process starts search
-    workers (it was daemonic once, and a daemon may not)."""
+class TestInProcessRunningCancel:
+    def test_running_sequential_job_is_cancelled(self):
+        # tsp-rand-13 takes ~0.9 s sequentially: the cancel lands at a
+        # kernel poll long before the search would end.
+        s = make_sched(InProcessBackend())
+        s.start()
+        try:
+            job = s.submit(spec("tsp-rand-13", "tsp"))
+            _cancel_once_running(s, job)
+        finally:
+            s.stop()
+        assert job.state is JobState.CANCELLED, job.error
+        assert job.result is None
+        assert job.attempts == 1
 
-    PARAMS = {"backend": "processes", "n_processes": 2}
+
+class TestInProcessFansOut:
+    """A job on :class:`InProcessBackend` whose params select
+    ``backend="processes"`` runs on the warm process fleet."""
 
     def test_job_is_done_with_the_sequential_value(self):
-        s = make_sched(ProcessBackend())
-        job = s.submit(spec(skeleton="budget", params=self.PARAMS))
+        s = make_sched(InProcessBackend())
+        job = s.submit(spec(
+            skeleton="budget", params={"backend": "processes", "n_processes": 2},
+        ))
         s.run_until_idle()
         assert job.state is JobState.DONE, job.error
         assert job.result.value == run_library_search("brock90-1").value
         assert job.result.workers == 2
 
-    def test_timeout_kill_leaves_no_process_behind(self):
-        before = _process_group()
-        s = make_sched(ProcessBackend())
-        # ~0.9 s sequentially: the workers are up and searching when
-        # the deadline stops the job's process.
-        job = s.submit(spec(
-            "tsp-rand-13", "tsp", skeleton="budget", params=self.PARAMS, timeout=0.2,
-        ))
+
+class TestClusterTimeoutAndCancel:
+    """The coordinator's timeout and cancel, through a scheduler, on a
+    budget job over ``tsp-rand-13`` (~0.9 s sequentially)."""
+
+    @pytest.fixture(scope="class")
+    def backend(self):
+        from repro.cluster.backend import ClusterBackend
+
+        backend = ClusterBackend(local_workers=2)
+        try:
+            # Both workers are in before any job's deadline starts.
+            backend.handle.wait_for_workers(2, timeout=30.0)
+            yield backend
+        finally:
+            backend.close()
+
+    def test_timeout(self, backend):
+        s = make_sched(backend)
+        job = s.submit(spec("tsp-rand-13", "tsp", skeleton="budget", timeout=0.2))
         s.run_until_idle()
-        assert job.state is JobState.TIMEOUT
-        deadline = time.monotonic() + 3.0
-        while _process_group() - before and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert _process_group() - before == set()
+        assert job.state is JobState.TIMEOUT, job.error
+        assert job.attempts == 1
+
+    def test_cancel_while_running(self, backend):
+        s = make_sched(backend)
+        s.start()
+        try:
+            job = s.submit(spec("tsp-rand-13", "tsp", skeleton="budget"))
+            _cancel_once_running(s, job)
+        finally:
+            s.stop()
+        assert job.state is JobState.CANCELLED, job.error
+        assert job.attempts == 1
