@@ -45,7 +45,8 @@ def document_module(module) -> list[str]:
         for name, obj in vars(module).items()
         if not name.startswith("_")
         and getattr(obj, "__module__", None) == module.__name__
-        and (inspect.isclass(obj) or inspect.isfunction(obj))
+        # unwrap: a memoised function (functools.lru_cache) is one too
+        and (inspect.isclass(obj) or inspect.isfunction(inspect.unwrap(obj)))
     ]
     if not members:
         return lines

@@ -14,7 +14,8 @@ Bounded on both axes: per-job histories cap at ``history_limit``
 (oldest *non-terminal* events dropped first, with a ``dropped`` marker
 event so truncation is visible), and the broker retires the
 oldest *terminal* job logs beyond ``max_jobs`` so a long-lived gateway
-does not leak one log per job forever.
+does not leak one log per job forever.  A log also goes with its job's
+record: a serving scheduler publishes ``expired`` when it drops one.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import threading
 import time
 from collections import OrderedDict
 from typing import AsyncIterator, Callable, Optional
+
+from repro.service.scheduler import RETAINED_JOBS
 
 __all__ = ["TERMINAL_EVENTS", "EventBroker"]
 
@@ -60,7 +63,7 @@ class EventBroker:
         self,
         *,
         history_limit: int = 512,
-        max_jobs: int = 4096,
+        max_jobs: int = RETAINED_JOBS,
         clock: Callable[[], float] = time.time,
     ) -> None:
         if history_limit < 8:
@@ -83,6 +86,9 @@ class EventBroker:
         """
         record = {"job": job_id, "event": event, "ts": self._clock(), **data}
         with self._lock:
+            if event == "expired":  # the job's record went: its log goes too
+                self._logs.pop(job_id, None)
+                return
             log = self._logs.get(job_id)
             if log is None:
                 log = _JobLog()

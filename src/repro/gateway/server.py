@@ -220,11 +220,10 @@ class Gateway:
             spec = JobSpec.from_dict(data)
         except (ValueError, TypeError, KeyError) as exc:
             raise H.HttpError(400, f"invalid job spec: {exc}") from None
-        loop = asyncio.get_running_loop()
+        # Admission runs on the loop: Scheduler.submit holds its shard's
+        # lock only briefly and builds no spec, cheaper than a thread hop.
         try:
-            shard, job = await loop.run_in_executor(
-                None, self.router.submit, spec
-            )
+            shard, job = self.router.submit(spec)
         except ValueError as exc:
             raise H.HttpError(400, str(exc)) from None
         body = job_dict(job, shard)

@@ -31,7 +31,7 @@ from repro.service.cache import ResultCache
 from repro.service.jobs import Job, JobSpec
 from repro.service.metrics import MetricsSnapshot, ServiceMetrics
 from repro.service.queue import JobQueue
-from repro.service.scheduler import Backend, Scheduler
+from repro.service.scheduler import RETAINED_JOBS, Backend, Scheduler
 
 __all__ = ["Shard", "ShardRouter", "shard_of_key"]
 
@@ -109,7 +109,8 @@ class ShardRouter:
         pool: scheduler worker threads per shard.
         queue_depth / per_submitter: per-shard admission bounds.
         cache_size / cache_ttl: per-shard result cache shape.
-        broker: the event hub status streams subscribe to.
+        broker: the event hub status streams subscribe to; None keeps
+            as many job logs as the shards keep job records.
         clock: scheduler time source (injectable in tests).
     """
 
@@ -128,7 +129,10 @@ class ShardRouter:
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        self.broker = broker if broker is not None else EventBroker()
+        self.broker = (
+            broker if broker is not None
+            else EventBroker(max_jobs=n_shards * RETAINED_JOBS)
+        )
         self.shards = [
             Shard(
                 i,

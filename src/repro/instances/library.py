@@ -10,8 +10,8 @@ API:
 
 - :func:`load_instance(name)` — the raw instance object (a
   :class:`Graph`, :class:`KnapsackInstance`, ...).
-- :func:`spec_for(name)` — a ready :class:`SearchSpec` plus the search
-  type kwargs the instance is meant to run with.
+- :func:`spec_for(name)` — the (memoised) :class:`SearchSpec` plus the
+  search type kwargs the instance is meant to run with.
 - :func:`resolve_job(name, search_type, stype_kwargs)` — the spec and
   the search type object a library job names.
 - :func:`suite(app)` — the instance names of one application's
@@ -419,9 +419,10 @@ def load_instance(name: str) -> Any:
 
 
 def spec_for(name: str) -> tuple[SearchSpec, str, dict]:
-    """Spec + (search_type, stype_kwargs) for a registry instance."""
+    """Spec + (search_type, stype_kwargs) for a registry instance; the
+    spec is :func:`library_spec_factory`'s, built once per process."""
     entry = _entry(name)
-    return entry.make_spec(load_instance(name)), entry.search_type, dict(entry.stype_kwargs)
+    return library_spec_factory(name), entry.search_type, dict(entry.stype_kwargs)
 
 
 def resolve_job(
@@ -443,15 +444,17 @@ def resolve_job(
     return spec, make_search_type(kind, **kwargs)
 
 
+@lru_cache(maxsize=None)
 def library_spec_factory(name: str) -> SearchSpec:
-    """Top-level picklable spec factory for the multiprocessing backends.
+    """The spec of a registry instance, built once per process.
 
-    Worker processes rebuild specs from ``(factory, args)`` pairs; for
-    registry instances the pair is simply ``(library_spec_factory,
-    (name,))`` — the registry is deterministic, so every process builds
-    the identical instance.
+    The registry is deterministic and a spec frozen over an immutable
+    space (its lazy caches, ``Graph.inverted_adj`` and
+    ``UTSInstance.log_ratio``, are idempotent), so every job, thread and
+    worker shares one.  Also the top-level picklable factory workers
+    rebuild a registry spec from: ``(library_spec_factory, (name,))``.
     """
-    return spec_for(name)[0]
+    return _entry(name).make_spec(load_instance(name))
 
 
 def _entry(name: str) -> Entry:

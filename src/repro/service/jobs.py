@@ -26,6 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Mapping, Optional
 
 from repro.core.backends import backend_for
@@ -140,9 +141,10 @@ class JobSpec:
             "stype_kwargs": {k: self.stype_kwargs[k] for k in sorted(self.stype_kwargs)},
         }
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Canonical content hash: the cache/dedup key."""
+        """Canonical content hash: the cache/dedup key, computed once
+        (a spec is frozen; a race computes the same digest twice)."""
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -16,9 +16,9 @@ Two execution backends implement :class:`Backend`:
   check in its 256-node poll hook; a parallel skeleton (simulated, or
   on the warm process fleet when its params select
   ``backend="processes"``) runs to completion and is marked
-  ``TIMEOUT`` after the fact if it blew its deadline (best-effort: the
-  thread cannot be killed, and an attempt that never reaches a poll
-  cannot be stopped).
+  ``CANCELLED`` or ``TIMEOUT`` after the fact if it was cancelled or
+  blew its deadline (best-effort: the thread cannot be killed, and an
+  attempt that never reaches a poll cannot be stopped).
 - :class:`~repro.cluster.backend.ClusterBackend` — every job runs
   across a TCP cluster coordinator's workers, out of the scheduler's
   process; the coordinator stops a job on timeout or cancel.
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from typing import Callable, Optional, Protocol
 
 from repro.core.kernel import search_subtree
@@ -51,7 +52,13 @@ __all__ = [
     "JobCancelled",
     "WorkerCrash",
     "Scheduler",
+    "RETAINED_JOBS",
 ]
+
+# The terminal job records a serving scheduler keeps, oldest to finish
+# dropped first: a front door serves jobs forever and each record holds
+# its result.  A batch run (run_until_idle) keeps every record.
+RETAINED_JOBS = 1024
 
 
 class JobTimeout(Exception):
@@ -104,8 +111,8 @@ class InProcessBackend:
     ) -> SearchResult:
         """Run the attempt in this thread.  Sequential jobs honour the
         deadline/cancel cooperatively; parallel runs (simulated, or on the
-        process fleet) cannot be preempted and get a late TIMEOUT
-        verdict instead."""
+        process fleet) cannot be preempted and get a late CANCELLED or
+        TIMEOUT verdict instead."""
         from repro.runtime.processes import run_library_search
 
         spec = job.spec
@@ -117,9 +124,11 @@ class InProcessBackend:
             raise
         except Exception as exc:
             raise WorkerCrash(f"{type(exc).__name__}: {exc}") from exc
+        # A parallel run cannot be preempted mid-flight; the late verdict
+        # is still CANCELLED or TIMEOUT, so its result is not cached.
+        if cancel is not None and cancel.is_set():
+            raise JobCancelled
         if deadline is not None and time.monotonic() > deadline:
-            # A parallel run cannot be preempted mid-flight; the late
-            # verdict is still TIMEOUT so the SLO is reported honestly.
             raise JobTimeout
         return result
 
@@ -177,7 +186,8 @@ class Scheduler:
         on_event: lifecycle event sink, called as
             ``on_event(job, event, data)`` with ``event`` one of
             ``queued / coalesced / rejected / leased / incumbent /
-            done / failed / cancelled / timeout``.  Fired from worker
+            done / failed / cancelled / timeout``, and ``expired`` when
+            a serving scheduler drops a terminal record.  Fired from worker
             threads, sometimes with the scheduler lock held: sinks must
             be fast and must not call back into the scheduler.
     """
@@ -208,6 +218,8 @@ class Scheduler:
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}  # guarded-by: _lock|_work
+        # Terminal job ids in finishing order, kept only while serving.
+        self._finished: Optional[deque[str]] = None  # guarded-by: _lock|_work
         self._running = 0  # guarded-by: _lock|_work
         self._seq = 0  # guarded-by: _lock|_work
         self.name = name
@@ -382,11 +394,15 @@ class Scheduler:
         """Start ``n_workers`` long-lived worker threads that serve the
         queue until :meth:`stop` — the mode a network front door runs
         the scheduler in, where submissions arrive concurrently and
-        forever rather than from a finite job file."""
+        forever rather than from a finite job file.  From here on the
+        job table keeps the last :data:`RETAINED_JOBS` terminal records;
+        an older job's id is unknown to :meth:`job` and :meth:`cancel`."""
         with self._lock:
             if self._threads:
                 raise RuntimeError("scheduler already started")
             self._stopping = False
+            if self._finished is None:
+                self._finished = deque()
         self._threads = [
             threading.Thread(
                 target=self._serve_loop,
@@ -551,8 +567,12 @@ class Scheduler:
                 )
                 self._finish(follower, terminal)
 
-    def _finish(self, job: Job, state: JobState) -> None:
+    def _finish(self, job: Job, state: JobState) -> None:  # repro: holds[_lock]
         job.transition(state, now=self._clock())
+        if self._finished is not None:
+            self._finished.append(job.id)
+            if len(self._finished) > RETAINED_JOBS:
+                self._emit(self._jobs.pop(self._finished.popleft()), "expired")
         self.metrics.job_finished(job)
         data: dict = {"state": state.value, "from_cache": job.from_cache}
         if job.result is not None:

@@ -179,6 +179,27 @@ class TestErrors:
         finally:
             handle.close()
 
+    def test_dropped_job_is_404(self, monkeypatch):
+        # A serving shard keeps RETAINED_JOBS terminal records; an older
+        # job's record and its event log are gone.
+        from repro.service import scheduler
+
+        monkeypatch.setattr(scheduler, "RETAINED_JOBS", 3)
+        handle, client, _ = make_gateway(n_shards=1)
+        try:
+            ids = [client.wait(client.submit(spec_json(name))["job"])["job"]
+                   for name in INSTANCES[:5]]
+            broker = handle.gateway.router.broker
+            for job_id in ids[:2]:
+                with pytest.raises(GatewayError) as err:
+                    client.job(job_id)
+                assert err.value.status == 404
+                assert broker.history(job_id) == []
+            assert client.job(ids[-1])["state"] == "DONE"
+            assert len(broker) == 3
+        finally:
+            handle.close()
+
     def test_invalid_spec_is_400(self):
         handle, client, _ = make_gateway()
         try:
@@ -421,3 +442,44 @@ class TestDrain:
         finally:
             gate.release.set()
             handle.close()
+
+
+class TestFrontDoorCost:
+    """What a job costs on the front door, counted rather than timed."""
+
+    def test_fresh_jobs_build_the_spec_once_and_key_once(self, monkeypatch):
+        import hashlib
+        from types import SimpleNamespace
+
+        from repro.instances import library
+        from repro.service import jobs
+
+        builds, keys = [], []
+        build = library.maxclique_spec
+
+        def counted_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        def counted_sha256(data):
+            keys.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(library, "maxclique_spec", counted_build)
+        monkeypatch.setattr(jobs, "hashlib", SimpleNamespace(sha256=counted_sha256))
+        library.library_spec_factory.cache_clear()
+        # The default (in-process) backend: every job is a real search.
+        handle = GatewayHandle(Gateway(ShardRouter(2), port=0))
+        handle.start()
+        try:
+            client = GatewayClient(handle.url, timeout=15.0)
+            for seed in range(1, 7):
+                record = client.wait(
+                    client.submit(spec_json("brock90-1", params={"seed": seed}))["job"]
+                )
+                assert record["state"] == "DONE" and not record["from_cache"]
+        finally:
+            handle.close()
+            library.library_spec_factory.cache_clear()
+        assert len(builds) == 1
+        assert len(keys) == 6

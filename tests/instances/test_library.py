@@ -1,12 +1,18 @@
 """Tests for the named instance registry."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.core.sequential import sequential_search
 from repro.core.space import SearchSpec
 from repro.instances.library import (
     APPS,
     instance_names,
+    library_spec_factory,
     load_instance,
+    resolve_job,
     spec_for,
     suite,
 )
@@ -61,6 +67,48 @@ class TestSpecFor:
         for name in suite("uts") + suite("ns"):
             _, stype, _ = spec_for(name)
             assert stype == "enumeration"
+
+    def test_spec_is_memoised(self):
+        # One spec per registry name and process: a service job looks
+        # its spec up instead of relabelling the graph again.
+        assert spec_for("sanr90-1")[0] is spec_for("sanr90-1")[0]
+        assert library_spec_factory("sanr90-1") is spec_for("sanr90-1")[0]
+        assert resolve_job("sanr90-1")[0] is spec_for("sanr90-1")[0]
+
+    def test_kwargs_are_the_callers_own(self):
+        _, _, kwargs = spec_for("kclique-planted-80")
+        kwargs["target"] = 3
+        assert spec_for("kclique-planted-80")[2]["target"] == 18
+
+    @pytest.mark.parametrize("name", ["brock90-1", "tsp-rand-11", "uts-geo-med"])
+    def test_threads_search_one_spec_at_once(self, name):
+        # The memoised spec is shared by every scheduler thread: four
+        # searches at once, switching often, must each see the
+        # sequential tree.  A fresh spec, so its lazily filled caches
+        # (Graph.inverted_adj) are filled in the race too.
+        spec = library_spec_factory.__wrapped__(name)
+        stype = resolve_job(name)[1]
+        start = threading.Barrier(4)
+        got = []
+
+        def search() -> None:
+            start.wait()
+            res = sequential_search(spec, stype)
+            got.append((res.value, res.metrics.nodes))
+
+        threads = [threading.Thread(target=search) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        want = sequential_search(*resolve_job(name))
+        assert got == [(want.value, want.metrics.nodes)] * 4
 
 
 class TestDecoySip:

@@ -64,6 +64,37 @@ class TestCanonicalKey:
         b = spec(params={"budget": 50, "d_cutoff": 3})
         assert a.key == b.key
 
+    def test_key_is_pinned(self):
+        # Content addressing must not move: a cache, a shard route or a
+        # stored result keyed by an older digest still has to match.
+        s = spec(skeleton="budget", params={"budget": 500, "seed": 3},
+                 priority=5, timeout=2.0, submitter="alice")
+        assert s.key == (
+            "5d2578541541a1771b3125455cc4f82f951f20336252f7d06ef8e398b552e73a"
+        )
+        d = JobSpec(app="kclique", instance="kclique-planted-80",
+                    search_type="decision", stype_kwargs={"target": 18})
+        assert d.key == (
+            "41c47a83c605dfab0c697a2f82a3b39671517dc4072ad3089e987d33d2f39fc0"
+        )
+
+    def test_key_is_computed_once(self, monkeypatch):
+        import hashlib
+        from types import SimpleNamespace
+
+        from repro.service import jobs
+
+        calls = []
+
+        def sha256(data):
+            calls.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(jobs, "hashlib", SimpleNamespace(sha256=sha256))
+        s = spec()
+        assert s.key == s.key == Job(s, id="j1").key
+        assert len(calls) == 1
+
     def test_round_trip_preserves_key(self):
         s = spec(skeleton="budget", params={"budget": 10}, priority=4,
                  timeout=2.5, submitter="carol")

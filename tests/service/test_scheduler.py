@@ -339,6 +339,56 @@ class TestInProcessRunningCancel:
         assert job.attempts == 1
 
 
+class TestInProcessRunningParallelCancel:
+    def test_running_fleet_job_is_cancelled(self):
+        # A budget job on two fleet processes cannot be stopped mid-run;
+        # its late verdict is still CANCELLED, and its result is not
+        # cached for the next submitter of the same search.
+        s = make_sched(InProcessBackend())
+        s.start()
+        try:
+            job = s.submit(spec(
+                "tsp-rand-13", "tsp", skeleton="budget",
+                params={"backend": "processes", "n_processes": 2},
+            ))
+            _cancel_once_running(s, job)
+        finally:
+            s.stop()
+        assert job.state is JobState.CANCELLED, job.error
+        assert job.result is None
+        assert s.cache.get(job.key) is None
+
+
+class TestRetention:
+    """A serving scheduler keeps the last RETAINED_JOBS terminal records."""
+
+    def test_serving_scheduler_drops_the_oldest_records(self):
+        from repro.service.scheduler import RETAINED_JOBS
+
+        s = make_sched()
+        s.start()
+        try:
+            # One execution, then cache hits: every record is terminal.
+            jobs = [s.submit(spec()) for _ in range(RETAINED_JOBS + 50)]
+            while not all(job.terminal for job in jobs):
+                time.sleep(0.01)
+            kept = s.jobs()
+        finally:
+            s.stop()
+        assert len(kept) == RETAINED_JOBS
+        assert [job.id for job in kept] == [job.id for job in jobs[50:]]
+        with pytest.raises(KeyError):
+            s.job(jobs[0].id)
+        assert s.metrics_snapshot().completed == RETAINED_JOBS + 50
+
+    def test_batch_run_keeps_every_record(self):
+        from repro.service.scheduler import RETAINED_JOBS
+
+        s = make_sched()
+        jobs = [s.submit(spec(instance="brock90-2")) for _ in range(RETAINED_JOBS + 1)]
+        assert len(s.run_until_idle()) == len(jobs)
+
+
 class TestInProcessFansOut:
     """A job on :class:`InProcessBackend` whose params select
     ``backend="processes"`` runs on the warm process fleet."""
