@@ -513,8 +513,8 @@ def resolve_factory(path: str) -> Callable:
 def decode_job(job_id: int, payload: dict, specs: Any) -> WorkerJob:
     """The job a JOB frame or job payload describes, numbered
     ``job_id``: its spec from ``specs`` (a
-    :class:`~repro.runtime.worker.SpecCache`) while it names the last
-    one's factory and wire arguments, its search type rebuilt by name,
+    :class:`~repro.runtime.worker.SpecCache`) while it names a recent
+    job's factory and wire arguments, its search type rebuilt by name,
     its knobs checked (a ValueError below 1)."""
     key = (payload["factory"], payload.get("factory_args") or [])
     return WorkerJob(

@@ -48,7 +48,7 @@ import threading
 from contextlib import contextmanager
 from multiprocessing import get_context, parent_process
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 __all__ = [
     "ProcessFleet", "TaskPipe", "Wires", "graceful_stop", "POLL", "WORKER_SWITCH_INTERVAL",
@@ -256,7 +256,10 @@ class ProcessFleet:
         return self._workers[:n]
 
     @contextmanager
-    def job(self, label: str, n: int, message: Any) -> Iterator[tuple]:
+    def job(
+        self, label: str, n: int, message: Any,
+        stop: Optional[Callable[[int], bool]] = None,
+    ) -> Iterator[tuple]:
         """Run ``worker.run(message)`` in ``n`` workers, with the
         shared integers starting at zero.
 
@@ -265,62 +268,76 @@ class ProcessFleet:
         and ends when every worker has left ``run``.  Waiting for one
         is also the crash watchdog.  Leaving the block waits for that
         end; leaving it by an exception stops the whole fleet.
+
+        ``stop(best)``, for a Budget or Stack-Stealing job, is asked
+        with the shared incumbent at every wake of that wait, and at
+        least every :data:`POLL` seconds, until the job is over; True
+        raises ``done``, so that the workers abandon their leases at
+        their next poll.  While another job holds the fleet it is asked
+        with 0 as often; True there raises RuntimeError.
         """
         blob = pickle.dumps(message)  # a caller's error, before anything starts
-        with self._lock:
-            try:
-                engaged = self._engage(n)
-                wires = self._wires
-                wires.done.value = 0
-                wires.outstanding.value = 0
-                wires.best.value = 0
-                for _, ctrl, _ in engaged:
-                    ctrl.send_bytes(blob)
+        while not self._lock.acquire(timeout=POLL if stop else -1):
+            if stop(0):
+                raise RuntimeError(f"{label} job stopped while it waited for the fleet")
+        try:
+            engaged = self._engage(n)
+            wires = self._wires
+            wires.done.value = 0
+            wires.outstanding.value = 0
+            wires.best.value = 0
+            for _, ctrl, _ in engaged:
+                ctrl.send_bytes(blob)
 
-                def fail(error: str):
-                    raise RuntimeError(f"{label} backend worker failed: {error}")
+            def fail(error: str):
+                raise RuntimeError(f"{label} backend worker failed: {error}")
 
-                def died(proc) -> None:
-                    proc.join(timeout=5.0)
-                    fail(f"worker died with exit code {proc.exitcode} before reporting results")
+            def died(proc) -> None:
+                proc.join(timeout=5.0)
+                fail(f"worker died with exit code {proc.exitcode} before reporting results")
 
-                def reports() -> Iterator[Any]:
-                    # Every result pipe and every process sentinel, in one
-                    # poll object (``connection.wait`` builds a selector
-                    # a call): a worker that dies is seen as it dies.
-                    poller, ends = select.poll(), {}
-                    for proc, _, results in engaged:
-                        ends[results.fileno()] = (proc, results)
-                        ends[proc.sentinel] = (proc, None)
-                    for fd in ends:
-                        poller.register(fd, select.POLLIN)
-                    idle = 0
-                    while idle < n:
-                        # Once the job is over, a dry spell may be a
-                        # writer blocked on a task pipe nobody reads.
-                        ready = poller.poll(POLL * 1000 if wires.done.value else None)
-                        if not ready:
-                            wires.tasks.drain()
-                        for fd, _ in ready:
-                            proc, results = ends[fd]
-                            if results is None:
-                                died(proc)
-                            try:
-                                tag, body = results.recv()
-                            except EOFError:
-                                died(proc)
-                            if tag == "error":
-                                fail(body)
-                            if tag == "idle":
-                                idle += 1
-                            else:
-                                yield body
-                    wires.tasks.drain()  # what nobody took: the next job starts empty
+            def reports() -> Iterator[Any]:
+                # Every result pipe and every process sentinel, in one
+                # poll object (``connection.wait`` builds a selector
+                # a call): a worker that dies is seen as it dies.
+                poller, ends = select.poll(), {}
+                for proc, _, results in engaged:
+                    ends[results.fileno()] = (proc, results)
+                    ends[proc.sentinel] = (proc, None)
+                for fd in ends:
+                    poller.register(fd, select.POLLIN)
+                idle = 0
+                while idle < n:
+                    # Once the job is over, a dry spell may be a
+                    # writer blocked on a task pipe nobody reads.
+                    over = wires.done.value
+                    ready = poller.poll(POLL * 1000 if over or stop else None)
+                    if over and not ready:
+                        wires.tasks.drain()
+                    if not over and stop is not None and stop(wires.best.value):
+                        wires.done.value = 1
+                    for fd, _ in ready:
+                        proc, results = ends[fd]
+                        if results is None:
+                            died(proc)
+                        try:
+                            tag, body = results.recv()
+                        except EOFError:
+                            died(proc)
+                        if tag == "error":
+                            fail(body)
+                        if tag == "idle":
+                            idle += 1
+                        else:
+                            yield body
+                wires.tasks.drain()  # what nobody took: the next job starts empty
 
-                stream = reports()
-                yield wires, stream
-                for _ in stream:
-                    pass  # a straggler's report, until every worker is idle
-            except BaseException:
-                self._shutdown()
-                raise
+            stream = reports()
+            yield wires, stream
+            for _ in stream:
+                pass  # a straggler's report, until every worker is idle
+        except BaseException:
+            self._shutdown()
+            raise
+        finally:
+            self._lock.release()

@@ -20,6 +20,9 @@ with a message each, and they stop when the process exits (or at
 ``FLEET.close()``).  One search runs on the fleet at a time — a second
 caller waits its turn — and a search that loses a worker raises
 RuntimeError and stops the fleet; the next search starts a fresh one.
+The service's sequential jobs run here too, off the front door's
+interpreter, each one lease on one worker that a stop hook can abandon
+(:func:`fleet_sequential_search`).
 
 - :func:`multiprocessing_depthbounded_search` — **static** splitting:
   the parent walks the depth-``d`` frontier and leases runs of it, as
@@ -45,7 +48,7 @@ Because ``SearchSpec`` objects contain closures (not picklable), every
 backend takes a *spec factory* — a top-level callable plus picklable
 arguments — which travels to the workers pickled, with the
 coordination and its knobs; each rebuilds the spec from it and keeps
-it while the next search names the same one.
+it while later searches name it (the last few specs are kept).
 Incumbent knowledge is shared through a shared 64-bit integer holding
 the best objective value: workers seed their pruning from it, read it
 lock-free on a fixed node cadence, and take the lock only to publish
@@ -86,6 +89,7 @@ __all__ = [
     "run_skeleton",
     "make_stype",
     "run_library_search",
+    "fleet_sequential_search",
     "graceful_stop",
 ]
 
@@ -119,6 +123,27 @@ def run_library_search(
         stype=stype,
         spec_factory=library_spec_factory,
         factory_args=(instance,),
+    )
+
+
+def fleet_sequential_search(
+    instance: str,
+    search_type: Optional[str] = None,
+    stype_kwargs: Optional[dict] = None,
+    stop: Optional[Callable[[int], bool]] = None,
+) -> SearchResult:
+    """The Sequential skeleton over a named library instance as one
+    lease on one fleet worker: Stack-Stealing on one worker never
+    splits, so value, nodes, prunes and backtracks are
+    :func:`run_library_search`'s.  Once ``stop`` answers True (see
+    :meth:`~repro.runtime.fleet.ProcessFleet.job`) what was found so
+    far comes back."""
+    from repro.instances.library import library_spec_factory, resolve_job
+
+    _spec, stype = resolve_job(instance, search_type, stype_kwargs)
+    return _fleet_search(
+        "stacksteal", library_spec_factory, (instance,), make_stype, stype_payload(stype), 1,
+        stop=stop,
     )
 
 
@@ -328,7 +353,7 @@ class PipeWorker(Worker):
 # Every search of this process runs on these workers (started by the
 # first one that needs any, see :mod:`repro.runtime.fleet`).
 FLEET = ProcessFleet(PipeWorker)
-_SPECS = SpecCache()  # the parent's, keyed as PipeWorker.specs is
+_SPECS = SpecCache()  # the parent's, keyed as PipeWorker.specs are
 
 
 # -- the parent's half of each coordination -----------------------------------
@@ -464,12 +489,14 @@ def _fleet_search(
     stype_factory: Callable[..., SearchType],
     stype_args: tuple,
     n_processes: int,
+    stop: Optional[Callable[[int], bool]] = None,
     **knobs: Any,
 ) -> SearchResult:
     """The parent's half of every process coordination: a
     :class:`~repro.runtime.driver.JobDriver` over one fleet job, told
     the coordination and its ``knobs`` (some of
-    :data:`~repro.runtime.worker.JOB_KNOBS`).
+    :data:`~repro.runtime.worker.JOB_KNOBS`); ``stop`` goes to
+    :meth:`~repro.runtime.fleet.ProcessFleet.job`.
 
     The driver says what the job does; this is its transport.  The
     fleet is engaged when the driver says so (never, when phase 1 is
@@ -497,7 +524,7 @@ def _fleet_search(
     with ExitStack() as stack:
         engaged = []  # the fleet job, once the driver engages the workers
         tasks = driver.start(lambda: engaged.append(
-            stack.enter_context(FLEET.job(coordination, n_processes, message))
+            stack.enter_context(FLEET.job(coordination, n_processes, message, stop))
         ))
         if engaged:
             _serve(driver, n_processes, tasks, *engaged[0])

@@ -4,7 +4,7 @@ YewPar starts its workers once per locality and feeds them from the
 locality's workpool (§4.3); a coordination is a policy that runs on
 that worker, not a second worker.  :class:`Worker` is that worker for
 both real runtimes: it holds the job in hand (:class:`WorkerJob`), the
-spec of the last job (:class:`SpecCache`) and the lease loop.  Its
+specs of the last jobs (:class:`SpecCache`) and the lease loop.  Its
 transport is a subclass — the process fleet's pipes and shared
 integers (:class:`repro.runtime.processes.PipeWorker`) or the
 cluster's frames (:class:`repro.cluster.worker.ClusterWorker`) — and
@@ -66,20 +66,29 @@ def stype_payload(stype: SearchType) -> tuple[str, dict]:
     )
 
 
+# How many specs a SpecCache keeps: a service's fleet serves its own
+# jobs and its process's other callers, each naming a spec of its own.
+SPECS_KEPT = 8
+
+
 class SpecCache:
-    """The spec of the last job, kept while the next names the same key
-    (instances are deterministic: it would be rebuilt identical).  One
-    entry, replaced whole (threads sharing it get the spec they asked
-    for): one per worker, in the fleet's parent and in the coordinator."""
+    """The specs of the last :data:`SPECS_KEPT` keys asked for, each
+    kept while later jobs name it (instances are deterministic: it would
+    be rebuilt identical).  The list is replaced whole, so threads
+    sharing it each get the spec they asked for: one per worker, in the
+    fleet's parent and in the coordinator."""
 
     def __init__(self) -> None:
-        self._entry: tuple = (None, None)  # (key, spec)
+        self._entries: list = []  # (key, spec), the most recent first
 
     def get(self, key: Any, build: Callable[[], Any]) -> Any:
-        """The spec ``key`` names: ``build()``'s, unless it was the last."""
-        entry = self._entry
-        if entry[0] != key:
-            entry = self._entry = (key, build())
+        """The spec ``key`` names: ``build()``'s, unless it is kept."""
+        entries = self._entries
+        entry = next((entry for entry in entries if entry[0] == key), None)
+        if entry is None:
+            entry = (key, build())
+        if not entries or entries[0] is not entry:
+            self._entries = [entry, *(e for e in entries if e is not entry)][:SPECS_KEPT]
         return entry[1]
 
 

@@ -34,7 +34,12 @@ from repro.core.params import SkeletonParams
 from repro.core.results import SearchResult
 from repro.core.skeletons import COORDINATIONS, SEARCH_TYPES
 
-__all__ = ["JobSpec", "Job", "JobState", "TERMINAL_STATES"]
+__all__ = ["JobSpec", "Job", "JobState", "TERMINAL_STATES", "RETAINED_JOBS"]
+
+# The finished jobs a serving scheduler remembers, oldest to finish
+# dropped first: its terminal records (a batch run keeps every record)
+# and its metrics' latency window.  A front door serves jobs forever.
+RETAINED_JOBS = 1024
 
 
 class JobState(str, Enum):

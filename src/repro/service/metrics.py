@@ -9,16 +9,19 @@ harnesses use, so one definition of p95 exists in the repo.
 
 :class:`ServiceMetrics` is the live, thread-safe accumulator the
 scheduler writes into; :meth:`ServiceMetrics.snapshot` freezes it into
-an immutable :class:`MetricsSnapshot` for reporting.
+an immutable :class:`MetricsSnapshot` for reporting.  Latency
+percentiles cover the last :data:`~repro.service.jobs.RETAINED_JOBS`
+finished jobs; every other figure covers the life of the process.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.service.jobs import Job
+from repro.service.jobs import RETAINED_JOBS, Job
 from repro.util.stats import percentile
 
 __all__ = ["ServiceMetrics", "MetricsSnapshot"]
@@ -57,6 +60,23 @@ class MetricsSnapshot:
     workers_retired: int = 0
     fleet_size: int = 0
     fleet_peak: int = 0
+
+    @classmethod
+    def of(cls, counters: dict) -> "MetricsSnapshot":
+        """Freeze :meth:`ServiceMetrics.counters`: the percentiles sort
+        the latency window here, so a caller copies the counters under
+        its lock and calls this after releasing it."""
+        latencies = counters.pop("latencies")
+        jobs, workers = counters.pop("worker_jobs"), counters.pop("worker_sum")
+        hits, misses = counters["cache_hits"], counters["cache_misses"]
+        return cls(
+            **counters,
+            cache_hit_rate=hits / (hits + misses) if (hits + misses) else None,
+            completed=sum(counters["jobs_by_state"].values()),
+            latency_p50=percentile(latencies, 50) if latencies else None,
+            latency_p95=percentile(latencies, 95) if latencies else None,
+            avg_workers=workers / jobs if jobs else None,
+        )
 
     def to_dict(self) -> dict:
         """Plain-dict (JSON-ready) form of the snapshot."""
@@ -136,8 +156,12 @@ class ServiceMetrics:
         self.retries = 0  # guarded-by: _lock
         self.executed = 0  # guarded-by: _lock
         self._by_state: dict[str, int] = {}  # guarded-by: _lock
-        self._latencies: list[float] = []  # guarded-by: _lock
-        self._worker_counts: list[int] = []  # guarded-by: _lock
+        self._latencies: deque[float] = deque(maxlen=RETAINED_JOBS)  # guarded-by: _lock
+        # Jobs that ran a search: how many, their workers summed, and how
+        # many ran on more than one.
+        self._worker_jobs = 0  # guarded-by: _lock
+        self._worker_sum = 0  # guarded-by: _lock
+        self._parallel_jobs = 0  # guarded-by: _lock
         self._total_splits = 0  # guarded-by: _lock
         self._workers_spawned = 0  # guarded-by: _lock
         self._workers_retired = 0  # guarded-by: _lock
@@ -190,7 +214,9 @@ class ServiceMetrics:
             result = job.result
             if result is not None and not job.from_cache:
                 if result.workers is not None:
-                    self._worker_counts.append(result.workers)
+                    self._worker_jobs += 1
+                    self._worker_sum += result.workers
+                    self._parallel_jobs += result.workers > 1
                 if result.metrics is not None:
                     self._total_splits += result.metrics.spawns
 
@@ -215,56 +241,33 @@ class ServiceMetrics:
     def snapshot(
         self, *, queue_depth: int = 0, running: int = 0, cache=None
     ) -> MetricsSnapshot:
-        """Freeze the current counters into a :class:`MetricsSnapshot`.
+        """Freeze the current counters into a :class:`MetricsSnapshot`."""
+        return MetricsSnapshot.of(
+            self.counters(queue_depth=queue_depth, running=running, cache=cache)
+        )
+
+    def counters(self, *, queue_depth: int = 0, running: int = 0, cache=None) -> dict:
+        """Every counter, copied in one critical section, for
+        :meth:`MetricsSnapshot.of`; it sorts nothing.
 
         ``cache`` is a :class:`repro.service.cache.ResultCache` (or
         anything with ``hits``/``misses`` counters); omitted, the cache
-        columns read zero.
-
-        The snapshot is *consistent*: every counter is copied inside one
-        critical section, and the cache hit rate is derived from the
-        same ``hits``/``misses`` pair that is reported — not re-read via
+        columns read zero.  The hit rate is later derived from the same
+        ``hits``/``misses`` pair that is reported — not re-read via
         ``cache.hit_rate()``, which could observe newer counters than
         the ones already copied and publish a rate that disagrees with
         them (visible to a concurrent ``/metrics`` scrape).
         """
         with self._lock:
-            latencies = list(self._latencies)
-            by_state = dict(self._by_state)
-            submitted, rejected = self.submitted, self.rejected
-            coalesced, retries = self.coalesced, self.retries
-            executed = self.executed
-            worker_counts = list(self._worker_counts)
-            total_splits = self._total_splits
-            workers_spawned = self._workers_spawned
-            workers_retired = self._workers_retired
-            fleet_size = self._fleet_size
-            fleet_peak = self._fleet_peak
-            hits = cache.hits if cache is not None else 0
-            misses = cache.misses if cache is not None else 0
-        hit_rate = hits / (hits + misses) if (hits + misses) else None
-        return MetricsSnapshot(
-            queue_depth=queue_depth,
-            running=running,
-            submitted=submitted,
-            rejected=rejected,
-            coalesced=coalesced,
-            retries=retries,
-            executed=executed,
-            cache_hits=hits,
-            cache_misses=misses,
-            cache_hit_rate=hit_rate,
-            jobs_by_state=by_state,
-            completed=sum(by_state.values()),
-            latency_p50=percentile(latencies, 50) if latencies else None,
-            latency_p95=percentile(latencies, 95) if latencies else None,
-            parallel_jobs=sum(1 for w in worker_counts if w > 1),
-            avg_workers=(
-                sum(worker_counts) / len(worker_counts) if worker_counts else None
-            ),
-            total_splits=total_splits,
-            workers_spawned=workers_spawned,
-            workers_retired=workers_retired,
-            fleet_size=fleet_size,
-            fleet_peak=fleet_peak,
-        )
+            return dict(
+                queue_depth=queue_depth, running=running,
+                submitted=self.submitted, rejected=self.rejected, coalesced=self.coalesced,
+                retries=self.retries, executed=self.executed,
+                cache_hits=cache.hits if cache is not None else 0,
+                cache_misses=cache.misses if cache is not None else 0,
+                jobs_by_state=dict(self._by_state), latencies=list(self._latencies),
+                parallel_jobs=self._parallel_jobs, worker_jobs=self._worker_jobs,
+                worker_sum=self._worker_sum, total_splits=self._total_splits,
+                workers_spawned=self._workers_spawned, workers_retired=self._workers_retired,
+                fleet_size=self._fleet_size, fleet_peak=self._fleet_peak,
+            )

@@ -10,15 +10,16 @@ The flow of one submission::
 
 Two execution backends implement :class:`Backend`:
 
-- :class:`InProcessBackend` — runs searches in the scheduler's own
-  worker threads, the default.  Timeouts are cooperative: the
-  sequential skeleton runs on the search kernel with a deadline/cancel
-  check in its 256-node poll hook; a parallel skeleton (simulated, or
-  on the warm process fleet when its params select
-  ``backend="processes"``) runs to completion and is marked
+- :class:`InProcessBackend` — the default.  A sequential job is one
+  lease on one worker of the process's warm fleet
+  (:data:`repro.runtime.processes.FLEET`), off the scheduler's
+  interpreter; its timeout and cancel are preemptive (the worker
+  abandons the search at its next poll) and its incumbent events
+  follow the fleet wait's cadence.  A parallel skeleton (simulated, or
+  on the fleet when its params select ``backend="processes"``) runs in
+  the scheduler's worker thread to completion and is marked
   ``CANCELLED`` or ``TIMEOUT`` after the fact if it was cancelled or
-  blew its deadline (best-effort: the thread cannot be killed, and an
-  attempt that never reaches a poll cannot be stopped).
+  blew its deadline.
 - :class:`~repro.cluster.backend.ClusterBackend` — every job runs
   across a TCP cluster coordinator's workers, out of the scheduler's
   process; the coordinator stops a job on timeout or cancel.
@@ -37,11 +38,9 @@ import time
 from collections import deque
 from typing import Callable, Optional, Protocol
 
-from repro.core.kernel import search_subtree
 from repro.core.results import SearchResult
-from repro.core.searchtypes import Incumbent
 from repro.service.cache import ResultCache
-from repro.service.jobs import Job, JobSpec, JobState
+from repro.service.jobs import RETAINED_JOBS, Job, JobSpec, JobState
 from repro.service.metrics import MetricsSnapshot, ServiceMetrics
 from repro.service.queue import AdmissionError, JobQueue
 
@@ -54,11 +53,6 @@ __all__ = [
     "Scheduler",
     "RETAINED_JOBS",
 ]
-
-# The terminal job records a serving scheduler keeps, oldest to finish
-# dropped first: a front door serves jobs forever and each record holds
-# its result.  A batch run (run_until_idle) keeps every record.
-RETAINED_JOBS = 1024
 
 
 class JobTimeout(Exception):
@@ -93,14 +87,9 @@ class Backend(Protocol):
         ...
 
 
-# How many nodes the cooperative driver searches between deadline and
-# cancellation checks.  Small enough for sub-second responsiveness on
-# any real instance, large enough to keep the check off the hot path.
-_CHECK_EVERY = 256
-
-
 class InProcessBackend:
-    """Run searches inside the scheduler's worker threads."""
+    """Run sequential jobs on the warm process fleet, and parallel
+    skeletons in the scheduler's worker threads."""
 
     def execute(
         self,
@@ -109,64 +98,40 @@ class InProcessBackend:
         deadline: Optional[float] = None,
         cancel: Optional[threading.Event] = None,
     ) -> SearchResult:
-        """Run the attempt in this thread.  Sequential jobs honour the
-        deadline/cancel cooperatively; parallel runs (simulated, or on the
-        process fleet) cannot be preempted and get a late CANCELLED or
-        TIMEOUT verdict instead."""
-        from repro.runtime.processes import run_library_search
+        """Run the attempt.  A sequential job's search stops at the
+        deadline or cancel, and reports its incumbent as the fleet's
+        wait sees it rise; a parallel run cannot be preempted.  Either
+        way an attempt cancelled or past its deadline ends CANCELLED or
+        TIMEOUT, and what it found is not cached."""
+        from repro.runtime.processes import fleet_sequential_search, run_library_search
 
         spec = job.spec
+        seen = 0
+
+        def stop(best: int) -> bool:
+            nonlocal seen
+            if best > seen and job.on_incumbent is not None:
+                seen = best
+                job.on_incumbent(best)
+            return (cancel is not None and cancel.is_set()) or (
+                deadline is not None and time.monotonic() >= deadline
+            )
+
         try:
-            if spec.skeleton == "sequential" and (deadline or cancel):
-                return self._cooperative_sequential(job, deadline, cancel)
-            result = run_library_search(**spec.run_payload())
-        except (JobTimeout, JobCancelled):
-            raise
+            if (spec.params.get("coordination") or spec.skeleton) == "sequential":
+                result = fleet_sequential_search(
+                    spec.instance, spec.search_type, spec.stype_kwargs, stop
+                )
+            else:
+                result = run_library_search(**spec.run_payload())
         except Exception as exc:
-            raise WorkerCrash(f"{type(exc).__name__}: {exc}") from exc
-        # A parallel run cannot be preempted mid-flight; the late verdict
-        # is still CANCELLED or TIMEOUT, so its result is not cached.
+            if not stop(0):  # else it stopped waiting for the fleet
+                raise WorkerCrash(f"{type(exc).__name__}: {exc}") from exc
         if cancel is not None and cancel.is_set():
             raise JobCancelled
-        if deadline is not None and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             raise JobTimeout
         return result
-
-    @staticmethod
-    def _cooperative_sequential(
-        job: Job,
-        deadline: Optional[float],
-        cancel: Optional[threading.Event],
-    ) -> SearchResult:
-        """Sequential search via the search kernel, checking the
-        deadline and cancel event every ``_CHECK_EVERY`` nodes and
-        reporting incumbent improvements through ``job.on_incumbent``."""
-        from repro.instances.library import resolve_job
-
-        spec = job.spec
-        search_spec, stype = resolve_job(
-            spec.instance, spec.search_type, spec.stype_kwargs
-        )
-
-        def check(stack: list) -> None:
-            if cancel is not None and cancel.is_set():
-                raise JobCancelled
-            if deadline is not None and time.monotonic() >= deadline:
-                raise JobTimeout
-
-        def report(found: Incumbent) -> None:
-            job.on_incumbent(found.value)
-
-        started = time.perf_counter()
-        knowledge, goal, metrics = search_subtree(
-            search_spec, stype, search_spec.root, 0,
-            stype.initial_knowledge(search_spec),
-            poll=_CHECK_EVERY, on_poll=check,
-            on_improve=report if job.on_incumbent is not None else None,
-        )
-        return SearchResult.from_knowledge(
-            stype, knowledge, goal, metrics, time.perf_counter() - started, 1
-        )
 
 
 class Scheduler:
@@ -587,10 +552,12 @@ class Scheduler:
     # -- reporting -----------------------------------------------------------
 
     def metrics_snapshot(self) -> MetricsSnapshot:
-        """The service-level metrics snapshot (queue, cache, latencies)."""
+        """The service-level metrics snapshot (queue, cache, latencies):
+        copied under the scheduler lock, frozen after it is released."""
         with self._lock:
-            return self.metrics.snapshot(
+            counters = self.metrics.counters(
                 queue_depth=self.queue.depth(),
                 running=self._running,
                 cache=self.cache,
             )
+        return MetricsSnapshot.of(counters)

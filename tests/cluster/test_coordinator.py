@@ -277,8 +277,8 @@ class TestLeasing:
 
     def test_the_last_spec_is_kept_for_the_next_job(self, handle, monkeypatch):
         """The coordinator builds a job's spec for its root and identity
-        knowledge; the next job naming the same factory and arguments
-        gets the same one, any other job a fresh one."""
+        knowledge; a later job naming the same factory and arguments as
+        one of the last gets the same one, any other job a fresh one."""
         built = []
         resolve = P.resolve_factory
 
@@ -295,7 +295,7 @@ class TestLeasing:
                 fut.result(timeout=10)
         finally:
             w.close()
-        assert built == [("uts-geo-med",), ("brock90-1",), ("uts-geo-med",)]
+        assert built == [("uts-geo-med",), ("brock90-1",)]
 
     def test_offcut_fans_out_to_other_workers(self, handle):
         w1 = FakeWorker(*handle.address, name="w1")

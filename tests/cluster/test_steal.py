@@ -665,8 +665,8 @@ class TestWorkerKeepsItsSpec:
         assert again.spec is first.spec  # ...on the spec it already had
         other = job(3, "brock90-1")
         assert other.spec is not first.spec
-        job(4, WORKER_INSTANCE)  # one entry: the last one
-        assert SPECS_BUILT == [WORKER_INSTANCE, "brock90-1", WORKER_INSTANCE]
+        assert job(4, WORKER_INSTANCE).spec is first.spec  # kept, one of the last
+        assert SPECS_BUILT == [WORKER_INSTANCE, "brock90-1"]
 
 
 class TestWorkerThatCannotBuildTheJob:

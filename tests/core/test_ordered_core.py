@@ -1264,6 +1264,27 @@ class TestOrderedTiebreakMutation:
         assert mutated.metrics.to_dict() == clean.metrics.to_dict()
         assert mutated.journal == clean.journal
 
+    @staticmethod
+    def _out_of_order():
+        """Tasks 0 and 2 find tied optima 'a' and 'c' from bound 0 and
+        report before task 1: out of sequence order."""
+        ledger = _flat_ledger(3)
+        for block in (_record(0, 0, 5, "a"), _record(2, 0, 5, "c"), _record(1, 0)):
+            ledger.record(block)
+        while not ledger.finished:
+            for seq in ledger.advance():  # re-run from the finalised best
+                ledger.record(_record(seq, ledger.required_bound()))
+        return ledger
+
+    def test_tied_witnesses_out_of_sequence_order(self, monkeypatch):
+        clean = self._out_of_order()
+        assert clean.knowledge == Incumbent(5, "a")
+        monkeypatch.setenv("REPRO_VERIFY_MUTATION", "ordered-tiebreak")
+        mutated = self._out_of_order()
+        assert mutated.knowledge == Incumbent(5, "c")
+        assert mutated.metrics.to_dict() == clean.metrics.to_dict()
+        assert mutated.journal == clean.journal
+
     def test_reference_search_is_immune(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY_MUTATION", "ordered-tiebreak")
         ref = ordered_reference_search(tied_spec(), Optimisation(), d_cutoff=1)

@@ -42,6 +42,14 @@ from tests.runtime.test_processes_witness import hard_timeout
 pytestmark = pytest.mark.usefixtures("fresh_fleet")
 
 
+def counted_clique_factory(path, *args):
+    """:func:`clique_spec_factory`, noting each call in ``path``, in
+    whichever process makes it."""
+    with open(path, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return clique_spec_factory(*args)
+
+
 @pytest.fixture(scope="module")
 def uts_nodes():
     return sequential_search(uts_spec_factory(*UTS_ARGS), Enumeration()).metrics.nodes
@@ -388,3 +396,34 @@ class TestConcurrentCallers:
         assert len(outcomes) == 20
         assert all(value == expected[name] for name, value in outcomes)
         assert len(FLEET.pids()) == 3
+
+
+class TestSpecsKept:
+    def test_gateway_jobs_do_not_evict_the_callers_spec(self, tmp_path, clique_optimum):
+        """A service's sequential jobs run on the fleet beside its
+        process's own searches: six of them, one per gateway-mix
+        instance, leave the parent's and the workers' spec of the
+        caller's instance in place."""
+        from benchmarks.ledger.spec import TABLE1_SIX
+        from repro.service import InProcessBackend, JobSpec, JobState, Scheduler
+
+        builds = tmp_path / "builds"
+        args = (str(builds), *CLIQUE_ARGS)
+
+        def search():
+            return multiprocessing_budget_search(
+                counted_clique_factory, args, optimisation_factory, n_processes=2,
+            ).value
+
+        assert search() == clique_optimum
+        built = builds.read_text().splitlines()
+        assert len(built) == 3  # the parent and each worker
+        scheduler = Scheduler(backend=InProcessBackend(), n_workers=1)
+        jobs = [
+            scheduler.submit(JobSpec(app="maxclique", instance=name, params={"seed": seed}))
+            for seed, name in enumerate(TABLE1_SIX, 1)
+        ]
+        scheduler.run_until_idle()
+        assert all(job.state is JobState.DONE for job in jobs), [job.error for job in jobs]
+        assert search() == clique_optimum
+        assert builds.read_text().splitlines() == built

@@ -201,8 +201,8 @@ def counted_toy_spec_factory(tag):
 
 class TestEdgeCases:
     def test_the_parent_builds_a_spec_again_only_for_another_key(self):
-        # The parent keeps the last job's spec, keyed as every worker
-        # keeps its own: (spec_factory, factory_args).
+        # The parent keeps the specs of its last jobs, keyed as every
+        # worker keeps its own: (spec_factory, factory_args).
         BUILDS.clear()
         for tag in ("a", "a", "b", "b", "a"):
             res = multiprocessing_depthbounded_search(
@@ -210,7 +210,7 @@ class TestEdgeCases:
                 n_processes=2, d_cutoff=1,
             )
             assert res.value == 7
-        assert BUILDS == ["a", "b", "a"]
+        assert BUILDS == ["a", "b"]
 
     def test_trivial_root_no_frontier(self):
         # A single-node tree spawns no tasks: the search completes in the

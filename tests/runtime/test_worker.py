@@ -386,10 +386,9 @@ def test_the_job_driver_is_the_only_one():
     assert sorted(calls["ordered_frontier"]) == ["core/ordered.py", "runtime/driver.py"]
 
 
-def test_a_shared_spec_cache_gives_each_thread_the_spec_of_its_key():
-    """Threads that share one cache (the fleet's parent serves every
-    caller of the process) each get the spec of the key they asked
-    for, however their gets interleave."""
+def _hammer_one_cache(n_keys: int, n_threads: int) -> list:
+    """Threads sharing one cache, each asking for one of ``n_keys``
+    keys at a 1 µs switch interval; returns every wrong spec got."""
     cache = SpecCache()
     wrong = []
 
@@ -402,7 +401,7 @@ def test_a_shared_spec_cache_gives_each_thread_the_spec_of_its_key():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=hammer, args=(i % 3,)) for i in range(6)]
+        threads = [threading.Thread(target=hammer, args=(i % n_keys,)) for i in range(n_threads)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -410,4 +409,48 @@ def test_a_shared_spec_cache_gives_each_thread_the_spec_of_its_key():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
+    return wrong
+
+
+def test_a_shared_spec_cache_gives_each_thread_the_spec_of_its_key():
+    """Threads that share one cache (the fleet's parent serves every
+    caller of the process) each get the spec of the key they asked
+    for, however their gets interleave."""
+    assert _hammer_one_cache(3, 6) == []
+
+
+def test_a_shared_spec_cache_evicting_gives_each_thread_the_spec_of_its_key():
+    """The same with more keys than the cache keeps: entries are
+    dropped while other threads read them."""
+    from repro.runtime.worker import SPECS_KEPT
+
+    assert _hammer_one_cache(SPECS_KEPT + 4, SPECS_KEPT + 4) == []
+
+
+def test_a_spec_cache_keeps_the_specs_of_keys_asked_for_in_turn():
+    """Two callers that alternate (a front door's jobs and a procs
+    search beside them) each get their spec built once."""
+    cache = SpecCache()
+    built = []
+
+    def build(key):
+        built.append(key)
+        return ("spec", key)
+
+    for _ in range(5):
+        for key in ("a", "b"):
+            assert cache.get(key, lambda: build(key)) == ("spec", key)
+    assert built == ["a", "b"]
+
+
+def test_a_spec_cache_drops_the_least_recently_asked_for():
+    from repro.runtime.worker import SPECS_KEPT
+
+    cache = SpecCache()
+    built = []
+    for key in ["first", *range(SPECS_KEPT - 1), "first", "last"]:
+        cache.get(key, lambda: built.append(key))
+    # "first" was asked for again before "last" came: 0 went instead.
+    cache.get("first", lambda: built.append("first"))
+    cache.get(0, lambda: built.append(0))
+    assert built == ["first", *range(SPECS_KEPT - 1), "last", 0]

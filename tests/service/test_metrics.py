@@ -2,11 +2,11 @@
 columns (per-job worker counts and coordination split counts)."""
 
 from repro.core.results import SearchMetrics, SearchResult
-from repro.service.jobs import Job, JobSpec, JobState
+from repro.service.jobs import RETAINED_JOBS, Job, JobSpec, JobState
 from repro.service.metrics import ServiceMetrics
 
 
-def _finished_job(job_id, *, workers=None, spawns=0, from_cache=False):
+def _finished_job(job_id, *, workers=None, spawns=0, from_cache=False, latency=1.0):
     spec = JobSpec(app="maxclique", instance="brock90-1")
     job = Job(spec, id=job_id, submitted_at=0.0)
     metrics = SearchMetrics()
@@ -16,7 +16,7 @@ def _finished_job(job_id, *, workers=None, spawns=0, from_cache=False):
     )
     job.from_cache = from_cache
     job.transition(JobState.RUNNING, now=0.0)
-    job.transition(JobState.DONE, now=1.0)
+    job.transition(JobState.DONE, now=latency)
     return job
 
 
@@ -59,3 +59,20 @@ class TestParallelismColumns:
         text = snap.render()
         assert "avg workers 2.0" in text
         assert "splits 3" in text
+
+
+class TestBoundedWindow:
+    def test_latencies_are_the_last_jobs_and_worker_columns_count_all(self):
+        m = ServiceMetrics()
+        total = RETAINED_JOBS + 50
+        for i in range(total):
+            # The 50 oldest are slow: they fall out of the window.
+            latency = 100.0 if i < 50 else 1.0
+            m.job_finished(_finished_job(f"j{i}", workers=1 + i % 2, latency=latency))
+        assert len(m.counters()["latencies"]) == RETAINED_JOBS
+        snap = m.snapshot()
+        assert snap.latency_p95 == 1.0
+        assert snap.completed == total
+        # As every job's worker count kept would give.
+        assert snap.parallel_jobs == total // 2
+        assert snap.avg_workers == sum(1 + i % 2 for i in range(total)) / total

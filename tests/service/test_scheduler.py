@@ -302,6 +302,33 @@ class TestMetricsSnapshot:
         assert "p95" in text
         assert "DONE=1" in text
 
+    def test_percentiles_are_computed_outside_the_scheduler_lock(self, monkeypatch):
+        import threading
+
+        from repro.service import metrics
+
+        s = make_sched()
+        s.submit(spec())
+        s.run_until_idle()
+        free = []
+
+        def take_the_lock():
+            taken = s._lock.acquire(timeout=1)
+            if taken:
+                s._lock.release()
+            free.append(taken)
+
+        def percentile(values, q):
+            # Another thread can take the lock while this one sorts.
+            probe = threading.Thread(target=take_the_lock)
+            probe.start()
+            probe.join()
+            return 0.0
+
+        monkeypatch.setattr(metrics, "percentile", percentile)
+        s.metrics_snapshot()
+        assert free == [True, True]
+
     def test_to_dict_round_trips_through_json(self):
         import json
 
@@ -337,6 +364,97 @@ class TestInProcessRunningCancel:
         assert job.state is JobState.CANCELLED, job.error
         assert job.result is None
         assert job.attempts == 1
+
+
+class TestInProcessSequentialOnTheFleet:
+    """Every sequential job on :class:`InProcessBackend` is one lease on
+    one worker of the warm process fleet."""
+
+    @pytest.mark.parametrize("instance,app", [
+        ("brock90-1", "maxclique"), ("kclique-planted-80", "kclique"),
+        ("knap-strong-28", "knapsack"), ("tsp-rand-11", "tsp"),
+        ("sip-planted-18-65", "sip"), ("ns-genus-14", "ns"), ("uts-bin-med", "uts"),
+    ])
+    def test_counters_are_the_sequential_skeletons(self, instance, app):
+        s = make_sched(InProcessBackend())
+        job = s.submit(spec(instance, app))
+        s.run_until_idle()
+        assert job.state is JobState.DONE, job.error
+        want = run_library_search(instance)
+        assert (job.result.value, job.result.workers) == (want.value, 1)
+        assert job.result.metrics.to_dict() == want.metrics.to_dict()
+
+    def test_timeout_stops_the_search(self):
+        from repro.runtime.fleet import POLL
+
+        # tsp-rand-13 takes ~0.9 s sequentially.
+        s = make_sched(InProcessBackend())
+        job = s.submit(spec("tsp-rand-13", "tsp", timeout=0.2))
+        s.run_until_idle()
+        assert job.state is JobState.TIMEOUT, job.error
+        assert job.finished_at - job.started_at <= 0.2 + 2 * POLL
+        assert job.attempts == 1 and s.cache.get(job.key) is None
+
+    @staticmethod
+    def _behind_a_fleet_holder(waiting_spec, stop_it):
+        """Run ``waiting_spec`` on one shard while a tsp-rand-13 job of
+        another holds the fleet; ``stop_it(shard, job)`` once it waits.
+        Returns both shards and jobs, and whether the holder was still
+        running when the waiting job ended."""
+        shards = [make_sched(InProcessBackend(), name=f"s{i}-") for i in range(2)]
+        for s in shards:
+            s.start()
+        try:
+            holder = shards[0].submit(spec("tsp-rand-13", "tsp"))
+            while holder.state is JobState.PENDING:
+                time.sleep(0.01)
+            time.sleep(0.05)  # the holder has the fleet
+            waiter = shards[1].submit(waiting_spec)
+            while waiter.state is JobState.PENDING:
+                time.sleep(0.01)
+            stop_it(shards[1], waiter)
+            while not waiter.terminal:
+                time.sleep(0.01)
+            holding = not holder.terminal
+            assert shards[0].cancel(holder.id) is True
+            while not holder.terminal:
+                time.sleep(0.01)
+        finally:
+            for s in shards:
+                s.stop()
+        return shards, (holder, waiter), holding
+
+    def test_cancel_while_another_shard_holds_the_fleet(self):
+        shards, jobs, holding = self._behind_a_fleet_holder(
+            spec("tsp-rand-12", "tsp"), lambda s, job: s.cancel(job.id),
+        )
+        assert holding  # the waiting job did not wait for the holder's end
+        for s, job in zip(shards, jobs):
+            assert job.state is JobState.CANCELLED, job.error
+            assert job.result is None and s.cache.get(job.key) is None
+
+    def test_timeout_while_another_shard_holds_the_fleet(self):
+        from repro.runtime.fleet import POLL
+
+        shards, (_holder, waiter), holding = self._behind_a_fleet_holder(
+            spec(timeout=0.2), lambda s, job: None,
+        )
+        assert holding
+        assert waiter.state is JobState.TIMEOUT, waiter.error
+        assert waiter.finished_at - waiter.started_at <= 0.2 + 2 * POLL
+        assert waiter.attempts == 1
+
+    def test_incumbents_follow_the_wait(self):
+        events = []
+        s = make_sched(
+            InProcessBackend(),
+            on_event=lambda job, event, data: events.append((event, data)),
+        )
+        job = s.submit(spec())
+        s.run_until_idle()
+        values = [data["value"] for event, data in events if event == "incumbent"]
+        assert values and values == sorted(set(values))
+        assert values[-1] == job.result.value
 
 
 class TestInProcessRunningParallelCancel:
