@@ -10,30 +10,27 @@ fleet's ``make_worker`` when it starts (the pipe transport of
 :mod:`repro.runtime.worker`), and a job is a message to it.
 
 A handle is ``created``, ``running`` from its first job, and ``closed``
-by :meth:`~ProcessFleet.close`, by interpreter exit, or by a job that
-failed; a closed fleet starts fresh workers for the next job.  Workers
-are forked, as this backend's always were.  The spawn context (the
-cluster fleet's, see :mod:`repro.deploy.spec`) would keep the owner's
-sockets out of these long-lived children, but its locks and shared
-integers are named semaphores that only the resource tracker unlinks,
-and a host that stops the tracker before it exits (the ledger does)
-would get a leak warning and a traceback per semaphore.  A forked
-worker instead lets go, on entry, of what it must not hold.
+by :meth:`~ProcessFleet.close`, by interpreter exit, or by a failed job
+of several workers; the next job then forks fresh workers.  Workers
+are forked: the spawn context's locks and shared integers are named
+semaphores that only the resource tracker unlinks, and a host that
+stops the tracker before it exits (the ledger does) would get a leak
+warning and a traceback per semaphore.  A forked worker instead lets
+go, on entry, of what it must not hold.
 
-One job runs at a time.  It engages the first ``n`` workers (the fleet
-grows to the largest ``n`` asked for) with a message down each one's
-control pipe, and they work over pipes and shared integers that live
-as long as the fleet: one :class:`TaskPipe` that everyone writes and
-reads, and a result pipe per worker.  A message is pickled and written
-on its sender's thread, so it has left when the call returns; no
-process runs a queue's feeder thread.  The owner waits on the result
-pipes and the workers' process sentinels at once, so a death is seen
-as it happens.  A worker's idle report is the last message of its job,
-and the owner leaves a job once every engaged worker has sent one: the
-result pipes are then empty, the task pipe is drained, and the
+A worker is in one job at a time.  A job engages ``n`` idle workers,
+forking more if fewer are idle: a job of one worker over that worker's
+own wires (a :class:`TaskPipe` and shared integers), beside any other
+(see :data:`BUSY_CORES`), one of several over wires shared by every
+worker forked with them, one such job at a time.  Messages are pickled
+and written on their sender's thread.  The owner waits on the result
+pipes and the process sentinels at once, so a death is seen as it
+happens.  A worker's idle report is its job's last message: once every
+engaged worker has sent one the owner drains the task pipe, and the
 integers are reset with nobody looking.  A worker that raises, dies or
-exits fails the job with RuntimeError and takes the fleet with it: its
-local results are unrecoverable.
+exits fails the job with RuntimeError and the job's workers are
+stopped, their results unrecoverable; so is every worker forked with
+failed shared wires (they may hold half an item), once idle.
 """
 
 from __future__ import annotations
@@ -45,13 +42,15 @@ import select
 import signal
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from multiprocessing import get_context, parent_process
 from multiprocessing.reduction import ForkingPickler
+from types import SimpleNamespace
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 __all__ = [
     "ProcessFleet", "TaskPipe", "Wires", "graceful_stop", "POLL", "WORKER_SWITCH_INTERVAL",
+    "BUSY_CORES",
 ]
 
 _CTX = get_context("fork")
@@ -71,6 +70,11 @@ POLL = 0.02
 # one) switches at this.  A fleet worker has no such neighbour: it
 # writes its own messages.
 WORKER_SWITCH_INTERVAL = 0.0005
+
+# While this many workers are busy, a job of one worker waits up to POLL
+# for one to free (more searches than cores, the owner's left aside, slow
+# every one), then takes one of its own: no job waits for a long one.
+BUSY_CORES = max(1, (os.cpu_count() or 2) - 1)
 
 
 def graceful_stop(proc, *, grace: float = 5.0) -> None:
@@ -139,8 +143,8 @@ class TaskPipe:
 
 
 class Wires(NamedTuple):
-    """What a fleet's workers share with its owner, made once, and in a
-    worker's copy its own result pipe."""
+    """What a job's workers share with its owner, and in a worker's
+    copy its own result pipe."""
 
     tasks: TaskPipe  # work items, owner and workers both put; () ends a job
     results: Any  # a worker's send end: (tag, body) messages to the owner
@@ -158,10 +162,10 @@ def _exit_with_owner() -> None:
     os._exit(1)
 
 
-def _worker_main(ctrl, wires: Wires, make_worker: Callable) -> None:
+def _worker_main(ctrl, shared: Wires, own: Wires, make_worker: Callable) -> None:
     """A fleet worker: make its worker, hand it each job, a pickled
-    message, as ``run(message)``, report a crash instead of dying
-    silently, report idle, wait for the next job."""
+    ``(alone, message)``, as ``run(own if alone else shared, message)``,
+    report a crash instead of dying silently, report idle, wait."""
     # Not the owner's handlers: ^C is the owner's to act on, and
     # SIGTERM is how it stops a worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -176,168 +180,192 @@ def _worker_main(ctrl, wires: Wires, make_worker: Callable) -> None:
         os.close(tracker._fd)
         tracker._fd = None
     threading.Thread(target=_exit_with_owner, daemon=True).start()
-    worker = make_worker(wires)
+    worker = make_worker()
     while True:
         try:
             blob = ctrl.recv_bytes()
         except EOFError:
             return
         try:
-            worker.run(pickle.loads(blob))
+            alone, message = pickle.loads(blob)
+            worker.run(own if alone else shared, message)
         except BaseException as exc:
-            wires.results.send(("error", f"{type(exc).__name__}: {exc}"))
-        wires.results.send(("idle", None))
+            own.results.send(("error", f"{type(exc).__name__}: {exc}"))
+        own.results.send(("idle", None))
+
+
+def _new_wires() -> Wires:
+    """Wires as their owner holds them, without a result pipe."""
+    done = _CTX.Value("b", 0, lock=False)
+    return Wires(TaskPipe(), None, done, _CTX.Value("q", 0), _CTX.Value("q", 0))
 
 
 class ProcessFleet:
-    """Lazily started, long-lived worker processes, one job at a time;
-    ``make_worker(wires)`` makes each process's worker."""
+    """Lazily started, long-lived worker processes, each in one job at
+    a time; ``make_worker()`` makes each process's worker."""
 
     def __init__(self, make_worker: Callable) -> None:
         self._make_worker = make_worker
         self.status = "created"
-        self._lock = threading.Lock()
-        # (Process, send end of its control pipe, receive end of its result pipe)
-        self._workers: list = []
-        self._wires = None
+        self._cond = threading.Condition()  # over the members and their ``busy``
+        self._turn = threading.Lock()  # the job on the shared wires holds it
+        # A worker as its owner holds it: the owner's ends of its pipes,
+        # its own wires, the shared wires it was forked with, ``busy``.
+        self._members: list = []
+        self._shared: Optional[Wires] = None
         atexit.register(self.close)
         os.register_at_fork(after_in_child=self._disown)
 
     def pids(self) -> list:
         """The worker processes alive now (none before the first job)."""
-        return [proc.pid for proc, _, _ in self._workers]
+        return [member.proc.pid for member in self._members]
 
     def close(self) -> None:
-        """Stop the workers, after the job in flight if there is one."""
-        with self._lock:
-            self._shutdown()
-
-    def _shutdown(self) -> None:
-        self.status = "closed"
-        workers, self._workers = self._workers, []
-        wires, self._wires = self._wires, None
-        for _, ctrl, _ in workers:
-            ctrl.close()
-        for proc, _, results in workers:
-            graceful_stop(proc)
-            results.close()
-        if wires is not None:
-            wires.tasks.close()
+        """Stop the workers: the idle ones now, the others as their jobs end."""
+        with self._turn:  # not the shared wires under a job
+            self._release([], failed=True)
 
     def _disown(self) -> None:
         """In a forked child of the owner, a worker included: the
         workers are not this process's to use or stop, and the owner's
         ends of their pipes must close when the owner dies."""
-        for _, ctrl, results in self._workers:
-            ctrl.close()
-            results.close()
-        self._workers, self._wires = [], None
-        self._lock = threading.Lock()
+        for member in self._members:
+            member.ctrl.close()
+            member.results.close()
+        self._members, self._shared = [], None
+        self._cond, self._turn = threading.Condition(), threading.Lock()
 
-    def _engage(self, n: int) -> list:
-        if any(proc.exitcode is not None for proc, _, _ in self._workers):
-            self._shutdown()
-        if self._wires is None:
-            self._wires = Wires(
-                TaskPipe(), None,
-                _CTX.Value("b", 0, lock=False),
-                _CTX.Value("q", 0), _CTX.Value("q", 0),
-            )
-        while len(self._workers) < n:
-            theirs, ours = _CTX.Pipe(duplex=False)
-            results, sender = _CTX.Pipe(duplex=False)
-            args = (theirs, self._wires._replace(results=sender), self._make_worker)
-            proc = _CTX.Process(target=_worker_main, args=args, daemon=True)
-            self._workers.append((proc, ours, results))  # first: the child disowns it too
-            proc.start()
-            theirs.close()
-            sender.close()
-        self.status = "running"
-        return self._workers[:n]
+    def _claim(self, n: int) -> list:
+        """The first ``n`` idle workers, forking as many as are short."""
+        with self._cond:
+            if n == 1:  # see BUSY_CORES
+                self._cond.wait_for(
+                    lambda: sum(m.busy for m in self._members) < BUSY_CORES, timeout=POLL)
+            dead = [m for m in self._members if not m.busy and m.proc.exitcode is not None]
+            self._members = [m for m in self._members if m not in dead]
+            self._shared = self._shared or _new_wires()
+            engaged = [m for m in self._members if not m.busy][:n]
+            while len(engaged) < n:
+                own, (theirs, ours), (results, sender) = (
+                    _new_wires(), _CTX.Pipe(duplex=False), _CTX.Pipe(duplex=False))
+                args = (theirs, self._shared._replace(results=sender),
+                        own._replace(results=sender), self._make_worker)
+                proc = _CTX.Process(target=_worker_main, args=args, daemon=True)
+                engaged.append(SimpleNamespace(
+                    proc=proc, ctrl=ours, results=results, wires=own, shared=self._shared))
+                self._members.append(engaged[-1])  # first: the child disowns it too
+                proc.start()
+                theirs.close()
+                sender.close()
+            for member in engaged:
+                member.busy = True
+            self.status = "running"
+        _stop(dead)
+        return engaged
+
+    def _release(self, engaged: list, failed: bool) -> None:
+        """Take back the workers of a job, stopped if it failed.  Shared
+        wires that failed, or a closed fleet's, go with every worker
+        forked with them."""
+        with self._cond:
+            for member in engaged:
+                member.busy = False
+            if failed and len(engaged) != 1:
+                self.status = "closed"
+                if self._shared is not None:
+                    self._shared.tasks.close()
+                self._shared = None
+            gone = [m for m in self._members if not m.busy and (
+                m.shared is not self._shared or failed and m in engaged)]
+            self._members = [m for m in self._members if m not in gone]
+            self._cond.notify_all()
+        _stop(gone)
 
     @contextmanager
     def job(
         self, label: str, n: int, message: Any,
         stop: Optional[Callable[[int], bool]] = None,
     ) -> Iterator[tuple]:
-        """Run ``worker.run(message)`` in ``n`` workers, with the
-        shared integers starting at zero.
+        """Run ``worker.run(wires, message)`` in ``n`` idle workers over
+        the worker's own wires for a job of one, else the shared ones,
+        their integers at zero.  Yields ``(wires, reports)``: ``reports``
+        iterates over the bodies of the workers' ``("ok", body)``
+        messages until every worker has left ``run``, and is the crash
+        watchdog.  Leaving the block waits for that end; leaving it by
+        an exception stops the job's workers.
 
-        Yields ``(wires, reports)``: ``reports`` iterates over
-        the bodies of the ``("ok", body)`` messages the workers send
-        and ends when every worker has left ``run``.  Waiting for one
-        is also the crash watchdog.  Leaving the block waits for that
-        end; leaving it by an exception stops the whole fleet.
-
-        ``stop(best)``, for a Budget or Stack-Stealing job, is asked
-        with the shared incumbent at every wake of that wait, and at
-        least every :data:`POLL` seconds, until the job is over; True
-        raises ``done``, so that the workers abandon their leases at
-        their next poll.  While another job holds the fleet it is asked
-        with 0 as often; True there raises RuntimeError.
+        ``stop(best)``, for a Budget or Stack-Stealing job, is asked with
+        the job's incumbent at every wake of that wait, at least every
+        :data:`POLL` seconds, until the job is over; True raises ``done``,
+        so that the workers abandon their leases at their next poll.
         """
-        blob = pickle.dumps(message)  # a caller's error, before anything starts
-        while not self._lock.acquire(timeout=POLL if stop else -1):
-            if stop(0):
-                raise RuntimeError(f"{label} job stopped while it waited for the fleet")
-        try:
-            engaged = self._engage(n)
-            wires = self._wires
-            wires.done.value = 0
-            wires.outstanding.value = 0
-            wires.best.value = 0
-            for _, ctrl, _ in engaged:
-                ctrl.send_bytes(blob)
+        blob = pickle.dumps((n == 1, message))  # a caller's error, before anything starts
+        with self._turn if n > 1 else nullcontext():
+            engaged = self._claim(n)
+            wires = engaged[0].wires if n == 1 else engaged[0].shared
+            failed = True
+            try:
+                wires.done.value = wires.outstanding.value = wires.best.value = 0
+                for member in engaged:
+                    member.ctrl.send_bytes(blob)
 
-            def fail(error: str):
-                raise RuntimeError(f"{label} backend worker failed: {error}")
+                def fail(error: str):
+                    raise RuntimeError(f"{label} backend worker failed: {error}")
 
-            def died(proc) -> None:
-                proc.join(timeout=5.0)
-                fail(f"worker died with exit code {proc.exitcode} before reporting results")
+                def died(proc) -> None:
+                    proc.join(timeout=5.0)
+                    fail(f"worker died with exit code {proc.exitcode} before reporting results")
 
-            def reports() -> Iterator[Any]:
-                # Every result pipe and every process sentinel, in one
-                # poll object (``connection.wait`` builds a selector
-                # a call): a worker that dies is seen as it dies.
-                poller, ends = select.poll(), {}
-                for proc, _, results in engaged:
-                    ends[results.fileno()] = (proc, results)
-                    ends[proc.sentinel] = (proc, None)
-                for fd in ends:
-                    poller.register(fd, select.POLLIN)
-                idle = 0
-                while idle < n:
-                    # Once the job is over, a dry spell may be a
-                    # writer blocked on a task pipe nobody reads.
-                    over = wires.done.value
-                    ready = poller.poll(POLL * 1000 if over or stop else None)
-                    if over and not ready:
-                        wires.tasks.drain()
-                    if not over and stop is not None and stop(wires.best.value):
-                        wires.done.value = 1
-                    for fd, _ in ready:
-                        proc, results = ends[fd]
-                        if results is None:
-                            died(proc)
-                        try:
-                            tag, body = results.recv()
-                        except EOFError:
-                            died(proc)
-                        if tag == "error":
-                            fail(body)
-                        if tag == "idle":
-                            idle += 1
-                        else:
-                            yield body
-                wires.tasks.drain()  # what nobody took: the next job starts empty
+                def reports() -> Iterator[Any]:
+                    # Every result pipe and every process sentinel, in one
+                    # poll object (``connection.wait`` builds a selector
+                    # a call): a worker that dies is seen as it dies.
+                    poller, ends = select.poll(), {}
+                    for member in engaged:
+                        ends[member.results.fileno()] = (member.proc, member.results)
+                        ends[member.proc.sentinel] = (member.proc, None)
+                    for fd in ends:
+                        poller.register(fd, select.POLLIN)
+                    idle = 0
+                    while idle < n:
+                        # Once the job is over, a dry spell may be a
+                        # writer blocked on a task pipe nobody reads.
+                        over = wires.done.value
+                        ready = poller.poll(POLL * 1000 if over or stop else None)
+                        if over and not ready:
+                            wires.tasks.drain()
+                        if not over and stop is not None and stop(wires.best.value):
+                            wires.done.value = 1
+                        for fd, _ in ready:
+                            proc, results = ends[fd]
+                            if results is None:
+                                died(proc)
+                            try:
+                                tag, body = results.recv()
+                            except EOFError:
+                                died(proc)
+                            if tag == "error":
+                                fail(body)
+                            if tag == "idle":
+                                idle += 1
+                            else:
+                                yield body
+                    wires.tasks.drain()  # what nobody took: the next job starts empty
 
-            stream = reports()
-            yield wires, stream
-            for _ in stream:
-                pass  # a straggler's report, until every worker is idle
-        except BaseException:
-            self._shutdown()
-            raise
-        finally:
-            self._lock.release()
+                stream = reports()
+                yield wires, stream
+                for _ in stream:
+                    pass  # a straggler's report, until every worker is idle
+                failed = False
+            finally:
+                self._release(engaged, failed)
+
+
+def _stop(members: list) -> None:
+    """Stop these workers and close the owner's ends of their pipes."""
+    for member in members:
+        member.ctrl.close()
+    for member in members:
+        graceful_stop(member.proc)
+        member.results.close()
+        member.wires.tasks.close()

@@ -17,12 +17,9 @@ pipes and shared integers and the non-negative incumbent-seed check.
 The processes belong to one warm fleet (:mod:`repro.runtime.fleet`, ``FLEET`` below): the first
 search of a process forks its workers, every later one engages them
 with a message each, and they stop when the process exits (or at
-``FLEET.close()``).  One search runs on the fleet at a time — a second
-caller waits its turn — and a search that loses a worker raises
-RuntimeError and stops the fleet; the next search starts a fresh one.
-The service's sequential jobs run here too, off the front door's
-interpreter, each one lease on one worker that a stop hook can abandon
-(:func:`fleet_sequential_search`).
+``FLEET.close()``).  A search of one process runs on an idle worker
+beside any other, one of several after the last such search; a search
+that loses a worker raises RuntimeError and stops its workers.
 
 - :func:`multiprocessing_depthbounded_search` — **static** splitting:
   the parent walks the depth-``d`` frontier and leases runs of it, as
@@ -127,17 +124,15 @@ def run_library_search(
 
 
 def fleet_sequential_search(
-    instance: str,
-    search_type: Optional[str] = None,
-    stype_kwargs: Optional[dict] = None,
+    instance: str, search_type: Optional[str] = None, stype_kwargs: Optional[dict] = None,
     stop: Optional[Callable[[int], bool]] = None,
 ) -> SearchResult:
     """The Sequential skeleton over a named library instance as one
     lease on one fleet worker: Stack-Stealing on one worker never
     splits, so value, nodes, prunes and backtracks are
     :func:`run_library_search`'s.  Once ``stop`` answers True (see
-    :meth:`~repro.runtime.fleet.ProcessFleet.job`) what was found so
-    far comes back."""
+    :meth:`~repro.runtime.fleet.ProcessFleet.job`) the worker abandons
+    the lease, and the result holds nothing of it."""
     from repro.instances.library import library_spec_factory, resolve_job
 
     _spec, stype = resolve_job(instance, search_type, stype_kwargs)
@@ -214,8 +209,8 @@ def _checked_incumbent_seed(value: Any) -> int:
 
 
 class PipeWorker(Worker):
-    """The worker of one fleet process, over the fleet's pipes and
-    shared integers; ``run`` takes one job.
+    """The worker of one fleet process; ``run`` takes one job over the
+    pipes and shared integers the fleet gives it.
 
     A sharing lease is a ``(nodes, depth)`` item on the task pipe —
     sibling subtree roots, one hand-over — and whoever reads a
@@ -243,18 +238,15 @@ class PipeWorker(Worker):
     without it: the value still counts.
     """
 
-    def __init__(self, wires: Wires) -> None:
-        super().__init__()
+    def run(self, wires: Wires, message: tuple) -> None:
+        """One job over ``wires``: ``message`` is ``(spec_factory,
+        factory_args, stype_factory, stype_args, workers, coordination,
+        knobs)``, the knobs some of :data:`~repro.runtime.worker.JOB_KNOBS`."""
         self.wires = wires
         self._best = wires.best.get_obj()  # lock-free reads (aligned 8-byte load)
         self._best_lock = wires.best.get_lock()
         self._out = wires.outstanding.get_obj()
         self._out_lock = wires.outstanding.get_lock()
-
-    def run(self, message: tuple) -> None:
-        """One job: ``message`` is ``(spec_factory, factory_args,
-        stype_factory, stype_args, workers, coordination, knobs)``, the
-        knobs some of :data:`~repro.runtime.worker.JOB_KNOBS`."""
         spec_factory, factory_args, stype_factory, stype_args, *rest = message
         self.workers, coordination, knobs = rest
         spec = self.specs.get((spec_factory, factory_args), lambda: spec_factory(*factory_args))

@@ -11,11 +11,12 @@ The flow of one submission::
 Two execution backends implement :class:`Backend`:
 
 - :class:`InProcessBackend` — the default.  A sequential job is one
-  lease on one worker of the process's warm fleet
+  lease on a worker of its own of the process's warm fleet
   (:data:`repro.runtime.processes.FLEET`), off the scheduler's
-  interpreter; its timeout and cancel are preemptive (the worker
-  abandons the search at its next poll) and its incumbent events
-  follow the fleet wait's cadence.  A parallel skeleton (simulated, or
+  interpreter and beside every other sequential job; its timeout and
+  cancel are preemptive (the worker abandons the search at its next
+  poll) and its incumbent events follow the fleet wait's cadence, the
+  final one always sent.  A parallel skeleton (simulated, or
   on the fleet when its params select ``backend="processes"``) runs in
   the scheduler's worker thread to completion and is marked
   ``CANCELLED`` or ``TIMEOUT`` after the fact if it was cancelled or
@@ -122,11 +123,12 @@ class InProcessBackend:
                 result = fleet_sequential_search(
                     spec.instance, spec.search_type, spec.stype_kwargs, stop
                 )
+                if result.kind != "enumeration":
+                    stop(result.value)  # the last incumbent, if the wait missed it
             else:
                 result = run_library_search(**spec.run_payload())
         except Exception as exc:
-            if not stop(0):  # else it stopped waiting for the fleet
-                raise WorkerCrash(f"{type(exc).__name__}: {exc}") from exc
+            raise WorkerCrash(f"{type(exc).__name__}: {exc}") from exc
         if cancel is not None and cancel.is_set():
             raise JobCancelled
         if deadline is not None and time.monotonic() >= deadline:

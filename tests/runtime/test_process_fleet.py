@@ -427,3 +427,139 @@ class TestSpecsKept:
         assert all(job.state is JobState.DONE for job in jobs), [job.error for job in jobs]
         assert search() == clique_optimum
         assert builds.read_text().splitlines() == built
+
+
+class TestSideBySide:
+    """A job of one worker holds that worker alone: other jobs run on
+    the other workers meanwhile, and a failure beside it leaves it be."""
+
+    @staticmethod
+    def _long_job():
+        """A one-worker job on :func:`slow_chain_factory`, running in a
+        thread until the returned ``end()`` stops it."""
+        from repro.runtime.processes import _fleet_search
+
+        stopped, out = threading.Event(), []
+
+        def run():
+            try:
+                out.append(_fleet_search(
+                    "stacksteal", slow_chain_factory, (), enumeration_factory, (), 1,
+                    stop=lambda best: stopped.is_set(),
+                ))
+            except BaseException as exc:  # reported by end()
+                out.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10.0
+        while len(FLEET.pids()) < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.1)  # into the slow search
+
+        def end():
+            stopped.set()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            assert not isinstance(out[0], BaseException), out[0]
+            return out[0]
+
+        return end
+
+    def test_other_jobs_run_beside_a_long_one_worker_job(self, uts_nodes):
+        end = self._long_job()
+        try:
+            held = FLEET.pids()
+            with hard_timeout(60):
+                for n in (1, 2, 1, 3):
+                    assert count_uts(n=n) == uts_nodes
+            assert len(FLEET.pids()) == 4  # the long job's worker and three
+            assert held[0] in FLEET.pids()
+        finally:
+            end()
+        assert count_uts(n=4) == uts_nodes  # its worker is free again
+        assert len(FLEET.pids()) == 4
+
+    @pytest.mark.parametrize("busy_cores", [1, 2])
+    def test_a_one_worker_job_waits_a_moment_only_while_the_cores_are_busy(
+        self, busy_cores, uts_nodes, monkeypatch,
+    ):
+        """With one worker busy, a job of one worker waits a POLL for a
+        worker to free where that fills the cores, then takes another;
+        with a core to spare it starts at once."""
+        from repro.runtime import fleet
+
+        monkeypatch.setattr(fleet, "BUSY_CORES", busy_cores)
+        waits = []
+        wait_for = threading.Condition.wait_for
+
+        def timed_wait_for(cond, predicate, timeout=None):
+            started = time.monotonic()
+            try:
+                return wait_for(cond, predicate, timeout)
+            finally:
+                waits.append(time.monotonic() - started)
+
+        end = self._long_job()
+        try:
+            monkeypatch.setattr(threading.Condition, "wait_for", timed_wait_for)
+            assert count_uts(n=1) == uts_nodes
+        finally:
+            monkeypatch.undo()
+            end()
+        assert len(FLEET.pids()) == 2
+        assert len(waits) == 1
+        if busy_cores == 1:
+            assert waits[0] >= fleet.POLL
+        else:
+            assert waits[0] < fleet.POLL
+
+    def test_one_worker_jobs_of_several_threads_each_get_their_own_answer(self, uts_nodes):
+        outcomes, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(5):
+                    outcomes.append(count_uts(multiprocessing_stacksteal_search, n=1))
+            except BaseException as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, daemon=True) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert outcomes == [uts_nodes] * 15
+        assert 1 <= len(FLEET.pids()) <= 3
+
+    def test_a_failed_one_worker_job_stops_its_worker_alone(self, uts_nodes):
+        assert count_uts(n=2) == uts_nodes
+        first = FLEET.pids()
+        with pytest.raises(RuntimeError, match="worker failed: .*exit code 17"):
+            multiprocessing_budget_search(
+                crashing_spec_factory, (), optimisation_factory, n_processes=1, budget=10,
+            )
+        assert FLEET.status == "running"
+        assert FLEET.pids() == first[1:] and _alive(first[1])
+        assert count_uts(n=2) == uts_nodes
+        assert first[1] in FLEET.pids()
+
+    def test_a_failed_job_of_several_leaves_the_job_beside_it_alone(self, uts_nodes):
+        end = self._long_job()
+        try:
+            held = FLEET.pids()
+            with pytest.raises(RuntimeError, match="budget backend worker failed"):
+                multiprocessing_budget_search(
+                    crashing_spec_factory, (), optimisation_factory, n_processes=2, budget=10,
+                )
+            assert FLEET.status == "closed"
+            assert FLEET.pids() == held and _alive(held[0])
+        finally:
+            result = end()
+        assert result.workers == 1
+        # Forked with the failed job's wires, it is gone once its job is.
+        assert FLEET.pids() == []
+        assert not _alive(held[0])
+        assert count_uts() == uts_nodes

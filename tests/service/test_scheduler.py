@@ -368,7 +368,7 @@ class TestInProcessRunningCancel:
 
 class TestInProcessSequentialOnTheFleet:
     """Every sequential job on :class:`InProcessBackend` is one lease on
-    one worker of the warm process fleet."""
+    a worker of its own of the warm process fleet."""
 
     @pytest.mark.parametrize("instance,app", [
         ("brock90-1", "maxclique"), ("kclique-planted-80", "kclique"),
@@ -396,53 +396,64 @@ class TestInProcessSequentialOnTheFleet:
         assert job.attempts == 1 and s.cache.get(job.key) is None
 
     @staticmethod
-    def _behind_a_fleet_holder(waiting_spec, stop_it):
-        """Run ``waiting_spec`` on one shard while a tsp-rand-13 job of
-        another holds the fleet; ``stop_it(shard, job)`` once it waits.
-        Returns both shards and jobs, and whether the holder was still
-        running when the waiting job ended."""
+    def _beside_a_long_job(other_spec, stop_it):
+        """Run ``other_spec`` on one shard while a tsp-rand-13 job of
+        another runs on the fleet; ``stop_it(shard, job)`` once it
+        runs.  Returns both shards and jobs, and whether the long job
+        was still running when the other ended."""
         shards = [make_sched(InProcessBackend(), name=f"s{i}-") for i in range(2)]
         for s in shards:
             s.start()
         try:
-            holder = shards[0].submit(spec("tsp-rand-13", "tsp"))
-            while holder.state is JobState.PENDING:
+            long_job = shards[0].submit(spec("tsp-rand-13", "tsp"))
+            while long_job.state is JobState.PENDING:
                 time.sleep(0.01)
-            time.sleep(0.05)  # the holder has the fleet
-            waiter = shards[1].submit(waiting_spec)
-            while waiter.state is JobState.PENDING:
+            time.sleep(0.05)  # the long job has its worker
+            other = shards[1].submit(other_spec)
+            while other.state is JobState.PENDING:
                 time.sleep(0.01)
-            stop_it(shards[1], waiter)
-            while not waiter.terminal:
+            stop_it(shards[1], other)
+            while not other.terminal:
                 time.sleep(0.01)
-            holding = not holder.terminal
-            assert shards[0].cancel(holder.id) is True
-            while not holder.terminal:
+            running = not long_job.terminal
+            assert shards[0].cancel(long_job.id) is True
+            while not long_job.terminal:
                 time.sleep(0.01)
         finally:
             for s in shards:
                 s.stop()
-        return shards, (holder, waiter), holding
+        return shards, (long_job, other), running
 
-    def test_cancel_while_another_shard_holds_the_fleet(self):
-        shards, jobs, holding = self._behind_a_fleet_holder(
+    def test_a_short_job_beside_a_long_one_finishes(self):
+        """Sequential jobs run side by side on workers of their own: a
+        short one does not wait for a long one, or time out behind it."""
+        shards, (_long_job, short), running = self._beside_a_long_job(
+            spec(timeout=0.2), lambda s, job: None,
+        )
+        assert running
+        assert short.state is JobState.DONE, short.error
+        assert short.finished_at - short.started_at < 0.2
+        assert short.result.value == run_library_search("brock90-1").value
+
+    def test_cancel_beside_another_shards_long_job(self):
+        shards, jobs, running = self._beside_a_long_job(
             spec("tsp-rand-12", "tsp"), lambda s, job: s.cancel(job.id),
         )
-        assert holding  # the waiting job did not wait for the holder's end
+        assert running  # the cancelled job did not wait for the long one's end
         for s, job in zip(shards, jobs):
             assert job.state is JobState.CANCELLED, job.error
             assert job.result is None and s.cache.get(job.key) is None
 
-    def test_timeout_while_another_shard_holds_the_fleet(self):
+    def test_timeout_beside_another_shards_long_job(self):
         from repro.runtime.fleet import POLL
 
-        shards, (_holder, waiter), holding = self._behind_a_fleet_holder(
-            spec(timeout=0.2), lambda s, job: None,
+        shards, (_long_job, other), running = self._beside_a_long_job(
+            spec("tsp-rand-13", "tsp", timeout=0.2), lambda s, job: None,
         )
-        assert holding
-        assert waiter.state is JobState.TIMEOUT, waiter.error
-        assert waiter.finished_at - waiter.started_at <= 0.2 + 2 * POLL
-        assert waiter.attempts == 1
+        assert running
+        assert other.state is JobState.TIMEOUT, other.error
+        assert other.finished_at - other.started_at <= 0.2 + 2 * POLL
+        assert other.attempts == 1
 
     def test_incumbents_follow_the_wait(self):
         events = []
@@ -455,6 +466,26 @@ class TestInProcessSequentialOnTheFleet:
         values = [data["value"] for event, data in events if event == "incumbent"]
         assert values and values == sorted(set(values))
         assert values[-1] == job.result.value
+
+    def test_the_final_incumbent_is_sent_if_the_wait_never_woke(self, monkeypatch):
+        """A job over before the fleet's wait first asks the stop hook
+        still sends its value."""
+        from repro.runtime import processes
+
+        search = processes.fleet_sequential_search
+        monkeypatch.setattr(
+            processes, "fleet_sequential_search", lambda *args: search(*args[:3]),
+        )
+        events = []
+        s = make_sched(
+            InProcessBackend(),
+            on_event=lambda job, event, data: events.append((event, data)),
+        )
+        job = s.submit(spec())
+        s.run_until_idle()
+        assert job.state is JobState.DONE, job.error
+        values = [data["value"] for event, data in events if event == "incumbent"]
+        assert values == [job.result.value]
 
 
 class TestInProcessRunningParallelCancel:
