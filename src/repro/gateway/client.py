@@ -3,8 +3,14 @@
 ``repro submit --url``, ``repro gateway-top``, the tests and the
 benchmarks all drive the gateway through this one class, so the wire
 contract is exercised from Python exactly the way ``curl`` would
-exercise it — stdlib :mod:`http.client` only, one connection per call,
-chunked decoding handled by the standard response object.
+exercise it — stdlib :mod:`http.client` only, chunked decoding handled
+by the standard response object.
+
+Each thread keeps one connection for its calls (an ``events()`` stream
+takes one of its own).  A call that finds its reused connection closed
+by the server is sent once more on a fresh one.  That is safe for
+``submit`` too: a spec sent twice has one content-addressed key, so the
+second lands on the first's job or on its cached result.
 
 The 429 backpressure contract surfaces as a typed
 :class:`Backpressure` exception carrying the server's ``Retry-After``
@@ -21,6 +27,7 @@ hint, so batch submitters can implement honest pacing loops::
 from __future__ import annotations
 
 import json
+import threading
 import time
 from http.client import HTTPConnection
 from typing import Iterator, Optional
@@ -67,30 +74,58 @@ class GatewayClient:
         self.host = split.hostname
         self.port = split.port or 80
         self.timeout = timeout
+        self._local = threading.local()
+        self._conns: list = []  # every thread's, for close()
 
     def _connect(self, timeout: Optional[float]) -> HTTPConnection:
         return HTTPConnection(self.host, self.port, timeout=timeout)
+
+    def _exchange(
+        self, method: str, path: str, body: Optional[dict] = None
+    ) -> tuple[int, dict, bytes]:
+        """One request on this thread's connection; returns (status,
+        headers, raw body)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect(self.timeout)
+            self._conns.append(conn)
+        payload = None
+        headers = {}
+        if body is not None:
+            payload = json.dumps(body).encode()
+            headers["Content-Type"] = "application/json"
+        # An open socket has carried a request before; the server may
+        # have closed it since.  http.client reopens a closed one.
+        resend = conn.sock is not None
+        while True:
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                resp = conn.getresponse()
+                return resp.status, dict(resp.getheaders()), resp.read()
+            except ConnectionError:
+                conn.close()
+                if not resend:
+                    raise
+                resend = False
+            except BaseException:
+                conn.close()  # a half-done exchange leaves it unusable
+                raise
 
     def _request(
         self, method: str, path: str, body: Optional[dict] = None
     ) -> tuple[int, dict, dict]:
         """One request; returns (status, headers, decoded JSON body)."""
-        conn = self._connect(self.timeout)
+        status, headers, raw = self._exchange(method, path, body)
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode()
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=payload, headers=headers)
-            resp = conn.getresponse()
-            raw = resp.read()
-            try:
-                decoded = json.loads(raw.decode()) if raw else {}
-            except ValueError:
-                decoded = {"error": raw.decode(errors="replace")}
-            return resp.status, dict(resp.getheaders()), decoded
-        finally:
+            decoded = json.loads(raw.decode()) if raw else {}
+        except ValueError:
+            decoded = {"error": raw.decode(errors="replace")}
+        return status, headers, decoded
+
+    def close(self) -> None:
+        """Close every thread's kept connection (call it with no request
+        in flight); a later call opens a new one."""
+        for conn in self._conns:
             conn.close()
 
     @staticmethod
@@ -183,16 +218,10 @@ class GatewayClient:
 
     def metrics_text(self) -> str:
         """``GET /metrics`` as raw exposition text."""
-        conn = self._connect(self.timeout)
-        try:
-            conn.request("GET", "/metrics")
-            resp = conn.getresponse()
-            raw = resp.read().decode()
-            if resp.status != 200:
-                raise GatewayError(resp.status, {"error": raw})
-            return raw
-        finally:
-            conn.close()
+        status, _, raw = self._exchange("GET", "/metrics")
+        if status != 200:
+            raise GatewayError(status, {"error": raw.decode()})
+        return raw.decode()
 
     def metrics(self) -> dict:
         """``GET /metrics`` parsed into ``{(name, labels): value}``."""

@@ -9,8 +9,11 @@ the same "no framework, just sockets" discipline as the cluster's
 length-prefixed protocol — everything on the wire is inspectable with
 ``curl`` and ``tcpdump``.
 
-Scope is intentionally small: one request per connection
-(``Connection: close``), bodies bounded by ``max_body``, no request
+Connections persist as HTTP/1.1 says they do (RFC 9112 section 9.3):
+a request's :attr:`Request.keep_alive` is false only when the client
+sends ``Connection: close`` or speaks HTTP/1.0 without ``keep-alive``,
+and a response says which way it went in its own ``Connection`` header.
+Scope is otherwise small: bodies bounded by ``max_body``, no request
 chunking, no TLS.  Anything outside that scope gets a clean 4xx/5xx
 instead of undefined behaviour.
 """
@@ -75,6 +78,7 @@ class Request:
     query: dict = field(default_factory=dict)
     headers: dict = field(default_factory=dict)  # keys lower-cased
     body: bytes = b""
+    keep_alive: bool = True  # the connection may carry another request
 
     def json(self) -> dict:
         """The body parsed as a JSON object (raises 400-flavoured
@@ -112,7 +116,9 @@ async def read_request(
     headers: dict = {}
     while True:
         line = await _head_line(reader)
-        if not line or line in (b"\r\n", b"\n"):
+        if not line:
+            return None  # the client hung up inside the head
+        if line in (b"\r\n", b"\n"):
             break
         if len(headers) > 100:
             raise HttpError(400, "headers too large")
@@ -143,12 +149,17 @@ async def read_request(
         split = urlsplit(target)
     except ValueError as exc:  # e.g. an unclosed IPv6 bracket
         raise HttpError(400, f"bad request target: {exc}") from None
+    connection = headers.get("connection", "").lower()
     return Request(
         method=method.upper(),
         path=unquote(split.path) or "/",
         query=dict(parse_qsl(split.query)),
         headers=headers,
         body=body,
+        keep_alive=(
+            "keep-alive" in connection if version == "HTTP/1.0"
+            else "close" not in connection
+        ),
     )
 
 
@@ -169,11 +180,13 @@ def response_bytes(
     *,
     content_type: str = "application/json",
     extra_headers: Optional[Mapping[str, str]] = None,
+    keep_alive: bool = False,
 ) -> bytes:
     """Render a complete non-streaming response.
 
     ``body`` may be a dict (serialised as JSON), str (UTF-8 encoded) or
-    raw bytes; Content-Length and ``Connection: close`` are always set.
+    raw bytes; Content-Length is always set, and ``Connection`` says
+    ``keep-alive`` if ``keep_alive`` else ``close``.
     """
     if isinstance(body, dict):
         body = json.dumps(body, sort_keys=True).encode()
@@ -184,7 +197,7 @@ def response_bytes(
         f"HTTP/1.1 {status} {phrase}",
         f"Content-Type: {content_type}",
         f"Content-Length: {len(body)}",
-        "Connection: close",
+        "Connection: keep-alive" if keep_alive else "Connection: close",
     ]
     for name, value in (extra_headers or {}).items():
         lines.append(f"{name}: {value}")
@@ -199,7 +212,8 @@ async def start_chunked(
     content_type: str = "application/x-ndjson",
     extra_headers: Optional[Mapping[str, str]] = None,
 ) -> None:
-    """Send the head of a ``Transfer-Encoding: chunked`` response."""
+    """Send the head of a ``Transfer-Encoding: chunked`` response; the
+    stream's end ends its connection (``Connection: close``)."""
     phrase = STATUS_PHRASES.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {phrase}",

@@ -200,7 +200,8 @@ def render_service(
         load_stats: shard label -> coordinator ``load_stats()`` dict
             (cluster-backed shards only).
         gateway: gateway-level gauges (``shards``, ``draining``,
-            ``streams_active``, ``uptime_seconds``).
+            ``streams_active``, ``uptime_seconds``) and the
+            ``connections`` counter.
         requests: ``(method, status)`` -> count of HTTP requests served.
     """
     families = _snapshot_families(snapshots)
@@ -219,6 +220,9 @@ def render_service(
         ("repro_gateway_uptime_seconds", "gauge",
          "Seconds since the gateway started serving.",
          [(None, gw.get("uptime_seconds"))]),
+        ("repro_gateway_connections_total", "counter",
+         "TCP connections accepted (each carries one or more requests).",
+         [(None, gw.get("connections"))]),
         ("repro_gateway_requests_total", "counter",
          "HTTP requests served, by method and status code.",
          [({"method": method, "code": str(code)}, count)

@@ -18,10 +18,19 @@ and exposes the service as five endpoints:
 - ``GET /metrics`` — Prometheus text exposition of every shard's
   service metrics and coordinator load stats.
 
+A connection carries requests one after another until the client asks
+for ``Connection: close`` (or speaks HTTP/1.0 without keep-alive), a
+request head does not parse (the stream position is lost with it), an
+``/events`` stream ends, the gateway drains, or the connection sits
+idle past ``stream_ping`` (a silent client, or one that stalls inside
+a request head).
+
 Shutdown is a drain, not a guillotine: :meth:`Gateway.stop` flips the
-gateway to *draining* (new submissions get 503), lets in-flight jobs
-finish (their status streams complete normally), cancels still-queued
-jobs so their streams terminate too, and only then closes the listener.
+gateway to *draining* (new submissions get 503, every response says
+``Connection: close``, idle connections close at once), lets in-flight
+jobs finish (their status streams complete normally), cancels
+still-queued jobs so their streams terminate too, and only then closes
+the listener.
 :class:`GatewayHandle` wraps the whole thing in a dedicated loop thread
 for synchronous callers (the CLI, tests, benchmarks).
 """
@@ -75,7 +84,8 @@ class Gateway:
         max_body: request body bound in bytes.
         stream_ping: silent-gap seconds before a stream emits a
             keep-alive ``ping`` event (also how fast dead client
-            sockets are noticed).
+            sockets are noticed), and how long a connection may wait
+            for its next request.
     """
 
     def __init__(
@@ -98,7 +108,13 @@ class Gateway:
         self._server: Optional[asyncio.AbstractServer] = None
         self._started_at: Optional[float] = None
         self._requests: dict = {}  # (method, status) -> count
+        self._connections = 0  # accepted, ever
         self._streams_active = 0
+        # Writers of connections waiting for a request, and every live
+        # connection's handler task: a drain closes the former at once
+        # and waits for the latter.
+        self._idle: set = set()
+        self._handlers: set = set()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -113,9 +129,11 @@ class Gateway:
         return self.host, self.port
 
     async def stop(self) -> None:
-        """Graceful drain: 503 new submissions, let in-flight jobs
-        finish, cancel queued ones, then close the listener."""
+        """Graceful drain: 503 new submissions, close idle connections,
+        let in-flight jobs finish, cancel queued ones, then close the
+        listener once every connection has ended."""
         self.draining = True
+        self._close_idle()
         loop = asyncio.get_running_loop()
         # router.close() blocks on worker threads finishing their
         # current jobs — run it off-loop so live status streams keep
@@ -123,8 +141,15 @@ class Gateway:
         await loop.run_in_executor(None, self.router.close)
         if self._server is not None:
             self._server.close()
+            self._close_idle()  # accepted during the drain, still silent
+            if self._handlers:
+                await asyncio.wait(self._handlers, timeout=self.stream_ping)
             await self._server.wait_closed()
             self._server = None
+
+    def _close_idle(self) -> None:
+        for writer in self._idle:
+            writer.close()  # the handler reads EOF and ends
 
     # -- accounting ----------------------------------------------------------
 
@@ -138,6 +163,7 @@ class Gateway:
             "shards": self.router.n_shards,
             "draining": int(self.draining),
             "streams_active": self._streams_active,
+            "connections": self._connections,
             "uptime_seconds": (
                 time.monotonic() - self._started_at
                 if self._started_at is not None
@@ -157,35 +183,57 @@ class Gateway:
     ]
 
     async def _handle_connection(self, reader, writer) -> None:
-        """Serve one request on one connection, then close it."""
-        method = "?"
+        """Serve requests on one connection until one of the rules in
+        the module docstring closes it."""
+        self._connections += 1
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
         try:
-            try:
-                request = await H.read_request(reader, max_body=self.max_body)
+            while True:
+                self._idle.add(writer)
+                try:
+                    async with asyncio.timeout(self.stream_ping):
+                        request = await H.read_request(
+                            reader, max_body=self.max_body
+                        )
+                except H.HttpError as exc:
+                    await self._respond(
+                        writer, None, exc.status, {"error": exc.message}
+                    )
+                    return
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     return
-                method = request.method
-                await self._dispatch(request, writer)
-            except H.HttpError as exc:
-                await self._respond(
-                    writer, method, exc.status, {"error": exc.message}
-                )
-            except (ConnectionError, asyncio.IncompleteReadError):
-                pass  # client went away; nothing to say to nobody
-            except Exception as exc:  # a handler bug must not kill the loop
-                try:
-                    await self._respond(
-                        writer, method, 500,
-                        {"error": f"{type(exc).__name__}: {exc}"},
-                    )
-                except ConnectionError:
-                    pass
+                await self._serve(request, writer)
+                if not request.keep_alive or self.draining:
+                    return
+        except (ConnectionError, asyncio.IncompleteReadError, TimeoutError):
+            pass  # client went away or went quiet; nothing to say to nobody
         finally:
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    async def _serve(self, request: H.Request, writer) -> None:
+        """Answer one parsed request; a handler's error is its response."""
+        try:
+            await self._dispatch(request, writer)
+        except H.HttpError as exc:
+            await self._respond(
+                writer, request, exc.status, {"error": exc.message}
+            )
+        except ConnectionError:
+            raise
+        except Exception as exc:  # a handler bug must not kill the loop
+            request.keep_alive = False
+            await self._respond(
+                writer, request, 500,
+                {"error": f"{type(exc).__name__}: {exc}"},
+            )
 
     async def _dispatch(self, request: H.Request, writer) -> None:
         for method, pattern, handler in self._ROUTES:
@@ -199,10 +247,21 @@ class Gateway:
         raise H.HttpError(404, f"no such endpoint: {request.path}")
 
     async def _respond(
-        self, writer, method: str, status: int, body, **kwargs
+        self, writer, request: Optional[H.Request], status: int, body, **kwargs
     ) -> None:
-        self._count(method, status)
-        writer.write(H.response_bytes(status, body, **kwargs))
+        """Send one response; ``request`` None (a head that did not
+        parse) or a draining gateway closes the connection after it."""
+        if request is None:
+            self._count("?", status)
+            keep_alive = False
+        else:
+            self._count(request.method, status)
+            keep_alive = request.keep_alive = (
+                request.keep_alive and not self.draining
+            )
+        writer.write(
+            H.response_bytes(status, body, keep_alive=keep_alive, **kwargs)
+        )
         await writer.drain()
 
     # -- endpoints -----------------------------------------------------------
@@ -211,7 +270,7 @@ class Gateway:
         """``POST /jobs``: validate, route by hash, admit, report."""
         if self.draining:
             await self._respond(
-                writer, "POST", 503, {"error": "gateway is draining"},
+                writer, request, 503, {"error": "gateway is draining"},
                 extra_headers={"Retry-After": f"{self.retry_after:g}"},
             )
             return
@@ -231,17 +290,17 @@ class Gateway:
             "rejected:"
         ):
             await self._respond(
-                writer, "POST", 429, body,
+                writer, request, 429, body,
                 extra_headers={"Retry-After": f"{self.retry_after:g}"},
             )
             return
         status = 200 if job.terminal else 201
-        await self._respond(writer, "POST", status, body)
+        await self._respond(writer, request, status, body)
 
     async def _get_job(self, request: H.Request, writer, job_id: str) -> None:
         """``GET /jobs/{id}``: the job record."""
         shard, job = self._find(job_id)
-        await self._respond(writer, "GET", 200, job_dict(job, shard))
+        await self._respond(writer, request, 200, job_dict(job, shard))
 
     async def _get_result(self, request: H.Request, writer, job_id: str) -> None:
         """``GET /jobs/{id}/result``: the full result of a DONE job
@@ -250,16 +309,17 @@ class Gateway:
         body = job_dict(job, shard)
         if job.state is JobState.DONE and job.result is not None:
             body["result"] = job.result.to_dict()
-            await self._respond(writer, "GET", 200, body)
+            await self._respond(writer, request, 200, body)
         elif not job.terminal:
-            await self._respond(writer, "GET", 202, body)
+            await self._respond(writer, request, 202, body)
         else:
-            await self._respond(writer, "GET", 409, body)
+            await self._respond(writer, request, 409, body)
 
     async def _stream_events(self, request: H.Request, writer, job_id: str) -> None:
         """``GET /jobs/{id}/events``: chunked JSONL status stream."""
         self._find(job_id)  # 404 before committing to a stream
         self._count("GET", 200)
+        request.keep_alive = False  # the stream's end is the connection's
         self._streams_active += 1
         try:
             await H.start_chunked(writer)
@@ -288,14 +348,14 @@ class Gateway:
             requests=dict(self._requests),
         )
         await self._respond(
-            writer, "GET", 200, text,
+            writer, request, 200, text,
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
 
     async def _get_health(self, request: H.Request, writer) -> None:
         """``GET /healthz``: liveness + drain state."""
         await self._respond(
-            writer, "GET", 200,
+            writer, request, 200,
             {
                 "status": "draining" if self.draining else "ok",
                 "shards": self.router.n_shards,

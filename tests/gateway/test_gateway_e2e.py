@@ -6,7 +6,11 @@ backpressure and drain are exercised exactly as a remote client would,
 with scripted backends keeping execution instant and controllable.
 """
 
+import asyncio
+import gc
 import http.client
+import logging
+import socket
 import threading
 import time
 
@@ -58,7 +62,8 @@ class GatedBackend(InstantBackend):
         return super().execute(job, deadline=deadline, cancel=cancel)
 
 
-def make_gateway(n_shards=2, backend_cls=InstantBackend, **router_kw):
+def make_gateway(n_shards=2, backend_cls=InstantBackend, *,
+                 stream_ping=0.25, gateway_cls=Gateway, **router_kw):
     """A listening gateway + client + the per-shard backends."""
     backends = {}
 
@@ -69,7 +74,7 @@ def make_gateway(n_shards=2, backend_cls=InstantBackend, **router_kw):
     router_kw.setdefault("pool", 1)
     router = ShardRouter(n_shards, backend_factory=factory, **router_kw)
     handle = GatewayHandle(
-        Gateway(router, port=0, retry_after=0.05, stream_ping=0.25)
+        gateway_cls(router, port=0, retry_after=0.05, stream_ping=stream_ping)
     )
     handle.start()
     return handle, GatewayClient(handle.url, timeout=15.0), backends
@@ -483,3 +488,335 @@ class TestFrontDoorCost:
             library.library_spec_factory.cache_clear()
         assert len(builds) == 1
         assert len(keys) == 6
+
+
+# -- connections -------------------------------------------------------------
+
+
+def connect(handle) -> socket.socket:
+    return socket.create_connection(handle.address, timeout=10)
+
+
+def exchange(sock, head: bytes) -> tuple[int, dict, bytes]:
+    """Send one request head, read one Content-Length response."""
+    sock.sendall(head)
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed before a response: {data!r}"
+        data += chunk
+    raw_head, _, body = data.partition(b"\r\n\r\n")
+    lines = raw_head.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in lines[1:])
+    }
+    length = int(headers["content-length"])
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk
+        body += chunk
+    assert len(body) == length, "more than one response arrived"
+    return int(lines[0].split()[1]), headers, body
+
+
+def closed_within(sock, seconds: float) -> bool:
+    """True once the server has closed ``sock`` (EOF) within ``seconds``."""
+    sock.settimeout(seconds)
+    try:
+        while sock.recv(65536):
+            pass
+    except socket.timeout:
+        return False
+    except ConnectionResetError:
+        pass
+    return True
+
+
+def accepted(handle) -> int:
+    return handle.gateway.gateway_stats()["connections"]
+
+
+HEALTH = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+class TestConnections:
+    """A connection carries requests until a rule closes it."""
+
+    def test_several_requests_travel_over_one_connection(self):
+        handle, _, _ = make_gateway(stream_ping=30.0)
+        try:
+            with connect(handle) as sock:
+                body = b'{"app": "maxclique", "instance": "brock90-1"}'
+                status, headers, _ = exchange(
+                    sock, b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                    % len(body) + body
+                )
+                assert status in (200, 201)
+                assert headers["connection"] == "keep-alive"
+                for _ in range(3):
+                    status, headers, _ = exchange(sock, HEALTH)
+                    assert (status, headers["connection"]) == (200, "keep-alive")
+                # A handler's 404 leaves the stream where it was.
+                status, _, _ = exchange(sock, b"GET /nowhere HTTP/1.1\r\n\r\n")
+                assert status == 404
+                assert exchange(sock, HEALTH)[0] == 200
+            assert accepted(handle) == 1
+        finally:
+            handle.close()
+
+    @pytest.mark.parametrize("head", [
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ])
+    def test_close_and_http10_end_the_connection(self, head):
+        handle, _, _ = make_gateway(stream_ping=30.0)
+        try:
+            with connect(handle) as sock:
+                status, headers, _ = exchange(sock, head)
+                assert (status, headers["connection"]) == (200, "close")
+                assert closed_within(sock, 5)
+        finally:
+            handle.close()
+
+    def test_http10_keep_alive_is_honoured(self):
+        handle, _, _ = make_gateway(stream_ping=30.0)
+        try:
+            with connect(handle) as sock:
+                head = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                for _ in range(2):
+                    status, headers, _ = exchange(sock, head)
+                    assert (status, headers["connection"]) == (200, "keep-alive")
+        finally:
+            handle.close()
+
+    def test_malformed_head_is_400_then_closed(self):
+        handle, _, _ = make_gateway(stream_ping=30.0)
+        try:
+            with connect(handle) as sock:
+                assert exchange(sock, HEALTH)[0] == 200
+                status, headers, _ = exchange(sock, b"NONSENSE\r\n\r\n")
+                assert (status, headers["connection"]) == (400, "close")
+                assert closed_within(sock, 5)
+        finally:
+            handle.close()
+
+    def test_events_stream_ends_its_connection(self):
+        handle, client, _ = make_gateway(stream_ping=30.0)
+        try:
+            job = client.wait(client.submit(spec_json())["job"])["job"]
+            with connect(handle) as sock:
+                sock.sendall(b"GET /jobs/%s/events HTTP/1.1\r\n\r\n" % job.encode())
+                data = b""
+                sock.settimeout(5)
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    data += chunk
+            assert b"Connection: close" in data
+            assert b'"event": "done"' in data
+            assert data.endswith(b"0\r\n\r\n")
+        finally:
+            handle.close()
+
+    def test_client_keeps_one_connection_per_thread(self):
+        handle, client, _ = make_gateway(stream_ping=30.0)
+        try:
+            def calls():
+                for _ in range(5):
+                    client.health()
+                    client.submit(spec_json())
+
+            calls()
+            assert accepted(handle) == 1
+            threads = [threading.Thread(target=calls) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=15)
+            assert accepted(handle) == 3
+            requests = sum(
+                v for (name, _), v in client.metrics().items()
+                if name == "repro_gateway_requests_total"
+            )
+            assert requests == 30
+            assert client.metrics()[("repro_gateway_connections_total", ())] == 3
+            client.close()
+            client.health()  # a closed client opens a new connection
+            assert accepted(handle) == 4
+        finally:
+            handle.close()
+
+    def test_client_resends_once_after_an_idle_close(self):
+        handle, client, backends = make_gateway(n_shards=1, stream_ping=0.2)
+        try:
+            first = client.submit(spec_json())
+            time.sleep(0.6)  # past the idle bound: the server closes
+            again = client.submit(spec_json())
+            assert again["key"] == first["key"]
+            assert accepted(handle) == 2
+            assert len(backends[0].executed) == 1
+        finally:
+            handle.close()
+
+    def test_a_resent_submit_lands_on_the_first_job(self):
+        class DropsFirstAnswer(Gateway):
+            """Admits the first POST, then closes without answering."""
+
+            dropped = False
+
+            async def _respond(self, writer, request, status, body, **kw):
+                if request is not None and request.method == "POST" and not self.dropped:
+                    self.dropped = True
+                    writer.close()
+                    return
+                await super()._respond(writer, request, status, body, **kw)
+
+        handle, client, backends = make_gateway(
+            n_shards=1, gateway_cls=DropsFirstAnswer, stream_ping=30.0
+        )
+        try:
+            client.health()  # the submit reuses this connection
+            record = client.submit(spec_json())
+            assert handle.gateway.dropped
+            assert accepted(handle) == 2
+            client.wait(record["job"])
+            metrics = client.metrics()
+            assert metrics[("repro_jobs_submitted_total", (("shard", "0"),))] == 2
+            assert metrics[("repro_jobs_executed_total", (("shard", "0"),))] == 1
+            assert len(backends[0].executed) == 1
+            # The first, unanswered submission made the job the resend found.
+            assert record["job"] == "s0-j0002"
+            assert client.job("s0-j0001")["key"] == record["key"]
+        finally:
+            handle.close()
+
+    def test_a_fresh_connection_is_not_resent(self):
+        handle, _, _ = make_gateway()
+        host, port = handle.address
+        handle.close()
+        with pytest.raises(ConnectionError):
+            GatewayClient(f"http://{host}:{port}", timeout=5).health()
+
+
+class TestSlowClients:
+    """Silent, stalled and garbage connections end at the idle bound
+    while other clients' jobs go through."""
+
+    def test_idle_half_head_and_garbage_are_closed(self):
+        ping = 0.3
+        handle, client, _ = make_gateway(stream_ping=ping)
+        try:
+            silent, half, garbage = (connect(handle) for _ in range(3))
+            half.sendall(b"GET /healthz HTTP/1.1\r\nHost: slo")
+            garbage.sendall(bytes(range(256)).replace(b"\n", b""))
+            done = {}
+
+            def jobs(idx):
+                c = GatewayClient(handle.url, timeout=15.0)
+                done[idx] = [
+                    c.wait(c.submit(spec_json(name, submitter=f"c{idx}"))["job"])["state"]
+                    for name in INSTANCES[idx::2]
+                ]
+
+            threads = [threading.Thread(target=jobs, args=(i,)) for i in range(2)]
+            t0 = time.monotonic()
+            for t in threads:
+                t.start()
+            for sock in (silent, half, garbage):
+                assert closed_within(sock, ping + 2.0)
+                sock.close()
+            assert time.monotonic() - t0 < ping + 2.0
+            for t in threads:
+                t.join(timeout=15)
+            assert done == {0: ["DONE"] * 4, 1: ["DONE"] * 4}
+
+            # Every connection ends within the bound: no handler is left.
+            deadline = time.monotonic() + ping + 2.0
+            while handle.gateway._handlers:
+                assert time.monotonic() < deadline, handle.gateway._handlers
+                time.sleep(0.05)
+
+            async def pending():
+                return len(asyncio.all_tasks()) - 1  # less this one
+
+            assert handle._loop.run(pending(), 5) == 0
+        finally:
+            handle.close()
+
+
+class TestDrainKeptConnections:
+    def test_stop_closes_idle_connections_at_once(self):
+        handle, client, backends = make_gateway(
+            n_shards=1, backend_cls=GatedBackend, stream_ping=30.0
+        )
+        gate = backends[0]
+        try:
+            client.submit(spec_json())
+            assert gate.started.wait(5)
+            idle = connect(handle)
+            assert exchange(idle, HEALTH)[0] == 200
+            t = threading.Thread(target=handle.drain)
+            t.start()
+            # Closed while the in-flight job still holds the drain.
+            assert closed_within(idle, 1.0)
+            assert t.is_alive()
+            # A request arriving during the drain is answered, and told
+            # the connection ends with it.
+            with connect(handle) as late:
+                status, headers, body = exchange(late, HEALTH)
+                assert (status, headers["connection"]) == (200, "close")
+                assert b"draining" in body
+                assert closed_within(late, 1.0)
+            gate.release.set()
+            t.join(timeout=15)
+            assert not t.is_alive()
+        finally:
+            gate.release.set()
+            handle.close()
+
+    def test_stop_returns_once_every_connection_has_ended(self):
+        handle, client, backends = make_gateway(
+            n_shards=1, backend_cls=GatedBackend, stream_ping=30.0
+        )
+        gate = backends[0]
+        gateway = handle.gateway
+
+        async def stop():
+            await gateway.stop()
+            return len(gateway._handlers)
+
+        try:
+            client.submit(spec_json())
+            assert gate.started.wait(5)
+            left = []
+            t = threading.Thread(target=lambda: left.append(handle._loop.run(stop(), 15)))
+            t.start()
+            time.sleep(0.2)
+            silent = connect(handle)  # accepted mid-drain, sends nothing
+            time.sleep(0.2)
+            gate.release.set()
+            t.join(timeout=15)
+            assert left == [0]
+            assert closed_within(silent, 1.0)
+            silent.close()
+        finally:
+            gate.release.set()
+            handle.close()
+
+    def test_close_is_prompt_and_quiet_with_a_client_connection_open(
+        self, caplog, capfd
+    ):
+        handle, client, _ = make_gateway(stream_ping=30.0)
+        caplog.set_level(logging.DEBUG, logger="asyncio")
+        client.wait(client.submit(spec_json())["job"])
+        client.health()  # the kept connection is open and idle
+        t0 = time.monotonic()
+        handle.close()
+        assert time.monotonic() - t0 < 1.0
+        gc.collect()
+        logged = caplog.text + capfd.readouterr().err
+        for needle in ("CancelledError", "Task was destroyed", "Traceback"):
+            assert needle not in logged, logged
+        client.close()

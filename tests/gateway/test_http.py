@@ -89,6 +89,11 @@ class TestReadRequest:
             )
         assert err.value.status == 501
 
+    def test_truncated_head_returns_none(self):
+        # EOF before the blank line: not a request, however far it got.
+        assert parse(b"GET /healthz HTTP/1.1\r\nHost: x") is None
+        assert parse(b"GET /healthz HTTP/1.1\r\n") is None
+
     def test_truncated_body_returns_none(self):
         # Client hung up mid-body: not an error worth a response.
         assert parse(b"POST / HTTP/1.1\r\nContent-Length: 50\r\n\r\nhalf") is None
@@ -111,6 +116,30 @@ class TestReadRequest:
         with pytest.raises(HttpError) as err:
             parse(b"GET http://[::1/jobs HTTP/1.1\r\n\r\n")
         assert err.value.status == 400
+
+    def test_http11_keeps_the_connection_unless_told_to_close(self):
+        assert parse(b"GET / HTTP/1.1\r\n\r\n").keep_alive
+        assert not parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").keep_alive
+        assert not parse(b"GET / HTTP/1.1\r\nConnection: Close\r\n\r\n").keep_alive
+
+    def test_http10_closes_unless_it_asks_for_keep_alive(self):
+        assert not parse(b"GET / HTTP/1.0\r\n\r\n").keep_alive
+        assert parse(b"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").keep_alive
+
+    def test_requests_follow_one_another_on_one_reader(self):
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(
+                b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+                b"GET /healthz HTTP/1.1\r\n\r\n"
+            )
+            reader.feed_eof()
+            return [await read_request(reader) for _ in range(3)]
+
+        first, second, end = asyncio.run(run())
+        assert (first.method, first.body) == ("POST", b"{}")
+        assert (second.method, second.path) == ("GET", "/healthz")
+        assert end is None
 
     def test_a_line_past_the_readers_limit_is_400(self):
         async def run():
@@ -161,6 +190,12 @@ class TestResponses:
         assert b"content-type: application/json" in head.lower()
         assert f"content-length: {len(body)}".encode() in head.lower()
         assert b"no such job" in body
+
+    def test_connection_header_closes_by_default(self):
+        assert b"\r\nConnection: close\r\n" in response_bytes(200, {})
+        kept = response_bytes(200, {}, keep_alive=True)
+        assert b"\r\nConnection: keep-alive\r\n" in kept
+        assert b"close" not in kept
 
     def test_extra_headers_are_emitted(self):
         raw = response_bytes(429, {"error": "full"}, extra_headers={"Retry-After": "2"})

@@ -30,10 +30,19 @@ from repro.verify.repetition import (
 INSTANCE = Instance("maxclique", (14, 60, 3))
 KNOBS = {"seed": 7, "d_cutoff": 2, "budget": 5, "share_poll": 16}
 
-# Empirically pinned (see TestMutationSensitivity): at this seed the
-# round-1 maxclique draw catches the ordered-tiebreak mutation in 20/20
-# scan runs, and the clean harness passed 8/8.
+# The seed of the harness's own runs.
 PINNED_SEED = 1
+
+# The tie-break mutation shows only when a tied later-seq witness is
+# merged after the earlier one.  At seed 1 that happens only on the
+# 2- and 4-worker cells, when the schedule has it: the catch read 5 of
+# 10 full-suite runs.  At this seed the round-1 draw puts tied optima
+# in frontier tasks 0 and 1, which the one-worker cell's first two
+# leases carry, both cut under the same bound before any report comes
+# back; the one worker runs them in order, so the later witness lands
+# last.  Scans caught it 15/15 on one worker and 10/10 on all cells,
+# also with two CPU burners beside them.
+TIEBREAK_SEED = 12
 
 
 def _repeat_runs(backend, coordination, workers, n=5):
@@ -196,7 +205,7 @@ class TestMutationSensitivity:
         lines = []
         rc = run_repetition(
             backend="processes", coordination="ordered",
-            seed=PINNED_SEED, rounds=2, repeat=3,
+            seed=TIEBREAK_SEED, rounds=2, repeat=3,
             artifact_dir=str(tmp_path), log=lines.append,
         )
         assert rc == 1
@@ -216,6 +225,6 @@ class TestMutationSensitivity:
         assert os.environ.get("REPRO_VERIFY_MUTATION") is None
         rc = run_repetition(
             backend="processes", coordination="ordered",
-            seed=PINNED_SEED, rounds=2, repeat=3,
+            seed=TIEBREAK_SEED, rounds=2, repeat=3,
         )
         assert rc == 0
