@@ -28,7 +28,7 @@ from repro.core.nodegen import ColumnNodeGenerator
 from repro.core.space import SearchSpec
 from repro.util.rng import _GOLDEN, _MASK64, splittable_hash
 
-__all__ = ["UTSInstance", "UTSNode", "UTSGen", "uts_spec", "uts_spec_from_params"]
+__all__ = ["UTSInstance", "UTSNode", "UTSGen", "UTSColumns", "uts_spec", "uts_spec_from_params"]
 
 _GEOMETRIC = "geometric"
 _BINOMIAL = "binomial"
@@ -112,6 +112,33 @@ class UTSGen(ColumnNodeGenerator[UTSInstance, UTSNode]):
         return [self.build(i) for i in range(self.pos, len(self.values))]
 
 
+class UTSColumns(UTSGen):
+    """UTS's column frame: :class:`UTSGen` plus, for a node of a
+    geometric tree's level ``max_depth - 2``, each child's own child
+    count in ``sizes`` — every grandchild is a leaf, and worth 1, so
+    the same list is ``sums``.  One pass hashes each child's state and
+    draws its count, as a hand-written counter would, and the kernel
+    counts the node's last two levels from it without building a child.
+    Only the kernel reads the column, so the lazy generator
+    (:class:`UTSGen`) does not pay for it."""
+
+    __slots__ = ("sizes", "sums")
+
+    def __init__(self, inst: UTSInstance, node: UTSNode) -> None:
+        super().__init__(inst, node)
+        if inst.shape != _GEOMETRIC or self.depth != inst.max_depth - 1:
+            self.sizes = self.sums = None
+            return
+        state, floor, log, log_ratio = self.state, math.floor, math.log, inst.log_ratio
+        sizes = []
+        for i in range(1, len(self.values) + 1):
+            z = (state + _GOLDEN * i) & _MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            sizes.append(floor(log(1.0 - ((z ^ (z >> 31)) >> 11) * _UNIT) / log_ratio))
+        self.sizes = self.sums = sizes
+
+
 def uts_spec_from_params(
     shape: str,
     b0: float,
@@ -137,6 +164,6 @@ def uts_spec(inst: UTSInstance, *, name: str = "uts") -> SearchSpec:
         space=inst,
         root=root,
         generator=UTSGen,
-        columns=UTSGen,
+        columns=UTSColumns,
         objective=lambda node: 1,
     )

@@ -2,8 +2,10 @@
 
 :func:`search_subtree` is Listing 2 over a plain list of node
 generators — with children priced from per-frame columns before they
-are built when the spec declares those — and every runtime that
-searches a subtree for real calls it:
+are built when the spec declares those, and a frame's last one or two
+levels counted from its ``leaves`` or ``sizes`` promise without a
+child built — and every runtime that searches a subtree for real
+calls it:
 the Sequential skeleton, the Ordered task runner, the process workers of
 all four coordinations, the cluster worker and the in-process service
 backend.  A coordination never changes how the tree is traversed, only
@@ -78,7 +80,8 @@ def search_subtree(
     search kind, which reads each child's objective from the frame's
     ``values`` and never calls ``spec.objective`` on a child:
     default-monoid Enumeration folds ``values[i]``, builds a child only
-    to expand it and counts the rest of a ``leaves`` frame in one step;
+    to expand it, counts the rest of a ``leaves`` frame in one step and
+    a ``sizes`` frame's children whole, each with its leaves;
     Optimisation and Decision compare ``values[i]`` and ``bounds[i]``
     with the incumbent and build a child only to crown or expand it.
     Any other spec, any other search type (custom monoids, subclasses)
@@ -155,7 +158,10 @@ def search_subtree(
         # pruned, so a child is built only to be expanded, and a
         # ``leaves`` frame's children are counted from ``values`` in one
         # step that stops at the next poll node — inline, without a push,
-        # unless that node comes before the last of them.  Both column
+        # unless that node comes before the last of them.  A ``sizes``
+        # frame is counted the same way two levels deep, inline unless
+        # the poll node falls in it, and then child by child up to the
+        # child whose subtree holds it, which is built.  Both column
         # loops count a childless child as the frame it would have been
         # (one backtrack, one level of depth), and load the top frame's
         # columns and position at the head of the outer loop: after a
@@ -187,6 +193,31 @@ def search_subtree(
                     next_poll += poll
                     on_poll(stack)
             else:
+                sizes = frame.sizes
+                if sizes is not None:
+                    # Child k and its sizes[k] leaves are counted whole,
+                    # up to the child whose subtree holds the next poll
+                    # node before its last node: the loop below builds
+                    # that one and pushes its ``leaves`` frame.
+                    j = n
+                    if next_poll:
+                        left = next_poll - nodes
+                        j = i
+                        while j < n and sizes[j] < left:
+                            left -= sizes[j] + 1
+                            j += 1
+                    if j > i:
+                        below = sum(sizes[i:j])
+                        knowledge += sum(values[i:j]) + sum(frame.sums[i:j])
+                        nodes += j - i + below
+                        backtracks += j - i + below
+                        if len(stack) + (2 if below else 1) > deepest:
+                            deepest = len(stack) + (2 if below else 1)
+                        frame.pos = i = j
+                        if nodes == next_poll:
+                            next_poll += poll
+                            on_poll(stack)
+                            continue
                 while i < n:
                     knowledge += values[i]
                     nodes += 1
@@ -204,14 +235,24 @@ def search_subtree(
                         backtracks += m + 1
                         if len(stack) + 2 > deepest:
                             deepest = len(stack) + 2
+                    elif grand.sizes is not None and (
+                        not next_poll or nodes + m + sum(grand.sizes) < next_poll
+                    ):
+                        below = sum(grand.sizes)
+                        knowledge += sum(grand.values) + sum(grand.sums)
+                        nodes += m + below
+                        backtracks += m + below + 1
+                        if len(stack) + (3 if below else 2) > deepest:
+                            deepest = len(stack) + (3 if below else 2)
                     else:
                         stack.append(grand)
                         if len(stack) > deepest:
                             deepest = len(stack)
-                        # A ``leaves`` frame comes here only with a poll
-                        # before its last child: n = 0 leaves the count
+                        # A ``leaves`` or ``sizes`` frame comes here only
+                        # with a poll inside it: n = 0 leaves the count
                         # to the outer loop, which stops at the poll.
-                        frame, values, i, n = grand, grand.values, 0, 0 if grand.leaves else m
+                        frame, values, i = grand, grand.values, 0
+                        n = 0 if grand.leaves or grand.sizes is not None else m
                     if nodes == next_poll:
                         next_poll += poll
                         frame.pos = i

@@ -26,13 +26,17 @@ same nodes in the same order:
   take any frame's :meth:`NodeGenerator.drain`.
 - ``columns`` — a :class:`ColumnNodeGenerator` factory: a frame that
   knows every child's objective and bound *before* any child exists,
-  and may promise that none of its children has children (``leaves``).
-  The kernel's two column loops — default-monoid Enumeration, and
-  Optimisation/Decision — count, crown and prune from the columns and
-  build only the children they expand or crown; Enumeration counts the
-  rest of a ``leaves`` frame in one step.  An application's column
-  frame is usually its lazy generator too (MaxClique's ``CliqueGen``,
-  UTS's ``UTSGen``).
+  and may promise that none of its children has children (``leaves``)
+  or, one level up, that every grandchild is a leaf, with each child's
+  number of children and the sum of their values (``sizes`` and
+  ``sums``).  The kernel's two column loops — default-monoid
+  Enumeration, and Optimisation/Decision — count, crown and prune from
+  the columns and build only the children they expand or crown;
+  Enumeration counts the rest of a ``leaves`` frame in one step, and a
+  ``sizes`` frame's children whole, each with its leaves.  An
+  application's column frame is usually its lazy generator too
+  (MaxClique's ``CliqueGen``), or a subclass of it that pays for the
+  columns the lazy callers never read (UTS's ``UTSColumns``).
 """
 
 from __future__ import annotations
@@ -165,6 +169,14 @@ class ColumnNodeGenerator(NodeGenerator[Space, Node]):
     default, ``False``, promises nothing): default-monoid Enumeration
     then counts them from ``values`` without building one.
 
+    ``sizes`` promises the same one level further down: ``sizes[i]`` is
+    the number of children of child ``i``, none of which has children,
+    and ``sums[i]`` the sum of their values (the default, ``None``,
+    promises nothing; an application whose nodes are all worth 1 may
+    pass one list for both).  Default-monoid Enumeration then counts
+    child ``i`` and its ``sizes[i]`` leaves in one step, and builds it
+    only when a poll falls inside that subtree.
+
     ``pos`` is public because the search kernel walks the columns with
     a local index and writes it back — past children it pruned or
     counted without building — before anyone else may look at the
@@ -177,6 +189,8 @@ class ColumnNodeGenerator(NodeGenerator[Space, Node]):
     bounds: Sequence[Any]
     pos: int
     leaves = False
+    sizes: Sequence[int] | None = None
+    sums: Sequence[int] | None = None
 
     @abstractmethod
     def build(self, i: int) -> Node:

@@ -57,6 +57,20 @@ class Backpressure(GatewayError):
         self.retry_after = retry_after
 
 
+class _Connection(HTTPConnection):
+    """An :class:`HTTPConnection` that writes a request's head and a
+    bytes body in one ``send``; the stock one sends them apart, two
+    writes for every ``POST``."""
+
+    def _send_output(self, message_body=None, encode_chunked=False):
+        if type(message_body) is not bytes or encode_chunked:
+            return super()._send_output(message_body, encode_chunked)
+        self._buffer.extend((b"", message_body))
+        msg = b"\r\n".join(self._buffer)
+        del self._buffer[:]
+        self.send(msg)
+
+
 class GatewayClient:
     """Synchronous HTTP client for one gateway base URL.
 
@@ -78,7 +92,7 @@ class GatewayClient:
         self._conns: list = []  # every thread's, for close()
 
     def _connect(self, timeout: Optional[float]) -> HTTPConnection:
-        return HTTPConnection(self.host, self.port, timeout=timeout)
+        return _Connection(self.host, self.port, timeout=timeout)
 
     def _exchange(
         self, method: str, path: str, body: Optional[dict] = None

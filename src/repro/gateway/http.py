@@ -57,6 +57,9 @@ STATUS_PHRASES = {
 # on bodies: a search JobSpec is well under a kilobyte, so anything
 # megabyte-sized is a client error, not a bigger buffer's job.
 _MAX_HEAD_LINE = 16 * 1024
+# A head ends at an empty line after a line ending: CRLF heads end in
+# "\r\n\r\n", which ends in this too.
+_HEAD_END = b"\n\r\n"
 DEFAULT_MAX_BODY = 1 * 1024 * 1024
 
 
@@ -97,35 +100,34 @@ async def read_request(
 ) -> Optional[Request]:
     """Parse one request off ``reader``; None on a clean EOF.
 
-    Malformed input raises :class:`HttpError` with the right status
-    (400 bad syntax, 413 oversized body, 501 request chunking).
+    The head is read in one ``readuntil`` up to its blank line.  A line
+    may end in a bare LF, but the blank line that ends the head must be
+    CRLF: a lone LF there is not seen as the end of the head (RFC 9112
+    §2.2 lets a recipient choose).  Malformed input raises
+    :class:`HttpError` with the right status (400 bad syntax or an
+    over-long head, 413 oversized body, 501 request chunking).
     """
     try:
-        line = await _head_line(reader)
-    except ConnectionError:
-        return None
-    if not line:
-        return None
+        head = await reader.readuntil(_HEAD_END)
+    except (asyncio.IncompleteReadError, ConnectionError):
+        return None  # EOF before the head ended: not a request
+    except asyncio.LimitOverrunError:  # the reader's own limit
+        raise HttpError(400, "request head too long") from None
+    lines = head.decode("latin-1").split("\n")[:-2]  # drop the blank line
+    if max(map(len, lines)) >= _MAX_HEAD_LINE:
+        raise HttpError(400, "request head line too long")
     try:
-        method, target, version = line.decode("latin-1").strip().split(" ", 2)
+        method, target, version = lines[0].strip().split(" ", 2)
     except ValueError:
         raise HttpError(400, "malformed request line") from None
     if not version.startswith("HTTP/1."):
         raise HttpError(400, f"unsupported protocol {version!r}")
 
     headers: dict = {}
-    while True:
-        line = await _head_line(reader)
-        if not line:
-            return None  # the client hung up inside the head
-        if line in (b"\r\n", b"\n"):
-            break
+    for line in lines[1:]:
         if len(headers) > 100:
             raise HttpError(400, "headers too large")
-        try:
-            name, _, value = line.decode("latin-1").partition(":")
-        except UnicodeDecodeError:
-            raise HttpError(400, "undecodable header") from None
+        name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
 
     if "chunked" in headers.get("transfer-encoding", "").lower():
@@ -161,17 +163,6 @@ async def read_request(
             else "close" not in connection
         ),
     )
-
-
-async def _head_line(reader: asyncio.StreamReader) -> bytes:
-    """One line of the request head (b"" at EOF)."""
-    try:
-        line = await reader.readline()
-    except ValueError:  # the reader's own limit: a longer line than we take
-        raise HttpError(400, "request head line too long") from None
-    if len(line) > _MAX_HEAD_LINE:
-        raise HttpError(400, "request head line too long")
-    return line
 
 
 def response_bytes(

@@ -3,8 +3,10 @@
 A column frame is read by the kernel in place of the children it
 describes, so each promise is checked against the children themselves:
 ``values[i]`` is child ``i``'s objective, ``bounds[i]`` its bound,
-``build(i)`` with gaps is the ``i``-th child of ``drain()``, and
-``leaves`` means no child has a child.
+``build(i)`` with gaps is the ``i``-th child of ``drain()``,
+``leaves`` means no child has a child, and ``sizes[i]`` / ``sums[i]``
+are the number and the summed values of child ``i``'s children, none of
+which has a child.
 """
 
 from math import inf
@@ -54,6 +56,11 @@ def check_frame(spec, node, rnd):
     assert [key(kid) for kid in frame.drain()] == [key(kid) for kid in drained[resume:]]
     if frame.leaves:
         assert all(not spec.columns(spec.space, kid).values for kid in kids)
+    if frame.sizes is not None:
+        grandkids = [spec.generator(spec.space, kid).drain() for kid in kids]
+        assert list(frame.sizes) == [len(below) for below in grandkids]
+        assert list(frame.sums) == [sum(map(spec.objective, below)) for below in grandkids]
+        assert all(not spec.generator(spec.space, g).has_next() for below in grandkids for g in below)
     return kids
 
 

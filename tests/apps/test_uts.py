@@ -3,7 +3,7 @@
 import pytest
 
 from benchmarks.ledger.instances import handwritten_uts_count
-from repro.apps.uts import UTSGen, UTSInstance, UTSNode, uts_spec
+from repro.apps.uts import UTSColumns, UTSGen, UTSInstance, UTSNode, uts_spec
 from repro.core.searchtypes import Enumeration
 from repro.core.sequential import sequential_search
 from repro.util.rng import splittable_hash
@@ -78,9 +78,10 @@ class TestNode:
     def test_lazy_generator_is_the_column_frame(self):
         inst = UTSInstance(shape="geometric", b0=3.0, max_depth=5, seed=2)
         spec = uts_spec(inst)
-        assert spec.generator is spec.columns is UTSGen
+        assert spec.generator is UTSGen and issubclass(spec.columns, UTSGen)
         frame = spec.children_of(spec.root)
         assert list(frame.values) == [1] * len(frame.drain()) and not frame.leaves
+        assert spec.columns(inst, spec.root).drain() == UTSGen(inst, spec.root).drain()
 
     @pytest.mark.parametrize("shape", ["geometric", "binomial"])
     def test_only_the_level_above_the_floor_of_a_geometric_tree_is_leaves(self, shape):
@@ -90,6 +91,21 @@ class TestNode:
             assert level
             frames = [UTSGen(inst, node) for node in level]
             assert [frame.leaves for frame in frames] == [shape == "geometric" and depth == 2] * len(frames)
+            level = [kid for frame in frames for kid in frame.drain()]
+
+    @pytest.mark.parametrize("shape", ["geometric", "binomial"])
+    def test_only_two_levels_above_the_floor_of_a_geometric_tree_has_sizes(self, shape):
+        """The column frame of a node at ``max_depth - 2`` knows its
+        grandchildren's counts; the lazy generator never computes them."""
+        inst = UTSInstance(shape=shape, b0=4.0, max_depth=3, m=4, q=0.2, seed=5)
+        level = [uts_spec(inst).root]
+        for depth in range(3):
+            assert level
+            frames = [UTSColumns(inst, node) for node in level]
+            has_sizes = [frame.sizes is not None for frame in frames]
+            assert has_sizes == [shape == "geometric" and depth == 1] * len(frames)
+            assert all(frame.sums is frame.sizes for frame in frames)
+            assert all(UTSGen(inst, node).sizes is None for node in level)
             level = [kid for frame in frames for kid in frame.drain()]
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import repro
 import repro.apps.maxclique as maxclique_module
-from repro.apps.uts import UTSGen, UTSInstance, uts_spec
+from repro.apps.uts import UTSColumns, UTSGen, UTSInstance, uts_spec
 from repro.cluster.local import cluster_search
 from repro.core.kernel import search_subtree
 from repro.core.nodegen import ColumnListGenerator, ColumnNodeGenerator, ListNodeGenerator
@@ -41,6 +41,7 @@ from repro.verify.generators import (
     search_setup,
 )
 from tests.conftest import make_toy_spec
+from tests.runtime.test_sharing import Transport
 
 
 def run_kernel(spec, stype, **hooks):
@@ -127,7 +128,7 @@ class TestBitIdenticalToSteppedMachine:
         stock = (Enumeration(), Optimisation(), Decision(target=3))
         clique = instance_spec("maxclique", (12, 60, 1))
         uts = instance_spec("uts", (3, 5, 2))
-        for spec, frame in ((clique, maxclique_module.CliqueGen), (uts, UTSGen)):
+        for spec, frame in ((clique, maxclique_module.CliqueGen), (uts, UTSColumns)):
             assert spec.columns is frame and issubclass(frame, ColumnNodeGenerator)
             for stype in stock:  # declared columns: a column loop
                 assert drained(spec, stype) == ({"columns"}, {frame})
@@ -290,6 +291,125 @@ class TestLeavesAreCountedNotBuilt:
         )
         assert count == ref.value and dataclasses.asdict(m) == dataclasses.asdict(ref.metrics)
         assert len(polls) == ((m.nodes - 1) // poll if poll else 0)
+
+    @pytest.mark.parametrize("poll", [0, 1, 7, 64])
+    @pytest.mark.parametrize("args", [(3, 6, 4), (4, 2, 7), (40, 1, 6)], ids=str)
+    def test_a_sizes_frame_builds_only_the_child_a_poll_falls_inside(self, args, poll):
+        """UTS's column frame counts a node's last two levels from its
+        ``sizes``: a child of that frame is built only when a poll node
+        lies in the child's subtree before the subtree's last node, and
+        a leaf never."""
+        spec = instance_spec("uts", args)
+        ref = sequential_search_stepped(spec, Enumeration())
+        CountedBuilds.built = []
+        polls = []
+        count, _, m = run_kernel(
+            dataclasses.replace(spec, columns=CountedBuilds), Enumeration(),
+            poll=poll, on_poll=polls.append if poll else None,
+        )
+        assert count == ref.value and dataclasses.asdict(m) == dataclasses.asdict(ref.metrics)
+        assert len(polls) == ((m.nodes - 1) // poll if poll else 0)
+        assert CountedBuilds.built == polled_twigs(spec, poll)
+
+
+class CountedBuilds(UTSColumns):
+    """UTS's column frame, logging each child a ``sizes`` frame builds
+    and refusing to build a leaf."""
+
+    __slots__ = ()
+    built: list = []
+
+    def build(self, i):
+        if self.leaves:
+            raise AssertionError("a leaf was built")
+        child = super().build(i)
+        if self.sizes is not None:
+            CountedBuilds.built.append(child)
+        return child
+
+
+def polled_twigs(spec, poll):
+    """The nodes of a geometric UTS tree's level ``max_depth - 1``
+    whose subtree holds a poll node before its last node, in search
+    order; polls fall on node counts ``1 + t * poll``."""
+    inst, found, count = spec.space, [], 1
+    stack = [UTSGen(inst, spec.root)]
+    while stack:
+        if not stack[-1].has_next():
+            stack.pop()
+            continue
+        node = stack[-1].next()
+        count += 1
+        frame = UTSGen(inst, node)
+        if poll and node.depth == inst.max_depth - 1:
+            first_poll = count + (1 - count) % poll
+            if first_poll < count + len(frame.values):
+                found.append(node)
+        stack.append(frame)
+    return found
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    b0=st.integers(1, 4), depth=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1), poll=st.integers(1, 50),
+)
+def test_sizes_keep_the_machines_counters_and_the_poll_stacks(b0, depth, seed, poll):
+    """On any geometric tree the kernel's value and every counter are
+    the stepped machine's, and ``on_poll`` sees the stack it sees
+    without ``sizes`` — same frames, same positions — at the same
+    node counts."""
+    spec = instance_spec("uts", (b0, depth, seed))
+    ref = sequential_search_stepped(spec, Enumeration())
+    shapes = {}
+    for frame in (UTSColumns, UTSGen):
+        seen = shapes[frame] = []
+        count, _, m = run_kernel(
+            dataclasses.replace(spec, columns=frame), Enumeration(), poll=poll,
+            on_poll=lambda stack: seen.append([(len(f.values), f.pos) for f in stack]),
+        )
+        assert count == ref.value and dataclasses.asdict(m) == dataclasses.asdict(ref.metrics)
+        assert len(seen) == (m.nodes - 1) // poll
+    assert shapes[UTSColumns] == shapes[UTSGen]
+
+
+class TestLedgerTreeTaskCounts:
+    """Budget and Stack-Stealing split the live stack at polls, so the
+    subtrees they give away on the ledger's UTS tree are the same with
+    the ``sizes`` column as without it (the counts below were taken
+    before the column existed)."""
+
+    SPEC = instance_spec("uts", (4, 9, 1330772960))  # 149 511 nodes
+
+    @pytest.mark.parametrize(
+        "knobs, starving, expected",
+        [
+            ({"budget": 1000}, False, (1, 360)),
+            ({"budget": 100}, False, (1, 2984)),
+            ({"budget": 100}, True, (1076, 2984)),
+            ({"budget": None, "chunked": True}, True, (732, 1581)),
+            ({"budget": None, "chunked": False}, True, (425, 500)),
+        ],
+        ids=["budget-1000", "budget-100", "budget-100-starving", "stacksteal-chunked",
+             "stacksteal-one"],
+    )
+    def test_leases_and_spawns_are_unchanged(self, knobs, starving, expected):
+        for frame in (UTSColumns, UTSGen):
+            spec = dataclasses.replace(self.SPEC, columns=frame)
+            transport = Transport(lambda t: starving and t.asked % 3 == 0)
+            count = nodes = leases = spawns = taken = 0
+            work = [([spec.root], 0)]
+            while work:
+                roots, depth = work.pop()
+                out = transport.run(spec, Enumeration(), roots, depth, count, poll=64, **knobs)
+                count = out.knowledge
+                nodes += out.metrics.nodes
+                spawns += out.metrics.spawns
+                leases += 1
+                work.extend((s, d) for d, s, _, _ in transport.shipped[taken:] if s)
+                taken = len(transport.shipped)
+            assert count == nodes == 149_511
+            assert (leases, spawns) == expected
 
 
 UTS = instance_spec("uts", (3, 6, 4))  # 359 nodes, no pruning

@@ -648,6 +648,43 @@ class TestConnections:
         finally:
             handle.close()
 
+    def test_client_writes_a_submit_in_one_send(self, monkeypatch):
+        """A POST's head and body leave in one write, not one each."""
+        writes = []
+
+        class CountedSocket:
+            def __init__(self, sock):
+                self._sock = sock
+
+            def sendall(self, data):
+                writes.append(len(data))
+                return self._sock.sendall(data)
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        def counted(*args, **kwargs):
+            return CountedSocket(socket.create_connection(*args, **kwargs))
+
+        handle, client, _ = make_gateway(stream_ping=30.0)
+        try:
+            connect_counted = client._connect
+
+            def wrapped(timeout):
+                conn = connect_counted(timeout)
+                conn._create_connection = counted
+                return conn
+
+            monkeypatch.setattr(client, "_connect", wrapped)
+            client.health()
+            assert len(writes) == 1
+            for n in range(1, 4):
+                client.submit(spec_json(INSTANCES[n]))
+                assert len(writes) == 1 + n
+            assert accepted(handle) == 1
+        finally:
+            handle.close()
+
     def test_client_resends_once_after_an_idle_close(self):
         handle, client, backends = make_gateway(n_shards=1, stream_ping=0.2)
         try:

@@ -152,6 +152,60 @@ class TestReadRequest:
             asyncio.run(run())
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_a_head_split_across_small_writes(self, size):
+        """The client's writes land in the reader a few bytes at a time,
+        the blank line's CRLF pair split among them."""
+        raw = b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}"
+
+        async def run():
+            reader = asyncio.StreamReader()
+
+            async def trickle():
+                for at in range(0, len(raw), size):
+                    reader.feed_data(raw[at : at + size])
+                    await asyncio.sleep(0)
+                reader.feed_eof()
+
+            feeder = asyncio.create_task(trickle())
+            request = await read_request(reader)
+            await feeder
+            return request, await read_request(reader)
+
+        request, end = asyncio.run(run())
+        assert (request.method, request.path, request.body) == ("POST", "/jobs", b"{}")
+        assert request.headers == {"host": "x", "content-length": "2"}
+        assert end is None
+
+    def test_lines_may_end_in_a_bare_lf(self):
+        req = parse(b"GET /healthz HTTP/1.1\nHost: x\n\r\n")
+        assert (req.path, req.headers) == ("/healthz", {"host": "x"})
+
+    def test_more_than_a_hundred_headers_is_400(self):
+        fields = lambda n: b"".join(b"X-%d: 1\r\n" % i for i in range(n))
+        assert len(parse(b"GET / HTTP/1.1\r\n" + fields(101) + b"\r\n").headers) == 101
+        with pytest.raises(HttpError) as err:
+            parse(b"GET / HTTP/1.1\r\n" + fields(102) + b"\r\n")
+        assert err.value.status == 400
+
+    def test_a_line_past_the_line_bound_is_400(self):
+        async def run(line):
+            reader = asyncio.StreamReader(limit=1 << 20)
+            reader.feed_data(b"GET / HTTP/1.1\r\nX: " + line + b"\r\n\r\n")
+            reader.feed_eof()
+            return await read_request(reader)
+
+        assert asyncio.run(run(b"y" * 16000)).headers["x"] == "y" * 16000
+        with pytest.raises(HttpError) as err:
+            asyncio.run(run(b"y" * 16 * 1024))
+        assert err.value.status == 400
+
+    def test_a_head_past_the_readers_limit_is_400(self):
+        """Short lines, but more of them than the reader buffers."""
+        with pytest.raises(HttpError) as err:
+            parse(b"GET / HTTP/1.1\r\n" + b"X: %s\r\n" % (b"y" * 1000) * 80 + b"\r\n")
+        assert err.value.status == 400
+
 
 HEADS = st.sampled_from([
     b"",
